@@ -25,6 +25,14 @@ impl Fe {
     pub const ZERO: Fe = Fe([0, 0, 0, 0, 0]);
     /// The multiplicative identity.
     pub const ONE: Fe = Fe([1, 0, 0, 0, 0]);
+    /// √−1 mod p = 2^((p−1)/4), needed during point decompression.
+    pub const SQRT_M1: Fe = Fe([
+        1718705420411056,
+        234908883556509,
+        2233514472574048,
+        2117202627021982,
+        765476049583133,
+    ]);
 
     /// Constructs an element from a little-endian 32-byte encoding.
     ///
@@ -168,40 +176,47 @@ impl Fe {
         let b3_19 = b[3] * 19;
         let b4_19 = b[4] * 19;
         let c0 = a[0] * b[0] + a[1] * b4_19 + a[2] * b3_19 + a[3] * b2_19 + a[4] * b1_19;
-        let mut c1 = a[0] * b[1] + a[1] * b[0] + a[2] * b4_19 + a[3] * b3_19 + a[4] * b2_19;
-        let mut c2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0] + a[3] * b4_19 + a[4] * b3_19;
-        let mut c3 = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0] + a[4] * b4_19;
-        let mut c4 = a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0];
-
-        let mut out = [0u64; 5];
-        c1 += c0 >> 51;
-        out[0] = (c0 as u64) & MASK;
-        c2 += c1 >> 51;
-        out[1] = (c1 as u64) & MASK;
-        c3 += c2 >> 51;
-        out[2] = (c2 as u64) & MASK;
-        c4 += c3 >> 51;
-        out[3] = (c3 as u64) & MASK;
-        let carry = (c4 >> 51) as u64;
-        out[4] = (c4 as u64) & MASK;
-        out[0] += carry * 19;
-        out[1] += out[0] >> 51;
-        out[0] &= MASK;
-        Fe(out)
+        let c1 = a[0] * b[1] + a[1] * b[0] + a[2] * b4_19 + a[3] * b3_19 + a[4] * b2_19;
+        let c2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0] + a[3] * b4_19 + a[4] * b3_19;
+        let c3 = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0] + a[4] * b4_19;
+        let c4 = a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0];
+        Fe::carry_wide([c0, c1, c2, c3, c4])
     }
 
-    /// Squaring (delegates to [`Fe::mul`]; clarity over micro-speed).
+    /// Squaring: the ten cross products `a[i]·a[j]` (i < j) are computed
+    /// once and doubled, 15 limb products instead of [`Fe::mul`]'s 25.
     pub fn square(self) -> Fe {
-        self.mul(self)
+        let a: [u128; 5] = [
+            self.0[0] as u128,
+            self.0[1] as u128,
+            self.0[2] as u128,
+            self.0[3] as u128,
+            self.0[4] as u128,
+        ];
+        let a0_2 = a[0] * 2;
+        let a1_2 = a[1] * 2;
+        let a3_19 = a[3] * 19;
+        let a4_19 = a[4] * 19;
+        let c0 = a[0] * a[0] + 2 * (a[1] * a4_19 + a[2] * a3_19);
+        let c1 = a0_2 * a[1] + 2 * (a[2] * a4_19) + a[3] * a3_19;
+        let c2 = a0_2 * a[2] + a[1] * a[1] + 2 * (a[3] * a4_19);
+        let c3 = a0_2 * a[3] + a1_2 * a[2] + a[4] * a4_19;
+        let c4 = a0_2 * a[4] + a1_2 * a[3] + a[2] * a[2];
+        Fe::carry_wide([c0, c1, c2, c3, c4])
     }
 
-    /// Multiplies by a small constant (used by X25519's a24 = 121665).
-    pub fn mul_small(self, n: u64) -> Fe {
-        debug_assert!(n < (1 << 20));
-        let mut c: [u128; 5] = [0; 5];
-        for i in 0..5 {
-            c[i] = self.0[i] as u128 * n as u128;
+    /// Squares `k` times: x^(2^k).
+    fn pow2k(self, k: u32) -> Fe {
+        let mut x = self;
+        for _ in 0..k {
+            x = x.square();
         }
+        x
+    }
+
+    /// Carries the five column sums of a product into 51-bit limbs,
+    /// folding the top carry back in as ×19.
+    fn carry_wide(mut c: [u128; 5]) -> Fe {
         let mut out = [0u64; 5];
         c[1] += c[0] >> 51;
         out[0] = (c[0] as u64) & MASK;
@@ -219,62 +234,49 @@ impl Fe {
         Fe(out)
     }
 
-    /// Variable-time exponentiation by a little-endian 32-byte exponent.
-    ///
-    /// Exponents here are public constants (p−2, (p−5)/8, (p−1)/4), so
-    /// variable time is acceptable.
-    pub fn pow_vartime(self, exp_le: &[u8; 32]) -> Fe {
-        let mut result = Fe::ONE;
-        let mut started = false;
-        for byte_idx in (0..32).rev() {
-            for bit_idx in (0..8).rev() {
-                if started {
-                    result = result.square();
-                }
-                if (exp_le[byte_idx] >> bit_idx) & 1 == 1 {
-                    if started {
-                        result = result.mul(self);
-                    } else {
-                        result = self;
-                        started = true;
-                    }
-                }
-            }
+    /// Multiplies by a small constant (used by X25519's a24 = 121665).
+    pub fn mul_small(self, n: u64) -> Fe {
+        debug_assert!(n < (1 << 20));
+        let mut c: [u128; 5] = [0; 5];
+        for i in 0..5 {
+            c[i] = self.0[i] as u128 * n as u128;
         }
-        if started {
-            result
-        } else {
-            Fe::ONE
-        }
+        Fe::carry_wide(c)
     }
 
-    /// Multiplicative inverse via Fermat's little theorem: x^(p−2).
+    /// Computes (x^(2^250 − 1), x^11), the shared prefix of the two
+    /// addition chains below: 249 squarings and 10 multiplications. Each
+    /// step's exponent is on the right.
+    fn pow22501(self) -> (Fe, Fe) {
+        let t0 = self.square(); //                      2
+        let t1 = t0.pow2k(2).mul(self); //              9
+        let t2 = t0.mul(t1); //                         11
+        let t3 = t2.square().mul(t1); //                2^5 − 1
+        let t4 = t3.pow2k(5).mul(t3); //                2^10 − 1
+        let t5 = t4.pow2k(10).mul(t4); //               2^20 − 1
+        let t6 = t5.pow2k(20).mul(t5); //               2^40 − 1
+        let t7 = t6.pow2k(10).mul(t4); //               2^50 − 1
+        let t8 = t7.pow2k(50).mul(t7); //               2^100 − 1
+        let t9 = t8.pow2k(100).mul(t8); //              2^200 − 1
+        let t10 = t9.pow2k(50).mul(t7); //              2^250 − 1
+        (t10, t2)
+    }
+
+    /// Multiplicative inverse via Fermat's little theorem: x^(p−2), by
+    /// an addition chain of 254 squarings and 11 multiplications.
     ///
     /// Returns zero for zero input (callers check separately).
     pub fn invert(self) -> Fe {
-        // p − 2 = 2^255 − 21 = 0x7fff...ffeb, little-endian bytes below.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb;
-        exp[31] = 0x7f;
-        self.pow_vartime(&exp)
+        // p − 2 = 2^255 − 21 = (2^250 − 1)·2^5 + 11.
+        let (t250, t11) = self.pow22501();
+        t250.pow2k(5).mul(t11)
     }
 
     /// Computes x^((p−5)/8), the core of the Ed25519 square-root step.
     pub fn pow_p58(self) -> Fe {
-        // (p − 5) / 8 = 2^252 − 3 = 0x0fff...fffd.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfd;
-        exp[31] = 0x0f;
-        self.pow_vartime(&exp)
-    }
-
-    /// √−1 mod p, needed during point decompression.
-    pub fn sqrt_m1() -> Fe {
-        // 2^((p−1)/4) with (p−1)/4 = 2^253 − 5 = 0x1fff...fffb.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfb;
-        exp[31] = 0x1f;
-        Fe([2, 0, 0, 0, 0]).pow_vartime(&exp)
+        // (p − 5) / 8 = 2^252 − 3 = (2^250 − 1)·2^2 + 1.
+        let (t250, _) = self.pow22501();
+        t250.pow2k(2).mul(self)
     }
 
     /// Returns true iff the element is zero (canonical comparison).
@@ -307,6 +309,23 @@ impl Fe {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Fe {
+        /// Bit-serial square-and-multiply by a little-endian exponent:
+        /// the reference the addition chains are checked against.
+        fn pow_vartime(self, exp_le: &[u8; 32]) -> Fe {
+            let mut result = Fe::ONE;
+            for byte in exp_le.iter().rev() {
+                for bit in (0..8).rev() {
+                    result = result.mul(result);
+                    if (byte >> bit) & 1 == 1 {
+                        result = result.mul(self);
+                    }
+                }
+            }
+            result
+        }
+    }
 
     fn fe(n: u64) -> Fe {
         Fe([n & MASK, 0, 0, 0, 0]).reduce_weak()
@@ -368,9 +387,57 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_m1_squares_to_minus_one() {
-        let i = Fe::sqrt_m1();
-        assert!(i.square().ct_eq(Fe::ONE.neg()));
+    fn sqrt_m1_is_two_to_the_quarter_order() {
+        assert!(Fe::SQRT_M1.square().ct_eq(Fe::ONE.neg()));
+        // (p − 1)/4 = 2^253 − 5 = 0x1fff…fffb.
+        let mut exp = [0xffu8; 32];
+        exp[0] = 0xfb;
+        exp[31] = 0x1f;
+        assert!(Fe::SQRT_M1.ct_eq(fe(2).pow_vartime(&exp)));
+    }
+
+    /// Field elements near 0, p and 2^255 first, then seeded random ones.
+    fn samples(n: usize) -> Vec<Fe> {
+        use rand::RngCore;
+        let mut out = vec![Fe::ZERO, Fe::ONE, Fe::ONE.neg(), fe(2), fe(19).neg()];
+        out.push(Fe::from_bytes(&[0xff; 32])); // 2^255 − 1 ≡ 18
+        let mut rng = crate::rng::DetRng::new(0x243f_6a88);
+        while out.len() < n {
+            let mut b = [0u8; 32];
+            rng.fill_bytes(&mut b);
+            out.push(Fe::from_bytes(&b));
+        }
+        out
+    }
+
+    #[test]
+    fn square_matches_mul() {
+        let mut two = [0u8; 32];
+        two[0] = 2;
+        for x in samples(500) {
+            assert!(x.square().ct_eq(x.mul(x)));
+            assert!(x.square().ct_eq(x.pow_vartime(&two)));
+            // Limbs above 2^51 but inside the documented 2^52 bound.
+            let h = MASK >> 1;
+            let wide = Fe([x.0[0] + h, x.0[1] + h, x.0[2], x.0[3] + 1, x.0[4] + h]);
+            assert!(wide.square().ct_eq(wide.mul(wide)));
+        }
+    }
+
+    #[test]
+    fn addition_chains_match_pow_vartime() {
+        // p − 2 = 0x7fff…ffeb and (p − 5)/8 = 0x0fff…fffd.
+        let mut inv_exp = [0xffu8; 32];
+        inv_exp[0] = 0xeb;
+        inv_exp[31] = 0x7f;
+        let mut p58_exp = [0xffu8; 32];
+        p58_exp[0] = 0xfd;
+        p58_exp[31] = 0x0f;
+        for x in samples(200) {
+            assert!(x.invert().ct_eq(x.pow_vartime(&inv_exp)));
+            assert!(x.pow_p58().ct_eq(x.pow_vartime(&p58_exp)));
+        }
+        assert!(Fe::ZERO.invert().is_zero());
     }
 
     #[test]

@@ -14,18 +14,36 @@
 //! slot sits behind its own tiny mutex. Appends from N concurrent
 //! connections therefore never serialize on one log-wide lock — two
 //! appends contend only in the unlikely case they land on the same
-//! slot (a full wrap-around apart). The authorizer list is a shared
-//! [`Arc`] handle built once per credential change by the server (not
-//! re-serialized per operation), so an append allocates only the
-//! record's own strings.
+//! slot (a full wrap-around apart).
+//!
+//! # Footprint
+//!
+//! A record is stored in binary — the requester's 32 key bytes, a
+//! static operation name, the handle's `(inode, generation)` pair and a
+//! shared [`Arc`] handle to the peer's authorizer keys, built once per
+//! credential change by the server — so an append allocates nothing
+//! and a full ring stays well under 1 MB however many sessions pass
+//! through it. Hex and principal strings are rendered by the accessor
+//! methods, when somebody reads the log.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use discfs_crypto::ed25519::VerifyingKey;
 use discfs_crypto::hex;
+use keynote::key_principal;
 use parking_lot::Mutex;
 
 use crate::perm::Perm;
+
+/// What a record is about.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Subject {
+    /// An access decision on the file handle `(inode, generation)`.
+    Handle(u32, u32),
+    /// A connection aborted for the given protocol violation.
+    Abort(Box<str>),
+}
 
 /// One audit record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,22 +52,44 @@ pub struct AuditRecord {
     pub seq: u64,
     /// Virtual time of the decision.
     pub time: u64,
-    /// Hex of the requesting public key ("key A").
-    pub requester: String,
-    /// The operation attempted (e.g. `"read"`, `"write"`, `"lookup"`).
-    pub op: String,
-    /// The file handle string (`ino.generation`).
-    pub handle: String,
+    requester: [u8; 32],
+    op: &'static str,
+    subject: Subject,
     /// Permissions the operation needed.
     pub required: Perm,
     /// Permissions the policy granted.
     pub granted: Perm,
     /// Whether the operation proceeded.
     pub allowed: bool,
-    /// Hex keys of the credential issuers in the session ("key B" and
-    /// any other links of the chain) — a shared handle to the peer's
-    /// cached authorizer list, cloned per record as a refcount bump.
-    pub authorizers: Arc<Vec<String>>,
+    authorizers: Arc<[VerifyingKey]>,
+}
+
+impl AuditRecord {
+    /// Hex of the requesting public key ("key A").
+    pub fn requester(&self) -> String {
+        hex::encode(&self.requester)
+    }
+
+    /// The operation attempted (e.g. `"read"`, `"write"`, `"lookup"`;
+    /// `"abort"` for a condemned connection).
+    pub fn op(&self) -> &'static str {
+        self.op
+    }
+
+    /// The file handle string (`ino.generation`); for an `"abort"`
+    /// record, the violation that condemned the connection.
+    pub fn handle(&self) -> String {
+        match &self.subject {
+            Subject::Handle(ino, generation) => format!("{ino}.{generation}"),
+            Subject::Abort(reason) => reason.to_string(),
+        }
+    }
+
+    /// Principal strings of the credential issuers in the session when
+    /// the decision was made ("key B" and any other links of the chain).
+    pub fn authorizers(&self) -> Vec<String> {
+        self.authorizers.iter().map(key_principal).collect()
+    }
 }
 
 /// A bounded in-memory audit log (lock-striped ring buffer).
@@ -67,31 +107,54 @@ impl AuditLog {
         }
     }
 
-    /// Appends a record (overwriting the oldest when full).
+    /// Appends an access decision (overwriting the oldest record when
+    /// full). `handle` is the `(inode, generation)` pair; `authorizers`
+    /// is the peer's shared issuer-key list, cloned per record as a
+    /// refcount bump.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &self,
         time: u64,
         requester: &[u8; 32],
-        op: &str,
-        handle: &str,
+        op: &'static str,
+        handle: (u32, u32),
         required: Perm,
         granted: Perm,
         allowed: bool,
-        authorizers: Arc<Vec<String>>,
+        authorizers: Arc<[VerifyingKey]>,
     ) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed) + 1;
-        let record = AuditRecord {
-            seq,
+        self.append(AuditRecord {
+            seq: 0,
             time,
-            requester: hex::encode(requester),
-            op: op.to_string(),
-            handle: handle.to_string(),
+            requester: *requester,
+            op,
+            subject: Subject::Handle(handle.0, handle.1),
             required,
             granted,
             allowed,
             authorizers,
-        };
+        });
+    }
+
+    /// Appends an `"abort"` record: `requester`'s connection was
+    /// condemned for `reason`.
+    pub fn record_abort(&self, time: u64, requester: &[u8; 32], reason: &str) {
+        self.append(AuditRecord {
+            seq: 0,
+            time,
+            requester: *requester,
+            op: "abort",
+            subject: Subject::Abort(reason.into()),
+            required: Perm::NONE,
+            granted: Perm::NONE,
+            allowed: false,
+            authorizers: Arc::new([]),
+        });
+    }
+
+    fn append(&self, mut record: AuditRecord) {
+        let seq = self.cursor.fetch_add(1, Ordering::Relaxed) + 1;
+        record.seq = seq;
         let slot = &self.slots[((seq - 1) % self.slots.len() as u64) as usize];
         let mut guard = slot.lock();
         // Wrap-around race: a slow writer from a previous lap must not
@@ -116,7 +179,7 @@ impl AuditLog {
     pub fn by_requester(&self, key_hex_prefix: &str) -> Vec<AuditRecord> {
         self.records()
             .into_iter()
-            .filter(|r| r.requester.starts_with(key_hex_prefix))
+            .filter(|r| r.requester().starts_with(key_hex_prefix))
             .collect()
     }
 
@@ -145,8 +208,8 @@ impl AuditLog {
 mod tests {
     use super::*;
 
-    fn no_authorizers() -> Arc<Vec<String>> {
-        Arc::new(Vec::new())
+    fn no_authorizers() -> Arc<[VerifyingKey]> {
+        Arc::new([])
     }
 
     #[test]
@@ -156,7 +219,7 @@ mod tests {
             1,
             &[0xaa; 32],
             "read",
-            "5.1",
+            (5, 1),
             Perm::R,
             Perm::RW,
             true,
@@ -166,7 +229,7 @@ mod tests {
             2,
             &[0xbb; 32],
             "write",
-            "5.1",
+            (5, 1),
             Perm::W,
             Perm::NONE,
             false,
@@ -188,7 +251,7 @@ mod tests {
                 i,
                 &[i as u8; 32],
                 "read",
-                "1.1",
+                (1, 1),
                 Perm::R,
                 Perm::R,
                 true,
@@ -209,7 +272,7 @@ mod tests {
             1,
             &[0xaa; 32],
             "read",
-            "1.1",
+            (1, 1),
             Perm::R,
             Perm::R,
             true,
@@ -219,7 +282,7 @@ mod tests {
             2,
             &[0xbb; 32],
             "write",
-            "1.1",
+            (1, 1),
             Perm::W,
             Perm::NONE,
             false,
@@ -228,7 +291,9 @@ mod tests {
         assert_eq!(log.by_requester("aa").len(), 1);
         assert_eq!(log.by_requester("bb").len(), 1);
         assert_eq!(log.denials().len(), 1);
-        assert_eq!(log.denials()[0].op, "write");
+        assert_eq!(log.denials()[0].op(), "write");
+        assert_eq!(log.denials()[0].handle(), "1.1");
+        assert_eq!(log.denials()[0].requester(), "bb".repeat(32));
     }
 
     #[test]
@@ -238,13 +303,38 @@ mod tests {
             1,
             &[0x01; 32],
             "read",
-            "9.2",
+            (9, 2),
             Perm::R,
             Perm::R,
             true,
-            Arc::new(vec!["keyB".into(), "keyAdmin".into()]),
+            Arc::new([VerifyingKey([0xb0; 32]), VerifyingKey([0xad; 32])]),
         );
-        assert_eq!(*log.records()[0].authorizers, vec!["keyB", "keyAdmin"]);
+        assert_eq!(
+            log.records()[0].authorizers(),
+            vec![
+                format!("ed25519-hex:{}", "b0".repeat(32)),
+                format!("ed25519-hex:{}", "ad".repeat(32)),
+            ]
+        );
+    }
+
+    #[test]
+    fn abort_records_carry_the_reason() {
+        let log = AuditLog::new(4);
+        log.record_abort(7, &[0x0c; 32], "malformed frame");
+        let rec = &log.denials()[0];
+        assert_eq!(
+            (rec.op(), rec.handle().as_str()),
+            ("abort", "malformed frame")
+        );
+        assert!(rec.authorizers().is_empty());
+    }
+
+    #[test]
+    fn a_slot_stays_under_200_bytes() {
+        // The ring is `capacity` of these, allocated up front; the only
+        // heap a record pins besides is its session's shared key list.
+        assert!(std::mem::size_of::<Mutex<Option<AuditRecord>>>() <= 200);
     }
 
     #[test]
@@ -261,11 +351,11 @@ mod tests {
                             i,
                             &[t; 32],
                             "read",
-                            "1.1",
+                            (1, 1),
                             Perm::R,
                             Perm::R,
                             true,
-                            Arc::new(Vec::new()),
+                            Arc::new([]),
                         );
                     }
                 });

@@ -56,9 +56,11 @@
 //!   per request (lookup does two: directory traversal + child mode —
 //!   distinct handles).
 //! * **Ring audit log** — [`audit::AuditLog`] is a fixed-capacity ring
-//!   with an atomic cursor and per-slot locks; the authorizer list it
-//!   records is a shared handle cached per peer, rebuilt only when the
-//!   credential set changes.
+//!   with an atomic cursor and per-slot locks; records are binary
+//!   (key bytes, static op name, `(inode, generation)`) and the
+//!   authorizer key list is a shared handle cached per peer, rebuilt
+//!   only when the credential set changes, so an append allocates
+//!   nothing and hex is rendered only when the log is read.
 //!
 //! The invariants, pinned by `server::AuthStats` counters in tests and
 //! the `multi_client` bench:
@@ -581,15 +583,15 @@ mod tests {
         assert!(!records.is_empty());
         let read_record = records
             .iter()
-            .rfind(|r| r.op == "readdir" && r.allowed)
+            .rfind(|r| r.op() == "readdir" && r.allowed)
             .expect("readdir must be audited");
         assert_eq!(
-            read_record.requester,
+            read_record.requester(),
             discfs_crypto::hex::encode(&bob.public().0)
         );
         // The admin key (credential issuer) appears as an authorizer.
         let admin_principal = keynote::key_principal(&bed.admin().public());
-        assert!(read_record.authorizers.contains(&admin_principal));
+        assert!(read_record.authorizers().contains(&admin_principal));
     }
 
     #[test]

@@ -148,12 +148,12 @@ struct PeerState {
     /// credentials), rebuilt only when the credential set changes —
     /// i.e. exactly when `epoch` bumps. Appending an audit record is a
     /// refcount bump, not a re-serialization of every credential.
-    authorizers: RwLock<Arc<Vec<String>>>,
+    authorizers: RwLock<Arc<[VerifyingKey]>>,
 }
 
 impl PeerState {
     /// The shared authorizer-list handle for audit records.
-    fn authorizers(&self) -> Arc<Vec<String>> {
+    fn authorizers(&self) -> Arc<[VerifyingKey]> {
         self.authorizers.read().clone()
     }
 
@@ -163,12 +163,13 @@ impl PeerState {
     /// miss that observes the new epoch also observes the new
     /// credential set.
     fn credentials_changed(&self, session: &Session) {
-        let list: Vec<String> = session
+        // Every credential in a session passed `Assertion::verify`, so
+        // its authorizer is a key.
+        *self.authorizers.write() = session
             .credentials()
             .iter()
-            .map(|a| a.authorizer().to_text())
+            .filter_map(|a| a.authorizer().as_key().copied())
             .collect();
-        *self.authorizers.write() = Arc::new(list);
         self.epoch.fetch_add(1, Ordering::Release);
     }
 }
@@ -336,6 +337,13 @@ impl DiscfsService {
         &self.auth_stats
     }
 
+    /// Peers with live server-side session state (a KeyNote session and
+    /// its credentials), summed over the shards. A departed client's
+    /// entry is removed by `connection_closed`.
+    pub fn peer_session_count(&self) -> usize {
+        self.peer_shards.iter().map(|s| s.read().len()).sum()
+    }
+
     /// The resolved peer-session shard count (always a power of two —
     /// see [`DiscfsConfig::resolved_peer_shards`]).
     pub fn peer_shard_count(&self) -> usize {
@@ -441,7 +449,7 @@ impl DiscfsService {
                 Arc::new(PeerState {
                     epoch: AtomicU64::new(counter << 20),
                     session: Mutex::new(session),
-                    authorizers: RwLock::new(Arc::new(Vec::new())),
+                    authorizers: RwLock::new(Arc::new([])),
                 })
             })
             .clone()
@@ -530,7 +538,7 @@ impl DiscfsService {
         ctx: &RequestCtx,
         fh: &FHandle,
         required: Perm,
-        op: &str,
+        op: &'static str,
     ) -> Result<Perm, NfsStat> {
         let Some(peer) = ctx.peer else {
             // No channel identity at all: nothing can be authorized.
@@ -542,11 +550,12 @@ impl DiscfsService {
         // Log "key A was used and key B authorized" (§4.2): the issuers
         // of the session's credentials are the candidate authorizers —
         // a cached shared handle, rebuilt only on credential changes.
+        let (_, ino, generation) = fh.unpack();
         self.audit.record(
             self.env_time.load(Ordering::Relaxed),
             &peer.0,
             op,
-            &fh.credential_string(),
+            (ino, generation),
             required,
             granted,
             allowed,
@@ -578,24 +587,24 @@ impl DiscfsService {
     }
 
     fn submit_credential(&self, peer: &VerifyingKey, text: &str) -> DiscfsRpcStatus {
+        let Ok(assertion) = keynote::Assertion::parse(text) else {
+            return DiscfsRpcStatus::BadCredential;
+        };
         // Revocation screening before the session sees it.
-        match keynote::Assertion::parse(text) {
-            Ok(assertion) => {
-                let revocations = self.revocations.read();
-                if revocations.is_credential_revoked(&assertion.id()) {
+        {
+            let revocations = self.revocations.read();
+            if revocations.is_credential_revoked(&assertion.id()) {
+                return DiscfsRpcStatus::Revoked;
+            }
+            if let Some(key) = assertion.authorizer().as_key() {
+                if revocations.is_key_revoked(key) {
                     return DiscfsRpcStatus::Revoked;
                 }
-                if let Some(key) = assertion.authorizer().as_key() {
-                    if revocations.is_key_revoked(key) {
-                        return DiscfsRpcStatus::Revoked;
-                    }
-                }
             }
-            Err(_) => return DiscfsRpcStatus::BadCredential,
         }
         let state = self.peer_state(peer);
         let mut session = state.session.lock();
-        match session.add_credential(text) {
+        match session.add_assertion(assertion) {
             Ok(()) => {
                 state.credentials_changed(&session);
                 DiscfsRpcStatus::Ok
@@ -819,16 +828,8 @@ impl NfsService for DiscfsService {
         // is an auditable event: log which authenticated key sent
         // garbage before the session state is torn down.
         let peer = ctx.peer.map(|p| p.0).unwrap_or([0u8; 32]);
-        self.audit.record(
-            self.env_time.load(Ordering::Relaxed),
-            &peer,
-            "abort",
-            reason,
-            Perm::NONE,
-            Perm::NONE,
-            false,
-            std::sync::Arc::new(Vec::new()),
-        );
+        self.audit
+            .record_abort(self.env_time.load(Ordering::Relaxed), &peer, reason);
     }
 }
 

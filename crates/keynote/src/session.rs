@@ -112,7 +112,19 @@ impl Session {
     /// Parse errors, [`KeyNoteError::AuthorizerNotAKey`], or
     /// [`KeyNoteError::BadSignature`].
     pub fn add_credential(&mut self, text: &str) -> Result<(), KeyNoteError> {
-        let assertion = Assertion::parse(text)?;
+        self.add_assertion(Assertion::parse(text)?)
+    }
+
+    /// Adds an already-parsed signed credential after verifying its
+    /// signature — for callers that had to inspect the assertion first
+    /// (DisCFS screens it against the revocation list) and should not
+    /// pay for a second parse.
+    ///
+    /// # Errors
+    ///
+    /// [`KeyNoteError::AuthorizerNotAKey`] or
+    /// [`KeyNoteError::BadSignature`].
+    pub fn add_assertion(&mut self, assertion: Assertion) -> Result<(), KeyNoteError> {
         assertion.verify()?;
         self.credentials.push(assertion);
         Ok(())

@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -428,6 +428,11 @@ impl ReadySet {
 struct DirState {
     pending: AtomicUsize,
     watcher: Mutex<Option<(Arc<ReadySet>, u64)>>,
+    /// Set when the sending endpoint is dropped, *before* its watcher is
+    /// woken: the channel itself only disconnects once the sender field
+    /// is dropped, which is after `Drop::drop` returns — too late for a
+    /// receiver that the wakeup has already sent polling.
+    closed: AtomicBool,
 }
 
 impl DirState {
@@ -604,21 +609,27 @@ impl Transport for Endpoint {
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, NetError> {
+        // Read the flag first: the peer sets it after its last send, so
+        // an empty queue seen afterwards is empty for good.
+        let closed = self.incoming.closed.load(Ordering::SeqCst);
         match self.rx.try_recv() {
             Ok(msg) => {
                 self.incoming.pending.fetch_sub(1, Ordering::Release);
                 Ok(Some(msg))
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) if !closed => Ok(None),
+            Err(_) => Err(NetError::Disconnected),
         }
     }
 
     fn register_ready(&self, set: &Arc<ReadySet>, token: u64) {
         *self.incoming.watcher.lock().unwrap() = Some((Arc::clone(set), token));
-        // Messages that arrived before registration would otherwise never
-        // produce an edge: arm the token once if anything is pending.
-        if self.incoming.pending.load(Ordering::Acquire) > 0 {
+        // Messages that arrived — or a peer that left — before
+        // registration would otherwise never produce an edge: arm the
+        // token once if there is anything to observe.
+        if self.incoming.pending.load(Ordering::Acquire) > 0
+            || self.incoming.closed.load(Ordering::SeqCst)
+        {
             set.push(token);
         }
     }
@@ -636,7 +647,10 @@ impl Drop for Endpoint {
     fn drop(&mut self) {
         // A dropped endpoint is a disconnect from the peer's point of
         // view: wake whoever watches the direction we used to feed so the
-        // loop observes `Disconnected` instead of sleeping forever.
+        // loop observes `Disconnected` instead of sleeping forever. The
+        // flag goes up first — `self.tx` is still alive here, and a woken
+        // poller that preempts this thread must not read "nothing yet".
+        self.outgoing.closed.store(true, Ordering::SeqCst);
         self.outgoing.notify();
     }
 }
@@ -870,6 +884,31 @@ mod tests {
         b.register_ready(&set, 11);
         drop(a);
         assert_eq!(set.wait(Duration::from_secs(1)), vec![11]);
+        assert_eq!(b.try_recv(), Err(NetError::Disconnected));
+    }
+
+    #[test]
+    fn register_after_peer_drop_still_arms_token() {
+        // The peer finished its handshake and left before the server got
+        // round to watching the channel: no edge will ever follow.
+        let clock = SimClock::new();
+        let (a, b) = Link::pair(&clock, LinkConfig::instant());
+        drop(a);
+        let set = ReadySet::new();
+        b.register_ready(&set, 5);
+        assert_eq!(set.wait(Duration::from_secs(1)), vec![5]);
+        assert_eq!(b.try_recv(), Err(NetError::Disconnected));
+    }
+
+    #[test]
+    fn messages_sent_before_drop_are_delivered_before_disconnect() {
+        let clock = SimClock::new();
+        let (a, b) = Link::pair(&clock, LinkConfig::instant());
+        a.send(vec![1]).unwrap();
+        a.send(vec![2]).unwrap();
+        drop(a);
+        assert_eq!(b.try_recv().unwrap().unwrap(), vec![1]);
+        assert_eq!(b.try_recv().unwrap().unwrap(), vec![2]);
         assert_eq!(b.try_recv(), Err(NetError::Disconnected));
     }
 

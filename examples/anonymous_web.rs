@@ -76,7 +76,7 @@ fn main() {
         "\naudit: {} operations recorded for the visitor's key",
         visits.len()
     );
-    assert!(visits.iter().any(|r| r.op == "read" && r.allowed));
+    assert!(visits.iter().any(|r| r.op() == "read" && r.allowed));
 
     // Unpublishing takes effect immediately.
     bed.service().set_public_access(&index.fh, Perm::NONE);

@@ -79,10 +79,7 @@ fn main() {
     println!(
         "\nAudit log recorded {} denial(s); last: op={} requester={}…",
         denials.len(),
-        denials.last().map(|r| r.op.as_str()).unwrap_or("-"),
-        &denials
-            .last()
-            .map(|r| r.requester.clone())
-            .unwrap_or_default()[..16],
+        denials.last().map(|r| r.op()).unwrap_or("-"),
+        &denials.last().map(|r| r.requester()).unwrap_or_default()[..16],
     );
 }

@@ -236,12 +236,12 @@ fn audit_reconstructs_authorization_path() {
         .by_requester(&discfs_crypto::hex::encode(&alice.public().0));
     let read_rec = records
         .iter()
-        .rfind(|r| r.op == "read" && r.allowed)
+        .rfind(|r| r.op() == "read" && r.allowed)
         .expect("alice's read is logged");
     let bob_principal = keynote::key_principal(&bob.public());
     assert!(
-        read_rec.authorizers.contains(&bob_principal),
+        read_rec.authorizers().contains(&bob_principal),
         "bob must appear as an authorizer: {:?}",
-        read_rec.authorizers
+        read_rec.authorizers()
     );
 }

@@ -15,6 +15,7 @@
 //! * The server runs a fixed thread pool: connection count does not
 //!   change the process's thread count.
 
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use discfs::{CredentialIssuer, DiscfsClient, Perm, Testbed};
@@ -174,7 +175,7 @@ fn corrupt_checksum_drops_only_the_offender() {
         .audit()
         .records()
         .iter()
-        .filter(|r| r.op == "abort")
+        .filter(|r| r.op() == "abort")
         .count();
 
     let (attacker, token) = bed.connect_raw(&key(0x41)).expect("attacker handshake");
@@ -196,7 +197,7 @@ fn corrupt_checksum_drops_only_the_offender() {
         .audit()
         .records()
         .iter()
-        .filter(|r| r.op == "abort" && r.handle == "malformed frame")
+        .filter(|r| r.op() == "abort" && r.handle() == "malformed frame")
         .count();
     assert!(
         aborted_after > aborted_before,
@@ -324,21 +325,27 @@ fn reboot_quiesces_engine_with_requests_in_flight() {
 }
 
 /// The whole point of the engine: more connections, same threads.
+/// Counts the threads the engine names (`engine-loop`,
+/// `engine-worker-N`), not every task in the process — sibling tests
+/// in this binary spawn and retire threads of their own meanwhile.
 #[cfg(target_os = "linux")]
 #[test]
 fn connection_count_does_not_grow_thread_count() {
-    fn threads_now() -> usize {
+    fn engine_threads_now() -> usize {
         std::fs::read_dir("/proc/self/task")
             .expect("procfs")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("engine-"))
             .count()
     }
     let bed = Testbed::instant();
     let clients: Vec<DiscfsClient> = (0..8).map(|i| connect_granted(&bed, 0x60 + i)).collect();
-    let before = threads_now();
+    let before = engine_threads_now();
+    assert!(before >= bed.engine().thread_count());
     let more: Vec<DiscfsClient> = (0..120)
         .map(|i| connect_granted(&bed, 0x60 + (i % 40) as u8))
         .collect();
-    let after = threads_now();
+    let after = engine_threads_now();
     assert_eq!(
         before, after,
         "accepting 120 more connections must not spawn server threads"
@@ -347,4 +354,63 @@ fn connection_count_does_not_grow_thread_count() {
     for client in clients.iter().chain(&more) {
         client.getattr(&client.remote().root()).expect("served");
     }
+}
+
+/// Every departed client is noticed. `Endpoint::drop` used to wake the
+/// engine loop while the channel still looked merely empty, and a loop
+/// that won the race dropped the only edge it would ever get: the
+/// connection, its ESP state and the peer's KeyNote session (with the
+/// credentials loaded into it) stayed for good — about one drop in
+/// three on a two-core host.
+#[test]
+fn every_disconnect_is_observed_and_tears_down_the_session() {
+    const CYCLES: u32 = 2000;
+    let bed = Testbed::new();
+    let root_grant = |holder: &SigningKey, perm: Perm| {
+        CredentialIssuer::new(bed.admin())
+            .holder(&holder.public())
+            .grant_handle_string("1.1", perm)
+            .issue()
+    };
+    for i in 0..CYCLES {
+        // A key of its own per cycle: a late teardown of cycle i must
+        // not be able to hide behind (or remove) cycle i+1's session.
+        let mut seed = [0x7e; 32];
+        seed[..4].copy_from_slice(&i.to_le_bytes());
+        let holder = SigningKey::from_seed(&seed);
+        let client = bed.connect(&holder).expect("connect");
+        client
+            .submit_credential(&root_grant(&holder, Perm::R))
+            .expect("first credential");
+        client
+            .submit_credential(&root_grant(&holder, Perm::RX))
+            .expect("second credential");
+        client
+            .client()
+            .readdir_all(&client.remote().root())
+            .expect("readdir");
+        drop(client);
+    }
+    let stats = bed.engine().stats();
+    let all_gone = eventually(|| {
+        bed.engine().connections() == 0
+            && stats.connections_dropped.load(Ordering::Relaxed)
+                == stats.connections_accepted.load(Ordering::Relaxed)
+    });
+    assert!(
+        all_gone,
+        "{} of {CYCLES} connections still attached; accepted {} dropped {}",
+        bed.engine().connections(),
+        stats.connections_accepted.load(Ordering::Relaxed),
+        stats.connections_dropped.load(Ordering::Relaxed),
+    );
+    assert_eq!(
+        stats.connections_accepted.load(Ordering::Relaxed),
+        CYCLES as u64
+    );
+    assert_eq!(
+        bed.service().peer_session_count(),
+        0,
+        "no KeyNote session may outlive its connection"
+    );
 }
