@@ -1,14 +1,18 @@
 //! Micro-benchmarks for the crypto substrate: the primitive operations
-//! underlying credential verification and channel protection.
+//! underlying credential verification and channel protection, and the
+//! integrity checksum that frames what they protect.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+use discfs_crypto::chacha20::ChaCha20;
 use discfs_crypto::chacha20poly1305::ChaCha20Poly1305;
 use discfs_crypto::ed25519::SigningKey;
+use discfs_crypto::poly1305::Poly1305;
 use discfs_crypto::sha256::Sha256;
 use discfs_crypto::sha512::Sha512;
 use discfs_crypto::x25519;
 use discfs_crypto::Digest;
+use onc_rpc::frame;
 
 fn bench_hashes(c: &mut Criterion) {
     let data = vec![0xA5u8; 8192];
@@ -29,6 +33,41 @@ fn bench_aead(c: &mut Criterion) {
     group.bench_function("seal", |b| b.iter(|| aead.seal(&nonce, b"", &block)));
     group.bench_function("open", |b| {
         b.iter(|| aead.open(&nonce, b"", &sealed).unwrap())
+    });
+    group.finish();
+}
+
+/// The two halves of the AEAD on their own, so a change in
+/// `esp_record_8k` can be attributed to one of them.
+fn bench_aead_kernels(c: &mut Criterion) {
+    let cipher = ChaCha20::new(&[7; 32], &[9; 12]);
+    let mut block = vec![0x5Au8; 8192];
+    let mut group = c.benchmark_group("chacha20_8k");
+    group.throughput(Throughput::Bytes(8192));
+    group.bench_function("apply_keystream", |b| {
+        b.iter(|| cipher.apply_keystream(1, &mut block))
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("poly1305_8k");
+    group.throughput(Throughput::Bytes(8192));
+    group.bench_function("mac", |b| b.iter(|| Poly1305::mac(&[7; 32], &block)));
+    group.finish();
+}
+
+/// The integrity checksum on one block, alone and as the RPC framing
+/// uses it (encode, then decode through a `FrameDecoder`).
+fn bench_frame_checksum(c: &mut Criterion) {
+    let block = vec![0x5Au8; 8192];
+    let mut group = c.benchmark_group("frame_checksum_8k");
+    group.throughput(Throughput::Bytes(8192));
+    group.bench_function("checksum64", |b| b.iter(|| frame::checksum64(&block)));
+    group.bench_function("encode_decode", |b| {
+        b.iter(|| {
+            let mut decoder = frame::FrameDecoder::new();
+            decoder.feed(frame::encode_frame(&block).into()).unwrap();
+            decoder.pop_frame()
+        })
     });
     group.finish();
 }
@@ -61,6 +100,8 @@ criterion_group!(
     micro_crypto,
     bench_hashes,
     bench_aead,
+    bench_aead_kernels,
+    bench_frame_checksum,
     bench_signatures,
     bench_dh
 );

@@ -49,22 +49,21 @@ impl CfsCipher {
             return;
         }
         let cipher = ChaCha20::new(&self.content_key, &self.content_nonce(ino));
-        // ChaCha20 counts 64-byte blocks; we may start mid-block.
-        let first_block = (offset / 64) as u32;
+        // ChaCha20 counts 64-byte blocks and counter 0 is reserved; the
+        // bytes up to the next block boundary take the tail of one
+        // keystream block, everything after is whole blocks in place.
+        let mut counter = ((offset / 64) as u32).wrapping_add(1);
         let skip = (offset % 64) as usize;
-        let mut pos = 0usize;
-        let mut block_idx = first_block;
-        let mut in_block = skip;
-        while pos < data.len() {
-            let ks = cipher.block(block_idx.wrapping_add(1)); // counter 0 reserved
-            while in_block < 64 && pos < data.len() {
-                data[pos] ^= ks[in_block];
-                pos += 1;
-                in_block += 1;
+        let mut rest = data;
+        if skip > 0 {
+            let (head, tail) = rest.split_at_mut((64 - skip).min(rest.len()));
+            for (b, k) in head.iter_mut().zip(&cipher.block(counter)[skip..]) {
+                *b ^= k;
             }
-            in_block = 0;
-            block_idx = block_idx.wrapping_add(1);
+            counter = counter.wrapping_add(1);
+            rest = tail;
         }
+        cipher.apply_keystream(counter, rest);
     }
 
     /// Encrypts a file name deterministically.
@@ -75,11 +74,10 @@ impl CfsCipher {
         let tag = Hmac::<Sha256>::mac(&self.name_key, name.as_bytes());
         let mut nonce = [0u8; 12];
         nonce.copy_from_slice(&tag[..12]);
-        let cipher = ChaCha20::new(&self.name_key, &nonce);
-        let ct = cipher.encrypt(1, name.as_bytes());
-        let mut out = Vec::with_capacity(12 + ct.len());
+        let mut out = Vec::with_capacity(12 + name.len());
         out.extend_from_slice(&nonce);
-        out.extend_from_slice(&ct);
+        out.extend_from_slice(name.as_bytes());
+        ChaCha20::new(&self.name_key, &nonce).apply_keystream(1, &mut out[12..]);
         hex::encode(&out)
     }
 
@@ -91,14 +89,14 @@ impl CfsCipher {
         if stored == "." || stored == ".." {
             return Some(stored.to_string());
         }
-        let bytes = hex::decode(stored).ok()?;
+        let mut bytes = hex::decode(stored).ok()?;
         if bytes.len() <= 12 {
             return None;
         }
         let mut nonce = [0u8; 12];
         nonce.copy_from_slice(&bytes[..12]);
-        let cipher = ChaCha20::new(&self.name_key, &nonce);
-        let pt = cipher.encrypt(1, &bytes[12..]);
+        let mut pt = bytes.split_off(12);
+        ChaCha20::new(&self.name_key, &nonce).apply_keystream(1, &mut pt);
         let name = String::from_utf8(pt).ok()?;
         // Verify the SIV relation so corrupted names are rejected.
         let tag = Hmac::<Sha256>::mac(&self.name_key, name.as_bytes());

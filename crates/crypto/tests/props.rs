@@ -110,8 +110,10 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..500),
     ) {
         let cipher = ChaCha20::new(&key, &nonce);
-        let ct = cipher.encrypt(counter, &data);
-        prop_assert_eq!(cipher.encrypt(counter, &ct), data);
+        let mut buf = data.clone();
+        cipher.apply_keystream(counter, &mut buf);
+        cipher.apply_keystream(counter, &mut buf);
+        prop_assert_eq!(buf, data);
     }
 
     #[test]

@@ -104,7 +104,8 @@ struct FsInner {
     free_inodes: u32,
     /// Monotonic tick used for atime/mtime/ctime (deterministic).
     tick: u64,
-    /// Rotating allocation hint for data blocks.
+    /// Allocation hint for data blocks: the search for a free block
+    /// starts here. Moves past each allocation, back to each free.
     alloc_hint: u64,
     /// Whether in-memory state has diverged from the on-disk bitmaps
     /// since the last [`Ffs::sync`] (mirrors the superblock's `clean`
@@ -1049,6 +1050,10 @@ impl Ffs {
         );
         inner.block_bitmap[idx as usize] = false;
         inner.free_blocks += 1;
+        // Pull the hint back so the next allocation reuses what was just
+        // freed: a file that is truncated and rewritten stays where it
+        // was instead of marching across the volume.
+        inner.alloc_hint = inner.alloc_hint.min(idx);
     }
 
     // -- block mapping ------------------------------------------------------

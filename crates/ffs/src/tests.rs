@@ -346,6 +346,57 @@ fn truncate_shrink_and_grow() {
     fs.check().unwrap();
 }
 
+/// Truncate-to-zero and rewrite, twenty times over: the file must come
+/// back to the blocks it just gave up, not take fresh ones further out
+/// each cycle (on a sparse backing store every block ever touched is
+/// memory that is never returned).
+#[test]
+fn truncate_rewrite_cycles_reuse_freed_blocks() {
+    const FILE_BLOCKS: u64 = 64;
+    let fs = Ffs::format_in_memory(FsConfig {
+        total_blocks: 4096,
+        inode_count: 64,
+    });
+    let highest_allocated = |fs: &Ffs| {
+        let (_, block_bitmap, ..) = fs.bitmaps();
+        block_bitmap.iter().rposition(|&used| used).unwrap() as u64
+    };
+    let ino = fs.create(fs.root(), "churn", 0o644, 0, 0).unwrap();
+    let mut data = vec![0u8; FILE_BLOCKS as usize * BLOCK_SIZE];
+    let mut first_extent = 0;
+    for cycle in 0..20u8 {
+        fs.setattr(
+            ino,
+            SetAttr {
+                size: Some(0),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        data.fill(cycle + 1);
+        fs.write(ino, 0, &data).unwrap();
+        if cycle == 0 {
+            first_extent = highest_allocated(&fs);
+        }
+    }
+    // The root directory block and the file's indirect block sit among
+    // its data blocks; nothing else is allocated.
+    assert_eq!(highest_allocated(&fs), first_extent);
+    assert!(
+        first_extent < fs.data_start() + FILE_BLOCKS + 4,
+        "highest allocated block {first_extent}, data starts at {}",
+        fs.data_start()
+    );
+
+    fs.sync().unwrap();
+    let disk = fs.disk.clone();
+    drop(fs);
+    let fs = Ffs::mount_on(disk).unwrap();
+    fs.check().unwrap();
+    assert_eq!(fs.read(ino, 0, data.len()).unwrap(), data);
+    assert_eq!(highest_allocated(&fs), first_extent);
+}
+
 #[test]
 fn setattr_chmod_chown() {
     let fs = fs();

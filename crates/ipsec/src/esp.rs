@@ -13,7 +13,7 @@
 //! SPI and sequence number are authenticated as associated data. Replay
 //! defense is the classic 64-entry sliding window from RFC 4303.
 
-use discfs_crypto::chacha20poly1305::ChaCha20Poly1305;
+use discfs_crypto::chacha20poly1305::{ChaCha20Poly1305, TAG_LEN};
 use parking_lot::Mutex;
 
 use crate::IpsecError;
@@ -52,14 +52,16 @@ impl Sa {
     }
 
     /// Seals a payload into a record with the given sequence number.
+    /// Header, ciphertext and tag are written into the one record
+    /// buffer; the payload is copied once and encrypted where it lands.
     pub fn seal(&self, seq: u64, payload: &[u8]) -> Vec<u8> {
-        let mut record = Vec::with_capacity(HEADER_LEN + payload.len() + 16);
-        record.extend_from_slice(&self.spi.to_be_bytes());
-        record.extend_from_slice(&seq.to_be_bytes());
-        let sealed = self
-            .aead
-            .seal(&self.nonce_for(seq), &record[..HEADER_LEN], payload);
-        record.extend_from_slice(&sealed);
+        let mut header = [0u8; HEADER_LEN];
+        header[..4].copy_from_slice(&self.spi.to_be_bytes());
+        header[4..].copy_from_slice(&seq.to_be_bytes());
+        let mut record = Vec::with_capacity(HEADER_LEN + payload.len() + TAG_LEN);
+        record.extend_from_slice(&header);
+        self.aead
+            .seal_append(&self.nonce_for(seq), &header, payload, &mut record);
         record
     }
 
@@ -72,7 +74,7 @@ impl Sa {
     /// [`IpsecError::BadHandshake`] on truncation,
     /// [`IpsecError::Crypto`] on authentication failure.
     pub fn open(&self, record: &[u8]) -> Result<(u64, Vec<u8>), IpsecError> {
-        if record.len() < HEADER_LEN + 16 {
+        if record.len() < HEADER_LEN + TAG_LEN {
             return Err(IpsecError::BadHandshake);
         }
         let spi = u32::from_be_bytes(record[0..4].try_into().expect("4 bytes"));
@@ -80,11 +82,8 @@ impl Sa {
             return Err(IpsecError::UnknownSpi);
         }
         let seq = u64::from_be_bytes(record[4..12].try_into().expect("8 bytes"));
-        let payload = self.aead.open(
-            &self.nonce_for(seq),
-            &record[..HEADER_LEN],
-            &record[HEADER_LEN..],
-        )?;
+        let (header, sealed) = record.split_at(HEADER_LEN);
+        let payload = self.aead.open(&self.nonce_for(seq), header, sealed)?;
         Ok((seq, payload))
     }
 }

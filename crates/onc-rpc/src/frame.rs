@@ -2,19 +2,24 @@
 //!
 //! The request engine batches many RPC messages into one transport send
 //! (one ESP seal per batch instead of one per request), so the byte
-//! stream needs its own framing: each frame is
+//! stream needs its own framing.
+//!
+//! # Wire format
 //!
 //! ```text
-//! [u32 payload length][u32 FNV-1a checksum][payload]
+//! +----------------+------------------+---------------------+
+//! | payload length | checksum         | payload             |
+//! | u32 big-endian | u32 big-endian   | `length` bytes      |
+//! +----------------+------------------+---------------------+
+//!   [`FRAME_HEADER`] = 8 bytes          checksum = [`checksum`](payload)
 //! ```
 //!
-//! big-endian, with the checksum taken over the payload. The
-//! [`FrameDecoder`] consumes transport messages *incrementally*: a frame
-//! may span several messages and one message may carry many frames. When
-//! a whole message holds only complete frames (the engine's common
-//! case), payloads are zero-copy [`Bytes`] slices of the message buffer;
-//! only partial frames that straddle message boundaries are copied into
-//! a reassembly buffer.
+//! The [`FrameDecoder`] consumes transport messages *incrementally*: a
+//! frame may span several messages and one message may carry many
+//! frames. When a whole message holds only complete frames (the
+//! engine's common case), payloads are zero-copy [`Bytes`] slices of
+//! the message buffer; only partial frames that straddle message
+//! boundaries are copied into a reassembly buffer.
 //!
 //! The decoder is deliberately paranoid — it fronts the readiness loop,
 //! the part of the server most exposed to malformed input. A declared
@@ -22,6 +27,48 @@
 //! [`FrameError`]; the caller drops the connection. A merely truncated
 //! stream is not an error — the bytes may still be in flight — so
 //! truncation simply leaves the partial frame buffered.
+//!
+//! # The integrity checksum
+//!
+//! One checksum serves every framing in the tree: these RPC frames
+//! (folded to 32 bits, [`checksum`]), the block protocol's frames in
+//! `store::remote` and the journal records in `store::file` (both the
+//! full 64 bits, [`checksum64`]). It is defined here, once.
+//!
+//! **A tripwire, not a MAC.** RPC frames travel inside an
+//! authenticated ESP tunnel, block frames between a coordinator and
+//! its own storage nodes, journal records on the server's own disk.
+//! None of the three is a place where an adversary chooses bytes and
+//! this sum stands between them and the system; what it catches is a
+//! peer bug, a desynchronised stream, a torn write, a flipped bit.
+//! Collision resistance is not asked of it, and SHA-256 stays wherever
+//! it is (content addressing in `DedupStore`, epoch records, HMAC and
+//! HKDF). What is asked is that it costs next to nothing per byte,
+//! because it runs on every payload on both ends.
+//!
+//! **Definition.** The input is read as little-endian 64-bit words, 32
+//! bytes (four words) to a stride, a short last stride padded with
+//! zeros. Four lanes start from `LANE_SEEDS`; word *i* of a stride
+//! goes into lane *i*, with `K` the four odd `LANE_MULTIPLIERS`:
+//!
+//! ```text
+//! lane ← rotl64((lane ^ word) · K[i], 29)          (mod 2^64)
+//! ```
+//!
+//! The lanes are independent, so a stride is four multiplies in
+//! flight at once. The sum is then
+//!
+//! ```text
+//! h ← length in bytes
+//! h ← rotl64((h ^ lane[i]) · K[i], 29)              for i = 0, 1, 2, 3
+//! h ← h ^ (h >> 32);  h ← h · K[0];  h ← h ^ (h >> 29)
+//! ```
+//!
+//! Every step is a bijection of the lane (the `K[i]` are odd), so two
+//! inputs of one length that differ inside a single word — any
+//! single-bit flip is such a pair — always have different 64-bit sums;
+//! the length goes in so that zero padding and appended zero bytes
+//! change the sum too. The 32-bit form is `h ^ (h >> 32)` truncated.
 
 use std::collections::VecDeque;
 
@@ -34,17 +81,64 @@ pub const FRAME_HEADER: usize = 8;
 /// read/write message, far below anything that could exhaust memory).
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
-/// FNV-1a 32-bit checksum of `payload`.
-///
-/// Frames travel inside an authenticated ESP tunnel, so this is an
-/// integrity *tripwire* against peer bugs and stream desync, not a MAC.
-pub fn checksum(payload: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in payload {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
+/// Initial lane values of [`checksum64`] (the first 256 bits of the
+/// fraction of π).
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// Per-lane odd multipliers of [`checksum64`].
+const LANE_MULTIPLIERS: [u64; 4] = [
+    0x9e37_79b1_85eb_ca87,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x85eb_ca77_c2b2_ae63,
+];
+
+#[inline(always)]
+fn mix(lane: u64, word: u64, multiplier: u64) -> u64 {
+    (lane ^ word).wrapping_mul(multiplier).rotate_left(29)
+}
+
+#[inline(always)]
+fn mix_stride(lanes: &mut [u64; 4], stride: &[u8; 32]) {
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        let word = u64::from_le_bytes(stride[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        *lane = mix(*lane, word, LANE_MULTIPLIERS[i]);
     }
-    hash
+}
+
+/// The tree's integrity checksum, 64-bit form (module docs, *The
+/// integrity checksum*): a tripwire against corruption, not a MAC.
+pub fn checksum64(data: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut strides = data.chunks_exact(32);
+    for stride in &mut strides {
+        mix_stride(&mut lanes, stride.try_into().expect("32-byte stride"));
+    }
+    let tail = strides.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 32];
+        padded[..tail.len()].copy_from_slice(tail);
+        mix_stride(&mut lanes, &padded);
+    }
+    let mut h = data.len() as u64;
+    for (lane, multiplier) in lanes.into_iter().zip(LANE_MULTIPLIERS) {
+        h = mix(h, lane, multiplier);
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(LANE_MULTIPLIERS[0]);
+    h ^ (h >> 29)
+}
+
+/// The checksum an RPC frame header carries: [`checksum64`] of the
+/// payload folded to 32 bits.
+pub fn checksum(payload: &[u8]) -> u32 {
+    let h = checksum64(payload);
+    (h ^ (h >> 32)) as u32
 }
 
 /// Errors that condemn the connection feeding the decoder.
@@ -396,6 +490,90 @@ mod tests {
             ]
         );
     }
+
+    /// Payload lengths around every boundary of the checksum: empty,
+    /// inside one word, one word, one stride and its neighbours, and
+    /// the 8 KiB block the data path carries.
+    const EDGE_LENGTHS: [usize; 8] = [0, 1, 7, 8, 31, 32, 33, 8192];
+
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + len) as u8).collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_frame_is_rejected() {
+        for len in EDGE_LENGTHS {
+            let payload = patterned(len);
+            let frame = encode_frame(&payload);
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let mut dec = FrameDecoder::new();
+                let fed = dec.feed(bad.into());
+                // A flip in the length word can also read as "more bytes
+                // to come"; what it may never do is deliver a payload.
+                assert!(
+                    fed.is_err() || (fed == Ok(0) && dec.pop_frame().is_none()),
+                    "len {len}: flip of bit {bit} delivered a frame"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_frame_delivers_nothing() {
+        for len in EDGE_LENGTHS {
+            let frame = encode_frame(&patterned(len));
+            for keep in 0..frame.len() {
+                let mut dec = FrameDecoder::new();
+                assert_eq!(
+                    dec.feed(Bytes::copy_from_slice(&frame[..keep])),
+                    Ok(0),
+                    "len {len} cut to {keep}"
+                );
+                assert!(dec.pop_frame().is_none());
+                assert_eq!(dec.has_partial(), keep > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn appended_zero_bytes_change_the_sum() {
+        for len in EDGE_LENGTHS {
+            let mut data = patterned(len);
+            let mut seen = vec![(checksum64(&data), checksum(&data))];
+            for _ in 0..40 {
+                data.push(0);
+                let sums = (checksum64(&data), checksum(&data));
+                assert!(
+                    seen.iter().all(|s| s.0 != sums.0 && s.1 != sums.1),
+                    "len {len} + zeros to {}",
+                    data.len()
+                );
+                seen.push(sums);
+            }
+        }
+    }
+
+    /// The wire format, pinned: a change to the checksum's constants,
+    /// word order, padding or folding shows up here, not in a peer that
+    /// speaks the old one.
+    #[test]
+    fn checksum_and_frame_bytes_are_pinned() {
+        assert_eq!(checksum64(b""), PINNED_EMPTY);
+        assert_eq!(checksum64(b"DisCFS frame checksum"), PINNED_SHORT);
+        assert_eq!(checksum64(&patterned(8192)), PINNED_BLOCK);
+        let frame = encode_frame(b"DisCFS frame checksum");
+        assert_eq!(frame[..4], 21u32.to_be_bytes());
+        assert_eq!(
+            frame[4..8],
+            ((PINNED_SHORT ^ (PINNED_SHORT >> 32)) as u32).to_be_bytes()
+        );
+        assert_eq!(&frame[8..], b"DisCFS frame checksum");
+    }
+    const PINNED_EMPTY: u64 = 0xe0ae_6989_f1df_e520;
+    const PINNED_SHORT: u64 = 0x848e_c1db_77c2_a43c;
+    const PINNED_BLOCK: u64 = 0xa166_533c_bb89_6b3c;
 }
 
 #[cfg(test)]

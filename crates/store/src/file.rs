@@ -18,7 +18,8 @@
 //! dropped. An N-write burst costs at most `ceil(N / batch)` journal
 //! syscalls (observable as [`StoreStats::journal_batches`]) instead of
 //! N. The on-disk byte format is **identical** to the unbatched
-//! journal — a dense sequence of fixed-size checksummed records — so
+//! journal — a dense sequence of fixed-size checksummed records
+//! (*Journal record format* below) — so
 //! crash-replay semantics are byte-exact: the crash matrix truncates
 //! the journal at every record boundary and the longest intact prefix
 //! replays, exactly as before. (Per-record checksums are retained
@@ -37,6 +38,26 @@
 //! (journal appends were never fsynced); batching extends the same
 //! at-most-a-moment window to hard process kills in exchange for
 //! `ceil(N/batch)` syscalls instead of N.
+//!
+//! # Journal record format
+//!
+//! ```text
+//! +--------+-------------+------------------+-----------------+
+//! | "WALR" | block index | payload          | checksum        |
+//! | 4      | u64 LE      | BLOCK_SIZE bytes | u64 LE          |
+//! +--------+-------------+------------------+-----------------+
+//! |<------------- checksummed ------------->|
+//!   [`JOURNAL_RECORD_LEN`] = 20 + BLOCK_SIZE bytes
+//! ```
+//!
+//! The checksum is [`onc_rpc::frame::checksum64`] over everything
+//! before it, so a flipped bit in the *index* is caught too: a record
+//! with an intact payload must not replay into the wrong block. It is
+//! the tree's one integrity checksum; its definition, and why a
+//! tripwire rather than a cryptographic hash is what a record on the
+//! server's own disk needs, are in [`onc_rpc::frame`]. Replay stops at
+//! the first record that is short, has the wrong magic, fails its
+//! checksum or names a block past the end of the store.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -44,27 +65,60 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
-use discfs_crypto::sha256::Sha256;
-use discfs_crypto::Digest;
+use onc_rpc::frame::checksum64;
 use parking_lot::Mutex;
 
 use crate::{BlockStore, StoreStats, BLOCK_SIZE};
 
 /// Journal record magic ("WALR").
 const RECORD_MAGIC: [u8; 4] = *b"WALR";
-/// Magic + block index + SHA-256 of the payload.
-const RECORD_HEADER: usize = 4 + 8 + 32;
+/// Magic + block index, ahead of the payload.
+const RECORD_PREFIX: usize = 4 + 8;
+/// Bytes of the trailing checksum.
+const CHECKSUM_LEN: usize = 8;
 
-/// Total on-disk size of one journal record (header + one block).
+/// Total on-disk size of one journal record (prefix, one block,
+/// checksum).
 ///
 /// Public so crash-injection tests can truncate `journal.wal` at (and
 /// inside) exact record boundaries.
-pub const JOURNAL_RECORD_LEN: usize = RECORD_HEADER + BLOCK_SIZE;
+pub const JOURNAL_RECORD_LEN: usize = RECORD_PREFIX + BLOCK_SIZE + CHECKSUM_LEN;
 
 /// Records per group-commit batch: the commit buffer is sealed to the
 /// journal file in one syscall once this many records accumulate
 /// (sooner on flush or drop).
 pub const JOURNAL_BATCH_RECORDS: usize = 16;
+
+/// Appends the journal record for a write of `payload` to block `idx`.
+fn encode_record(buf: &mut Vec<u8>, idx: u64, payload: &[u8]) {
+    buf.reserve(JOURNAL_RECORD_LEN);
+    let start = buf.len();
+    buf.extend_from_slice(&RECORD_MAGIC);
+    buf.extend_from_slice(&idx.to_le_bytes());
+    buf.extend_from_slice(payload);
+    let sum = record_checksum(&buf[start..]);
+    buf.extend_from_slice(&sum);
+}
+
+/// The trailer of a record whose magic ‖ index ‖ payload are `covered`.
+fn record_checksum(covered: &[u8]) -> [u8; CHECKSUM_LEN] {
+    checksum64(covered).to_le_bytes()
+}
+
+/// Parses one journal record: `Some((block index, payload))` when it is
+/// whole, carries the magic, passes its checksum and names a block
+/// below `block_count`.
+fn decode_record(record: &[u8], block_count: u64) -> Option<(u64, &[u8])> {
+    if record.len() != JOURNAL_RECORD_LEN || record[..4] != RECORD_MAGIC {
+        return None;
+    }
+    let (covered, sum) = record.split_at(RECORD_PREFIX + BLOCK_SIZE);
+    if record_checksum(covered) != sum {
+        return None;
+    }
+    let idx = u64::from_le_bytes(covered[4..RECORD_PREFIX].try_into().expect("8 bytes"));
+    (idx < block_count).then_some((idx, &covered[RECORD_PREFIX..]))
+}
 
 struct FileState {
     data: File,
@@ -168,18 +222,6 @@ impl FileStore {
         })
     }
 
-    /// The SHA-256 a journal record carries: over magic + index +
-    /// payload, so a bit-flip in the *index* is caught too — a record
-    /// with a valid payload but corrupted index must not replay into
-    /// the wrong block.
-    fn record_checksum(idx: u64, payload: &[u8]) -> Vec<u8> {
-        let mut h = Sha256::new();
-        h.update(&RECORD_MAGIC);
-        h.update(&idx.to_le_bytes());
-        h.update(payload);
-        h.finalize()
-    }
-
     /// Applies every complete, checksum-valid journal record to the
     /// data file, then truncates the journal. A torn or corrupt record
     /// ends the replay — records are written in order, so everything
@@ -188,22 +230,14 @@ impl FileStore {
         journal.seek(SeekFrom::Start(0))?;
         let mut bytes = Vec::new();
         journal.read_to_end(&mut bytes)?;
-        let mut pos = 0usize;
         let mut applied = 0u64;
-        while bytes.len() - pos >= RECORD_HEADER + BLOCK_SIZE {
-            if bytes[pos..pos + 4] != RECORD_MAGIC {
+        for record in bytes.chunks_exact(JOURNAL_RECORD_LEN) {
+            let Some((idx, payload)) = decode_record(record, block_count) else {
                 break;
-            }
-            let idx = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
-            let checksum = &bytes[pos + 12..pos + 44];
-            let payload = &bytes[pos + RECORD_HEADER..pos + RECORD_HEADER + BLOCK_SIZE];
-            if Self::record_checksum(idx, payload) != checksum || idx >= block_count {
-                break;
-            }
+            };
             data.seek(SeekFrom::Start(idx * BLOCK_SIZE as u64))?;
             data.write_all(payload)?;
             applied += 1;
-            pos += RECORD_HEADER + BLOCK_SIZE;
         }
         if applied > 0 {
             data.sync_data()?;
@@ -226,13 +260,7 @@ impl FileStore {
     }
 
     fn journal_append(state: &mut FileState, idx: u64, data: &[u8]) {
-        state.pending.reserve(RECORD_HEADER + BLOCK_SIZE);
-        state.pending.extend_from_slice(&RECORD_MAGIC);
-        state.pending.extend_from_slice(&idx.to_le_bytes());
-        state
-            .pending
-            .extend_from_slice(&FileStore::record_checksum(idx, data));
-        state.pending.extend_from_slice(data);
+        encode_record(&mut state.pending, idx, data);
         state.pending_records += 1;
         state.journal_records += 1;
         if state.pending_records >= JOURNAL_BATCH_RECORDS as u64 {
@@ -498,6 +526,99 @@ mod tests {
         assert!(store.read_block(2).iter().all(|&b| b == 0));
         assert!(store.read_block(3).iter().all(|&b| b == 0));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn sample_record() -> Vec<u8> {
+        let payload: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i * 11 + 3) as u8).collect();
+        let mut record = Vec::new();
+        encode_record(&mut record, 5, &payload);
+        assert_eq!(record.len(), JOURNAL_RECORD_LEN);
+        assert_eq!(decode_record(&record, 8), Some((5, &payload[..])));
+        record
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_record_is_rejected() {
+        let record = sample_record();
+        // Far more blocks than any flipped index can name, so it is the
+        // checksum that has to refuse, not the range check.
+        let block_count = u64::MAX;
+        for bit in 0..record.len() * 8 {
+            let mut bad = record.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(decode_record(&bad, block_count), None, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_record_is_rejected() {
+        let record = sample_record();
+        for keep in 0..record.len() {
+            assert_eq!(decode_record(&record[..keep], 8), None, "cut to {keep}");
+        }
+        // A record naming a block past the end is refused as well.
+        assert_eq!(decode_record(&record, 5), None);
+    }
+
+    /// The journal format, pinned byte for byte: a store must keep
+    /// replaying what an earlier build of it journaled.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let record = sample_record();
+        assert_eq!(&record[..4], b"WALR");
+        assert_eq!(record[4..12], 5u64.to_le_bytes());
+        assert_eq!(record[12], 3);
+        assert_eq!(
+            record[RECORD_PREFIX + BLOCK_SIZE..],
+            0xe28f_5b34_f2ba_aa6cu64.to_le_bytes()
+        );
+    }
+
+    /// The same refusals through a real replay: a flipped bit in each
+    /// field and a cut inside each field leave the block unwritten, and
+    /// end the replay for the intact record behind it.
+    #[test]
+    fn replay_stops_at_a_flipped_or_torn_record() {
+        let first = vec![0x5au8; BLOCK_SIZE];
+        let second = vec![0xc3u8; BLOCK_SIZE];
+        type Damage = fn(&mut Vec<u8>);
+        let damage: [(&str, Damage); 6] = [
+            ("magic bit", |j| j[1] ^= 0x10),
+            ("index bit", |j| j[4] ^= 0x01),
+            ("payload bit", |j| j[RECORD_PREFIX + 4096] ^= 0x80),
+            ("checksum bit", |j| j[JOURNAL_RECORD_LEN - 1] ^= 0x02),
+            ("zeroed payload tail", |j| {
+                j[JOURNAL_RECORD_LEN - CHECKSUM_LEN - 512..JOURNAL_RECORD_LEN - CHECKSUM_LEN]
+                    .fill(0)
+            }),
+            ("cut inside the checksum", |j| {
+                j.truncate(JOURNAL_RECORD_LEN - 3)
+            }),
+        ];
+        for (what, apply) in damage {
+            let dir = temp_dir_for_tests("replay-damage");
+            {
+                let store = FileStore::open(&dir, 8).unwrap();
+                store.write_block(2, &first);
+                store.write_block(6, &second);
+                store.crash();
+            }
+            let journal_path = dir.join("journal.wal");
+            let mut journal = std::fs::read(&journal_path).unwrap();
+            assert_eq!(journal.len(), 2 * JOURNAL_RECORD_LEN);
+            apply(&mut journal);
+            std::fs::write(&journal_path, &journal).unwrap();
+
+            let store = FileStore::open(&dir, 8).unwrap();
+            for idx in 0..8 {
+                assert!(
+                    store.read_block(idx).iter().all(|&b| b == 0),
+                    "{what}: block {idx} was written"
+                );
+            }
+            drop(store);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -15,9 +15,21 @@
 //! Every message — request or response — is one checksummed frame:
 //!
 //! ```text
-//! [u32 LE remaining length] [u64 LE request id] [u8 op] [body]
-//! [32-byte SHA-256 over (request id ‖ op ‖ body)]
+//! +------------------+------------+-------+--------+-----------------+
+//! | remaining length | request id | op    | body   | checksum        |
+//! | u32 LE           | u64 LE     | u8    | ...    | u64 LE          |
+//! +------------------+------------+-------+--------+-----------------+
+//!                    |<-------- checksummed -------->|
 //! ```
+//!
+//! `remaining length` counts everything after itself, so a frame is
+//! `FRAME_OVERHEAD` = 21 bytes around its body. The checksum is
+//! [`onc_rpc::frame::checksum64`] over request id ‖ op ‖ body — the
+//! tree's one integrity checksum, defined (with why a tripwire and not
+//! a MAC is the right tool between a coordinator and its own nodes) in
+//! [`onc_rpc::frame`]. A frame that fails it, or whose length prefix
+//! disagrees with the message it arrived in, is a
+//! [`RemoteError::Protocol`].
 //!
 //! Request ops carry the operand layout of the [`BlockStore`] call
 //! they mirror (indices as `u64` LE, blocks as raw 8 KB payloads,
@@ -107,9 +119,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use discfs_crypto::sha256::Sha256;
-use discfs_crypto::Digest;
 use netsim::{Endpoint, Link, LinkConfig, NetError, SimClock, Transport};
+use onc_rpc::frame::checksum64;
 use parking_lot::Mutex;
 
 use crate::{BlockStore, StoreStats, BLOCK_SIZE};
@@ -137,8 +148,10 @@ const RESP_FENCED: u8 = 0x85;
 const RESP_LEASE: u8 = 0x86;
 const RESP_LEASE_HELD: u8 = 0x87;
 
+/// Bytes of the trailing checksum.
+const CHECKSUM_LEN: usize = 8;
 /// Length prefix + request id + op + trailing checksum.
-const FRAME_OVERHEAD: usize = 4 + 8 + 1 + 32;
+const FRAME_OVERHEAD: usize = 4 + 8 + 1 + CHECKSUM_LEN;
 
 /// Errors a [`RemoteStore`] request can fail with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,12 +199,9 @@ impl std::fmt::Display for RemoteError {
 
 impl std::error::Error for RemoteError {}
 
-fn frame_checksum(req_id: u64, op: u8, body: &[u8]) -> Vec<u8> {
-    let mut h = Sha256::new();
-    h.update(&req_id.to_le_bytes());
-    h.update(&[op]);
-    h.update(body);
-    h.finalize()
+/// The trailer of a frame whose request id ‖ op ‖ body are `covered`.
+fn frame_checksum(covered: &[u8]) -> [u8; CHECKSUM_LEN] {
+    checksum64(covered).to_le_bytes()
 }
 
 fn encode_frame(req_id: u64, op: u8, body: &[u8]) -> Vec<u8> {
@@ -200,7 +210,8 @@ fn encode_frame(req_id: u64, op: u8, body: &[u8]) -> Vec<u8> {
     frame.extend_from_slice(&req_id.to_le_bytes());
     frame.push(op);
     frame.extend_from_slice(body);
-    frame.extend_from_slice(&frame_checksum(req_id, op, body));
+    let sum = frame_checksum(&frame[4..]);
+    frame.extend_from_slice(&sum);
     frame
 }
 
@@ -218,13 +229,12 @@ fn decode_frame(msg: &[u8]) -> Result<(u64, u8, &[u8]), RemoteError> {
             msg.len() - 4
         )));
     }
-    let req_id = u64::from_le_bytes(msg[4..12].try_into().expect("8 bytes"));
-    let op = msg[12];
-    let body = &msg[13..msg.len() - 32];
-    if frame_checksum(req_id, op, body) != msg[msg.len() - 32..] {
+    let (covered, sum) = msg[4..].split_at(len - CHECKSUM_LEN);
+    if frame_checksum(covered) != sum {
         return Err(RemoteError::Protocol("frame checksum mismatch".into()));
     }
-    Ok((req_id, op, body))
+    let req_id = u64::from_le_bytes(covered[..8].try_into().expect("8 bytes"));
+    Ok((req_id, covered[8], &covered[9..]))
 }
 
 /// Server-side lease state for one storage node: the current
@@ -1349,6 +1359,71 @@ mod tests {
             bad[i] ^= 0x40;
             assert!(decode_frame(&bad).is_err(), "flip at byte {i} undetected");
         }
+    }
+
+    /// Body lengths around every boundary of the checksum (the covered
+    /// bytes are the body plus a 9-byte id ‖ op prefix), and the block
+    /// the data path carries.
+    const EDGE_BODIES: [usize; 8] = [0, 1, 7, 8, 31, 32, 33, BLOCK_SIZE];
+
+    fn patterned_frame(body_len: usize) -> Vec<u8> {
+        let body: Vec<u8> = (0..body_len).map(|i| (i * 5 + body_len) as u8).collect();
+        let frame = encode_frame(0x0102_0304_0506_0708, OP_WRITE, &body);
+        assert_eq!(frame.len(), FRAME_OVERHEAD + body_len);
+        let (id, op, got) = decode_frame(&frame).unwrap();
+        assert_eq!((id, op, got), (0x0102_0304_0506_0708, OP_WRITE, &body[..]));
+        frame
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_frame_is_rejected() {
+        for body_len in EDGE_BODIES {
+            let frame = patterned_frame(body_len);
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    matches!(decode_frame(&bad), Err(RemoteError::Protocol(_))),
+                    "body {body_len}: flip of bit {bit} undetected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_frame_is_rejected() {
+        for body_len in EDGE_BODIES {
+            let frame = patterned_frame(body_len);
+            for keep in 0..frame.len() {
+                assert!(
+                    matches!(decode_frame(&frame[..keep]), Err(RemoteError::Protocol(_))),
+                    "body {body_len} cut to {keep}"
+                );
+            }
+            // Cut, with the length prefix rewritten to agree: now it is
+            // the checksum that has to refuse.
+            for keep in FRAME_OVERHEAD..frame.len() {
+                let mut cut = frame[..keep].to_vec();
+                cut[..4].copy_from_slice(&((keep - 4) as u32).to_le_bytes());
+                assert!(
+                    decode_frame(&cut).is_err(),
+                    "body {body_len} recut to {keep}"
+                );
+            }
+        }
+    }
+
+    /// The block protocol's wire format, pinned byte for byte.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let frame = encode_frame(7, OP_READ, &42u64.to_le_bytes());
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&25u32.to_le_bytes());
+        expected.extend_from_slice(&7u64.to_le_bytes());
+        expected.push(OP_READ);
+        expected.extend_from_slice(&42u64.to_le_bytes());
+        expected.extend_from_slice(&0x496c_5f0b_8e02_f177u64.to_le_bytes());
+        assert_eq!(frame, expected);
     }
 
     #[test]
