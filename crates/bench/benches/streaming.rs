@@ -9,17 +9,14 @@
 //! * **Worker streaming** — single-client large-file streaming through
 //!   the full `ffs` file path over `Sharded{FileJournal, 4}`, workers
 //!   on vs off. The pipelined write path gathers each 512 KB chunk
-//!   into one vectored call that fans out one job per shard. When this
-//!   figure was set the journal hashed every record with SHA-256
-//!   (~45 µs a block), that work ran on all four workers at once, and
-//!   the write phase was asserted **≥ 2× faster** with workers on a
-//!   ≥ 4-core host. The record checksum now costs under 1 µs a block
-//!   and the journaled write path runs ~8× faster on the caller's
-//!   thread alone (59 → 458 MB/s on the 2-core development host), so
-//!   what is left for the workers to overlap is a copy and an append:
-//!   the ratio is recorded, no longer asserted, until it has been
-//!   measured again on ≥ 4 cores (ROADMAP: per-shard workers are a
-//!   deletion candidate).
+//!   into one vectored call that fans out one job per shard, so the
+//!   journal's per-record checksum, copy and append run on all four
+//!   workers concurrently: the write phase must be **≥ 2× faster**
+//!   with workers on a ≥ 4-core host (skipped below that, always
+//!   recorded). The figure was set when the record checksum was a
+//!   SHA-256 (~45 µs a block); PR 14 made it `checksum64` (< 1 µs),
+//!   so a 4-core run of this assertion is what decides whether the
+//!   workers still earn their place (ROADMAP).
 //! * **Vectored batching** — a W-block vectored write through
 //!   `FileStore` costs exactly `ceil(W / JOURNAL_BATCH_RECORDS)`
 //!   journal append syscalls, and a vectored contiguous read through
@@ -119,9 +116,9 @@ fn stream_round(workers: bool, round: usize) -> (f64, f64, ffs::StoreStats) {
 
 const ROUNDS: usize = 3;
 
-/// Worker-streaming figure (recorded, see the module docs). Best-of-3
-/// rounds per configuration so one scheduler hiccup on a shared CI
-/// runner does not set the ratio.
+/// Worker-streaming figure: the tentpole assertion. Best-of-3 rounds
+/// per configuration so one scheduler hiccup on a shared CI runner
+/// cannot fail the ratio.
 fn figure_worker_streaming(_c: &mut Criterion) {
     println!("\n== PR 5 figure: single-client streaming over Sharded{{FileJournal,4}}, workers on/off ==");
     let mb = (file_blocks() * BLOCK_SIZE as u64) as f64 / (1024.0 * 1024.0);
@@ -166,7 +163,18 @@ fn figure_worker_streaming(_c: &mut Criterion) {
     record_json("streaming_read_speedup_workers", read_speedup);
     record_json("streaming_speedup_workers", stream_speedup);
     record_json("streaming_write_mb_per_sec_workers", mb / write_on);
-    record_json("streaming_write_mb_per_sec_caller", mb / write_off);
+    if cores() >= 4 {
+        assert!(
+            write_speedup >= 2.0,
+            "4 per-shard workers must stream the journaled write path >= 2x faster \
+             than the caller's thread alone, got {write_speedup:.2}x"
+        );
+    } else {
+        println!(
+            "  ({} core(s): >= 2x worker-streaming assertion skipped)",
+            cores()
+        );
+    }
 }
 
 /// Vectored batching figure, journal half: a W-block vectored write

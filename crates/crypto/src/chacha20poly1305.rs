@@ -80,10 +80,11 @@ impl ChaCha20Poly1305 {
         Ok(len)
     }
 
-    /// Opens `sealed` (`ciphertext ‖ tag`) where it lies: on success the
-    /// tag is cut off and the buffer holds the plaintext. On failure
-    /// the buffer is left exactly as it was; nothing is decrypted
-    /// before the tag has been checked.
+    /// Opens `sealed` (`ciphertext ‖ tag`) where it lies, inside a
+    /// record the caller owns, say: on success the plaintext stands in
+    /// `sealed[..len]` and `len` is returned. On failure the buffer is
+    /// left exactly as it was; nothing is decrypted before the tag has
+    /// been checked.
     ///
     /// # Errors
     ///
@@ -93,13 +94,12 @@ impl ChaCha20Poly1305 {
         &self,
         nonce: &[u8; 12],
         aad: &[u8],
-        sealed: &mut Vec<u8>,
-    ) -> Result<(), CryptoError> {
+        sealed: &mut [u8],
+    ) -> Result<usize, CryptoError> {
         let cipher = ChaCha20::new(&self.key, nonce);
         let len = Self::authenticate(&cipher, aad, sealed)?;
-        sealed.truncate(len);
-        cipher.apply_keystream(1, sealed);
-        Ok(())
+        cipher.apply_keystream(1, &mut sealed[..len]);
+        Ok(len)
     }
 
     /// Opens `sealed` (`ciphertext ‖ tag`), returning the plaintext in a
@@ -245,8 +245,8 @@ nly one tip for the future, sunscreen would be it.";
         for msg in sample_messages() {
             let mut sealed = aead.seal(&nonce, b"aad", &msg);
             assert_eq!(aead.open(&nonce, b"aad", &sealed).unwrap(), msg);
-            aead.open_in_place(&nonce, b"aad", &mut sealed).unwrap();
-            assert_eq!(sealed, msg, "len {}", msg.len());
+            let len = aead.open_in_place(&nonce, b"aad", &mut sealed).unwrap();
+            assert_eq!(&sealed[..len], &msg[..], "len {}", msg.len());
         }
     }
 

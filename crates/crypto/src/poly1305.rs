@@ -4,11 +4,9 @@
 //! in three limbs of 44, 44 and 42 bits, and one block costs nine
 //! 64×64→128-bit products (the radix-2^26 form this replaced needs
 //! twenty-five 64-bit ones). [`Poly1305::update`] hands every whole
-//! run of 16-byte blocks to one call, which absorbs them four at a
-//! time against r⁴, r³, r², r: what limits Poly1305 is the length of
-//! the multiply-carry chain from one block to the next, and this way
-//! the chain is walked once per 64 bytes. Only a message's ragged head
-//! and tail go through the 16-byte buffer.
+//! run of 16-byte blocks to one call that keeps `h` and `r` in
+//! registers across the run; only a message's ragged head and tail go
+//! through the 16-byte buffer.
 //!
 //! The radix-2^26 implementation is kept in the test module as the
 //! reference the differential tests compare against.
@@ -34,8 +32,7 @@ fn le64(b: &[u8]) -> u64 {
 /// The limb products of `a · b`, folded mod 2^130 − 5 but not yet
 /// carried: a product landing at 2^132 or 2^176 comes back as 20× the
 /// limb (2^130 ≡ 5, and the limb boundary sits two bits above). Limbs
-/// of `a` may be as large as 2^46 and four results may be summed
-/// without overflowing the `u128`s.
+/// of `a` may be as large as 2^46 (a partly carried `h` plus a block).
 #[inline(always)]
 fn mul(a: [u64; 3], b: [u64; 3]) -> [u128; 3] {
     let m = |x: u64, y: u64| u128::from(x) * u128::from(y);
@@ -96,30 +93,7 @@ impl Poly1305 {
                 ((t1 >> 24) & MASK42) | hibit,
             ]
         };
-
-        // Four blocks per step: h ← (h + m0)·r⁴ + m1·r³ + m2·r² + m3·r.
-        // Only the first product waits for the previous step, the other
-        // three overlap with it, and the twelve limb products of each
-        // column are summed before one carry instead of four.
-        let mut quads = data.chunks_exact(64);
-        if quads.len() > 0 {
-            let r2 = carry(mul(r, r));
-            let r3 = carry(mul(r2, r));
-            let r4 = carry(mul(r2, r2));
-            for quad in &mut quads {
-                let m0 = limbs(&quad[..16]);
-                let d0 = mul([h[0] + m0[0], h[1] + m0[1], h[2] + m0[2]], r4);
-                let d1 = mul(limbs(&quad[16..32]), r3);
-                let d2 = mul(limbs(&quad[32..48]), r2);
-                let d3 = mul(limbs(&quad[48..]), r);
-                h = carry([
-                    d0[0] + d1[0] + d2[0] + d3[0],
-                    d0[1] + d1[1] + d2[1] + d3[1],
-                    d0[2] + d1[2] + d2[2] + d3[2],
-                ]);
-            }
-        }
-        for block in quads.remainder().chunks_exact(16) {
+        for block in data.chunks_exact(16) {
             let m = limbs(block);
             h = carry(mul([h[0] + m[0], h[1] + m[1], h[2] + m[2]], r));
         }

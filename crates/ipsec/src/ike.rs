@@ -63,7 +63,7 @@ impl<T: Transport> SecureTransport for SecureChannel<T> {
 
     fn recv(&self) -> Result<Vec<u8>, IpsecError> {
         let record = self.transport.recv()?;
-        let (seq, payload) = self.recv_sa.open(&record)?;
+        let (seq, payload) = self.recv_sa.open_in_place(record)?;
         self.recv_window.accept(seq)?;
         Ok(payload)
     }
@@ -75,7 +75,7 @@ impl<T: Transport> SecureTransport for SecureChannel<T> {
     fn try_recv(&self) -> Result<Option<Vec<u8>>, IpsecError> {
         match self.transport.try_recv()? {
             Some(record) => {
-                let (seq, payload) = self.recv_sa.open(&record)?;
+                let (seq, payload) = self.recv_sa.open_in_place(record)?;
                 self.recv_window.accept(seq)?;
                 Ok(Some(payload))
             }

@@ -43,7 +43,7 @@
 //!
 //! ```text
 //! +--------+-------------+------------------+-----------------+
-//! | "WALR" | block index | payload          | checksum        |
+//! | "WAL2" | block index | payload          | checksum        |
 //! | 4      | u64 LE      | BLOCK_SIZE bytes | u64 LE          |
 //! +--------+-------------+------------------+-----------------+
 //! |<------------- checksummed ------------->|
@@ -58,6 +58,12 @@
 //! server's own disk needs, are in [`onc_rpc::frame`]. Replay stops at
 //! the first record that is short, has the wrong magic, fails its
 //! checksum or names a block past the end of the store.
+//!
+//! Builds before this format wrote `"WALR"` records (SHA-256 between
+//! index and payload, 8236 bytes). Those cannot be told from a torn
+//! record by checksum, so the magic changed with the layout, and
+//! [`FileStore::open`] refuses a journal that starts with the old
+//! magic rather than truncating away its un-checkpointed writes.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -70,8 +76,10 @@ use parking_lot::Mutex;
 
 use crate::{BlockStore, StoreStats, BLOCK_SIZE};
 
-/// Journal record magic ("WALR").
-const RECORD_MAGIC: [u8; 4] = *b"WALR";
+/// Journal record magic. The digit is the record layout's version.
+const RECORD_MAGIC: [u8; 4] = *b"WAL2";
+/// Magic of the previous layout, which this build cannot replay.
+const LEGACY_RECORD_MAGIC: [u8; 4] = *b"WALR";
 /// Magic + block index, ahead of the payload.
 const RECORD_PREFIX: usize = 4 + 8;
 /// Bytes of the trailing checksum.
@@ -178,7 +186,9 @@ impl FileStore {
     /// # Errors
     ///
     /// Propagates filesystem errors creating or reading the backing
-    /// files.
+    /// files. A journal left by a build with the previous record layout
+    /// is [`std::io::ErrorKind::InvalidData`]; the journal is not
+    /// touched.
     pub fn open(dir: &Path, block_count: u64) -> std::io::Result<FileStore> {
         std::fs::create_dir_all(dir)?;
         let mut data = OpenOptions::new()
@@ -225,11 +235,20 @@ impl FileStore {
     /// Applies every complete, checksum-valid journal record to the
     /// data file, then truncates the journal. A torn or corrupt record
     /// ends the replay — records are written in order, so everything
-    /// before it is intact.
+    /// before it is intact. A journal in the previous record layout is
+    /// an error and is left as it was found.
     fn replay(data: &mut File, journal: &mut File, block_count: u64) -> std::io::Result<()> {
         journal.seek(SeekFrom::Start(0))?;
         let mut bytes = Vec::new();
         journal.read_to_end(&mut bytes)?;
+        if bytes.starts_with(&LEGACY_RECORD_MAGIC) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "journal.wal holds records in the earlier \"WALR\" layout; open the store \
+                 with the build that wrote it so they are applied, or remove the journal \
+                 to discard them",
+            ));
+        }
         let mut applied = 0u64;
         for record in bytes.chunks_exact(JOURNAL_RECORD_LEN) {
             let Some((idx, payload)) = decode_record(record, block_count) else {
@@ -560,18 +579,38 @@ mod tests {
         assert_eq!(decode_record(&record, 5), None);
     }
 
-    /// The journal format, pinned byte for byte: a store must keep
-    /// replaying what an earlier build of it journaled.
+    /// The journal format, pinned byte for byte: a change of layout
+    /// has to come with a change of magic, or a later build takes an
+    /// earlier build's records for torn ones.
     #[test]
     fn record_bytes_are_pinned() {
         let record = sample_record();
-        assert_eq!(&record[..4], b"WALR");
+        assert_eq!(&record[..4], b"WAL2");
         assert_eq!(record[4..12], 5u64.to_le_bytes());
         assert_eq!(record[12], 3);
         assert_eq!(
             record[RECORD_PREFIX + BLOCK_SIZE..],
-            0xe28f_5b34_f2ba_aa6cu64.to_le_bytes()
+            0x7b9d_e911_53af_3945u64.to_le_bytes()
         );
+    }
+
+    /// A journal in the previous layout (SHA-256 between index and
+    /// payload) is refused, not mistaken for a torn record and
+    /// truncated: its writes are still there for the build that can
+    /// replay them.
+    #[test]
+    fn journal_in_the_previous_layout_is_refused_and_kept() {
+        let dir = temp_dir_for_tests("legacy-journal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut legacy = b"WALR".to_vec();
+        legacy.extend_from_slice(&5u64.to_le_bytes());
+        legacy.extend_from_slice(&[0xab; 32]);
+        legacy.extend_from_slice(&[3u8; BLOCK_SIZE]);
+        std::fs::write(dir.join("journal.wal"), &legacy).unwrap();
+        let err = FileStore::open(&dir, 16).err().expect("legacy journal");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(dir.join("journal.wal")).unwrap(), legacy);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The same refusals through a real replay: a flipped bit in each
