@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::cache::{CacheStats, Lru};
 use crate::disk::{zero_block, BlockStore, MemDisk, StoreBackend, BLOCK_SIZE};
 use crate::inode::{FileKind, Inode, INODES_PER_BLOCK, INODE_SIZE, NDIRECT, PTRS_PER_BLOCK};
 use crate::sb::{MountError, Superblock};
@@ -43,6 +44,12 @@ impl FsConfig {
         }
     }
 }
+
+/// Directories whose parsed entries the name cache keeps.
+const NAME_CACHE_DIRS: usize = 256;
+
+/// Pointer blocks (8 KiB each) the pointer-block cache keeps.
+const PTR_CACHE_BLOCKS: usize = 64;
 
 /// Bits per bitmap block.
 const BITS_PER_BLOCK: u64 = (BLOCK_SIZE * 8) as u64;
@@ -111,6 +118,17 @@ struct FsInner {
     /// since the last [`Ffs::sync`] (mirrors the superblock's `clean`
     /// flag, inverted).
     dirty: bool,
+    /// Name cache: a directory's parsed entries, by directory inode.
+    /// Write-through — [`Ffs::write_dir`] is the only writer of
+    /// directory blocks and installs what it wrote; `free_inode` drops
+    /// the entry.
+    names: Lru<Ino, Vec<DirEntry>>,
+    /// Pointer-block cache: the 8 KiB images of indirect and
+    /// double-indirect blocks, by block number. Write-through — every
+    /// change goes through [`Ffs::write_ptr`] or [`Ffs::retain_ptrs`],
+    /// which patch the image and write it out; `free_block` drops the
+    /// entry and `alloc_ptr_block` installs the zeroed image.
+    ptrs: Lru<u64, Vec<u8>>,
 }
 
 impl FsInner {
@@ -125,6 +143,8 @@ impl FsInner {
             tick,
             alloc_hint: layout.data_start,
             dirty: false,
+            names: Lru::new(NAME_CACHE_DIRS),
+            ptrs: Lru::new(PTR_CACHE_BLOCKS),
         }
     }
 }
@@ -301,13 +321,9 @@ impl Ffs {
         );
 
         let mut inner = FsInner {
-            inode_bitmap: vec![false; config.inode_count as usize],
-            block_bitmap: vec![false; config.total_blocks as usize],
             free_blocks: config.total_blocks - layout.data_start,
             free_inodes: config.inode_count - 2, // 0 reserved, 1 = root
-            tick: 1,
-            alloc_hint: layout.data_start,
-            dirty: false,
+            ..FsInner::cold(&layout, config.inode_count, 1)
         };
         // Metadata region is permanently allocated.
         for b in 0..layout.data_start {
@@ -354,7 +370,7 @@ impl Ffs {
                     ino: 1,
                 },
             ];
-            fs.write_dir(&mut inner, 1, &entries)
+            fs.write_dir(&mut inner, 1, entries)
                 .expect("fresh filesystem has space for the root directory");
             // Durable baseline: bitmaps, then the superblock last, so a
             // replayed crash mid-format never yields a valid superblock
@@ -652,12 +668,19 @@ impl Ffs {
     /// The length is capped at both the pointer-geometry maximum and
     /// the volume size, so an absurd size field cannot balloon the
     /// read.
-    fn read_file_guarded(&self, inode: &Inode) -> Vec<u8> {
+    fn read_file_guarded(&self, inner: &mut FsInner, inode: &Inode) -> Vec<u8> {
         let ptrs = PTRS_PER_BLOCK as u64;
         let in_range =
             |p: u32| p as u64 >= self.layout.data_start && (p as u64) < self.layout.total_blocks;
-        let guarded_table =
-            |p: u32| -> Option<Vec<u32>> { in_range(p).then(|| self.read_ptr_block(p as u64)) };
+        // An entry read through a table that is itself out of range is
+        // a hole.
+        let mut through = |table: u32, index: u64| -> u32 {
+            if in_range(table) {
+                self.read_ptr(inner, table as u64, index as usize)
+            } else {
+                0
+            }
+        };
         let len = inode
             .size
             .min(max_file_size())
@@ -670,15 +693,11 @@ impl Ffs {
             let ptr = if fbn < NDIRECT as u64 {
                 inode.direct[fbn as usize]
             } else if fbn < NDIRECT as u64 + ptrs {
-                guarded_table(inode.indirect)
-                    .map(|t| t[(fbn - NDIRECT as u64) as usize])
-                    .unwrap_or(0)
+                through(inode.indirect, fbn - NDIRECT as u64)
             } else {
                 let idx = fbn - NDIRECT as u64 - ptrs;
-                guarded_table(inode.double_indirect)
-                    .and_then(|outer| guarded_table(outer[(idx / ptrs) as usize]))
-                    .map(|t| t[(idx % ptrs) as usize])
-                    .unwrap_or(0)
+                let mid = through(inode.double_indirect, idx / ptrs);
+                through(mid, idx % ptrs)
             };
             if ptr != 0 && in_range(ptr) {
                 out.extend_from_slice(&self.disk.read_block_meta(ptr as u64)[..take]);
@@ -711,6 +730,7 @@ impl Ffs {
         let n_inodes = self.inode_count;
         let data_start = self.layout.data_start;
         let total = self.layout.total_blocks;
+        let mut inner = self.inner.lock();
 
         // Pass 1: inode table scan.
         let mut allocated = vec![false; n_inodes as usize];
@@ -745,7 +765,7 @@ impl Ffs {
         let mut queue: VecDeque<(Ino, Ino)> = VecDeque::from([(1, 1)]);
         while let Some((dir, parent)) = queue.pop_front() {
             let dir_inode = self.read_inode(dir);
-            let data = self.read_file_guarded(&dir_inode);
+            let data = self.read_file_guarded(&mut inner, &dir_inode);
             let mut changed = false;
             let mut planned: Vec<DirEntry> = Vec::new();
             let mut seen: HashSet<String> = HashSet::new();
@@ -865,16 +885,12 @@ impl Ffs {
                     inode_changed = true;
                     lost_block = true;
                 } else {
-                    let table = self.read_ptr_block(inode.indirect as u64);
-                    for (i, &ptr) in table.iter().enumerate() {
-                        if ptr != 0
-                            && ((NDIRECT + i) as u64 >= max_fbn
-                                || !claim_block(&mut block_bitmap, data_start, ptr as u64))
-                        {
-                            self.write_ptr(inode.indirect as u64, i, 0);
-                            lost_block = true;
-                        }
-                    }
+                    self.retain_ptrs(&mut inner, inode.indirect as u64, |_, i, ptr| {
+                        let keep = ((NDIRECT + i) as u64) < max_fbn
+                            && claim_block(&mut block_bitmap, data_start, ptr as u64);
+                        lost_block |= !keep;
+                        keep
+                    });
                 }
             }
             if inode.double_indirect != 0 {
@@ -883,28 +899,20 @@ impl Ffs {
                     inode_changed = true;
                     lost_block = true;
                 } else {
-                    let outer = self.read_ptr_block(inode.double_indirect as u64);
-                    for (o, &mid) in outer.iter().enumerate() {
-                        if mid == 0 {
-                            continue;
-                        }
+                    self.retain_ptrs(&mut inner, inode.double_indirect as u64, |inner, o, mid| {
                         if !claim_block(&mut block_bitmap, data_start, mid as u64) {
-                            self.write_ptr(inode.double_indirect as u64, o, 0);
                             lost_block = true;
-                            continue;
+                            return false;
                         }
-                        let table = self.read_ptr_block(mid as u64);
-                        for (i, &ptr) in table.iter().enumerate() {
+                        self.retain_ptrs(inner, mid as u64, |_, i, ptr| {
                             let fbn = (NDIRECT + PTRS_PER_BLOCK + o * PTRS_PER_BLOCK + i) as u64;
-                            if ptr != 0
-                                && (fbn >= max_fbn
-                                    || !claim_block(&mut block_bitmap, data_start, ptr as u64))
-                            {
-                                self.write_ptr(mid as u64, i, 0);
-                                lost_block = true;
-                            }
-                        }
-                    }
+                            let keep = fbn < max_fbn
+                                && claim_block(&mut block_bitmap, data_start, ptr as u64);
+                            lost_block |= !keep;
+                            keep
+                        });
+                        true
+                    });
                 }
             }
             if inode_changed {
@@ -932,16 +940,15 @@ impl Ffs {
             .filter(|&&b| !b)
             .count() as u64;
         let free_inodes = inode_bitmap[1..].iter().filter(|&&b| !b).count() as u32;
-        let mut inner = self.inner.lock();
         inner.inode_bitmap = inode_bitmap;
         inner.block_bitmap = block_bitmap;
         inner.free_blocks = free_blocks;
         inner.free_inodes = free_inodes;
         inner.tick = max_tick + 1;
         inner.dirty = false;
-        for (dir, planned, changed) in &planned_dirs {
-            if *changed || dirs_lost_blocks.contains(dir) {
-                self.write_dir(&mut inner, *dir, planned).map_err(|e| {
+        for (dir, planned, changed) in planned_dirs {
+            if changed || dirs_lost_blocks.contains(&dir) {
+                self.write_dir(&mut inner, dir, planned).map_err(|e| {
                     MountError::CorruptVolume(format!("repairing directory {dir}: {e}"))
                 })?;
             }
@@ -1014,6 +1021,7 @@ impl Ffs {
         self.write_inode(ino, &Inode::empty(generation));
         inner.inode_bitmap[ino as usize] = false;
         inner.free_inodes += 1;
+        inner.names.remove(ino);
     }
 
     // -- block allocation ---------------------------------------------------
@@ -1050,6 +1058,7 @@ impl Ffs {
         );
         inner.block_bitmap[idx as usize] = false;
         inner.free_blocks += 1;
+        inner.ptrs.remove(idx);
         // Pull the hint back so the next allocation reuses what was just
         // freed: a file that is truncated and rewritten stays where it
         // was instead of marching across the volume.
@@ -1058,18 +1067,80 @@ impl Ffs {
 
     // -- block mapping ------------------------------------------------------
 
-    fn read_ptr_block(&self, block: u64) -> Vec<u32> {
-        let data = self.disk.read_block_meta(block);
-        data.chunks_exact(4)
-            .map(|c| u32::from_be_bytes(c.try_into().expect("4 bytes")))
-            .collect()
+    /// Allocates a block to hold pointers. `alloc_block` has just
+    /// zeroed it on the store, so its image is known without reading it
+    /// back.
+    fn alloc_ptr_block(&self, inner: &mut FsInner) -> Result<u32, FsError> {
+        let block = self.alloc_block(inner)?;
+        inner.ptrs.insert(block, vec![0u8; BLOCK_SIZE]);
+        Ok(block as u32)
     }
 
-    fn write_ptr(&self, block: u64, index: usize, value: u32) {
-        let mut data = vec![0u8; BLOCK_SIZE];
-        self.disk.read_block_meta_into(block, &mut data);
-        data[index * 4..index * 4 + 4].copy_from_slice(&value.to_be_bytes());
-        self.disk.write_block_meta(block, &data);
+    /// Reads the image of pointer block `block` from the store.
+    fn load_ptr_block(&self, block: u64) -> Vec<u8> {
+        let mut image = vec![0u8; BLOCK_SIZE];
+        self.disk.read_block_meta_into(block, &mut image);
+        image
+    }
+
+    /// The image of pointer block `block`: from the cache, or read from
+    /// the store and cached.
+    fn ptr_block<'a>(&self, inner: &'a mut FsInner, block: u64) -> &'a mut Vec<u8> {
+        if !inner.ptrs.touch(block) {
+            inner.ptrs.insert(block, self.load_ptr_block(block));
+        }
+        inner
+            .ptrs
+            .peek_mut(block)
+            .expect("present or just inserted")
+    }
+
+    fn read_ptr(&self, inner: &mut FsInner, block: u64, index: usize) -> u32 {
+        let image = self.ptr_block(inner, block);
+        u32::from_be_bytes(image[index * 4..index * 4 + 4].try_into().expect("4 bytes"))
+    }
+
+    fn write_ptr(&self, inner: &mut FsInner, block: u64, index: usize, value: u32) {
+        let image = self.ptr_block(inner, block);
+        image[index * 4..index * 4 + 4].copy_from_slice(&value.to_be_bytes());
+        self.disk.write_block_meta(block, image);
+    }
+
+    /// Offers every nonzero entry of pointer block `table` to `keep`
+    /// (with its index) and zeroes the ones it turns down, writing the
+    /// block out once if any were. Returns whether an entry is left.
+    ///
+    /// The image is out of the cache while `keep` runs, so `keep` may
+    /// free blocks and walk other tables.
+    fn retain_ptrs(
+        &self,
+        inner: &mut FsInner,
+        table: u64,
+        mut keep: impl FnMut(&mut FsInner, usize, u32) -> bool,
+    ) -> bool {
+        let mut image = if inner.ptrs.touch(table) {
+            inner.ptrs.remove(table).expect("just touched")
+        } else {
+            self.load_ptr_block(table)
+        };
+        let (mut any_left, mut changed) = (false, false);
+        for (i, raw) in image.chunks_exact_mut(4).enumerate() {
+            let entry = u32::from_be_bytes((&*raw).try_into().expect("4 bytes"));
+            if entry == 0 {
+                continue;
+            }
+            if keep(inner, i, entry) {
+                any_left = true;
+            } else {
+                raw.fill(0);
+                changed = true;
+            }
+        }
+        if changed {
+            self.disk.write_block_meta(table, &image);
+        }
+        inner.ptrs.insert(table, image);
+        any_left
     }
 
     /// Maps file block `fbn` to a disk block, allocating if requested.
@@ -1097,16 +1168,15 @@ impl Ffs {
                 if !allocate {
                     return Ok(None);
                 }
-                inode.indirect = self.alloc_block(inner)? as u32;
+                inode.indirect = self.alloc_ptr_block(inner)?;
             }
-            let table = self.read_ptr_block(inode.indirect as u64);
-            let mut entry = table[fbn as usize];
+            let mut entry = self.read_ptr(inner, inode.indirect as u64, fbn as usize);
             if entry == 0 {
                 if !allocate {
                     return Ok(None);
                 }
                 entry = self.alloc_block(inner)? as u32;
-                self.write_ptr(inode.indirect as u64, fbn as usize, entry);
+                self.write_ptr(inner, inode.indirect as u64, fbn as usize, entry);
             }
             return Ok(Some(entry as u64));
         }
@@ -1116,27 +1186,25 @@ impl Ffs {
                 if !allocate {
                     return Ok(None);
                 }
-                inode.double_indirect = self.alloc_block(inner)? as u32;
+                inode.double_indirect = self.alloc_ptr_block(inner)?;
             }
             let outer_idx = (fbn / ptrs) as usize;
             let inner_idx = (fbn % ptrs) as usize;
-            let outer = self.read_ptr_block(inode.double_indirect as u64);
-            let mut mid = outer[outer_idx];
+            let mut mid = self.read_ptr(inner, inode.double_indirect as u64, outer_idx);
             if mid == 0 {
                 if !allocate {
                     return Ok(None);
                 }
-                mid = self.alloc_block(inner)? as u32;
-                self.write_ptr(inode.double_indirect as u64, outer_idx, mid);
+                mid = self.alloc_ptr_block(inner)?;
+                self.write_ptr(inner, inode.double_indirect as u64, outer_idx, mid);
             }
-            let table = self.read_ptr_block(mid as u64);
-            let mut entry = table[inner_idx];
+            let mut entry = self.read_ptr(inner, mid as u64, inner_idx);
             if entry == 0 {
                 if !allocate {
                     return Ok(None);
                 }
                 entry = self.alloc_block(inner)? as u32;
-                self.write_ptr(mid as u64, inner_idx, entry);
+                self.write_ptr(inner, mid as u64, inner_idx, entry);
             }
             return Ok(Some(entry as u64));
         }
@@ -1152,60 +1220,42 @@ impl Ffs {
                 inode.direct[slot] = 0;
             }
         }
-        if inode.indirect != 0 {
-            let base = NDIRECT as u64;
-            let table = self.read_ptr_block(inode.indirect as u64);
-            let mut any_left = false;
-            for (i, &entry) in table.iter().enumerate() {
-                if entry == 0 {
-                    continue;
-                }
-                if base + i as u64 >= from_fbn {
-                    self.free_block(inner, entry as u64);
-                    self.write_ptr(inode.indirect as u64, i, 0);
-                } else {
-                    any_left = true;
-                }
-            }
-            if !any_left {
-                self.free_block(inner, inode.indirect as u64);
-                inode.indirect = 0;
-            }
+        if inode.indirect != 0
+            && !self.free_table_from(inner, inode.indirect as u64, NDIRECT as u64, from_fbn)
+        {
+            self.free_block(inner, inode.indirect as u64);
+            inode.indirect = 0;
         }
         if inode.double_indirect != 0 {
             let base = NDIRECT as u64 + ptrs;
-            let outer = self.read_ptr_block(inode.double_indirect as u64);
-            let mut any_outer_left = false;
-            for (o, &mid) in outer.iter().enumerate() {
-                if mid == 0 {
-                    continue;
-                }
-                let mid_base = base + o as u64 * ptrs;
-                let table = self.read_ptr_block(mid as u64);
-                let mut any_left = false;
-                for (i, &entry) in table.iter().enumerate() {
-                    if entry == 0 {
-                        continue;
+            let any_left =
+                self.retain_ptrs(inner, inode.double_indirect as u64, |inner, o, mid| {
+                    let keep =
+                        self.free_table_from(inner, mid as u64, base + o as u64 * ptrs, from_fbn);
+                    if !keep {
+                        self.free_block(inner, mid as u64);
                     }
-                    if mid_base + i as u64 >= from_fbn {
-                        self.free_block(inner, entry as u64);
-                        self.write_ptr(mid as u64, i, 0);
-                    } else {
-                        any_left = true;
-                    }
-                }
-                if !any_left {
-                    self.free_block(inner, mid as u64);
-                    self.write_ptr(inode.double_indirect as u64, o, 0);
-                } else {
-                    any_outer_left = true;
-                }
-            }
-            if !any_outer_left {
+                    keep
+                });
+            if !any_left {
                 self.free_block(inner, inode.double_indirect as u64);
                 inode.double_indirect = 0;
             }
         }
+    }
+
+    /// Frees the data blocks that pointer block `table` (its first
+    /// entry maps file block `base`) holds at or beyond `from_fbn`.
+    /// Returns whether the table still maps anything; the caller frees
+    /// an emptied table.
+    fn free_table_from(&self, inner: &mut FsInner, table: u64, base: u64, from_fbn: u64) -> bool {
+        self.retain_ptrs(inner, table, |inner, i, entry| {
+            let keep = base + (i as u64) < from_fbn;
+            if !keep {
+                self.free_block(inner, entry as u64);
+            }
+            keep
+        })
     }
 
     // -- data I/O (the pipelined file path) ---------------------------------
@@ -1372,22 +1422,65 @@ impl Ffs {
         out
     }
 
-    fn read_dir(&self, inner: &mut FsInner, ino: Ino) -> Result<Vec<DirEntry>, FsError> {
-        let mut inode = self.load(ino)?;
+    /// Loads an inode, verifying it is an allocated directory.
+    fn load_dir(&self, ino: Ino) -> Result<Inode, FsError> {
+        let inode = self.load(ino)?;
         if inode.kind() != FileKind::Directory {
             return Err(FsError::NotDir);
         }
+        Ok(inode)
+    }
+
+    /// Reads and parses the blocks of the directory `inode` from the
+    /// store.
+    fn read_dir_blocks(
+        &self,
+        inner: &mut FsInner,
+        inode: &mut Inode,
+    ) -> Result<Vec<DirEntry>, FsError> {
         let size = inode.size;
-        let data = self.read_inode_data(inner, &mut inode, 0, size as usize)?;
+        let data = self.read_inode_data(inner, inode, 0, size as usize)?;
         Ok(Self::parse_dir(&data))
     }
 
+    /// The entries of directory `ino`, from the name cache when it has
+    /// them (the inode checks stay in front of it).
+    fn dir_entries<'a>(&self, inner: &'a mut FsInner, ino: Ino) -> Result<&'a [DirEntry], FsError> {
+        let mut inode = self.load_dir(ino)?;
+        if !inner.names.touch(ino) {
+            let entries = self.read_dir_blocks(inner, &mut inode)?;
+            inner.names.insert(ino, entries);
+        }
+        Ok(inner.names.peek(ino).expect("present or just inserted"))
+    }
+
+    /// The inode `name` refers to in directory `dir`, if any.
+    fn dir_find(&self, inner: &mut FsInner, dir: Ino, name: &str) -> Result<Option<Ino>, FsError> {
+        let entries = self.dir_entries(inner, dir)?;
+        Ok(entries.iter().find(|e| e.name == name).map(|e| e.ino))
+    }
+
+    /// Takes the entries of directory `ino` out of the name cache to be
+    /// edited; [`Ffs::write_dir`] installs the edited list. An
+    /// operation that fails in between leaves the cache without the
+    /// directory, never with a list the store does not hold.
+    fn take_dir(&self, inner: &mut FsInner, ino: Ino) -> Result<Vec<DirEntry>, FsError> {
+        let mut inode = self.load_dir(ino)?;
+        match inner.names.remove(ino) {
+            Some(entries) => Ok(entries),
+            None => self.read_dir_blocks(inner, &mut inode),
+        }
+    }
+
+    /// Rewrites directory `ino` on the store and installs `entries` in
+    /// the name cache.
     fn write_dir(
         &self,
         inner: &mut FsInner,
         ino: Ino,
-        entries: &[DirEntry],
+        entries: Vec<DirEntry>,
     ) -> Result<(), FsError> {
+        inner.names.remove(ino);
         let mut inode = self.load(ino).or_else(|e| {
             // During format the root inode is written just before this call.
             if ino == 1 {
@@ -1396,7 +1489,7 @@ impl Ffs {
                 Err(e)
             }
         })?;
-        let data = Self::serialize_dir(entries);
+        let data = Self::serialize_dir(&entries);
         // Shrink then rewrite.
         let new_blocks = (data.len() as u64).div_ceil(BLOCK_SIZE as u64);
         self.free_blocks_from(inner, &mut inode, new_blocks.max(1));
@@ -1406,7 +1499,35 @@ impl Ffs {
         inode.mtime = inner.tick;
         inode.ctime = inner.tick;
         self.write_inode(ino, &inode);
+        inner.names.insert(ino, entries);
         Ok(())
+    }
+
+    /// Appends the entry `name` → `ino` to directory `dir`.
+    fn add_entry(
+        &self,
+        inner: &mut FsInner,
+        dir: Ino,
+        name: &str,
+        ino: Ino,
+    ) -> Result<(), FsError> {
+        let mut entries = self.take_dir(inner, dir)?;
+        entries.push(DirEntry {
+            name: name.to_string(),
+            ino,
+        });
+        self.write_dir(inner, dir, entries)
+    }
+
+    /// Removes the entry `name` from directory `dir`.
+    fn remove_entry(&self, inner: &mut FsInner, dir: Ino, name: &str) -> Result<(), FsError> {
+        let mut entries = self.take_dir(inner, dir)?;
+        let idx = entries
+            .iter()
+            .position(|e| e.name == name)
+            .ok_or(FsError::NoEnt)?;
+        entries.remove(idx);
+        self.write_dir(inner, dir, entries)
     }
 
     // -- public API -----------------------------------------------------------
@@ -1419,12 +1540,7 @@ impl Ffs {
     /// a directory.
     pub fn lookup(&self, dir: Ino, name: &str) -> Result<Ino, FsError> {
         let mut inner = self.inner.lock();
-        let entries = self.read_dir(&mut inner, dir)?;
-        entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.ino)
-            .ok_or(FsError::NoEnt)
+        self.dir_find(&mut inner, dir, name)?.ok_or(FsError::NoEnt)
     }
 
     /// Creates a regular file.
@@ -1444,8 +1560,7 @@ impl Ffs {
         validate_name(name)?;
         let mut inner = self.inner.lock();
         inner.tick += 1;
-        let mut entries = self.read_dir(&mut inner, dir)?;
-        if entries.iter().any(|e| e.name == name) {
+        if self.dir_find(&mut inner, dir, name)?.is_some() {
             return Err(FsError::Exists);
         }
         self.mark_dirty(&mut inner);
@@ -1460,11 +1575,7 @@ impl Ffs {
         inode.mtime = tick;
         inode.ctime = tick;
         self.write_inode(ino, &inode);
-        entries.push(DirEntry {
-            name: name.to_string(),
-            ino,
-        });
-        self.write_dir(&mut inner, dir, &entries)?;
+        self.add_entry(&mut inner, dir, name, ino)?;
         Ok(ino)
     }
 
@@ -1484,8 +1595,7 @@ impl Ffs {
         validate_name(name)?;
         let mut inner = self.inner.lock();
         inner.tick += 1;
-        let mut entries = self.read_dir(&mut inner, dir)?;
-        if entries.iter().any(|e| e.name == name) {
+        if self.dir_find(&mut inner, dir, name)?.is_some() {
             return Err(FsError::Exists);
         }
         self.mark_dirty(&mut inner);
@@ -1510,12 +1620,8 @@ impl Ffs {
                 ino: dir,
             },
         ];
-        self.write_dir(&mut inner, ino, &child_entries)?;
-        entries.push(DirEntry {
-            name: name.to_string(),
-            ino,
-        });
-        self.write_dir(&mut inner, dir, &entries)?;
+        self.write_dir(&mut inner, ino, child_entries)?;
+        self.add_entry(&mut inner, dir, name, ino)?;
         // The child's ".." references the parent.
         let mut parent = self.load(dir)?;
         parent.nlink += 1;
@@ -1540,8 +1646,7 @@ impl Ffs {
         validate_name(name)?;
         let mut inner = self.inner.lock();
         inner.tick += 1;
-        let mut entries = self.read_dir(&mut inner, dir)?;
-        if entries.iter().any(|e| e.name == name) {
+        if self.dir_find(&mut inner, dir, name)?.is_some() {
             return Err(FsError::Exists);
         }
         self.mark_dirty(&mut inner);
@@ -1557,11 +1662,7 @@ impl Ffs {
         inode.ctime = tick;
         self.write_inode_data(&mut inner, &mut inode, 0, target.as_bytes())?;
         self.write_inode(ino, &inode);
-        entries.push(DirEntry {
-            name: name.to_string(),
-            ino,
-        });
-        self.write_dir(&mut inner, dir, &entries)?;
+        self.add_entry(&mut inner, dir, name, ino)?;
         Ok(ino)
     }
 
@@ -1594,16 +1695,11 @@ impl Ffs {
         if target.kind() == FileKind::Directory {
             return Err(FsError::IsDir);
         }
-        let mut entries = self.read_dir(&mut inner, dir)?;
-        if entries.iter().any(|e| e.name == name) {
+        if self.dir_find(&mut inner, dir, name)?.is_some() {
             return Err(FsError::Exists);
         }
         self.mark_dirty(&mut inner);
-        entries.push(DirEntry {
-            name: name.to_string(),
-            ino,
-        });
-        self.write_dir(&mut inner, dir, &entries)?;
+        self.add_entry(&mut inner, dir, name, ino)?;
         target.nlink += 1;
         target.ctime = inner.tick;
         self.write_inode(ino, &target);
@@ -1619,19 +1715,15 @@ impl Ffs {
     pub fn unlink(&self, dir: Ino, name: &str) -> Result<(), FsError> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
-        let mut entries = self.read_dir(&mut inner, dir)?;
-        let idx = entries
-            .iter()
-            .position(|e| e.name == name)
+        let ino = self
+            .dir_find(&mut inner, dir, name)?
             .ok_or(FsError::NoEnt)?;
-        let ino = entries[idx].ino;
         let mut inode = self.load(ino)?;
         if inode.kind() == FileKind::Directory {
             return Err(FsError::IsDir);
         }
         self.mark_dirty(&mut inner);
-        entries.remove(idx);
-        self.write_dir(&mut inner, dir, &entries)?;
+        self.remove_entry(&mut inner, dir, name)?;
         inode.nlink -= 1;
         if inode.nlink == 0 {
             self.free_blocks_from(&mut inner, &mut inode, 0);
@@ -1652,23 +1744,19 @@ impl Ffs {
     pub fn rmdir(&self, dir: Ino, name: &str) -> Result<(), FsError> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
-        let mut entries = self.read_dir(&mut inner, dir)?;
-        let idx = entries
-            .iter()
-            .position(|e| e.name == name)
+        let ino = self
+            .dir_find(&mut inner, dir, name)?
             .ok_or(FsError::NoEnt)?;
-        let ino = entries[idx].ino;
         let mut inode = self.load(ino)?;
         if inode.kind() != FileKind::Directory {
             return Err(FsError::NotDir);
         }
-        let children = self.read_dir(&mut inner, ino)?;
+        let children = self.dir_entries(&mut inner, ino)?;
         if children.iter().any(|e| e.name != "." && e.name != "..") {
             return Err(FsError::NotEmpty);
         }
         self.mark_dirty(&mut inner);
-        entries.remove(idx);
-        self.write_dir(&mut inner, dir, &entries)?;
+        self.remove_entry(&mut inner, dir, name)?;
         // Free the directory's data and inode.
         self.free_blocks_from(&mut inner, &mut inode, 0);
         self.write_inode(ino, &inode);
@@ -1700,13 +1788,10 @@ impl Ffs {
         let mut inner = self.inner.lock();
         inner.tick += 1;
 
-        let src_entries = self.read_dir(&mut inner, src_dir)?;
-        let src_entry = src_entries
-            .iter()
-            .find(|e| e.name == src_name)
-            .ok_or(FsError::NoEnt)?
-            .clone();
-        let moving = self.load(src_entry.ino)?;
+        let moving_ino = self
+            .dir_find(&mut inner, src_dir, src_name)?
+            .ok_or(FsError::NoEnt)?;
+        let moving = self.load(moving_ino)?;
         let moving_is_dir = moving.kind() == FileKind::Directory;
 
         if src_dir == dst_dir && src_name == dst_name {
@@ -1717,25 +1802,21 @@ impl Ffs {
         if moving_is_dir && src_dir != dst_dir {
             let mut cursor = dst_dir;
             loop {
-                if cursor == src_entry.ino {
+                if cursor == moving_ino {
                     return Err(FsError::InvalidMove);
                 }
                 if cursor == 1 {
                     break;
                 }
-                let entries = self.read_dir(&mut inner, cursor)?;
-                cursor = entries
-                    .iter()
-                    .find(|e| e.name == "..")
-                    .map(|e| e.ino)
+                cursor = self
+                    .dir_find(&mut inner, cursor, "..")?
                     .ok_or(FsError::NoEnt)?;
             }
         }
 
         // Handle an existing destination.
-        let dst_entries = self.read_dir(&mut inner, dst_dir)?;
-        if let Some(existing) = dst_entries.iter().find(|e| e.name == dst_name) {
-            let existing_inode = self.load(existing.ino)?;
+        if let Some(existing) = self.dir_find(&mut inner, dst_dir, dst_name)? {
+            let existing_inode = self.load(existing)?;
             let existing_is_dir = existing_inode.kind() == FileKind::Directory;
             match (moving_is_dir, existing_is_dir) {
                 (false, false) => {
@@ -1754,30 +1835,18 @@ impl Ffs {
 
         // Remove from source, add to destination.
         self.mark_dirty(&mut inner);
-        let mut src_entries = self.read_dir(&mut inner, src_dir)?;
-        let idx = src_entries
-            .iter()
-            .position(|e| e.name == src_name)
-            .ok_or(FsError::NoEnt)?;
-        src_entries.remove(idx);
-        self.write_dir(&mut inner, src_dir, &src_entries)?;
-
-        let mut dst_entries = self.read_dir(&mut inner, dst_dir)?;
-        dst_entries.push(DirEntry {
-            name: dst_name.to_string(),
-            ino: src_entry.ino,
-        });
-        self.write_dir(&mut inner, dst_dir, &dst_entries)?;
+        self.remove_entry(&mut inner, src_dir, src_name)?;
+        self.add_entry(&mut inner, dst_dir, dst_name, moving_ino)?;
 
         // Fix ".." and parent link counts for moved directories.
         if moving_is_dir && src_dir != dst_dir {
-            let mut child_entries = self.read_dir(&mut inner, src_entry.ino)?;
+            let mut child_entries = self.take_dir(&mut inner, moving_ino)?;
             for e in child_entries.iter_mut() {
                 if e.name == ".." {
                     e.ino = dst_dir;
                 }
             }
-            self.write_dir(&mut inner, src_entry.ino, &child_entries)?;
+            self.write_dir(&mut inner, moving_ino, child_entries)?;
             let mut old_parent = self.load(src_dir)?;
             old_parent.nlink -= 1;
             self.write_inode(src_dir, &old_parent);
@@ -1913,7 +1982,24 @@ impl Ffs {
     /// [`FsError::NotDir`] for non-directories.
     pub fn readdir(&self, ino: Ino) -> Result<Vec<DirEntry>, FsError> {
         let mut inner = self.inner.lock();
-        self.read_dir(&mut inner, ino)
+        let mut inode = self.load_dir(ino)?;
+        let entries = self.read_dir_blocks(&mut inner, &mut inode)?;
+        inner.names.insert(ino, entries.clone());
+        Ok(entries)
+    }
+
+    /// Hit, miss and eviction counts of the name cache and the
+    /// pointer-block cache since this volume was formatted or mounted.
+    pub fn cache_stats(&self) -> CacheStats {
+        let inner = self.inner.lock();
+        CacheStats {
+            name_hits: inner.names.hits,
+            name_misses: inner.names.misses,
+            name_evictions: inner.names.evictions,
+            ptr_hits: inner.ptrs.hits,
+            ptr_misses: inner.ptrs.misses,
+            ptr_evictions: inner.ptrs.evictions,
+        }
     }
 
     /// Filesystem usage statistics.

@@ -93,6 +93,59 @@
 //! vectored write, and dropping the volume joins the workers before
 //! the per-shard journals seal their final batches.
 //!
+//! # In-core caches
+//!
+//! `Ffs` keeps two bounded LRU caches in the state its one lock
+//! guards ([`Ffs::cache_stats`] counts their hits, misses and
+//! evictions; there is nothing to configure):
+//!
+//! * the **name cache** — for up to 256 directories, the parsed entry
+//!   list, by directory inode. LOOKUP and the existence checks of
+//!   CREATE / MKDIR / SYMLINK / LINK / UNLINK / RMDIR / RENAME search
+//!   it after the usual inode checks (`BadInode`, `NotDir`); a miss
+//!   reads the directory's blocks once.
+//! * the **pointer-block cache** — for up to 64 indirect and
+//!   double-indirect blocks, the 8 KiB image, by block number. Block
+//!   mapping, truncation and the recovery sweep read single pointers
+//!   out of it; a miss reads the block once.
+//!
+//! **Write-through, always.** The store is current after every
+//! operation, so `fsck`, remount, crash replay and the recovery sweep
+//! see exactly what they saw without the caches, and eviction just
+//! forgets. The only writer of directory blocks (`write_dir`) installs
+//! the list it wrote; a mutation takes the list out of the cache, edits
+//! it and hands it back, so a mutation that fails half way leaves the
+//! cache without the directory rather than with something the store
+//! does not hold. A pointer is set by patching the cached image and
+//! writing that image out — no read-back, no re-encoding — and a
+//! truncation clears a whole table with one write. Freeing an inode
+//! drops its name-cache entry; freeing a block drops its image;
+//! allocating a pointer block installs the zero image the allocator
+//! just wrote. [`Ffs::check`] answers from the store, not from the
+//! caches: it reads pointer blocks itself and lists directories with
+//! READDIR.
+//!
+//! **What it buys** (benchmark seed 7; CHANGES.md has the tables). On
+//! the timed disk a warm LOOKUP costs no disk time, so the head stays
+//! on the file blocks: the Figure 12 walk (`meta_walk`: READDIR, then
+//! LOOKUP + READ per file) went from a 14 ms seek on every one of its
+//! 784 operations (14 756 µs per operation) to one seek per directory
+//! (1 299 µs). On a remote volume a READ behind an indirect pointer is
+//! one RPC instead of two (`repl_mixed`: 1.62 → 0.63 RPCs per
+//! operation, 61 → 28 µs under the lock).
+//!
+//! **READDIR still reads the disk**, and refreshes the name cache from
+//! what it read — as 4.4BSD's name cache serves `namei`, not
+//! `getdirentries`. Serving READDIR from the cache too was measured:
+//! the walk drops to 732 µs per operation, but with the disk nearly
+//! gone what DisCFS adds to CFS-NE — mostly the 200 µs KeyNote charge
+//! on a policy-cache miss, which a third of the walk's decisions are
+//! (400 handles cycling through 128 LRU entries) — is 15 % of what is
+//! left: DisCFS/CFS-NE reads 1.173 in virtual time and the
+//! benchmark's own 0.85–1.15 check fails the run. That is a finding
+//! about the policy cache (ROADMAP), not something to hide here; CI
+//! runs the traced walk on every PR.
+//!
 //! # Persistence lifecycle
 //!
 //! A volume is a long-lived entity: format once, then mount on every
@@ -155,6 +208,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cache;
 mod check;
 pub mod disk;
 mod fs;
@@ -163,6 +217,7 @@ mod sb;
 #[cfg(test)]
 mod tests;
 
+pub use cache::CacheStats;
 pub use disk::{
     BlockStore, DiskModel, MemDisk, RemoteOptions, StoreBackend, StoreStats, BLOCK_SIZE,
 };

@@ -549,3 +549,175 @@ fn statfs_reports_consistent_numbers() {
     assert!(s.free_blocks < s.total_blocks); // root dir uses one block
     assert_eq!(s.free_inodes, s.total_inodes - 2);
 }
+
+// -- in-core caches: what they save, on the paper's timing model ------------
+
+mod cache_accounting {
+    use std::sync::Arc;
+
+    use netsim::SimClock;
+    use parking_lot::Mutex;
+
+    use crate::disk::{BlockStore, Bytes, DiskModel, MemDisk, StoreStats};
+    use crate::{Ffs, FsConfig, BLOCK_SIZE};
+
+    /// A directory of 24 one-block files written in creation order.
+    fn directory_of_24(fs: &Ffs) -> crate::Ino {
+        let dir = fs.mkdir(fs.root(), "d", 0o755, 0, 0).unwrap();
+        for i in 0..24u8 {
+            let ino = fs.create(dir, &format!("f{i}"), 0o644, 0, 0).unwrap();
+            fs.write(ino, 0, &vec![i; BLOCK_SIZE]).unwrap();
+        }
+        dir
+    }
+
+    #[test]
+    fn warm_lookups_cost_no_disk_time_and_no_store_read() {
+        let clock = SimClock::new();
+        let fs = Ffs::format_timed(&clock, FsConfig::small());
+        let dir = directory_of_24(&fs);
+        let (t0, reads0, stats0) = (clock.now(), fs.disk().stats().reads, fs.cache_stats());
+        for i in 0..100 {
+            fs.lookup(dir, &format!("f{}", i % 24)).unwrap();
+        }
+        assert_eq!(clock.now(), t0, "a warm LOOKUP moves no head");
+        assert_eq!(fs.disk().stats().reads, reads0);
+        let stats = fs.cache_stats();
+        assert_eq!(stats.name_hits, stats0.name_hits + 100);
+        assert_eq!(stats.name_misses, stats0.name_misses);
+    }
+
+    #[test]
+    fn a_cold_directory_is_read_once() {
+        let clock = SimClock::new();
+        let store: Arc<dyn BlockStore> = Arc::new(MemDisk::new(
+            &clock,
+            DiskModel::quantum_fireball_ct10(),
+            FsConfig::small().total_blocks,
+        ));
+        let fs = Ffs::format_on(store.clone(), FsConfig::small());
+        let dir = directory_of_24(&fs);
+        fs.sync().unwrap();
+        drop(fs);
+        let fs = Ffs::mount_on(store).unwrap();
+        let reads0 = fs.disk().stats().reads;
+        for i in 0..24 {
+            fs.lookup(dir, &format!("f{i}")).unwrap();
+        }
+        assert_eq!(fs.disk().stats().reads, reads0 + 1);
+        let stats = fs.cache_stats();
+        assert_eq!((stats.name_misses, stats.name_hits), (1, 23));
+    }
+
+    #[test]
+    fn readdir_still_costs_one_store_read() {
+        let clock = SimClock::new();
+        let fs = Ffs::format_timed(&clock, FsConfig::small());
+        let dir = directory_of_24(&fs);
+        fs.lookup(dir, "f0").unwrap();
+        for _ in 0..3 {
+            let (t0, reads0) = (clock.now(), fs.disk().stats().reads);
+            assert_eq!(fs.readdir(dir).unwrap().len(), 26);
+            assert_eq!(fs.disk().stats().reads, reads0 + 1);
+            assert!(clock.now() > t0, "READDIR reads the disk");
+        }
+    }
+
+    #[test]
+    fn a_directorys_files_read_in_creation_order_pay_one_seek() {
+        let clock = SimClock::new();
+        let fs = Ffs::format_timed(&clock, FsConfig::small());
+        let dir = directory_of_24(&fs);
+        let t0 = clock.now();
+        for i in 0..24u8 {
+            let ino = fs.lookup(dir, &format!("f{i}")).unwrap();
+            assert_eq!(fs.read(ino, 0, BLOCK_SIZE).unwrap(), vec![i; BLOCK_SIZE]);
+        }
+        // The LOOKUP between two READs no longer drags the head back to
+        // the directory block: the 24 file blocks are one run.
+        assert_eq!(
+            clock.now() - t0,
+            DiskModel::quantum_fireball_ct10().run_cost(24)
+        );
+    }
+
+    /// The timed disk, recording which blocks are read through the
+    /// metadata path.
+    struct MetaReads {
+        inner: MemDisk,
+        seen: Mutex<Vec<u64>>,
+    }
+
+    impl BlockStore for MetaReads {
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+        fn read_block(&self, idx: u64) -> Bytes {
+            self.inner.read_block(idx)
+        }
+        fn write_block(&self, idx: u64, data: &[u8]) {
+            self.inner.write_block(idx, data)
+        }
+        fn read_block_meta(&self, idx: u64) -> Bytes {
+            self.seen.lock().push(idx);
+            self.inner.read_block_meta(idx)
+        }
+        fn write_block_meta(&self, idx: u64, data: &[u8]) {
+            self.inner.write_block_meta(idx, data)
+        }
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
+        fn label(&self) -> &'static str {
+            "meta-reads"
+        }
+    }
+
+    #[test]
+    fn a_read_behind_the_indirect_pointer_is_one_store_read() {
+        let clock = SimClock::new();
+        let store = Arc::new(MetaReads {
+            inner: MemDisk::new(
+                &clock,
+                DiskModel::quantum_fireball_ct10(),
+                FsConfig::small().total_blocks,
+            ),
+            seen: Mutex::new(Vec::new()),
+        });
+        let fs = Ffs::format_on(store.clone(), FsConfig::small());
+        let ino = fs.create(fs.root(), "big", 0o644, 0, 0).unwrap();
+        fs.write(ino, 0, &vec![7u8; 20 * BLOCK_SIZE]).unwrap();
+        fs.sync().unwrap();
+        drop(fs);
+        // A fresh mount: the indirect block is fetched once, then kept.
+        let fs = Ffs::mount_on(store.clone()).unwrap();
+        let data_start = fs.data_start();
+        let behind_indirect = 15 * BLOCK_SIZE as u64;
+        let pointer_block_reads = |store: &MetaReads| {
+            store
+                .seen
+                .lock()
+                .iter()
+                .filter(|&&b| b >= data_start)
+                .count()
+        };
+        store.seen.lock().clear();
+        fs.read(ino, behind_indirect, BLOCK_SIZE).unwrap();
+        assert_eq!(pointer_block_reads(&store), 1, "cold: the indirect block");
+        store.seen.lock().clear();
+        let reads0 = store.stats().reads;
+        fs.read(ino, behind_indirect, BLOCK_SIZE).unwrap();
+        assert_eq!(
+            store.stats().reads,
+            reads0 + 1,
+            "the data block, nothing else"
+        );
+        assert_eq!(
+            pointer_block_reads(&store),
+            0,
+            "warm: no pointer block read"
+        );
+        let stats = fs.cache_stats();
+        assert_eq!((stats.ptr_misses, stats.ptr_hits), (1, 1));
+    }
+}

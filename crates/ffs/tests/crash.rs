@@ -395,3 +395,164 @@ fn truncated_to_zero_journal_restores_the_synced_state_exactly() {
     assert!(fs.resolve_path("moved.dat").is_err());
     std::fs::remove_dir_all(&base).ok();
 }
+
+// -- recovery and the in-core caches -----------------------------------------
+
+mod recovered_caches {
+    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::Arc;
+
+    use ffs::{Attr, BlockStore, Ffs, FsConfig, Ino, MemDisk, SetAttr, StoreStats, BLOCK_SIZE};
+    use store::Bytes;
+
+    fn config() -> FsConfig {
+        FsConfig {
+            total_blocks: 256,
+            inode_count: 64,
+        }
+    }
+
+    /// A working disk plus the image a crash would leave: the image
+    /// takes only the first `budget` block writes.
+    struct CrashAfter {
+        live: MemDisk,
+        image: Arc<MemDisk>,
+        budget: AtomicI64,
+    }
+
+    impl BlockStore for CrashAfter {
+        fn block_count(&self) -> u64 {
+            self.live.block_count()
+        }
+        fn read_block(&self, idx: u64) -> Bytes {
+            self.live.read_block_meta(idx)
+        }
+        fn write_block(&self, idx: u64, data: &[u8]) {
+            self.live.write_block_meta(idx, data);
+            if self.budget.fetch_sub(1, Ordering::SeqCst) > 0 {
+                self.image.write_block_meta(idx, data);
+            }
+        }
+        fn stats(&self) -> StoreStats {
+            self.live.stats()
+        }
+        fn label(&self) -> &'static str {
+            "crash-after"
+        }
+    }
+
+    /// A synced tree, then a burst that rewrites directories, moves a
+    /// directory across parents and frees and allocates pointer blocks;
+    /// the image keeps the first `cut` block writes of the burst.
+    /// Returns the image and how many writes the burst made.
+    fn crashed_image(cut: i64) -> (Arc<MemDisk>, i64) {
+        let image = Arc::new(MemDisk::untimed(config().total_blocks));
+        let disk = Arc::new(CrashAfter {
+            live: MemDisk::untimed(config().total_blocks),
+            image: image.clone(),
+            budget: AtomicI64::new(i64::MAX),
+        });
+        let fs = Ffs::format_on(disk.clone(), config());
+        let root = fs.root();
+        let a = fs.mkdir(root, "a", 0o755, 0, 0).unwrap();
+        let b = fs.mkdir(root, "b", 0o755, 0, 0).unwrap();
+        let x = fs.mkdir(a, "x", 0o755, 0, 0).unwrap();
+        let g = fs.create(x, "g", 0o644, 0, 0).unwrap();
+        fs.write(g, 0, b"kept").unwrap();
+        let f = fs.create(a, "f", 0o644, 0, 0).unwrap();
+        fs.write(f, 0, &vec![5u8; 20 * BLOCK_SIZE]).unwrap();
+        fs.sync().unwrap();
+
+        disk.budget.store(cut, Ordering::SeqCst);
+        let late = fs.create(b, "late", 0o644, 0, 0).unwrap();
+        fs.write(late, 0, &vec![6u8; 14 * BLOCK_SIZE]).unwrap();
+        fs.rename(a, "x", b, "y").unwrap();
+        fs.unlink(a, "f").unwrap();
+        fs.mkdir(a, "z", 0o755, 0, 0).unwrap();
+        fs.link(g, a, "g2").unwrap();
+        let shrink = SetAttr {
+            size: Some(BLOCK_SIZE as u64),
+            ..Default::default()
+        };
+        fs.setattr(late, shrink).unwrap();
+        (image, cut - disk.budget.load(Ordering::SeqCst))
+    }
+
+    fn copy_of(disk: &MemDisk) -> Arc<MemDisk> {
+        let copy = MemDisk::untimed(disk.block_count());
+        for idx in 0..disk.block_count() {
+            copy.write_block_meta(idx, &disk.read_block_meta(idx));
+        }
+        Arc::new(copy)
+    }
+
+    /// Every name under `dir` resolves alike on both filesystems, and
+    /// regular files read alike. Access times are left out: each
+    /// filesystem stamps its own reads, and a hard-linked file is read
+    /// once per name.
+    fn same_tree(warm: &Ffs, cold: &Ffs, dir: Ino) {
+        let without_atime = |fs: &Ffs, ino: Ino| Attr {
+            atime: 0,
+            ..fs.getattr(ino).unwrap()
+        };
+        let listing = cold.readdir(dir).unwrap();
+        for entry in &listing {
+            assert_eq!(warm.lookup(dir, &entry.name), Ok(entry.ino));
+            let attr = without_atime(warm, entry.ino);
+            assert_eq!(attr, without_atime(cold, entry.ino));
+            match attr.kind {
+                ffs::FileKind::Directory if entry.name != "." && entry.name != ".." => {
+                    same_tree(warm, cold, entry.ino)
+                }
+                ffs::FileKind::Regular => assert_eq!(
+                    warm.read(entry.ino, 0, attr.size as usize),
+                    cold.read(entry.ino, 0, attr.size as usize)
+                ),
+                _ => {}
+            }
+        }
+        assert_eq!(warm.readdir(dir).unwrap(), listing);
+    }
+
+    /// Whatever write of a directory-rewriting burst the crash follows,
+    /// recovery lands on a clean volume whose caches (filled by the
+    /// sweep's own repairs) say what its blocks say — then and after
+    /// more work on top.
+    #[test]
+    fn a_crash_between_write_dir_and_sync_recovers_with_coherent_caches() {
+        let (_, writes) = crashed_image(i64::MAX);
+        assert!(writes > 40, "the burst makes {writes} block writes");
+        for cut in 0..=writes {
+            let (image, _) = crashed_image(cut);
+            let fs = Ffs::mount_on(image.clone())
+                .unwrap_or_else(|e| panic!("cut {cut}: mount failed: {e}"));
+            fs.check()
+                .unwrap_or_else(|p| panic!("cut {cut}: fsck after recovery: {p:?}"));
+            let root = fs.root();
+            let a = fs.lookup(root, "a").unwrap();
+            assert!(
+                fs.lookup(a, "x").is_err() || fs.resolve_path("b/y").is_err(),
+                "cut {cut}: the moved directory has two parents"
+            );
+            same_tree(&fs, &Ffs::mount_on(copy_of(&image)).unwrap(), root);
+
+            // The recovered volume keeps working from those caches.
+            let n = fs.create(a, "after", 0o644, 0, 0).unwrap();
+            fs.write(n, 0, &vec![9u8; 13 * BLOCK_SIZE]).unwrap();
+            for entry in fs.readdir(a).unwrap() {
+                if fs.getattr(entry.ino).unwrap().kind == ffs::FileKind::Regular
+                    && entry.name != "after"
+                {
+                    fs.unlink(a, &entry.name).unwrap();
+                }
+            }
+            fs.sync().unwrap();
+            fs.check()
+                .unwrap_or_else(|p| panic!("cut {cut}: fsck after more work: {p:?}"));
+            let cold = Ffs::mount_on(copy_of(&image)).unwrap();
+            cold.check()
+                .unwrap_or_else(|p| panic!("cut {cut}: cold fsck: {p:?}"));
+            same_tree(&fs, &cold, root);
+        }
+    }
+}

@@ -150,8 +150,10 @@ const RESP_LEASE_HELD: u8 = 0x87;
 
 /// Bytes of the trailing checksum.
 const CHECKSUM_LEN: usize = 8;
-/// Length prefix + request id + op + trailing checksum.
-const FRAME_OVERHEAD: usize = 4 + 8 + 1 + CHECKSUM_LEN;
+/// Offset of the body in a frame: length prefix, request id, op.
+const BODY_START: usize = 4 + 8 + 1;
+/// Everything in a frame but its body: header and trailing checksum.
+const FRAME_OVERHEAD: usize = BODY_START + CHECKSUM_LEN;
 
 /// Errors a [`RemoteStore`] request can fail with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,15 +206,29 @@ fn frame_checksum(covered: &[u8]) -> [u8; CHECKSUM_LEN] {
     checksum64(covered).to_le_bytes()
 }
 
-fn encode_frame(req_id: u64, op: u8, body: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + body.len());
-    frame.extend_from_slice(&((FRAME_OVERHEAD - 4 + body.len()) as u32).to_le_bytes());
+/// Builds a frame whose `body_len`-byte body `write_body` appends
+/// straight into the frame buffer, so a block payload is copied once.
+fn encode_frame_with(
+    req_id: u64,
+    op: u8,
+    body_len: usize,
+    write_body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + body_len);
+    frame.extend_from_slice(&((FRAME_OVERHEAD - 4 + body_len) as u32).to_le_bytes());
     frame.extend_from_slice(&req_id.to_le_bytes());
     frame.push(op);
-    frame.extend_from_slice(body);
+    write_body(&mut frame);
+    assert_eq!(frame.len(), BODY_START + body_len, "frame body length");
     let sum = frame_checksum(&frame[4..]);
     frame.extend_from_slice(&sum);
     frame
+}
+
+fn encode_frame(req_id: u64, op: u8, body: &[u8]) -> Vec<u8> {
+    encode_frame_with(req_id, op, body.len(), |frame| {
+        frame.extend_from_slice(body)
+    })
 }
 
 fn decode_frame(msg: &[u8]) -> Result<(u64, u8, &[u8]), RemoteError> {
@@ -516,12 +532,13 @@ fn duration_nanos(d: Duration) -> u64 {
 }
 
 fn encode_blocks_resp(req_id: u64, blocks: &[Bytes]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(4 + blocks.len() * BLOCK_SIZE);
-    body.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-    for block in blocks {
-        body.extend_from_slice(block);
-    }
-    encode_frame(req_id, RESP_BLOCKS, &body)
+    let body_len = 4 + blocks.len() * BLOCK_SIZE;
+    encode_frame_with(req_id, RESP_BLOCKS, body_len, |frame| {
+        frame.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+        for block in blocks {
+            frame.extend_from_slice(block);
+        }
+    })
 }
 
 fn decode_idx_list(body: &[u8]) -> Option<Vec<u64>> {
@@ -879,7 +896,7 @@ impl RemoteStore {
         let link = self.link.lock();
         let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
         let frame = encode_frame(req_id, OP_LEN, &[]);
-        let (op, body) = self.attempt(&**link, &frame, req_id)?;
+        let (op, body) = self.attempt(&**link, frame, req_id)?;
         if op != RESP_LEN || body.len() != 8 {
             return Err(RemoteError::Protocol("bad length response".into()));
         }
@@ -956,7 +973,7 @@ impl RemoteStore {
         self.fence.load(Ordering::SeqCst)
     }
 
-    fn expect_lease(resp: (u8, Vec<u8>)) -> Result<LeaseGrant, RemoteError> {
+    fn expect_lease(resp: (u8, Bytes)) -> Result<LeaseGrant, RemoteError> {
         let (op, body) = resp;
         if op != RESP_LEASE || body.len() != 16 {
             return Err(RemoteError::Protocol(format!("bad lease response op {op}")));
@@ -996,13 +1013,13 @@ impl RemoteStore {
     fn attempt(
         &self,
         link: &dyn Transport,
-        frame: &[u8],
+        frame: Vec<u8>,
         req_id: u64,
-    ) -> Result<(u8, Vec<u8>), RemoteError> {
+    ) -> Result<(u8, Bytes), RemoteError> {
         self.rpc_calls.fetch_add(1, Ordering::Relaxed);
         self.bytes_on_wire
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        if link.send(frame.to_vec()).is_err() {
+        if link.send(frame).is_err() {
             return Err(RemoteError::Net(NetError::Disconnected));
         }
         loop {
@@ -1040,26 +1057,41 @@ impl RemoteStore {
                     )),
                 });
             }
-            return Ok((resp_op, resp_body.to_vec()));
+            // The reply body as a slice of the message it arrived in.
+            let body_end = BODY_START + resp_body.len();
+            return Ok((resp_op, Bytes::from(msg).slice(BODY_START..body_end)));
         }
+    }
+
+    /// [`RemoteStore::rpc_with`] for a body that is already in one
+    /// piece.
+    fn rpc(&self, op: u8, body: &[u8]) -> Result<(u8, Bytes), RemoteError> {
+        self.rpc_with(op, body.len(), |frame| frame.extend_from_slice(body))
     }
 
     /// One request/response exchange: send, await the matching reply,
     /// re-send on timeout under backoff until the deadline, fail fast
-    /// on a dead node or link.
-    fn rpc(&self, op: u8, body: &[u8]) -> Result<(u8, Vec<u8>), RemoteError> {
+    /// on a dead node or link. `write_body` appends the `body_len`-byte
+    /// request body to the frame; each attempt hands its frame to the
+    /// link, so a re-send after a timeout encodes it again.
+    fn rpc_with(
+        &self,
+        op: u8,
+        body_len: usize,
+        write_body: impl Fn(&mut Vec<u8>),
+    ) -> Result<(u8, Bytes), RemoteError> {
         if self.is_dead() {
             return Err(RemoteError::Net(NetError::Disconnected));
         }
         let link = self.link.lock();
         let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
-        let frame = encode_frame(req_id, op, body);
         // The deadline meters *waiting*, deterministically: per-attempt
         // timeouts plus backoff sleeps, not wall time.
         let mut waited = Duration::ZERO;
         let mut prev = self.opts.base;
         loop {
-            match self.attempt(&**link, &frame, req_id) {
+            let frame = encode_frame_with(req_id, op, body_len, &write_body);
+            match self.attempt(&**link, frame, req_id) {
                 Ok(resp) => return Ok(resp),
                 Err(RemoteError::Net(NetError::Timeout)) => {
                     waited += self.opts.timeout;
@@ -1081,7 +1113,7 @@ impl RemoteStore {
                     }
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     self.backoff_retries.fetch_add(1, Ordering::Relaxed);
-                    // Re-send the same frame (same id).
+                    // Re-send the same request (same id).
                 }
                 Err(RemoteError::Net(NetError::Disconnected)) => {
                     self.mark_dead(DeadCause::Disconnected);
@@ -1115,7 +1147,7 @@ impl RemoteStore {
         }
     }
 
-    fn expect_blocks(resp: (u8, Vec<u8>), want: usize) -> Result<Vec<Bytes>, RemoteError> {
+    fn expect_blocks(resp: (u8, Bytes), want: usize) -> Result<Vec<Bytes>, RemoteError> {
         let (op, body) = resp;
         if op != RESP_BLOCKS {
             return Err(RemoteError::Protocol(format!("bad response op {op}")));
@@ -1131,15 +1163,15 @@ impl RemoteStore {
                 "blocks response size mismatch".into(),
             ));
         }
-        // One allocation for the whole response: each block is a
-        // zero-copy slice handle into it.
-        let payload = Bytes::from(body).slice(4..);
+        // Each block is a zero-copy slice handle into the received
+        // message.
+        let payload = body.slice(4..);
         Ok((0..count)
             .map(|i| payload.slice(i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE))
             .collect())
     }
 
-    fn expect_ok(resp: (u8, Vec<u8>)) -> Result<(), RemoteError> {
+    fn expect_ok(resp: (u8, Bytes)) -> Result<(), RemoteError> {
         if resp.0 != RESP_OK {
             return Err(RemoteError::Protocol(format!("bad response op {}", resp.0)));
         }
@@ -1187,12 +1219,13 @@ impl RemoteStore {
     pub fn try_write_block(&self, idx: u64, data: &[u8], meta: bool) -> Result<(), RemoteError> {
         assert!(idx < self.block_count, "block {idx} out of range");
         assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-        let mut body = Vec::with_capacity(16 + BLOCK_SIZE);
-        body.extend_from_slice(&self.fence_token().to_le_bytes());
-        body.extend_from_slice(&idx.to_le_bytes());
-        body.extend_from_slice(data);
+        let token = self.fence_token();
         let op = if meta { OP_WRITE_META } else { OP_WRITE };
-        Self::expect_ok(self.rpc(op, &body)?)?;
+        Self::expect_ok(self.rpc_with(op, 16 + BLOCK_SIZE, |frame| {
+            frame.extend_from_slice(&token.to_le_bytes());
+            frame.extend_from_slice(&idx.to_le_bytes());
+            frame.extend_from_slice(data);
+        })?)?;
         if !meta {
             self.writes.fetch_add(1, Ordering::Relaxed);
         }
@@ -1205,21 +1238,25 @@ impl RemoteStore {
     ///
     /// Any [`RemoteError`]; network errors declare the node dead.
     pub fn try_write_blocks(&self, writes: &[(u64, &[u8])], meta: bool) -> Result<(), RemoteError> {
-        let mut body = Vec::with_capacity(12 + writes.len() * (8 + BLOCK_SIZE));
-        body.extend_from_slice(&self.fence_token().to_le_bytes());
-        body.extend_from_slice(&(writes.len() as u32).to_le_bytes());
         for &(idx, data) in writes {
             assert!(idx < self.block_count, "block {idx} out of range");
             assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-            body.extend_from_slice(&idx.to_le_bytes());
-            body.extend_from_slice(data);
         }
+        let token = self.fence_token();
         let op = if meta {
             OP_WRITE_BLOCKS_META
         } else {
             OP_WRITE_BLOCKS
         };
-        Self::expect_ok(self.rpc(op, &body)?)?;
+        let body_len = 12 + writes.len() * (8 + BLOCK_SIZE);
+        Self::expect_ok(self.rpc_with(op, body_len, |frame| {
+            frame.extend_from_slice(&token.to_le_bytes());
+            frame.extend_from_slice(&(writes.len() as u32).to_le_bytes());
+            for &(idx, data) in writes {
+                frame.extend_from_slice(&idx.to_le_bytes());
+                frame.extend_from_slice(data);
+            }
+        })?)?;
         if !meta {
             self.vectored_writes.fetch_add(1, Ordering::Relaxed);
             self.writes

@@ -5,7 +5,11 @@
 //! 5400 RPM IDE disk). [`DiskModel::quantum_fireball_ct10`] charges the
 //! shared [`SimClock`] a seek + rotational delay for non-sequential
 //! accesses and a media-rate transfer time per block, so virtual-time
-//! results have the right storage-bound shape.
+//! results have the right storage-bound shape. The `*_meta` calls are
+//! neither charged nor counted: they carry what the server's buffer
+//! cache would hold (bitmaps, inode table, a pointer block's first
+//! read); `ffs` keeps pointer blocks and directory names in core
+//! itself, so repeated uses of those never arrive here.
 //!
 //! Blocks are held as shared [`Bytes`] handles: a read clones a
 //! refcount instead of copying 8 KB, and unwritten blocks all point at

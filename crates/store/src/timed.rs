@@ -12,8 +12,13 @@
 //!
 //! Charging matches `SimStore` exactly: non-sequential data accesses
 //! pay seek + rotational delay, every data block pays media-rate
-//! transfer time, and metadata traffic is free (absorbed by the
-//! notional buffer cache).
+//! transfer time, and the `*_meta` calls are free. What `ffs` sends
+//! down the free path is what its server's buffer cache would hold:
+//! bitmaps (kept in core), the inode table, and the first read of a
+//! pointer block — later uses come from `ffs`'s own pointer-block
+//! cache and reach no store at all. Directory blocks are data: a
+//! READDIR or a cold LOOKUP is charged, a warm LOOKUP is answered by
+//! `ffs`'s name cache without a call here.
 
 use bytes::Bytes;
 use netsim::SimClock;
