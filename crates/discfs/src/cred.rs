@@ -11,7 +11,7 @@
 //! the server or an administrator is needed to delegate.
 
 use discfs_crypto::ed25519::{SigningKey, VerifyingKey};
-use keynote::AssertionBuilder;
+use keynote::{AssertionBuilder, SignedAssertion};
 use nfsv2::FHandle;
 
 use crate::perm::Perm;
@@ -148,6 +148,26 @@ impl<'a> CredentialIssuer<'a> {
     /// Panics when no holder and no grant were specified — an empty
     /// credential is always an authoring bug.
     pub fn issue(self) -> String {
+        self.builder().sign(self.issuer)
+    }
+
+    /// Signs like [`Self::issue`] and keeps the parsed assertion with
+    /// the text, so the issuer's own KeyNote session can take the
+    /// credential without parsing and verifying what it just signed.
+    ///
+    /// # Errors
+    ///
+    /// [`keynote::KeyNoteError::Syntax`] when a verbatim
+    /// [`Self::licensees_expr`] does not parse.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::issue`].
+    pub(crate) fn issue_signed(self) -> Result<SignedAssertion, keynote::KeyNoteError> {
+        self.builder().sign_assertion(self.issuer)
+    }
+
+    fn builder(&self) -> AssertionBuilder {
         assert!(
             !self.holders.is_empty() || self.licensees_expr.is_some(),
             "credential needs at least one holder"
@@ -168,7 +188,7 @@ impl<'a> CredentialIssuer<'a> {
                 }
             }
         }
-        builder.conditions(&self.conditions()).sign(self.issuer)
+        builder.conditions(&self.conditions())
     }
 }
 

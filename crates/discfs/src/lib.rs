@@ -462,6 +462,49 @@ mod tests {
     }
 
     #[test]
+    fn creator_credential_is_verified_whenever_it_arrives_as_text() {
+        // The server adds the credential it signs at CREATE to the
+        // creator's session without verifying it. That shortcut is for
+        // the signer only: the same credential coming back over
+        // SUBMIT_CRED is text, and text is verified.
+        let bed = Testbed::instant();
+        let (bob, alice) = (key(2), key(3));
+        let mut bob_client = bed.connect(&bob).unwrap();
+        bob_client
+            .submit_credential(&root_grant(&bed, &bob))
+            .unwrap();
+        let root = bob_client.remote().root();
+        let res = bob_client
+            .create_with_credential(&root, "doc", 0o644)
+            .unwrap();
+        assert_eq!(bob_client.credential_count().unwrap(), 2);
+        assert!(bob_client.client().write(&res.fh, 0, b"mine").is_ok());
+        keynote::Assertion::parse(&res.credential)
+            .unwrap()
+            .verify()
+            .expect("what the server signed verifies");
+
+        // Alice rewrites the licensee to herself: refused.
+        let alice_client = bed.connect(&alice).unwrap();
+        let forged = res.credential.replace(
+            &keynote::key_principal(&bob.public()),
+            &keynote::key_principal(&alice.public()),
+        );
+        assert_ne!(forged, res.credential);
+        assert!(matches!(
+            alice_client.submit_credential(&forged),
+            Err(DiscfsClientError::CredentialRejected(
+                rpc::DiscfsRpcStatus::BadCredential
+            ))
+        ));
+        assert_eq!(alice_client.credential_count().unwrap(), 0);
+        // The genuine text is accepted (and grants her nothing: it
+        // names Bob).
+        alice_client.submit_credential(&res.credential).unwrap();
+        assert!(alice_client.client().read(&res.fh, 0, 4).is_err());
+    }
+
+    #[test]
     fn revoked_key_loses_access_immediately() {
         let bed = Testbed::instant();
         let bob = key(2);
@@ -483,7 +526,7 @@ mod tests {
         let bob = key(2);
         let client = bed.connect(&bob).unwrap();
         let cred = root_grant(&bed, &bob);
-        let id = keynote::Assertion::parse(&cred).unwrap().id();
+        let id = keynote::Assertion::parse(&cred).unwrap().id().to_string();
         bed.service().revoke_credential(&id, None);
         assert!(matches!(
             client.submit_credential(&cred),
@@ -491,6 +534,82 @@ mod tests {
                 rpc::DiscfsRpcStatus::Revoked
             ))
         ));
+    }
+
+    #[test]
+    fn revocation_in_a_300_credential_session_rebuilds_the_index() {
+        // The session's query index files credentials by position;
+        // revocation removes some from the middle. Every survivor must
+        // still answer for its own handle, the revoked ones for none,
+        // and a credential submitted afterwards must take effect at
+        // once (index rebuilt, peer epoch bumped past the cached NONE).
+        let bed = Testbed::instant();
+        let (bob, carol, dave) = (key(2), key(3), key(4));
+        let client = bed.connect(&bob).unwrap();
+        let handle = |ino: u32| nfsv2::FHandle::pack(1, ino, 1);
+        let grant = |issuer: &SigningKey, holder: &SigningKey, ino: u32, perm: Perm| {
+            CredentialIssuer::new(issuer)
+                .holder(&holder.public())
+                .grant(&handle(ino), perm)
+                .issue()
+        };
+        let held = |ino: u32| bed.service().permissions_for(&bob.public(), &handle(ino));
+
+        let direct: Vec<String> = (1000..1298)
+            .map(|ino| grant(bed.admin(), &bob, ino, Perm::RW))
+            .collect();
+        for credential in &direct {
+            client.submit_credential(credential).unwrap();
+        }
+        // A two-link chain through carol for handle 2000.
+        client
+            .submit_credential(&grant(bed.admin(), &carol, 2000, Perm::RWX))
+            .unwrap();
+        client
+            .submit_credential(&grant(&carol, &bob, 2000, Perm::R))
+            .unwrap();
+        assert_eq!(client.credential_count().unwrap(), 300);
+        assert_eq!(held(1000), Perm::RW);
+        assert_eq!(held(1100), Perm::RW);
+        assert_eq!(held(1297), Perm::RW);
+        assert_eq!(held(2000), Perm::R);
+        assert_eq!(held(1298), Perm::NONE);
+
+        // One credential, by id, out of the middle.
+        let revoked = keynote::Assertion::parse(&direct[100]).unwrap();
+        bed.service().revoke_credential(revoked.id(), None);
+        assert_eq!(client.credential_count().unwrap(), 299);
+        assert_eq!(held(1100), Perm::NONE);
+        for ino in [1000, 1099, 1101, 1297] {
+            assert_eq!(held(ino), Perm::RW, "handle {ino} kept its credential");
+        }
+        assert_eq!(held(2000), Perm::R);
+        assert!(matches!(
+            client.submit_credential(&direct[100]),
+            Err(DiscfsClientError::CredentialRejected(
+                rpc::DiscfsRpcStatus::Revoked
+            ))
+        ));
+        // A different, unrevoked credential for the same handle grants.
+        client
+            .submit_credential(&grant(bed.admin(), &bob, 1100, Perm::R))
+            .unwrap();
+        assert_eq!(held(1100), Perm::R);
+
+        // An issuer key: everything carol signed goes, nothing else.
+        bed.service().revoke_key(&carol.public(), None);
+        assert_eq!(client.credential_count().unwrap(), 299);
+        assert_eq!(held(2000), Perm::NONE);
+        assert_eq!(held(1100), Perm::R);
+        assert_eq!(held(1297), Perm::RW);
+        // The same grant through an unrevoked intermediary works again.
+        client
+            .submit_credential(&grant(bed.admin(), &dave, 2000, Perm::RWX))
+            .unwrap();
+        client
+            .submit_credential(&grant(&dave, &bob, 2000, Perm::R))
+            .unwrap();
+        assert_eq!(held(2000), Perm::R);
     }
 
     #[test]

@@ -41,6 +41,20 @@
 //! [`DiscfsService::auth_stats`] counts every exclusive-lock
 //! acquisition on this path so benchmarks can pin the invariant:
 //! a cache-hit authorization performs **zero** exclusive acquisitions.
+//!
+//! A **miss** costs what the delegation chain for that handle costs,
+//! however many credentials the session holds: the KeyNote session
+//! files each credential under the `HANDLE == "…"` equality its
+//! conditions require and evaluates only the ones filed under the
+//! handle asked about (see "Cost of a query" in the `keynote` crate
+//! docs). The session is told who asks (`_ACTION_AUTHORIZERS`) and the
+//! `app_domain` once, when it is created; a miss writes the handle,
+//! hour and time into the attributes' existing buffers. With 401
+//! credentials a miss is ~1.4 µs (85 µs when every credential was
+//! evaluated), so the 128-entry cache now hides microseconds, not a
+//! scan. Credentials the server signs itself at CREATE/MKDIR enter
+//! the session as [`keynote::SignedAssertion`]s, unverified; everything
+//! that arrives as text (`SUBMIT_CRED`) is parsed and verified.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -411,7 +425,7 @@ impl DiscfsService {
             for state in shard.read().values() {
                 let mut session = state.session.lock();
                 session.retain_credentials(|a| {
-                    if revocations.is_credential_revoked(&a.id()) {
+                    if revocations.is_credential_revoked(a.id()) {
                         return false;
                     }
                     match a.authorizer().as_key() {
@@ -445,6 +459,11 @@ impl DiscfsService {
                         .add_policy(p)
                         .expect("configured policy assertions must parse");
                 }
+                // The session serves one key for its whole life: who
+                // asks and in which domain never change, so `decide`
+                // only describes what does (handle, hour, time).
+                session.set_attribute("app_domain", "DisCFS");
+                session.add_requester_key(peer);
                 let counter = self.epoch_counter.fetch_add(1, Ordering::Relaxed) + 1;
                 Arc::new(PeerState {
                     epoch: AtomicU64::new(counter << 20),
@@ -491,13 +510,16 @@ impl DiscfsService {
         } else {
             self.auth_stats.exclusive.fetch_add(1, Ordering::Relaxed);
             let mut session = state.session.lock();
-            session.clear_attributes();
-            session.set_attribute("app_domain", "DisCFS");
-            session.set_attribute("HANDLE", &fh.credential_string());
-            session.set_attribute("hour", &self.env_hour.load(Ordering::Relaxed).to_string());
-            session.set_attribute("time", &self.env_time.load(Ordering::Relaxed).to_string());
-            session.clear_requesters();
-            session.add_requester_key(peer);
+            // Written into the attributes' own buffers: no allocation.
+            session.set_attribute_fmt("HANDLE", format_args!("{}", fh.credential_name()));
+            session.set_attribute_fmt(
+                "hour",
+                format_args!("{}", self.env_hour.load(Ordering::Relaxed)),
+            );
+            session.set_attribute_fmt(
+                "time",
+                format_args!("{}", self.env_time.load(Ordering::Relaxed)),
+            );
             let queried = match session.query() {
                 Ok(value) => Perm::from_value_string(value.as_str()),
                 Err(_) => Perm::NONE,
@@ -572,16 +594,17 @@ impl DiscfsService {
     /// registers it in the creator's session (paper §5's added
     /// CREATE/MKDIR procedures).
     fn issue_creator_credential(&self, peer: &VerifyingKey, fh: &FHandle, name: &str) -> String {
-        let credential = CredentialIssuer::new(&self.server_key)
+        let signed = CredentialIssuer::new(&self.server_key)
             .holder(peer)
             .grant(fh, Perm::RWX)
             .comment(name)
-            .issue();
+            .issue_signed()
+            .expect("a key holder and a handle grant always parse");
+        let credential = signed.text().to_string();
         let state = self.peer_state(peer);
         let mut session = state.session.lock();
-        session
-            .add_credential(&credential)
-            .expect("server-issued credentials always verify");
+        // Signed two lines up, by this server: nothing to verify.
+        session.add_signed(signed);
         state.credentials_changed(&session);
         credential
     }
@@ -593,7 +616,7 @@ impl DiscfsService {
         // Revocation screening before the session sees it.
         {
             let revocations = self.revocations.read();
-            if revocations.is_credential_revoked(&assertion.id()) {
+            if revocations.is_credential_revoked(assertion.id()) {
                 return DiscfsRpcStatus::Revoked;
             }
             if let Some(key) = assertion.authorizer().as_key() {

@@ -6,6 +6,8 @@
 //! suitable for mail/files, and finds the relevant subset to submit for
 //! a given handle.
 
+use std::collections::HashSet;
+
 use keynote::Assertion;
 
 use crate::perm::Perm;
@@ -14,6 +16,9 @@ use crate::perm::Perm;
 #[derive(Debug, Clone, Default)]
 pub struct Wallet {
     credentials: Vec<String>,
+    /// [`Assertion::id`] of every held credential: the duplicate check
+    /// is one probe, not a text comparison per credential.
+    ids: HashSet<String>,
 }
 
 impl Wallet {
@@ -32,7 +37,7 @@ impl Wallet {
     pub fn add(&mut self, credential: &str) -> Result<(), keynote::KeyNoteError> {
         let assertion = Assertion::parse(credential)?;
         assertion.verify()?;
-        if !self.credentials.iter().any(|c| c == credential) {
+        if self.ids.insert(assertion.id().to_string()) {
             self.credentials.push(credential.to_string());
         }
         Ok(())
@@ -101,9 +106,11 @@ impl Wallet {
     /// credential that could be an upstream chain link (those whose
     /// conditions don't name handles at all are kept conservatively).
     pub fn relevant_for(&self, handle: &str) -> Vec<&String> {
+        // Quoted, so "1.5" finds neither "1.50" nor "11.5".
+        let needle = format!("\"{handle}\"");
         self.credentials
             .iter()
-            .filter(|c| c.contains(&format!("\"{handle}\"")) || !c.contains("HANDLE"))
+            .filter(|c| c.contains(&needle) || !c.contains("HANDLE"))
             .collect()
     }
 
@@ -116,7 +123,7 @@ impl Wallet {
                 Some(WalletEntry {
                     issuer: assertion.authorizer().to_text(),
                     comment: assertion.comment().map(|s| s.to_string()),
-                    id: assertion.id(),
+                    id: assertion.id().to_string(),
                 })
             })
             .collect()
@@ -231,6 +238,18 @@ mod tests {
         let relevant = wallet.relevant_for("5.1");
         assert_eq!(relevant.len(), 1);
         assert!(relevant[0].contains("5.1"));
+    }
+
+    #[test]
+    fn relevant_selection_matches_whole_handles() {
+        let mut wallet = Wallet::new();
+        for handle in ["1.5", "1.50", "11.5", "21.51"] {
+            wallet.add(&sample_credential(1, handle)).unwrap();
+        }
+        let relevant = wallet.relevant_for("1.5");
+        assert_eq!(relevant.len(), 1);
+        assert!(relevant[0].contains("HANDLE == \"1.5\""));
+        assert!(wallet.relevant_for("1").is_empty());
     }
 
     #[test]

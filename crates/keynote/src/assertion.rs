@@ -26,6 +26,8 @@ pub(crate) const SIG_PREFIX: &str = "sig-ed25519-sha512-hex:";
 #[derive(Debug, Clone)]
 pub struct Assertion {
     raw: String,
+    /// SHA-256 of `raw` in hex, computed once at parse time.
+    id: String,
     version: Option<String>,
     comment: Option<String>,
     authorizer: Principal,
@@ -144,6 +146,7 @@ impl Assertion {
 
         Ok(Assertion {
             raw: text.to_string(),
+            id: hex::encode(&Sha256::digest(text.as_bytes())),
             version,
             comment,
             authorizer,
@@ -193,8 +196,8 @@ impl Assertion {
     /// A stable content identifier: SHA-256 of the raw text (hex).
     ///
     /// DisCFS revocation lists reference credentials by this id.
-    pub fn id(&self) -> String {
-        hex::encode(&Sha256::digest(self.raw.as_bytes()))
+    pub fn id(&self) -> &str {
+        &self.id
     }
 
     /// Verifies the credential signature.
@@ -222,6 +225,31 @@ impl Assertion {
         let signed = &self.raw.as_bytes()[..self.signed_len];
         key.verify(signed, &Signature(sig_bytes))
             .map_err(|_| KeyNoteError::BadSignature)
+    }
+}
+
+/// A credential together with the proof that its signature is good:
+/// the only constructor is [`AssertionBuilder::sign_assertion`], which
+/// holds the signing key. Credential *text*, wherever it comes from,
+/// has no way into this type and goes through [`Assertion::verify`].
+///
+/// ```compile_fail
+/// let text = "Authorizer: \"POLICY\"\n";
+/// let assertion = keynote::Assertion::parse(text).unwrap();
+/// // The field is private: parsed text cannot be passed off as signed.
+/// let forged = keynote::SignedAssertion(assertion);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SignedAssertion(Assertion);
+
+impl SignedAssertion {
+    /// The credential text, as [`AssertionBuilder::sign`] returns it.
+    pub fn text(&self) -> &str {
+        self.0.raw()
+    }
+
+    pub(crate) fn into_assertion(self) -> Assertion {
+        self.0
     }
 }
 
@@ -336,6 +364,18 @@ impl AssertionBuilder {
             hex::encode(&sig.0)
         ));
         text
+    }
+
+    /// Signs like [`Self::sign`] and also returns the parsed assertion,
+    /// as a [`SignedAssertion`] that a [`crate::Session`] accepts
+    /// without verifying the signature it has just watched being made.
+    ///
+    /// # Errors
+    ///
+    /// [`KeyNoteError::Syntax`] when the builder was given licensees or
+    /// conditions text that does not parse.
+    pub fn sign_assertion(&self, issuer: &SigningKey) -> Result<SignedAssertion, KeyNoteError> {
+        Assertion::parse(&self.sign(issuer)).map(SignedAssertion)
     }
 
     /// Produces an unsigned local-policy assertion (authorizer `POLICY`).

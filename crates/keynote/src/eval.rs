@@ -12,24 +12,72 @@
 //! * An undefined attribute dereferences to the empty string.
 //! * A clause value that is not in the query's compliance value set is
 //!   treated as `_MIN_TRUST`.
+//!
+//! Values are `Cow<str>`: literals and attribute values are borrowed
+//! from the program and the session, so the common comparison
+//! `attr == "literal"` allocates nothing; only concatenation and
+//! arithmetic produce owned text.
+
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 use crate::ast::{ArithOp, BoolExpr, CmpOp, Outcome, Program, ValExpr};
 use crate::regex::Regex;
 use crate::values::ValueSet;
 
-/// Attribute lookup function: `None` means "not defined".
-pub type AttrLookup<'a> = &'a dyn Fn(&str) -> Option<String>;
-
 /// Evaluation context for one query.
 pub struct EvalCtx<'a> {
-    /// Action attribute lookup (includes the `_`-special attributes).
-    pub attrs: AttrLookup<'a>,
+    /// The action attributes the caller set.
+    pub attributes: &'a HashMap<String, String>,
+    /// The `_ACTION_AUTHORIZERS` text (requesters, sorted, comma-joined).
+    pub action_authorizers: &'a str,
     /// The ordered compliance value set of the query.
     pub values: &'a ValueSet,
 }
 
+impl<'a> EvalCtx<'a> {
+    /// Looks an attribute up; `None` means "not defined". The special
+    /// attributes of RFC 2704 §3 shadow caller-set ones of the same
+    /// name.
+    fn attr(&self, name: &str) -> Option<&'a str> {
+        match name {
+            "_MIN_TRUST" => Some(self.values.min_value()),
+            "_MAX_TRUST" => Some(self.values.max_value()),
+            "_VALUES" => Some(self.values.values_attribute()),
+            "_ACTION_AUTHORIZERS" => Some(self.action_authorizers),
+            other => self.attributes.get(other).map(String::as_str),
+        }
+    }
+}
+
+/// Collects the string equalities `attr == "literal"` that `test`
+/// cannot hold without: those reachable from the root through `&&`
+/// only (nothing under `!` or `||`), comparing a plain attribute
+/// reference (no `$` indirection, not a `_`-special name) with a
+/// non-empty string literal, in either operand order.
+///
+/// Must mirror [`eval_bool`]: such a comparison is string-kind, and
+/// with a non-empty literal it holds exactly when the attribute is
+/// defined and equal to the literal (an undefined attribute reads as
+/// `""`). [`crate::Session`] indexes assertions by these pairs.
+pub fn required_equalities<'p>(test: &'p BoolExpr, out: &mut Vec<(&'p str, &'p str)>) {
+    match test {
+        BoolExpr::And(a, b) => {
+            required_equalities(a, out);
+            required_equalities(b, out);
+        }
+        BoolExpr::Cmp(ValExpr::Attr(attr), CmpOp::Eq, ValExpr::Str(literal))
+        | BoolExpr::Cmp(ValExpr::Str(literal), CmpOp::Eq, ValExpr::Attr(attr))
+            if !attr.starts_with('_') && !literal.is_empty() =>
+        {
+            out.push((attr, literal));
+        }
+        _ => {}
+    }
+}
+
 /// Evaluates a conditions program to a compliance value index.
-pub fn eval_program(program: &Program, ctx: &EvalCtx<'_>) -> usize {
+pub fn eval_program<'a>(program: &'a Program, ctx: &EvalCtx<'a>) -> usize {
     let mut best = ctx.values.min_index();
     for clause in &program.0 {
         if eval_bool(&clause.test, ctx) {
@@ -45,7 +93,7 @@ pub fn eval_program(program: &Program, ctx: &EvalCtx<'_>) -> usize {
 }
 
 /// Evaluates a boolean test; any evaluation error yields `false`.
-pub fn eval_bool(expr: &BoolExpr, ctx: &EvalCtx<'_>) -> bool {
+pub fn eval_bool<'a>(expr: &'a BoolExpr, ctx: &EvalCtx<'a>) -> bool {
     match expr {
         BoolExpr::True => true,
         BoolExpr::False => false,
@@ -66,7 +114,7 @@ pub fn eval_bool(expr: &BoolExpr, ctx: &EvalCtx<'_>) -> bool {
     }
 }
 
-fn eval_cmp(lhs: &ValExpr, op: CmpOp, rhs: &ValExpr, ctx: &EvalCtx<'_>) -> Option<bool> {
+fn eval_cmp<'a>(lhs: &'a ValExpr, op: CmpOp, rhs: &'a ValExpr, ctx: &EvalCtx<'a>) -> Option<bool> {
     // A comparison is numeric when either operand is syntactically
     // numeric (a literal number or arithmetic); both sides must then
     // coerce to numbers or the test fails.
@@ -98,24 +146,24 @@ fn eval_cmp(lhs: &ValExpr, op: CmpOp, rhs: &ValExpr, ctx: &EvalCtx<'_>) -> Optio
 
 /// Evaluates a value expression to a string; `None` signals a numeric
 /// evaluation error (which fails the enclosing test).
-pub fn eval_val(expr: &ValExpr, ctx: &EvalCtx<'_>) -> Option<String> {
+pub fn eval_val<'a>(expr: &'a ValExpr, ctx: &EvalCtx<'a>) -> Option<Cow<'a, str>> {
     match expr {
-        ValExpr::Str(s) => Some(s.clone()),
-        ValExpr::Num(n) => Some(n.clone()),
+        ValExpr::Str(s) => Some(Cow::Borrowed(s)),
+        ValExpr::Num(n) => Some(Cow::Borrowed(n)),
         // RFC 2704: dereferencing an undefined attribute yields "".
-        ValExpr::Attr(name) => Some((ctx.attrs)(name).unwrap_or_default()),
+        ValExpr::Attr(name) => Some(Cow::Borrowed(ctx.attr(name).unwrap_or_default())),
         ValExpr::Indirect(inner) => {
             let name = eval_val(inner, ctx)?;
-            Some((ctx.attrs)(&name).unwrap_or_default())
+            Some(Cow::Borrowed(ctx.attr(&name).unwrap_or_default()))
         }
         ValExpr::Concat(a, b) => {
-            let mut s = eval_val(a, ctx)?;
+            let mut s = eval_val(a, ctx)?.into_owned();
             s.push_str(&eval_val(b, ctx)?);
-            Some(s)
+            Some(Cow::Owned(s))
         }
         ValExpr::Neg(inner) => {
             let v: f64 = eval_val(inner, ctx)?.trim().parse().ok()?;
-            Some(format_number(-v))
+            Some(Cow::Owned(format_number(-v)))
         }
         ValExpr::Arith(op, a, b) => {
             let l: f64 = eval_val(a, ctx)?.trim().parse().ok()?;
@@ -138,11 +186,9 @@ pub fn eval_val(expr: &ValExpr, ctx: &EvalCtx<'_>) -> Option<String> {
                 }
                 ArithOp::Pow => l.powf(r),
             };
-            if result.is_finite() {
-                Some(format_number(result))
-            } else {
-                None
-            }
+            result
+                .is_finite()
+                .then(|| Cow::Owned(format_number(result)))
         }
     }
 }
@@ -161,7 +207,6 @@ fn format_number(v: f64) -> String {
 mod tests {
     use super::*;
     use crate::parser::parse_conditions;
-    use std::collections::HashMap;
 
     fn eval_with(conditions: &str, attrs: &[(&str, &str)], values: &[&str]) -> String {
         let program = parse_conditions(conditions).unwrap();
@@ -170,9 +215,9 @@ mod tests {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         let vs = ValueSet::new(values);
-        let lookup = |name: &str| map.get(name).cloned();
         let ctx = EvalCtx {
-            attrs: &lookup,
+            attributes: &map,
+            action_authorizers: "",
             values: &vs,
         };
         vs.value_at(eval_program(&program, &ctx)).to_string()

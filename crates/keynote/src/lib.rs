@@ -20,6 +20,51 @@
 //!   *compliance value set* (for DisCFS: `false < X < W < WX < R < RX <
 //!   RW < RWX`, translating directly to octal permission bits).
 //!
+//! # Cost of a query
+//!
+//! A long-lived session accumulates credentials — the DisCFS server
+//! keeps one per client key, and a client that created 400 files holds
+//! 400 creator credentials — but one action concerns one file. A query
+//! costs what the delegation chain for *that* action costs, not what
+//! the session holds:
+//!
+//! * **What is indexed.** When an assertion enters a session, each
+//!   top-level clause of its conditions is searched for string
+//!   equalities `attr == "literal"` (either operand order) that the
+//!   clause's test cannot hold without: those reached from the root of
+//!   the test through `&&` only. If every clause has one, the assertion
+//!   is filed, per authorizer, under one such equality per clause — the
+//!   one whose bucket is emptiest, so an equality all credentials share
+//!   (`app_domain == "DisCFS"`) does not collect them all. A query looks
+//!   at an authorizer's buckets only under the values the action's
+//!   attributes actually have.
+//! * **What is always evaluated.** An assertion with no conditions, or
+//!   with a clause that has no such equality: the equality sits under
+//!   `!` or in one arm of `||`, goes through `$` indirection, is a
+//!   numeric or regex comparison, names a `_`-special attribute (the
+//!   session supplies those, whatever the action says), or compares
+//!   with `""` (which an *undefined* attribute also equals, RFC 2704).
+//! * **Why the answer is exact.** An assertion the query passes over
+//!   has, in every clause, a required equality that is false for this
+//!   action; every clause test is false, so its conditions evaluate to
+//!   `_MIN_TRUST`, and `min(licensees, _MIN_TRUST)` adds nothing to its
+//!   authorizer's maximum. A principal's support is the least fixed
+//!   point of those max/min equations — cycles in the delegation graph
+//!   included, computed by repeating the depth-first pass until no
+//!   value rises — so it does not depend on which assertions were
+//!   visited or in what order, only on the ones that can contribute.
+//!
+//! Evaluation borrows: literals, attribute values and the special
+//! attributes are compared in place (`Cow<str>`), the per-authorizer
+//! grouping and the `_ACTION_AUTHORIZERS` text are kept up to date when
+//! assertions and requesters change, and overwriting an attribute
+//! reuses its buffer. A query allocates one small vector (and one per
+//! `k-of` it meets).
+//!
+//! The index is not optional and has no parameters. The full scan it
+//! replaced survives as the `#[cfg(test)]` oracle of the differential
+//! tests in `src/differential.rs`.
+//!
 //! # Example
 //!
 //! ```
@@ -56,6 +101,8 @@
 
 mod assertion;
 mod ast;
+#[cfg(test)]
+mod differential;
 mod eval;
 mod lexer;
 mod parser;
@@ -64,7 +111,7 @@ pub mod regex;
 mod session;
 mod values;
 
-pub use assertion::{Assertion, AssertionBuilder};
+pub use assertion::{Assertion, AssertionBuilder, SignedAssertion};
 pub use principal::{key_principal, Principal};
 pub use session::{ComplianceValue, Session};
 pub use values::ValueSet;

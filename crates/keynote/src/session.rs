@@ -15,12 +15,13 @@
 //! the property that makes user-to-user delegation safe in DisCFS.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use discfs_crypto::ed25519::VerifyingKey;
 
-use crate::assertion::Assertion;
-use crate::ast::LicenseeExpr;
-use crate::eval::{eval_program, EvalCtx};
+use crate::assertion::{Assertion, SignedAssertion};
+use crate::ast::{LicenseeExpr, Program};
+use crate::eval::{eval_program, required_equalities, EvalCtx};
 use crate::values::ValueSet;
 use crate::{KeyNoteError, Principal};
 
@@ -28,7 +29,7 @@ use crate::{KeyNoteError, Principal};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComplianceValue {
     index: usize,
-    text: String,
+    text: Arc<str>,
 }
 
 impl ComplianceValue {
@@ -54,6 +55,132 @@ impl std::fmt::Display for ComplianceValue {
     }
 }
 
+/// Where an assertion lives in its [`Session`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Policy(usize),
+    Credential(usize),
+}
+
+/// The assertions of one authorizer, split by what a query must look at
+/// (see "Cost of a query" in the crate docs).
+#[derive(Clone, Default)]
+struct Authorizer {
+    /// Assertions with a clause no equality guards: always evaluated.
+    always: Vec<Slot>,
+    /// Attribute name → required literal → the assertions filed under
+    /// that equality. A query probes each name (DisCFS credentials use
+    /// two, `HANDLE` and `app_domain`) with the action's value for it.
+    keyed: HashMap<String, HashMap<String, Vec<Slot>>>,
+}
+
+impl Authorizer {
+    fn bucket_len(&self, attr: &str, literal: &str) -> usize {
+        self.keyed
+            .get(attr)
+            .and_then(|buckets| buckets.get(literal))
+            .map_or(0, Vec::len)
+    }
+
+    /// Files `slot` under one required equality per clause — the one
+    /// whose bucket is emptiest, so an equality every credential shares
+    /// (`app_domain == "DisCFS"`) does not collect them all — or on the
+    /// always-list when some clause has none.
+    fn insert(&mut self, slot: Slot, conditions: Option<&Program>) {
+        // No conditions at all means `_MAX_TRUST` whatever the action.
+        let clauses = conditions.map_or(&[][..], |program| &program.0);
+        let mut required = Vec::new();
+        let chosen: Option<Vec<(&str, &str)>> = clauses
+            .iter()
+            .map(|clause| {
+                required.clear();
+                required_equalities(&clause.test, &mut required);
+                required
+                    .iter()
+                    .copied()
+                    .min_by_key(|(attr, literal)| self.bucket_len(attr, literal))
+            })
+            .collect();
+        match chosen {
+            Some(chosen) if !chosen.is_empty() => {
+                for (attr, literal) in chosen {
+                    let bucket = self
+                        .keyed
+                        .entry(attr.to_string())
+                        .or_default()
+                        .entry(literal.to_string())
+                        .or_default();
+                    // Two clauses of one assertion may pick one bucket.
+                    if bucket.last() != Some(&slot) {
+                        bucket.push(slot);
+                    }
+                }
+            }
+            _ => self.always.push(slot),
+        }
+    }
+}
+
+/// Every assertion of a session, grouped by authorizer; kept in step
+/// with `Session::policies` and `Session::credentials`.
+#[derive(Clone, Default)]
+struct Delegations {
+    ids: HashMap<Principal, usize>,
+    authorizers: Vec<Authorizer>,
+}
+
+impl Delegations {
+    /// Enters `assertion`, stored (or about to be) at `slot`.
+    fn insert(&mut self, slot: Slot, assertion: &Assertion) {
+        let next = self.authorizers.len();
+        let id = *self
+            .ids
+            .entry(assertion.authorizer().clone())
+            .or_insert(next);
+        if id == next {
+            self.authorizers.push(Authorizer::default());
+        }
+        self.authorizers[id].insert(slot, assertion.conditions());
+    }
+}
+
+/// A principal's support value during one query.
+#[derive(Clone, Copy)]
+struct Support {
+    /// Best value established so far; never above the true value.
+    value: usize,
+    mark: Mark,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    /// Not reached in the current pass.
+    Fresh,
+    /// On the current depth-first path.
+    OnPath,
+    /// Computed in the current pass.
+    Done,
+}
+
+/// Mutable state of one query.
+struct Walk {
+    support: Vec<Support>,
+    /// The current pass read the value of a principal still on the
+    /// path, so it may have used a value that was not final yet.
+    cut: bool,
+    /// The current pass raised some principal's value.
+    raised: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Number of top-level conditions programs the indexed query
+    /// evaluated on this thread (tests pin the bound the index exists
+    /// for).
+    pub(crate) static PROGRAMS_EVALUATED: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
 /// A KeyNote session: assertions + action description + requesters.
 #[derive(Clone)]
 pub struct Session {
@@ -62,6 +189,10 @@ pub struct Session {
     credentials: Vec<Assertion>,
     attributes: HashMap<String, String>,
     requesters: HashSet<Principal>,
+    /// `_ACTION_AUTHORIZERS`: requester names, sorted, comma-joined;
+    /// kept in step with `requesters`.
+    action_authorizers: String,
+    delegations: Delegations,
 }
 
 impl Session {
@@ -79,6 +210,8 @@ impl Session {
             credentials: Vec::new(),
             attributes: HashMap::new(),
             requesters: HashSet::new(),
+            action_authorizers: String::new(),
+            delegations: Delegations::default(),
         }
     }
 
@@ -101,6 +234,8 @@ impl Session {
                 "policy assertions must have Authorizer: \"POLICY\"".into(),
             ));
         }
+        self.delegations
+            .insert(Slot::Policy(self.policies.len()), &assertion);
         self.policies.push(assertion);
         Ok(())
     }
@@ -126,8 +261,27 @@ impl Session {
     /// [`KeyNoteError::BadSignature`].
     pub fn add_assertion(&mut self, assertion: Assertion) -> Result<(), KeyNoteError> {
         assertion.verify()?;
-        self.credentials.push(assertion);
+        self.push_credential(assertion);
         Ok(())
+    }
+
+    /// Adds a credential this process signed itself. The type is the
+    /// proof (see [`SignedAssertion`]), so nothing is verified again.
+    pub fn add_signed(&mut self, signed: SignedAssertion) {
+        self.push_credential(signed.into_assertion());
+    }
+
+    fn push_credential(&mut self, assertion: Assertion) {
+        self.delegations
+            .insert(Slot::Credential(self.credentials.len()), &assertion);
+        self.credentials.push(assertion);
+    }
+
+    fn assertion(&self, slot: Slot) -> &Assertion {
+        match slot {
+            Slot::Policy(at) => &self.policies[at],
+            Slot::Credential(at) => &self.credentials[at],
+        }
     }
 
     /// The credentials currently in the session.
@@ -143,12 +297,41 @@ impl Session {
     /// Drops credentials for which `keep` returns false (used by the
     /// DisCFS revocation path).
     pub fn retain_credentials<F: FnMut(&Assertion) -> bool>(&mut self, keep: F) {
+        let before = self.credentials.len();
         self.credentials.retain(keep);
+        if self.credentials.len() == before {
+            return;
+        }
+        // Slots name positions, and positions have shifted.
+        self.delegations = Delegations::default();
+        for (at, assertion) in self.policies.iter().enumerate() {
+            self.delegations.insert(Slot::Policy(at), assertion);
+        }
+        for (at, assertion) in self.credentials.iter().enumerate() {
+            self.delegations.insert(Slot::Credential(at), assertion);
+        }
     }
 
     /// Sets an action attribute (overwriting any previous value).
     pub fn set_attribute(&mut self, name: &str, value: &str) {
-        self.attributes.insert(name.to_string(), value.to_string());
+        self.set_attribute_fmt(name, format_args!("{value}"));
+    }
+
+    /// Sets an action attribute from formatted text, e.g.
+    /// `format_args!("{hour}")`. Overwriting an attribute reuses its
+    /// buffer, so describing the next action to a long-lived session
+    /// allocates nothing.
+    pub fn set_attribute_fmt(&mut self, name: &str, value: std::fmt::Arguments<'_>) {
+        use std::fmt::Write;
+        let slot = match self.attributes.get_mut(name) {
+            Some(slot) => {
+                slot.clear();
+                slot
+            }
+            None => self.attributes.entry(name.to_string()).or_default(),
+        };
+        slot.write_fmt(value)
+            .expect("writing to a String cannot fail");
     }
 
     /// Removes all action attributes.
@@ -158,17 +341,30 @@ impl Session {
 
     /// Adds a requesting principal (`_ACTION_AUTHORIZERS` member).
     pub fn add_requester(&mut self, principal: Principal) {
-        self.requesters.insert(principal);
+        if self.requesters.insert(principal) {
+            let mut names: Vec<String> = self.requesters.iter().map(Principal::to_text).collect();
+            names.sort();
+            self.action_authorizers = names.join(",");
+        }
     }
 
     /// Convenience: adds a key requester.
     pub fn add_requester_key(&mut self, key: &VerifyingKey) {
-        self.requesters.insert(Principal::Key(*key));
+        self.add_requester(Principal::Key(*key));
     }
 
     /// Removes all requesters.
     pub fn clear_requesters(&mut self) {
         self.requesters.clear();
+        self.action_authorizers.clear();
+    }
+
+    fn eval_ctx(&self) -> EvalCtx<'_> {
+        EvalCtx {
+            attributes: &self.attributes,
+            action_authorizers: &self.action_authorizers,
+            values: &self.values,
+        }
     }
 
     /// Runs the compliance check.
@@ -182,109 +378,167 @@ impl Session {
         if self.policies.is_empty() {
             return Err(KeyNoteError::NoPolicy);
         }
-
-        // Group assertions by authorizer.
-        let mut by_authorizer: HashMap<&Principal, Vec<&Assertion>> = HashMap::new();
-        for a in self.policies.iter().chain(self.credentials.iter()) {
-            by_authorizer.entry(a.authorizer()).or_default().push(a);
-        }
-
-        // Special attributes per RFC 2704 §3.
-        let mut requester_names: Vec<String> =
-            self.requesters.iter().map(|p| p.to_text()).collect();
-        requester_names.sort();
-        let action_authorizers = requester_names.join(",");
-        let values_attr = self.values.values_attribute();
-        let min_attr = self.values.min_value().to_string();
-        let max_attr = self.values.max_value().to_string();
-
-        let lookup = move |name: &str| -> Option<String> {
-            match name {
-                "_MIN_TRUST" => Some(min_attr.clone()),
-                "_MAX_TRUST" => Some(max_attr.clone()),
-                "_VALUES" => Some(values_attr.clone()),
-                "_ACTION_AUTHORIZERS" => Some(action_authorizers.clone()),
-                other => self.attributes.get(other).cloned(),
+        let ctx = self.eval_ctx();
+        let mut walk = Walk {
+            support: vec![
+                Support {
+                    value: self.values.min_index(),
+                    mark: Mark::Fresh,
+                };
+                self.delegations.authorizers.len()
+            ],
+            cut: false,
+            raised: false,
+        };
+        // One depth-first pass settles a delegation graph without
+        // cycles. A pass that read a principal still on its own path
+        // used a value from below; values only rise, so passes repeat,
+        // each starting from the last one's values, until one raises
+        // nothing: the least fixed point, whatever the visiting order.
+        let index = loop {
+            let index = self.support(&Principal::Policy, &ctx, &mut walk);
+            if !(walk.cut && walk.raised) {
+                break index;
+            }
+            walk.cut = false;
+            walk.raised = false;
+            for support in &mut walk.support {
+                support.mark = Mark::Fresh;
             }
         };
-        let ctx = EvalCtx {
-            attrs: &lookup,
-            values: &self.values,
-        };
-
-        let mut memo: HashMap<Principal, Option<usize>> = HashMap::new();
-        let index = self.support(&Principal::Policy, &by_authorizer, &ctx, &mut memo);
         Ok(ComplianceValue {
             index,
-            text: self.values.value_at(index).to_string(),
+            text: self.values.shared_value_at(index),
         })
     }
 
-    /// Computes a principal's support value by depth-first traversal of
-    /// the delegation graph. `memo` holds `None` while a principal is
-    /// on the current path (cycles contribute `_MIN_TRUST`).
-    fn support(
-        &self,
-        principal: &Principal,
-        by_authorizer: &HashMap<&Principal, Vec<&Assertion>>,
-        ctx: &EvalCtx<'_>,
-        memo: &mut HashMap<Principal, Option<usize>>,
-    ) -> usize {
+    /// A principal's support value: `_MAX_TRUST` if it signed the
+    /// request, otherwise the maximum over the assertions it authorized
+    /// that the current action can satisfy.
+    fn support(&self, principal: &Principal, ctx: &EvalCtx<'_>, walk: &mut Walk) -> usize {
         if self.requesters.contains(principal) {
             return self.values.max_index();
         }
-        match memo.get(principal) {
-            Some(Some(v)) => return *v,
-            Some(None) => return self.values.min_index(), // cycle
-            None => {}
+        let Some(&id) = self.delegations.ids.get(principal) else {
+            return self.values.min_index();
+        };
+        match walk.support[id].mark {
+            Mark::Done => return walk.support[id].value,
+            Mark::OnPath => {
+                walk.cut = true;
+                return walk.support[id].value;
+            }
+            Mark::Fresh => walk.support[id].mark = Mark::OnPath,
         }
-        memo.insert(principal.clone(), None);
 
-        let mut best = self.values.min_index();
-        if let Some(assertions) = by_authorizer.get(principal) {
-            for assertion in assertions {
-                let lic_value = match assertion.licensees() {
-                    Some(expr) => self.eval_licensees(expr, by_authorizer, ctx, memo),
-                    None => self.values.min_index(),
-                };
-                if lic_value == self.values.min_index() {
-                    continue;
-                }
-                let cond_value = match assertion.conditions() {
-                    Some(program) => eval_program(program, ctx),
-                    None => self.values.max_index(),
-                };
-                best = best.max(lic_value.min(cond_value));
+        let authorizer = &self.delegations.authorizers[id];
+        let mut best = walk.support[id].value;
+        for &slot in &authorizer.always {
+            best = best.max(self.assertion_value(slot, ctx, walk));
+        }
+        for (attr, buckets) in &authorizer.keyed {
+            // Every clause of an assertion filed here requires the
+            // equality it is filed under. An assertion in none of the
+            // buckets the action's values select has no clause that can
+            // hold: its conditions are `_MIN_TRUST`, and it would add
+            // nothing to the maximum.
+            let matching = self
+                .attributes
+                .get(attr)
+                .and_then(|value| buckets.get(value));
+            for &slot in matching.into_iter().flatten() {
+                best = best.max(self.assertion_value(slot, ctx, walk));
             }
         }
-        memo.insert(principal.clone(), Some(best));
+        if best > walk.support[id].value {
+            walk.raised = true;
+        }
+        walk.support[id] = Support {
+            value: best,
+            mark: Mark::Done,
+        };
         best
     }
 
-    fn eval_licensees(
-        &self,
-        expr: &LicenseeExpr,
-        by_authorizer: &HashMap<&Principal, Vec<&Assertion>>,
-        ctx: &EvalCtx<'_>,
-        memo: &mut HashMap<Principal, Option<usize>>,
-    ) -> usize {
-        match expr {
-            LicenseeExpr::Principal(p) => self.support(p, by_authorizer, ctx, memo),
-            LicenseeExpr::And(a, b) => self
-                .eval_licensees(a, by_authorizer, ctx, memo)
-                .min(self.eval_licensees(b, by_authorizer, ctx, memo)),
-            LicenseeExpr::Or(a, b) => self
-                .eval_licensees(a, by_authorizer, ctx, memo)
-                .max(self.eval_licensees(b, by_authorizer, ctx, memo)),
-            LicenseeExpr::KOf(k, subs) => {
-                let mut values: Vec<usize> = subs
-                    .iter()
-                    .map(|s| self.eval_licensees(s, by_authorizer, ctx, memo))
-                    .collect();
-                values.sort_unstable_by(|a, b| b.cmp(a));
-                // k ≥ 1 and k ≤ len are enforced at parse time.
-                values[(*k as usize) - 1]
+    /// `min(licensees value, conditions value)` of one assertion.
+    fn assertion_value(&self, slot: Slot, ctx: &EvalCtx<'_>, walk: &mut Walk) -> usize {
+        let assertion = self.assertion(slot);
+        let licensees = match assertion.licensees() {
+            Some(expr) => licensees_value(expr, &mut |p| self.support(p, ctx, walk)),
+            None => self.values.min_index(),
+        };
+        if licensees == self.values.min_index() {
+            return licensees;
+        }
+        #[cfg(test)]
+        PROGRAMS_EVALUATED.with(|n| n.set(n.get() + 1));
+        licensees.min(conditions_value(assertion, ctx))
+    }
+
+    /// The reference the index is tested against: every assertion of
+    /// the session evaluated, round after round from `_MIN_TRUST`, until
+    /// no principal's value rises — the same least fixed point by the
+    /// textbook route, with no index and no graph walk.
+    #[cfg(test)]
+    pub(crate) fn query_full_scan(&self) -> Result<ComplianceValue, KeyNoteError> {
+        if self.policies.is_empty() {
+            return Err(KeyNoteError::NoPolicy);
+        }
+        let ctx = self.eval_ctx();
+        let min = self.values.min_index();
+        let mut support: HashMap<&Principal, usize> = HashMap::new();
+        loop {
+            let mut raised = false;
+            for assertion in self.policies.iter().chain(&self.credentials) {
+                let licensees = assertion.licensees().map_or(min, |expr| {
+                    licensees_value(expr, &mut |p| {
+                        if self.requesters.contains(p) {
+                            self.values.max_index()
+                        } else {
+                            support.get(p).copied().unwrap_or(min)
+                        }
+                    })
+                });
+                let value = licensees.min(conditions_value(assertion, &ctx));
+                let held = support.entry(assertion.authorizer()).or_insert(min);
+                if value > *held {
+                    *held = value;
+                    raised = true;
+                }
             }
+            if !raised {
+                break;
+            }
+        }
+        let index = support.get(&Principal::Policy).copied().unwrap_or(min);
+        Ok(ComplianceValue {
+            index,
+            text: self.values.shared_value_at(index),
+        })
+    }
+}
+
+/// An assertion's conditions value; no `Conditions` field means no
+/// restriction.
+fn conditions_value(assertion: &Assertion, ctx: &EvalCtx<'_>) -> usize {
+    match assertion.conditions() {
+        Some(program) => eval_program(program, ctx),
+        None => ctx.values.max_index(),
+    }
+}
+
+/// Combines the support of the principals in a licensees expression:
+/// `min` for `&&`, `max` for `||`, k-th largest for `k-of`.
+fn licensees_value(expr: &LicenseeExpr, support: &mut impl FnMut(&Principal) -> usize) -> usize {
+    match expr {
+        LicenseeExpr::Principal(p) => support(p),
+        LicenseeExpr::And(a, b) => licensees_value(a, support).min(licensees_value(b, support)),
+        LicenseeExpr::Or(a, b) => licensees_value(a, support).max(licensees_value(b, support)),
+        LicenseeExpr::KOf(k, subs) => {
+            let mut values: Vec<usize> = subs.iter().map(|s| licensees_value(s, support)).collect();
+            values.sort_unstable_by(|a, b| b.cmp(a));
+            // k ≥ 1 and k ≤ len are enforced at parse time.
+            values[(*k as usize) - 1]
         }
     }
 }
@@ -517,8 +771,8 @@ mod tests {
         s.add_requester_key(&bob().public());
         assert_eq!(s.query().unwrap().as_str(), "RW");
 
-        let revoked_id = Assertion::parse(&cred).unwrap().id();
-        s.retain_credentials(|a| a.id() != revoked_id);
+        let revoked = Assertion::parse(&cred).unwrap();
+        s.retain_credentials(|a| a.id() != revoked.id());
         assert!(s.query().unwrap().is_min());
     }
 

@@ -6,12 +6,17 @@
 //! `["false", "X", "W", "WX", "R", "RX", "RW", "RWX"]`, whose order
 //! translates directly to octal 0–7 (paper §5).
 
+use std::sync::Arc;
+
 /// An ordered compliance value set.
 ///
 /// Index 0 is `_MIN_TRUST`, the last index is `_MAX_TRUST`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValueSet {
-    values: Vec<String>,
+    /// Shared so a query result carries its value text by refcount.
+    values: Vec<Arc<str>>,
+    /// The `_VALUES` attribute, joined once.
+    joined: String,
 }
 
 impl ValueSet {
@@ -26,9 +31,9 @@ impl ValueSet {
             values.len() >= 2,
             "a compliance value set needs at least two values"
         );
-        ValueSet {
-            values: values.iter().map(|s| s.as_ref().to_string()).collect(),
-        }
+        let values: Vec<Arc<str>> = values.iter().map(|s| Arc::from(s.as_ref())).collect();
+        let joined = values.join(",");
+        ValueSet { values, joined }
     }
 
     /// The boolean set `["false", "true"]`.
@@ -48,7 +53,7 @@ impl ValueSet {
 
     /// Looks up a value's index; `None` when not a member.
     pub fn index_of(&self, value: &str) -> Option<usize> {
-        self.values.iter().position(|v| v == value)
+        self.values.iter().position(|v| v.as_ref() == value)
     }
 
     /// The value string at `index`.
@@ -71,9 +76,14 @@ impl ValueSet {
         self.values.is_empty()
     }
 
+    /// The value at `index`, shared with the set.
+    pub(crate) fn shared_value_at(&self, index: usize) -> Arc<str> {
+        self.values[index].clone()
+    }
+
     /// The `_VALUES` attribute string: values joined by commas.
-    pub fn values_attribute(&self) -> String {
-        self.values.join(",")
+    pub fn values_attribute(&self) -> &str {
+        &self.joined
     }
 
     /// The `_MIN_TRUST` value string.

@@ -116,6 +116,18 @@ impl std::fmt::Display for NfsStat {
     }
 }
 
+/// A handle as credentials name it; see [`FHandle::credential_string`].
+struct CredentialName {
+    ino: u32,
+    generation: u32,
+}
+
+impl std::fmt::Display for CredentialName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{}", self.ino, self.generation)
+    }
+}
+
 /// The opaque 32-byte NFSv2 file handle.
 ///
 /// Layout: `fsid (4) ‖ inode (4) ‖ generation (4) ‖ zeros`. The paper's
@@ -148,8 +160,14 @@ impl FHandle {
     /// "..."` conditions). The paper used the bare inode number; we use
     /// `ino.generation` so recycled inodes never inherit credentials.
     pub fn credential_string(&self) -> String {
+        self.credential_name().to_string()
+    }
+
+    /// [`Self::credential_string`] as a `Display` value, for callers
+    /// that write it into a buffer of their own.
+    pub fn credential_name(&self) -> impl std::fmt::Display {
         let (_, ino, generation) = self.unpack();
-        format!("{ino}.{generation}")
+        CredentialName { ino, generation }
     }
 
     fn encode(&self, e: &mut Encoder) {

@@ -38,7 +38,10 @@ fn main() {
         .expires_at(1000)
         .comment("contractor access")
         .issue();
-    let eve_cred_id = keynote::Assertion::parse(&eve_grant).unwrap().id();
+    let eve_cred_id = keynote::Assertion::parse(&eve_grant)
+        .unwrap()
+        .id()
+        .to_string();
 
     let eve_client = bed.connect(&eve).expect("eve attaches");
     eve_client.submit_credential(&doc.credential).unwrap();
