@@ -1,5 +1,4 @@
-//! The distributed volume tier figures (PR 6), summarized to
-//! `BENCH_6.json`.
+//! The distributed volume tier figures (PR 6).
 //!
 //! PR 5 made one process's block I/O parallel; this PR puts the block
 //! layer behind simulated network links. The figures pin the wire-level
@@ -23,13 +22,12 @@
 //!   fails over to the surviving replica and the dead node's replica
 //!   set is rebuilt onto the spare.
 //!
-//! Env knobs: `BENCH_QUICK=1` shrinks the extents (CI smoke);
-//! `BENCH_JSON=path` writes the summary JSON.
+//! Env knob: `BENCH_QUICK=1` shrinks the extents (CI smoke).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use bench_harness::{bench_quick as quick, record_json, write_json_summary};
+use bench_harness::bench_quick as quick;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use netsim::{LinkConfig, SimClock};
@@ -148,12 +146,6 @@ fn figure_striped_wire_batching(_c: &mut Criterion) {
             "node {i} carries {b} of {total} wire bytes"
         );
     }
-    record_json("block_server_scalar_rpcs", scalar_rpcs as f64);
-    record_json("block_server_vectored_rpcs", vectored_rpcs as f64);
-    record_json(
-        "block_server_vectored_wire_speedup",
-        scalar_time.as_secs_f64() / vectored_time.as_secs_f64(),
-    );
 }
 
 /// Replication write amplification: R=2 moves exactly 2x the data
@@ -187,8 +179,6 @@ fn figure_replication_write_amplification(_c: &mut Criterion) {
         "R=2 must move ~2x the wire bytes, got {byte_ratio:.2}x"
     );
     println!("  wire amplification: {byte_ratio:.2}x");
-    record_json("replication_write_amplification_bytes", byte_ratio);
-    record_json("replication_data_writes_r2", writes_r2 as f64);
 }
 
 /// Read-from-nearest-replica: a volume with one far (5 ms WAN) and one
@@ -235,11 +225,6 @@ fn figure_read_from_nearest_replica(_c: &mut Criterion) {
         speedup > 3.0,
         "nearest-replica reads must beat far-only by a wide margin, got {speedup:.1}x"
     );
-    record_json("replica_read_nearest_speedup", speedup);
-    record_json(
-        "replica_read_avg_ms_nearest",
-        near_time.as_secs_f64() * 1e3 / w as f64,
-    );
 }
 
 /// Node-death rebuild: zero failed reads through the death of a node,
@@ -274,9 +259,6 @@ fn figure_node_death_rebuild(_c: &mut Criterion) {
         "the spare must take the dead node's place"
     );
     assert_eq!(store.live_nodes(), NODES, "back to full strength");
-    record_json("node_death_failed_reads", failed as f64);
-    record_json("node_death_rebuilds", stats.rebuilds as f64);
-    write_json_summary();
 }
 
 criterion_group!(

@@ -1,5 +1,4 @@
-//! Degraded-mode figures for the chaos layer (PR 8), summarized to
-//! `BENCH_8.json`.
+//! Degraded-mode figures for the chaos layer (PR 8).
 //!
 //! PR 6 built the replicated volume tier; PR 8 gave it a failure
 //! model: seeded link faults, exponential backoff under a deadline,
@@ -20,12 +19,11 @@
 //!   ~40 ms request round-trip regardless of size (latency dominates),
 //!   so a vectored bulk read amortizes it across the whole extent.
 //!
-//! Env knobs: `BENCH_QUICK=1` shrinks the extents (CI smoke);
-//! `BENCH_JSON=path` writes the summary JSON.
+//! Env knob: `BENCH_QUICK=1` shrinks the extents (CI smoke).
 
 use std::time::Duration;
 
-use bench_harness::{bench_quick as quick, record_json, write_json_summary};
+use bench_harness::{bench_quick as quick, percentile};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use netsim::{FaultPlan, LinkConfig, SimClock};
@@ -124,11 +122,6 @@ fn read_sweep(clock: &SimClock, store: &ReplicatedStore, blocks: u64) -> (Vec<Du
     (lat, failed)
 }
 
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// Degraded read latency: healthy vs 1% loss vs one node dead.
 fn figure_degraded_read_latency(_c: &mut Criterion) {
     println!("\n== PR 8 figure: p50/p99 read latency, healthy vs 1% loss vs node dead ==");
@@ -190,30 +183,6 @@ fn figure_degraded_read_latency(_c: &mut Criterion) {
         percentile(&dead, 0.50) <= percentile(&healthy, 0.50) * 2,
         "failover must serve reads at near-healthy latency"
     );
-    record_json(
-        "degraded_p50_healthy_us",
-        percentile(&healthy, 0.50).as_secs_f64() * 1e6,
-    );
-    record_json(
-        "degraded_p99_healthy_us",
-        percentile(&healthy, 0.99).as_secs_f64() * 1e6,
-    );
-    record_json(
-        "degraded_p50_loss1pct_us",
-        percentile(&lossy, 0.50).as_secs_f64() * 1e6,
-    );
-    record_json(
-        "degraded_p99_loss1pct_us",
-        percentile(&lossy, 0.99).as_secs_f64() * 1e6,
-    );
-    record_json(
-        "degraded_p50_node_dead_us",
-        percentile(&dead, 0.50).as_secs_f64() * 1e6,
-    );
-    record_json(
-        "degraded_p99_node_dead_us",
-        percentile(&dead, 0.99).as_secs_f64() * 1e6,
-    );
 }
 
 /// Background rebuild completes in ceil(items/budget) ticks while the
@@ -257,12 +226,6 @@ fn figure_rebuild_completion_under_budget(_c: &mut Criterion) {
     );
     assert_eq!(ticks, expected, "the budget bounds per-tick copy work");
     assert_eq!(store.live_nodes(), NODES, "spare in service");
-    record_json("rebuild_ticks_at_budget16", ticks as f64);
-    record_json(
-        "rebuild_virtual_secs_at_10ms_tick",
-        (tick * ticks as u32).as_secs_f64(),
-    );
-    record_json("rebuild_detect_read_us", detect_cost.as_secs_f64() * 1e6);
 }
 
 /// WAN object store: per-block reads pay the fixed request round-trip;
@@ -309,13 +272,6 @@ fn figure_s3_wan_volume(_c: &mut Criterion) {
         amortization > 10.0,
         "vectored reads must amortize the request latency, got {amortization:.0}x"
     );
-    record_json("s3_scalar_read_ms", per_read_ms);
-    record_json("s3_vectored_amortization", amortization);
-    record_json(
-        "s3_vs_ethernet_scalar_slowdown",
-        s3_scalar.as_secs_f64() / eth_scalar.as_secs_f64(),
-    );
-    write_json_summary();
 }
 
 criterion_group!(

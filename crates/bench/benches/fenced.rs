@@ -1,5 +1,5 @@
 //! Multi-coordinator safety figures for the lease-fencing layer
-//! (PR 10), summarized to `BENCH_9.json`.
+//! (PR 10).
 //!
 //! PR 6 built the replicated volume tier and PR 8 its failure model;
 //! PR 10 made *concurrent coordinators* safe: server-side
@@ -21,13 +21,12 @@
 //!   every straggler write bounces off the fence, zero fenced writes
 //!   are applied anywhere, byte-verified through the new coordinator.
 //!
-//! Env knobs: `BENCH_QUICK=1` shrinks the extents (CI smoke);
-//! `BENCH_JSON=path` writes the summary JSON.
+//! Env knob: `BENCH_QUICK=1` shrinks the extents (CI smoke).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use bench_harness::{bench_quick as quick, record_json, write_json_summary};
+use bench_harness::{bench_quick as quick, percentile};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use netsim::{FaultPlan, LinkConfig, SimClock};
@@ -115,11 +114,6 @@ fn connect(
         .collect()
 }
 
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// Failover: coordinator A falls silent, B acquires once the lease
 /// expires and serves a committed write. The TTL dominates.
 fn figure_failover_time(_c: &mut Criterion) {
@@ -180,13 +174,6 @@ fn figure_failover_time(_c: &mut Criterion) {
         refused >= 1,
         "takeover must be refused while the lease holds"
     );
-    record_json("failover_ttl_secs", TTL.as_secs_f64());
-    record_json("failover_acquired_secs", acquired.as_secs_f64());
-    record_json("failover_first_commit_secs", failover.as_secs_f64());
-    record_json(
-        "failover_past_ttl_ms",
-        (failover.saturating_sub(TTL)).as_secs_f64() * 1e3,
-    );
 }
 
 /// Quorum-write flush latency, leased vs token-0 legacy baseline.
@@ -238,22 +225,6 @@ fn figure_quorum_write_latency(_c: &mut Criterion) {
     assert!(
         percentile(&leased, 0.99) <= percentile(&legacy, 0.99).mul_f64(1.25),
         "fencing must not move the flush tail"
-    );
-    record_json(
-        "quorum_flush_p50_legacy_us",
-        percentile(&legacy, 0.50).as_secs_f64() * 1e6,
-    );
-    record_json(
-        "quorum_flush_p99_legacy_us",
-        percentile(&legacy, 0.99).as_secs_f64() * 1e6,
-    );
-    record_json(
-        "quorum_flush_p50_leased_us",
-        percentile(&leased, 0.50).as_secs_f64() * 1e6,
-    );
-    record_json(
-        "quorum_flush_p99_leased_us",
-        percentile(&leased, 0.99).as_secs_f64() * 1e6,
     );
 }
 
@@ -343,11 +314,6 @@ fn figure_zero_fenced_writes_applied(_c: &mut Criterion) {
          {fenced_errors_total} fenced errors at the stale coordinators, 0 applied"
     );
     assert!(rejections_total >= 8, "every schedule must hit the fence");
-    record_json("fenced_schedules", 8.0);
-    record_json("fenced_writes_applied", 0.0);
-    record_json("fenced_node_rejections", rejections_total as f64);
-    record_json("fenced_coordinator_errors", fenced_errors_total as f64);
-    write_json_summary();
 }
 
 criterion_group!(

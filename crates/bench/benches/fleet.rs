@@ -6,7 +6,7 @@
 //! IKE-authenticated clients multiplexed onto a **fixed** worker pool
 //! — the process thread count does not change as the fleet connects.
 //!
-//! Figures (asserted, and summarized to `BENCH_7.json`):
+//! Figures (asserted):
 //!
 //! * **Fleet latency** — per-request latency on the shared virtual
 //!   clock for a bursty workload with Zipf-popular files (clients
@@ -22,12 +22,11 @@
 //!   (with an absolute floor absorbing single-core CI scheduler
 //!   noise).
 //!
-//! Env knobs: `BENCH_QUICK=1` shrinks the fleet (CI smoke);
-//! `BENCH_JSON=path` writes the summary JSON.
+//! Env knob: `BENCH_QUICK=1` shrinks the fleet (CI smoke).
 
 use std::time::{Duration, Instant};
 
-use bench_harness::{bench_quick as quick, record_json, write_json_summary};
+use bench_harness::{bench_quick as quick, percentile};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use discfs::{CredentialIssuer, Perm, Testbed};
@@ -198,11 +197,6 @@ fn read_args(fh: &FHandle) -> Vec<u8> {
     e.finish()
 }
 
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
-
 /// Fleet latency figure: waves of bursting clients, Zipf reads, per-
 /// request latency on the virtual clock.
 fn figure_fleet_latency(_c: &mut Criterion) {
@@ -229,13 +223,10 @@ fn figure_fleet_latency(_c: &mut Criterion) {
 
     // Zero per-connection threads: the entire fleet connected without
     // the process growing a single thread.
-    if let (Some(before), Some(after)) = (threads_before, threads_after) {
-        assert_eq!(
-            before, after,
-            "connecting {n} clients must not spawn server threads"
-        );
-        record_json("fleet_thread_delta", (after - before) as f64);
-    }
+    assert_eq!(
+        threads_before, threads_after,
+        "connecting {n} clients must not spawn server threads"
+    );
     await_connections(&fleet, n + 1); // + the setup client
     println!(
         "  {} connections multiplexed on {} engine threads",
@@ -296,11 +287,6 @@ fn figure_fleet_latency(_c: &mut Criterion) {
         served >= (n * PIPELINE) as u64,
         "every burst request served"
     );
-    record_json("fleet_clients", n as f64);
-    record_json("fleet_requests", latencies.len() as f64);
-    record_json("fleet_p50_virtual_us", p50.as_secs_f64() * 1e6);
-    record_json("fleet_p99_virtual_us", p99.as_secs_f64() * 1e6);
-    record_json("fleet_engine_threads", fleet_threads as f64);
 }
 
 /// Stalled-client fairness figure: wall-clock p99 of a healthy cohort
@@ -378,14 +364,6 @@ fn figure_fairness(_c: &mut Criterion) {
         stressed_p99.as_secs_f64() * 1e6,
         bound.as_secs_f64() * 1e6,
     );
-    record_json("fairness_baseline_p99_us", baseline_p99.as_secs_f64() * 1e6);
-    record_json("fairness_stressed_p99_us", stressed_p99.as_secs_f64() * 1e6);
-    record_json(
-        "fairness_ratio",
-        stressed_p99.as_secs_f64() / baseline_p99.as_secs_f64().max(1e-12),
-    );
-    record_json("straggler_queue_high_water", high_water as f64);
-    write_json_summary();
 }
 
 /// OS thread count of this process, when the platform exposes it.

@@ -1,30 +1,28 @@
 //! Micro-benchmarks for the block-store subsystem: raw sequential and
 //! random block I/O per backend, dedup-store write throughput on
 //! duplicate-heavy streams, and the PR 3 hot-path figures — zero-alloc
-//! reads, buffer-cache re-read speedup, shard scaling under
-//! concurrency, and group-commit journal syscall reduction.
+//! reads, buffer-cache re-read speedup and shard scaling under
+//! concurrency.
 //!
 //! The PR 3 figures double as acceptance checks: this bench *asserts*
-//! that handle-based reads do not allocate, that a cached re-read
-//! beats the uncached backend by ≥ 5× in virtual time, and that an
-//! N-write burst costs ≤ ceil(N/batch) journal syscalls.
+//! that handle-based reads do not allocate and that a cached re-read
+//! beats the uncached backend by ≥ 5× in virtual time. (The
+//! group-commit syscall bound is a unit test in `store::file`.)
 //!
-//! Env knobs: `BENCH_QUICK=1` shrinks iteration counts (CI smoke);
-//! `BENCH_JSON=path` writes an ops/sec summary JSON for the bench
-//! trajectory.
+//! Env knob: `BENCH_QUICK=1` shrinks iteration counts (CI smoke).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench_harness::{bench_quick as quick, record_json, write_json_summary};
+use bench_harness::bench_quick as quick;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use netsim::SimClock;
 use store::{
     BlockStore, CachedStore, DedupStore, EncryptedStore, FileStore, ShardedStore, SimStore,
-    BLOCK_SIZE, JOURNAL_BATCH_RECORDS,
+    BLOCK_SIZE,
 };
 
 /// Counts heap allocations so the zero-alloc read-path claim is
@@ -182,8 +180,7 @@ fn bench_dedup_absorption(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// PR 3 figures: measured with plain `Instant` loops (asserted, and
-// summarized to BENCH_JSON for the bench trajectory).
+// PR 3 figures: measured with plain `Instant` loops and asserted.
 // ---------------------------------------------------------------------------
 
 /// Ops/sec of a closure repeated `iters` times.
@@ -317,10 +314,6 @@ fn figure_cached_reread(_c: &mut Criterion) {
         stats.cache_hit_ratio()
     );
     std::fs::remove_dir_all(&dir).ok();
-
-    record_json("cached_reread_ops_per_sec", cached_ops);
-    record_json("uncached_read_ops_per_sec", uncached_ops);
-    record_json("cached_virtual_speedup", speedup);
 }
 
 /// Shard-scaling figure: T threads issuing random writes contend on
@@ -355,43 +348,10 @@ fn figure_sharded_scaling(_c: &mut Criterion) {
             "  {shards} shard(s): {ops:>12.0} ops/s  ({:.2}x vs 1 shard)",
             ops / baseline
         );
-        if shards == 4 {
-            record_json("sharded_rand_write_ops_per_sec", ops);
-        }
     }
 }
 
-/// Group-commit figure: an N-write burst reaches the journal in
-/// ceil(N/batch) syscalls instead of N.
-fn figure_group_commit(_c: &mut Criterion) {
-    println!("\n== PR 3 figure: journal syscalls for a 64-write burst ==");
-    let dir = store::temp_dir_for_tests("bench-group-commit");
-    let store = FileStore::open(&dir, BLOCKS).unwrap();
-    let n = 64u64;
-    for i in 0..n {
-        store.write_block(i, &unique_block(i));
-    }
-    store.flush().unwrap();
-    let stats = store.stats();
-    let ceil = n.div_ceil(JOURNAL_BATCH_RECORDS as u64);
-    println!(
-        "  {} records in {} batched appends (was: {} appends; batch = {})",
-        stats.batched_records, stats.journal_batches, n, JOURNAL_BATCH_RECORDS
-    );
-    assert!(
-        stats.journal_batches <= ceil,
-        "group commit must cut {n} journal syscalls to <= {ceil}, got {}",
-        stats.journal_batches
-    );
-    record_json(
-        "journal_batches_for_64_writes",
-        stats.journal_batches as f64,
-    );
-    drop(store);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Sequential-read throughput headline number for the JSON summary.
+/// Sequential-read throughput headline number.
 fn figure_seq_read(_c: &mut Criterion) {
     let store = SimStore::untimed(BLOCKS);
     for i in 0..BLOCKS {
@@ -404,8 +364,6 @@ fn figure_seq_read(_c: &mut Criterion) {
         i += 1;
     });
     println!("\nseq read (sim-instant): {ops:.0} ops/s");
-    record_json("seq_read_ops_per_sec", ops);
-    write_json_summary();
 }
 
 criterion_group!(
@@ -416,7 +374,6 @@ criterion_group!(
     figure_zero_alloc_reads,
     figure_cached_reread,
     figure_sharded_scaling,
-    figure_group_commit,
     figure_seq_read
 );
 criterion_main!(micro_store);

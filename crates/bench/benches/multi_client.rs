@@ -7,13 +7,13 @@
 //! IPsec + NFS + credential stack against one server, and throughput
 //! must scale because a cached decision touches no global lock.
 //!
-//! Figures (asserted, and summarized to `BENCH_4.json`):
+//! Figures (asserted):
 //!
 //! * **Hit-path lock freedom** — a policy-cache-hit authorization
-//!   performs 0 exclusive-lock acquisitions (peer-shard writes,
+//!   performs 0 exclusive-lock acquisitions (peer-map writes,
 //!   session mutexes, cache inserts), pinned via the server's
-//!   [`AuthStats`] counters. Shard *read* locks and per-slot audit
-//!   locks are the only synchronization left.
+//!   [`AuthStats`] counters. Read locks and per-slot audit locks are
+//!   the only synchronization left.
 //! * **Client scaling** — wall-clock ops/sec at 1/2/4/8 clients on a
 //!   cache-hit-dominated run; ≥ 3× at 4 clients vs 1 (asserted when
 //!   the host has ≥ 4 cores; always recorded).
@@ -21,15 +21,14 @@
 //!   cache sizes 0/8/32/128, reproducing the Figure 12 shape (the
 //!   cacheless run pays a full 200 µs compliance check per decision).
 //!
-//! Env knobs: `BENCH_QUICK=1` shrinks iteration counts (CI smoke);
-//! `BENCH_JSON=path` writes the ops/sec summary JSON.
+//! Env knob: `BENCH_QUICK=1` shrinks iteration counts (CI smoke).
 //!
 //! [`AuthStats`]: discfs::server::AuthStats
 
 use std::sync::Barrier;
 use std::time::Instant;
 
-use bench_harness::{bench_quick as quick, cores, record_json, write_json_summary};
+use bench_harness::{bench_quick as quick, cores};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use discfs::{CredentialIssuer, DiscfsClient, Perm, Testbed};
@@ -194,8 +193,6 @@ fn figure_hit_path_lock_free(_c: &mut Criterion) {
         cache.hits() + cache.misses(),
         "decisions == hits + misses"
     );
-    record_json("hit_auth_exclusive_locks", exclusive as f64);
-    record_json("hit_auth_decisions_per_1k_ops", decisions as f64);
 }
 
 /// One concurrent measurement round: fresh workers (distinct keys),
@@ -261,10 +258,8 @@ fn figure_client_scaling(_c: &mut Criterion) {
             "  {clients} client(s): {ops_per_sec:>12.0} ops/s  ({:.2}x vs 1 client)",
             ops_per_sec / single_client
         );
-        record_json(&format!("multi_client_ops_per_sec_{clients}"), ops_per_sec);
         if clients == 4 {
             let scaling = ops_per_sec / single_client;
-            record_json("multi_client_scaling_4c", scaling);
             if cores() >= 4 {
                 assert!(
                     scaling >= 3.0,
@@ -282,7 +277,6 @@ fn figure_client_scaling(_c: &mut Criterion) {
     let hit_ratio = cache.hits() as f64 / (cache.hits() + cache.misses()) as f64;
     println!("  overall policy-cache hit ratio: {hit_ratio:.3}");
     assert!(hit_ratio > 0.9, "run must be cache-hit-dominated");
-    record_json("multi_client_hit_ratio", hit_ratio);
 }
 
 /// Figure 12 shape: virtual time of the single-client workload as the
@@ -308,7 +302,6 @@ fn figure_cache_sweep(_c: &mut Criterion) {
             "  cache {cache_size:>3}: {virtual_ms:>9.2} ms virtual ({:>5.2}x vs cacheless, hit ratio {ratio:.3})",
             cacheless / virtual_ms.max(1e-12),
         );
-        record_json(&format!("fig12_virtual_ms_cache_{cache_size}"), virtual_ms);
         if cache_size == 128 {
             assert!(
                 virtual_ms * 10.0 < cacheless,
@@ -317,7 +310,6 @@ fn figure_cache_sweep(_c: &mut Criterion) {
             );
         }
     }
-    write_json_summary();
 }
 
 criterion_group!(

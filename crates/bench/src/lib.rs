@@ -643,7 +643,7 @@ pub fn run_search(
 }
 
 // ---------------------------------------------------------------------------
-// Bench env knobs and JSON summaries (shared by the bench targets).
+// Env knobs and helpers shared by the bench targets.
 // ---------------------------------------------------------------------------
 
 /// True when `BENCH_QUICK` asks for shrunk iteration counts (the CI
@@ -660,49 +660,17 @@ pub fn cores() -> usize {
         .unwrap_or(1)
 }
 
-fn json_entries() -> &'static std::sync::Mutex<Vec<(String, f64)>> {
-    static ENTRIES: std::sync::OnceLock<std::sync::Mutex<Vec<(String, f64)>>> =
-        std::sync::OnceLock::new();
-    ENTRIES.get_or_init(|| std::sync::Mutex::new(Vec::new()))
-}
-
-/// Records a named figure for the `$BENCH_JSON` summary (shared by the
-/// bench targets; see [`write_json_summary`]).
-pub fn record_json(key: &str, value: f64) {
-    json_entries()
-        .lock()
-        .unwrap()
-        .push((key.to_string(), value));
-}
-
-/// One JSON number: ratios keep four decimals so a hit-ratio or
-/// speedup regression stays visible in the cross-PR trajectory;
-/// big ops/sec values keep one. Non-finite values (a zero-virtual-time
-/// speedup is `inf`) become `null` — JSON has no infinity.
-fn format_json_value(v: f64) -> String {
-    if !v.is_finite() {
-        "null".to_string()
-    } else if v.abs() < 100.0 {
-        format!("{v:.4}")
-    } else {
-        format!("{v:.1}")
-    }
-}
-
-/// Writes every figure recorded via [`record_json`] to the path named
-/// by the `BENCH_JSON` env var (no-op when unset).
-pub fn write_json_summary() {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    let entries = json_entries().lock().unwrap();
-    let fields: Vec<String> = entries
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {}", format_json_value(*v)))
-        .collect();
-    let json = format!("{{\n{}\n}}\n", fields.join(",\n"));
-    std::fs::write(&path, json).expect("write BENCH_JSON summary");
-    println!("bench summary written to {path}");
+/// The `p`-quantile (0 < `p` <= 1) of an ascending slice by nearest
+/// rank: the smallest sample with at least `p` of the samples at or
+/// below it. One definition for every bench, so their p50s and p99s
+/// compare.
+///
+/// # Panics
+///
+/// If `sorted` is empty.
+pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> T {
+    let rank = (sorted.len() as f64 * p).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]
@@ -711,12 +679,24 @@ mod tests {
     use bonnie::TreeSpec;
 
     #[test]
-    fn json_values_format_for_trajectory_diffing() {
-        assert_eq!(format_json_value(0.9661), "0.9661");
-        assert_eq!(format_json_value(1.23456), "1.2346");
-        assert_eq!(format_json_value(1295760.44), "1295760.4");
-        assert_eq!(format_json_value(f64::INFINITY), "null");
-        assert_eq!(format_json_value(f64::NAN), "null");
+    fn percentile_is_nearest_rank() {
+        let sorted = [15, 20, 35, 40, 50];
+        for (p, expect) in [
+            (0.05, 15),
+            (0.2, 15),
+            (0.21, 20),
+            (0.5, 35),
+            (0.8, 40),
+            (0.99, 50),
+            (1.0, 50),
+        ] {
+            assert_eq!(percentile(&sorted, p), expect, "p = {p}");
+        }
+        assert_eq!(percentile(&[7], 0.5), 7);
+        // 100 samples: p99 is the 99th, not the maximum.
+        let hundred: Vec<u32> = (1..=100).collect();
+        assert_eq!(percentile(&hundred, 0.99), 99);
+        assert_eq!(percentile(&hundred, 0.5), 50);
     }
 
     const SMALL: u64 = 256 * 1024;

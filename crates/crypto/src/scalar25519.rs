@@ -4,7 +4,7 @@
 //! Ed25519 signing needs `(r + h·a) mod L` and reduction of 64-byte
 //! hashes mod L (three per signature, one per verification). Scalars
 //! are held as four little-endian `u64` limbs; wide values are reduced
-//! limb-wise by folding at 2^252 (see [`reduce_wide`]). The signed-digit
+//! limb-wise by folding at 2^252 (see `reduce_wide`). The signed-digit
 //! recodings the point multiplications in [`crate::ed25519`] consume
 //! live here too.
 

@@ -4,7 +4,8 @@
 //! \[session\] is consulted again on whether the specific requests should
 //! be granted ... To improve performance, we use a cache of requested
 //! operations and policy results."* Figure 12's search benchmark ran
-//! with a cache of 128 policy results; that is this module's default.
+//! with a cache of 128 policy results; `DiscfsConfig::standard` asks for
+//! the same.
 //!
 //! Keys are `(peer key, handle, epoch)`. Epochs make invalidation O(1):
 //! submitting credentials bumps the peer's epoch, revocation or
@@ -13,23 +14,16 @@
 //!
 //! # Concurrency
 //!
-//! The cache is **sharded** so N concurrent clients resolving cached
-//! decisions never convoy on one lock: entries hash to one of up to
-//! [`MAX_SHARDS`] shards, each behind its own `RwLock`. A *hit* takes
-//! only a shard **read** lock — the LRU recency stamp is an `AtomicU64`
-//! inside the entry, so hits from many clients proceed in parallel.
-//! Only misses (insert) and invalidation take a shard write lock.
+//! One `RwLock<HashMap>` holds every entry. A *hit* takes the **read**
+//! lock only: the recency stamp is an `AtomicU64` inside the entry, so
+//! hits from many clients proceed in parallel and none of them is an
+//! exclusive acquisition. Misses (insert) and invalidation take the
+//! write lock.
 //!
-//! Small caches stay exact: the shard count starts from a power-of-two
-//! **hint** ([`PolicyCache::with_shard_hint`], default [`MAX_SHARDS`])
-//! and halves until every shard holds at least [`MIN_PER_SHARD`]
-//! entries, so an ablation-sized cache (≤ 15 entries) is a single
-//! shard with precise LRU order, while the paper's 128-entry
-//! configuration spreads over 16 shards with per-shard LRU (an
-//! approximation of global LRU that preserves the Figure 12 shape). A
-//! deployment expecting thousands of concurrent tenants passes a
-//! larger hint through `DiscfsConfig::peer_shards`, and a big cache
-//! then spreads over up to [`MAX_SHARD_HINT`] shards.
+//! Replacement is exact LRU at every capacity: each touch stamps the
+//! entry with a fresh value of one counter, and a full cache evicts
+//! the entry with the smallest stamp. Stamps are unique, so which
+//! entry goes never depends on the map's iteration order.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,18 +31,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::RwLock;
 
 use crate::perm::Perm;
-
-/// Default shard-count hint (what [`PolicyCache::new`] asks for; a
-/// 128-entry cache reaches it).
-pub const MAX_SHARDS: usize = 16;
-
-/// Hard ceiling on the shard hint accepted by
-/// [`PolicyCache::with_shard_hint`].
-pub const MAX_SHARD_HINT: usize = 256;
-
-/// Minimum entries per shard before another shard is added — keeps
-/// small ablation caches single-sharded (exact LRU).
-pub const MIN_PER_SHARD: usize = 8;
 
 /// A cache key: requester, file, and invalidation epochs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,89 +72,43 @@ impl CacheStats {
 }
 
 /// One cached decision. The recency stamp is atomic so a hit can bump
-/// it under a shard *read* lock.
+/// it under the *read* lock.
 struct Entry {
     perm: Perm,
     stamp: AtomicU64,
 }
 
-/// A bounded, sharded LRU map from [`CacheKey`] to granted [`Perm`].
+/// A bounded LRU map from [`CacheKey`] to granted [`Perm`].
 pub struct PolicyCache {
-    shards: Vec<RwLock<HashMap<CacheKey, Entry>>>,
-    /// Per-shard capacities summing exactly to the requested total.
-    shard_capacity: Vec<usize>,
-    total_capacity: usize,
+    entries: RwLock<HashMap<CacheKey, Entry>>,
+    capacity: usize,
     tick: AtomicU64,
     stats: CacheStats,
 }
 
 impl PolicyCache {
-    /// Creates a cache holding at most `capacity` results with the
-    /// default shard hint ([`MAX_SHARDS`]). A capacity of 0 disables
-    /// caching (every check is a full KeyNote query — the ablation
-    /// baseline).
+    /// Creates a cache holding at most `capacity` results. A capacity
+    /// of 0 disables caching (every check is a full KeyNote query — the
+    /// ablation baseline).
     pub fn new(capacity: usize) -> PolicyCache {
-        PolicyCache::with_shard_hint(capacity, MAX_SHARDS)
-    }
-
-    /// Creates a cache whose shard geometry is sized from `hint` (the
-    /// expected concurrent client population — `DiscfsConfig`'s
-    /// `peer_shards`): the hint is rounded to a power of two, clamped
-    /// to `[1, `[`MAX_SHARD_HINT`]`]`, then halved until every shard
-    /// holds at least [`MIN_PER_SHARD`] entries — so small ablation
-    /// caches stay single-sharded with exact LRU no matter the hint,
-    /// and the per-shard capacities always sum exactly to `capacity`.
-    pub fn with_shard_hint(capacity: usize, hint: usize) -> PolicyCache {
-        let mut shards = hint.clamp(1, MAX_SHARD_HINT).next_power_of_two();
-        while shards > 1 && capacity / shards < MIN_PER_SHARD {
-            shards /= 2;
-        }
-        // Distribute the capacity exactly: the first `capacity % shards`
-        // shards hold one extra entry.
-        let base = capacity / shards;
-        let extra = capacity % shards;
         PolicyCache {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            shard_capacity: (0..shards).map(|i| base + usize::from(i < extra)).collect(),
-            total_capacity: capacity,
+            entries: RwLock::new(HashMap::new()),
+            capacity,
             tick: AtomicU64::new(0),
             stats: CacheStats::default(),
         }
     }
 
-    /// The paper's configuration: 128 entries.
-    pub fn paper_default() -> PolicyCache {
-        PolicyCache::new(128)
-    }
-
-    /// Total capacity across shards.
-    pub fn capacity(&self) -> usize {
-        self.total_capacity
-    }
-
-    /// Number of shards (1 for small caches, up to [`MAX_SHARDS`]).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, key: &CacheKey) -> usize {
-        // Cheap spread: peer identity and inode decide the shard, so
-        // one client's working set fans out and different clients
-        // rarely collide. Epochs are excluded — an epoch bump must not
-        // migrate a key's shard (stale entries die in place).
-        let h = key.peer[0] as u64 ^ (key.peer[1] as u64) << 3 ^ key.handle.0 as u64;
-        (h % self.shards.len() as u64) as usize
-    }
-
-    /// Looks up a cached decision. Hits touch only a shard read lock
-    /// plus atomic counters — concurrent lookups never serialize.
+    /// Looks up a cached decision. A hit touches only the read lock
+    /// plus atomic counters — concurrent lookups do not exclude each
+    /// other.
     pub fn get(&self, key: &CacheKey) -> Option<Perm> {
-        if self.capacity() == 0 {
+        if self.capacity == 0 {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let shard = self.shards[self.shard_of(key)].read();
-        match shard.get(key) {
+        let entries = self.entries.read();
+        match entries.get(key) {
             Some(entry) => {
                 entry
                     .stamp
@@ -187,28 +123,29 @@ impl PolicyCache {
         }
     }
 
-    /// Inserts a decision, evicting the shard's least-recently-used
-    /// entry when the shard is full. (Linear eviction scan: at ≤ 8
-    /// entries per shard this is cheaper than a linked list.)
+    /// Inserts a decision, evicting the least-recently-used entry when
+    /// the cache is full. The victim is found by a linear scan of the
+    /// stamps, which is what lets a hit get by with the read lock (a
+    /// recency list would have to be relinked on every hit). It runs
+    /// only on a miss that has just paid a KeyNote query and costs
+    /// about half a microsecond at the paper's 128 entries.
     pub fn insert(&self, key: CacheKey, perm: Perm) {
-        let idx = self.shard_of(&key);
-        let capacity = self.shard_capacity[idx];
-        if capacity == 0 {
+        if self.capacity == 0 {
             return;
         }
-        let mut shard = self.shards[idx].write();
-        if shard.len() >= capacity && !shard.contains_key(&key) {
-            if let Some(oldest) = shard
+        let mut entries = self.entries.write();
+        if entries.len() >= self.capacity && !entries.contains_key(&key) {
+            if let Some(oldest) = entries
                 .iter()
                 .min_by_key(|(_, entry)| entry.stamp.load(Ordering::Relaxed))
                 .map(|(k, _)| *k)
             {
-                shard.remove(&oldest);
+                entries.remove(&oldest);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        shard.insert(
+        entries.insert(
             key,
             Entry {
                 perm,
@@ -219,14 +156,12 @@ impl PolicyCache {
 
     /// Drops every entry (full invalidation after revocation).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
+        self.entries.write().clear();
     }
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.entries.read().len()
     }
 
     /// True when empty.
@@ -274,87 +209,104 @@ mod tests {
         assert_eq!(cache.get(&key(2, 10, 0)), None);
     }
 
-    #[test]
-    fn small_caches_are_single_sharded_with_exact_lru() {
-        let cache = PolicyCache::new(2);
-        assert_eq!(cache.shard_count(), 1);
-        cache.insert(key(1, 1, 0), Perm::R);
-        cache.insert(key(1, 2, 0), Perm::W);
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.get(&key(1, 1, 0)).is_some());
-        cache.insert(key(1, 3, 0), Perm::X);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(1, 1, 0)).is_some());
-        assert!(cache.get(&key(1, 2, 0)).is_none(), "LRU entry evicted");
-        assert!(cache.get(&key(1, 3, 0)).is_some());
-        assert_eq!(cache.stats().evictions(), 1);
+    /// Recency-ordered list, least recent first: the definition of
+    /// LRU the cache is checked against.
+    struct Model {
+        capacity: usize,
+        entries: Vec<(CacheKey, Perm)>,
+        evictions: u64,
     }
 
-    #[test]
-    fn paper_config_shards_and_keeps_capacity() {
-        let cache = PolicyCache::new(128);
-        assert_eq!(cache.shard_count(), MAX_SHARDS);
-        assert_eq!(cache.capacity(), 128);
-        // Insert far more than capacity: the cache never exceeds it.
-        for i in 0..1000u32 {
-            cache.insert(key((i % 251) as u8, i, 0), Perm::R);
+    impl Model {
+        fn get(&mut self, key: &CacheKey) -> Option<Perm> {
+            let at = self.entries.iter().position(|(k, _)| k == key)?;
+            let entry = self.entries.remove(at);
+            self.entries.push(entry);
+            Some(entry.1)
         }
-        assert!(cache.len() <= 128, "len {} > capacity", cache.len());
-        assert!(cache.stats().evictions() > 0);
-    }
 
-    #[test]
-    fn per_shard_lru_evicts_oldest_in_shard() {
-        // Keys sharing peer+ino map to the same shard regardless of
-        // epoch, so a shard can be driven to its capacity exactly.
-        let cache = PolicyCache::new(128);
-        let k = |e| key(7, 42, e);
-        for e in 0..100 {
-            cache.insert(k(e), Perm::R);
+        fn insert(&mut self, key: CacheKey, perm: Perm) {
+            if self.capacity == 0 {
+                return;
+            }
+            if let Some(at) = self.entries.iter().position(|(k, _)| *k == key) {
+                self.entries.remove(at);
+            } else if self.entries.len() >= self.capacity {
+                self.entries.remove(0);
+                self.evictions += 1;
+            }
+            self.entries.push((key, perm));
         }
-        // The most recent epochs survive; the earliest were evicted.
-        assert!(cache.get(&k(99)).is_some());
-        assert!(cache.get(&k(0)).is_none());
-        assert!(cache.stats().evictions() > 0);
     }
 
     #[test]
-    fn shard_hint_is_clamped_to_a_power_of_two() {
-        // A non-power-of-two hint rounds up; capacity still bounds it.
-        let cache = PolicyCache::with_shard_hint(1024, 100);
-        assert_eq!(cache.shard_count(), 128);
-        assert_eq!(cache.capacity(), 1024);
-        // An absurd hint hits the ceiling.
-        let cache = PolicyCache::with_shard_hint(1 << 20, 100_000);
-        assert_eq!(cache.shard_count(), MAX_SHARD_HINT);
-        // A big hint over a small cache halves down to exact LRU.
-        let cache = PolicyCache::with_shard_hint(4, 1024);
-        assert_eq!(cache.shard_count(), 1);
-        // Per-shard capacities always sum exactly to the total.
-        for (capacity, hint) in [(0, 64), (7, 64), (100, 64), (1000, 3)] {
-            let cache = PolicyCache::with_shard_hint(capacity, hint);
-            assert_eq!(
-                cache.shard_capacity.iter().sum::<usize>(),
+    fn agrees_with_a_reference_lru_at_every_capacity() {
+        const PERMS: [Perm; 4] = [Perm::NONE, Perm::R, Perm::RW, Perm::RWX];
+        for capacity in [0usize, 1, 8, 32, 128] {
+            let cache = PolicyCache::new(capacity);
+            let mut model = Model {
                 capacity,
-                "capacity {capacity}, hint {hint}"
-            );
-            assert!(cache.shard_count().is_power_of_two());
+                entries: Vec::new(),
+                evictions: 0,
+            };
+            let keys = 3 * capacity.max(1) as u64;
+            let mut rng = 0x5EED_0000 + capacity as u64;
+            let mut gets = 0u64;
+            for step in 0..10_000 {
+                // xorshift64
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let k = (rng >> 16) % keys;
+                let k = key((k % 3) as u8, (k / 3) as u32, 0);
+                match rng % 100 {
+                    0 => {
+                        cache.clear();
+                        model.entries.clear();
+                    }
+                    1..=40 => {
+                        let perm = PERMS[(rng >> 40) as usize % PERMS.len()];
+                        cache.insert(k, perm);
+                        model.insert(k, perm);
+                    }
+                    _ => {
+                        gets += 1;
+                        assert_eq!(
+                            cache.get(&k),
+                            model.get(&k),
+                            "capacity {capacity}, step {step}"
+                        );
+                    }
+                }
+                assert!(cache.len() <= capacity);
+                assert_eq!(cache.len(), model.entries.len());
+                assert_eq!(cache.stats().evictions(), model.evictions);
+                assert_eq!(cache.stats().hits() + cache.stats().misses(), gets);
+            }
+            assert!(capacity == 0 || model.evictions > 0, "capacity {capacity}");
         }
     }
 
     #[test]
-    fn hinted_cache_keeps_exact_accounting() {
-        let cache = PolicyCache::with_shard_hint(256, 64);
-        assert_eq!(cache.shard_count(), 32);
-        for i in 0..1000u32 {
-            let k = key((i % 251) as u8, i % 40, 0);
-            if cache.get(&k).is_none() {
+    fn cyclic_walk_wider_than_the_cache_hits_only_the_immediate_re_reference() {
+        // The walk behind `meta_walk`'s 0.66 hit fraction: 400 handles
+        // visited in a cycle through 128 entries, each one looked up
+        // twice in a row (LOOKUP then READ). LRU has always evicted a
+        // handle by the time the cycle returns to it, so the second
+        // reference hits and the revisit never does.
+        let cache = PolicyCache::new(128);
+        for cycle in 0..3u64 {
+            for ino in 0..400 {
+                let k = key(1, ino, 0);
+                assert_eq!(cache.get(&k), None, "cycle {cycle}, handle {ino}");
                 cache.insert(k, Perm::R);
+                assert_eq!(cache.get(&k), Some(Perm::R));
             }
         }
-        let stats = cache.stats();
-        assert_eq!(stats.hits() + stats.misses(), 1000);
-        assert!(cache.len() <= 256);
+        assert_eq!(cache.stats().hits(), 3 * 400);
+        assert_eq!(cache.stats().misses(), 3 * 400);
+        assert_eq!(cache.stats().evictions(), 3 * 400 - 128);
+        assert_eq!(cache.len(), 128);
     }
 
     #[test]

@@ -27,29 +27,24 @@
 //!
 //! # Authorization hot path
 //!
-//! Every NFS operation is a policy decision, so the decision path is
-//! engineered to scale with concurrent clients (PR 4):
+//! Every NFS operation is a policy decision, so a decision that is
+//! already cached takes no lock exclusively:
 //!
-//! * **Sharded peer sessions** — the per-client-key KeyNote sessions
-//!   live in shards keyed on the key's first byte, each behind its
-//!   own `RwLock`. The shard count is **adaptive**: it is sized from
-//!   [`DiscfsConfig`]'s `peer_shards` hint (the expected concurrent
-//!   client population; default 16), clamped to a power of two in
-//!   `[1, 256]`, and the same hint shapes the policy-cache shard
-//!   geometry — a deployment expecting thousands of concurrent
-//!   tenants spreads both tables over more locks. Resolving a request
-//!   takes one shard *read* lock to clone the peer's `Arc`'d state;
-//!   the session itself (behind a per-peer mutex) is only locked on
-//!   cache misses and credential changes.
+//! * **One peer map** — the per-client-key KeyNote sessions live in one
+//!   `RwLock<HashMap>` keyed by the client key. Resolving a request
+//!   takes its *read* lock to clone the peer's `Arc`'d state; the
+//!   session itself (behind a per-peer mutex) is only locked on cache
+//!   misses and credential changes.
 //! * **Atomic epochs** — each peer carries an `AtomicU64` credential
 //!   epoch and the server keeps a global environment epoch (time of
 //!   day, virtual time, public grants, revocations). A cached decision
 //!   is valid iff both epochs it was keyed under are current; loading
 //!   them is two atomic loads, and every invalidation is one atomic
 //!   increment.
-//! * **Sharded policy cache** — [`cache::PolicyCache`] hits take a
-//!   shard read lock and bump an atomic LRU stamp; only misses and
-//!   invalidation write.
+//! * **One policy cache** — [`cache::PolicyCache`] is the paper's
+//!   cache of policy results (128 entries, exact LRU) behind one
+//!   `RwLock`. A hit takes the read lock and bumps an atomic recency
+//!   stamp; only misses and invalidation write.
 //! * **One lookup per handle** — `authorize` returns the granted
 //!   [`Perm`] and every NFS method threads it into attribute
 //!   presentation, so read/getattr perform exactly one policy lookup
@@ -136,8 +131,9 @@
 //!   refcounted handle clone, so a hot working set stops paying the
 //!   backend's locking, hashing, or timing costs entirely (cache
 //!   hit/miss counters surface through [`Testbed::store_stats`]);
-//! * `Sharded { shards, inner }` — the volume striped `i % N` across
-//!   N inner stores with per-shard locks and a parallel flush;
+//! * `Sharded { shards, workers, inner }` — the volume striped
+//!   `i % N` across N inner stores with per-shard locks and a parallel
+//!   flush; `workers` gives each shard its own I/O thread;
 //! * `Timed { inner }` — the paper's disk timing model charged on any
 //!   backend, so virtual-time figures can compare persistent backends.
 //!
@@ -312,28 +308,12 @@ mod tests {
     }
 
     #[test]
-    fn peer_shard_count_is_sized_from_the_config_hint() {
-        use std::sync::Arc;
-
-        let build = |peer_shards: usize| {
-            let fs = Arc::new(ffs::Ffs::format_in_memory(ffs::FsConfig::small()));
-            let admin = key(0xAD);
-            let server = key(0x5E);
-            let mut config = DiscfsConfig::standard(admin.public(), server);
-            config.peer_shards = peer_shards;
-            DiscfsService::new(fs, config)
-        };
-        // Default stays 16; odd hints clamp to the next power of two;
-        // absurd hints hit the first-byte routing ceiling of 256.
-        assert_eq!(build(server::PEER_SHARDS).peer_shard_count(), 16);
-        assert_eq!(build(5).peer_shard_count(), 8);
-        assert_eq!(build(0).peer_shard_count(), 1);
-        assert_eq!(build(10_000).peer_shard_count(), 256);
-
-        // The AuthStats invariants hold on a reshaped table: every
-        // decision is exactly one cache lookup, hits + misses ==
+    fn ten_decisions_on_one_handle_cost_one_miss_and_three_exclusive_locks() {
+        // Every decision is exactly one cache lookup, hits + misses ==
         // decisions, and a warm decision takes no exclusive lock.
-        let service = build(64);
+        let fs = std::sync::Arc::new(ffs::Ffs::format_in_memory(ffs::FsConfig::small()));
+        let config = DiscfsConfig::standard(key(0xAD).public(), key(0x5E));
+        let service = DiscfsService::new(fs, config);
         let peer = key(0x77).public();
         let fh = nfsv2::FHandle::pack(1, 1, 0);
         for _ in 0..10 {

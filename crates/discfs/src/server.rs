@@ -20,23 +20,21 @@
 //!
 //! # Authorization hot path
 //!
-//! N concurrent clients must not convoy on server-global locks when
-//! their decisions are already cached (the whole point of Figure 12's
-//! policy cache). The state is laid out so a **cache hit touches no
-//! session and no global lock at all**:
+//! A decision that is already cached (the whole point of Figure 12's
+//! policy cache) locks no session and takes no lock exclusively:
 //!
-//! * The peer-session table is split into [`PEER_SHARDS`] shards keyed
-//!   on the client key's first byte, each a `RwLock<HashMap>` of
-//!   [`Arc<PeerState>`]. The hot path takes a shard *read* lock just
-//!   long enough to clone the Arc.
-//! * Each [`PeerState`] carries an `AtomicU64` **credential epoch**
+//! * The peer-session table is one `RwLock<HashMap>` from client key
+//!   to that key's `Arc`'d session state. The hot path takes the
+//!   *read* lock just long enough to clone the `Arc`.
+//! * Each peer's state carries an `AtomicU64` **credential epoch**
 //!   (bumped on credential add and revocation purge) read with a plain
 //!   atomic load; the KeyNote [`Session`] behind its own `Mutex` is
 //!   only locked on cache misses and credential mutations.
 //! * The environment (`hour`, `time`, global epoch) is three atomics;
 //!   the per-decision virtual-time charge is a read-mostly
 //!   `Arc`-swap cell.
-//! * The [`PolicyCache`] itself is sharded with read-lock hits.
+//! * The [`PolicyCache`] is one `RwLock<HashMap>` too; a hit takes its
+//!   read lock and stamps the entry through an atomic.
 //!
 //! [`DiscfsService::auth_stats`] counts every exclusive-lock
 //! acquisition on this path so benchmarks can pin the invariant:
@@ -78,21 +76,7 @@ use crate::perm::Perm;
 use crate::revocation::RevocationList;
 use crate::rpc::{
     encode_create_res, proc_discfs, CreateWithCredRes, DiscfsRpcStatus, DISCFS_PROGRAM,
-    DISCFS_VERSION,
 };
-
-/// Default peer-session shard-count hint (the ROADMAP's adaptive
-/// peer-shard count sizes the real table from
-/// [`DiscfsConfig::peer_shards`]; this is what
-/// [`DiscfsConfig::standard`] asks for). Sessions hash on the key's
-/// first byte: Ed25519 public keys are uniformly distributed, so
-/// shard load is even no matter how clients arrive.
-pub const PEER_SHARDS: usize = 16;
-
-/// Hard ceiling on the peer-session shard count: routing keys on the
-/// public key's first byte, so more than 256 shards can never be
-/// addressed.
-pub const MAX_PEER_SHARDS: usize = 256;
 
 /// Server configuration.
 pub struct DiscfsConfig {
@@ -108,18 +92,11 @@ pub struct DiscfsConfig {
     pub cache_size: usize,
     /// Audit log capacity.
     pub audit_capacity: usize,
-    /// Hint for the expected concurrent client population: sizes the
-    /// peer-session shard count (clamped to a power of two in
-    /// `[1, `[`MAX_PEER_SHARDS`]`]`) and the policy-cache shard
-    /// geometry. Default [`PEER_SHARDS`] — a deployment expecting
-    /// thousands of concurrent tenants raises it so the session table
-    /// and decision cache spread over more locks.
-    pub peer_shards: usize,
 }
 
 impl DiscfsConfig {
     /// The standard setup: `admin` and the server key are policy roots;
-    /// `admin` may revoke; cache size 128; [`PEER_SHARDS`] shard hint.
+    /// `admin` may revoke; cache size 128.
     pub fn standard(admin: VerifyingKey, server_key: SigningKey) -> DiscfsConfig {
         let policy = vec![root_policy(&[admin, server_key.public()])];
         DiscfsConfig {
@@ -129,26 +106,11 @@ impl DiscfsConfig {
             admin_keys: vec![admin],
             cache_size: 128,
             audit_capacity: 4096,
-            peer_shards: PEER_SHARDS,
         }
-    }
-
-    /// The peer-session shard count this config resolves to: the hint
-    /// rounded up to a power of two and clamped to
-    /// `[1, `[`MAX_PEER_SHARDS`]`]` — a power of two keeps the
-    /// first-byte routing a mask, and uneven counts would skew the
-    /// uniform key distribution.
-    pub fn resolved_peer_shards(&self) -> usize {
-        // Clamp first so the rounding can never overflow; rounding a
-        // clamped value stays within the ceiling (256 is itself a
-        // power of two).
-        self.peer_shards
-            .clamp(1, MAX_PEER_SHARDS)
-            .next_power_of_two()
     }
 }
 
-/// Per-client-key session state, shared between the shard map and any
+/// Per-client-key session state, shared between the peer map and any
 /// request currently using it.
 struct PeerState {
     /// Credential epoch: the high bits are a server-wide session
@@ -188,28 +150,22 @@ impl PeerState {
     }
 }
 
-/// Exclusive/shared lock-acquisition and decision counters for the
+/// Exclusive lock-acquisition and decision counters for the
 /// authorization path — the instrumentation behind the "cache hits
 /// take no exclusive lock" guarantee (see the module docs).
 #[derive(Debug, Default)]
 pub struct AuthStats {
     exclusive: AtomicU64,
-    shared: AtomicU64,
     decisions: AtomicU64,
 }
 
 impl AuthStats {
-    /// Exclusive acquisitions on the authorization path: peer-shard
+    /// Exclusive acquisitions on the authorization path: peer-map
     /// write locks, session mutexes, and policy-cache inserts. Zero
     /// across a run means every decision was served lock-free from the
     /// cache.
     pub fn exclusive(&self) -> u64 {
         self.exclusive.load(Ordering::Relaxed)
-    }
-
-    /// Shared (read-lock) acquisitions — these scale across clients.
-    pub fn shared(&self) -> u64 {
-        self.shared.load(Ordering::Relaxed)
     }
 
     /// Policy decisions resolved ([`DiscfsService::permissions_for`]
@@ -226,7 +182,7 @@ pub struct DiscfsService {
     server_key: SigningKey,
     admin_keys: Vec<VerifyingKey>,
     policy: Vec<String>,
-    peer_shards: Vec<RwLock<HashMap<[u8; 32], Arc<PeerState>>>>,
+    peers: RwLock<HashMap<[u8; 32], Arc<PeerState>>>,
     /// Server-wide session counter feeding new peers' epoch high bits.
     epoch_counter: AtomicU64,
     cache: PolicyCache,
@@ -265,17 +221,14 @@ pub struct PolicyCharge {
 impl DiscfsService {
     /// Creates a service exporting `fs`.
     pub fn new(fs: Arc<Ffs>, config: DiscfsConfig) -> DiscfsService {
-        let peer_shards = config.resolved_peer_shards();
         DiscfsService {
             storage: FfsService::new(fs, config.fsid),
             server_key: config.server_key,
             admin_keys: config.admin_keys,
             policy: config.policy,
-            peer_shards: (0..peer_shards)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            peers: RwLock::new(HashMap::new()),
             epoch_counter: AtomicU64::new(1),
-            cache: PolicyCache::with_shard_hint(config.cache_size, peer_shards),
+            cache: PolicyCache::new(config.cache_size),
             revocations: RwLock::new(RevocationList::new()),
             audit: AuditLog::new(config.audit_capacity),
             env_hour: AtomicU32::new(12),
@@ -303,16 +256,6 @@ impl DiscfsService {
         }
         // Cached decisions may now be stale in either direction.
         self.env_epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// The public baseline permissions for a handle, if any.
-    pub fn public_access(&self, fh: &FHandle) -> Perm {
-        let (_, ino, generation) = fh.unpack();
-        self.public_grants
-            .read()
-            .get(&(ino, generation))
-            .copied()
-            .unwrap_or(Perm::NONE)
     }
 
     /// Installs a virtual-time cost model for policy decisions (used by
@@ -352,22 +295,10 @@ impl DiscfsService {
     }
 
     /// Peers with live server-side session state (a KeyNote session and
-    /// its credentials), summed over the shards. A departed client's
-    /// entry is removed by `connection_closed`.
+    /// its credentials). A departed client's entry is removed by
+    /// `connection_closed`.
     pub fn peer_session_count(&self) -> usize {
-        self.peer_shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// The resolved peer-session shard count (always a power of two —
-    /// see [`DiscfsConfig::resolved_peer_shards`]).
-    pub fn peer_shard_count(&self) -> usize {
-        self.peer_shards.len()
-    }
-
-    /// The shard holding `peer`'s session. The count is a power of
-    /// two, so first-byte routing is a mask.
-    fn peer_shard(&self, peer: &VerifyingKey) -> &RwLock<HashMap<[u8; 32], Arc<PeerState>>> {
-        &self.peer_shards[peer.0[0] as usize & (self.peer_shards.len() - 1)]
+        self.peers.read().len()
     }
 
     /// Sets the hour-of-day seen by `hour` conditions. Invalidates
@@ -419,22 +350,20 @@ impl DiscfsService {
     /// and the decision cache is flushed.
     fn purge_revoked(&self) {
         let revocations = self.revocations.read();
-        for shard in &self.peer_shards {
-            // Read lock on the shard map: peers mutate through their
-            // own Arc'd state, the map itself is untouched.
-            for state in shard.read().values() {
-                let mut session = state.session.lock();
-                session.retain_credentials(|a| {
-                    if revocations.is_credential_revoked(a.id()) {
-                        return false;
-                    }
-                    match a.authorizer().as_key() {
-                        Some(key) => !revocations.is_key_revoked(key),
-                        None => true,
-                    }
-                });
-                state.credentials_changed(&session);
-            }
+        // Read lock on the peer map: peers mutate through their own
+        // Arc'd state, the map itself is untouched.
+        for state in self.peers.read().values() {
+            let mut session = state.session.lock();
+            session.retain_credentials(|a| {
+                if revocations.is_credential_revoked(a.id()) {
+                    return false;
+                }
+                match a.authorizer().as_key() {
+                    Some(key) => !revocations.is_key_revoked(key),
+                    None => true,
+                }
+            });
+            state.credentials_changed(&session);
         }
         drop(revocations);
         self.env_epoch.fetch_add(1, Ordering::Release);
@@ -442,16 +371,15 @@ impl DiscfsService {
     }
 
     /// The peer's shared session state, created on first use. The
-    /// steady-state path is a shard read lock plus an Arc clone.
+    /// steady-state path is a read lock plus an Arc clone.
     fn peer_state(&self, peer: &VerifyingKey) -> Arc<PeerState> {
-        let shard = self.peer_shard(peer);
-        self.auth_stats.shared.fetch_add(1, Ordering::Relaxed);
-        if let Some(state) = shard.read().get(&peer.0) {
+        if let Some(state) = self.peers.read().get(&peer.0) {
             return state.clone();
         }
         self.auth_stats.exclusive.fetch_add(1, Ordering::Relaxed);
-        let mut map = shard.write();
-        map.entry(peer.0)
+        self.peers
+            .write()
+            .entry(peer.0)
             .or_insert_with(|| {
                 let mut session = Session::new(&Perm::VALUE_SET);
                 for p in &self.policy {
@@ -480,7 +408,7 @@ impl DiscfsService {
         self.decide(peer, &state, fh)
     }
 
-    /// Resolves one policy decision. The cache-hit path is shard reads
+    /// Resolves one policy decision. The cache-hit path is read locks
     /// and atomic loads only; misses fall through to the KeyNote query
     /// under the peer's session lock.
     fn decide(&self, peer: &VerifyingKey, state: &PeerState, fh: &FHandle) -> Perm {
@@ -842,7 +770,7 @@ impl NfsService for DiscfsService {
         // client resubmits credentials next time (credential caching is
         // the client wallet's job, §4.1).
         if let Some(peer) = ctx.peer {
-            self.peer_shard(&peer).write().remove(&peer.0);
+            self.peers.write().remove(&peer.0);
         }
     }
 
@@ -926,10 +854,5 @@ impl DiscfsService {
             }
             _ => Err(AcceptStat::ProcUnavail),
         }
-    }
-
-    /// The DisCFS program/version pair served by [`Self::extension`].
-    pub fn control_program() -> (u32, u32) {
-        (DISCFS_PROGRAM, DISCFS_VERSION)
     }
 }

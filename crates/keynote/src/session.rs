@@ -289,11 +289,6 @@ impl Session {
         &self.credentials
     }
 
-    /// Number of policy assertions.
-    pub fn policy_count(&self) -> usize {
-        self.policies.len()
-    }
-
     /// Drops credentials for which `keep` returns false (used by the
     /// DisCFS revocation path).
     pub fn retain_credentials<F: FnMut(&Assertion) -> bool>(&mut self, keep: F) {

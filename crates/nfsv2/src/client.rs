@@ -15,7 +15,7 @@ use bytes::Bytes;
 use ipsec::{IpsecError, SecureTransport};
 use netsim::NetError;
 use onc_rpc::frame::{self, FrameDecoder};
-use onc_rpc::{AcceptStat, AuthSys, Decoder, Encoder, ReplyBody, RpcCall, RpcReply, XdrError};
+use onc_rpc::{AcceptStat, Decoder, Encoder, ReplyBody, RpcCall, RpcReply, XdrError};
 
 use crate::proto::{
     proc_mount, proc_nfs, DirOpArgs, FHandle, Fattr, NfsStat, ReaddirEntry, Sattr, StatfsRes,
@@ -106,7 +106,6 @@ impl Inbox {
 pub struct NfsClient {
     chan: Box<dyn SecureTransport>,
     xid: AtomicU32,
-    auth: Option<AuthSys>,
     inbox: Mutex<Inbox>,
 }
 
@@ -116,14 +115,8 @@ impl NfsClient {
         NfsClient {
             chan,
             xid: AtomicU32::new(1),
-            auth: None,
             inbox: Mutex::new(Inbox::default()),
         }
-    }
-
-    /// Attaches `AUTH_SYS` credentials to subsequent calls.
-    pub fn set_auth(&mut self, auth: AuthSys) {
-        self.auth = Some(auth);
     }
 
     /// Sends a call without waiting for its reply, returning the
@@ -140,10 +133,7 @@ impl NfsClient {
         args: Vec<u8>,
     ) -> Result<u32, ClientError> {
         let xid = self.xid.fetch_add(1, Ordering::Relaxed);
-        let mut call = RpcCall::new(xid, prog, vers, proc_num, args);
-        if let Some(auth) = &self.auth {
-            call.cred = auth.to_opaque();
-        }
+        let call = RpcCall::new(xid, prog, vers, proc_num, args);
         self.chan.send(frame::encode_frame(&call.encode()))?;
         Ok(xid)
     }
@@ -181,11 +171,6 @@ impl NfsClient {
             let msg = self.chan.recv()?;
             inbox.absorb(msg)?;
         }
-    }
-
-    /// Number of requests sent whose replies have not been collected.
-    pub fn replies_pending(&self) -> usize {
-        self.inbox.lock().expect("inbox poisoned").pending.len()
     }
 
     /// Whether the transport still has a live peer (probes without

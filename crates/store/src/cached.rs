@@ -192,11 +192,6 @@ impl<S: BlockStore> CachedStore<S> {
         self.readahead_window
     }
 
-    /// Blocks currently cached (across all shards).
-    pub fn cached_blocks(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
     /// Blocks currently held dirty (not yet written back).
     pub fn dirty_blocks(&self) -> usize {
         self.shards

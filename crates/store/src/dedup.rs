@@ -131,13 +131,6 @@ impl DedupStore {
         })
     }
 
-    /// Bytes of unique content currently stored (what a flat store
-    /// would multiply by the dedup factor).
-    pub fn stored_bytes(&self) -> u64 {
-        let s = self.state.lock();
-        s.chunks.len() as u64 * BLOCK_SIZE as u64
-    }
-
     fn load_snapshot(bytes: &[u8], requested_blocks: u64) -> std::io::Result<DedupState> {
         let corrupt = || std::io::Error::new(std::io::ErrorKind::InvalidData, "corrupt snapshot");
         if bytes.len() < SNAP_HEADER + 32 || bytes[0..8] != SNAP_MAGIC {

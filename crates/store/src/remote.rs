@@ -717,20 +717,6 @@ impl RemoteStore {
         RemoteStore::connect_with_hint(link, opts, Duration::ZERO)
     }
 
-    /// Connects over a [`netsim::Endpoint`], recording the link's
-    /// latency as the replica-ranking hint.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RemoteError`] from the length request.
-    pub fn connect_endpoint(
-        link: Endpoint,
-        opts: RemoteOptions,
-    ) -> Result<RemoteStore, RemoteError> {
-        let hint = link.link_config().latency;
-        RemoteStore::connect_with_hint(link, opts, hint)
-    }
-
     fn connect_with_hint<T: Transport + 'static>(
         link: T,
         opts: RemoteOptions,

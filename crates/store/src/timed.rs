@@ -187,6 +187,14 @@ mod tests {
         let run: Vec<u64> = (8..24).collect();
         store.read_blocks(&run);
         assert_eq!(clock.now(), model.run_cost(16));
+        // The same run one block at a time, from the same head
+        // position, is charged the same.
+        let looped_clock = SimClock::new();
+        let looped = TimedStore::new(DedupStore::new(64), &looped_clock, model);
+        for &idx in &run {
+            looped.read_block(idx);
+        }
+        assert_eq!(looped_clock.now(), clock.now(), "looped == vectored");
         // A scattered extent of the same size pays a seek per jump.
         clock.reset();
         let scattered: Vec<u64> = (0..16).map(|i| (i * 3) % 64).collect();

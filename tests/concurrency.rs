@@ -9,7 +9,7 @@
 //!   carry no conditions are *never* denied by someone else's
 //!   revocation or an hour flip, no matter how the epoch bumps and
 //!   cache flushes interleave with their in-flight requests.
-//! * **Exact accounting** — the sharded policy cache and the decision
+//! * **Exact accounting** — the policy cache and the decision
 //!   counter agree (`hits + misses == decisions`) after any amount of
 //!   concurrent churn.
 //! * The volume stays consistent under the concurrent load.
