@@ -3,17 +3,14 @@
 //! PR 6 built the replicated volume tier; PR 8 gave it a failure
 //! model: seeded link faults, exponential backoff under a deadline,
 //! probation + revival, and rate-limited background rebuild. These
-//! figures pin what degradation *costs*:
+//! figures pin what degradation *costs* (the rebuild budget itself is
+//! pinned by `tests/chaos.rs`):
 //!
 //! * **Read latency under faults** — p50/p99 virtual-time read latency
 //!   on a 4-node R=2 volume: healthy, with 1% per-message loss (the
 //!   tail absorbs the retransmit backoff, the median barely moves),
 //!   and with one node dead (reads fail over to the surviving replica
 //!   at near-healthy latency). Zero failed reads in all three.
-//! * **Background rebuild under a budget** — a killed node's replica
-//!   set re-copies onto the spare at `blocks_per_tick` blocks per
-//!   tick: completion takes `ceil(items / budget)` ticks, and the
-//!   detecting read pays for none of it.
 //! * **WAN object store** — the same volume on
 //!   [`LinkConfig::s3_object_storage`] links: per-block reads cost the
 //!   ~40 ms request round-trip regardless of size (latency dominates),
@@ -27,9 +24,7 @@ use bench_harness::{bench_quick as quick, percentile};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use netsim::{FaultPlan, LinkConfig, SimClock};
-use store::{
-    BlockStore, RebuildConfig, RemoteOptions, RemoteStore, ReplicatedStore, SimStore, BLOCK_SIZE,
-};
+use store::{BlockStore, RemoteOptions, RemoteStore, ReplicatedStore, SimStore, BLOCK_SIZE};
 
 /// Blocks per measured volume.
 fn extent_blocks() -> u64 {
@@ -64,13 +59,12 @@ fn bench_opts() -> RemoteOptions {
 }
 
 /// A 4-node R=2 volume; each node optionally behind a seeded fault
-/// plan, with `spares` clean standby nodes.
+/// plan.
 fn volume(
     clock: &SimClock,
     blocks: u64,
     link: LinkConfig,
     plans: Option<&[FaultPlan]>,
-    spares: usize,
 ) -> ReplicatedStore {
     let node_bc = ReplicatedStore::node_block_count(blocks, NODES, REPLICAS);
     let node = |i: usize| -> RemoteStore {
@@ -85,16 +79,7 @@ fn volume(
             None => RemoteStore::serve_local(SimStore::untimed(node_bc), clock, link, bench_opts()),
         }
     };
-    ReplicatedStore::new(
-        (0..NODES).map(node).collect(),
-        (0..spares)
-            .map(|_| {
-                RemoteStore::serve_local(SimStore::untimed(node_bc), clock, link, bench_opts())
-            })
-            .collect(),
-        blocks,
-        REPLICAS,
-    )
+    ReplicatedStore::new((0..NODES).map(node).collect(), Vec::new(), blocks, REPLICAS)
 }
 
 /// Fills the volume and flushes, so reads hit committed data.
@@ -130,7 +115,7 @@ fn figure_degraded_read_latency(_c: &mut Criterion) {
 
     // Healthy.
     let clock = SimClock::new();
-    let store = volume(&clock, w, link, None, 0);
+    let store = volume(&clock, w, link, None);
     fill(&store, w);
     let (healthy, healthy_failed) = read_sweep(&clock, &store, w);
 
@@ -143,14 +128,14 @@ fn figure_degraded_read_latency(_c: &mut Criterion) {
                 .with_jitter(Duration::from_micros(200))
         })
         .collect();
-    let store = volume(&clock, w, link, Some(&plans), 0);
+    let store = volume(&clock, w, link, Some(&plans));
     fill(&store, w);
     let (lossy, lossy_failed) = read_sweep(&clock, &store, w);
     let faults = store.stats().faults_injected;
 
     // One node dead (no spare: reads fail over, nothing rebuilds yet).
     let clock = SimClock::new();
-    let store = volume(&clock, w, link, None, 0);
+    let store = volume(&clock, w, link, None);
     fill(&store, w);
     store.kill_node(1);
     let (dead, dead_failed) = read_sweep(&clock, &store, w);
@@ -185,49 +170,6 @@ fn figure_degraded_read_latency(_c: &mut Criterion) {
     );
 }
 
-/// Background rebuild completes in ceil(items/budget) ticks while the
-/// detecting read pays nothing.
-fn figure_rebuild_completion_under_budget(_c: &mut Criterion) {
-    println!("\n== PR 8 figure: background rebuild time under the block budget ==");
-    let w = extent_blocks();
-    let budget = 16usize;
-    let tick = Duration::from_millis(10);
-    let clock = SimClock::new();
-    let store = volume(&clock, w, LinkConfig::ethernet_100mbps(), None, 1).with_rebuild_config(
-        RebuildConfig {
-            blocks_per_tick: budget,
-            // Driven by hand below so the tick count is exact.
-            tick_interval: Duration::from_secs(3600),
-            probe_interval: Duration::ZERO,
-        },
-    );
-    fill(&store, w);
-    store.kill_node(2);
-
-    // The detecting read: fails over and only *enqueues* the rebuild.
-    let before = clock.now();
-    assert_eq!(store.read_block(2), unique_block(2));
-    let detect_cost = clock.now() - before;
-    let backlog = store.rebuild_backlog();
-    assert!(backlog > 0, "the dead node's replica set must be queued");
-
-    let mut ticks = 0u64;
-    while store.stats().rebuilds == 0 {
-        store.rebuild_tick();
-        clock.advance(tick);
-        ticks += 1;
-        assert!(ticks <= backlog + 8, "rebuild must converge");
-    }
-    let expected = backlog.div_ceil(budget as u64);
-    println!(
-        "  {backlog} blocks at {budget}/tick: {ticks} ticks (expected {expected}), \
-         virtual rebuild time {:?}, detecting read {detect_cost:?}",
-        tick * ticks as u32
-    );
-    assert_eq!(ticks, expected, "the budget bounds per-tick copy work");
-    assert_eq!(store.live_nodes(), NODES, "spare in service");
-}
-
 /// WAN object store: per-block reads pay the fixed request round-trip;
 /// vectored bulk reads amortize it away.
 fn figure_s3_wan_volume(_c: &mut Criterion) {
@@ -235,7 +177,7 @@ fn figure_s3_wan_volume(_c: &mut Criterion) {
     let w = extent_blocks();
     let sweep = |link: LinkConfig| -> (Duration, Duration) {
         let clock = SimClock::new();
-        let store = volume(&clock, w, link, None, 0);
+        let store = volume(&clock, w, link, None);
         fill(&store, w);
         clock.reset();
         for i in 0..w {
@@ -274,10 +216,5 @@ fn figure_s3_wan_volume(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(
-    degraded,
-    figure_degraded_read_latency,
-    figure_rebuild_completion_under_budget,
-    figure_s3_wan_volume
-);
+criterion_group!(degraded, figure_degraded_read_latency, figure_s3_wan_volume);
 criterion_main!(degraded);

@@ -7,8 +7,9 @@
 //! frames, majority-quorum epoch flushes, and a read-only latch on the
 //! fenced coordinator. These figures pin what that safety costs:
 //!
-//! * **Failover time** — virtual time from a coordinator falling
-//!   silent to a successor's lease serving committed writes: the dead
+//! * **Failover time** — virtual time from a coordinator's last lease
+//!   grant (it never renews: it falls silent after one flush) to a
+//!   successor's lease serving committed writes: the dead
 //!   coordinator's TTL dominates (a lease cannot be stolen while
 //!   unexpired), acquisition and the first quorum flush add only the
 //!   wire time.
@@ -16,10 +17,9 @@
 //!   a leased volume vs the single-coordinator (token-0 legacy)
 //!   baseline: the fence adds 8 bytes per mutating frame and one
 //!   compare on the node, so the distributions coincide.
-//! * **Fencing under chaos** — 8 seeded two-coordinator schedules
-//!   (loss + duplicated frames on the stale coordinator's links):
-//!   every straggler write bounces off the fence, zero fenced writes
-//!   are applied anywhere, byte-verified through the new coordinator.
+//!
+//! That no fenced write is ever applied is pinned by the split-brain
+//! matrix in `tests/chaos.rs`.
 //!
 //! Env knob: `BENCH_QUICK=1` shrinks the extents (CI smoke).
 
@@ -29,7 +29,7 @@ use std::time::Duration;
 use bench_harness::{bench_quick as quick, percentile};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use netsim::{FaultPlan, LinkConfig, SimClock};
+use netsim::{LinkConfig, SimClock};
 use store::{
     BlockStore, NodeLease, RemoteError, RemoteOptions, RemoteStore, ReplicatedStore, SimStore,
     BLOCK_SIZE,
@@ -91,24 +91,17 @@ fn shared_nodes(blocks: u64) -> Vec<SharedNode> {
 }
 
 /// One coordinator's connections to every shared node.
-fn connect(
-    backing: &[SharedNode],
-    clock: &SimClock,
-    link: LinkConfig,
-    opts: RemoteOptions,
-    plans: Option<&[FaultPlan]>,
-) -> Vec<RemoteStore> {
+fn connect(backing: &[SharedNode], clock: &SimClock, link: LinkConfig) -> Vec<RemoteStore> {
     backing
         .iter()
-        .enumerate()
-        .map(|(i, (node, lease))| {
+        .map(|(node, lease)| {
             RemoteStore::serve_shared(
                 Arc::clone(node) as Arc<dyn BlockStore>,
                 Arc::clone(lease),
                 clock,
                 link,
-                opts,
-                plans.map(|p| &p[i]),
+                bench_opts(),
+                None,
             )
         })
         .collect()
@@ -123,12 +116,10 @@ fn figure_failover_time(_c: &mut Criterion) {
     let clock = SimClock::new();
     let backing = shared_nodes(w);
 
-    let store_a = ReplicatedStore::new(
-        connect(&backing, &clock, link, bench_opts(), None),
-        Vec::new(),
-        w,
-        REPLICAS,
-    );
+    let store_a = ReplicatedStore::new(connect(&backing, &clock, link), Vec::new(), w, REPLICAS);
+    // The lease runs from its grant, through the flush below: A never
+    // renews it.
+    let leased_at = clock.now();
     store_a.try_acquire_lease(1, TTL).unwrap();
     let writes: Vec<(u64, Vec<u8>)> = (0..w).map(|i| (i, unique_block(i, 1))).collect();
     let refs: Vec<(u64, &[u8])> = writes.iter().map(|(i, b)| (*i, b.as_slice())).collect();
@@ -136,13 +127,7 @@ fn figure_failover_time(_c: &mut Criterion) {
     store_a.flush().unwrap();
 
     // A falls silent here: no renewals, no further writes.
-    let death = clock.now();
-    let store_b = ReplicatedStore::new(
-        connect(&backing, &clock, link, bench_opts(), None),
-        Vec::new(),
-        w,
-        REPLICAS,
-    );
+    let store_b = ReplicatedStore::new(connect(&backing, &clock, link), Vec::new(), w, REPLICAS);
     let poll = Duration::from_millis(100);
     let mut refused = 0u64;
     while let Err(e) = store_b.try_acquire_lease(2, TTL) {
@@ -153,19 +138,16 @@ fn figure_failover_time(_c: &mut Criterion) {
         refused += 1;
         clock.advance(poll);
     }
-    let acquired = clock.now() - death;
+    let acquired = clock.now() - leased_at;
     store_b.write_block(0, &unique_block(0, 2));
     store_b.flush().unwrap();
-    let failover = clock.now() - death;
+    let failover = clock.now() - leased_at;
 
     println!(
         "  TTL {TTL:?}: lease acquired after {acquired:?} ({refused} refused polls), \
          first committed write at {failover:?}"
     );
-    assert!(
-        acquired >= TTL - poll,
-        "an unexpired lease cannot be stolen"
-    );
+    assert!(acquired >= TTL, "an unexpired lease cannot be stolen");
     assert!(
         failover <= TTL + Duration::from_secs(1),
         "failover must not overshoot the TTL by more than the wire time: {failover:?}"
@@ -185,13 +167,7 @@ fn figure_quorum_write_latency(_c: &mut Criterion) {
         let clock = SimClock::new();
         let backing = shared_nodes(w);
         let store = ReplicatedStore::new(
-            connect(
-                &backing,
-                &clock,
-                LinkConfig::ethernet_100mbps(),
-                bench_opts(),
-                None,
-            ),
+            connect(&backing, &clock, LinkConfig::ethernet_100mbps()),
             Vec::new(),
             w,
             REPLICAS,
@@ -228,98 +204,5 @@ fn figure_quorum_write_latency(_c: &mut Criterion) {
     );
 }
 
-/// 8 seeded two-coordinator schedules: zero fenced writes applied.
-fn figure_zero_fenced_writes_applied(_c: &mut Criterion) {
-    println!("\n== PR 10 figure: fenced writes applied across 8 seeded schedules ==");
-    let w = extent_blocks().min(64);
-    let mut rejections_total = 0u64;
-    let mut fenced_errors_total = 0u64;
-    for seed in 0..8u64 {
-        let clock = SimClock::new();
-        let backing = shared_nodes(w);
-        // Stale coordinator A rides lossy, frame-duplicating links —
-        // the schedule that replays stale frames after a lease change.
-        let plans: Vec<FaultPlan> = (0..NODES)
-            .map(|i| {
-                FaultPlan::seeded(seed * 9000 + i as u64)
-                    .with_loss(0.005)
-                    .with_duplication(0.02)
-                    .with_jitter(Duration::from_micros(200))
-            })
-            .collect();
-        let store_a = ReplicatedStore::new(
-            connect(
-                &backing,
-                &clock,
-                LinkConfig::ethernet_100mbps(),
-                bench_opts(),
-                Some(&plans),
-            ),
-            Vec::new(),
-            w,
-            REPLICAS,
-        );
-        store_a.try_acquire_lease(1, TTL).unwrap();
-        let refs: Vec<(u64, Vec<u8>)> = (0..w).map(|i| (i, unique_block(i, seed))).collect();
-        let slices: Vec<(u64, &[u8])> = refs.iter().map(|(i, b)| (*i, b.as_slice())).collect();
-        store_a.write_blocks(&slices);
-        store_a.flush().unwrap();
-
-        // Takeover: B acquires after expiry and rewrites the extent.
-        clock.advance(TTL + Duration::from_secs(1));
-        let clients_b = connect(
-            &backing,
-            &clock,
-            LinkConfig::instant(),
-            RemoteOptions::default(),
-            None,
-        );
-        for c in &clients_b {
-            c.try_acquire_lease(2, TTL).unwrap();
-        }
-        let store_b = ReplicatedStore::new(clients_b, Vec::new(), w, REPLICAS);
-        let refs_b: Vec<(u64, Vec<u8>)> =
-            (0..w).map(|i| (i, unique_block(i, 1000 + seed))).collect();
-        let slices_b: Vec<(u64, &[u8])> = refs_b.iter().map(|(i, b)| (*i, b.as_slice())).collect();
-        store_b.write_blocks(&slices_b);
-        store_b.flush().unwrap();
-
-        // A's stragglers: every one must bounce off the fence.
-        let junk = vec![0xEE; BLOCK_SIZE];
-        for i in 0..(4 + seed % 4) {
-            store_a.write_block(i % w, &junk);
-        }
-        assert!(
-            store_a.flush().is_err(),
-            "seed {seed}: straggler not fenced"
-        );
-        assert!(store_a.is_fenced(), "seed {seed}: A must latch read-only");
-        fenced_errors_total += store_a.stats().fenced;
-        rejections_total += backing
-            .iter()
-            .map(|(_, lease)| lease.fenced_rejections())
-            .sum::<u64>();
-
-        // Byte-verify through B: zero fenced writes applied anywhere.
-        let mut applied = 0u64;
-        for i in 0..w {
-            if store_b.read_block(i) != unique_block(i, 1000 + seed) {
-                applied += 1;
-            }
-        }
-        assert_eq!(applied, 0, "seed {seed}: a fenced write landed");
-    }
-    println!(
-        "  8 schedules: {rejections_total} frames refused at the nodes, \
-         {fenced_errors_total} fenced errors at the stale coordinators, 0 applied"
-    );
-    assert!(rejections_total >= 8, "every schedule must hit the fence");
-}
-
-criterion_group!(
-    fenced,
-    figure_failover_time,
-    figure_quorum_write_latency,
-    figure_zero_fenced_writes_applied
-);
+criterion_group!(fenced, figure_failover_time, figure_quorum_write_latency);
 criterion_main!(fenced);

@@ -7,7 +7,7 @@
 //! The PR 3 figures double as acceptance checks: this bench *asserts*
 //! that handle-based reads do not allocate and that a cached re-read
 //! beats the uncached backend by ≥ 5× in virtual time. (The
-//! group-commit syscall bound is a unit test in `store::file`.)
+//! journal's one append per call is a unit test in `store::file`.)
 //!
 //! Env knob: `BENCH_QUICK=1` shrinks iteration counts (CI smoke).
 

@@ -1,18 +1,13 @@
 //! Block-device layer: re-exports of the pluggable [`store`]
 //! subsystem.
 //!
-//! The simulated timing-model disk that used to live here (`MemDisk`)
-//! moved behind the [`store::BlockStore`] trait as
-//! [`store::SimStore`]; this module keeps the historical names alive
-//! so existing call sites (`MemDisk::untimed`,
-//! `DiskModel::quantum_fireball_ct10`, `BLOCK_SIZE`) keep compiling.
-//! New code should select a backend through [`store::StoreBackend`]
-//! and [`crate::Ffs::format_backend`].
+//! This module keeps the `store` names the filesystem's callers use
+//! (`DiskModel::quantum_fireball_ct10`, `BLOCK_SIZE`) reachable through
+//! `ffs`; the simulated timing-model disk is [`store::SimStore`].
+//! Select a backend through [`store::StoreBackend`] and
+//! [`crate::Ffs::format_backend`].
 
 pub use store::{
     zero_block, BlockStore, Bytes, CachedStore, DiskModel, RemoteOptions, ShardedStore,
     StoreBackend, StoreStats, TimedStore, BLOCK_SIZE,
 };
-
-/// The seed's name for the simulated timing-model disk.
-pub type MemDisk = store::SimStore;

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::cache::{CacheStats, Lru};
-use crate::disk::{zero_block, BlockStore, MemDisk, StoreBackend, BLOCK_SIZE};
+use crate::disk::{zero_block, BlockStore, StoreBackend, BLOCK_SIZE};
 use crate::inode::{FileKind, Inode, INODES_PER_BLOCK, INODE_SIZE, NDIRECT, PTRS_PER_BLOCK};
 use crate::sb::{MountError, Superblock};
 use crate::FsError;
@@ -246,16 +246,6 @@ fn validate_name(name: &str) -> Result<(), FsError> {
 }
 
 impl Ffs {
-    /// Formats a fresh filesystem on the simulated disk `disk`
-    /// (compatibility shim over [`Ffs::format_on`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the disk is too small for the requested inode table.
-    pub fn format(disk: MemDisk, config: FsConfig) -> Ffs {
-        Ffs::format_on(Arc::new(disk), config)
-    }
-
     /// Formats a fresh filesystem on any [`BlockStore`] backend,
     /// refusing to destroy an existing volume.
     ///
@@ -497,8 +487,8 @@ impl Ffs {
 
     /// Formats a filesystem on a fresh untimed in-memory disk.
     pub fn format_in_memory(config: FsConfig) -> Ffs {
-        let disk = MemDisk::untimed(config.total_blocks);
-        Ffs::format(disk, config)
+        let disk = store::SimStore::untimed(config.total_blocks);
+        Ffs::format_on(Arc::new(disk), config)
     }
 
     /// Formats on a disk with the paper's timing models attached.
@@ -571,7 +561,7 @@ impl Ffs {
 
     fn write_bitmap_region(&self, start: u64, bits: &[bool]) {
         // Pack the whole region, then push it as one vectored metadata
-        // call: one lock/journal batch/RPC instead of one per block.
+        // call: one lock/journal append/RPC instead of one per block.
         let blocks: Vec<Vec<u8>> = bits
             .chunks(BITS_PER_BLOCK as usize)
             .map(|chunk| {
@@ -1265,8 +1255,8 @@ impl Ffs {
     // instead of a per-block loop: the block mapping is resolved first
     // (allocating on the write path), then the extent travels to the
     // store in a single call that a sharded backend can fan out across
-    // its per-shard workers, a journaled backend can group-commit, and
-    // a timed backend charges as contiguous runs. A one-block extent
+    // its per-shard workers, a journaled backend appends in one write,
+    // and a timed backend charges as contiguous runs. A one-block extent
     // takes the scalar path — there is nothing to batch.
 
     fn read_inode_data(

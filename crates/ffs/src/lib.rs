@@ -50,9 +50,8 @@
 //! copying per block at the store layer — on in-memory, dedup, and
 //! cache-hit paths a block read performs **zero heap allocations**
 //! (`crates/bench/benches/micro_store.rs` pins this with a counting
-//! allocator). Writes on `FileJournal` are group-committed: journal
-//! records reach disk in one syscall per [`store::JOURNAL_BATCH_RECORDS`]
-//! batch with the on-disk record format unchanged.
+//! allocator). A write on `FileJournal` is on the journal file when
+//! the call returns: one append per store call, scalar or vectored.
 //!
 //! # Parallel I/O engine (the pipelined file path)
 //!
@@ -72,10 +71,9 @@
 //!   client's streaming burst drives all N shards concurrently
 //!   (`crates/bench/benches/streaming.rs` pins the ≥ 2× speedup on
 //!   ≥ 4 cores).
-//! * `FileJournal` seals a W-block vectored write into exactly
-//!   `ceil(W / JOURNAL_BATCH_RECORDS)` journal append syscalls — the
-//!   vectored write is a durability unit (its records are sealed when
-//!   the call returns).
+//! * `FileJournal` appends a W-block vectored write's records to the
+//!   journal in one write — the vectored write is a durability unit
+//!   (its records are on the journal when the call returns).
 //! * `CachedReadahead` detects ascending strides on the scalar read
 //!   path (NFS-style 8 KB transfers) and prefetches a configurable
 //!   window from the inner store vectored, so a sequential consumer
@@ -91,7 +89,7 @@
 //! sharded backend each flush is a job submitted behind any queued
 //! work (FIFO), so the clean marker can never overtake an in-flight
 //! vectored write, and dropping the volume joins the workers before
-//! the per-shard journals seal their final batches.
+//! the per-shard stores are dropped.
 //!
 //! # In-core caches
 //!
@@ -218,9 +216,7 @@ mod sb;
 mod tests;
 
 pub use cache::CacheStats;
-pub use disk::{
-    BlockStore, DiskModel, MemDisk, RemoteOptions, StoreBackend, StoreStats, BLOCK_SIZE,
-};
+pub use disk::{BlockStore, DiskModel, RemoteOptions, StoreBackend, StoreStats, BLOCK_SIZE};
 pub use fs::{Attr, DirEntry, Ffs, FsConfig, FsStats, Ino, SetAttr};
 pub use inode::FileKind;
 pub use sb::MountError;

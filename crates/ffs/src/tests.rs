@@ -558,7 +558,9 @@ mod cache_accounting {
     use netsim::SimClock;
     use parking_lot::Mutex;
 
-    use crate::disk::{BlockStore, Bytes, DiskModel, MemDisk, StoreStats};
+    use store::SimStore;
+
+    use crate::disk::{BlockStore, Bytes, DiskModel, StoreStats};
     use crate::{Ffs, FsConfig, BLOCK_SIZE};
 
     /// A directory of 24 one-block files written in creation order.
@@ -590,7 +592,7 @@ mod cache_accounting {
     #[test]
     fn a_cold_directory_is_read_once() {
         let clock = SimClock::new();
-        let store: Arc<dyn BlockStore> = Arc::new(MemDisk::new(
+        let store: Arc<dyn BlockStore> = Arc::new(SimStore::new(
             &clock,
             DiskModel::quantum_fireball_ct10(),
             FsConfig::small().total_blocks,
@@ -644,7 +646,7 @@ mod cache_accounting {
     /// The timed disk, recording which blocks are read through the
     /// metadata path.
     struct MetaReads {
-        inner: MemDisk,
+        inner: SimStore,
         seen: Mutex<Vec<u64>>,
     }
 
@@ -677,7 +679,7 @@ mod cache_accounting {
     fn a_read_behind_the_indirect_pointer_is_one_store_read() {
         let clock = SimClock::new();
         let store = Arc::new(MetaReads {
-            inner: MemDisk::new(
+            inner: SimStore::new(
                 &clock,
                 DiskModel::quantum_fireball_ct10(),
                 FsConfig::small().total_blocks,

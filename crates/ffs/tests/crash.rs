@@ -402,8 +402,8 @@ mod recovered_caches {
     use std::sync::atomic::{AtomicI64, Ordering};
     use std::sync::Arc;
 
-    use ffs::{Attr, BlockStore, Ffs, FsConfig, Ino, MemDisk, SetAttr, StoreStats, BLOCK_SIZE};
-    use store::Bytes;
+    use ffs::{Attr, BlockStore, Ffs, FsConfig, Ino, SetAttr, StoreStats, BLOCK_SIZE};
+    use store::{Bytes, SimStore};
 
     fn config() -> FsConfig {
         FsConfig {
@@ -415,8 +415,8 @@ mod recovered_caches {
     /// A working disk plus the image a crash would leave: the image
     /// takes only the first `budget` block writes.
     struct CrashAfter {
-        live: MemDisk,
-        image: Arc<MemDisk>,
+        live: SimStore,
+        image: Arc<SimStore>,
         budget: AtomicI64,
     }
 
@@ -445,10 +445,10 @@ mod recovered_caches {
     /// directory across parents and frees and allocates pointer blocks;
     /// the image keeps the first `cut` block writes of the burst.
     /// Returns the image and how many writes the burst made.
-    fn crashed_image(cut: i64) -> (Arc<MemDisk>, i64) {
-        let image = Arc::new(MemDisk::untimed(config().total_blocks));
+    fn crashed_image(cut: i64) -> (Arc<SimStore>, i64) {
+        let image = Arc::new(SimStore::untimed(config().total_blocks));
         let disk = Arc::new(CrashAfter {
-            live: MemDisk::untimed(config().total_blocks),
+            live: SimStore::untimed(config().total_blocks),
             image: image.clone(),
             budget: AtomicI64::new(i64::MAX),
         });
@@ -478,8 +478,8 @@ mod recovered_caches {
         (image, cut - disk.budget.load(Ordering::SeqCst))
     }
 
-    fn copy_of(disk: &MemDisk) -> Arc<MemDisk> {
-        let copy = MemDisk::untimed(disk.block_count());
+    fn copy_of(disk: &SimStore) -> Arc<SimStore> {
+        let copy = SimStore::untimed(disk.block_count());
         for idx in 0..disk.block_count() {
             copy.write_block_meta(idx, &disk.read_block_meta(idx));
         }

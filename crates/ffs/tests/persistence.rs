@@ -8,9 +8,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ffs::{BlockStore, Ffs, FsConfig, MemDisk, MountError, StoreBackend};
+use ffs::{BlockStore, Ffs, FsConfig, MountError, StoreBackend};
 use netsim::SimClock;
 use proptest::prelude::*;
+use store::SimStore;
 
 /// Small geometry so FileJournal-backed cases stay cheap.
 fn config() -> FsConfig {
@@ -216,14 +217,14 @@ proptest! {
 #[test]
 #[should_panic(expected = "already holds a formatted volume")]
 fn format_refuses_to_clobber_existing_volume() {
-    let store: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(config().total_blocks));
+    let store: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(config().total_blocks));
     drop(Ffs::format_on(store.clone(), config()));
     let _ = Ffs::format_on(store, config());
 }
 
 #[test]
 fn force_format_erases_an_existing_volume() {
-    let store: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(config().total_blocks));
+    let store: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(config().total_blocks));
     {
         let fs = Ffs::format_on(store.clone(), config());
         let ino = fs.create(fs.root(), "old.dat", 0o644, 0, 0).unwrap();
@@ -237,17 +238,17 @@ fn force_format_erases_an_existing_volume() {
 #[test]
 fn mount_refuses_garbage() {
     // Never formatted: all zeros.
-    let empty: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(64));
+    let empty: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(64));
     assert_eq!(Ffs::mount_on(empty).err(), Some(MountError::NoSuperblock));
     // Random bytes in block 0.
-    let noise: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(64));
+    let noise: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(64));
     noise.write_block_meta(0, &vec![0xA5u8; ffs::BLOCK_SIZE]);
     assert_eq!(Ffs::mount_on(noise).err(), Some(MountError::NoSuperblock));
 }
 
 #[test]
 fn mount_refuses_corrupted_superblock() {
-    let store: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(config().total_blocks));
+    let store: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(config().total_blocks));
     drop(Ffs::format_on(store.clone(), config()));
     let mut sb = store.read_block_meta(0).to_vec();
     sb[13] ^= 0x80; // corrupt geometry under the checksum
@@ -265,11 +266,11 @@ fn mount_refuses_corrupted_superblock() {
 
 #[test]
 fn mount_refuses_a_volume_larger_than_its_disk() {
-    let big: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(config().total_blocks));
+    let big: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(config().total_blocks));
     drop(Ffs::format_on(big.clone(), config()));
     // Copy only the superblock onto a smaller disk: geometry says 512
     // blocks, the disk has 64.
-    let small: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(64));
+    let small: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(64));
     small.write_block_meta(0, &big.read_block_meta(0));
     assert_eq!(
         Ffs::mount_on(small).err(),
@@ -445,7 +446,7 @@ fn failed_operations_do_not_dirty_a_clean_volume() {
     // clean flag — otherwise the next mount pays a full recovery
     // sweep for a volume identical to its synced state. Byte 64 of
     // block 0 is the documented clean flag.
-    let store: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(config().total_blocks));
+    let store: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(config().total_blocks));
     let fs = Ffs::format_on(store.clone(), config());
     let root = fs.root();
     fs.create(root, "present.dat", 0o644, 0, 0).unwrap();
@@ -506,7 +507,7 @@ fn sync_traffic_does_not_skew_dedup_workload_stats() {
 
 #[test]
 fn open_or_format_refuses_unrecognized_nonzero_block_zero() {
-    let store: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(config().total_blocks));
+    let store: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(config().total_blocks));
     store.write_block_meta(0, &vec![0x5Au8; ffs::BLOCK_SIZE]);
     assert!(matches!(
         Ffs::open_or_format(store, config()),
@@ -520,7 +521,7 @@ fn recovery_rewrites_a_directory_whose_block_was_stolen() {
     // the earlier inode (a file) wins the claim in the recovery sweep,
     // the directory that loses its block must be rewritten from its
     // parsed entries — its children must not silently vanish.
-    let store: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(config().total_blocks));
+    let store: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(config().total_blocks));
     let (file_ino, dir_ino) = {
         let fs = Ffs::format_on(store.clone(), config());
         let file_ino = fs.create(fs.root(), "thief.dat", 0o644, 0, 0).unwrap();
@@ -564,7 +565,7 @@ fn recovery_survives_wild_pointers_in_the_inode_table() {
     // out-of-range block pointer inside a directory inode. The
     // recovery sweep must treat it as a hole and repair, not panic
     // the block store.
-    let store: Arc<dyn BlockStore> = Arc::new(MemDisk::untimed(config().total_blocks));
+    let store: Arc<dyn BlockStore> = Arc::new(SimStore::untimed(config().total_blocks));
     {
         let fs = Ffs::format_on(store.clone(), config());
         let d = fs.mkdir(fs.root(), "d", 0o755, 0, 0).unwrap();

@@ -193,7 +193,8 @@ mod coherence {
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
-    use ffs::{BlockStore, Ffs, FileKind, FsConfig, FsError, Ino, MemDisk, SetAttr, BLOCK_SIZE};
+    use ffs::{BlockStore, Ffs, FileKind, FsConfig, FsError, Ino, SetAttr, BLOCK_SIZE};
+    use store::SimStore;
 
     const TARGET: &str = "/some/target";
 
@@ -566,8 +567,8 @@ mod coherence {
     /// A block-for-block copy of `disk`. The second mount gets a copy
     /// because its own reads write access times (and the dirty marker)
     /// to its store, which must not reach the live volume.
-    fn copy_of(disk: &MemDisk) -> Arc<MemDisk> {
-        let copy = MemDisk::untimed(disk.block_count());
+    fn copy_of(disk: &SimStore) -> Arc<SimStore> {
+        let copy = SimStore::untimed(disk.block_count());
         for idx in 0..disk.block_count() {
             copy.write_block_meta(idx, &disk.read_block_meta(idx));
         }
@@ -577,7 +578,7 @@ mod coherence {
     /// The live filesystem (answering from its caches), a cold second
     /// mount of the same blocks and the model all agree, and both
     /// filesystems are fsck-clean.
-    fn check_against_second_mount(live: &Ffs, disk: &MemDisk, m: &Model) {
+    fn check_against_second_mount(live: &Ffs, disk: &SimStore, m: &Model) {
         let cold = Ffs::mount_on(copy_of(disk)).expect("second mount");
         // Names and attributes first: nothing in this pass writes.
         for d in m.dirs.values() {
@@ -636,8 +637,8 @@ mod coherence {
         cold.check().unwrap_or_else(|p| panic!("cold fsck: {p:?}"));
     }
 
-    fn live_volume() -> (Ffs, Arc<MemDisk>) {
-        let disk = Arc::new(MemDisk::untimed(config().total_blocks));
+    fn live_volume() -> (Ffs, Arc<SimStore>) {
+        let disk = Arc::new(SimStore::untimed(config().total_blocks));
         (Ffs::format_on(disk.clone(), config()), disk)
     }
 
@@ -680,7 +681,7 @@ mod coherence {
 
     /// Runs `expect` against the live filesystem and against a cold
     /// second mount of the same blocks, then fscks both.
-    fn on_both(live: &Ffs, disk: &MemDisk, expect: impl Fn(&Ffs)) {
+    fn on_both(live: &Ffs, disk: &SimStore, expect: impl Fn(&Ffs)) {
         expect(live);
         let cold = Ffs::mount_on(copy_of(disk)).expect("second mount");
         expect(&cold);

@@ -6,15 +6,14 @@
 //! dirty and written back on [`BlockStore::flush`] or eviction, so a
 //! burst of rewrites to the same block reaches the backend once.
 //!
-//! Evictions are **batched**: when a shard overflows, a batch of LRU
-//! victims (an eighth of the shard's capacity) is written back at once
-//! in ascending block order, leaving headroom so the following inserts
-//! are free. An eviction storm — a scan pushing a full working set
-//! through an already-full cache — therefore reaches a journaled inner
-//! as runs of sequential appends (which its group commit coalesces)
-//! and a sharded inner as stripes it can spread, instead of one
-//! scattered write-back per insert. `StoreStats::writeback_batches` /
-//! `writeback_blocks` count the traffic.
+//! When a shard overflows, its least-recently-used entry leaves; a
+//! dirty victim is first written back through the path it was written
+//! on (`StoreStats::writeback_blocks` counts those).
+//!
+//! Write-back is what the cache is for under `ffs`, which rewrites an
+//! inode-table block, a bitmap block and a pointer block for every
+//! 8 KiB file write: a write-through prototype more than doubled
+//! `stack_mixed`'s `setup_s` (ROADMAP, ablate-or-delete item).
 //!
 //! # Crash consistency (the clean-flag discipline)
 //!
@@ -139,7 +138,6 @@ pub struct CachedStore<S> {
     readahead: AtomicU64,
     vectored_reads: AtomicU64,
     vectored_writes: AtomicU64,
-    writeback_batches: AtomicU64,
     writeback_blocks: AtomicU64,
 }
 
@@ -177,7 +175,6 @@ impl<S: BlockStore> CachedStore<S> {
             readahead: AtomicU64::new(0),
             vectored_reads: AtomicU64::new(0),
             vectored_writes: AtomicU64::new(0),
-            writeback_batches: AtomicU64::new(0),
             writeback_blocks: AtomicU64::new(0),
         }
     }
@@ -208,47 +205,21 @@ impl<S: BlockStore> CachedStore<S> {
         &self.shards[(idx % CACHE_SHARDS as u64) as usize]
     }
 
-    /// Per-shard eviction batch size: on overflow the shard evicts
-    /// down to `capacity - (batch - 1)`, so the next `batch - 1`
-    /// inserts are free and dirty victims leave as one sorted batch.
-    fn evict_batch_size(&self) -> usize {
-        (self.per_shard_capacity / 8).max(1)
-    }
-
-    /// Evicts a **batch** of least-recently-used entries when the shard
-    /// overflows (under the shard lock, so no concurrent miss can read
-    /// the pre-write-back state). Dirty victims are written back in
-    /// ascending block order — on a journaled or sharded inner that is
-    /// a run of sequential journal appends (absorbed by group commit /
-    /// striped across shards) instead of one scattered write per
-    /// insert, so an eviction storm costs `1/batch` as many write-back
-    /// rounds. Batches are counted in [`StoreStats`].
+    /// Evicts least-recently-used entries while the shard is over
+    /// capacity, writing a dirty victim back first (under the shard
+    /// lock, so no concurrent miss can read the pre-write-back state).
     fn evict_overflow(&self, shard: &mut Shard) {
-        if shard.map.len() <= self.per_shard_capacity {
-            return;
-        }
-        let target = self.per_shard_capacity - (self.evict_batch_size() - 1);
-        let mut dirty: Vec<(u64, Entry)> = Vec::new();
-        while shard.map.len() > target {
+        while shard.map.len() > self.per_shard_capacity {
             let Some((victim, entry)) = shard.pop_lru() else {
                 break;
             };
             if entry.dirty {
-                dirty.push((victim, entry));
-            }
-        }
-        if dirty.is_empty() {
-            return;
-        }
-        dirty.sort_unstable_by_key(|(idx, _)| *idx);
-        self.writeback_blocks
-            .fetch_add(dirty.len() as u64, Ordering::Relaxed);
-        self.writeback_batches.fetch_add(1, Ordering::Relaxed);
-        for (victim, entry) in dirty {
-            if entry.meta {
-                self.inner.write_block_meta(victim, &entry.data);
-            } else {
-                self.inner.write_block(victim, &entry.data);
+                self.writeback_blocks.fetch_add(1, Ordering::Relaxed);
+                if entry.meta {
+                    self.inner.write_block_meta(victim, &entry.data);
+                } else {
+                    self.inner.write_block(victim, &entry.data);
+                }
             }
         }
     }
@@ -398,10 +369,6 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
         self.read_cached(idx, false)
     }
 
-    fn read_block_into(&self, idx: u64, buf: &mut [u8]) {
-        buf.copy_from_slice(&self.read_cached(idx, false));
-    }
-
     fn write_block(&self, idx: u64, data: &[u8]) {
         self.write_cached(idx, data, false)
     }
@@ -468,9 +435,8 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
     }
 
     /// Vectored write: each block lands dirty in its cache shard (the
-    /// write-back cache absorbs the burst; the inner store sees it as
-    /// sorted batches at flush/eviction time), with block 0 written
-    /// through as always.
+    /// write-back cache absorbs the burst; the inner store sees it at
+    /// flush/eviction time), with block 0 written through as always.
     fn write_blocks(&self, writes: &[(u64, &[u8])]) {
         self.vectored_writes.fetch_add(1, Ordering::Relaxed);
         for &(idx, data) in writes {
@@ -480,10 +446,6 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
 
     fn read_block_meta(&self, idx: u64) -> Bytes {
         self.read_cached(idx, true)
-    }
-
-    fn read_block_meta_into(&self, idx: u64, buf: &mut [u8]) {
-        buf.copy_from_slice(&self.read_cached(idx, true));
     }
 
     fn write_block_meta(&self, idx: u64, data: &[u8]) {
@@ -540,7 +502,6 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
         stats.readahead_blocks += self.readahead.load(Ordering::Relaxed);
         stats.vectored_reads += self.vectored_reads.load(Ordering::Relaxed);
         stats.vectored_writes += self.vectored_writes.load(Ordering::Relaxed);
-        stats.writeback_batches += self.writeback_batches.load(Ordering::Relaxed);
         stats.writeback_blocks += self.writeback_blocks.load(Ordering::Relaxed);
         stats
     }
@@ -620,30 +581,21 @@ mod tests {
     }
 
     #[test]
-    fn eviction_storm_batches_write_backs() {
-        // Capacity 512 over 8 shards = 64 per shard, batch size 8.
-        // Blocks ≡ 0 (mod 8) all land on shard 0 (skipping block 0,
-        // which is write-through and never dirty), so 65 dirty inserts
-        // overflow the shard once: one batch of 8 victims, not 8
-        // singleton write-backs.
+    fn overflow_writes_back_exactly_the_lru_dirty_victim() {
+        // Capacity 512 over 8 shards = 64 per shard. Blocks ≡ 0 (mod 8)
+        // all land on shard 0 (skipping block 0, which is write-through
+        // and never dirty), so 65 dirty inserts overflow it by one.
         let store = CachedStore::new(SimStore::untimed(8192), 512);
         for i in 1..=65u64 {
             store.write_block(i * 8, &block_of(i as u8));
         }
         let stats = store.stats();
-        assert_eq!(stats.writeback_batches, 1, "one batch for the storm");
-        assert_eq!(stats.writeback_blocks, 8);
-        assert_eq!(stats.writes, 8, "inner saw exactly the batch");
-        // The next 7 inserts ride in the freed headroom: no new batch.
-        for i in 66..=72u64 {
-            store.write_block(i * 8, &block_of(i as u8));
-        }
-        assert_eq!(store.stats().writeback_batches, 1);
-        // One more insert overflows again.
-        store.write_block(73 * 8, &block_of(73));
-        assert_eq!(store.stats().writeback_batches, 2);
-        // Everything evicted is still readable (from the inner store).
-        for i in 1..=73u64 {
+        assert_eq!(stats.writeback_blocks, 1);
+        assert_eq!(stats.writes, 1, "inner saw exactly the victim");
+        assert_eq!(store.inner().read_block(8), block_of(1), "the oldest");
+        assert_eq!(store.dirty_blocks(), 64);
+        // The evicted block is still readable (from the inner store).
+        for i in 1..=65u64 {
             assert_eq!(store.read_block(i * 8), block_of(i as u8));
         }
     }

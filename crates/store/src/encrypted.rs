@@ -73,15 +73,6 @@ impl<S: BlockStore> EncryptedStore<S> {
         self.transform(idx, &mut plain);
         Bytes::from(plain)
     }
-
-    /// In-place variant of [`EncryptedStore::unseal`] for the
-    /// `read_block_into` path.
-    fn unseal_in_place(&self, idx: u64, buf: &mut [u8]) {
-        if buf.iter().all(|&b| b == 0) {
-            return;
-        }
-        self.transform(idx, buf);
-    }
 }
 
 impl<S: BlockStore> BlockStore for EncryptedStore<S> {
@@ -92,11 +83,6 @@ impl<S: BlockStore> BlockStore for EncryptedStore<S> {
     fn read_block(&self, idx: u64) -> Bytes {
         let data = self.inner.read_block(idx);
         self.unseal(idx, data)
-    }
-
-    fn read_block_into(&self, idx: u64, buf: &mut [u8]) {
-        self.inner.read_block_into(idx, buf);
-        self.unseal_in_place(idx, buf);
     }
 
     fn write_block(&self, idx: u64, data: &[u8]) {
@@ -119,7 +105,7 @@ impl<S: BlockStore> BlockStore for EncryptedStore<S> {
 
     /// Vectored write: every block is sealed with its per-block
     /// keystream, then the ciphertext extent goes to the inner store
-    /// as one vectored call (preserving its journal batching).
+    /// as one vectored call (one journal append).
     fn write_blocks(&self, writes: &[(u64, &[u8])]) {
         let sealed: Vec<(u64, Vec<u8>)> = writes
             .iter()
@@ -137,11 +123,6 @@ impl<S: BlockStore> BlockStore for EncryptedStore<S> {
     fn read_block_meta(&self, idx: u64) -> Bytes {
         let data = self.inner.read_block_meta(idx);
         self.unseal(idx, data)
-    }
-
-    fn read_block_meta_into(&self, idx: u64, buf: &mut [u8]) {
-        self.inner.read_block_meta_into(idx, buf);
-        self.unseal_in_place(idx, buf);
     }
 
     fn write_block_meta(&self, idx: u64, data: &[u8]) {

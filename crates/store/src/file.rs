@@ -9,35 +9,18 @@
 //! record into the data file before serving reads — so an acknowledged
 //! write is never lost and a torn final record is cleanly discarded.
 //!
-//! # Group commit
+//! # One append per call
 //!
-//! Journal records are **batched**: instead of one `write` syscall per
-//! block write, records accumulate in an in-memory commit buffer and
-//! reach `journal.wal` in a single buffered append whenever the batch
-//! fills ([`JOURNAL_BATCH_RECORDS`]), a flush runs, or the store is
-//! dropped. An N-write burst costs at most `ceil(N / batch)` journal
-//! syscalls (observable as [`StoreStats::journal_batches`]) instead of
-//! N. The on-disk byte format is **identical** to the unbatched
-//! journal — a dense sequence of fixed-size checksummed records
-//! (*Journal record format* below) — so
-//! crash-replay semantics are byte-exact: the crash matrix truncates
-//! the journal at every record boundary and the longest intact prefix
-//! replays, exactly as before. (Per-record checksums are retained
-//! rather than one digest per batch precisely to keep that format
-//! stable; the hot-path win of group commit is the syscall count.)
-//!
-//! Group commit narrows the durability window, and deliberately so:
-//! an acknowledged write is journaled once its batch seals (batch
-//! full, flush, or drop), not at the write call. The simulated crash
-//! model (`drop` without flush, via [`FileStore::crash`]) seals the
-//! buffer on the way down, so in-process crash tests lose nothing —
-//! but an abnormal termination that skips `Drop` (SIGKILL, abort)
-//! would lose up to one batch of acknowledged-but-unsealed records.
-//! That is the classic group-commit trade: pre-batching, durability
-//! against *power loss* was already bounded by the OS page cache
-//! (journal appends were never fsynced); batching extends the same
-//! at-most-a-moment window to hard process kills in exchange for
-//! `ceil(N/batch)` syscalls instead of N.
+//! A [`BlockStore::write_block`] encodes its record and appends it to
+//! `journal.wal` before it returns; a vectored
+//! [`BlockStore::write_blocks`] encodes its W records into one buffer
+//! and appends them in one `write`. [`StoreStats::journal_batches`]
+//! counts those appends. Nothing acknowledged is held back in memory,
+//! so a process that is killed outright (SIGKILL, abort: no destructor
+//! runs) loses no acknowledged write: the records are in the OS page
+//! cache, and the next [`FileStore::open`] replays them. Durability
+//! against *power loss* is [`BlockStore::flush`]'s job: appends are not
+//! fsynced, the flush's `sync_data` is.
 //!
 //! # Journal record format
 //!
@@ -92,11 +75,6 @@ const CHECKSUM_LEN: usize = 8;
 /// inside) exact record boundaries.
 pub const JOURNAL_RECORD_LEN: usize = RECORD_PREFIX + BLOCK_SIZE + CHECKSUM_LEN;
 
-/// Records per group-commit batch: the commit buffer is sealed to the
-/// journal file in one syscall once this many records accumulate
-/// (sooner on flush or drop).
-pub const JOURNAL_BATCH_RECORDS: usize = 16;
-
 /// Appends the journal record for a write of `payload` to block `idx`.
 fn encode_record(buf: &mut Vec<u8>, idx: u64, payload: &[u8]) {
     buf.reserve(JOURNAL_RECORD_LEN);
@@ -130,18 +108,15 @@ fn decode_record(record: &[u8], block_count: u64) -> Option<(u64, &[u8])> {
 
 struct FileState {
     data: File,
+    /// The journal file; its cursor stays at `journal_len`.
     journal: File,
+    /// Bytes of whole records in the journal file.
+    journal_len: u64,
     /// Journaled writes not yet applied to the data file.
     dirty: HashMap<u64, Bytes>,
-    /// Group-commit buffer: encoded records not yet appended to the
-    /// journal file.
-    pending: Vec<u8>,
-    /// Records currently in `pending`.
-    pending_records: u64,
     reads: u64,
     writes: u64,
     journal_records: u64,
-    batched_records: u64,
     journal_batches: u64,
     vectored_reads: u64,
     vectored_writes: u64,
@@ -149,26 +124,25 @@ struct FileState {
 }
 
 impl FileState {
-    /// Appends the commit buffer to the journal file in one syscall.
-    fn seal_batch(&mut self) -> std::io::Result<()> {
-        if self.pending.is_empty() {
+    /// Appends whole encoded `records` to the journal file in one
+    /// write.
+    fn append(&mut self, records: &[u8]) -> std::io::Result<()> {
+        if records.is_empty() {
             return Ok(());
         }
-        let end = self.journal.seek(SeekFrom::End(0))?;
-        if let Err(e) = self.journal.write_all(&self.pending) {
-            // A partial append would leave a torn record mid-file; a
-            // later retry (the buffer is kept) would then append after
-            // the fragment and misalign the fixed-size record stream,
-            // silently discarding everything behind it at replay. Roll
-            // the file back to the last record boundary so the stream
-            // stays dense whether or not the caller retries.
-            self.journal.set_len(end).ok();
+        if let Err(e) = self.journal.write_all(records) {
+            // A partial append would leave a torn record mid-file; the
+            // next append would land behind the fragment and misalign
+            // the fixed-size record stream, silently discarding
+            // everything after it at replay. Roll the file and its
+            // cursor back to the last record boundary so the stream
+            // stays dense.
+            self.journal.set_len(self.journal_len).ok();
+            self.journal.seek(SeekFrom::Start(self.journal_len)).ok();
             return Err(e);
         }
-        self.batched_records += self.pending_records;
+        self.journal_len += records.len() as u64;
         self.journal_batches += 1;
-        self.pending.clear();
-        self.pending_records = 0;
         Ok(())
     }
 }
@@ -216,13 +190,11 @@ impl FileStore {
             state: Mutex::new(FileState {
                 data,
                 journal,
+                journal_len: 0,
                 dirty: HashMap::new(),
-                pending: Vec::new(),
-                pending_records: 0,
                 reads: 0,
                 writes: 0,
                 journal_records: 0,
-                batched_records: 0,
                 journal_batches: 0,
                 vectored_reads: 0,
                 vectored_writes: 0,
@@ -267,33 +239,31 @@ impl FileStore {
     }
 
     /// Simulates a crash: drops the store without applying the journal
-    /// to the data file. Journaled writes survive on disk and are
-    /// recovered by the next [`FileStore::open`]; this exists so tests
-    /// can exercise that path explicitly.
+    /// to the data file. Every acknowledged write is already on the
+    /// journal and is recovered by the next [`FileStore::open`]; only
+    /// the in-memory dirty map goes. This exists so tests can exercise
+    /// that path explicitly.
     pub fn crash(self) {
-        // Drop seals the commit buffer (this simulated crash models a
-        // process that still unwinds; see the module docs for what a
-        // SIGKILL-style termination would additionally lose), while
-        // the in-memory dirty map is simply dropped.
         drop(self);
     }
 
-    fn journal_append(state: &mut FileState, idx: u64, data: &[u8]) {
-        encode_record(&mut state.pending, idx, data);
-        state.pending_records += 1;
-        state.journal_records += 1;
-        if state.pending_records >= JOURNAL_BATCH_RECORDS as u64 {
-            state.seal_batch().expect("journal batch append");
+    /// Journals `writes` as one append, then keeps them in the dirty
+    /// map. The records are encoded before the state lock is taken.
+    fn write_common(&self, writes: &[(u64, &[u8])], vectored: bool) {
+        let mut records = Vec::with_capacity(writes.len() * JOURNAL_RECORD_LEN);
+        for &(idx, data) in writes {
+            assert!(idx < self.block_count, "block {idx} out of range");
+            assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
+            encode_record(&mut records, idx, data);
         }
-    }
-
-    fn write_common(&self, idx: u64, data: &[u8]) {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
         let mut s = self.state.lock();
-        Self::journal_append(&mut s, idx, data);
-        s.dirty.insert(idx, Bytes::copy_from_slice(data));
-        s.writes += 1;
+        s.append(&records).expect("journal append");
+        s.journal_records += writes.len() as u64;
+        s.writes += writes.len() as u64;
+        s.vectored_writes += u64::from(vectored);
+        for &(idx, data) in writes {
+            s.dirty.insert(idx, Bytes::copy_from_slice(data));
+        }
     }
 
     fn read_common(&self, idx: u64) -> Bytes {
@@ -310,32 +280,6 @@ impl FileStore {
             .expect("data file read");
         Bytes::from(buf)
     }
-
-    fn read_into_common(&self, idx: u64, buf: &mut [u8]) {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        assert_eq!(buf.len(), BLOCK_SIZE, "partial block read");
-        let mut s = self.state.lock();
-        s.reads += 1;
-        if let Some(block) = s.dirty.get(&idx) {
-            buf.copy_from_slice(block);
-            return;
-        }
-        s.data
-            .seek(SeekFrom::Start(idx * BLOCK_SIZE as u64))
-            .and_then(|_| s.data.read_exact(buf))
-            .expect("data file read");
-    }
-}
-
-impl Drop for FileStore {
-    fn drop(&mut self) {
-        // Seal any pending group-commit batch: the journal file is the
-        // durability channel, and the records in the buffer were
-        // acknowledged. Errors are ignored — there is no one left to
-        // report them to, and replay tolerates a torn tail.
-        let state = self.state.get_mut();
-        state.seal_batch().ok();
-    }
 }
 
 impl BlockStore for FileStore {
@@ -347,12 +291,8 @@ impl BlockStore for FileStore {
         self.read_common(idx)
     }
 
-    fn read_block_into(&self, idx: u64, buf: &mut [u8]) {
-        self.read_into_common(idx, buf)
-    }
-
     fn write_block(&self, idx: u64, data: &[u8]) {
-        self.write_common(idx, data)
+        self.write_common(&[(idx, data)], false)
     }
 
     /// Vectored read: one state-lock acquisition for the whole extent
@@ -379,45 +319,27 @@ impl BlockStore for FileStore {
         out
     }
 
-    /// Vectored write: one state-lock acquisition; the burst's journal
-    /// records accumulate through the group-commit buffer and the
-    /// trailing partial batch is sealed before the call returns, so a
-    /// W-block vectored write on an idle store reaches `journal.wal`
-    /// in exactly `ceil(W / JOURNAL_BATCH_RECORDS)` append syscalls —
-    /// and the vectored write is a durability unit (its records are on
-    /// the journal path once the call returns, like a scalar write
-    /// followed by a drop).
+    /// Vectored write: one state-lock acquisition, and the W records
+    /// reach `journal.wal` in one append, so the vectored write is a
+    /// durability unit.
     fn write_blocks(&self, writes: &[(u64, &[u8])]) {
-        let mut s = self.state.lock();
-        s.vectored_writes += 1;
-        for &(idx, data) in writes {
-            assert!(idx < self.block_count, "block {idx} out of range");
-            assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-            Self::journal_append(&mut s, idx, data);
-            s.dirty.insert(idx, Bytes::copy_from_slice(data));
-            s.writes += 1;
-        }
-        s.seal_batch().expect("journal batch append");
+        self.write_common(writes, true)
     }
 
     /// Vectored metadata write: the file store has no separate meta
-    /// path — the sweep rides the same journaled durability unit as
-    /// [`BlockStore::write_blocks`], one lock and
-    /// `ceil(W / JOURNAL_BATCH_RECORDS)` batch appends.
+    /// path — the sweep is one [`BlockStore::write_blocks`].
     fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
         self.write_blocks(writes)
     }
 
     fn flush(&self) -> std::io::Result<()> {
         let mut s = self.state.lock();
-        // The journal must hold every acknowledged record before the
-        // data file is touched: if applying fails midway, replay can
-        // still finish the job on the next open.
-        s.seal_batch()?;
-        // Apply without draining: if any write fails, the dirty map
-        // (and the on-disk journal) still holds the acknowledged
-        // writes, so reads stay correct and a later flush or replay
-        // can retry.
+        // Every acknowledged record is already on the journal, so if
+        // applying fails midway, replay can still finish the job on
+        // the next open. Apply without draining: if any write fails,
+        // the dirty map (and the on-disk journal) still holds the
+        // acknowledged writes, so reads stay correct and a later flush
+        // or replay can retry.
         let indices: Vec<u64> = s.dirty.keys().copied().collect();
         for idx in indices {
             let block = s.dirty[&idx].clone();
@@ -428,6 +350,7 @@ impl BlockStore for FileStore {
         // Only now is it safe to forget the journal and cache.
         s.dirty.clear();
         s.journal.set_len(0)?;
+        s.journal_len = 0;
         s.journal.seek(SeekFrom::Start(0))?;
         s.journal_records = 0;
         s.flushes += 1;
@@ -440,7 +363,6 @@ impl BlockStore for FileStore {
             reads: s.reads,
             writes: s.writes,
             journal_records: s.journal_records,
-            batched_records: s.batched_records,
             journal_batches: s.journal_batches,
             vectored_reads: s.vectored_reads,
             vectored_writes: s.vectored_writes,
@@ -678,99 +600,63 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The SIGKILL model: `forget` runs no destructor, so whatever the
+    /// reopened store reads back was on the journal when `write_block`
+    /// returned.
     #[test]
-    fn group_commit_batches_journal_syscalls() {
-        let dir = temp_dir_for_tests("group-commit");
-        let n = 3 * JOURNAL_BATCH_RECORDS + 5; // 53 writes for batch=16
-        {
-            let store = FileStore::open(&dir, 64).unwrap();
-            for i in 0..n as u64 {
-                let mut block = vec![0u8; BLOCK_SIZE];
-                block[0] = i as u8;
-                store.write_block(i % 64, &block);
-            }
-            let stats = store.stats();
-            // Only the filled batches have been sealed so far.
-            assert_eq!(stats.journal_batches, 3);
-            assert_eq!(stats.batched_records, 3 * JOURNAL_BATCH_RECORDS as u64);
-            assert_eq!(stats.journal_records, n as u64);
-            store.flush().unwrap();
-            let stats = store.stats();
-            // Flush sealed the tail: N writes cost ceil(N/batch)
-            // journal syscalls, not N.
-            assert_eq!(
-                stats.journal_batches,
-                (n as u64).div_ceil(JOURNAL_BATCH_RECORDS as u64)
-            );
-            assert_eq!(stats.batched_records, n as u64);
-        }
+    fn a_write_is_on_the_journal_when_the_call_returns() {
+        let dir = temp_dir_for_tests("sigkill");
+        let mut block = vec![0u8; BLOCK_SIZE];
+        block[3] = 0x33;
+        let store = FileStore::open(&dir, 8).unwrap();
+        store.write_block(4, &block);
+        let len = std::fs::metadata(dir.join("journal.wal")).unwrap().len();
+        assert_eq!(len, JOURNAL_RECORD_LEN as u64);
+        std::mem::forget(store);
+        let store = FileStore::open(&dir, 8).unwrap();
+        assert_eq!(store.read_block(4), block);
+        drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn vectored_write_costs_ceil_w_over_batch_journal_syscalls() {
-        let dir = temp_dir_for_tests("vectored-batches");
-        let w = 2 * JOURNAL_BATCH_RECORDS + 7; // 39 blocks for batch=16
+    fn one_journal_append_per_call() {
+        let dir = temp_dir_for_tests("appends");
+        let (n, w) = (5u64, 39u64);
+        let block_of = |i: u64| {
+            let mut b = vec![0u8; BLOCK_SIZE];
+            b[0] = i as u8 + 1;
+            b
+        };
         {
             let store = FileStore::open(&dir, 64).unwrap();
-            let blocks: Vec<Vec<u8>> = (0..w as u64)
-                .map(|i| {
-                    let mut b = vec![0u8; BLOCK_SIZE];
-                    b[0] = i as u8 + 1;
-                    b
-                })
-                .collect();
-            let writes: Vec<(u64, &[u8])> = blocks
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (i as u64, b.as_slice()))
-                .collect();
+            for i in 0..n {
+                store.write_block(i, &block_of(i));
+            }
+            let blocks: Vec<Vec<u8>> = (n..n + w).map(block_of).collect();
+            let writes: Vec<(u64, &[u8])> = (n..).zip(blocks.iter().map(Vec::as_slice)).collect();
             store.write_blocks(&writes);
             let stats = store.stats();
-            // The whole burst is sealed — tail batch included — in
-            // ceil(W/batch) appends, with nothing left pending.
-            assert_eq!(
-                stats.journal_batches,
-                (w as u64).div_ceil(JOURNAL_BATCH_RECORDS as u64)
-            );
-            assert_eq!(stats.batched_records, w as u64);
-            assert_eq!(stats.journal_records, w as u64);
+            assert_eq!(stats.journal_batches, n + 1);
+            assert_eq!(stats.journal_records, n + w);
             assert_eq!(stats.vectored_writes, 1);
+            let len = std::fs::metadata(dir.join("journal.wal")).unwrap().len();
+            assert_eq!(len, (n + w) * JOURNAL_RECORD_LEN as u64);
             store.crash();
         }
-        // A durability unit: every record of the vectored write is in
-        // the journal and replays on reopen.
+        // Every record, scalar or vectored, replays on reopen.
         let store = FileStore::open(&dir, 64).unwrap();
-        for i in 0..w as u64 {
-            assert_eq!(store.read_block(i)[0], i as u8 + 1);
+        for i in 0..n + w {
+            assert_eq!(store.read_block(i), block_of(i));
         }
         // Vectored read agrees with the scalar one.
-        let idxs: Vec<u64> = (0..w as u64).collect();
+        let idxs: Vec<u64> = (0..n + w).collect();
         let vectored = store.read_blocks(&idxs);
         for (i, block) in vectored.iter().enumerate() {
             assert_eq!(block, &store.read_block(i as u64));
         }
         assert_eq!(store.stats().vectored_reads, 1);
         drop(store);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn drop_seals_the_pending_batch() {
-        let dir = temp_dir_for_tests("drop-seal");
-        {
-            let store = FileStore::open(&dir, 8).unwrap();
-            let mut block = vec![0u8; BLOCK_SIZE];
-            block[3] = 0x33;
-            store.write_block(4, &block);
-            // Fewer writes than a batch: everything is still pending.
-            assert_eq!(store.stats().journal_batches, 0);
-        }
-        // Drop sealed the batch: the journal holds one whole record.
-        let len = std::fs::metadata(dir.join("journal.wal")).unwrap().len();
-        assert_eq!(len, JOURNAL_RECORD_LEN as u64);
-        let store = FileStore::open(&dir, 8).unwrap();
-        assert_eq!(store.read_block(4)[3], 0x33);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

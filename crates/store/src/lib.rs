@@ -15,10 +15,8 @@
 //! * [`FileStore`] — a persistent file-backed store with a write-ahead
 //!   journal: every write is appended (checksummed) to the journal
 //!   before the data file is touched, so a crash mid-update replays
-//!   cleanly on reopen. Journal appends are **group-committed**:
-//!   records accumulate in a memory buffer and reach the journal file
-//!   in one syscall per batch (the on-disk byte format is unchanged —
-//!   the crash matrix pins it).
+//!   cleanly on reopen. A write's record is on the journal file when
+//!   the call returns: one append per call, scalar or vectored.
 //! * [`DedupStore`] — a content-addressed deduplicating store: blocks
 //!   are keyed by their SHA-256, identical blocks share one stored
 //!   chunk, and the [`StoreStats::dedup_hit_ratio`] stat reports how
@@ -59,14 +57,11 @@
 //! Multi-block operations go through the **vectored** trait methods
 //! [`BlockStore::read_blocks`] / [`BlockStore::write_blocks`]: one
 //! call carries a whole extent, so a backend can amortize its lock,
-//! its journal batching, and its timing charges over the run instead
+//! its journal append, and its timing charges over the run instead
 //! of paying them per block. Every backend implements them natively:
 //!
-//! * [`FileStore`] takes its state lock once and seals the burst's
-//!   journal records through the group-commit buffer — a W-block
-//!   vectored write reaches `journal.wal` in exactly
-//!   `ceil(W / JOURNAL_BATCH_RECORDS)` append syscalls, and the
-//!   trailing partial batch is sealed before the call returns (the
+//! * [`FileStore`] takes its state lock once and appends the W
+//!   records of a vectored write to `journal.wal` in one write (the
 //!   vectored write is a durability unit).
 //! * [`CachedStore`] partitions a vectored read into hits (served
 //!   under shard read locks) and misses (fetched from the inner store
@@ -250,7 +245,7 @@ pub use dedup::DedupStore;
 pub use encrypted::EncryptedStore;
 #[doc(hidden)]
 pub use file::temp_dir_for_tests;
-pub use file::{FileStore, JOURNAL_BATCH_RECORDS, JOURNAL_RECORD_LEN};
+pub use file::{FileStore, JOURNAL_RECORD_LEN};
 pub use remote::{
     BlockServer, DeadCause, LeaseGrant, NodeLease, RemoteError, RemoteOptions, RemoteStore,
 };
@@ -298,25 +293,17 @@ pub struct StoreStats {
     pub unique_blocks: u64,
     /// Journal records written since the last flush (file backend).
     pub journal_records: u64,
-    /// Journal records committed through the group-commit buffer since
-    /// open (file backend) — each reached the journal file as part of
-    /// a batched append rather than its own syscall.
-    pub batched_records: u64,
-    /// Group-commit batches written since open (file backend): the
-    /// actual journal write syscalls. An N-write burst costs at most
-    /// `ceil(N / JOURNAL_BATCH_RECORDS)` of these.
+    /// Journal appends since open (file backend): the journal write
+    /// syscalls, one per scalar write and one per vectored write.
     pub journal_batches: u64,
     /// Reads served from a [`CachedStore`] without touching the inner
     /// backend.
     pub cache_hits: u64,
     /// Reads a [`CachedStore`] had to forward to the inner backend.
     pub cache_misses: u64,
-    /// Eviction write-back batches a [`CachedStore`] issued: when a
-    /// cache shard overflows, a *batch* of LRU victims is written back
-    /// in ascending block order (sequential journal appends on
-    /// journaled inners) instead of one victim per insert.
-    pub writeback_batches: u64,
-    /// Dirty blocks written back through those eviction batches.
+    /// Dirty blocks a [`CachedStore`] wrote back on eviction: when a
+    /// cache shard overflows, its LRU victim leaves, through the inner
+    /// store if it was dirty.
     pub writeback_blocks: u64,
     /// Multi-block [`BlockStore::read_blocks`] calls handled. Each
     /// layer of a composition counts the vectored calls *it* receives
@@ -409,11 +396,9 @@ impl StoreStats {
             zero_elisions: self.zero_elisions + other.zero_elisions,
             unique_blocks: self.unique_blocks + other.unique_blocks,
             journal_records: self.journal_records + other.journal_records,
-            batched_records: self.batched_records + other.batched_records,
             journal_batches: self.journal_batches + other.journal_batches,
             cache_hits: self.cache_hits + other.cache_hits,
             cache_misses: self.cache_misses + other.cache_misses,
-            writeback_batches: self.writeback_batches + other.writeback_batches,
             writeback_blocks: self.writeback_blocks + other.writeback_blocks,
             vectored_reads: self.vectored_reads + other.vectored_reads,
             vectored_writes: self.vectored_writes + other.vectored_writes,
@@ -439,8 +424,7 @@ impl StoreStats {
 /// blocks.
 ///
 /// The filesystem layer validates block numbers before issuing I/O, so
-/// out-of-range access is a bug and implementations panic on it —
-/// identical to the original `MemDisk` contract.
+/// out-of-range access is a bug and implementations panic on it.
 ///
 /// Reads return [`Bytes`]: a cheaply-clonable shared handle. Backends
 /// that hold blocks in memory serve reads as refcount bumps with no
@@ -459,7 +443,7 @@ pub trait BlockStore: Send + Sync {
     fn read_block(&self, idx: u64) -> Bytes;
 
     /// Reads block `idx` into `buf` (exactly one block) — the
-    /// read-modify-write path, saving the intermediate handle.
+    /// read-modify-write path.
     fn read_block_into(&self, idx: u64, buf: &mut [u8]) {
         buf.copy_from_slice(&self.read_block(idx));
     }
@@ -470,7 +454,7 @@ pub trait BlockStore: Send + Sync {
     /// Reads every block in `idxs` (any order, duplicates allowed),
     /// returning the blocks in matching order — the vectored read
     /// path. Backends override this to amortize locks, journal
-    /// batching, timing charges, and (sharded) worker dispatch over
+    /// appends, timing charges, and (sharded) worker dispatch over
     /// the whole extent; the default is the per-block loop, so the two
     /// paths are byte-identical by construction everywhere else.
     fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
@@ -481,8 +465,8 @@ pub trait BlockStore: Send + Sync {
     /// the same index wins, exactly like the per-block loop) — the
     /// vectored write path. Each block must be exactly [`BLOCK_SIZE`]
     /// bytes. Journaled backends treat one vectored write as a
-    /// durability unit: its records are sealed to the journal before
-    /// the call returns.
+    /// durability unit: its records are on the journal when the call
+    /// returns.
     fn write_blocks(&self, writes: &[(u64, &[u8])]) {
         for (idx, data) in writes {
             self.write_block(*idx, data);
@@ -508,7 +492,7 @@ pub trait BlockStore: Send + Sync {
     /// the vectored counterpart of [`BlockStore::write_block_meta`],
     /// with the same in-order, later-pair-wins semantics as
     /// [`BlockStore::write_blocks`]. Backends override it so a bitmap
-    /// or inode-table sweep pays one lock / journal batch / RPC
+    /// or inode-table sweep pays one lock / journal append / RPC
     /// instead of one per block.
     fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
         for (idx, data) in writes {
@@ -544,9 +528,6 @@ macro_rules! forward_block_store {
             fn read_block(&self, idx: u64) -> Bytes {
                 (**self).read_block(idx)
             }
-            fn read_block_into(&self, idx: u64, buf: &mut [u8]) {
-                (**self).read_block_into(idx, buf)
-            }
             fn write_block(&self, idx: u64, data: &[u8]) {
                 (**self).write_block(idx, data)
             }
@@ -558,9 +539,6 @@ macro_rules! forward_block_store {
             }
             fn read_block_meta(&self, idx: u64) -> Bytes {
                 (**self).read_block_meta(idx)
-            }
-            fn read_block_meta_into(&self, idx: u64, buf: &mut [u8]) {
-                (**self).read_block_meta_into(idx, buf)
             }
             fn write_block_meta(&self, idx: u64, data: &[u8]) {
                 (**self).write_block_meta(idx, data)

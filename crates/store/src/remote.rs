@@ -761,8 +761,8 @@ impl RemoteStore {
     /// Spawns a [`BlockServer`] thread over a fresh link on `clock`
     /// and connects to it — one self-contained simulated storage node.
     /// Dropping the returned store shuts the server down cleanly and
-    /// joins the thread (so e.g. a journaled node store seals its
-    /// batches deterministically).
+    /// joins the thread, so the node store is gone when that drop
+    /// returns.
     pub fn serve_local<S: BlockStore + Send + 'static>(
         store: S,
         clock: &SimClock,

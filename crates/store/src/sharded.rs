@@ -34,8 +34,8 @@
 //!   same order as the workers-off path, byte-identical.
 //! * `flush` is submitted as a job per shard and therefore drains
 //!   everything queued before it; `Drop` disconnects the queues, lets
-//!   each worker drain what remains, and joins the threads before the
-//!   shard stores (and their journal-sealing `Drop`s) run.
+//!   each worker drain what remains, and joins the threads, so no job
+//!   is still running when the shard stores are dropped.
 //! * A vectored call whose blocks all land on one shard skips the
 //!   queue and runs inline — dispatch only pays off when there is
 //!   parallelism to win.
@@ -292,10 +292,9 @@ impl Drop for ShardedStore {
     fn drop(&mut self) {
         if let Some(pool) = self.workers.take() {
             // Disconnect the queues first: each worker drains whatever
-            // is still queued, then exits; joining before the shard
-            // Arcs drop means the workers' clones are gone and the
-            // shards' own Drop (journal batch sealing on FileStore)
-            // runs exactly once, after all work finished.
+            // is still queued, then exits; joining here means the
+            // workers' clones of the shard Arcs are gone and all work
+            // has finished before the shards themselves are dropped.
             drop(pool.senders);
             for handle in pool.handles {
                 handle.join().ok();
@@ -312,11 +311,6 @@ impl BlockStore for ShardedStore {
     fn read_block(&self, idx: u64) -> Bytes {
         let (shard, inner_idx) = self.route(idx);
         shard.read_block(inner_idx)
-    }
-
-    fn read_block_into(&self, idx: u64, buf: &mut [u8]) {
-        let (shard, inner_idx) = self.route(idx);
-        shard.read_block_into(inner_idx, buf)
     }
 
     fn write_block(&self, idx: u64, data: &[u8]) {
@@ -385,11 +379,6 @@ impl BlockStore for ShardedStore {
     fn read_block_meta(&self, idx: u64) -> Bytes {
         let (shard, inner_idx) = self.route(idx);
         shard.read_block_meta(inner_idx)
-    }
-
-    fn read_block_meta_into(&self, idx: u64, buf: &mut [u8]) {
-        let (shard, inner_idx) = self.route(idx);
-        shard.read_block_meta_into(inner_idx, buf)
     }
 
     fn write_block_meta(&self, idx: u64, data: &[u8]) {

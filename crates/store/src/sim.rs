@@ -1,5 +1,4 @@
-//! The simulated timing-model store (the seed's `MemDisk`, moved
-//! behind the [`BlockStore`] trait).
+//! The simulated timing-model store.
 //!
 //! The paper's server stored files on a Quantum Fireball CT10 (a 1999
 //! 5400 RPM IDE disk). [`DiskModel::quantum_fireball_ct10`] charges the
@@ -57,11 +56,25 @@ impl DiskModel {
         }
     }
 
-    pub(crate) fn transfer_time(&self, bytes: usize) -> Duration {
+    fn transfer_time(&self, bytes: usize) -> Duration {
         if self.transfer_rate == u64::MAX {
             return Duration::ZERO;
         }
         Duration::from_nanos((bytes as u64).saturating_mul(1_000_000_000) / self.transfer_rate)
+    }
+
+    /// Charges `clock` for one data-block access at `block` with the
+    /// head last at `last`: seek + rotational delay unless the access
+    /// is sequential (the same or the next block), then one block's
+    /// transfer time. The one charging rule of [`SimStore`] and
+    /// [`TimedStore`](crate::TimedStore).
+    pub(crate) fn charge(&self, clock: &SimClock, last: &mut Option<u64>, block: u64) {
+        let sequential = *last == Some(block.wrapping_sub(1)) || *last == Some(block);
+        if !sequential {
+            clock.advance(self.avg_seek + self.rotational);
+        }
+        clock.advance(self.transfer_time(BLOCK_SIZE));
+        *last = Some(block);
     }
 
     /// The model's cost for one **contiguous run** of `run_len` data
@@ -125,22 +138,8 @@ impl SimStore {
         &self.clock
     }
 
-    /// Total reads and writes so far (compatibility accessor; prefer
-    /// [`BlockStore::stats`]).
-    pub fn io_counts(&self) -> (u64, u64) {
-        let s = self.state.lock();
-        (s.reads, s.writes)
-    }
-
     fn charge(&self, state: &mut SimState, block: u64) {
-        let sequential =
-            state.last_block == Some(block.wrapping_sub(1)) || state.last_block == Some(block);
-        if !sequential {
-            self.clock
-                .advance(self.model.avg_seek + self.model.rotational);
-        }
-        self.clock.advance(self.model.transfer_time(BLOCK_SIZE));
-        state.last_block = Some(block);
+        self.model.charge(&self.clock, &mut state.last_block, block);
     }
 }
 
@@ -155,14 +154,6 @@ impl BlockStore for SimStore {
         self.charge(&mut s, idx);
         s.reads += 1;
         s.blocks[idx as usize].clone()
-    }
-
-    fn read_block_into(&self, idx: u64, buf: &mut [u8]) {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        let mut s = self.state.lock();
-        self.charge(&mut s, idx);
-        s.reads += 1;
-        buf.copy_from_slice(&s.blocks[idx as usize]);
     }
 
     fn write_block(&self, idx: u64, data: &[u8]) {
@@ -209,12 +200,6 @@ impl BlockStore for SimStore {
         assert!(idx < self.block_count, "block {idx} out of range");
         let s = self.state.lock();
         s.blocks[idx as usize].clone()
-    }
-
-    fn read_block_meta_into(&self, idx: u64, buf: &mut [u8]) {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        let s = self.state.lock();
-        buf.copy_from_slice(&s.blocks[idx as usize]);
     }
 
     fn write_block_meta(&self, idx: u64, data: &[u8]) {
@@ -291,7 +276,6 @@ mod tests {
         disk.write_block(0, &block);
         disk.read_block(0);
         disk.read_block(1);
-        assert_eq!(disk.io_counts(), (2, 1));
         let stats = disk.stats();
         assert_eq!((stats.reads, stats.writes), (2, 1));
     }

@@ -10,21 +10,21 @@
 //! e.g. how much of a dedup store's absorbed write stream turns into
 //! saved disk seconds.
 //!
-//! Charging matches `SimStore` exactly: non-sequential data accesses
-//! pay seek + rotational delay, every data block pays media-rate
-//! transfer time, and the `*_meta` calls are free. What `ffs` sends
-//! down the free path is what its server's buffer cache would hold:
-//! bitmaps (kept in core), the inode table, and the first read of a
-//! pointer block — later uses come from `ffs`'s own pointer-block
-//! cache and reach no store at all. Directory blocks are data: a
-//! READDIR or a cold LOOKUP is charged, a warm LOOKUP is answered by
-//! `ffs`'s name cache without a call here.
+//! Charging is `SimStore`'s, by the one function on [`DiskModel`] both
+//! call: non-sequential data accesses pay seek + rotational delay,
+//! every data block pays media-rate transfer time, and the `*_meta`
+//! calls are free. What `ffs` sends down the free path is what its
+//! server's buffer cache would hold: bitmaps (kept in core), the inode
+//! table, and the first read of a pointer block — later uses come from
+//! `ffs`'s own pointer-block cache and reach no store at all.
+//! Directory blocks are data: a READDIR or a cold LOOKUP is charged, a
+//! warm LOOKUP is answered by `ffs`'s name cache without a call here.
 
 use bytes::Bytes;
 use netsim::SimClock;
 use parking_lot::Mutex;
 
-use crate::{BlockStore, DiskModel, StoreStats, BLOCK_SIZE};
+use crate::{BlockStore, DiskModel, StoreStats};
 
 /// Charges [`DiskModel`] costs on an inner store's data-path I/O.
 pub struct TimedStore<S> {
@@ -55,20 +55,6 @@ impl<S: BlockStore> TimedStore<S> {
         &self.clock
     }
 
-    fn charge(&self, block: u64) {
-        let mut last = self.last_block.lock();
-        Self::charge_one(&self.clock, &self.model, &mut last, block);
-    }
-
-    fn charge_one(clock: &SimClock, model: &DiskModel, last: &mut Option<u64>, block: u64) {
-        let sequential = *last == Some(block.wrapping_sub(1)) || *last == Some(block);
-        if !sequential {
-            clock.advance(model.avg_seek + model.rotational);
-        }
-        clock.advance(model.transfer_time(BLOCK_SIZE));
-        *last = Some(block);
-    }
-
     /// Charges a whole extent under one head-position lock: each
     /// **contiguous ascending run** inside it pays one seek + rotation
     /// and per-block transfer time — [`DiskModel::run_cost`] — and
@@ -81,7 +67,7 @@ impl<S: BlockStore> TimedStore<S> {
     fn charge_run(&self, blocks: &[u64]) {
         let mut last = self.last_block.lock();
         for &block in blocks {
-            Self::charge_one(&self.clock, &self.model, &mut last, block);
+            self.model.charge(&self.clock, &mut last, block);
         }
     }
 }
@@ -92,17 +78,12 @@ impl<S: BlockStore> BlockStore for TimedStore<S> {
     }
 
     fn read_block(&self, idx: u64) -> Bytes {
-        self.charge(idx);
+        self.charge_run(&[idx]);
         self.inner.read_block(idx)
     }
 
-    fn read_block_into(&self, idx: u64, buf: &mut [u8]) {
-        self.charge(idx);
-        self.inner.read_block_into(idx, buf)
-    }
-
     fn write_block(&self, idx: u64, data: &[u8]) {
-        self.charge(idx);
+        self.charge_run(&[idx]);
         self.inner.write_block(idx, data)
     }
 
@@ -119,10 +100,6 @@ impl<S: BlockStore> BlockStore for TimedStore<S> {
 
     fn read_block_meta(&self, idx: u64) -> Bytes {
         self.inner.read_block_meta(idx)
-    }
-
-    fn read_block_meta_into(&self, idx: u64, buf: &mut [u8]) {
-        self.inner.read_block_meta_into(idx, buf)
     }
 
     fn write_block_meta(&self, idx: u64, data: &[u8]) {
@@ -149,7 +126,7 @@ impl<S: BlockStore> BlockStore for TimedStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DedupStore;
+    use crate::{DedupStore, BLOCK_SIZE};
     use std::time::Duration;
 
     #[test]
