@@ -7,10 +7,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::cache::{CacheStats, Lru};
-use crate::disk::{zero_block, BlockStore, StoreBackend, BLOCK_SIZE};
 use crate::inode::{FileKind, Inode, INODES_PER_BLOCK, INODE_SIZE, NDIRECT, PTRS_PER_BLOCK};
 use crate::sb::{MountError, Superblock};
 use crate::FsError;
+use store::{zero_block, BlockStore, IoClass, StoreBackend, BLOCK_SIZE};
 
 /// An inode number. 0 is invalid; 1 is the root directory.
 pub type Ino = u32;
@@ -1250,14 +1250,10 @@ impl Ffs {
 
     // -- data I/O (the pipelined file path) ---------------------------------
     //
-    // Both directions gather each operation's whole block extent into
-    // **one vectored store call** (`read_blocks` / `write_blocks`)
-    // instead of a per-block loop: the block mapping is resolved first
-    // (allocating on the write path), then the extent travels to the
-    // store in a single call that a sharded backend can fan out across
-    // its per-shard workers, a journaled backend appends in one write,
-    // and a timed backend charges as contiguous runs. A one-block extent
-    // takes the scalar path — there is nothing to batch.
+    // Both directions resolve the operation's block mapping first
+    // (allocating on the write path), then move the whole extent — one
+    // block or many — in **one store call** (crate docs, "The pipelined
+    // file path"). An empty extent (a read of holes) makes no call.
 
     fn read_inode_data(
         &self,
@@ -1278,12 +1274,12 @@ impl Ffs {
         for fbn in first_fbn..=last_fbn {
             mapped.push(self.bmap(inner, inode, fbn, false)?);
         }
-        // One vectored read for every mapped block of the extent.
+        // One read for every mapped block of the extent.
         let idxs: Vec<u64> = mapped.iter().flatten().copied().collect();
-        let blocks = match idxs.len() {
-            0 => Vec::new(),
-            1 => vec![self.disk.read_block(idxs[0])],
-            _ => self.disk.read_blocks(&idxs),
+        let blocks = if idxs.is_empty() {
+            Vec::new()
+        } else {
+            self.disk.read(IoClass::Data, &idxs)
         };
         // Assemble: partial head/tail slices come straight off the
         // shared handles; holes read as zeros.
@@ -1320,9 +1316,7 @@ impl Ffs {
         // block's source: full blocks borrow the caller's buffer
         // directly; partial head/tail blocks are read-modify-written
         // into owned buffers via `read_block_into`. The staged extent
-        // then reaches the store as one vectored write, in ascending
-        // file order — the same per-block journal records, in the same
-        // order, as the old loop.
+        // then reaches the store as one write, in ascending file order.
         enum Src {
             /// Byte range into the caller's `data` (a full block).
             Caller(usize),
@@ -1352,28 +1346,18 @@ impl Ffs {
             pos += take as u64;
             src += take;
         }
-        match staged.len() {
-            0 => {}
-            1 => {
-                let (block, source) = &staged[0];
-                match source {
-                    Src::Caller(at) => self.disk.write_block(*block, &data[*at..*at + BLOCK_SIZE]),
-                    Src::Rmw(i) => self.disk.write_block(*block, &rmw[*i]),
-                }
-            }
-            _ => {
-                let writes: Vec<(u64, &[u8])> = staged
-                    .iter()
-                    .map(|(block, source)| {
-                        let bytes: &[u8] = match source {
-                            Src::Caller(at) => &data[*at..*at + BLOCK_SIZE],
-                            Src::Rmw(i) => &rmw[*i],
-                        };
-                        (*block, bytes)
-                    })
-                    .collect();
-                self.disk.write_blocks(&writes);
-            }
+        if !staged.is_empty() {
+            let writes: Vec<(u64, &[u8])> = staged
+                .iter()
+                .map(|(block, source)| {
+                    let bytes: &[u8] = match source {
+                        Src::Caller(at) => &data[*at..*at + BLOCK_SIZE],
+                        Src::Rmw(i) => &rmw[*i],
+                    };
+                    (*block, bytes)
+                })
+                .collect();
+            self.disk.write(IoClass::Data, &writes);
         }
         if end > inode.size {
             inode.size = end;

@@ -45,51 +45,34 @@
 //! * [`Ffs::format_on`] — any hand-built `Arc<dyn BlockStore>`,
 //!   including custom wrappers like `store::EncryptedStore`.
 //!
-//! **Hot-path note:** `BlockStore::read_block` returns a shared
-//! `Bytes` handle, and the filesystem's read path consumes it without
-//! copying per block at the store layer — on in-memory, dedup, and
-//! cache-hit paths a block read performs **zero heap allocations**
+//! **Hot-path note:** a store read returns shared `Bytes` handles, and
+//! the filesystem's read path consumes them without copying per block
+//! at the store layer — on in-memory, dedup, and cache-hit paths a
+//! block read allocates **no block**, only its 32-byte handle
 //! (`crates/bench/benches/micro_store.rs` pins this with a counting
 //! allocator). A write on `FileJournal` is on the journal file when
-//! the call returns: one append per store call, scalar or vectored.
+//! the call returns: one append per store call.
 //!
-//! # Parallel I/O engine (the pipelined file path)
+//! # The pipelined file path
 //!
-//! File reads and writes no longer loop the store per block: each
+//! File reads and writes do not loop the store per block: each
 //! operation resolves its whole block mapping first, then moves the
-//! extent in **one vectored call** (`BlockStore::read_blocks` /
-//! `write_blocks`; a one-block extent stays scalar). Partial head and
-//! tail blocks are still read-modify-written through
-//! `read_block_into`, but the RMW'd buffers ride in the same vectored
-//! write as the full blocks, in ascending file order — so the journal
-//! records of a journaled backend are the same records, in the same
-//! order, as the per-block loop produced (the crash matrix is
-//! unchanged and passing). What the batching buys per backend:
+//! extent — one block or many — in **one store call**
+//! (`BlockStore::read` / `write`). Partial head and tail blocks are
+//! read-modify-written through `read_block_into`, and the RMW'd
+//! buffers ride in the same write as the full blocks, in ascending
+//! file order — so the journal records of a journaled backend are the
+//! records, in the order, of a per-block loop. What each backend makes
+//! of the one call (a fan-out over per-shard workers, one journal
+//! append, readahead on one-block reads, one seek per contiguous run)
+//! is in the `store` crate docs, "One I/O path".
 //!
-//! * `Sharded { workers: true, .. }` fans the extent out one job per
-//!   involved shard through bounded submission queues, so a *single*
-//!   client's streaming burst drives all N shards concurrently
-//!   (`crates/bench/benches/streaming.rs` pins the ≥ 2× speedup on
-//!   ≥ 4 cores).
-//! * `FileJournal` appends a W-block vectored write's records to the
-//!   journal in one write — the vectored write is a durability unit
-//!   (its records are on the journal when the call returns).
-//! * `CachedReadahead` detects ascending strides on the scalar read
-//!   path (NFS-style 8 KB transfers) and prefetches a configurable
-//!   window from the inner store vectored, so a sequential consumer
-//!   finds its next blocks already cached
-//!   (`StoreStats::readahead_blocks` counts the traffic).
-//! * `Timed` charges a contiguous run one seek + rotation plus
-//!   per-block transfer — exactly what the looped path charged for
-//!   the same access order, so the paper's virtual-time figures are
-//!   byte-stable.
-//!
-//! Shutdown/flush ordering: `Ffs::sync` still flushes before writing
-//! the clean marker and flushes again after; on a worker-enabled
-//! sharded backend each flush is a job submitted behind any queued
-//! work (FIFO), so the clean marker can never overtake an in-flight
-//! vectored write, and dropping the volume joins the workers before
-//! the per-shard stores are dropped.
+//! Shutdown/flush ordering: `Ffs::sync` flushes before writing the
+//! clean marker and flushes again after; on a worker-enabled sharded
+//! backend each flush is a job submitted behind any queued work
+//! (FIFO), so the clean marker can never overtake an in-flight write,
+//! and dropping the volume joins the workers before the per-shard
+//! stores are dropped.
 //!
 //! # In-core caches
 //!
@@ -208,7 +191,6 @@
 
 mod cache;
 mod check;
-pub mod disk;
 mod fs;
 mod inode;
 mod sb;
@@ -216,10 +198,12 @@ mod sb;
 mod tests;
 
 pub use cache::CacheStats;
-pub use disk::{BlockStore, DiskModel, RemoteOptions, StoreBackend, StoreStats, BLOCK_SIZE};
 pub use fs::{Attr, DirEntry, Ffs, FsConfig, FsStats, Ino, SetAttr};
 pub use inode::FileKind;
 pub use sb::MountError;
+pub use store::{
+    BlockStore, DiskModel, IoClass, RemoteOptions, StoreBackend, StoreStats, BLOCK_SIZE,
+};
 
 /// Errors returned by filesystem operations (errno-flavored).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -30,7 +30,7 @@
 use discfs_crypto::sha256::Sha256;
 use discfs_crypto::Digest;
 
-use crate::disk::BLOCK_SIZE;
+use store::BLOCK_SIZE;
 
 /// Superblock magic: identifies a formatted volume.
 pub(crate) const SB_MAGIC: [u8; 8] = *b"FFSDISC1";

@@ -558,10 +558,9 @@ mod cache_accounting {
     use netsim::SimClock;
     use parking_lot::Mutex;
 
-    use store::SimStore;
+    use store::{Bytes, SimStore};
 
-    use crate::disk::{BlockStore, Bytes, DiskModel, StoreStats};
-    use crate::{Ffs, FsConfig, BLOCK_SIZE};
+    use crate::{BlockStore, DiskModel, Ffs, FsConfig, IoClass, StoreStats, BLOCK_SIZE};
 
     /// A directory of 24 one-block files written in creation order.
     fn directory_of_24(fs: &Ffs) -> crate::Ino {
@@ -654,18 +653,14 @@ mod cache_accounting {
         fn block_count(&self) -> u64 {
             self.inner.block_count()
         }
-        fn read_block(&self, idx: u64) -> Bytes {
-            self.inner.read_block(idx)
+        fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+            if class == IoClass::Meta {
+                self.seen.lock().extend_from_slice(idxs);
+            }
+            self.inner.read(class, idxs)
         }
-        fn write_block(&self, idx: u64, data: &[u8]) {
-            self.inner.write_block(idx, data)
-        }
-        fn read_block_meta(&self, idx: u64) -> Bytes {
-            self.seen.lock().push(idx);
-            self.inner.read_block_meta(idx)
-        }
-        fn write_block_meta(&self, idx: u64, data: &[u8]) {
-            self.inner.write_block_meta(idx, data)
+        fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+            self.inner.write(class, writes)
         }
         fn stats(&self) -> StoreStats {
             self.inner.stats()

@@ -402,7 +402,7 @@ mod recovered_caches {
     use std::sync::atomic::{AtomicI64, Ordering};
     use std::sync::Arc;
 
-    use ffs::{Attr, BlockStore, Ffs, FsConfig, Ino, SetAttr, StoreStats, BLOCK_SIZE};
+    use ffs::{Attr, BlockStore, Ffs, FsConfig, Ino, IoClass, SetAttr, StoreStats, BLOCK_SIZE};
     use store::{Bytes, SimStore};
 
     fn config() -> FsConfig {
@@ -424,13 +424,15 @@ mod recovered_caches {
         fn block_count(&self) -> u64 {
             self.live.block_count()
         }
-        fn read_block(&self, idx: u64) -> Bytes {
-            self.live.read_block_meta(idx)
+        fn read(&self, _class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+            self.live.read(IoClass::Meta, idxs)
         }
-        fn write_block(&self, idx: u64, data: &[u8]) {
-            self.live.write_block_meta(idx, data);
-            if self.budget.fetch_sub(1, Ordering::SeqCst) > 0 {
-                self.image.write_block_meta(idx, data);
+        fn write(&self, _class: IoClass, writes: &[(u64, &[u8])]) {
+            for &write in writes {
+                self.live.write(IoClass::Meta, &[write]);
+                if self.budget.fetch_sub(1, Ordering::SeqCst) > 0 {
+                    self.image.write(IoClass::Meta, &[write]);
+                }
             }
         }
         fn stats(&self) -> StoreStats {

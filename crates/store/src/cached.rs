@@ -7,8 +7,8 @@
 //! burst of rewrites to the same block reaches the backend once.
 //!
 //! When a shard overflows, its least-recently-used entry leaves; a
-//! dirty victim is first written back through the path it was written
-//! on (`StoreStats::writeback_blocks` counts those).
+//! dirty victim is first written back as the [`IoClass`] it was written
+//! with (`StoreStats::writeback_blocks` counts those).
 //!
 //! Write-back is what the cache is for under `ffs`, which rewrites an
 //! inode-table block, a bitmap block and a pointer block for every
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::{BlockStore, StoreStats, BLOCK_SIZE};
+use crate::{vectored, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 /// Lock shards: adjacent blocks land on different shards so a
 /// sequential scan does not serialize on one mutex.
@@ -53,10 +53,10 @@ const CACHE_SHARDS: usize = 8;
 struct Entry {
     data: Bytes,
     dirty: bool,
-    /// Whether the dirtying write came through the meta path — the
-    /// write-back must use the same path so timing-model inners keep
+    /// The class of the write that dirtied the entry — the write-back
+    /// goes down as the same class, so timing-model inners keep
     /// charging metadata traffic as free.
-    meta: bool,
+    class: IoClass,
     /// LRU stamp from the store-wide counter.
     seq: u64,
 }
@@ -72,16 +72,15 @@ struct Shard {
     /// queued, so it is re-queued with its current seq (the "second
     /// chance") instead of evicted. Amortized O(1) per eviction.
     clock: VecDeque<(u64, u64)>,
-    /// Bumped on every write into this shard. The vectored miss path
-    /// and the readahead prefetch fetch from the inner store with *no*
-    /// shard lock held (the scalar path holds it across the fetch);
-    /// before inserting the fetched data they re-check this version —
-    /// if a write landed in between, the fetch may predate it (and the
-    /// written entry may already have been evicted, so a Vacant slot
-    /// proves nothing), and caching it clean would serve stale bytes
-    /// forever. A changed version skips the insert; the fetched data
-    /// is still returned to the caller, which is linearizable for a
-    /// read that overlapped the write.
+    /// Bumped on every write into this shard. A read's misses and the
+    /// readahead prefetch are fetched from the inner store with *no*
+    /// shard lock held; before inserting the fetched data they re-check
+    /// this version — if a write landed in between, the fetch may
+    /// predate it (and the written entry may already have been evicted,
+    /// so a Vacant slot proves nothing), and caching it clean would
+    /// serve stale bytes forever. A changed version skips the insert;
+    /// the fetched data is still returned to the caller, which is
+    /// linearizable for a read that overlapped the write.
     write_version: u64,
 }
 
@@ -127,7 +126,7 @@ pub struct CachedStore<S> {
     /// Sequential-readahead window in blocks (0 = disabled). See
     /// [`CachedStore::with_readahead`].
     readahead_window: usize,
-    /// Last scalar data-read index (`u64::MAX` = none yet) — the
+    /// Last one-block data-read index (`u64::MAX` = none yet) — the
     /// stride detector's memory.
     ra_last: AtomicU64,
     /// Consecutive ascending-stride reads observed so far.
@@ -150,11 +149,11 @@ impl<S: BlockStore> CachedStore<S> {
     }
 
     /// Like [`CachedStore::new`] plus **sequential readahead**: once
-    /// the scalar data-read path sees three consecutive ascending
-    /// indices (two stride confirmations — one adjacent pair can be
-    /// luck, a run is a scan) and the current read *missed*, the next
-    /// `window` blocks are prefetched from the inner store in one
-    /// vectored call and inserted clean. Prefetched blocks served
+    /// one-block data reads hit three consecutive ascending indices
+    /// (two stride confirmations — one adjacent pair can be luck, a
+    /// run is a scan) and the current read *missed*, the next `window`
+    /// blocks are prefetched from the inner store in one call and
+    /// inserted clean. Prefetched blocks served
     /// later count as ordinary cache hits, so the accounting invariant
     /// `cache_hits + cache_misses == reads issued` is untouched;
     /// [`StoreStats::readahead_blocks`] counts the prefetched traffic
@@ -215,62 +214,44 @@ impl<S: BlockStore> CachedStore<S> {
             };
             if entry.dirty {
                 self.writeback_blocks.fetch_add(1, Ordering::Relaxed);
-                if entry.meta {
-                    self.inner.write_block_meta(victim, &entry.data);
-                } else {
-                    self.inner.write_block(victim, &entry.data);
-                }
+                self.inner.write(entry.class, &[(victim, &entry.data)]);
             }
         }
     }
 
-    fn read_cached(&self, idx: u64, meta: bool) -> Bytes {
-        assert!(idx < self.inner.block_count(), "block {idx} out of range");
+    /// Caches `data` — fetched as `version`ed with no shard lock held —
+    /// as a clean entry, unless a write landed in the shard since
+    /// (resident or already evicted again, it is newer than the fetched
+    /// bytes) or the block is already present (a concurrent fetch, or
+    /// a duplicate index earlier in the same call). Returns whether it
+    /// was inserted.
+    fn insert_fetched(&self, idx: u64, version: u64, data: Bytes, class: IoClass) -> bool {
         let mut shard = self.shard(idx).lock();
+        if shard.write_version != version {
+            return false;
+        }
         let stamp = self.stamp();
-        if let Some(entry) = shard.map.get_mut(&idx) {
-            entry.seq = stamp;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let data = entry.data.clone();
-            drop(shard);
-            if !meta {
-                self.maybe_readahead(idx, false);
-            }
-            return data;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let data = if meta {
-            self.inner.read_block_meta(idx)
-        } else {
-            self.inner.read_block(idx)
+        match shard.map.entry(idx) {
+            MapEntry::Occupied(_) => return false,
+            MapEntry::Vacant(slot) => slot.insert(Entry {
+                data,
+                dirty: false,
+                class,
+                seq: stamp,
+            }),
         };
-        let was_present = shard
-            .map
-            .insert(
-                idx,
-                Entry {
-                    data: data.clone(),
-                    dirty: false,
-                    meta,
-                    seq: stamp,
-                },
-            )
-            .is_some();
-        shard.note_insert(idx, stamp, was_present);
+        shard.note_insert(idx, stamp, false);
         self.evict_overflow(&mut shard);
-        drop(shard);
-        if !meta {
-            self.maybe_readahead(idx, true);
-        }
-        data
+        true
     }
 
     /// The stride detector behind sequential readahead, fed by every
-    /// scalar data read (hits keep the streak alive; only a miss
-    /// triggers a prefetch — a scan inside the cached working set has
-    /// nothing to fetch). Runs strictly *after* the caller's shard
-    /// lock is released: the window spans every cache shard, and the
-    /// prefetch inserts take those locks one at a time.
+    /// one-block data read — an 8 KiB NFS READ; a longer read already
+    /// batches its own extent. Hits keep the streak alive; only a miss
+    /// triggers a prefetch (a scan inside the cached working set has
+    /// nothing to fetch). Runs with no shard lock held: the window
+    /// spans every cache shard, and the prefetch inserts take those
+    /// locks one at a time.
     fn maybe_readahead(&self, idx: u64, missed: bool) {
         if self.readahead_window == 0 {
             return;
@@ -298,65 +279,12 @@ impl<S: BlockStore> CachedStore<S> {
             return;
         }
         let idxs: Vec<u64> = wanted.iter().map(|(b, _)| *b).collect();
-        let fetched = self.inner.read_blocks(&idxs);
+        let fetched = self.inner.read(IoClass::Data, &idxs);
         for ((b, version), data) in wanted.into_iter().zip(fetched) {
-            let mut shard = self.shard(b).lock();
-            // Same no-lock-across-the-fetch discipline as the vectored
-            // miss path: a write that landed since the block was
-            // selected (resident or already evicted again) is newer
-            // than the prefetched bytes — skip the insert.
-            if shard.write_version != version {
-                continue;
-            }
-            let stamp = self.stamp();
-            match shard.map.entry(b) {
-                MapEntry::Occupied(_) => continue,
-                MapEntry::Vacant(slot) => {
-                    slot.insert(Entry {
-                        data,
-                        dirty: false,
-                        meta: false,
-                        seq: stamp,
-                    });
-                }
-            }
-            shard.note_insert(b, stamp, false);
-            self.evict_overflow(&mut shard);
-            self.readahead.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn write_cached(&self, idx: u64, data: &[u8], meta: bool) {
-        assert!(idx < self.inner.block_count(), "block {idx} out of range");
-        assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-        let handle = Bytes::copy_from_slice(data);
-        let mut shard = self.shard(idx).lock();
-        shard.write_version += 1;
-        let stamp = self.stamp();
-        // Block 0 (the superblock) is written through so the clean-flag
-        // discipline survives: see the module docs.
-        let write_through = idx == 0;
-        if write_through {
-            if meta {
-                self.inner.write_block_meta(idx, data);
-            } else {
-                self.inner.write_block(idx, data);
+            if self.insert_fetched(b, version, data, IoClass::Data) {
+                self.readahead.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let was_present = shard
-            .map
-            .insert(
-                idx,
-                Entry {
-                    data: handle,
-                    dirty: !write_through,
-                    meta,
-                    seq: stamp,
-                },
-            )
-            .is_some();
-        shard.note_insert(idx, stamp, was_present);
-        self.evict_overflow(&mut shard);
     }
 }
 
@@ -365,22 +293,13 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
         self.inner.block_count()
     }
 
-    fn read_block(&self, idx: u64) -> Bytes {
-        self.read_cached(idx, false)
-    }
-
-    fn write_block(&self, idx: u64, data: &[u8]) {
-        self.write_cached(idx, data, false)
-    }
-
-    /// Vectored read with hit/miss partitioning: hits are served under
-    /// shard locks as handle clones, and the misses — however many,
-    /// wherever they land — are fetched from the inner store in
-    /// **one** vectored call, then inserted clean. (The scalar-path
-    /// stride detector is not fed here: a vectored caller already
-    /// batches its own extent.)
-    fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
-        self.vectored_reads.fetch_add(1, Ordering::Relaxed);
+    /// Hits are served under shard locks as handle clones; the misses —
+    /// however many, wherever they land — are fetched from the inner
+    /// store in **one** call with no shard lock held, then inserted
+    /// clean (`insert_fetched`).
+    fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+        self.vectored_reads
+            .fetch_add(vectored(class, idxs.len()), Ordering::Relaxed);
         let mut out: Vec<Option<Bytes>> = vec![None; idxs.len()];
         let mut missed: Vec<(usize, u64, u64)> = Vec::new();
         for (pos, &idx) in idxs.iter().enumerate() {
@@ -396,69 +315,51 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
                 missed.push((pos, idx, shard.write_version));
             }
         }
-        if !missed.is_empty() {
+        let any_missed = !missed.is_empty();
+        if any_missed {
             let wanted: Vec<u64> = missed.iter().map(|(_, idx, _)| *idx).collect();
-            let fetched = self.inner.read_blocks(&wanted);
-            for ((pos, idx, version), data) in missed.into_iter().zip(fetched) {
-                out[pos] = Some(data.clone());
-                let mut shard = self.shard(idx).lock();
-                // The fetch ran with no shard lock held: a write that
-                // landed since the miss was recorded (whether its
-                // entry is still resident or was already evicted) is
-                // newer than the fetched bytes, so caching them clean
-                // would serve stale data forever. A changed version —
-                // or an entry already present (concurrent write, or a
-                // duplicate index earlier in this very call) — skips
-                // the insert; the caller still gets the fetched data.
-                if shard.write_version != version {
-                    continue;
-                }
-                let stamp = self.stamp();
-                match shard.map.entry(idx) {
-                    MapEntry::Occupied(_) => continue,
-                    MapEntry::Vacant(slot) => {
-                        slot.insert(Entry {
-                            data,
-                            dirty: false,
-                            meta: false,
-                            seq: stamp,
-                        });
-                    }
-                }
-                shard.note_insert(idx, stamp, false);
-                self.evict_overflow(&mut shard);
+            let fetched = self.inner.read(class, &wanted);
+            for ((pos, idx, version), block) in missed.into_iter().zip(fetched) {
+                out[pos] = Some(block.clone());
+                self.insert_fetched(idx, version, block, class);
             }
+        }
+        if let (IoClass::Data, &[idx]) = (class, idxs) {
+            self.maybe_readahead(idx, any_missed);
         }
         out.into_iter()
             .map(|block| block.expect("every position is a hit or a fetched miss"))
             .collect()
     }
 
-    /// Vectored write: each block lands dirty in its cache shard (the
-    /// write-back cache absorbs the burst; the inner store sees it at
-    /// flush/eviction time), with block 0 written through as always.
-    fn write_blocks(&self, writes: &[(u64, &[u8])]) {
-        self.vectored_writes.fetch_add(1, Ordering::Relaxed);
+    /// Each block lands dirty in its cache shard (the write-back cache
+    /// absorbs the burst; the inner store sees it at flush or eviction,
+    /// as the class it was written with). Block 0 (the superblock) is
+    /// written through so the clean-flag discipline survives: see the
+    /// module docs.
+    fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+        self.vectored_writes
+            .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
         for &(idx, data) in writes {
-            self.write_cached(idx, data, false);
-        }
-    }
-
-    fn read_block_meta(&self, idx: u64) -> Bytes {
-        self.read_cached(idx, true)
-    }
-
-    fn write_block_meta(&self, idx: u64, data: &[u8]) {
-        self.write_cached(idx, data, true)
-    }
-
-    /// Vectored metadata write: each block lands dirty with the meta
-    /// flag set (write-backs replay through the inner meta path), with
-    /// block 0 written through as always.
-    fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
-        self.vectored_writes.fetch_add(1, Ordering::Relaxed);
-        for &(idx, data) in writes {
-            self.write_cached(idx, data, true);
+            assert!(idx < self.inner.block_count(), "block {idx} out of range");
+            assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
+            let handle = Bytes::copy_from_slice(data);
+            let mut shard = self.shard(idx).lock();
+            shard.write_version += 1;
+            let stamp = self.stamp();
+            let write_through = idx == 0;
+            if write_through {
+                self.inner.write(class, &[(idx, data)]);
+            }
+            let entry = Entry {
+                data: handle,
+                dirty: !write_through,
+                class,
+                seq: stamp,
+            };
+            let was_present = shard.map.insert(idx, entry).is_some();
+            shard.note_insert(idx, stamp, was_present);
+            self.evict_overflow(&mut shard);
         }
     }
 
@@ -484,11 +385,7 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
             dirty.sort_unstable();
             for idx in dirty {
                 let entry = shard.map.get_mut(&idx).expect("dirty entry exists");
-                if entry.meta {
-                    self.inner.write_block_meta(idx, &entry.data);
-                } else {
-                    self.inner.write_block(idx, &entry.data);
-                }
+                self.inner.write(entry.class, &[(idx, &entry.data)]);
                 entry.dirty = false;
             }
         }
@@ -706,14 +603,14 @@ mod tests {
         assert_eq!(store.stats().cache_misses, 64, "every first touch misses");
     }
 
-    /// An inner store whose first vectored fetch races the cache that
-    /// wraps it: while the fetch is "in flight" (no shard lock held),
-    /// it writes newer data for `victim` through the cache and then
-    /// forces that entry's eviction — so at insert time the victim's
-    /// slot is vacant again, but the fetched bytes predate the write.
-    /// The caches below are sized at one block per shard and `evictor`
-    /// shares the victim's shard, so one extra write is a guaranteed
-    /// eviction.
+    /// An inner store whose first fetch of `victim` races the cache
+    /// that wraps it: while the fetch is "in flight" (no shard lock
+    /// held), it writes newer data for `victim` through the cache and
+    /// then forces that entry's eviction — so at insert time the
+    /// victim's slot is vacant again, but the fetched bytes predate the
+    /// write. The caches below are sized at one block per shard and
+    /// `evictor` shares the victim's shard, so one extra write is a
+    /// guaranteed eviction.
     struct RacyInner {
         inner: SimStore,
         cache: std::sync::OnceLock<std::sync::Weak<CachedStore<std::sync::Arc<RacyInner>>>>,
@@ -738,15 +635,9 @@ mod tests {
         fn block_count(&self) -> u64 {
             self.inner.block_count()
         }
-        fn read_block(&self, idx: u64) -> Bytes {
-            self.inner.read_block(idx)
-        }
-        fn write_block(&self, idx: u64, data: &[u8]) {
-            self.inner.write_block(idx, data)
-        }
-        fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
-            let out = self.inner.read_blocks(idxs);
-            if !self.fired.swap(true, Ordering::SeqCst) {
+        fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+            let out = self.inner.read(class, idxs);
+            if idxs.contains(&self.victim) && !self.fired.swap(true, Ordering::SeqCst) {
                 let cache = self
                     .cache
                     .get()
@@ -756,6 +647,9 @@ mod tests {
                 cache.write_block(self.evictor, &block_of(0xF0));
             }
             out
+        }
+        fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+            self.inner.write(class, writes)
         }
         fn stats(&self) -> StoreStats {
             self.inner.stats()
@@ -767,23 +661,33 @@ mod tests {
     use crate::StoreStats;
     use std::sync::Arc;
 
-    #[test]
-    fn vectored_miss_never_caches_data_staler_than_a_racing_write() {
+    /// The fetch returns the pre-write bytes — legal for a read that
+    /// overlaps a write — but the cache must not have kept them: the
+    /// racing write (already evicted down to the inner store) is newer.
+    fn assert_racing_write_wins(read_victim: impl Fn(&CachedStore<Arc<RacyInner>>) -> Bytes) {
         let racy = Arc::new(RacyInner::new(64, 1, 9));
         racy.inner.write_block(1, &block_of(0x01)); // the stale bytes
         let cache = Arc::new(CachedStore::new(Arc::clone(&racy), 8));
         racy.cache.set(Arc::downgrade(&cache)).ok();
-        // The vectored miss fetch returns the pre-write bytes — legal
-        // for a read overlapping a write...
-        let got = cache.read_blocks(&[1]);
-        assert_eq!(got[0], block_of(0x01));
-        // ...but the cache must not have kept them: the racing write
-        // (already evicted down to the inner store) is newer.
+        assert_eq!(read_victim(&cache), block_of(0x01));
         assert_eq!(
             cache.read_block(1),
             block_of(0xEE),
-            "a stale vectored fetch must never be cached over a racing write"
+            "a stale fetch must never be cached over a racing write"
         );
+    }
+
+    #[test]
+    fn vectored_miss_never_caches_data_staler_than_a_racing_write() {
+        assert_racing_write_wins(|cache| cache.read_blocks(&[2, 1, 3]).swap_remove(1));
+    }
+
+    /// A one-block read holds no shard lock across its fetch either:
+    /// the version check has to cover it, in both classes.
+    #[test]
+    fn a_one_block_miss_never_caches_data_staler_than_a_racing_write() {
+        assert_racing_write_wins(|cache| cache.read_block(1));
+        assert_racing_write_wins(|cache| cache.read_block_meta(1));
     }
 
     #[test]
@@ -794,8 +698,8 @@ mod tests {
         }
         let cache = Arc::new(CachedStore::with_readahead(Arc::clone(&racy), 8, 4));
         racy.cache.set(Arc::downgrade(&cache)).ok();
-        // Three ascending scalar reads form the stride; the miss at 2
-        // prefetches [3, 7) — and the hook races a write to block 3
+        // Three ascending one-block reads form the stride; the miss at
+        // 2 prefetches [3, 7) — and the hook races a write to block 3
         // into that unlocked fetch.
         for i in 0..3u64 {
             assert_eq!(cache.read_block(i), block_of(i as u8 + 1));

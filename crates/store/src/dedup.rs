@@ -18,7 +18,7 @@ use discfs_crypto::sha256::Sha256;
 use discfs_crypto::Digest;
 use parking_lot::Mutex;
 
-use crate::{zero_block, BlockStore, StoreStats, BLOCK_SIZE};
+use crate::{vectored, zero_block, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 type ChunkId = [u8; 32];
 
@@ -44,7 +44,7 @@ struct DedupState {
     writes: u64,
     dedup_hits: u64,
     zero_elisions: u64,
-    /// Vectored-call counters (not persisted in the snapshot — the
+    /// Multi-block-call counters (not persisted in the snapshot — the
     /// on-disk format predates them and reopen tolerates stale
     /// workload counters anyway).
     vectored_reads: u64,
@@ -193,30 +193,7 @@ impl DedupStore {
         Ok(state)
     }
 
-    fn read_common(&self, idx: u64, count_stats: bool) -> Bytes {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        let mut s = self.state.lock();
-        if count_stats {
-            s.reads += 1;
-        }
-        // Both arms are refcount bumps: repeated reads of the same
-        // chunk never re-copy it, and holes share the process-wide
-        // zero block.
-        match s.table[idx as usize] {
-            Some(id) => s.chunks[&id].data.clone(),
-            None => zero_block(),
-        }
-    }
-
-    fn write_common(&self, idx: u64, data: &[u8], count_stats: bool) {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-        let mut s = self.state.lock();
-        Self::apply_write(&mut s, idx, data, count_stats);
-    }
-
-    /// One write applied under the state lock — shared by the scalar
-    /// and vectored paths so their dedup accounting is identical.
+    /// One write applied under the state lock.
     fn apply_write(s: &mut DedupState, idx: u64, data: &[u8], count_stats: bool) {
         s.snap_dirty = true;
 
@@ -321,20 +298,15 @@ impl BlockStore for DedupStore {
         self.block_count
     }
 
-    fn read_block(&self, idx: u64) -> Bytes {
-        self.read_common(idx, true)
-    }
-
-    fn write_block(&self, idx: u64, data: &[u8]) {
-        self.write_common(idx, data, true)
-    }
-
-    /// Vectored read: one lock acquisition; every block is a refcount
-    /// bump off the chunk table, exactly like the scalar path.
-    fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
+    /// One lock acquisition; every block is a refcount bump off the
+    /// chunk table (repeated reads of a chunk never re-copy it, and
+    /// holes share the process-wide zero block).
+    fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
         let mut s = self.state.lock();
-        s.vectored_reads += 1;
-        s.reads += idxs.len() as u64;
+        s.vectored_reads += vectored(class, idxs.len());
+        if class == IoClass::Data {
+            s.reads += idxs.len() as u64;
+        }
         idxs.iter()
             .map(|&idx| {
                 assert!(idx < self.block_count, "block {idx} out of range");
@@ -346,39 +318,19 @@ impl BlockStore for DedupStore {
             .collect()
     }
 
-    /// Vectored write: one lock acquisition; hashing and dedup
-    /// accounting per block are identical to the looped path.
-    fn write_blocks(&self, writes: &[(u64, &[u8])]) {
-        let mut s = self.state.lock();
-        s.vectored_writes += 1;
-        for &(idx, data) in writes {
-            assert!(idx < self.block_count, "block {idx} out of range");
-            assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-            Self::apply_write(&mut s, idx, data, true);
-        }
-    }
-
+    /// One lock acquisition; every block is hashed and deduplicated.
     /// Metadata traffic (superblock, bitmaps, inode table, indirect
     /// blocks) is stored and deduplicated like any content but kept
     /// out of the workload counters: a sync-heavy run rewriting the
     /// same bitmap blocks must not read as a dedup win (or loss) of
     /// the *data* stream the hit ratio describes.
-    fn read_block_meta(&self, idx: u64) -> Bytes {
-        self.read_common(idx, false)
-    }
-
-    fn write_block_meta(&self, idx: u64, data: &[u8]) {
-        self.write_common(idx, data, false)
-    }
-
-    /// Vectored metadata write: one lock acquisition, kept out of the
-    /// workload counters like the scalar meta path.
-    fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
+    fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         let mut s = self.state.lock();
+        s.vectored_writes += vectored(class, writes.len());
         for &(idx, data) in writes {
             assert!(idx < self.block_count, "block {idx} out of range");
             assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-            Self::apply_write(&mut s, idx, data, false);
+            Self::apply_write(&mut s, idx, data, class == IoClass::Data);
         }
     }
 

@@ -23,7 +23,7 @@ use discfs_crypto::chacha20::ChaCha20;
 use discfs_crypto::hmac::Hmac;
 use discfs_crypto::sha256::Sha256;
 
-use crate::{BlockStore, StoreStats, BLOCK_SIZE};
+use crate::{BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 /// An encrypted-at-rest view of an inner block store.
 pub struct EncryptedStore<S> {
@@ -80,33 +80,20 @@ impl<S: BlockStore> BlockStore for EncryptedStore<S> {
         self.inner.block_count()
     }
 
-    fn read_block(&self, idx: u64) -> Bytes {
-        let data = self.inner.read_block(idx);
-        self.unseal(idx, data)
-    }
-
-    fn write_block(&self, idx: u64, data: &[u8]) {
-        assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-        let mut sealed = data.to_vec();
-        self.transform(idx, &mut sealed);
-        self.inner.write_block(idx, &sealed);
-    }
-
-    /// Vectored read: one inner vectored call, each block unsealed on
-    /// the way out.
-    fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
+    /// One inner call, each block unsealed on the way out.
+    fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
         self.inner
-            .read_blocks(idxs)
+            .read(class, idxs)
             .into_iter()
             .zip(idxs)
             .map(|(data, &idx)| self.unseal(idx, data))
             .collect()
     }
 
-    /// Vectored write: every block is sealed with its per-block
-    /// keystream, then the ciphertext extent goes to the inner store
-    /// as one vectored call (one journal append).
-    fn write_blocks(&self, writes: &[(u64, &[u8])]) {
+    /// Every block is sealed with its per-block keystream, then the
+    /// ciphertext extent goes to the inner store as one call (one
+    /// journal append).
+    fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         let sealed: Vec<(u64, Vec<u8>)> = writes
             .iter()
             .map(|&(idx, data)| {
@@ -117,36 +104,7 @@ impl<S: BlockStore> BlockStore for EncryptedStore<S> {
             })
             .collect();
         let refs: Vec<(u64, &[u8])> = sealed.iter().map(|(idx, buf)| (*idx, &buf[..])).collect();
-        self.inner.write_blocks(&refs);
-    }
-
-    fn read_block_meta(&self, idx: u64) -> Bytes {
-        let data = self.inner.read_block_meta(idx);
-        self.unseal(idx, data)
-    }
-
-    fn write_block_meta(&self, idx: u64, data: &[u8]) {
-        assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-        let mut sealed = data.to_vec();
-        self.transform(idx, &mut sealed);
-        self.inner.write_block_meta(idx, &sealed);
-    }
-
-    /// Vectored metadata write: sealed per block like
-    /// [`EncryptedStore::write_blocks`], forwarded as one inner
-    /// vectored meta call.
-    fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
-        let sealed: Vec<(u64, Vec<u8>)> = writes
-            .iter()
-            .map(|&(idx, data)| {
-                assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-                let mut buf = data.to_vec();
-                self.transform(idx, &mut buf);
-                (idx, buf)
-            })
-            .collect();
-        let refs: Vec<(u64, &[u8])> = sealed.iter().map(|(idx, buf)| (*idx, &buf[..])).collect();
-        self.inner.write_blocks_meta(&refs);
+        self.inner.write(class, &refs);
     }
 
     fn flush(&self) -> std::io::Result<()> {

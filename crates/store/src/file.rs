@@ -11,16 +11,15 @@
 //!
 //! # One append per call
 //!
-//! A [`BlockStore::write_block`] encodes its record and appends it to
-//! `journal.wal` before it returns; a vectored
-//! [`BlockStore::write_blocks`] encodes its W records into one buffer
-//! and appends them in one `write`. [`StoreStats::journal_batches`]
-//! counts those appends. Nothing acknowledged is held back in memory,
-//! so a process that is killed outright (SIGKILL, abort: no destructor
-//! runs) loses no acknowledged write: the records are in the OS page
-//! cache, and the next [`FileStore::open`] replays them. Durability
-//! against *power loss* is [`BlockStore::flush`]'s job: appends are not
-//! fsynced, the flush's `sync_data` is.
+//! A [`BlockStore::write`] of W blocks encodes its W records into one
+//! buffer and appends them to `journal.wal` in one `write` before it
+//! returns. [`StoreStats::journal_batches`] counts those appends.
+//! Nothing acknowledged is held back in memory, so a process that is
+//! killed outright (SIGKILL, abort: no destructor runs) loses no
+//! acknowledged write: the records are in the OS page cache, and the
+//! next [`FileStore::open`] replays them. Durability against *power
+//! loss* is [`BlockStore::flush`]'s job: appends are not fsynced, the
+//! flush's `sync_data` is.
 //!
 //! # Journal record format
 //!
@@ -57,7 +56,7 @@ use bytes::Bytes;
 use onc_rpc::frame::checksum64;
 use parking_lot::Mutex;
 
-use crate::{BlockStore, StoreStats, BLOCK_SIZE};
+use crate::{BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 /// Journal record magic. The digit is the record layout's version.
 const RECORD_MAGIC: [u8; 4] = *b"WAL2";
@@ -246,40 +245,6 @@ impl FileStore {
     pub fn crash(self) {
         drop(self);
     }
-
-    /// Journals `writes` as one append, then keeps them in the dirty
-    /// map. The records are encoded before the state lock is taken.
-    fn write_common(&self, writes: &[(u64, &[u8])], vectored: bool) {
-        let mut records = Vec::with_capacity(writes.len() * JOURNAL_RECORD_LEN);
-        for &(idx, data) in writes {
-            assert!(idx < self.block_count, "block {idx} out of range");
-            assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-            encode_record(&mut records, idx, data);
-        }
-        let mut s = self.state.lock();
-        s.append(&records).expect("journal append");
-        s.journal_records += writes.len() as u64;
-        s.writes += writes.len() as u64;
-        s.vectored_writes += u64::from(vectored);
-        for &(idx, data) in writes {
-            s.dirty.insert(idx, Bytes::copy_from_slice(data));
-        }
-    }
-
-    fn read_common(&self, idx: u64) -> Bytes {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        let mut s = self.state.lock();
-        s.reads += 1;
-        if let Some(block) = s.dirty.get(&idx) {
-            return block.clone();
-        }
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        s.data
-            .seek(SeekFrom::Start(idx * BLOCK_SIZE as u64))
-            .and_then(|_| s.data.read_exact(&mut buf))
-            .expect("data file read");
-        Bytes::from(buf)
-    }
 }
 
 impl BlockStore for FileStore {
@@ -287,20 +252,12 @@ impl BlockStore for FileStore {
         self.block_count
     }
 
-    fn read_block(&self, idx: u64) -> Bytes {
-        self.read_common(idx)
-    }
-
-    fn write_block(&self, idx: u64, data: &[u8]) {
-        self.write_common(&[(idx, data)], false)
-    }
-
-    /// Vectored read: one state-lock acquisition for the whole extent
-    /// (dirty-map lookups and data-file preads under it, like the
-    /// scalar path).
-    fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
+    /// One state-lock acquisition for the whole extent: dirty-map
+    /// lookups and data-file reads under it. The file store has no
+    /// separate metadata path; both classes count.
+    fn read(&self, _class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
         let mut s = self.state.lock();
-        s.vectored_reads += 1;
+        s.vectored_reads += u64::from(idxs.len() > 1);
         let mut out = Vec::with_capacity(idxs.len());
         for &idx in idxs {
             assert!(idx < self.block_count, "block {idx} out of range");
@@ -319,17 +276,24 @@ impl BlockStore for FileStore {
         out
     }
 
-    /// Vectored write: one state-lock acquisition, and the W records
-    /// reach `journal.wal` in one append, so the vectored write is a
-    /// durability unit.
-    fn write_blocks(&self, writes: &[(u64, &[u8])]) {
-        self.write_common(writes, true)
-    }
-
-    /// Vectored metadata write: the file store has no separate meta
-    /// path — the sweep is one [`BlockStore::write_blocks`].
-    fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
-        self.write_blocks(writes)
+    /// Journals `writes` as one append, so the call is a durability
+    /// unit, then keeps them in the dirty map. The records are encoded
+    /// before the state lock is taken.
+    fn write(&self, _class: IoClass, writes: &[(u64, &[u8])]) {
+        let mut records = Vec::with_capacity(writes.len() * JOURNAL_RECORD_LEN);
+        for &(idx, data) in writes {
+            assert!(idx < self.block_count, "block {idx} out of range");
+            assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
+            encode_record(&mut records, idx, data);
+        }
+        let mut s = self.state.lock();
+        s.append(&records).expect("journal append");
+        s.journal_records += writes.len() as u64;
+        s.writes += writes.len() as u64;
+        s.vectored_writes += u64::from(writes.len() > 1);
+        for &(idx, data) in writes {
+            s.dirty.insert(idx, Bytes::copy_from_slice(data));
+        }
     }
 
     fn flush(&self) -> std::io::Result<()> {

@@ -16,7 +16,7 @@
 //!   journal: every write is appended (checksummed) to the journal
 //!   before the data file is touched, so a crash mid-update replays
 //!   cleanly on reopen. A write's record is on the journal file when
-//!   the call returns: one append per call, scalar or vectored.
+//!   the call returns: one append per call, however many blocks.
 //! * [`DedupStore`] — a content-addressed deduplicating store: blocks
 //!   are keyed by their SHA-256, identical blocks share one stored
 //!   chunk, and the [`StoreStats::dedup_hit_ratio`] stat reports how
@@ -41,58 +41,36 @@
 //!   backend, so virtual-time figures can compare persistent backends,
 //!   not just wall time.
 //!
-//! # Hot-path performance
+//! # One I/O path
 //!
-//! [`BlockStore::read_block`] returns [`Bytes`] — a cheaply-clonable
-//! reference-counted handle, not a fresh allocation. The in-memory
-//! backends keep their blocks as shared handles, so a read is a
-//! refcount bump: **zero heap allocations on the hot read path**
-//! (`micro_store` proves it with a counting allocator). Callers that
-//! need a mutable view use [`BlockStore::read_block_into`] or
-//! `Bytes::to_vec`. The shared all-zero block ([`zero_block`]) serves
-//! holes and freshly-allocated blocks without materializing zeros.
+//! Every block moves through one pair of trait methods,
+//! [`BlockStore::read`] and [`BlockStore::write`]: a call names its
+//! [`IoClass`] and carries a whole extent, so a backend takes its
+//! lock, appends to its journal and makes its RPC once per call, and a
+//! one-block call is the same code with a run of one. `ffs` issues one
+//! call per file operation's extent.
 //!
-//! # Parallel I/O engine
+//! Reads return [`Bytes`] handles — reference-counted views, not
+//! copies. The in-memory backends keep their blocks as handles, so a
+//! read costs a refcount bump per block and the `Vec` of handles (32
+//! bytes a block): **no block-sized allocation and no 8 KB copy**
+//! (`micro_store` proves it with a byte-counting allocator). Callers
+//! that need a mutable view use [`BlockStore::read_block_into`] or
+//! `Bytes::to_vec`; holes and fresh blocks share [`zero_block`].
 //!
-//! Multi-block operations go through the **vectored** trait methods
-//! [`BlockStore::read_blocks`] / [`BlockStore::write_blocks`]: one
-//! call carries a whole extent, so a backend can amortize its lock,
-//! its journal append, and its timing charges over the run instead
-//! of paying them per block. Every backend implements them natively:
-//!
-//! * [`FileStore`] takes its state lock once and appends the W
-//!   records of a vectored write to `journal.wal` in one write (the
-//!   vectored write is a durability unit).
-//! * [`CachedStore`] partitions a vectored read into hits (served
-//!   under shard read locks) and misses (fetched from the inner store
-//!   in **one** vectored call, then inserted clean). It also carries
-//!   the engine's *sequential readahead*: a configurable window
-//!   ([`CachedStore::with_readahead`] /
-//!   [`StoreBackend::CachedReadahead`]) is prefetched — vectored —
-//!   from the inner store once an ascending stride is detected,
-//!   counted by [`StoreStats::readahead_blocks`].
-//! * [`TimedStore`] charges a contiguous ascending run as **one**
-//!   seek + rotation plus per-block transfer time
-//!   ([`DiskModel::run_cost`]) — the same total a per-block loop over
-//!   the same run produces, so virtual-time figures are unchanged for
-//!   equal access patterns; only non-contiguous jumps pay more seeks.
-//! * [`ShardedStore`] partitions the block list by shard and — with
-//!   the optional **per-shard worker threads**
-//!   ([`ShardedStore::with_workers`] / `StoreBackend::Sharded {
-//!   workers: true, .. }`) — submits one job per involved shard to a
-//!   bounded submission queue and joins the replies, so a *single*
-//!   client's streaming burst drives every shard concurrently.
-//!   Workers drain their queues on `flush` (the flush job is FIFO
-//!   behind any submitted work) and on `Drop` (senders disconnect,
-//!   threads are joined). Jobs are counted by
-//!   [`StoreStats::worker_jobs`]; vectored calls by
-//!   [`StoreStats::vectored_reads`] / `vectored_writes` (each layer of
-//!   a composition counts the calls it receives, so a wrapped stack
-//!   sums them).
-//!
-//! The filesystem layer (`ffs`) gathers each file operation's block
-//! extent into one vectored call, which is what turns these per-layer
-//! optimizations into end-to-end streaming throughput.
+//! What a backend does with a call is in its own docs: [`FileStore`]
+//! appends a write's records in one `write` (a call is a durability
+//! unit); [`CachedStore`] fetches a read's misses in one inner call
+//! with no shard lock held, and prefetches when one-block data reads
+//! form an ascending stride ([`StoreBackend::CachedReadahead`]);
+//! [`SimStore`] and [`TimedStore`] charge an ascending run one seek
+//! ([`DiskModel::run_cost`]) whether it arrives as one call or as N;
+//! [`ShardedStore`] routes a one-block call to its shard and fans a
+//! longer one out, one job per involved shard when it has **per-shard
+//! worker threads** ([`ShardedStore::with_workers`],
+//! [`StoreStats::worker_jobs`]). [`StoreStats::vectored_reads`] /
+//! `vectored_writes` count the calls that carried more than one data
+//! block, at each layer that received them.
 //!
 //! # Distributed volume tier
 //!
@@ -103,8 +81,9 @@
 //!   with a checksummed, length-prefixed request/response protocol —
 //!   one simulated storage node per server thread.
 //! * [`RemoteStore`] is the client: a [`BlockStore`] whose every call
-//!   is an RPC (vectored calls are single round-trips), with per-node
-//!   timeout/retry and a **dead-node latch** once the link fails. The
+//!   is one RPC (a round trip per call, however many blocks), with
+//!   per-node timeout/retry and a **dead-node latch** once the link
+//!   fails. The
 //!   [`StoreBackend::Remote`] preset composes it under the cache and
 //!   sharding wrappers — `Cached { Sharded { Remote } }` is a buffer
 //!   cache over a striped set of network nodes.
@@ -187,8 +166,8 @@
 //!   bumping.
 //! - **Why a fenced write is never partially applied:** the server
 //!   checks the token *before touching the store*, and one mutating
-//!   frame (scalar, vectored, or flush) is applied by one serve loop
-//!   in one step — so a frame is either entirely below the fence
+//!   frame (a write of any length, or a flush) is applied by one serve
+//!   loop in one step — so a frame is either entirely below the fence
 //!   (rejected with [`RemoteError::Fenced`], store untouched) or
 //!   entirely at it.
 //!
@@ -294,7 +273,7 @@ pub struct StoreStats {
     /// Journal records written since the last flush (file backend).
     pub journal_records: u64,
     /// Journal appends since open (file backend): the journal write
-    /// syscalls, one per scalar write and one per vectored write.
+    /// syscalls, one per [`BlockStore::write`] call.
     pub journal_batches: u64,
     /// Reads served from a [`CachedStore`] without touching the inner
     /// backend.
@@ -305,14 +284,14 @@ pub struct StoreStats {
     /// cache shard overflows, its LRU victim leaves, through the inner
     /// store if it was dirty.
     pub writeback_blocks: u64,
-    /// Multi-block [`BlockStore::read_blocks`] calls handled. Each
-    /// layer of a composition counts the vectored calls *it* receives
-    /// (a cache forwards only its misses, a sharded store fans one
-    /// call out to its shards), so the merged stats of a wrapped stack
-    /// sum the layers.
+    /// [`BlockStore::read`] calls that carried more than one data
+    /// block ([`FileStore`] counts both classes, as in `reads`). Each
+    /// layer of a composition counts the calls *it* receives (a cache
+    /// forwards only its misses, a sharded store fans one call out to
+    /// its shards), so the merged stats of a wrapped stack sum them.
     pub vectored_reads: u64,
-    /// Multi-block [`BlockStore::write_blocks`] calls handled (same
-    /// per-layer accounting as `vectored_reads`).
+    /// [`BlockStore::write`] calls that carried more than one data
+    /// block (same per-layer accounting as `vectored_reads`).
     pub vectored_writes: u64,
     /// Jobs submitted to a [`ShardedStore`]'s per-shard worker threads
     /// (reads, writes, and flushes; zero without workers).
@@ -420,27 +399,68 @@ impl StoreStats {
     }
 }
 
+/// Which of the two kinds of traffic a [`BlockStore`] call carries.
+/// Contents are treated alike; the class decides what a backend
+/// charges and counts. The block protocol sends the discriminant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IoClass {
+    /// File and directory contents: timing-model backends charge seek
+    /// and transfer time, and `reads` / `writes` count the blocks.
+    Data = 0,
+    /// Hot metadata (superblock, bitmaps, inode table, pointer blocks)
+    /// that a real filesystem absorbs in its buffer cache: neither
+    /// charged nor counted.
+    Meta = 1,
+}
+
 /// A block-addressed storage device of fixed-size [`BLOCK_SIZE`]
 /// blocks.
 ///
 /// The filesystem layer validates block numbers before issuing I/O, so
 /// out-of-range access is a bug and implementations panic on it.
 ///
-/// Reads return [`Bytes`]: a cheaply-clonable shared handle. Backends
-/// that hold blocks in memory serve reads as refcount bumps with no
-/// allocation or copy; callers that need to mutate use
-/// [`BlockStore::read_block_into`] (or `Bytes::to_vec`).
+/// # What to implement
 ///
-/// `*_meta` variants exist for hot metadata (bitmaps, inode table,
-/// indirect blocks) that real filesystems absorb in the buffer cache:
-/// timing-model backends skip the seek charge there. Content semantics
-/// are identical to the plain variants.
+/// [`BlockStore::read`] and [`BlockStore::write`]. Every backend in
+/// this workspace implements that pair and inherits the nine older
+/// names below it, each a one-line provided form over the pair. The
+/// pair has defaults too, over the old names, for `discfs_bench`'s
+/// `TracedStore`, which overrides the names and inherits the pair.
+/// **The two sets of defaults call each other**: an implementation
+/// that overrides neither the pair nor every name the pair's defaults
+/// call (`read_blocks`, `read_block_meta`, `write_blocks`,
+/// `write_blocks_meta`) overflows the stack on its first call, so CI
+/// greps for a definition of an old name outside this file. The
+/// pair's defaults go when `TracedStore` has moved.
 pub trait BlockStore: Send + Sync {
     /// Number of addressable blocks.
     fn block_count(&self) -> u64;
 
-    /// Reads block `idx` as a shared handle.
-    fn read_block(&self, idx: u64) -> Bytes;
+    /// Reads every block in `idxs` (any order, duplicates allowed) as
+    /// shared handles, in matching order: a whole extent in one call,
+    /// of which a one-block call is the shortest.
+    fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+        match class {
+            IoClass::Data => self.read_blocks(idxs),
+            IoClass::Meta => idxs.iter().map(|&i| self.read_block_meta(i)).collect(),
+        }
+    }
+
+    /// Writes every `(idx, block)` pair **in order** (a later pair for
+    /// the same index wins). Each block must be exactly [`BLOCK_SIZE`]
+    /// bytes. Journaled backends treat one call as a durability unit:
+    /// its records are on the journal when the call returns.
+    fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+        match class {
+            IoClass::Data => self.write_blocks(writes),
+            IoClass::Meta => self.write_blocks_meta(writes),
+        }
+    }
+
+    /// `read(Data, &[idx])`, unwrapped.
+    fn read_block(&self, idx: u64) -> Bytes {
+        self.read(IoClass::Data, &[idx]).pop().expect("one block")
+    }
 
     /// Reads block `idx` into `buf` (exactly one block) — the
     /// read-modify-write path.
@@ -448,56 +468,39 @@ pub trait BlockStore: Send + Sync {
         buf.copy_from_slice(&self.read_block(idx));
     }
 
-    /// Writes block `idx`; `data` must be exactly one block.
-    fn write_block(&self, idx: u64, data: &[u8]);
+    /// `write(Data, &[(idx, data)])`.
+    fn write_block(&self, idx: u64, data: &[u8]) {
+        self.write(IoClass::Data, &[(idx, data)])
+    }
 
-    /// Reads every block in `idxs` (any order, duplicates allowed),
-    /// returning the blocks in matching order — the vectored read
-    /// path. Backends override this to amortize locks, journal
-    /// appends, timing charges, and (sharded) worker dispatch over
-    /// the whole extent; the default is the per-block loop, so the two
-    /// paths are byte-identical by construction everywhere else.
+    /// `read(Data, idxs)`.
     fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
-        idxs.iter().map(|&idx| self.read_block(idx)).collect()
+        self.read(IoClass::Data, idxs)
     }
 
-    /// Writes every `(idx, block)` pair **in order** (a later pair for
-    /// the same index wins, exactly like the per-block loop) — the
-    /// vectored write path. Each block must be exactly [`BLOCK_SIZE`]
-    /// bytes. Journaled backends treat one vectored write as a
-    /// durability unit: its records are on the journal when the call
-    /// returns.
+    /// `write(Data, writes)`.
     fn write_blocks(&self, writes: &[(u64, &[u8])]) {
-        for (idx, data) in writes {
-            self.write_block(*idx, data);
-        }
+        self.write(IoClass::Data, writes)
     }
 
-    /// Reads a metadata block (no timing charge).
+    /// `read(Meta, &[idx])`, unwrapped.
     fn read_block_meta(&self, idx: u64) -> Bytes {
-        self.read_block(idx)
+        self.read(IoClass::Meta, &[idx]).pop().expect("one block")
     }
 
-    /// Reads a metadata block into `buf` (no timing charge).
+    /// Reads a metadata block into `buf` (exactly one block).
     fn read_block_meta_into(&self, idx: u64, buf: &mut [u8]) {
         buf.copy_from_slice(&self.read_block_meta(idx));
     }
 
-    /// Writes a metadata block (no timing charge).
+    /// `write(Meta, &[(idx, data)])`.
     fn write_block_meta(&self, idx: u64, data: &[u8]) {
-        self.write_block(idx, data)
+        self.write(IoClass::Meta, &[(idx, data)])
     }
 
-    /// Writes every `(idx, block)` pair through the metadata path —
-    /// the vectored counterpart of [`BlockStore::write_block_meta`],
-    /// with the same in-order, later-pair-wins semantics as
-    /// [`BlockStore::write_blocks`]. Backends override it so a bitmap
-    /// or inode-table sweep pays one lock / journal append / RPC
-    /// instead of one per block.
+    /// `write(Meta, writes)`.
     fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
-        for (idx, data) in writes {
-            self.write_block_meta(*idx, data);
-        }
+        self.write(IoClass::Meta, writes)
     }
 
     /// Makes completed writes durable (write-back caches write their
@@ -519,32 +522,23 @@ pub trait BlockStore: Send + Sync {
     fn label(&self) -> &'static str;
 }
 
+/// What a call adds to [`StoreStats::vectored_reads`] / `vectored_writes`:
+/// 1 when it carries more than one data block.
+pub(crate) fn vectored(class: IoClass, blocks: usize) -> u64 {
+    u64::from(class == IoClass::Data && blocks > 1)
+}
+
 macro_rules! forward_block_store {
     ($($ty:ty),*) => {$(
         impl<S: BlockStore + ?Sized> BlockStore for $ty {
             fn block_count(&self) -> u64 {
                 (**self).block_count()
             }
-            fn read_block(&self, idx: u64) -> Bytes {
-                (**self).read_block(idx)
+            fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+                (**self).read(class, idxs)
             }
-            fn write_block(&self, idx: u64, data: &[u8]) {
-                (**self).write_block(idx, data)
-            }
-            fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
-                (**self).read_blocks(idxs)
-            }
-            fn write_blocks(&self, writes: &[(u64, &[u8])]) {
-                (**self).write_blocks(writes)
-            }
-            fn read_block_meta(&self, idx: u64) -> Bytes {
-                (**self).read_block_meta(idx)
-            }
-            fn write_block_meta(&self, idx: u64, data: &[u8]) {
-                (**self).write_block_meta(idx, data)
-            }
-            fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
-                (**self).write_blocks_meta(writes)
+            fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+                (**self).write(class, writes)
             }
             fn flush(&self) -> std::io::Result<()> {
                 (**self).flush()
@@ -617,8 +611,8 @@ pub enum StoreBackend {
         inner: Box<StoreBackend>,
     },
     /// A [`CachedStore`] with sequential readahead: once an ascending
-    /// stride is detected on the scalar read path, the next `window`
-    /// blocks are prefetched from the inner backend in one vectored
+    /// stride is detected among one-block data reads, the next
+    /// `window` blocks are prefetched from the inner backend in one
     /// call ([`StoreStats::readahead_blocks`] counts them). Otherwise
     /// identical to [`StoreBackend::Cached`].
     CachedReadahead {
@@ -638,7 +632,7 @@ pub enum StoreBackend {
         /// Number of shards (inner store instances).
         shards: u32,
         /// Spawn one worker thread per shard with a bounded submission
-        /// queue: vectored calls then fan out one job per involved
+        /// queue: multi-block calls then fan out one job per involved
         /// shard and join, so a single client's burst drives all
         /// shards concurrently (see [`ShardedStore::with_workers`]).
         workers: bool,
@@ -1024,6 +1018,99 @@ mod tests {
             store.flush().unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An in-tree twin of `discfs_bench`'s `TracedStore`: it overrides
+    /// the ten old names, notes each call it forwards under the same
+    /// name, and inherits the pair.
+    struct NamesOnly {
+        inner: SimStore,
+        forwarded: parking_lot::Mutex<Vec<&'static str>>,
+    }
+
+    macro_rules! noted {
+        ($($name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+            fn $name(&self, $($arg: $ty),*) $(-> $ret)? {
+                self.forwarded.lock().push(stringify!($name));
+                self.inner.$name($($arg),*)
+            }
+        )*};
+    }
+
+    impl BlockStore for NamesOnly {
+        noted! {
+            read_block(idx: u64) -> Bytes;
+            read_block_into(idx: u64, buf: &mut [u8]);
+            write_block(idx: u64, data: &[u8]);
+            read_blocks(idxs: &[u64]) -> Vec<Bytes>;
+            write_blocks(writes: &[(u64, &[u8])]);
+            read_block_meta(idx: u64) -> Bytes;
+            read_block_meta_into(idx: u64, buf: &mut [u8]);
+            write_block_meta(idx: u64, data: &[u8]);
+            write_blocks_meta(writes: &[(u64, &[u8])]);
+            flush() -> std::io::Result<()>;
+        }
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
+        fn label(&self) -> &'static str {
+            self.inner.label()
+        }
+    }
+
+    /// The contract `discfs_bench` builds on until it moves to the
+    /// pair: whichever way `Ffs` reaches such an interposer behind its
+    /// `Arc<dyn BlockStore>` — through the pair (its data path) or a
+    /// name (its metadata path) — the interposer forwards exactly one
+    /// call (a traced run records one span) and the store receives it.
+    #[test]
+    fn an_interposer_that_knows_only_the_ten_names_sees_one_call_per_call() {
+        let traced = Arc::new(NamesOnly {
+            inner: SimStore::untimed(8),
+            forwarded: parking_lot::Mutex::new(Vec::new()),
+        });
+        let (a, data, meta) = (vec![0xA1u8; BLOCK_SIZE], IoClass::Data, IoClass::Meta);
+        type Call<'a> = (&'a str, &'a dyn Fn(&dyn BlockStore));
+        let calls: [Call; 16] = [
+            // The pair, in the shapes `Ffs` issues.
+            ("write_blocks", &|d| d.write(data, &[(1, &a), (2, &a)])),
+            ("write_blocks", &|d| d.write(data, &[(3, &a)])),
+            ("write_blocks_meta", &|d| d.write(meta, &[(4, &a), (5, &a)])),
+            ("read_blocks", &|d| drop(d.read(data, &[2, 1]))),
+            ("read_blocks", &|d| assert_eq!(d.read(data, &[3]), [&a[..]])),
+            ("read_block_meta", &|d| {
+                assert_eq!(d.read(meta, &[4]), [&a[..]])
+            }),
+            // Every name.
+            ("write_blocks", &|d| d.write_block(6, &a)),
+            ("write_blocks", &|d| d.write_blocks(&[(6, &a), (7, &a)])),
+            ("write_blocks_meta", &|d| d.write_block_meta(4, &a)),
+            ("write_blocks_meta", &|d| d.write_blocks_meta(&[(5, &a)])),
+            ("read_blocks", &|d| assert_eq!(d.read_block(6), a)),
+            ("read_blocks", &|d| drop(d.read_blocks(&[7, 6]))),
+            ("read_block_meta", &|d| assert_eq!(d.read_block_meta(4), a)),
+            ("read_blocks", &|d| {
+                d.read_block_into(7, &mut [0; BLOCK_SIZE])
+            }),
+            ("read_block_meta", &|d| {
+                d.read_block_meta_into(5, &mut [0; BLOCK_SIZE])
+            }),
+            ("flush", &|d| d.flush().unwrap()),
+        ];
+        let disk: Arc<dyn BlockStore> = traced.clone();
+        for (forwarded_as, call) in calls {
+            call(&disk);
+            assert_eq!(
+                std::mem::take(&mut *traced.forwarded.lock()),
+                [forwarded_as]
+            );
+        }
+        // `SimStore` counts data blocks only: 6 written, 7 read.
+        let stats = traced.inner.stats();
+        assert_eq!((stats.writes, stats.reads), (6, 7));
     }
 
     #[test]

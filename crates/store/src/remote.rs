@@ -31,13 +31,24 @@
 //! disagrees with the message it arrived in, is a
 //! [`RemoteError::Protocol`].
 //!
-//! Request ops carry the operand layout of the [`BlockStore`] call
-//! they mirror (indices as `u64` LE, blocks as raw 8 KB payloads,
-//! vectored bodies prefixed with a `u32` LE count); responses echo the
-//! request id, so a client that timed out and re-sent can drain the
-//! stale first reply. Block payloads ride the zero-copy [`Bytes`]
-//! path: the server reads handles from its store and the client slices
-//! response frames into handles without re-copying per block.
+//! The block protocol carries one READ and one WRITE, the bodies of
+//! [`BlockStore::read`] and [`BlockStore::write`] (integers LE, blocks
+//! as raw 8 KB payloads, class 0 = data and 1 = metadata):
+//!
+//! ```text
+//! OP_READ   | class u8 | count u32 | idx u64 × count |
+//! OP_WRITE  | token u64 | class u8 | count u32 | (idx u64, block) × count |
+//! ```
+//!
+//! The server checks a WRITE's fence token before anything else, then
+//! the class byte, the count against the body's length and every index
+//! against its store's block count: a well-framed request it cannot
+//! serve is answered `RESP_ERR` ([`RemoteError::Server`]), never passed
+//! to the store to panic on. Responses echo the request id, so a client
+//! that timed out and re-sent can drain the stale first reply. Block
+//! payloads ride the zero-copy [`Bytes`] path: the server reads
+//! handles from its store and the client slices response frames into
+//! handles without re-copying per block.
 //!
 //! # Failure model
 //!
@@ -88,13 +99,13 @@
 //!   current holder while its lease is unexpired is **idempotent**
 //!   (same token, expiry extended): a retransmitted or
 //!   fault-duplicated acquire frame cannot fence its own coordinator.
-//! - Every mutating request (`write`, `write_blocks`,
-//!   `write_blocks_meta`, `flush`) carries the client's current token.
-//!   The server checks it **before touching the store** and rejects
-//!   the frame with a typed [`RemoteError::Fenced`] reply whenever a
-//!   higher token has been granted — so a fenced write is never
-//!   partially applied: the whole frame (scalar or vectored) is either
-//!   below the fence and dropped, or at the fence and applied in full.
+//! - Every mutating request (WRITE, FLUSH) carries the client's
+//!   current token. The server checks it **before touching the store**
+//!   and rejects the frame with a typed [`RemoteError::Fenced`] reply
+//!   whenever a higher token has been granted — so a fenced write is
+//!   never partially applied: the whole frame, however many blocks, is
+//!   either below the fence and dropped, or at the fence and applied
+//!   in full.
 //! - A second coordinator can only acquire once the current lease has
 //!   expired on the virtual clock (or by re-acquiring under the same
 //!   coordinator id); until then it gets [`RemoteError::LeaseHeld`].
@@ -123,18 +134,13 @@ use netsim::{Endpoint, Link, LinkConfig, NetError, SimClock, Transport};
 use onc_rpc::frame::checksum64;
 use parking_lot::Mutex;
 
-use crate::{BlockStore, StoreStats, BLOCK_SIZE};
+use crate::{vectored, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 // Request opcodes.
 const OP_READ: u8 = 1;
-const OP_READ_BLOCKS: u8 = 2;
 const OP_WRITE: u8 = 3;
-const OP_WRITE_BLOCKS: u8 = 4;
 const OP_FLUSH: u8 = 5;
 const OP_LEN: u8 = 6;
-const OP_READ_META: u8 = 7;
-const OP_WRITE_META: u8 = 8;
-const OP_WRITE_BLOCKS_META: u8 = 9;
 const OP_SHUTDOWN: u8 = 10;
 const OP_ACQUIRE_LEASE: u8 = 11;
 const OP_RENEW_LEASE: u8 = 12;
@@ -435,47 +441,24 @@ impl<S: BlockStore> BlockServer<S> {
 
     fn handle(&self, req_id: u64, op: u8, body: &[u8], now: Option<Duration>) -> Vec<u8> {
         match op {
-            OP_READ | OP_READ_META if body.len() == 8 => {
-                let idx = u64::from_le_bytes(body.try_into().expect("8 bytes"));
-                let block = if op == OP_READ {
-                    self.store.read_block(idx)
-                } else {
-                    self.store.read_block_meta(idx)
-                };
-                encode_blocks_resp(req_id, &[block])
-            }
-            OP_READ_BLOCKS => match decode_idx_list(body) {
-                Some(idxs) => encode_blocks_resp(req_id, &self.store.read_blocks(&idxs)),
-                None => encode_frame(req_id, RESP_ERR, b"malformed index list"),
+            OP_READ => match decode_items(body, 8, self.store.block_count(), |idx, _| idx) {
+                Ok((class, idxs)) => encode_blocks_resp(req_id, &self.store.read(class, &idxs)),
+                Err(why) => encode_frame(req_id, RESP_ERR, why.as_bytes()),
             },
-            OP_WRITE | OP_WRITE_META if body.len() == 16 + BLOCK_SIZE => {
+            OP_WRITE if body.len() >= 8 => {
                 let token = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
                 if let Err(granted) = self.lease.check(token) {
                     return encode_frame(req_id, RESP_FENCED, &granted.to_le_bytes());
                 }
-                let idx = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-                if op == OP_WRITE {
-                    self.store.write_block(idx, &body[16..]);
-                } else {
-                    self.store.write_block_meta(idx, &body[16..]);
-                }
-                encode_frame(req_id, RESP_OK, &[])
-            }
-            OP_WRITE_BLOCKS | OP_WRITE_BLOCKS_META if body.len() >= 8 => {
-                let token = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-                if let Err(granted) = self.lease.check(token) {
-                    return encode_frame(req_id, RESP_FENCED, &granted.to_le_bytes());
-                }
-                match decode_write_list(&body[8..]) {
-                    Some(writes) => {
-                        if op == OP_WRITE_BLOCKS {
-                            self.store.write_blocks(&writes);
-                        } else {
-                            self.store.write_blocks_meta(&writes);
-                        }
+                let blocks = self.store.block_count();
+                match decode_items(&body[8..], 8 + BLOCK_SIZE, blocks, |idx, block| {
+                    (idx, block)
+                }) {
+                    Ok((class, writes)) => {
+                        self.store.write(class, &writes);
                         encode_frame(req_id, RESP_OK, &[])
                     }
-                    None => encode_frame(req_id, RESP_ERR, b"malformed write list"),
+                    Err(why) => encode_frame(req_id, RESP_ERR, why.as_bytes()),
                 }
             }
             OP_FLUSH if body.len() == 8 => {
@@ -541,35 +524,58 @@ fn encode_blocks_resp(req_id: u64, blocks: &[Bytes]) -> Vec<u8> {
     })
 }
 
-fn decode_idx_list(body: &[u8]) -> Option<Vec<u64>> {
-    let count = u32::from_le_bytes(body.get(..4)?.try_into().ok()?) as usize;
-    let rest = &body[4..];
-    if rest.len() != count * 8 {
-        return None;
+/// Parses `[class u8][count u32] item × count` — a READ body, or a
+/// WRITE body after its token — where an item is `item_len` bytes and
+/// starts with its block index. Refuses a class byte it does not know,
+/// a count the body does not hold and an index at or past
+/// `block_count`: the reason goes back in a `RESP_ERR`.
+fn decode_items<'a, T>(
+    body: &'a [u8],
+    item_len: usize,
+    block_count: u64,
+    item: impl Fn(u64, &'a [u8]) -> T,
+) -> Result<(IoClass, Vec<T>), &'static str> {
+    let (head, items) = body
+        .split_first_chunk::<5>()
+        .ok_or("request body shorter than its class and count")?;
+    let class = match head[0] {
+        0 => IoClass::Data,
+        1 => IoClass::Meta,
+        _ => return Err("unknown I/O class"),
+    };
+    let count = u32::from_le_bytes(head[1..].try_into().expect("4 bytes")) as usize;
+    if items.len() != count.saturating_mul(item_len) {
+        return Err("item list does not match its count");
     }
-    Some(
-        rest.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect(),
-    )
+    let items = items.chunks_exact(item_len).map(|c| {
+        let idx = u64::from_le_bytes(c[..8].try_into().expect("8 bytes"));
+        if idx < block_count {
+            Ok(item(idx, &c[8..]))
+        } else {
+            Err("block index out of range")
+        }
+    });
+    Ok((class, items.collect::<Result<_, _>>()?))
 }
 
-fn decode_write_list(body: &[u8]) -> Option<Vec<(u64, &[u8])>> {
-    let count = u32::from_le_bytes(body.get(..4)?.try_into().ok()?) as usize;
-    let rest = &body[4..];
-    if rest.len() != count * (8 + BLOCK_SIZE) {
-        return None;
+/// Appends a READ body: class (0 = data, 1 = metadata), count, indices.
+fn encode_read(frame: &mut Vec<u8>, class: IoClass, idxs: &[u64]) {
+    frame.push(class as u8);
+    frame.extend_from_slice(&(idxs.len() as u32).to_le_bytes());
+    for idx in idxs {
+        frame.extend_from_slice(&idx.to_le_bytes());
     }
-    Some(
-        rest.chunks_exact(8 + BLOCK_SIZE)
-            .map(|c| {
-                (
-                    u64::from_le_bytes(c[..8].try_into().expect("8 bytes")),
-                    &c[8..],
-                )
-            })
-            .collect(),
-    )
+}
+
+/// Appends a WRITE body: fence token, class, count, `(index, block)`s.
+fn encode_write(frame: &mut Vec<u8>, token: u64, class: IoClass, writes: &[(u64, &[u8])]) {
+    frame.extend_from_slice(&token.to_le_bytes());
+    frame.push(class as u8);
+    frame.extend_from_slice(&(writes.len() as u32).to_le_bytes());
+    for &(idx, data) in writes {
+        frame.extend_from_slice(&idx.to_le_bytes());
+        frame.extend_from_slice(data);
+    }
 }
 
 /// Retry policy for a [`RemoteStore`]: exponential backoff with
@@ -1115,14 +1121,7 @@ impl RemoteStore {
                     // A server *verdict*, not a network failure: the
                     // node is healthy, this coordinator is superseded.
                     // Never retried — a fenced write must stay unwritten.
-                    if matches!(
-                        op,
-                        OP_WRITE
-                            | OP_WRITE_META
-                            | OP_WRITE_BLOCKS
-                            | OP_WRITE_BLOCKS_META
-                            | OP_FLUSH
-                    ) {
+                    if matches!(op, OP_WRITE | OP_FLUSH) {
                         self.fenced_writes.fetch_add(1, Ordering::Relaxed);
                     }
                     return Err(e);
@@ -1164,87 +1163,55 @@ impl RemoteStore {
         Ok(())
     }
 
-    /// Fallible scalar read (`meta` selects the metadata path).
+    /// Fallible [`BlockStore::read`]: one round trip for the extent.
     ///
     /// # Errors
     ///
     /// Any [`RemoteError`]; network errors declare the node dead.
-    pub fn try_read_block(&self, idx: u64, meta: bool) -> Result<Bytes, RemoteError> {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        let op = if meta { OP_READ_META } else { OP_READ };
-        let blocks = Self::expect_blocks(self.rpc(op, &idx.to_le_bytes())?, 1)?;
-        if !meta {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(blocks.into_iter().next().expect("one block"))
-    }
-
-    /// Fallible vectored read.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RemoteError`]; network errors declare the node dead.
-    pub fn try_read_blocks(&self, idxs: &[u64]) -> Result<Vec<Bytes>, RemoteError> {
-        let mut body = Vec::with_capacity(4 + idxs.len() * 8);
-        body.extend_from_slice(&(idxs.len() as u32).to_le_bytes());
+    pub fn try_read(&self, class: IoClass, idxs: &[u64]) -> Result<Vec<Bytes>, RemoteError> {
         for &idx in idxs {
             assert!(idx < self.block_count, "block {idx} out of range");
-            body.extend_from_slice(&idx.to_le_bytes());
         }
-        let blocks = Self::expect_blocks(self.rpc(OP_READ_BLOCKS, &body)?, idxs.len())?;
-        self.vectored_reads.fetch_add(1, Ordering::Relaxed);
-        self.reads.fetch_add(idxs.len() as u64, Ordering::Relaxed);
+        let reply = self.rpc_with(OP_READ, 5 + idxs.len() * 8, |frame| {
+            encode_read(frame, class, idxs)
+        })?;
+        let blocks = Self::expect_blocks(reply, idxs.len())?;
+        self.vectored_reads
+            .fetch_add(vectored(class, idxs.len()), Ordering::Relaxed);
+        if class == IoClass::Data {
+            self.reads.fetch_add(idxs.len() as u64, Ordering::Relaxed);
+        }
         Ok(blocks)
     }
 
-    /// Fallible scalar write (`meta` selects the metadata path).
+    /// One-block [`RemoteStore::try_read`].
     ///
     /// # Errors
     ///
     /// Any [`RemoteError`]; network errors declare the node dead.
-    pub fn try_write_block(&self, idx: u64, data: &[u8], meta: bool) -> Result<(), RemoteError> {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-        let token = self.fence_token();
-        let op = if meta { OP_WRITE_META } else { OP_WRITE };
-        Self::expect_ok(self.rpc_with(op, 16 + BLOCK_SIZE, |frame| {
-            frame.extend_from_slice(&token.to_le_bytes());
-            frame.extend_from_slice(&idx.to_le_bytes());
-            frame.extend_from_slice(data);
-        })?)?;
-        if !meta {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+    pub fn try_read_block(&self, idx: u64, class: IoClass) -> Result<Bytes, RemoteError> {
+        Ok(self.try_read(class, &[idx])?.pop().expect("one block"))
     }
 
-    /// Fallible vectored write (`meta` selects the metadata path).
+    /// Fallible [`BlockStore::write`]: one round trip, stamped with
+    /// the fence token.
     ///
     /// # Errors
     ///
     /// Any [`RemoteError`]; network errors declare the node dead.
-    pub fn try_write_blocks(&self, writes: &[(u64, &[u8])], meta: bool) -> Result<(), RemoteError> {
+    pub fn try_write(&self, class: IoClass, writes: &[(u64, &[u8])]) -> Result<(), RemoteError> {
         for &(idx, data) in writes {
             assert!(idx < self.block_count, "block {idx} out of range");
             assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
         }
         let token = self.fence_token();
-        let op = if meta {
-            OP_WRITE_BLOCKS_META
-        } else {
-            OP_WRITE_BLOCKS
-        };
-        let body_len = 12 + writes.len() * (8 + BLOCK_SIZE);
-        Self::expect_ok(self.rpc_with(op, body_len, |frame| {
-            frame.extend_from_slice(&token.to_le_bytes());
-            frame.extend_from_slice(&(writes.len() as u32).to_le_bytes());
-            for &(idx, data) in writes {
-                frame.extend_from_slice(&idx.to_le_bytes());
-                frame.extend_from_slice(data);
-            }
+        let body_len = 13 + writes.len() * (8 + BLOCK_SIZE);
+        Self::expect_ok(self.rpc_with(OP_WRITE, body_len, |frame| {
+            encode_write(frame, token, class, writes)
         })?)?;
-        if !meta {
-            self.vectored_writes.fetch_add(1, Ordering::Relaxed);
+        self.vectored_writes
+            .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
+        if class == IoClass::Data {
             self.writes
                 .fetch_add(writes.len() as u64, Ordering::Relaxed);
         }
@@ -1291,36 +1258,12 @@ impl BlockStore for RemoteStore {
         self.block_count
     }
 
-    fn read_block(&self, idx: u64) -> Bytes {
-        self.try_read_block(idx, false).expect("remote read failed")
+    fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+        self.try_read(class, idxs).expect("remote read failed")
     }
 
-    fn write_block(&self, idx: u64, data: &[u8]) {
-        self.try_write_block(idx, data, false)
-            .expect("remote write failed")
-    }
-
-    fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
-        self.try_read_blocks(idxs).expect("remote read failed")
-    }
-
-    fn write_blocks(&self, writes: &[(u64, &[u8])]) {
-        self.try_write_blocks(writes, false)
-            .expect("remote write failed")
-    }
-
-    fn read_block_meta(&self, idx: u64) -> Bytes {
-        self.try_read_block(idx, true).expect("remote read failed")
-    }
-
-    fn write_block_meta(&self, idx: u64, data: &[u8]) {
-        self.try_write_block(idx, data, true)
-            .expect("remote write failed")
-    }
-
-    fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
-        self.try_write_blocks(writes, true)
-            .expect("remote write failed")
+    fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+        self.try_write(class, writes).expect("remote write failed")
     }
 
     fn flush(&self) -> std::io::Result<()> {
@@ -1436,17 +1379,30 @@ mod tests {
         }
     }
 
-    /// The block protocol's wire format, pinned byte for byte.
+    /// The block protocol's wire format, pinned byte for byte: the
+    /// frame, then the READ and WRITE bodies a client sends.
     #[test]
     fn frame_bytes_are_pinned() {
-        let frame = encode_frame(7, OP_READ, &42u64.to_le_bytes());
+        let frame = encode_frame_with(7, OP_READ, 13, |f| encode_read(f, IoClass::Meta, &[42]));
         let mut expected = Vec::new();
-        expected.extend_from_slice(&25u32.to_le_bytes());
+        expected.extend_from_slice(&30u32.to_le_bytes());
         expected.extend_from_slice(&7u64.to_le_bytes());
-        expected.push(OP_READ);
+        expected.push(1); // OP_READ
+        expected.push(1); // class: metadata
+        expected.extend_from_slice(&1u32.to_le_bytes());
         expected.extend_from_slice(&42u64.to_le_bytes());
-        expected.extend_from_slice(&0x496c_5f0b_8e02_f177u64.to_le_bytes());
+        expected.extend_from_slice(&0xa5f7_738a_a447_9a0eu64.to_le_bytes());
         assert_eq!(frame, expected);
+
+        let mut body = Vec::new();
+        encode_write(&mut body, 9, IoClass::Data, &[(5, &[0xA1; BLOCK_SIZE])]);
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&9u64.to_le_bytes()); // fence token
+        expected.push(0); // class: data
+        expected.extend_from_slice(&1u32.to_le_bytes());
+        expected.extend_from_slice(&5u64.to_le_bytes());
+        expected.extend_from_slice(&[0xA1; BLOCK_SIZE]);
+        assert_eq!((body, OP_WRITE), (expected, 3));
     }
 
     #[test]
@@ -1502,7 +1458,7 @@ mod tests {
         store.write_block(2, &vec![9u8; BLOCK_SIZE]);
         assert!(!store.is_dead());
         store.kill_server();
-        assert!(store.try_read_block(2, false).is_err());
+        assert!(store.try_read_block(2, IoClass::Data).is_err());
         assert!(store.is_dead());
         // Dead latch: later calls fail without touching the wire.
         let calls = store.stats().rpc_calls;
@@ -1646,7 +1602,7 @@ mod tests {
         // out: every re-send is dropped, the waiting budget lapses,
         // and the node dies with the probation-eligible cause.
         plan.partition(clock.now(), clock.now() + Duration::from_secs(60));
-        assert!(store.try_read_block(4, false).is_err());
+        assert!(store.try_read_block(4, IoClass::Data).is_err());
         assert!(store.is_dead());
         assert_eq!(store.dead_cause(), Some(DeadCause::Timeout));
         // Heal: jump the virtual clock past the window, then probe.
@@ -1736,18 +1692,17 @@ mod tests {
         let b = coordinator(&store, &lease, &clock);
         let ttl = Duration::from_millis(1);
         a.try_acquire_lease(1, ttl).unwrap();
-        a.try_write_block(3, &vec![0xAA; BLOCK_SIZE], false)
-            .unwrap();
+        let block = |byte: u8| vec![byte; BLOCK_SIZE];
+        a.try_write(IoClass::Data, &[(3, &block(0xAA))]).unwrap();
         clock.advance(Duration::from_secs(1));
         b.try_acquire_lease(2, ttl).unwrap();
-        b.try_write_block(3, &vec![0xBB; BLOCK_SIZE], false)
-            .unwrap();
+        b.try_write(IoClass::Data, &[(3, &block(0xBB))]).unwrap();
         // A still stamps token 1: every mutating op is refused, the
         // store is untouched, and the node is NOT declared dead.
         let errs = [
-            a.try_write_block(3, &vec![0xCC; BLOCK_SIZE], false)
+            a.try_write(IoClass::Data, &[(3, &block(0xCC))])
                 .unwrap_err(),
-            a.try_write_blocks(&[(4, &[0xCC; BLOCK_SIZE][..])], false)
+            a.try_write(IoClass::Meta, &[(4, &block(0xCC)), (5, &block(0xCC))])
                 .unwrap_err(),
             a.try_flush().unwrap_err(),
         ];
@@ -1757,9 +1712,9 @@ mod tests {
         assert!(!a.is_dead());
         assert_eq!(a.stats().fenced, 3);
         assert_eq!(lease.fenced_rejections(), 3);
-        assert_eq!(b.try_read_block(3, false).unwrap()[0], 0xBB);
+        assert_eq!(b.try_read_block(3, IoClass::Data).unwrap()[0], 0xBB);
         // Reads are not fenced: A may still serve while superseded.
-        assert_eq!(a.try_read_block(3, false).unwrap()[0], 0xBB);
+        assert_eq!(a.try_read_block(3, IoClass::Data).unwrap()[0], 0xBB);
     }
 
     #[test]
@@ -1769,15 +1724,54 @@ mod tests {
         let bare = coordinator(&store, &lease, &clock);
         let leased = coordinator(&store, &lease, &clock);
         // Never-leased node: a bare (token 0) client writes freely.
-        bare.try_write_block(1, &vec![0x11; BLOCK_SIZE], false)
+        bare.try_write(IoClass::Data, &[(1, &[0x11; BLOCK_SIZE])])
             .unwrap();
         // The first grant fences the bare client out.
         leased.try_acquire_lease(7, Duration::from_secs(1)).unwrap();
         assert!(matches!(
-            bare.try_write_block(1, &vec![0x22; BLOCK_SIZE], false),
+            bare.try_write(IoClass::Data, &[(1, &[0x22; BLOCK_SIZE])]),
             Err(RemoteError::Fenced { granted: 1 })
         ));
-        assert_eq!(leased.try_read_block(1, false).unwrap()[0], 0x11);
+        assert_eq!(leased.try_read_block(1, IoClass::Data).unwrap()[0], 0x11);
+    }
+
+    /// A serve thread over an 8-block node, and the raw end of its
+    /// link.
+    fn raw_node(clock: &SimClock, lease: &Arc<NodeLease>) -> (Endpoint, JoinHandle<()>) {
+        let (client_end, server_end) = Link::pair(clock, LinkConfig::instant());
+        let server = BlockServer::with_lease(SimStore::untimed(8), Arc::clone(lease));
+        (
+            client_end,
+            std::thread::spawn(move || server.serve(&server_end)),
+        )
+    }
+
+    /// Sends one request frame, returns the reply's op and body.
+    fn exchange(end: &Endpoint, req_id: u64, op: u8, body: &[u8]) -> (u8, Vec<u8>) {
+        end.send(encode_frame(req_id, op, body)).unwrap();
+        let reply = end.recv().expect("the serve thread is alive");
+        let (_, op, body) = decode_frame(&reply).unwrap();
+        (op, body.to_vec())
+    }
+
+    /// A READ or WRITE body laid out by hand, not by `encode_read` /
+    /// `encode_write` — the server's side of what
+    /// `frame_bytes_are_pinned` pins: `[class][count][idx…]`; a WRITE
+    /// puts `token` before it and a block of `fill` after each index.
+    fn io_body(op: u8, token: u64, class: u8, count: u32, idxs: &[u64], fill: u8) -> Vec<u8> {
+        let mut body = Vec::new();
+        if op == OP_WRITE {
+            body.extend_from_slice(&token.to_le_bytes());
+        }
+        body.push(class);
+        body.extend_from_slice(&count.to_le_bytes());
+        for idx in idxs {
+            body.extend_from_slice(&idx.to_le_bytes());
+            if op == OP_WRITE {
+                body.extend_from_slice(&[fill; BLOCK_SIZE]);
+            }
+        }
+        body
     }
 
     /// Regression for the fault-duplication hole: a mutating frame
@@ -1789,53 +1783,74 @@ mod tests {
     #[test]
     fn duplicated_frame_replayed_after_lease_change_is_fenced() {
         let clock = SimClock::new();
-        let (client_end, server_end) = Link::pair(&clock, LinkConfig::instant());
         let lease = Arc::new(NodeLease::default());
-        let server_lease = Arc::clone(&lease);
-        let server = std::thread::spawn(move || {
-            BlockServer::with_lease(SimStore::untimed(8), server_lease).serve(&server_end);
-        });
-        let exchange = |frame: Vec<u8>| {
-            client_end.send(frame).unwrap();
-            let reply = client_end.recv().unwrap();
-            let (_, op, body) = decode_frame(&reply).unwrap();
-            (op, body.to_vec())
-        };
-        let acquire = |req_id: u64, coordinator: u64| {
-            let mut body = Vec::new();
-            body.extend_from_slice(&coordinator.to_le_bytes());
+        let (end, server) = raw_node(&clock, &lease);
+        let acquire = |coordinator: u64| {
+            let mut body = coordinator.to_le_bytes().to_vec();
             body.extend_from_slice(&Duration::from_millis(1).as_nanos().to_le_bytes()[..8]);
-            encode_frame(req_id, OP_ACQUIRE_LEASE, &body)
+            body
         };
-        let write = |req_id: u64, token: u64, byte: u8| {
-            let mut body = Vec::with_capacity(16 + BLOCK_SIZE);
-            body.extend_from_slice(&token.to_le_bytes());
-            body.extend_from_slice(&3u64.to_le_bytes());
-            body.extend_from_slice(&[byte; BLOCK_SIZE]);
-            encode_frame(req_id, OP_WRITE, &body)
-        };
+        let write = |token: u64, fill: u8| io_body(OP_WRITE, token, 0, 1, &[3], fill);
         // Coordinator 1 acquires token 1 and lands a write.
-        let (op, body) = exchange(acquire(1, 1));
+        let (op, body) = exchange(&end, 1, OP_ACQUIRE_LEASE, &acquire(1));
         assert_eq!(op, RESP_LEASE);
         assert_eq!(u64::from_le_bytes(body[..8].try_into().unwrap()), 1);
-        let stale_frame = write(2, 1, 0xAA);
-        assert_eq!(exchange(stale_frame.clone()).0, RESP_OK);
+        assert_eq!(exchange(&end, 2, OP_WRITE, &write(1, 0xAA)).0, RESP_OK);
         // The lease changes hands; coordinator 2 writes its own data.
         clock.advance(Duration::from_secs(1));
-        assert_eq!(exchange(acquire(3, 2)).0, RESP_LEASE);
-        assert_eq!(exchange(write(4, 2, 0xBB)).0, RESP_OK);
+        assert_eq!(
+            exchange(&end, 3, OP_ACQUIRE_LEASE, &acquire(2)).0,
+            RESP_LEASE
+        );
+        assert_eq!(exchange(&end, 4, OP_WRITE, &write(2, 0xBB)).0, RESP_OK);
         // The fault-duplicated replay of coordinator 1's frame — the
         // byte-identical message a `FaultPlan` dup would re-deliver —
         // bounces off the fence and the block keeps coordinator 2's
         // data.
-        let (op, body) = exchange(stale_frame);
+        let (op, body) = exchange(&end, 2, OP_WRITE, &write(1, 0xAA));
         assert_eq!(op, RESP_FENCED, "stale replay must be rejected");
         assert_eq!(u64::from_le_bytes(body[..8].try_into().unwrap()), 2);
         assert_eq!(lease.fenced_rejections(), 1);
-        let (op, body) = exchange(encode_frame(5, OP_READ, &3u64.to_le_bytes()));
+        let (op, body) = exchange(&end, 5, OP_READ, &io_body(OP_READ, 0, 0, 1, &[3], 0));
         assert_eq!(op, RESP_BLOCKS);
         assert_eq!(body[4], 0xBB, "the replay must not have been applied");
-        let _ = exchange(encode_frame(6, OP_SHUTDOWN, &[]));
+        exchange(&end, 6, OP_SHUTDOWN, &[]);
         server.join().ok();
+    }
+
+    /// A request the node cannot serve is answered with an error, and
+    /// the serve thread goes on serving. Passed to the store, block 99
+    /// of 8 panics the thread and the client sees a disconnect: a
+    /// terminal `DeadCause` that only a spare rebuild heals.
+    #[test]
+    fn a_request_for_a_block_the_node_does_not_have_is_an_error_reply() {
+        let (end, server) = raw_node(&SimClock::new(), &Arc::default());
+        // A block past the end, alone and behind a good one; a class
+        // nobody defined; counts the body does not hold.
+        let refused: [(u8, u32, &[u64]); 5] = [
+            (0, 1, &[99]),
+            (1, 2, &[3, 8]),
+            (2, 1, &[3]),
+            (0, 2, &[3]),
+            (0, u32::MAX, &[3]),
+        ];
+        for op in [OP_READ, OP_WRITE] {
+            for (class, count, idxs) in refused {
+                let body = io_body(op, 0, class, count, idxs, 0x5A);
+                let resp = exchange(&end, 1, op, &body).0;
+                assert_eq!(resp, RESP_ERR, "op {op}: {class}, {count}, {idxs:?}");
+            }
+        }
+        // The same thread on the same link still serves, and no refused
+        // write touched the store.
+        let write = io_body(OP_WRITE, 0, 0, 1, &[7], 0x5A);
+        assert_eq!(exchange(&end, 2, OP_WRITE, &write).0, RESP_OK);
+        let read = io_body(OP_READ, 0, 0, 2, &[7, 3], 0);
+        let (resp, blocks) = exchange(&end, 3, OP_READ, &read);
+        assert_eq!(resp, RESP_BLOCKS);
+        assert!(blocks[4..4 + BLOCK_SIZE].iter().all(|&b| b == 0x5A));
+        assert!(blocks[4 + BLOCK_SIZE..].iter().all(|&b| b == 0));
+        exchange(&end, 4, OP_SHUTDOWN, &[]);
+        server.join().expect("the serve thread never panicked");
     }
 }

@@ -103,7 +103,8 @@ use discfs_crypto::sha256::Sha256;
 use discfs_crypto::Digest;
 use netsim::SimClock;
 
-use crate::{BlockStore, DeadCause, RemoteError, RemoteStore, StoreStats, BLOCK_SIZE};
+use crate::vectored;
+use crate::{BlockStore, DeadCause, IoClass, RemoteError, RemoteStore, StoreStats, BLOCK_SIZE};
 
 /// Epoch record magic.
 const EPOCH_MAGIC: [u8; 8] = *b"DISCEPOC";
@@ -217,8 +218,8 @@ struct LeaseTerms {
 struct ReplState {
     nodes: Vec<Node>,
     spares: Vec<RemoteStore>,
-    /// Coordinator-side write-back buffer: `idx -> (block, meta)`.
-    dirty: BTreeMap<u64, (Bytes, bool)>,
+    /// Coordinator-side write-back buffer: `idx -> (block, class)`.
+    dirty: BTreeMap<u64, (Bytes, IoClass)>,
     epoch: u64,
     /// Latched on the first `Fenced` refusal: a newer coordinator owns
     /// the volume, so this one serves reads only until `reacquire`.
@@ -287,11 +288,11 @@ fn hosted_items(target: usize, n: usize, block_count: u64, replicas: usize) -> V
 }
 
 /// Copies every block hosted by `nodes[target]` from the freshest
-/// surviving replicas and stamps `epoch` — one vectored write per
-/// source node for the reads, one for the target (epoch record last,
-/// so a torn rebuild reads as still-stale and is simply redone). This
-/// is the *inline* mount-recovery path; post-mount failures go through
-/// the rate-limited background queue instead.
+/// surviving replicas and stamps `epoch` — one read per source node,
+/// one write for the target (epoch record last, so a torn rebuild
+/// reads as still-stale and is simply redone). This is the *inline*
+/// mount-recovery path; post-mount failures go through the
+/// rate-limited background queue instead.
 fn rebuild_node(
     nodes: &[Node],
     target: usize,
@@ -323,7 +324,7 @@ fn rebuild_node(
         }
         let blocks = nodes[m]
             .store
-            .try_read_blocks(&src)
+            .try_read(IoClass::Data, &src)
             .expect("rebuild source node failed mid-copy");
         writes.extend(dst.into_iter().zip(blocks));
     }
@@ -334,7 +335,7 @@ fn rebuild_node(
     let refs: Vec<(u64, &[u8])> = writes.iter().map(|(i, b)| (*i, &b[..])).collect();
     nodes[target]
         .store
-        .try_write_blocks(&refs, false)
+        .try_write(IoClass::Data, &refs)
         .expect("rebuild target node failed");
 }
 
@@ -406,7 +407,7 @@ impl ReplicatedStore {
             .iter()
             .map(|node| {
                 node.store
-                    .try_read_block(slot, true)
+                    .try_read_block(slot, IoClass::Meta)
                     .ok()
                     .map(|b| decode_epoch(&b))
             })
@@ -555,7 +556,7 @@ impl ReplicatedStore {
                     return None;
                 }
                 node.store
-                    .try_read_block(slot, true)
+                    .try_read_block(slot, IoClass::Meta)
                     .ok()
                     .map(|b| decode_epoch(&b))
             })
@@ -769,7 +770,7 @@ impl ReplicatedStore {
         let slot = epoch_slot(self.block_count, n, self.replicas);
         let node_epoch = st.nodes[target]
             .store
-            .try_read_block(slot, true)
+            .try_read_block(slot, IoClass::Meta)
             .map_or(0, |b| decode_epoch(&b));
         if node_epoch == st.epoch {
             // The epoch-stamped state is current, but block 0 commits
@@ -805,13 +806,16 @@ impl ReplicatedStore {
         };
         let Ok(block) = st.nodes[m]
             .store
-            .try_read_block(inner_of(0, r2, n, self.replicas), true)
+            .try_read_block(inner_of(0, r2, n, self.replicas), IoClass::Meta)
         else {
             return false;
         };
         st.nodes[target]
             .store
-            .try_write_block(inner_of(0, target, n, self.replicas), &block, true)
+            .try_write(
+                IoClass::Meta,
+                &[(inner_of(0, target, n, self.replicas), &block)],
+            )
             .is_ok()
     }
 
@@ -840,7 +844,7 @@ impl ReplicatedStore {
                 let record = epoch_record(st.epoch);
                 if st.nodes[target]
                     .store
-                    .try_write_block(slot, &record, false)
+                    .try_write(IoClass::Data, &[(slot, &record)])
                     .is_err()
                 {
                     self.handle_failure(st, target);
@@ -868,13 +872,16 @@ impl ReplicatedStore {
             };
             let Ok(block) = st.nodes[m]
                 .store
-                .try_read_block(inner_of(idx, r2, n, self.replicas), false)
+                .try_read_block(inner_of(idx, r2, n, self.replicas), IoClass::Data)
             else {
                 return; // the source just died; repair picks it up
             };
             if st.nodes[target]
                 .store
-                .try_write_block(inner_of(idx, r, n, self.replicas), &block, false)
+                .try_write(
+                    IoClass::Data,
+                    &[(inner_of(idx, r, n, self.replicas), &block)],
+                )
                 .is_err()
             {
                 // The target died mid-rebuild; the generation bump
@@ -921,41 +928,6 @@ impl ReplicatedStore {
         order
     }
 
-    fn read_impl(&self, idx: u64, meta: bool) -> Bytes {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        let mut st = self.state.lock();
-        if let Some((block, _)) = st.dirty.get(&idx) {
-            return block.clone();
-        }
-        let n = st.nodes.len();
-        let order = self.replica_order(&st, idx);
-        let mut served = None;
-        for &r in &order {
-            let node = node_of(idx, r, n);
-            if !st.nodes[node].serving() {
-                continue;
-            }
-            if let Ok(block) = st.nodes[node]
-                .store
-                .try_read_block(inner_of(idx, r, n, self.replicas), meta)
-            {
-                served = Some((r, block));
-                break;
-            }
-            // The failed node just declared itself dead; fail over to
-            // the next live replica, repair afterwards.
-        }
-        self.repair(&mut st);
-        self.maybe_tick(&mut st);
-        let Some((r, block)) = served else {
-            panic!("no live replica for block {idx}");
-        };
-        if r != 0 {
-            self.replica_reads.fetch_add(1, Ordering::Relaxed);
-        }
-        block
-    }
-
     /// Block 0 is written through to every live replica immediately —
     /// outside the epoch transaction — so the filesystem's
     /// dirty-marker ordering survives (module docs). Idempotent, so a
@@ -963,7 +935,7 @@ impl ReplicatedStore {
     /// A `Fenced` refusal latches the volume read-only instead (the
     /// write is dropped, never retried — the newer coordinator owns
     /// block 0 now); the caller's next flush surfaces the error.
-    fn write_through_zero(&self, st: &mut ReplState, data: &[u8], meta: bool) {
+    fn write_through_zero(&self, st: &mut ReplState, data: &[u8], class: IoClass) {
         let n = st.nodes.len();
         if st.fenced {
             return;
@@ -974,11 +946,10 @@ impl ReplicatedStore {
                 if !st.nodes[node].writable() {
                     continue;
                 }
-                match st.nodes[node].store.try_write_block(
-                    inner_of(0, r, n, self.replicas),
-                    data,
-                    meta,
-                ) {
+                match st.nodes[node]
+                    .store
+                    .try_write(class, &[(inner_of(0, r, n, self.replicas), data)])
+                {
                     Ok(()) => {}
                     Err(RemoteError::Fenced { .. }) => {
                         st.fenced = true;
@@ -995,16 +966,6 @@ impl ReplicatedStore {
         }
         panic!("block 0 write-through kept failing");
     }
-
-    fn write_impl(&self, st: &mut ReplState, idx: u64, data: &[u8], meta: bool) {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-        if idx == 0 {
-            self.write_through_zero(st, data, meta);
-        } else {
-            st.dirty.insert(idx, (Bytes::copy_from_slice(data), meta));
-        }
-    }
 }
 
 impl BlockStore for ReplicatedStore {
@@ -1012,22 +973,14 @@ impl BlockStore for ReplicatedStore {
         self.block_count
     }
 
-    fn read_block(&self, idx: u64) -> Bytes {
-        self.read_impl(idx, false)
-    }
-
-    fn write_block(&self, idx: u64, data: &[u8]) {
-        let mut st = self.state.lock();
-        self.write_impl(&mut st, idx, data, false);
-    }
-
-    /// Vectored read: dirty blocks are served from the write-back
-    /// buffer; the misses are grouped into **one RPC per involved
-    /// node** (nearest live replica per block). A node failure mid-read
-    /// reroutes the unserved remainder to the surviving replicas, then
-    /// repairs the dead node.
-    fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
-        self.vectored_reads.fetch_add(1, Ordering::Relaxed);
+    /// Dirty blocks are served from the write-back buffer; the rest
+    /// are grouped into **one RPC per involved node** (nearest live
+    /// replica per block). A node failure mid-read reroutes the
+    /// unserved remainder to the surviving replicas on the next pass,
+    /// then repairs the dead node.
+    fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+        self.vectored_reads
+            .fetch_add(vectored(class, idxs.len()), Ordering::Relaxed);
         let mut st = self.state.lock();
         let n = st.nodes.len();
         let mut out: Vec<Option<Bytes>> = vec![None; idxs.len()];
@@ -1069,7 +1022,7 @@ impl BlockStore for ReplicatedStore {
                 // On failure the node declares itself dead; the next
                 // pass reroutes its positions to the surviving
                 // replicas.
-                if let Ok(blocks) = st.nodes[node].store.try_read_blocks(&inners) {
+                if let Ok(blocks) = st.nodes[node].store.try_read(class, &inners) {
                     for (pos, block) in positions.into_iter().zip(blocks) {
                         out[pos] = Some(block);
                     }
@@ -1084,34 +1037,27 @@ impl BlockStore for ReplicatedStore {
             .collect()
     }
 
-    fn write_blocks(&self, writes: &[(u64, &[u8])]) {
-        self.vectored_writes.fetch_add(1, Ordering::Relaxed);
+    /// Buffers the writes for the next epoch; block 0 is written
+    /// through.
+    fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+        self.vectored_writes
+            .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
         let mut st = self.state.lock();
-        for &(idx, data) in writes {
-            self.write_impl(&mut st, idx, data, false);
-        }
-    }
-
-    fn read_block_meta(&self, idx: u64) -> Bytes {
-        self.read_impl(idx, true)
-    }
-
-    fn write_block_meta(&self, idx: u64, data: &[u8]) {
-        let mut st = self.state.lock();
-        self.write_impl(&mut st, idx, data, true);
-    }
-
-    fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
-        let mut st = self.state.lock();
-        for &(idx, data) in writes {
-            self.write_impl(&mut st, idx, data, true);
+        for &(idx, block) in writes {
+            assert!(idx < self.block_count, "block {idx} out of range");
+            assert_eq!(block.len(), BLOCK_SIZE, "partial block write");
+            if idx == 0 {
+                self.write_through_zero(&mut st, block, class);
+            } else {
+                st.dirty.insert(idx, (Bytes::copy_from_slice(block), class));
+            }
         }
     }
 
     /// Commits the buffered epoch under a **write quorum**: each
     /// writable node receives its replica writes as one durability
-    /// unit whose last record stamps `epoch + 1` (meta writes ride
-    /// ahead through the metadata path — the epoch record still
+    /// unit whose last record stamps `epoch + 1` (its metadata writes
+    /// ride ahead in a call of their own class — the epoch record still
     /// commits strictly after them). The commit point is reached when
     /// every dirty block has `ceil(R/2)` replica acks and at least one
     /// live node holds the new record; a node that fails mid-flush
@@ -1148,25 +1094,26 @@ impl BlockStore for ReplicatedStore {
                     continue; // degraded: probation/failed nodes catch
                               // up via re-sync or remount recovery
                 }
-                let mut meta_writes: Vec<(u64, &Bytes)> = Vec::new();
-                let mut data_writes: Vec<(u64, &Bytes)> = Vec::new();
-                for (&idx, (block, meta)) in &st.dirty {
-                    for r in 0..self.replicas {
-                        if node_of(idx, r, n) != node {
-                            continue;
-                        }
-                        let inner = inner_of(idx, r, n, self.replicas);
-                        if *meta {
-                            meta_writes.push((inner, block));
-                        } else {
-                            data_writes.push((inner, block));
+                let mut acked = true;
+                for class in [IoClass::Meta, IoClass::Data] {
+                    let mut refs: Vec<(u64, &[u8])> = Vec::new();
+                    for (&idx, (block, _)) in st.dirty.iter().filter(|(_, (_, c))| *c == class) {
+                        for r in (0..self.replicas).filter(|&r| node_of(idx, r, n) == node) {
+                            refs.push((inner_of(idx, r, n, self.replicas), block));
                         }
                     }
-                }
-                if !meta_writes.is_empty() {
-                    let refs: Vec<(u64, &[u8])> =
-                        meta_writes.iter().map(|(i, b)| (*i, &b[..][..])).collect();
-                    match st.nodes[node].store.try_write_blocks(&refs, true) {
+                    // A rebuilding node receives the epoch's data but
+                    // NOT its record: it must read as stale until the
+                    // copy completes, or a crash mid-rebuild would
+                    // mount a node that claims an epoch it only
+                    // partially holds.
+                    if class == IoClass::Data && st.nodes[node].state == NodeState::Live {
+                        refs.push((slot, &record));
+                    }
+                    if refs.is_empty() {
+                        continue;
+                    }
+                    match st.nodes[node].store.try_write(class, &refs) {
                         Ok(()) => {}
                         Err(RemoteError::Fenced { .. }) => {
                             st.fenced = true;
@@ -1176,33 +1123,12 @@ impl BlockStore for ReplicatedStore {
                         }
                         Err(_) => {
                             self.handle_failure(&mut st, node);
-                            continue;
+                            acked = false;
+                            break;
                         }
                     }
                 }
-                let mut refs: Vec<(u64, &[u8])> =
-                    data_writes.iter().map(|(i, b)| (*i, &b[..][..])).collect();
-                // A rebuilding node receives the epoch's data but NOT
-                // its record: it must read as stale until the copy
-                // completes, or a crash mid-rebuild would mount a node
-                // that claims an epoch it only partially holds.
-                if st.nodes[node].state == NodeState::Live {
-                    refs.push((slot, &record));
-                }
-                if refs.is_empty() {
-                    *node_done = true;
-                    continue;
-                }
-                match st.nodes[node].store.try_write_blocks(&refs, false) {
-                    Ok(()) => *node_done = true,
-                    Err(RemoteError::Fenced { .. }) => {
-                        st.fenced = true;
-                        return Err(std::io::Error::other(
-                            "flush fenced: a newer coordinator holds the lease",
-                        ));
-                    }
-                    Err(_) => self.handle_failure(&mut st, node),
-                }
+                *node_done = acked;
             }
             // Commit check: quorum of acks per dirty block, plus a
             // live record holder.

@@ -16,18 +16,17 @@
 //! "NUMA-style per-shard worker threads with a submission queue": one
 //! thread per shard, each owning a **bounded** submission queue
 //! ([`WORKER_QUEUE_DEPTH`] jobs — a slow shard back-pressures its
-//! callers instead of buffering unbounded work). A vectored call
-//! ([`BlockStore::read_blocks`] / [`BlockStore::write_blocks`])
-//! partitions its block list by shard, submits **one job per involved
-//! shard**, and joins the replies — so a single client's streaming
-//! burst executes on all N shards concurrently. Jobs are counted by
-//! [`StoreStats::worker_jobs`].
+//! callers instead of buffering unbounded work). A multi-block
+//! [`BlockStore::read`] / [`BlockStore::write`] partitions its block
+//! list by shard, submits **one job per involved shard**, and joins
+//! the replies — so a single client's streaming burst executes on all
+//! N shards concurrently ([`StoreStats::worker_jobs`] counts the jobs).
 //!
 //! Ordering and shutdown guarantees:
 //!
-//! * A vectored call returns only after every shard job completed, so
-//!   scalar reads/writes (which go straight to the shard, bypassing
-//!   the queue) can never observe a half-applied vectored write.
+//! * A call returns only after every shard job completed, so a
+//!   one-block call (which goes straight to its shard, bypassing the
+//!   queue) can never observe a half-applied multi-block write.
 //! * Per-shard job order equals submission order (the queue is FIFO),
 //!   and within one job the shard applies blocks in the caller's
 //!   order — so each shard's journal holds the same records in the
@@ -36,9 +35,9 @@
 //!   everything queued before it; `Drop` disconnects the queues, lets
 //!   each worker drain what remains, and joins the threads, so no job
 //!   is still running when the shard stores are dropped.
-//! * A vectored call whose blocks all land on one shard skips the
-//!   queue and runs inline — dispatch only pays off when there is
-//!   parallelism to win.
+//! * A call whose blocks all land on one shard skips the queue and
+//!   runs inline — dispatch only pays off when there is parallelism
+//!   to win.
 //!
 //! # Crash model
 //!
@@ -58,7 +57,7 @@ use std::thread::JoinHandle;
 
 use bytes::Bytes;
 
-use crate::{BlockStore, StoreStats};
+use crate::{vectored, BlockStore, IoClass, StoreStats};
 
 /// Bounded submission-queue depth per worker: enough for a handful of
 /// concurrent callers, small enough that a stalled shard back-pressures
@@ -69,14 +68,14 @@ pub const WORKER_QUEUE_DEPTH: usize = 4;
 enum Job {
     /// Read these shard-local indices, reply with the blocks in order.
     Read {
+        class: IoClass,
         idxs: Vec<u64>,
         reply: mpsc::Sender<Vec<Bytes>>,
     },
-    /// Write these `(shard-local index, block)` pairs in order,
-    /// through the metadata path when `meta` is set.
+    /// Write these `(shard-local index, block)` pairs in order.
     Write {
+        class: IoClass,
         blocks: Vec<(u64, Bytes)>,
-        meta: bool,
         reply: mpsc::Sender<()>,
     },
     /// Flush the shard (FIFO: drains everything queued before it).
@@ -94,22 +93,18 @@ struct WorkerPool {
 fn worker_loop(shard: Arc<dyn BlockStore>, jobs: mpsc::Receiver<Job>) {
     while let Ok(job) = jobs.recv() {
         match job {
-            Job::Read { idxs, reply } => {
+            Job::Read { class, idxs, reply } => {
                 // A dropped caller is not an error for the worker.
-                let _ = reply.send(shard.read_blocks(&idxs));
+                let _ = reply.send(shard.read(class, &idxs));
             }
             Job::Write {
+                class,
                 blocks,
-                meta,
                 reply,
             } => {
                 let refs: Vec<(u64, &[u8])> =
                     blocks.iter().map(|(idx, data)| (*idx, &data[..])).collect();
-                if meta {
-                    shard.write_blocks_meta(&refs);
-                } else {
-                    shard.write_blocks(&refs);
-                }
+                shard.write(class, &refs);
                 let _ = reply.send(());
             }
             Job::Flush { reply } => {
@@ -163,7 +158,7 @@ impl ShardedStore {
     }
 
     /// Like [`ShardedStore::new`], plus one worker thread per shard
-    /// behind a bounded submission queue: vectored calls fan out one
+    /// behind a bounded submission queue: multi-block calls fan out one
     /// job per involved shard and join, so a single caller's burst
     /// drives all shards concurrently (see the module docs for the
     /// ordering and shutdown guarantees).
@@ -179,11 +174,6 @@ impl ShardedStore {
         }
         store.workers = Some(WorkerPool { senders, handles });
         store
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Whether per-shard worker threads are attached.
@@ -208,75 +198,22 @@ impl ShardedStore {
         (&self.shards[(idx % n) as usize], idx / n)
     }
 
-    /// Splits a block list into per-shard `(output positions,
-    /// shard-local indices)` sublists, preserving the caller's order
-    /// within each shard.
-    fn partition(&self, idxs: &[u64]) -> Vec<(Vec<usize>, Vec<u64>)> {
+    /// Splits a block list into `(shard, output positions, shard-local
+    /// indices)` sublists, one per involved shard, preserving the
+    /// caller's order within each.
+    fn partition(&self, idxs: impl Iterator<Item = u64>) -> Vec<(usize, Vec<usize>, Vec<u64>)> {
         let n = self.shards.len() as u64;
-        let mut per_shard: Vec<(Vec<usize>, Vec<u64>)> = (0..self.shards.len())
-            .map(|_| (Vec::new(), Vec::new()))
+        let mut per_shard: Vec<(usize, Vec<usize>, Vec<u64>)> = (0..self.shards.len())
+            .map(|shard| (shard, Vec::new(), Vec::new()))
             .collect();
-        for (pos, &idx) in idxs.iter().enumerate() {
+        for (pos, idx) in idxs.enumerate() {
             assert!(idx < self.block_count, "block {idx} out of range");
-            let (positions, inner) = &mut per_shard[(idx % n) as usize];
+            let (_, positions, inner) = &mut per_shard[(idx % n) as usize];
             positions.push(pos);
             inner.push(idx / n);
         }
+        per_shard.retain(|(_, positions, _)| !positions.is_empty());
         per_shard
-    }
-
-    /// The shared vectored-write body: partition by shard, fan out one
-    /// (meta-flagged) write job per involved shard with workers, run
-    /// inline otherwise. Per-shard order is the caller's order on both
-    /// paths.
-    fn write_blocks_impl(&self, writes: &[(u64, &[u8])], meta: bool) {
-        let idxs: Vec<u64> = writes.iter().map(|(idx, _)| *idx).collect();
-        let per_shard = self.partition(&idxs);
-        let involved = per_shard.iter().filter(|(p, _)| !p.is_empty()).count();
-        if involved > 1 && self.workers.is_some() {
-            let mut pending: Vec<mpsc::Receiver<()>> = Vec::new();
-            for (shard, (positions, inner_idxs)) in per_shard.into_iter().enumerate() {
-                if positions.is_empty() {
-                    continue;
-                }
-                // Copied into the job: the bounded queue crosses a
-                // thread boundary, so the caller's slices cannot ride.
-                let blocks: Vec<(u64, Bytes)> = positions
-                    .into_iter()
-                    .zip(inner_idxs)
-                    .map(|(pos, inner)| (inner, Bytes::copy_from_slice(writes[pos].1)))
-                    .collect();
-                let (reply, rx) = mpsc::channel();
-                self.submit(
-                    shard,
-                    Job::Write {
-                        blocks,
-                        meta,
-                        reply,
-                    },
-                );
-                pending.push(rx);
-            }
-            for rx in pending {
-                rx.recv().expect("shard worker reply");
-            }
-        } else {
-            for (shard, (positions, inner_idxs)) in per_shard.into_iter().enumerate() {
-                if positions.is_empty() {
-                    continue;
-                }
-                let blocks: Vec<(u64, &[u8])> = positions
-                    .into_iter()
-                    .zip(inner_idxs)
-                    .map(|(pos, inner)| (inner, writes[pos].1))
-                    .collect();
-                if meta {
-                    self.shards[shard].write_blocks_meta(&blocks);
-                } else {
-                    self.shards[shard].write_blocks(&blocks);
-                }
-            }
-        }
     }
 
     fn submit(&self, shard: usize, job: Job) {
@@ -308,40 +245,25 @@ impl BlockStore for ShardedStore {
         self.block_count
     }
 
-    fn read_block(&self, idx: u64) -> Bytes {
-        let (shard, inner_idx) = self.route(idx);
-        shard.read_block(inner_idx)
-    }
-
-    fn write_block(&self, idx: u64, data: &[u8]) {
-        let (shard, inner_idx) = self.route(idx);
-        shard.write_block(inner_idx, data)
-    }
-
-    /// Vectored read: the block list is partitioned by shard; with
-    /// workers and ≥ 2 involved shards, one read job per shard runs
-    /// concurrently and the replies are scattered back into caller
-    /// order. Otherwise each involved shard gets one inline vectored
-    /// subcall (still amortizing its lock and charges).
-    fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
-        self.vectored_reads.fetch_add(1, Ordering::Relaxed);
-        let per_shard = self.partition(idxs);
-        let involved = per_shard.iter().filter(|(p, _)| !p.is_empty()).count();
+    /// A one-block call is routed straight to its shard. A longer one
+    /// is partitioned by shard: with workers and ≥ 2 involved shards,
+    /// one job per shard runs concurrently and the replies are
+    /// scattered back into caller order; otherwise each involved shard
+    /// gets one inline subcall.
+    fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+        if let &[idx] = idxs {
+            let (shard, inner_idx) = self.route(idx);
+            return shard.read(class, &[inner_idx]);
+        }
+        self.vectored_reads
+            .fetch_add(vectored(class, idxs.len()), Ordering::Relaxed);
+        let per_shard = self.partition(idxs.iter().copied());
         let mut out: Vec<Option<Bytes>> = vec![None; idxs.len()];
-        if involved > 1 && self.workers.is_some() {
+        if per_shard.len() > 1 && self.workers.is_some() {
             let mut pending: Vec<(Vec<usize>, mpsc::Receiver<Vec<Bytes>>)> = Vec::new();
-            for (shard, (positions, inner_idxs)) in per_shard.into_iter().enumerate() {
-                if positions.is_empty() {
-                    continue;
-                }
+            for (shard, positions, idxs) in per_shard {
                 let (reply, rx) = mpsc::channel();
-                self.submit(
-                    shard,
-                    Job::Read {
-                        idxs: inner_idxs,
-                        reply,
-                    },
-                );
+                self.submit(shard, Job::Read { class, idxs, reply });
                 pending.push((positions, rx));
             }
             for (positions, rx) in pending {
@@ -351,11 +273,8 @@ impl BlockStore for ShardedStore {
                 }
             }
         } else {
-            for (shard, (positions, inner_idxs)) in per_shard.into_iter().enumerate() {
-                if positions.is_empty() {
-                    continue;
-                }
-                let blocks = self.shards[shard].read_blocks(&inner_idxs);
+            for (shard, positions, inner_idxs) in per_shard {
+                let blocks = self.shards[shard].read(class, &inner_idxs);
                 for (pos, block) in positions.into_iter().zip(blocks) {
                     out[pos] = Some(block);
                 }
@@ -366,32 +285,50 @@ impl BlockStore for ShardedStore {
             .collect()
     }
 
-    /// Vectored write: partitioned by shard like
-    /// [`ShardedStore::read_blocks`]; the worker path copies each
-    /// block into its job (the bounded queue crosses a thread
-    /// boundary), the inline path passes the caller's slices through.
-    /// Per-shard order is the caller's order either way.
-    fn write_blocks(&self, writes: &[(u64, &[u8])]) {
-        self.vectored_writes.fetch_add(1, Ordering::Relaxed);
-        self.write_blocks_impl(writes, false);
-    }
-
-    fn read_block_meta(&self, idx: u64) -> Bytes {
-        let (shard, inner_idx) = self.route(idx);
-        shard.read_block_meta(inner_idx)
-    }
-
-    fn write_block_meta(&self, idx: u64, data: &[u8]) {
-        let (shard, inner_idx) = self.route(idx);
-        shard.write_block_meta(inner_idx, data)
-    }
-
-    /// Vectored metadata write: same partition/fan-out as
-    /// [`ShardedStore::write_blocks`], but each shard receives its
-    /// sublist through the metadata path (no timing charge, no data
-    /// counters — matching the scalar meta ops).
-    fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
-        self.write_blocks_impl(writes, true);
+    /// Routed and partitioned like [`ShardedStore::read`]; the worker
+    /// path copies each block into its job (the bounded queue crosses
+    /// a thread boundary), the inline path passes the caller's slices
+    /// through. Per-shard order is the caller's order either way.
+    fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+        if let &[(idx, block)] = writes {
+            let (shard, inner_idx) = self.route(idx);
+            return shard.write(class, &[(inner_idx, block)]);
+        }
+        self.vectored_writes
+            .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
+        let per_shard = self.partition(writes.iter().map(|(idx, _)| *idx));
+        if per_shard.len() > 1 && self.workers.is_some() {
+            let mut pending: Vec<mpsc::Receiver<()>> = Vec::new();
+            for (shard, positions, inner_idxs) in per_shard {
+                let blocks: Vec<(u64, Bytes)> = inner_idxs
+                    .into_iter()
+                    .zip(positions)
+                    .map(|(inner, pos)| (inner, Bytes::copy_from_slice(writes[pos].1)))
+                    .collect();
+                let (reply, rx) = mpsc::channel();
+                self.submit(
+                    shard,
+                    Job::Write {
+                        class,
+                        blocks,
+                        reply,
+                    },
+                );
+                pending.push(rx);
+            }
+            for rx in pending {
+                rx.recv().expect("shard worker reply");
+            }
+        } else {
+            for (shard, positions, inner_idxs) in per_shard {
+                let blocks: Vec<(u64, &[u8])> = inner_idxs
+                    .into_iter()
+                    .zip(positions)
+                    .map(|(inner, pos)| (inner, writes[pos].1))
+                    .collect();
+                self.shards[shard].write(class, &blocks);
+            }
+        }
     }
 
     /// Flushes every shard **in parallel** — through the worker queues
@@ -432,7 +369,7 @@ impl BlockStore for ShardedStore {
 
     /// Field-wise sum of the shard counters, except `flushes`, which
     /// reports sharded flush calls (each fans out to every shard); the
-    /// store's own vectored-call and worker-job counters are added on
+    /// store's own multi-block-call and worker-job counters are added on
     /// top of whatever its shards counted for the subcalls they
     /// received.
     fn stats(&self) -> StoreStats {

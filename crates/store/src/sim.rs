@@ -4,8 +4,8 @@
 //! 5400 RPM IDE disk). [`DiskModel::quantum_fireball_ct10`] charges the
 //! shared [`SimClock`] a seek + rotational delay for non-sequential
 //! accesses and a media-rate transfer time per block, so virtual-time
-//! results have the right storage-bound shape. The `*_meta` calls are
-//! neither charged nor counted: they carry what the server's buffer
+//! results have the right storage-bound shape. [`IoClass::Meta`] calls
+//! are neither charged nor counted: they carry what the server's buffer
 //! cache would hold (bitmaps, inode table, a pointer block's first
 //! read); `ffs` keeps pointer blocks and directory names in core
 //! itself, so repeated uses of those never arrive here.
@@ -21,7 +21,7 @@ use bytes::Bytes;
 use netsim::SimClock;
 use parking_lot::Mutex;
 
-use crate::{zero_block, BlockStore, StoreStats, BLOCK_SIZE};
+use crate::{vectored, zero_block, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 /// Timing model for the simulated disk.
 #[derive(Debug, Clone, Copy)]
@@ -82,9 +82,9 @@ impl DiskModel {
     /// rotational delay for the run, then media-rate transfer per
     /// block. This is exactly what the per-block charge produces for
     /// an ascending run (sequential accesses skip the seek), exposed
-    /// so benchmarks can assert that vectored and looped charging
-    /// agree — the contract behind the virtual-time figures staying
-    /// unchanged for non-vectored workloads.
+    /// so tests and benchmarks can assert that one N-block call and N
+    /// one-block calls are charged alike — the contract behind the
+    /// virtual-time figures not depending on how a caller batches.
     pub fn run_cost(&self, run_len: usize) -> Duration {
         if run_len == 0 {
             return Duration::ZERO;
@@ -137,10 +137,6 @@ impl SimStore {
     pub fn clock(&self) -> &SimClock {
         &self.clock
     }
-
-    fn charge(&self, state: &mut SimState, block: u64) {
-        self.model.charge(&self.clock, &mut state.last_block, block);
-    }
 }
 
 impl BlockStore for SimStore {
@@ -148,75 +144,38 @@ impl BlockStore for SimStore {
         self.block_count
     }
 
-    fn read_block(&self, idx: u64) -> Bytes {
-        assert!(idx < self.block_count, "block {idx} out of range");
+    /// One lock acquisition for the whole extent. A data block is
+    /// charged and counted as it is visited, so an ascending run pays
+    /// one seek however many calls it arrives in, and a scattered one
+    /// pays one per jump.
+    fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
         let mut s = self.state.lock();
-        self.charge(&mut s, idx);
-        s.reads += 1;
-        s.blocks[idx as usize].clone()
-    }
-
-    fn write_block(&self, idx: u64, data: &[u8]) {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-        let mut s = self.state.lock();
-        self.charge(&mut s, idx);
-        s.writes += 1;
-        s.blocks[idx as usize] = Bytes::copy_from_slice(data);
-    }
-
-    /// Vectored read: one lock acquisition for the whole extent; the
-    /// per-block charge still sees each index, so an ascending run
-    /// pays one seek and a scattered one pays one per jump — identical
-    /// to the looped path.
-    fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
-        let mut s = self.state.lock();
-        s.vectored_reads += 1;
+        s.vectored_reads += vectored(class, idxs.len());
         idxs.iter()
             .map(|&idx| {
                 assert!(idx < self.block_count, "block {idx} out of range");
-                self.charge(&mut s, idx);
-                s.reads += 1;
+                if class == IoClass::Data {
+                    self.model.charge(&self.clock, &mut s.last_block, idx);
+                    s.reads += 1;
+                }
                 s.blocks[idx as usize].clone()
             })
             .collect()
     }
 
-    /// Vectored write: one lock acquisition, charging per block like
-    /// the loop.
-    fn write_blocks(&self, writes: &[(u64, &[u8])]) {
+    /// One lock acquisition, charging and counting like
+    /// [`SimStore::read`].
+    fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         let mut s = self.state.lock();
-        s.vectored_writes += 1;
-        for &(idx, data) in writes {
+        s.vectored_writes += vectored(class, writes.len());
+        for &(idx, block) in writes {
             assert!(idx < self.block_count, "block {idx} out of range");
-            assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-            self.charge(&mut s, idx);
-            s.writes += 1;
-            s.blocks[idx as usize] = Bytes::copy_from_slice(data);
-        }
-    }
-
-    fn read_block_meta(&self, idx: u64) -> Bytes {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        let s = self.state.lock();
-        s.blocks[idx as usize].clone()
-    }
-
-    fn write_block_meta(&self, idx: u64, data: &[u8]) {
-        assert!(idx < self.block_count, "block {idx} out of range");
-        assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-        let mut s = self.state.lock();
-        s.blocks[idx as usize] = Bytes::copy_from_slice(data);
-    }
-
-    /// Vectored metadata write: one lock acquisition, no timing charge
-    /// and no counters, like the scalar meta path.
-    fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
-        let mut s = self.state.lock();
-        for &(idx, data) in writes {
-            assert!(idx < self.block_count, "block {idx} out of range");
-            assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-            s.blocks[idx as usize] = Bytes::copy_from_slice(data);
+            assert_eq!(block.len(), BLOCK_SIZE, "partial block write");
+            if class == IoClass::Data {
+                self.model.charge(&self.clock, &mut s.last_block, idx);
+                s.writes += 1;
+            }
+            s.blocks[idx as usize] = Bytes::copy_from_slice(block);
         }
     }
 
@@ -298,23 +257,32 @@ mod tests {
     #[test]
     fn vectored_charging_matches_the_looped_path() {
         let model = DiskModel::quantum_fireball_ct10();
-        // Looped sequential reads over a contiguous run.
+        let idxs: Vec<u64> = (0..16).collect();
+        let block = vec![1u8; BLOCK_SIZE];
+        let writes: Vec<(u64, &[u8])> = (32..48).map(|i| (i, &block[..])).collect();
+        // An ascending run of reads, then one of writes, block by block.
         let clock_loop = SimClock::new();
         let looped = SimStore::new(&clock_loop, model, 64);
-        for i in 0..16u64 {
-            looped.read_block(i);
+        for &i in &idxs {
+            looped.read(IoClass::Data, &[i]);
         }
-        // The same run as one vectored call.
+        for w in &writes {
+            looped.write(IoClass::Data, &[*w]);
+        }
+        // The same two runs as one call each: a seek and 16 transfers apiece.
         let clock_vec = SimClock::new();
         let vectored = SimStore::new(&clock_vec, model, 64);
-        let idxs: Vec<u64> = (0..16).collect();
-        assert_eq!(vectored.read_blocks(&idxs).len(), 16);
-        assert_eq!(clock_vec.now(), clock_loop.now(), "identical charges");
-        // And both equal the exposed run model: one seek, 16 transfers.
+        assert_eq!(vectored.read(IoClass::Data, &idxs).len(), 16);
         assert_eq!(clock_vec.now(), model.run_cost(16));
-        let stats = vectored.stats();
-        assert_eq!(stats.reads, 16);
-        assert_eq!(stats.vectored_reads, 1);
+        vectored.write(IoClass::Data, &writes);
+        assert_eq!(clock_vec.now(), model.run_cost(16) * 2);
+        assert_eq!(clock_vec.now(), clock_loop.now(), "identical charges");
+        // Counted alike; only a call of more than one data block is vectored.
+        let (one, many) = (looped.stats(), vectored.stats());
+        assert_eq!((one.reads, one.writes), (many.reads, many.writes));
+        assert_eq!((many.reads, many.writes), (16, 16));
+        assert_eq!((one.vectored_reads, one.vectored_writes), (0, 0));
+        assert_eq!((many.vectored_reads, many.vectored_writes), (1, 1));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! Charging is `SimStore`'s, by the one function on [`DiskModel`] both
 //! call: non-sequential data accesses pay seek + rotational delay,
-//! every data block pays media-rate transfer time, and the `*_meta`
-//! calls are free. What `ffs` sends down the free path is what its
+//! every data block pays media-rate transfer time, and [`IoClass::Meta`]
+//! is free. What `ffs` sends down the free path is what its
 //! server's buffer cache would hold: bitmaps (kept in core), the inode
 //! table, and the first read of a pointer block — later uses come from
 //! `ffs`'s own pointer-block cache and reach no store at all.
@@ -24,7 +24,7 @@ use bytes::Bytes;
 use netsim::SimClock;
 use parking_lot::Mutex;
 
-use crate::{BlockStore, DiskModel, StoreStats};
+use crate::{BlockStore, DiskModel, IoClass, StoreStats};
 
 /// Charges [`DiskModel`] costs on an inner store's data-path I/O.
 pub struct TimedStore<S> {
@@ -55,18 +55,19 @@ impl<S: BlockStore> TimedStore<S> {
         &self.clock
     }
 
-    /// Charges a whole extent under one head-position lock: each
+    /// Charges a data extent under one head-position lock: each
     /// **contiguous ascending run** inside it pays one seek + rotation
     /// and per-block transfer time — [`DiskModel::run_cost`] — and
-    /// every jump between runs pays a fresh seek. For a given access
-    /// order this totals exactly what the per-block loop charges (the
-    /// scalar path skips the seek on sequential accesses the same
-    /// way), which is why the virtual-time figures are unchanged for
-    /// non-vectored workloads: vectoring buys fewer lock round-trips,
-    /// not a different cost model.
-    fn charge_run(&self, blocks: &[u64]) {
+    /// every jump between runs pays a fresh seek. The head position
+    /// outlives the call, so a run that arrives as N one-block calls is
+    /// charged what one N-block call is: batching buys fewer lock
+    /// round-trips, not a different cost model. Metadata is free.
+    fn charge_run(&self, class: IoClass, blocks: impl Iterator<Item = u64>) {
+        if class == IoClass::Meta {
+            return;
+        }
         let mut last = self.last_block.lock();
-        for &block in blocks {
+        for block in blocks {
             self.model.charge(&self.clock, &mut last, block);
         }
     }
@@ -77,37 +78,14 @@ impl<S: BlockStore> BlockStore for TimedStore<S> {
         self.inner.block_count()
     }
 
-    fn read_block(&self, idx: u64) -> Bytes {
-        self.charge_run(&[idx]);
-        self.inner.read_block(idx)
+    fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+        self.charge_run(class, idxs.iter().copied());
+        self.inner.read(class, idxs)
     }
 
-    fn write_block(&self, idx: u64, data: &[u8]) {
-        self.charge_run(&[idx]);
-        self.inner.write_block(idx, data)
-    }
-
-    fn read_blocks(&self, idxs: &[u64]) -> Vec<Bytes> {
-        self.charge_run(idxs);
-        self.inner.read_blocks(idxs)
-    }
-
-    fn write_blocks(&self, writes: &[(u64, &[u8])]) {
-        let idxs: Vec<u64> = writes.iter().map(|(idx, _)| *idx).collect();
-        self.charge_run(&idxs);
-        self.inner.write_blocks(writes)
-    }
-
-    fn read_block_meta(&self, idx: u64) -> Bytes {
-        self.inner.read_block_meta(idx)
-    }
-
-    fn write_block_meta(&self, idx: u64, data: &[u8]) {
-        self.inner.write_block_meta(idx, data)
-    }
-
-    fn write_blocks_meta(&self, writes: &[(u64, &[u8])]) {
-        self.inner.write_blocks_meta(writes)
+    fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+        self.charge_run(class, writes.iter().map(|(idx, _)| *idx));
+        self.inner.write(class, writes)
     }
 
     fn flush(&self) -> std::io::Result<()> {

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use netsim::{LinkConfig, SimClock};
 use proptest::prelude::*;
 use store::{
-    BlockStore, CachedStore, DedupStore, EncryptedStore, FileStore, RemoteOptions, RemoteStore,
-    ReplicatedStore, ShardedStore, SimStore, StoreBackend, TimedStore, BLOCK_SIZE,
+    BlockStore, Bytes, CachedStore, DedupStore, EncryptedStore, FileStore, IoClass, RemoteOptions,
+    RemoteStore, ReplicatedStore, ShardedStore, SimStore, StoreBackend, TimedStore, BLOCK_SIZE,
     JOURNAL_RECORD_LEN,
 };
 
@@ -434,53 +434,96 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The parallel I/O engine's core contract: a vectored
-    /// write-then-read of any extent is byte-identical to the
-    /// per-block loop, on every backend of the wrapper matrix —
-    /// including `Cached{Sharded{FileJournal}}` with worker threads
-    /// on. Duplicate indices resolve like the loop (last pair wins).
+    /// The one I/O path's contract: a run of blocks moves the same
+    /// bytes and is counted alike as one many-block call, as one-block
+    /// calls and through the ten provided names — in either class, on
+    /// every backend of the wrapper matrix. Duplicate indices resolve
+    /// like the loop (last pair wins). `reads` is compared over a cold
+    /// read of the device and `writes` after a flush: behind a warm
+    /// cache the counters depend on residency, which a many-block call
+    /// (every lookup before any insert) legitimately changes. The
+    /// device is read in descending order: ascending one-block data
+    /// reads are what the readahead nest prefetches on, by design.
     #[test]
     fn vectored_ops_match_per_block_loop(
-        ops in proptest::collection::vec((0u64..BLOCKS, 0u8..16), 1..40)
+        ops in proptest::collection::vec((0u64..BLOCKS, 0u8..16), 1..40),
+        meta in any::<bool>(),
     ) {
-        for (store, dir) in all_backends("props-vectored") {
-            // The model: the same ops applied as a scalar loop to a
-            // plain in-memory store.
-            let model = SimStore::untimed(BLOCKS);
-            for (idx, seed) in &ops {
-                model.write_block(*idx, &block_for(*seed));
+        let class = if meta { IoClass::Meta } else { IoClass::Data };
+        let model = SimStore::untimed(BLOCKS);
+        for (idx, seed) in &ops {
+            model.write_block(*idx, &block_for(*seed));
+        }
+        let blocks: Vec<Vec<u8>> = ops.iter().map(|(_, seed)| block_for(*seed)).collect();
+        let writes: Vec<(u64, &[u8])> = ops
+            .iter()
+            .zip(&blocks)
+            .map(|((idx, _), data)| (*idx, data.as_slice()))
+            .collect();
+        let idxs: Vec<u64> = (0..BLOCKS).rev().collect();
+
+        // One many-block call each way.
+        let many_read = |s: &dyn BlockStore| s.read(class, &idxs);
+        let many_write = |s: &dyn BlockStore| s.write(class, &writes);
+        // The same blocks, one call a block.
+        let single_read = |s: &dyn BlockStore| -> Vec<Bytes> {
+            idxs.iter().map(|&i| s.read(class, &[i]).remove(0)).collect()
+        };
+        let single_write = |s: &dyn BlockStore| writes.iter().for_each(|w| s.write(class, &[*w]));
+        // The ten names in turn (many-block calls are the first shape's).
+        let named_read = |s: &dyn BlockStore| -> Vec<Bytes> {
+            let into = |read: &dyn Fn(&mut [u8])| {
+                let mut buf = vec![0u8; BLOCK_SIZE];
+                read(&mut buf);
+                Bytes::from(buf)
+            };
+            let one = |i: u64| match (class, i % 3) {
+                (IoClass::Data, 0) => s.read_block(i),
+                (IoClass::Data, 1) => s.read_blocks(&[i]).remove(0),
+                (IoClass::Meta, 0 | 1) => s.read_block_meta(i),
+                (IoClass::Data, _) => into(&|buf| s.read_block_into(i, buf)),
+                (IoClass::Meta, _) => into(&|buf| s.read_block_meta_into(i, buf)),
+            };
+            idxs.iter().copied().map(one).collect()
+        };
+        let named_write = |s: &dyn BlockStore| {
+            for (nth, &(idx, data)) in writes.iter().enumerate() {
+                match (class, nth % 2) {
+                    (IoClass::Data, 0) => s.write_block(idx, data),
+                    (IoClass::Data, _) => s.write_blocks(&[(idx, data)]),
+                    (IoClass::Meta, 0) => s.write_block_meta(idx, data),
+                    (IoClass::Meta, _) => s.write_blocks_meta(&[(idx, data)]),
+                }
             }
-            // The subject: one vectored write of the whole op list.
-            let blocks: Vec<Vec<u8>> = ops.iter().map(|(_, seed)| block_for(*seed)).collect();
-            let writes: Vec<(u64, &[u8])> = ops
-                .iter()
-                .zip(&blocks)
-                .map(|((idx, _), data)| (*idx, data.as_slice()))
-                .collect();
-            store.write_blocks(&writes);
-            // One vectored read over the full device must agree with
-            // the model AND with the store's own scalar reads.
-            let idxs: Vec<u64> = (0..BLOCKS).collect();
-            let vectored = store.read_blocks(&idxs);
-            for idx in 0..BLOCKS {
-                prop_assert_eq!(
-                    &vectored[idx as usize],
-                    &model.read_block(idx),
-                    "backend {}, block {}",
-                    store.label(),
-                    idx
-                );
-                prop_assert_eq!(
-                    &store.read_block(idx),
-                    &vectored[idx as usize],
-                    "backend {}, scalar vs vectored, block {}",
-                    store.label(),
-                    idx
-                );
-            }
-            store.flush().unwrap();
-            if let Some(dir) = dir {
-                std::fs::remove_dir_all(&dir).ok();
+        };
+        type Read<'a> = &'a dyn Fn(&dyn BlockStore) -> Vec<Bytes>;
+        type Write<'a> = &'a dyn Fn(&dyn BlockStore);
+        let shapes: [(&str, Read, Write); 3] = [
+            ("one many-block call", &many_read, &many_write),
+            ("one-block calls", &single_read, &single_write),
+            ("the ten names", &named_read, &named_write),
+        ];
+
+        // counted[nest] = (reads, writes) of the first shape.
+        let mut counted: Vec<(u64, u64)> = Vec::new();
+        for (shape, read, write) in shapes {
+            for (nest, (store, dir)) in all_backends("props-vectored").into_iter().enumerate() {
+                let at = format!("backend {} ({nest}), {shape}", store.label());
+                prop_assert!(read(&*store).iter().all(|b| b == &store::zero_block()), "{}", at);
+                let cold = store.stats().reads;
+                write(&*store);
+                store.flush().unwrap();
+                let counts = (cold, store.stats().writes);
+                if counted.len() == nest {
+                    counted.push(counts);
+                }
+                prop_assert_eq!(counts, counted[nest], "{}: (reads, writes)", at);
+                for (block, &idx) in read(&*store).iter().zip(&idxs) {
+                    prop_assert_eq!(block, &model.read_block(idx), "{}, block {}", at, idx);
+                }
+                if let Some(dir) = dir {
+                    std::fs::remove_dir_all(&dir).ok();
+                }
             }
         }
     }
