@@ -21,7 +21,6 @@
 use std::time::Duration;
 
 use bench_harness::{bench_quick as quick, percentile};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use netsim::{FaultPlan, LinkConfig, SimClock};
 use store::{BlockStore, RemoteOptions, RemoteStore, ReplicatedStore, SimStore, BLOCK_SIZE};
@@ -108,7 +107,7 @@ fn read_sweep(clock: &SimClock, store: &ReplicatedStore, blocks: u64) -> (Vec<Du
 }
 
 /// Degraded read latency: healthy vs 1% loss vs one node dead.
-fn figure_degraded_read_latency(_c: &mut Criterion) {
+fn figure_degraded_read_latency() {
     println!("\n== PR 8 figure: p50/p99 read latency, healthy vs 1% loss vs node dead ==");
     let w = extent_blocks();
     let link = LinkConfig::ethernet_100mbps();
@@ -172,7 +171,7 @@ fn figure_degraded_read_latency(_c: &mut Criterion) {
 
 /// WAN object store: per-block reads pay the fixed request round-trip;
 /// vectored bulk reads amortize it away.
-fn figure_s3_wan_volume(_c: &mut Criterion) {
+fn figure_s3_wan_volume() {
     println!("\n== PR 8 figure: volume on S3-style object links vs Ethernet ==");
     let w = extent_blocks();
     let sweep = |link: LinkConfig| -> (Duration, Duration) {
@@ -216,5 +215,7 @@ fn figure_s3_wan_volume(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(degraded, figure_degraded_read_latency, figure_s3_wan_volume);
-criterion_main!(degraded);
+fn main() {
+    figure_degraded_read_latency();
+    figure_s3_wan_volume();
+}

@@ -27,7 +27,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bench_harness::{bench_quick as quick, percentile};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use netsim::{LinkConfig, SimClock};
 use store::{
@@ -109,7 +108,7 @@ fn connect(backing: &[SharedNode], clock: &SimClock, link: LinkConfig) -> Vec<Re
 
 /// Failover: coordinator A falls silent, B acquires once the lease
 /// expires and serves a committed write. The TTL dominates.
-fn figure_failover_time(_c: &mut Criterion) {
+fn figure_failover_time() {
     println!("\n== PR 10 figure: coordinator death -> new lease serving writes ==");
     let w = extent_blocks();
     let link = LinkConfig::ethernet_100mbps();
@@ -159,7 +158,7 @@ fn figure_failover_time(_c: &mut Criterion) {
 }
 
 /// Quorum-write flush latency, leased vs token-0 legacy baseline.
-fn figure_quorum_write_latency(_c: &mut Criterion) {
+fn figure_quorum_write_latency() {
     println!("\n== PR 10 figure: quorum-write p50/p99, leased vs single-coordinator ==");
     let w = extent_blocks();
     let iters = flush_iters();
@@ -204,5 +203,7 @@ fn figure_quorum_write_latency(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(fenced, figure_failover_time, figure_quorum_write_latency);
-criterion_main!(fenced);
+fn main() {
+    figure_failover_time();
+    figure_quorum_write_latency();
+}

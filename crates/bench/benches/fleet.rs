@@ -27,7 +27,6 @@
 use std::time::{Duration, Instant};
 
 use bench_harness::{bench_quick as quick, percentile};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use discfs::{CredentialIssuer, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
@@ -199,7 +198,7 @@ fn read_args(fh: &FHandle) -> Vec<u8> {
 
 /// Fleet latency figure: waves of bursting clients, Zipf reads, per-
 /// request latency on the virtual clock.
-fn figure_fleet_latency(_c: &mut Criterion) {
+fn figure_fleet_latency() {
     let n = if quick() { 1_000 } else { 10_000 };
     let waves = 8usize;
     println!(
@@ -291,7 +290,7 @@ fn figure_fleet_latency(_c: &mut Criterion) {
 
 /// Stalled-client fairness figure: wall-clock p99 of a healthy cohort
 /// with and without a flooding straggler.
-fn figure_fairness(_c: &mut Criterion) {
+fn figure_fairness() {
     let healthy_n = if quick() { 100 } else { 400 };
     let flood = if quick() { 20_000 } else { 100_000 };
     let rounds = if quick() { 20 } else { 40 };
@@ -371,5 +370,7 @@ fn os_threads() -> Option<usize> {
     std::fs::read_dir("/proc/self/task").ok().map(|d| d.count())
 }
 
-criterion_group!(fleet, figure_fleet_latency, figure_fairness);
-criterion_main!(fleet);
+fn main() {
+    figure_fleet_latency();
+    figure_fairness();
+}

@@ -1,13 +1,8 @@
-//! Micro-benchmarks for the block-store subsystem: raw sequential and
-//! random block I/O per backend, dedup-store write throughput on
-//! duplicate-heavy streams, and the PR 3 hot-path figures — zero-copy
-//! reads, buffer-cache re-read speedup and shard scaling under
-//! concurrency.
-//!
-//! The PR 3 figures double as acceptance checks: this bench *asserts*
-//! that handle-based reads allocate no block and that a cached re-read
-//! beats the uncached backend by ≥ 5× in virtual time. (The
-//! journal's one append per call is a unit test in `store::file`.)
+//! The PR 3 hot-path figures of the block-store subsystem, asserted:
+//! handle-based reads allocate no block, and a cached re-read beats the
+//! uncached backend by ≥ 5× in virtual time. (The journal's one append
+//! per call is a unit test in `store::file`; per-call store costs are
+//! `discfs_bench --trace`'s `store.{read,write}_us_per_call`.)
 //!
 //! Env knob: `BENCH_QUICK=1` shrinks iteration counts (CI smoke).
 
@@ -17,13 +12,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bench_harness::bench_quick as quick;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use netsim::SimClock;
-use store::{
-    BlockStore, CachedStore, DedupStore, EncryptedStore, FileStore, ShardedStore, SimStore,
-    BLOCK_SIZE,
-};
+use store::{BlockStore, CachedStore, DedupStore, FileStore, ShardedStore, SimStore, BLOCK_SIZE};
 
 /// Counts allocated bytes so the zero-copy read-path claim is
 /// measured, not asserted by eye.
@@ -49,45 +40,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const BLOCKS: u64 = 256;
 
-fn backends() -> Vec<(&'static str, Box<dyn BlockStore>)> {
-    let clock = SimClock::new();
-    let dir = std::env::temp_dir().join(format!("discfs-bench-store-{}", std::process::id()));
-    vec![
-        (
-            "sim-instant",
-            Box::new(SimStore::untimed(BLOCKS)) as Box<dyn BlockStore>,
-        ),
-        (
-            "sim-timed",
-            Box::new(SimStore::new(
-                &clock,
-                store::DiskModel::quantum_fireball_ct10(),
-                BLOCKS,
-            )),
-        ),
-        (
-            "file-journal",
-            Box::new(FileStore::open(&dir, BLOCKS).expect("temp file store")),
-        ),
-        ("dedup", Box::new(DedupStore::new(BLOCKS))),
-        (
-            "dedup-encrypted",
-            Box::new(EncryptedStore::new(DedupStore::new(BLOCKS), &[7; 32])),
-        ),
-        (
-            "cached-file",
-            Box::new(CachedStore::new(
-                FileStore::open(&dir.join("cached"), BLOCKS).expect("temp file store"),
-                BLOCKS as usize,
-            )),
-        ),
-        (
-            "sharded-4",
-            Box::new(sharded_sim(4, BLOCKS)) as Box<dyn BlockStore>,
-        ),
-    ]
-}
-
 fn sharded_sim(shards: usize, total: u64) -> ShardedStore {
     ShardedStore::new(
         (0..shards)
@@ -106,83 +58,6 @@ fn unique_block(i: u64) -> Vec<u8> {
     block
 }
 
-fn bench_sequential_write(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store_seq_write_64blk");
-    group.throughput(Throughput::Bytes(64 * BLOCK_SIZE as u64));
-    group.sample_size(if quick() { 5 } else { 20 });
-    for (name, store) in backends() {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, store| {
-            let mut round = 0u64;
-            b.iter(|| {
-                // Vary content per round so dedup cannot trivially absorb
-                // the whole stream.
-                round += 1;
-                for i in 0..64u64 {
-                    store.write_block(i, &unique_block(round.wrapping_mul(64) + i));
-                }
-            });
-        });
-        store.flush().unwrap();
-    }
-    group.finish();
-}
-
-fn bench_random_read(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store_rand_read_64blk");
-    group.throughput(Throughput::Bytes(64 * BLOCK_SIZE as u64));
-    group.sample_size(if quick() { 5 } else { 20 });
-    for (name, store) in backends() {
-        for i in 0..BLOCKS {
-            store.write_block(i, &unique_block(i));
-        }
-        store.flush().unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, store| {
-            let mut x = 0xDEADBEEFu64;
-            b.iter(|| {
-                for _ in 0..64 {
-                    // xorshift64 walk over the block space.
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    std::hint::black_box(store.read_block(x % BLOCKS));
-                }
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_dedup_absorption(c: &mut Criterion) {
-    // Duplicate-heavy write stream: 8 distinct contents over 256
-    // blocks. The dedup store should absorb ~97% of it.
-    let mut group = c.benchmark_group("store_dedup_hot_write_256blk");
-    group.throughput(Throughput::Bytes(BLOCKS * BLOCK_SIZE as u64));
-    group.sample_size(if quick() { 5 } else { 20 });
-    for (name, store) in backends() {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &store, |b, store| {
-            b.iter(|| {
-                for i in 0..BLOCKS {
-                    store.write_block(i, &unique_block(i % 8));
-                }
-            });
-        });
-    }
-    // Print the ratio once so the baseline is visible in bench logs.
-    let dedup = DedupStore::new(BLOCKS);
-    for i in 0..BLOCKS {
-        dedup.write_block(i, &unique_block(i % 8));
-    }
-    println!(
-        "dedup hit ratio on 8-content stream: {:.3}",
-        dedup.stats().dedup_hit_ratio()
-    );
-    group.finish();
-}
-
-// ---------------------------------------------------------------------------
-// PR 3 figures: measured with plain `Instant` loops and asserted.
-// ---------------------------------------------------------------------------
-
 /// Ops/sec of a closure repeated `iters` times.
 fn ops_per_sec(iters: u64, mut f: impl FnMut()) -> f64 {
     let start = Instant::now();
@@ -196,7 +71,7 @@ fn ops_per_sec(iters: u64, mut f: impl FnMut()) -> f64 {
 /// no block. Before PR 3 every `read_block` built a fresh 8 KB `Vec`;
 /// now it clones a refcount into the `Vec` of handles a read returns
 /// (32 bytes a handle): at most 128 bytes for each layer it crosses.
-fn figure_zero_copy_reads(_c: &mut Criterion) {
+fn figure_zero_copy_reads() {
     println!("\n== PR 3 figure: bytes allocated per hot-path read (was: 8192) ==");
     let reads = 1000u64;
     let cases: Vec<(&str, u64, Box<dyn BlockStore>)> = vec![
@@ -236,7 +111,7 @@ fn figure_zero_copy_reads(_c: &mut Criterion) {
 /// vs. hitting the timing-model backend every time. Virtual time is
 /// the deterministic axis (the cache absorbs the disk model's seek and
 /// transfer charges entirely); wall-clock ops/sec are reported too.
-fn figure_cached_reread(_c: &mut Criterion) {
+fn figure_cached_reread() {
     println!("\n== PR 3 figure: cached re-read vs uncached backend reads ==");
     let passes = if quick() { 4u64 } else { 16 };
 
@@ -321,64 +196,7 @@ fn figure_cached_reread(_c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Shard-scaling figure: T threads issuing random writes contend on
-/// one global lock at 1 shard and spread across N locks at N shards.
-fn figure_sharded_scaling(_c: &mut Criterion) {
-    println!("\n== PR 3 figure: sharded random writes, 4 threads ==");
-    let threads = 4usize;
-    let writes_per_thread = if quick() { 2_000u64 } else { 20_000 };
-    let mut baseline = 0.0f64;
-    for shards in [1usize, 2, 4, 8] {
-        let store = Arc::new(sharded_sim(shards, BLOCKS));
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let store = Arc::clone(&store);
-                scope.spawn(move || {
-                    let block = unique_block(t as u64);
-                    let mut x = 0x9E37u64.wrapping_add(t as u64);
-                    for _ in 0..writes_per_thread {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        store.write_block(x % BLOCKS, &block);
-                    }
-                });
-            }
-        });
-        let total = threads as u64 * writes_per_thread;
-        let ops = total as f64 / start.elapsed().as_secs_f64().max(1e-9);
-        if shards == 1 {
-            baseline = ops;
-        }
-        println!(
-            "  {shards} shard(s): {ops:>12.0} ops/s  ({:.2}x vs 1 shard)",
-            ops / baseline
-        );
-    }
+fn main() {
+    figure_zero_copy_reads();
+    figure_cached_reread();
 }
-
-/// Sequential-read throughput headline number.
-fn figure_seq_read(_c: &mut Criterion) {
-    let store = SimStore::untimed(BLOCKS);
-    for i in 0..BLOCKS {
-        store.write_block(i, &unique_block(i));
-    }
-    let iters = if quick() { 50_000u64 } else { 500_000 };
-    let mut i = 0u64;
-    let ops = ops_per_sec(iters, || {
-        std::hint::black_box(store.read_block(i % BLOCKS));
-        i += 1;
-    });
-    println!("\nseq read (sim-instant): {ops:.0} ops/s");
-}
-
-criterion_group!(
-    micro_store,
-    bench_sequential_write,
-    bench_random_read,
-    bench_dedup_absorption,
-    figure_zero_copy_reads,
-    figure_cached_reread,
-    figure_sharded_scaling,
-    figure_seq_read
-);
-criterion_main!(micro_store);

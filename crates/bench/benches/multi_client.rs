@@ -23,7 +23,6 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use bench_harness::{bench_quick as quick, cores};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use discfs::{CredentialIssuer, DiscfsClient, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
@@ -177,7 +176,7 @@ fn scaling_round(world: &WorldState, clients: usize, key_base: u8, ops_per_clien
 /// runner cannot fail the assertion.
 const SCALING_ROUNDS: usize = 3;
 
-fn figure_client_scaling(_c: &mut Criterion) {
+fn figure_client_scaling() {
     println!("\n== PR 4 figure: multi-client mixed-workload throughput (cache-hit-dominated) ==");
     // Even quick mode keeps each measured round tens of milliseconds
     // long: sub-millisecond windows make the >= 3x assertion hostage
@@ -229,7 +228,7 @@ fn figure_client_scaling(_c: &mut Criterion) {
 /// Figure 12 shape: virtual time of the single-client workload as the
 /// policy cache shrinks (200 µs per compliance check, 2 µs per hit —
 /// the testbed's model of the paper's 450 MHz measurements).
-fn figure_cache_sweep(_c: &mut Criterion) {
+fn figure_cache_sweep() {
     println!("\n== PR 4 figure: policy-cache sweep, virtual time (Figure 12 shape) ==");
     let ops = if quick() { 400u64 } else { 2000 };
     let mut cacheless = 0.0f64;
@@ -259,5 +258,7 @@ fn figure_cache_sweep(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(multi_client, figure_client_scaling, figure_cache_sweep);
-criterion_main!(multi_client);
+fn main() {
+    figure_client_scaling();
+    figure_cache_sweep();
+}

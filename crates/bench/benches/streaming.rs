@@ -24,7 +24,6 @@
 use std::time::Instant;
 
 use bench_harness::{bench_quick as quick, cores};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use ffs::{Ffs, FsConfig, StoreBackend};
 use netsim::SimClock;
@@ -104,7 +103,7 @@ const ROUNDS: usize = 3;
 /// Worker-streaming figure: the tentpole assertion. Best-of-3 rounds
 /// per configuration so one scheduler hiccup on a shared CI runner
 /// cannot fail the ratio.
-fn figure_worker_streaming(_c: &mut Criterion) {
+fn figure_worker_streaming() {
     println!("\n== PR 5 figure: single-client streaming over Sharded{{FileJournal,4}}, workers on/off ==");
     let mb = (file_blocks() * BLOCK_SIZE as u64) as f64 / (1024.0 * 1024.0);
     let mut best: Vec<(bool, f64, f64)> = Vec::new();
@@ -158,5 +157,6 @@ fn figure_worker_streaming(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(streaming, figure_worker_streaming);
-criterion_main!(streaming);
+fn main() {
+    figure_worker_streaming();
+}

@@ -1,21 +1,31 @@
-//! Regenerates every figure of the paper's evaluation section.
+//! Regenerates the paper's evaluation figures (7-12) on virtual time
+//! and fails when one stops having the paper's shape.
 //!
 //! ```text
-//! reproduce [--paper|--quick] [--fig N]... [--micro] [--ablate]
+//! reproduce [--paper|--quick] [--fig N]... [--ablate] [--scale]
 //! ```
 //!
 //! * `--quick` (default): scaled-down workloads (16 MB Bonnie file,
-//!   small source tree) — same shapes, seconds of runtime.
+//!   small source tree) — same shapes, seconds of runtime. Without a
+//!   `--fig` filter the 18 virtual times (6 figures × 3 systems) must
+//!   equal `reproduce_quick.txt` to the nanosecond: they depend on the
+//!   disk, link and policy-charge models and on the request stream, not
+//!   on the host. A change that means to move them edits that file.
 //! * `--paper`: the paper's parameters (100 MB file, kernel-sized
 //!   source tree).
 //! * `--fig N`: run only figure N (7–12; repeatable).
-//! * `--micro`: the §6 micro-benchmarks (primitive operations).
-//! * `--ablate`: design-choice ablations (cache size sweep, ESP on/off,
-//!   chain length).
+//! * `--ablate`: design-choice ablations (cache size sweep, ESP on/off).
 //! * `--scale`: the §7 future-work item — rigorously quantifying the
 //!   scalability advantages (server state vs. user base, query latency
-//!   vs. session size).
+//!   vs. session size and vs. delegation chain length).
+//!
+//! Exit status: 0 when every figure run has FFS fastest and DisCFS
+//! within 15 % of CFS-NE (and the golden matches, where it applies),
+//! 1 when one does not, 2 on a usage error. Wall-clock costs of the
+//! primitives (signatures, KeyNote queries, IKE, the policy cache) are
+//! `discfs_bench --trace`'s per-layer metrics, not printed here.
 
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use bench_harness::{run_bonnie_figure, run_search, Figure, Measurement, SystemKind};
@@ -27,19 +37,27 @@ use ffs::FsConfig;
 use keynote::{AssertionBuilder, Session};
 use netsim::{Link, LinkConfig, SimClock};
 
+/// `--quick`'s virtual times, one `fig<N> <system> <nanoseconds>` line
+/// per measurement in the order they are printed.
+const QUICK_GOLDEN: &str = include_str!("reproduce_quick.txt");
+
 struct Options {
     paper_scale: bool,
     figures: Vec<u32>,
-    micro: bool,
     ablate: bool,
     scale: bool,
+}
+
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}");
+    eprintln!("usage: reproduce [--paper|--quick] [--fig 7..12]... [--ablate] [--scale]");
+    std::process::exit(2);
 }
 
 fn parse_args() -> Options {
     let mut opts = Options {
         paper_scale: false,
         figures: Vec::new(),
-        micro: false,
         ablate: false,
         scale: false,
     };
@@ -48,20 +66,13 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--paper" => opts.paper_scale = true,
             "--quick" => opts.paper_scale = false,
-            "--micro" => opts.micro = true,
             "--ablate" => opts.ablate = true,
             "--scale" => opts.scale = true,
-            "--fig" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--fig requires a number 7..12");
-                opts.figures.push(n);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--fig" => match args.next().and_then(|s| s.parse().ok()) {
+                Some(n @ 7..=12) => opts.figures.push(n),
+                _ => usage("--fig requires a number 7..12"),
+            },
+            other => usage(&format!("unknown argument: {other}")),
         }
     }
     opts
@@ -86,32 +97,74 @@ fn print_row(label: &str, m: &Measurement) {
     );
 }
 
-fn shape_check(figures: &[(SystemKind, Measurement)]) {
-    let get = |kind: SystemKind| {
-        figures
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, m)| m.virtual_time)
-            .expect("all systems measured")
-    };
-    let ffs = get(SystemKind::Ffs);
-    let cfs = get(SystemKind::CfsNe);
-    let dis = get(SystemKind::Discfs);
-    let ratio = dis.as_secs_f64() / cfs.as_secs_f64();
-    let ffs_ok = ffs < cfs && ffs < dis;
-    let close = (0.85..1.15).contains(&ratio);
-    println!(
-        "  shape: FFS fastest: {}  |  DisCFS/CFS-NE = {ratio:.3} ({})",
-        if ffs_ok { "yes" } else { "NO" },
-        if close {
-            "virtually identical, as in the paper"
-        } else {
-            "DIVERGES"
-        },
-    );
+/// What the figures run so far say: whether each had the paper's shape,
+/// and their virtual times in the golden file's format.
+struct Outcome {
+    shapes_hold: bool,
+    virtual_ns: String,
 }
 
-fn run_bonnie_figures(opts: &Options) {
+impl Outcome {
+    /// Prints the shape verdict for figure `number` and records it with
+    /// the three virtual times.
+    fn record(&mut self, number: u32, results: &[(SystemKind, Measurement)]) {
+        for (kind, m) in results {
+            writeln!(
+                self.virtual_ns,
+                "fig{number} {} {}",
+                kind.label(),
+                m.virtual_time.as_nanos()
+            )
+            .expect("writing to a String");
+        }
+        let get = |kind: SystemKind| {
+            results
+                .iter()
+                .find(|(k, _)| *k == kind)
+                .map(|(_, m)| m.virtual_time)
+                .expect("all systems measured")
+        };
+        let ffs = get(SystemKind::Ffs);
+        let cfs = get(SystemKind::CfsNe);
+        let dis = get(SystemKind::Discfs);
+        let ratio = dis.as_secs_f64() / cfs.as_secs_f64();
+        let ffs_ok = ffs < cfs && ffs < dis;
+        let close = (0.85..1.15).contains(&ratio);
+        println!(
+            "  shape: FFS fastest: {}  |  DisCFS/CFS-NE = {ratio:.3} ({})",
+            if ffs_ok { "yes" } else { "NO" },
+            if close {
+                "virtually identical, as in the paper"
+            } else {
+                "DIVERGES"
+            },
+        );
+        self.shapes_hold &= ffs_ok && close;
+    }
+
+    /// Compares the recorded virtual times with the checked-in golden,
+    /// printing every line that differs.
+    fn matches_quick_golden(&self) -> bool {
+        if self.virtual_ns == QUICK_GOLDEN {
+            println!("\ngolden: all virtual times equal reproduce_quick.txt");
+            return true;
+        }
+        println!("\ngolden: virtual times differ from reproduce_quick.txt");
+        let mut expected = QUICK_GOLDEN.lines();
+        for got in self.virtual_ns.lines() {
+            let expected = expected.next().unwrap_or("(nothing)");
+            if expected != got {
+                println!("  expected {expected}\n       got {got}");
+            }
+        }
+        for expected in expected {
+            println!("  expected {expected}\n       got (nothing)");
+        }
+        false
+    }
+}
+
+fn run_bonnie_figures(opts: &Options, outcome: &mut Outcome) {
     let (file_size, fs_config) = if opts.paper_scale {
         (100 * 1024 * 1024, FsConfig::standard())
     } else {
@@ -134,11 +187,11 @@ fn run_bonnie_figures(opts: &Options) {
             print_row(kind.label(), &m);
             results.push((kind, m));
         }
-        shape_check(&results);
+        outcome.record(number, &results);
     }
 }
 
-fn run_figure12(opts: &Options) {
+fn run_figure12(opts: &Options, outcome: &mut Outcome) {
     if !(opts.figures.is_empty() || opts.figures.contains(&12)) {
         return;
     }
@@ -171,7 +224,7 @@ fn run_figure12(opts: &Options) {
         );
         results.push((kind, m));
     }
-    shape_check(&results);
+    outcome.record(12, &results);
 }
 
 fn bench_loop<F: FnMut()>(iterations: u32, mut f: F) -> Duration {
@@ -180,133 +233,6 @@ fn bench_loop<F: FnMut()>(iterations: u32, mut f: F) -> Duration {
         f();
     }
     start.elapsed() / iterations
-}
-
-fn run_micro() {
-    println!("\nMicro-benchmarks (§6 'primitive operations'):");
-
-    // Ed25519 sign/verify — the per-credential cost.
-    let key = SigningKey::from_seed(&[7; 32]);
-    let msg = b"KeyNote-Version: 2 ... representative credential body ...";
-    let sign = bench_loop(50, || {
-        std::hint::black_box(key.sign(msg));
-    });
-    let sig = key.sign(msg);
-    let verify = bench_loop(50, || {
-        key.public().verify(msg, &sig).unwrap();
-        std::hint::black_box(());
-    });
-    println!("  ed25519 sign                {:>12}", fmt_duration(sign));
-    println!("  ed25519 verify              {:>12}", fmt_duration(verify));
-
-    // KeyNote query with a 1-credential chain.
-    let admin = SigningKey::from_seed(&[1; 32]);
-    let bob = SigningKey::from_seed(&[2; 32]);
-    let policy = AssertionBuilder::new()
-        .licensee_key(&admin.public())
-        .policy();
-    let cred = CredentialIssuer::new(&admin)
-        .holder(&bob.public())
-        .grant_handle_string("42.1", Perm::RW)
-        .issue();
-    let mut session = Session::new(&Perm::VALUE_SET);
-    session.add_policy(&policy).unwrap();
-    session.add_credential(&cred).unwrap();
-    session.set_attribute("app_domain", "DisCFS");
-    session.set_attribute("HANDLE", "42.1");
-    session.add_requester_key(&bob.public());
-    let query = bench_loop(200, || {
-        std::hint::black_box(session.query().unwrap());
-    });
-    println!("  keynote query (1-link)      {:>12}", fmt_duration(query));
-
-    // Credential verification (parse + signature).
-    let parse_verify = bench_loop(50, || {
-        let a = keynote::Assertion::parse(&cred).unwrap();
-        a.verify().unwrap();
-    });
-    println!(
-        "  credential parse+verify     {:>12}",
-        fmt_duration(parse_verify)
-    );
-
-    // Chain-length sweep: the paper's "arbitrary length" claim.
-    println!("  keynote query by chain length:");
-    for links in [1usize, 2, 4, 8, 16] {
-        let mut keys = vec![SigningKey::from_seed(&[1; 32])];
-        for i in 0..links {
-            keys.push(SigningKey::from_seed(&[40 + i as u8; 32]));
-        }
-        let mut session = Session::new(&Perm::VALUE_SET);
-        session.add_policy(&policy).unwrap();
-        for pair in keys.windows(2) {
-            let link = CredentialIssuer::new(&pair[0])
-                .holder(&pair[1].public())
-                .grant_handle_string("42.1", Perm::RW)
-                .issue();
-            session.add_credential(&link).unwrap();
-        }
-        session.set_attribute("app_domain", "DisCFS");
-        session.set_attribute("HANDLE", "42.1");
-        session.add_requester_key(&keys.last().unwrap().public());
-        assert_eq!(session.query().unwrap().as_str(), "RW");
-        let t = bench_loop(100, || {
-            std::hint::black_box(session.query().unwrap());
-        });
-        println!(
-            "    {links:>2} links                 {:>12}",
-            fmt_duration(t)
-        );
-    }
-
-    // IKE handshake wall time.
-    let handshake = bench_loop(20, || {
-        let clock = SimClock::new();
-        let (ce, se) = Link::loopback(&clock);
-        let server_key = SigningKey::from_seed(&[9; 32]);
-        let client_key = SigningKey::from_seed(&[8; 32]);
-        let server = std::thread::spawn(move || {
-            let mut rng = DetRng::new(2);
-            ipsec::ike::respond(se, &server_key, &mut rng).unwrap()
-        });
-        let mut rng = DetRng::new(1);
-        let _chan = ipsec::ike::initiate(ce, &client_key, None, &mut rng).unwrap();
-        server.join().unwrap();
-    });
-    println!(
-        "  IKE handshake (wall)        {:>12}",
-        fmt_duration(handshake)
-    );
-
-    // Policy cache hit vs. full check, measured inside a live server.
-    let bed = Testbed::instant();
-    let user = SigningKey::from_seed(&[0xB0; 32]);
-    let client = bed.connect(&user).unwrap();
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&user.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    client.submit_credential(&grant).unwrap();
-    let root = client.remote().root();
-    client.client().getattr(&root).unwrap(); // warm the cache
-    let service = bed.service().clone();
-    let peer = user.public();
-    let hit = bench_loop(500, || {
-        std::hint::black_box(service.permissions_for(&peer, &root));
-    });
-    println!("  policy check (cache hit)    {:>12}", fmt_duration(hit));
-    let bed_cold = Testbed::with_config(FsConfig::small(), LinkConfig::instant(), 0);
-    let client2 = bed_cold.connect(&user).unwrap();
-    let grant2 = CredentialIssuer::new(bed_cold.admin())
-        .holder(&user.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    client2.submit_credential(&grant2).unwrap();
-    let service2 = bed_cold.service().clone();
-    let miss = bench_loop(100, || {
-        std::hint::black_box(service2.permissions_for(&peer, &root));
-    });
-    println!("  policy check (no cache)     {:>12}", fmt_duration(miss));
 }
 
 fn run_ablations(opts: &Options) {
@@ -587,6 +513,36 @@ fn run_scale() {
             fmt_duration(t)
         );
     }
+
+    // 4. Query latency vs. delegation chain length: the paper's
+    // "arbitrary length" chains, one credential per link.
+    println!("  keynote query wall latency by delegation chain length:");
+    let policy = AssertionBuilder::new()
+        .licensee_key(&SigningKey::from_seed(&[1; 32]).public())
+        .policy();
+    for links in [1usize, 2, 4, 8, 16] {
+        let mut keys = vec![SigningKey::from_seed(&[1; 32])];
+        for i in 0..links {
+            keys.push(SigningKey::from_seed(&[40 + i as u8; 32]));
+        }
+        let mut session = Session::new(&Perm::VALUE_SET);
+        session.add_policy(&policy).unwrap();
+        for pair in keys.windows(2) {
+            let link = CredentialIssuer::new(&pair[0])
+                .holder(&pair[1].public())
+                .grant_handle_string("42.1", Perm::RW)
+                .issue();
+            session.add_credential(&link).unwrap();
+        }
+        session.set_attribute("app_domain", "DisCFS");
+        session.set_attribute("HANDLE", "42.1");
+        session.add_requester_key(&keys.last().unwrap().public());
+        assert_eq!(session.query().unwrap().as_str(), "RW");
+        let t = bench_loop(100, || {
+            std::hint::black_box(session.query().unwrap());
+        });
+        println!("    {links:>4} links → query: {:>10}", fmt_duration(t));
+    }
 }
 
 fn main() {
@@ -597,18 +553,25 @@ fn main() {
     );
     println!("Systems: FFS (local), CFS-NE (baseline), DisCFS (this paper).");
 
-    let run_figures = (!opts.micro && !opts.ablate && !opts.scale) || !opts.figures.is_empty();
-    if run_figures {
-        run_bonnie_figures(&opts);
-        run_figure12(&opts);
-    }
-    if opts.micro {
-        run_micro();
+    let mut outcome = Outcome {
+        shapes_hold: true,
+        virtual_ns: String::new(),
+    };
+    // No flag at all means all six figures; `--ablate` or `--scale`
+    // alone means none.
+    let all_figures = opts.figures.is_empty() && !opts.ablate && !opts.scale;
+    if all_figures || !opts.figures.is_empty() {
+        run_bonnie_figures(&opts, &mut outcome);
+        run_figure12(&opts, &mut outcome);
     }
     if opts.ablate {
         run_ablations(&opts);
     }
     if opts.scale {
         run_scale();
+    }
+    let golden_applies = all_figures && !opts.paper_scale;
+    if !outcome.shapes_hold || (golden_applies && !outcome.matches_quick_golden()) {
+        std::process::exit(1);
     }
 }

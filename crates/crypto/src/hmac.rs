@@ -65,7 +65,7 @@ impl<D: Digest> Hmac<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hex, sha1::Sha1, sha256::Sha256, sha512::Sha512};
+    use crate::{hex, sha256::Sha256, sha512::Sha512};
 
     // RFC 4231 test case 1.
     #[test]
@@ -103,16 +103,6 @@ mod tests {
         assert_eq!(
             hex::encode(&Hmac::<Sha256>::mac(&key, &data)),
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
-    }
-
-    // RFC 2202 test case for HMAC-SHA1.
-    #[test]
-    fn rfc2202_sha1() {
-        let key = [0x0b; 20];
-        assert_eq!(
-            hex::encode(&Hmac::<Sha1>::mac(&key, b"Hi There")),
-            "b617318655057264e28bc0b6fb378c8ef146be00"
         );
     }
 

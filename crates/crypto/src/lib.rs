@@ -39,7 +39,6 @@ pub mod hmac;
 pub mod poly1305;
 pub mod rng;
 pub mod scalar25519;
-pub mod sha1;
 pub mod sha256;
 pub mod sha512;
 pub mod x25519;
@@ -78,8 +77,8 @@ impl std::error::Error for CryptoError {}
 
 /// A streaming hash function.
 ///
-/// Implemented by [`sha1::Sha1`], [`sha256::Sha256`] and
-/// [`sha512::Sha512`]; [`hmac::Hmac`] is generic over it.
+/// Implemented by [`sha256::Sha256`] and [`sha512::Sha512`];
+/// [`hmac::Hmac`] is generic over it.
 pub trait Digest: Clone {
     /// Digest length in bytes.
     const OUTPUT_LEN: usize;

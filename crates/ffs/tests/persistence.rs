@@ -108,7 +108,21 @@ fn matrix(tag: &str) -> (Vec<MatrixEntry>, std::path::PathBuf) {
             Reopen::Backend(backend),
         ));
     }
-    for backend in [StoreBackend::SimInstant, StoreBackend::Dedup] {
+    // Volatile nests: the store object survives the drop of the
+    // filesystem.
+    for backend in [
+        StoreBackend::SimInstant,
+        StoreBackend::Dedup,
+        StoreBackend::DedupEncrypted { key: [0x29; 32] },
+        StoreBackend::CachedReadahead {
+            capacity: 32,
+            window: 8,
+            inner: Box::new(StoreBackend::SimInstant),
+        },
+        StoreBackend::Timed {
+            inner: Box::new(StoreBackend::Dedup),
+        },
+    ] {
         let store = backend.build(&clock, blocks);
         out.push((
             format!("{}-remount", backend.label()),

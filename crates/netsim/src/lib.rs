@@ -25,10 +25,8 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 /// Errors from the simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -452,8 +450,10 @@ struct Stats {
 
 /// One side of a duplex [`Link`].
 pub struct Endpoint {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
+    tx: mpsc::Sender<Vec<u8>>,
+    /// `Transport` is `Sync` and `mpsc::Receiver` is not, hence the
+    /// mutex; only this endpoint's own receive calls take it.
+    rx: Mutex<mpsc::Receiver<Vec<u8>>>,
     clock: SimClock,
     config: LinkConfig,
     stats: Arc<Stats>,
@@ -471,14 +471,14 @@ pub struct Link;
 impl Link {
     /// Creates a connected pair of endpoints sharing `clock`.
     pub fn pair(clock: &SimClock, config: LinkConfig) -> (Endpoint, Endpoint) {
-        let (tx_a, rx_b) = unbounded();
-        let (tx_b, rx_a) = unbounded();
+        let (tx_a, rx_b) = mpsc::channel();
+        let (tx_b, rx_a) = mpsc::channel();
         let dir_ab = Arc::new(DirState::default());
         let dir_ba = Arc::new(DirState::default());
         (
             Endpoint {
                 tx: tx_a,
-                rx: rx_a,
+                rx: Mutex::new(rx_a),
                 clock: clock.clone(),
                 config,
                 stats: Arc::new(Stats::default()),
@@ -488,7 +488,7 @@ impl Link {
             },
             Endpoint {
                 tx: tx_b,
-                rx: rx_b,
+                rx: Mutex::new(rx_b),
                 clock: clock.clone(),
                 config,
                 stats: Arc::new(Stats::default()),
@@ -550,6 +550,12 @@ impl Endpoint {
         self.faults = Some(faults.clone());
     }
 
+    fn rx(&self) -> MutexGuard<'_, mpsc::Receiver<Vec<u8>>> {
+        self.rx
+            .lock()
+            .expect("a receive call panicked holding the receiver")
+    }
+
     /// Enqueues one message toward the peer and wakes any watcher.
     fn enqueue(&self, msg: Vec<u8>) -> Result<(), NetError> {
         // Count the message before enqueuing it: a receiver can only
@@ -594,15 +600,15 @@ impl Transport for Endpoint {
     }
 
     fn recv(&self) -> Result<Vec<u8>, NetError> {
-        let msg = self.rx.recv().map_err(|_| NetError::Disconnected)?;
+        let msg = self.rx().recv().map_err(|_| NetError::Disconnected)?;
         self.incoming.pending.fetch_sub(1, Ordering::Release);
         Ok(msg)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        let msg = self.rx.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => NetError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => NetError::Disconnected,
+        let msg = self.rx().recv_timeout(timeout).map_err(|e| match e {
+            mpsc::RecvTimeoutError::Timeout => NetError::Timeout,
+            mpsc::RecvTimeoutError::Disconnected => NetError::Disconnected,
         })?;
         self.incoming.pending.fetch_sub(1, Ordering::Release);
         Ok(msg)
@@ -612,12 +618,12 @@ impl Transport for Endpoint {
         // Read the flag first: the peer sets it after its last send, so
         // an empty queue seen afterwards is empty for good.
         let closed = self.incoming.closed.load(Ordering::SeqCst);
-        match self.rx.try_recv() {
+        match self.rx().try_recv() {
             Ok(msg) => {
                 self.incoming.pending.fetch_sub(1, Ordering::Release);
                 Ok(Some(msg))
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) if !closed => Ok(None),
+            Err(mpsc::TryRecvError::Empty) if !closed => Ok(None),
             Err(_) => Err(NetError::Disconnected),
         }
     }

@@ -128,8 +128,8 @@ enum Job {
     Serve { token: u64 },
 }
 
-/// A condvar-backed MPMC job queue (the vendored crossbeam stub has no
-/// cloneable receiver, so the pool rolls its own).
+/// A condvar-backed MPMC job queue (`std::sync::mpsc` has no cloneable
+/// receiver, so the pool rolls its own).
 #[derive(Default)]
 struct JobQueue {
     jobs: Mutex<VecDeque<Job>>,

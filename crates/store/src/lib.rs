@@ -184,9 +184,9 @@
 //! [`StoreStats::read_repairs`].
 //!
 //! Backend choice is threaded through the stack as a [`StoreBackend`]
-//! value (`ffs::Ffs::format_backend`, `discfs::Testbed::with_backend`,
-//! `bench_harness::build_world_on`), so benchmarks can compare
-//! backends without touching filesystem code. Wrapper presets nest:
+//! value (`ffs::Ffs::format_backend`, `discfs::Testbed::with_backend`),
+//! so benchmarks can compare backends without touching filesystem
+//! code. Wrapper presets nest:
 //! `StoreBackend::Cached { inner: Box::new(StoreBackend::Sharded {
 //! .. }), .. }` builds a buffer cache over a sharded volume.
 //!
