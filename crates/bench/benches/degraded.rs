@@ -20,10 +20,10 @@
 
 use std::time::Duration;
 
-use bench_harness::{bench_quick as quick, percentile};
+use bench_harness::{bench_opts, bench_quick as quick, percentile, unique_block};
 
 use netsim::{FaultPlan, LinkConfig, SimClock};
-use store::{BlockStore, RemoteOptions, RemoteStore, ReplicatedStore, SimStore, BLOCK_SIZE};
+use store::{BlockStore, RemoteStore, ReplicatedStore, SimStore};
 
 /// Blocks per measured volume.
 fn extent_blocks() -> u64 {
@@ -36,26 +36,6 @@ fn extent_blocks() -> u64 {
 
 const NODES: usize = 4;
 const REPLICAS: usize = 2;
-
-fn unique_block(i: u64) -> Vec<u8> {
-    let mut block = vec![0u8; BLOCK_SIZE];
-    block[..8].copy_from_slice(&i.to_le_bytes());
-    block[8..16].copy_from_slice(&i.wrapping_mul(0x9E37_79B9).to_le_bytes());
-    block
-}
-
-/// Retry policy tuned for benchmarking: short wall-clock attempt
-/// timeouts (lost frames are rare and resolve fast), virtual-time
-/// backoff that shows up in the tail figures.
-fn bench_opts() -> RemoteOptions {
-    RemoteOptions {
-        timeout: Duration::from_millis(10),
-        base: Duration::from_millis(2),
-        multiplier: 2.0,
-        max_backoff: Duration::from_millis(40),
-        deadline: Duration::from_millis(500),
-    }
-}
 
 /// A 4-node R=2 volume; each node optionally behind a seeded fault
 /// plan.
@@ -83,7 +63,7 @@ fn volume(
 
 /// Fills the volume and flushes, so reads hit committed data.
 fn fill(store: &ReplicatedStore, blocks: u64) {
-    let writes: Vec<(u64, Vec<u8>)> = (0..blocks).map(|i| (i, unique_block(i))).collect();
+    let writes: Vec<(u64, Vec<u8>)> = (0..blocks).map(|i| (i, unique_block(i, 0))).collect();
     let refs: Vec<(u64, &[u8])> = writes.iter().map(|(i, b)| (*i, b.as_slice())).collect();
     store.write_blocks(&refs);
     store.flush().unwrap();
@@ -98,7 +78,7 @@ fn read_sweep(clock: &SimClock, store: &ReplicatedStore, blocks: u64) -> (Vec<Du
         let before = clock.now();
         let block = store.read_block(i);
         lat.push(clock.now() - before);
-        if block != unique_block(i) {
+        if block != unique_block(i, 0) {
             failed += 1;
         }
     }
@@ -180,14 +160,14 @@ fn figure_s3_wan_volume() {
         fill(&store, w);
         clock.reset();
         for i in 0..w {
-            assert_eq!(store.read_block(i), unique_block(i));
+            assert_eq!(store.read_block(i), unique_block(i, 0));
         }
         let scalar = clock.now();
         clock.reset();
         let idxs: Vec<u64> = (0..w).collect();
         let blocks = store.read_blocks(&idxs);
         for (i, block) in blocks.iter().enumerate() {
-            assert_eq!(block.as_ref(), unique_block(i as u64));
+            assert_eq!(block.as_ref(), unique_block(i as u64, 0));
         }
         (scalar, clock.now())
     };

@@ -26,13 +26,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bench_harness::{bench_quick as quick, percentile};
+use bench_harness::{bench_opts, bench_quick as quick, percentile, unique_block};
 
 use netsim::{LinkConfig, SimClock};
-use store::{
-    BlockStore, NodeLease, RemoteError, RemoteOptions, RemoteStore, ReplicatedStore, SimStore,
-    BLOCK_SIZE,
-};
+use store::{BlockStore, NodeLease, RemoteError, RemoteStore, ReplicatedStore, SimStore};
 
 const NODES: usize = 4;
 const REPLICAS: usize = 2;
@@ -53,23 +50,6 @@ fn flush_iters() -> u64 {
         16
     } else {
         64
-    }
-}
-
-fn unique_block(i: u64, tag: u64) -> Vec<u8> {
-    let mut block = vec![0u8; BLOCK_SIZE];
-    block[..8].copy_from_slice(&i.to_le_bytes());
-    block[8..16].copy_from_slice(&i.wrapping_mul(0x9E37_79B9).wrapping_add(tag).to_le_bytes());
-    block
-}
-
-fn bench_opts() -> RemoteOptions {
-    RemoteOptions {
-        timeout: Duration::from_millis(10),
-        base: Duration::from_millis(2),
-        multiplier: 2.0,
-        max_backoff: Duration::from_millis(40),
-        deadline: Duration::from_millis(500),
     }
 }
 

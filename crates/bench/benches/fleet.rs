@@ -28,17 +28,15 @@ use std::time::{Duration, Instant};
 
 use bench_harness::{bench_quick as quick, percentile};
 
-use discfs::{CredentialIssuer, Perm, Testbed};
+use discfs::{Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
-use discfs_crypto::rng::DetRng;
+use discfs_crypto::rng::{DetRng, RngCore};
 use ffs::{FsConfig, StoreBackend};
 use ipsec::ike::SecureChannel;
 use netsim::{Endpoint, LinkConfig};
 use nfsv2::proto::proc_nfs;
 use nfsv2::{EngineConfig, FHandle, NfsClient};
 use onc_rpc::Encoder;
-
-use self::rand_core_shim::next_f64;
 
 /// Shared working set: Zipf-popular files, paper-era 8 KB transfers.
 const FILES: usize = 128;
@@ -47,17 +45,6 @@ const FILE_SIZE: usize = 8192;
 const ZIPF_S: f64 = 1.2;
 /// Requests each bursting client pipelines per wave.
 const PIPELINE: usize = 4;
-
-/// `rand::RngCore` helpers without pulling the full trait into scope.
-mod rand_core_shim {
-    use discfs_crypto::rng::DetRng;
-    use rand::RngCore;
-
-    /// Uniform in [0, 1).
-    pub fn next_f64(rng: &mut DetRng) -> f64 {
-        (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 struct Fleet {
     bed: Testbed,
@@ -71,37 +58,21 @@ struct FleetClient {
     nfs: NfsClient,
 }
 
-/// The engine sizing every figure runs on.
-fn engine_config() -> EngineConfig {
-    EngineConfig {
-        workers: 4,
-        queue_bound: 64,
-        batch: 32,
-        ..EngineConfig::default()
-    }
-}
-
 /// Builds the server world (engine running, working set populated) —
 /// no fleet clients yet, so callers can snapshot the thread count
 /// before the fleet connects.
 fn build_world() -> (Testbed, Vec<FHandle>, discfs::DiscfsClient) {
-    let bed = Testbed::with_engine_config(
+    let bed = Testbed::with_backend(
         FsConfig::standard(),
         LinkConfig::instant(),
         4096,
         &StoreBackend::SimInstant,
-        engine_config(),
     );
     // Populate the working set through a setup client, then make the
     // files world-readable — fleet clients authorize via the public
     // grant, no per-client credential exchange.
     let setup_key = SigningKey::from_seed(&[0xCE; 32]);
-    let mut setup = bed.connect(&setup_key).expect("connect setup client");
-    let root_grant = CredentialIssuer::new(bed.admin())
-        .holder(&setup_key.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    setup.submit_credential(&root_grant).expect("setup grant");
+    let mut setup = bed.connect_owner(&setup_key).expect("connect setup client");
     let root = setup.remote().root();
     let files: Vec<FHandle> = (0..FILES)
         .map(|i| {
@@ -182,7 +153,8 @@ fn zipf_cdf() -> Vec<f64> {
 }
 
 fn sample_zipf(cdf: &[f64], rng: &mut DetRng) -> usize {
-    let u = next_f64(rng);
+    // Uniform in [0, 1).
+    let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
     cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
 }
 
@@ -203,7 +175,7 @@ fn figure_fleet_latency() {
     let waves = 8usize;
     println!(
         "\n== PR 7 figure: {n} clients, fixed {}-worker engine, Zipf({ZIPF_S}) bursts ==",
-        engine_config().workers
+        EngineConfig::default().workers
     );
 
     // The engine's `workers + 1` threads exist as soon as the world is
@@ -344,7 +316,7 @@ fn figure_fairness() {
         .expect("straggler attached");
     assert_eq!(
         high_water,
-        engine_config().queue_bound,
+        EngineConfig::default().queue_bound,
         "straggler queue must cap at the configured bound"
     );
     // The 2×-of-baseline fairness bound, with a floor absorbing

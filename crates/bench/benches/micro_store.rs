@@ -11,10 +11,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench_harness::bench_quick as quick;
+use bench_harness::{bench_quick as quick, unique_block};
 
 use netsim::SimClock;
-use store::{BlockStore, CachedStore, DedupStore, FileStore, ShardedStore, SimStore, BLOCK_SIZE};
+use store::{BlockStore, CachedStore, DedupStore, FileStore, ShardedStore, SimStore};
 
 /// Counts allocated bytes so the zero-copy read-path claim is
 /// measured, not asserted by eye.
@@ -51,13 +51,6 @@ fn sharded_sim(shards: usize, total: u64) -> ShardedStore {
     )
 }
 
-fn unique_block(i: u64) -> Vec<u8> {
-    let mut block = vec![0u8; BLOCK_SIZE];
-    block[..8].copy_from_slice(&i.to_le_bytes());
-    block[8..16].copy_from_slice(&i.wrapping_mul(0x9E37_79B9).to_le_bytes());
-    block
-}
-
 /// Ops/sec of a closure repeated `iters` times.
 fn ops_per_sec(iters: u64, mut f: impl FnMut()) -> f64 {
     let start = Instant::now();
@@ -86,7 +79,7 @@ fn figure_zero_copy_reads() {
     ];
     for (name, layers, store) in cases {
         for i in 0..BLOCKS {
-            store.write_block(i, &unique_block(i % 16));
+            store.write_block(i, &unique_block(i % 16, 0));
         }
         // Touch once so caches are warm, then count.
         for i in 0..BLOCKS {
@@ -119,7 +112,7 @@ fn figure_cached_reread() {
     let clock = SimClock::new();
     let uncached = SimStore::new(&clock, store::DiskModel::quantum_fireball_ct10(), BLOCKS);
     for i in 0..BLOCKS {
-        uncached.write_block_meta(i, &unique_block(i));
+        uncached.write_block_meta(i, &unique_block(i, 0));
     }
     clock.reset();
     for _ in 0..passes {
@@ -136,7 +129,7 @@ fn figure_cached_reread() {
         BLOCKS as usize,
     );
     for i in 0..BLOCKS {
-        cached.inner().write_block_meta(i, &unique_block(i));
+        cached.inner().write_block_meta(i, &unique_block(i, 0));
     }
     for i in 0..BLOCKS {
         std::hint::black_box(cached.read_block(i)); // warm (miss pass)
@@ -165,7 +158,7 @@ fn figure_cached_reread() {
     let dir = store::temp_dir_for_tests("bench-reread");
     let file = FileStore::open(&dir, BLOCKS).unwrap();
     for i in 0..BLOCKS {
-        file.write_block(i, &unique_block(i));
+        file.write_block(i, &unique_block(i, 0));
     }
     file.flush().unwrap(); // dirty map cleared: reads hit the data file
     let iters = if quick() { 20_000 } else { 200_000 };

@@ -51,12 +51,7 @@ fn build_world(cache_size: usize) -> WorldState {
         &StoreBackend::SimInstant,
     );
     let setup = SigningKey::from_seed(&[0xCE; 32]);
-    let mut client = bed.connect(&setup).expect("connect setup client");
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&setup.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    client.submit_credential(&grant).expect("setup root grant");
+    let mut client = bed.connect_owner(&setup).expect("connect setup client");
     let root = client.remote().root();
     let files: Vec<FHandle> = (0..FILES)
         .map(|i| {
@@ -83,12 +78,7 @@ fn connect_worker(world: &WorldState, seed: u8) -> DiscfsClient {
     seed_bytes[0] = seed;
     seed_bytes[1] = 0x13;
     let key = SigningKey::from_seed(&seed_bytes);
-    let client = world.bed.connect(&key).expect("connect worker");
-    let root_grant = CredentialIssuer::new(world.bed.admin())
-        .holder(&key.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    client.submit_credential(&root_grant).expect("root grant");
+    let client = world.bed.connect_owner(&key).expect("connect worker");
     for fh in &world.files {
         let cred = CredentialIssuer::new(world.bed.admin())
             .holder(&key.public())

@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use bench_harness::{bench_quick as quick, cores};
+use bench_harness::{bench_quick as quick, cores, unique_block};
 
 use ffs::{Ffs, FsConfig, StoreBackend};
 use netsim::SimClock;
@@ -43,13 +43,6 @@ fn file_blocks() -> u64 {
 const CHUNK_BLOCKS: u64 = 64;
 
 const SHARDS: u32 = 4;
-
-fn unique_block(i: u64) -> Vec<u8> {
-    let mut block = vec![0u8; BLOCK_SIZE];
-    block[..8].copy_from_slice(&i.to_le_bytes());
-    block[8..16].copy_from_slice(&i.wrapping_mul(0x9E37_79B9).to_le_bytes());
-    block
-}
 
 /// One streaming round over a fresh volume: chunked sequential write
 /// of the whole file, a flush (untimed — fsync cost is the same with
@@ -71,7 +64,7 @@ fn stream_round(workers: bool, round: usize) -> (f64, f64, ffs::StoreStats) {
     let ino = fs.create(fs.root(), "stream.dat", 0o644, 0, 0).unwrap();
 
     let chunk: Vec<u8> = (0..CHUNK_BLOCKS)
-        .flat_map(|i| unique_block(i).into_iter())
+        .flat_map(|i| unique_block(i, 0).into_iter())
         .collect();
     let chunks = file_blocks() / CHUNK_BLOCKS;
 

@@ -2,7 +2,7 @@
 //! and fails when one stops having the paper's shape.
 //!
 //! ```text
-//! reproduce [--paper|--quick] [--fig N]... [--ablate] [--scale]
+//! reproduce [--paper|--quick] [--fig N]... [--scale]
 //! ```
 //!
 //! * `--quick` (default): scaled-down workloads (16 MB Bonnie file,
@@ -14,28 +14,30 @@
 //! * `--paper`: the paper's parameters (100 MB file, kernel-sized
 //!   source tree).
 //! * `--fig N`: run only figure N (7–12; repeatable).
-//! * `--ablate`: design-choice ablations (cache size sweep, ESP on/off).
-//! * `--scale`: the §7 future-work item — rigorously quantifying the
-//!   scalability advantages (server state vs. user base, query latency
-//!   vs. session size and vs. delegation chain length).
+//! * `--scale`: KeyNote query wall latency by delegation chain length
+//!   (1-16 links), the one scalability number (§7) nothing else reports.
+//!
+//! CFS-NE and DisCFS run on the same engine, link, disk and client code
+//! (`bench_harness::build_world`), so a figure's two remote rows differ
+//! by what the paper varies: the service and the channel.
 //!
 //! Exit status: 0 when every figure run has FFS fastest and DisCFS
 //! within 15 % of CFS-NE (and the golden matches, where it applies),
-//! 1 when one does not, 2 on a usage error. Wall-clock costs of the
-//! primitives (signatures, KeyNote queries, IKE, the policy cache) are
-//! `discfs_bench --trace`'s per-layer metrics, not printed here.
+//! 1 when one does not, 2 on a usage error. Nothing here repeats a
+//! number with another source: wall-clock costs of the primitives
+//! (signatures, KeyNote queries, IKE, ESP, credential submission, the
+//! policy cache) are `discfs_bench --trace`'s per-layer metrics, and the
+//! cache-size sweep is `multi_client`'s asserted figure.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use bench_harness::{run_bonnie_figure, run_search, Figure, Measurement, SystemKind};
 use bonnie::TreeSpec;
-use discfs::{CredentialIssuer, Perm, Testbed};
+use discfs::{CredentialIssuer, Perm};
 use discfs_crypto::ed25519::SigningKey;
-use discfs_crypto::rng::DetRng;
 use ffs::FsConfig;
 use keynote::{AssertionBuilder, Session};
-use netsim::{Link, LinkConfig, SimClock};
 
 /// `--quick`'s virtual times, one `fig<N> <system> <nanoseconds>` line
 /// per measurement in the order they are printed.
@@ -44,13 +46,12 @@ const QUICK_GOLDEN: &str = include_str!("reproduce_quick.txt");
 struct Options {
     paper_scale: bool,
     figures: Vec<u32>,
-    ablate: bool,
     scale: bool,
 }
 
 fn usage(problem: &str) -> ! {
     eprintln!("{problem}");
-    eprintln!("usage: reproduce [--paper|--quick] [--fig 7..12]... [--ablate] [--scale]");
+    eprintln!("usage: reproduce [--paper|--quick] [--fig 7..12]... [--scale]");
     std::process::exit(2);
 }
 
@@ -58,7 +59,6 @@ fn parse_args() -> Options {
     let mut opts = Options {
         paper_scale: false,
         figures: Vec::new(),
-        ablate: false,
         scale: false,
     };
     let mut args = std::env::args().skip(1);
@@ -66,7 +66,6 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--paper" => opts.paper_scale = true,
             "--quick" => opts.paper_scale = false,
-            "--ablate" => opts.ablate = true,
             "--scale" => opts.scale = true,
             "--fig" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n @ 7..=12) => opts.figures.push(n),
@@ -227,296 +226,11 @@ fn run_figure12(opts: &Options, outcome: &mut Outcome) {
     outcome.record(12, &results);
 }
 
-fn bench_loop<F: FnMut()>(iterations: u32, mut f: F) -> Duration {
-    let start = Instant::now();
-    for _ in 0..iterations {
-        f();
-    }
-    start.elapsed() / iterations
-}
-
-fn run_ablations(opts: &Options) {
-    println!("\nAblations (DESIGN.md §5):");
-
-    // Cache size sweep over the Figure 12 workload.
-    let spec = if opts.paper_scale {
-        TreeSpec::kernel_like()
-    } else {
-        TreeSpec {
-            dirs: 6,
-            files_per_dir: 10,
-            avg_file_size: 2048,
-            seed: 0x0B5D,
-        }
-    };
-    println!("  policy cache size sweep (search workload):");
-    for cache_size in [0usize, 16, 128, 1024] {
-        let (_, m) = run_search(SystemKind::Discfs, &spec, FsConfig::standard(), cache_size);
-        println!(
-            "    cache {cache_size:>5}: virtual {:>10}  wall {:>10}",
-            fmt_duration(m.virtual_time),
-            fmt_duration(m.wall_time)
-        );
-    }
-
-    // ESP on/off: CFS-NE over plain vs. IPsec transport.
-    println!("  secure channel cost (64×8KB writes, wall time):");
-    for secure in [false, true] {
-        let clock = SimClock::new();
-        let fs = std::sync::Arc::new(ffs::Ffs::format_in_memory(FsConfig::small()));
-        let service = std::sync::Arc::new(cfs::CfsService::passthrough(fs, 1));
-        let (ce, se) = Link::loopback(&clock);
-        let remote = if secure {
-            let server_key = SigningKey::from_seed(&[9; 32]);
-            let client_key = SigningKey::from_seed(&[8; 32]);
-            let service = service.clone();
-            std::thread::spawn(move || {
-                let mut rng = DetRng::new(2);
-                let chan = ipsec::ike::respond(se, &server_key, &mut rng).unwrap();
-                nfsv2::server::serve_connection(service, Box::new(chan));
-            });
-            let mut rng = DetRng::new(1);
-            let chan = ipsec::ike::initiate(ce, &client_key, None, &mut rng).unwrap();
-            nfsv2::RemoteFs::mount(nfsv2::NfsClient::new(Box::new(chan)), "/").unwrap()
-        } else {
-            nfsv2::server::spawn(service, Box::new(ipsec::PlainChannel::new(se)));
-            nfsv2::RemoteFs::mount(
-                nfsv2::NfsClient::new(Box::new(ipsec::PlainChannel::new(ce))),
-                "/",
-            )
-            .unwrap()
-        };
-        let fh = remote.write_file("espbench", b"").unwrap();
-        let block = vec![0xA5u8; 8192];
-        // Warm up caches and thread scheduling before measuring.
-        for i in 0..64u64 {
-            remote.client().write_all(&fh, i * 8192, &block).unwrap();
-        }
-        let t = bench_loop(8, || {
-            for i in 0..64u64 {
-                remote.client().write_all(&fh, i * 8192, &block).unwrap();
-            }
-        });
-        println!(
-            "    {}: {:>10} per 512 KB",
-            if secure {
-                "ESP (ChaCha20-Poly1305)"
-            } else {
-                "plain                  "
-            },
-            fmt_duration(t)
-        );
-    }
-}
-
-/// The §7 scalability quantification: how server burden grows with the
-/// user base, compared to the account/ACL model the paper argues
-/// against.
+/// The §7 scalability item nothing else measures: what a KeyNote query
+/// costs as the delegation chain behind the requester grows.
 fn run_scale() {
-    println!("\nScalability (§7 future work, quantified):");
-
-    // 1. Server state as users are *granted access* (credentials are
-    // issued offline): identically zero — no accounts, no ACL entries.
-    println!("  server-side state vs. users granted access:");
-    let bed = Testbed::instant();
-    let bob = SigningKey::from_seed(&[0xB0; 32]);
-    let mut bob_client = bed.connect(&bob).unwrap();
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&bob.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    bob_client.submit_credential(&grant).unwrap();
-    let file = bob_client
-        .create_with_credential(&bob_client.remote().root(), "shared", 0o644)
-        .unwrap();
-    bob_client
-        .client()
-        .write_all(&file.fh, 0, b"payload")
-        .unwrap();
-    for n in [10usize, 100, 1000] {
-        // Bob issues n credentials; the server never hears about it.
-        let creds: Vec<String> = (0..n)
-            .map(|i| {
-                let user = SigningKey::from_seed(&[
-                    (i % 251) as u8,
-                    (i / 251) as u8,
-                    3,
-                    4,
-                    5,
-                    6,
-                    7,
-                    8,
-                    9,
-                    10,
-                    11,
-                    12,
-                    13,
-                    14,
-                    15,
-                    16,
-                    17,
-                    18,
-                    19,
-                    20,
-                    21,
-                    22,
-                    23,
-                    24,
-                    25,
-                    26,
-                    27,
-                    28,
-                    29,
-                    30,
-                    31,
-                    32,
-                ]);
-                CredentialIssuer::new(&bob)
-                    .holder(&user.public())
-                    .grant(&file.fh, Perm::R)
-                    .issue()
-            })
-            .collect();
-        std::hint::black_box(&creds);
-        println!(
-            "    {n:>5} users granted offline → server sessions: 1, ACL entries: 0, passwd entries: 0"
-        );
-    }
-
-    // 2. First-access latency for the k-th ACTIVE user stays flat: each
-    // session carries only its own chain.
-    println!("  first-access wall latency by number of concurrently active users:");
-    for active in [1usize, 8, 32] {
-        let mut clients = Vec::new();
-        for i in 0..active {
-            let user = SigningKey::from_seed(&[200u8.wrapping_add(i as u8); 32]);
-            let cred = CredentialIssuer::new(&bob)
-                .holder(&user.public())
-                .grant(&file.fh, Perm::R)
-                .issue();
-            let c = bed.connect(&user).unwrap();
-            c.submit_credential(&file.credential).unwrap();
-            c.submit_credential(&cred).unwrap();
-            clients.push(c);
-        }
-        let newcomer = SigningKey::from_seed(&[
-            0xF1,
-            active as u8,
-            3,
-            4,
-            5,
-            6,
-            7,
-            8,
-            9,
-            10,
-            11,
-            12,
-            13,
-            14,
-            15,
-            16,
-            17,
-            18,
-            19,
-            20,
-            21,
-            22,
-            23,
-            24,
-            25,
-            26,
-            27,
-            28,
-            29,
-            30,
-            31,
-            32,
-        ]);
-        let cred = CredentialIssuer::new(&bob)
-            .holder(&newcomer.public())
-            .grant(&file.fh, Perm::R)
-            .issue();
-        let c = bed.connect(&newcomer).unwrap();
-        c.submit_credential(&file.credential).unwrap();
-        c.submit_credential(&cred).unwrap();
-        let start = Instant::now();
-        c.client().read_all(&file.fh, 0, 7).unwrap();
-        println!(
-            "    {active:>3} active sessions → newcomer first read: {:>10}",
-            fmt_duration(start.elapsed())
-        );
-    }
-
-    // 3. Query latency vs. credentials held in ONE session (the real
-    // scaling dimension of the compliance checker).
-    println!("  policy-query wall latency by session credential count:");
-    for count in [1usize, 10, 100, 500] {
-        let user = SigningKey::from_seed(&[0xAB; 32]);
-        let bed2 = Testbed::with_config(FsConfig::small(), LinkConfig::instant(), 0);
-        let client = bed2.connect(&user).unwrap();
-        // count-1 irrelevant credentials + 1 relevant.
-        for i in 0..count.saturating_sub(1) {
-            let other = SigningKey::from_seed(&[
-                (i % 251) as u8,
-                (i / 251) as u8,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-                9,
-            ]);
-            let noise = CredentialIssuer::new(bed2.admin())
-                .holder(&other.public())
-                .grant_handle_string(&format!("{}.1", 1000 + i), Perm::R)
-                .issue();
-            client.submit_credential(&noise).unwrap();
-        }
-        let relevant = CredentialIssuer::new(bed2.admin())
-            .holder(&user.public())
-            .grant_handle_string("1.1", Perm::RWX)
-            .issue();
-        client.submit_credential(&relevant).unwrap();
-        let root = client.remote().root();
-        let service = bed2.service().clone();
-        let peer = user.public();
-        let t = bench_loop(50, || {
-            std::hint::black_box(service.permissions_for(&peer, &root));
-        });
-        println!(
-            "    {count:>4} credentials in session → query: {:>10}",
-            fmt_duration(t)
-        );
-    }
-
-    // 4. Query latency vs. delegation chain length: the paper's
-    // "arbitrary length" chains, one credential per link.
-    println!("  keynote query wall latency by delegation chain length:");
+    // The paper's "arbitrary length" chains, one credential per link.
+    println!("KeyNote query wall latency by delegation chain length (§7):");
     let policy = AssertionBuilder::new()
         .licensee_key(&SigningKey::from_seed(&[1; 32]).public())
         .policy();
@@ -538,34 +252,35 @@ fn run_scale() {
         session.set_attribute("HANDLE", "42.1");
         session.add_requester_key(&keys.last().unwrap().public());
         assert_eq!(session.query().unwrap().as_str(), "RW");
-        let t = bench_loop(100, || {
+        const QUERIES: u32 = 100;
+        let start = Instant::now();
+        for _ in 0..QUERIES {
             std::hint::black_box(session.query().unwrap());
-        });
-        println!("    {links:>4} links → query: {:>10}", fmt_duration(t));
+        }
+        let per_query = start.elapsed() / QUERIES;
+        println!(
+            "  {links:>4} links → query: {:>10}",
+            fmt_duration(per_query)
+        );
     }
 }
 
 fn main() {
     let opts = parse_args();
-    println!(
-        "DisCFS reproduction — evaluation harness ({} scale)",
-        if opts.paper_scale { "paper" } else { "quick" }
-    );
-    println!("Systems: FFS (local), CFS-NE (baseline), DisCFS (this paper).");
-
     let mut outcome = Outcome {
         shapes_hold: true,
         virtual_ns: String::new(),
     };
-    // No flag at all means all six figures; `--ablate` or `--scale`
-    // alone means none.
-    let all_figures = opts.figures.is_empty() && !opts.ablate && !opts.scale;
+    // No flag at all means all six figures; `--scale` alone means none.
+    let all_figures = opts.figures.is_empty() && !opts.scale;
     if all_figures || !opts.figures.is_empty() {
+        println!(
+            "DisCFS reproduction — evaluation harness ({} scale)",
+            if opts.paper_scale { "paper" } else { "quick" }
+        );
+        println!("Systems: FFS (local), CFS-NE (baseline), DisCFS (this paper).");
         run_bonnie_figures(&opts, &mut outcome);
         run_figure12(&opts, &mut outcome);
-    }
-    if opts.ablate {
-        run_ablations(&opts);
     }
     if opts.scale {
         run_scale();

@@ -17,6 +17,13 @@
 //! * **DisCFS** — the full system: IPsec channel, KeyNote checks with
 //!   the 128-entry policy cache, same network and disk.
 //!
+//! The two networked systems differ by the service (`CfsService` with
+//! a null cipher / `DiscfsService`) and the channel (`PlainChannel` /
+//! IKE + ESP) and by nothing else: [`build_world`] serves both from an
+//! [`Engine`] of the same sizing, over the same link and disk models,
+//! and [`NfsBench`] drives both, so their ratio varies what the paper
+//! varies.
+//!
 //! Every workload reports both **virtual time** (network + disk + policy
 //! model on the shared [`SimClock`]) and **wall time** (real compute of
 //! the whole in-process stack). Figure shapes are judged on virtual
@@ -25,16 +32,20 @@
 
 #![forbid(unsafe_code)]
 
+use std::any::Any;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bonnie::{BenchFile, BenchFs};
-use discfs::{CredentialIssuer, DiscfsClient, Perm, Testbed};
+use discfs::{DiscfsClient, Testbed};
 use discfs_crypto::ed25519::SigningKey;
 use ffs::{Ffs, FsConfig, Ino, SetAttr};
 use ipsec::PlainChannel;
 use netsim::{Link, LinkConfig, SimClock};
-use nfsv2::{FHandle, NfsClient, RemoteFs, Sattr};
+use nfsv2::{
+    ClientError, Engine, EngineConfig, FHandle, Fattr, NfsClient, NfsStat, RemoteFs, Sattr,
+};
+use store::{RemoteOptions, BLOCK_SIZE};
 
 // ---------------------------------------------------------------------------
 // FFS adapter (the "local file system" series).
@@ -52,11 +63,7 @@ impl FfsBench {
     }
 
     fn resolve_parent(&self, path: &str) -> (Ino, String) {
-        let trimmed = path.trim_matches('/');
-        let (parent, name) = match trimmed.rsplit_once('/') {
-            Some((p, n)) => (p, n),
-            None => ("", trimmed),
-        };
+        let (parent, name) = split_parent(path);
         let dir = self.fs.resolve_path(parent).expect("parent path exists");
         (dir, name.to_string())
     }
@@ -149,28 +156,104 @@ impl BenchFs for FfsBench {
 }
 
 // ---------------------------------------------------------------------------
-// Remote NFS adapter (CFS-NE series).
+// NFS adapter (the CFS-NE and DisCFS series).
 // ---------------------------------------------------------------------------
 
-/// A mounted remote filesystem (plain NFS client).
-pub struct RemoteBench {
-    remote: RemoteFs,
+/// What an [`NfsBench`] is mounted through. The two differ in how a
+/// file or directory is made and in nothing else.
+enum Mount {
+    /// Plain NFS (CFS-NE): CREATE and MKDIR.
+    Plain(RemoteFs),
+    /// DisCFS: the credential-returning side procedures, so the session
+    /// holds the rights to touch what it created.
+    Discfs(DiscfsClient),
 }
 
-impl RemoteBench {
-    /// Wraps a mount.
-    pub fn new(remote: RemoteFs) -> RemoteBench {
-        RemoteBench { remote }
+/// A mounted remote filesystem driven as a benchmark filesystem.
+pub struct NfsBench {
+    mount: Mount,
+}
+
+impl NfsBench {
+    /// Wraps a plain NFS mount.
+    pub fn plain(remote: RemoteFs) -> NfsBench {
+        NfsBench {
+            mount: Mount::Plain(remote),
+        }
+    }
+
+    /// Wraps a connected DisCFS client.
+    pub fn discfs(client: DiscfsClient) -> NfsBench {
+        NfsBench {
+            mount: Mount::Discfs(client),
+        }
+    }
+
+    fn remote(&self) -> &RemoteFs {
+        match &self.mount {
+            Mount::Plain(remote) => remote,
+            Mount::Discfs(client) => client.remote(),
+        }
+    }
+
+    fn resolve(&self, path: &str) -> (FHandle, Fattr) {
+        self.remote()
+            .resolve(path)
+            .unwrap_or_else(|e| panic!("lookup {path}: {e}"))
+    }
+
+    /// The handle of `path`'s parent directory, and its last component.
+    fn resolve_parent<'p>(&self, path: &'p str) -> (FHandle, &'p str) {
+        let (parent, name) = split_parent(path);
+        (self.resolve(parent).0, name)
+    }
+
+    fn open_handle(&self, fh: FHandle) -> Box<dyn BenchFile + '_> {
+        Box::new(NfsFile {
+            client: self.remote().client(),
+            fh,
+        })
+    }
+
+    /// Makes the file or directory `name` in `dir`.
+    fn make(&mut self, dir: &FHandle, name: &str, is_dir: bool) -> FHandle {
+        let mode = if is_dir { 0o755 } else { 0o644 };
+        let made = match &mut self.mount {
+            Mount::Plain(remote) => {
+                let (client, sattr) = (remote.client(), Sattr::with_mode(mode));
+                let made = if is_dir {
+                    client.mkdir(dir, name, &sattr)
+                } else {
+                    client.create(dir, name, &sattr)
+                };
+                made.map(|(fh, _)| fh).map_err(|e| e.to_string())
+            }
+            Mount::Discfs(client) => {
+                let made = if is_dir {
+                    client.mkdir_with_credential(dir, name, mode)
+                } else {
+                    client.create_with_credential(dir, name, mode)
+                };
+                made.map(|res| res.fh).map_err(|e| e.to_string())
+            }
+        };
+        made.unwrap_or_else(|e| panic!("make {name}: {e}"))
     }
 }
 
+/// `path` as (parent path, last component).
+fn split_parent(path: &str) -> (&str, &str) {
+    let trimmed = path.trim_matches('/');
+    trimmed.rsplit_once('/').unwrap_or(("", trimmed))
+}
+
 /// An open remote file.
-pub struct RemoteFile<'a> {
+pub struct NfsFile<'a> {
     client: &'a NfsClient,
     fh: FHandle,
 }
 
-impl BenchFile for RemoteFile<'_> {
+impl BenchFile for NfsFile<'_> {
     fn write_at(&mut self, offset: u64, data: &[u8]) {
         self.client
             .write_all(&self.fh, offset, data)
@@ -184,165 +267,33 @@ impl BenchFile for RemoteFile<'_> {
     }
 }
 
-impl BenchFs for RemoteBench {
-    fn create<'a>(&'a mut self, path: &str) -> Box<dyn BenchFile + 'a> {
-        let fh = self.remote.write_file(path, b"").expect("nfs create");
-        Box::new(RemoteFile {
-            client: self.remote.client(),
-            fh,
-        })
-    }
-
-    fn open<'a>(&'a mut self, path: &str) -> Box<dyn BenchFile + 'a> {
-        let (fh, _) = self.remote.resolve(path).expect("nfs lookup");
-        Box::new(RemoteFile {
-            client: self.remote.client(),
-            fh,
-        })
-    }
-
-    fn mkdir(&mut self, path: &str) {
-        self.remote.mkdir_path(path).expect("nfs mkdir");
-    }
-
-    fn write_file(&mut self, path: &str, data: &[u8]) {
-        self.remote.write_file(path, data).expect("nfs write_file");
-    }
-
-    fn read_file(&mut self, path: &str) -> Vec<u8> {
-        self.remote.read_file(path).expect("nfs read_file")
-    }
-
-    fn readdir(&mut self, path: &str) -> Vec<(String, bool)> {
-        let (fh, _) = self.remote.resolve(path).expect("nfs lookup");
-        self.remote
-            .client()
-            .readdir_all(&fh)
-            .expect("nfs readdir")
-            .into_iter()
-            .filter(|e| e.name != "." && e.name != "..")
-            .map(|e| {
-                let full = if path.trim_matches('/').is_empty() {
-                    e.name.clone()
-                } else {
-                    format!("{}/{}", path.trim_matches('/'), e.name)
-                };
-                let is_dir = self
-                    .remote
-                    .resolve(&full)
-                    .map(|(_, a)| a.ftype == nfsv2::FType::Directory)
-                    .unwrap_or(false);
-                (e.name, is_dir)
-            })
-            .collect()
-    }
-
-    fn remove(&mut self, path: &str) {
-        let trimmed = path.trim_matches('/');
-        let (parent, name) = match trimmed.rsplit_once('/') {
-            Some((p, n)) => (p, n),
-            None => ("", trimmed),
-        };
-        let (dir, _) = self.remote.resolve(parent).expect("nfs lookup");
-        self.remote.client().remove(&dir, name).expect("nfs remove");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DisCFS adapter.
-// ---------------------------------------------------------------------------
-
-/// The DisCFS client driven as a benchmark filesystem.
-///
-/// File and directory creation go through the credential-returning side
-/// procedures, so the session automatically holds the rights to touch
-/// what it created (plus a root grant installed by the world builder).
-pub struct DiscfsBench {
-    client: DiscfsClient,
-}
-
-impl DiscfsBench {
-    /// Wraps a connected client.
-    pub fn new(client: DiscfsClient) -> DiscfsBench {
-        DiscfsBench { client }
-    }
-
-    /// Access to the underlying client (cache stats etc.).
-    pub fn client(&self) -> &DiscfsClient {
-        &self.client
-    }
-
-    fn resolve(&self, path: &str) -> (FHandle, nfsv2::Fattr) {
-        self.client.remote().resolve(path).expect("discfs lookup")
-    }
-
-    fn resolve_parent(&self, path: &str) -> (FHandle, String) {
-        let trimmed = path.trim_matches('/');
-        let (parent, name) = match trimmed.rsplit_once('/') {
-            Some((p, n)) => (p, n),
-            None => ("", trimmed),
-        };
-        let (dir, _) = self.resolve(parent);
-        (dir, name.to_string())
-    }
-}
-
-/// An open DisCFS file.
-pub struct DiscfsFile<'a> {
-    client: &'a NfsClient,
-    fh: FHandle,
-}
-
-impl BenchFile for DiscfsFile<'_> {
-    fn write_at(&mut self, offset: u64, data: &[u8]) {
-        self.client
-            .write_all(&self.fh, offset, data)
-            .expect("discfs write");
-    }
-
-    fn read_at(&mut self, offset: u64, len: usize) -> Vec<u8> {
-        self.client
-            .read_all(&self.fh, offset, len)
-            .expect("discfs read")
-    }
-}
-
-impl BenchFs for DiscfsBench {
+impl BenchFs for NfsBench {
     fn create<'a>(&'a mut self, path: &str) -> Box<dyn BenchFile + 'a> {
         let (dir, name) = self.resolve_parent(path);
-        let fh = match self.client.remote().resolve(path) {
+        let fh = match self.remote().client().lookup(&dir, name) {
             Ok((fh, _)) => {
-                let mut sattr = Sattr::unchanged();
-                sattr.size = 0;
-                self.client.client().setattr(&fh, &sattr).expect("truncate");
+                let mut truncate = Sattr::unchanged();
+                truncate.size = 0;
+                self.remote()
+                    .client()
+                    .setattr(&fh, &truncate)
+                    .unwrap_or_else(|e| panic!("truncate {path}: {e}"));
                 fh
             }
-            Err(_) => {
-                self.client
-                    .create_with_credential(&dir, &name, 0o644)
-                    .expect("discfs create")
-                    .fh
-            }
+            Err(ClientError::Status(NfsStat::NoEnt)) => self.make(&dir, name, false),
+            Err(e) => panic!("create {path}: lookup failed: {e}"),
         };
-        Box::new(DiscfsFile {
-            client: self.client.client(),
-            fh,
-        })
+        self.open_handle(fh)
     }
 
     fn open<'a>(&'a mut self, path: &str) -> Box<dyn BenchFile + 'a> {
         let (fh, _) = self.resolve(path);
-        Box::new(DiscfsFile {
-            client: self.client.client(),
-            fh,
-        })
+        self.open_handle(fh)
     }
 
     fn mkdir(&mut self, path: &str) {
         let (dir, name) = self.resolve_parent(path);
-        self.client
-            .mkdir_with_credential(&dir, &name, 0o755)
-            .expect("discfs mkdir");
+        self.make(&dir, name, true);
     }
 
     fn write_file(&mut self, path: &str, data: &[u8]) {
@@ -351,29 +302,22 @@ impl BenchFs for DiscfsBench {
     }
 
     fn read_file(&mut self, path: &str) -> Vec<u8> {
-        let (fh, attr) = self.resolve(path);
-        self.client
-            .client()
-            .read_all(&fh, 0, attr.size as usize)
-            .expect("discfs read")
+        self.remote()
+            .read_file(path)
+            .unwrap_or_else(|e| panic!("read {path}: {e}"))
     }
 
     fn readdir(&mut self, path: &str) -> Vec<(String, bool)> {
         let (fh, _) = self.resolve(path);
-        self.client
+        self.remote()
             .client()
             .readdir_all(&fh)
-            .expect("discfs readdir")
+            .unwrap_or_else(|e| panic!("readdir {path}: {e}"))
             .into_iter()
             .filter(|e| e.name != "." && e.name != "..")
             .map(|e| {
-                let full = if path.trim_matches('/').is_empty() {
-                    e.name.clone()
-                } else {
-                    format!("{}/{}", path.trim_matches('/'), e.name)
-                };
+                let full = format!("{}/{}", path.trim_matches('/'), e.name);
                 let is_dir = self
-                    .client
                     .remote()
                     .resolve(&full)
                     .map(|(_, a)| a.ftype == nfsv2::FType::Directory)
@@ -385,10 +329,10 @@ impl BenchFs for DiscfsBench {
 
     fn remove(&mut self, path: &str) {
         let (dir, name) = self.resolve_parent(path);
-        self.client
+        self.remote()
             .client()
-            .remove(&dir, &name)
-            .expect("discfs remove");
+            .remove(&dir, name)
+            .unwrap_or_else(|e| panic!("remove {path}: {e}"));
     }
 }
 
@@ -427,13 +371,17 @@ pub struct World {
     pub fs: Box<dyn BenchFs>,
     /// The shared virtual clock.
     pub clock: SimClock,
-    /// Kept alive: the testbed (DisCFS) if any.
-    _bed: Option<Testbed>,
+    /// Kept alive: what serves the mount (CFS-NE's engine, DisCFS's
+    /// testbed). Dropped after `fs`, so the client goes first.
+    _server: Option<Box<dyn Any>>,
 }
 
 /// Builds a world for `kind` with the given volume geometry and cache
 /// size (cache size only affects DisCFS), on the paper's timing-model
-/// disk.
+/// disk. The two networked worlds run the same [`Engine`] with the same
+/// sizing over the same link and disk models and are driven through the
+/// same [`NfsBench`]; they differ by the service behind the engine and
+/// the channel in front of it.
 pub fn build_world(kind: SystemKind, fs_config: FsConfig, cache_size: usize) -> World {
     match kind {
         SystemKind::Ffs => {
@@ -442,40 +390,35 @@ pub fn build_world(kind: SystemKind, fs_config: FsConfig, cache_size: usize) -> 
             World {
                 fs: Box::new(FfsBench::new(fs)),
                 clock,
-                _bed: None,
+                _server: None,
             }
         }
         SystemKind::CfsNe => {
             let clock = SimClock::new();
             let fs = Arc::new(Ffs::format_timed(&clock, fs_config));
             let service = Arc::new(cfs::CfsService::passthrough(fs, 1));
+            // A plain channel runs no handshake: the key signs nothing.
+            let identity = SigningKey::from_seed(&[0x5E; 32]);
+            let engine = Engine::start(service, identity, EngineConfig::default());
             let (client_end, server_end) = Link::pair(&clock, LinkConfig::ethernet_100mbps());
-            nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+            engine.accept_channel(Box::new(PlainChannel::new(server_end)));
             let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
             let remote = RemoteFs::mount(client, "/").expect("mount CFS-NE");
             World {
-                fs: Box::new(RemoteBench::new(remote)),
+                fs: Box::new(NfsBench::plain(remote)),
                 clock,
-                _bed: None,
+                _server: Some(Box::new(engine)),
             }
         }
         SystemKind::Discfs => {
             let bed = Testbed::with_config(fs_config, LinkConfig::ethernet_100mbps(), cache_size);
             let clock = bed.clock().clone();
             let user = SigningKey::from_seed(&[0xB0; 32]);
-            let client = bed.connect(&user).expect("connect DisCFS");
-            // Grant the benchmark user the root directory, like the
-            // paper's measurement user owning the test directory.
-            let grant = CredentialIssuer::new(bed.admin())
-                .holder(&user.public())
-                .grant_handle_string("1.1", Perm::RWX)
-                .comment("benchmark root grant")
-                .issue();
-            client.submit_credential(&grant).expect("submit root grant");
+            let client = bed.connect_owner(&user).expect("connect DisCFS");
             World {
-                fs: Box::new(DiscfsBench::new(client)),
+                fs: Box::new(NfsBench::discfs(client)),
                 clock,
-                _bed: Some(bed),
+                _server: Some(Box::new(bed)),
             }
         }
     }
@@ -621,6 +564,28 @@ pub fn cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// A block no other `(i, tag)` produces: content-addressed and
+/// deduplicating stores must keep every one.
+pub fn unique_block(i: u64, tag: u64) -> Vec<u8> {
+    let mut block = vec![0u8; BLOCK_SIZE];
+    block[..8].copy_from_slice(&i.to_le_bytes());
+    block[8..16].copy_from_slice(&i.wrapping_mul(0x9E37_79B9).wrapping_add(tag).to_le_bytes());
+    block
+}
+
+/// Retry policy for the remote-store benches: short wall-clock attempt
+/// timeouts (lost frames are rare and resolve fast), virtual-time
+/// backoff that shows up in the tail figures.
+pub fn bench_opts() -> RemoteOptions {
+    RemoteOptions {
+        timeout: Duration::from_millis(10),
+        base: Duration::from_millis(2),
+        multiplier: 2.0,
+        max_backoff: Duration::from_millis(40),
+        deadline: Duration::from_millis(500),
+    }
 }
 
 /// The `p`-quantile (0 < `p` <= 1) of an ascending slice by nearest

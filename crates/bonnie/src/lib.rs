@@ -5,16 +5,17 @@
 //!
 //! * **Bonnie** on a 100 MB file — sequential output per-character
 //!   (Figure 7), per-block (Figure 8), rewrite (Figure 9); sequential
-//!   input per-character (Figure 10) and per-block (Figure 11); plus
-//!   Bonnie's random-seek phase (reported in the original tool, not
-//!   shown as a figure).
+//!   input per-character (Figure 10) and per-block (Figure 11).
+//!   Bonnie's random-seek phase is not ported: the paper shows no
+//!   figure for it.
 //! * **Filesystem search** (Figure 12) — "a simple script that goes
 //!   through every .c and .h file of the OpenBSD kernel source code and
 //!   counts the number of lines, words and bytes" (i.e. `wc`).
 //!
 //! Workloads run against anything implementing [`BenchFs`]/[`BenchFile`];
-//! the benchmark harness provides adapters for the local `ffs` volume
-//! (the FFS series), the remote CFS-NE mount, and the DisCFS client.
+//! the benchmark harness provides one adapter for the local `ffs`
+//! volume (the FFS series) and one for the two NFS mounts (CFS-NE and
+//! DisCFS).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,8 +25,7 @@ pub mod search;
 pub mod srctree;
 
 pub use phases::{
-    random_seeks, seq_input_block, seq_input_char, seq_output_block, seq_output_char, seq_rewrite,
-    BonnieConfig, BonnieResults, PhaseResult,
+    seq_input_block, seq_input_char, seq_output_block, seq_output_char, seq_rewrite, PhaseResult,
 };
 pub use search::{search, SearchTotals};
 pub use srctree::{generate_tree, TreeSpec};

@@ -1,7 +1,5 @@
 //! The Bonnie phases, faithful to Bonnie 1.x's structure.
 
-use rand::RngCore;
-
 use crate::BenchFile;
 
 /// The stdio buffer size modeled for the per-character phases: Bonnie's
@@ -12,33 +10,6 @@ pub const STDIO_BUF: usize = 1024;
 /// The block size for block phases (NFSv2's 8 KB transfer size).
 pub const BLOCK: usize = 8192;
 
-/// Benchmark parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct BonnieConfig {
-    /// Total file size in bytes (paper: 100 MB).
-    pub file_size: u64,
-    /// Number of random seeks in the seek phase.
-    pub seek_count: usize,
-}
-
-impl BonnieConfig {
-    /// The paper's configuration: a 100 MB file.
-    pub fn paper() -> BonnieConfig {
-        BonnieConfig {
-            file_size: 100 * 1024 * 1024,
-            seek_count: 4000,
-        }
-    }
-
-    /// A scaled-down configuration for CI and quick runs.
-    pub fn quick() -> BonnieConfig {
-        BonnieConfig {
-            file_size: 2 * 1024 * 1024,
-            seek_count: 200,
-        }
-    }
-}
-
 /// One phase's outcome: bytes moved (time is measured by the harness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseResult {
@@ -46,23 +17,6 @@ pub struct PhaseResult {
     pub bytes: u64,
     /// I/O calls issued.
     pub calls: u64,
-}
-
-/// All six phases (populated by the harness).
-#[derive(Debug, Clone, Default)]
-pub struct BonnieResults {
-    /// Figure 7: sequential output, per character.
-    pub output_char: Option<PhaseResult>,
-    /// Figure 8: sequential output, per block.
-    pub output_block: Option<PhaseResult>,
-    /// Figure 9: sequential rewrite.
-    pub rewrite: Option<PhaseResult>,
-    /// Figure 10: sequential input, per character.
-    pub input_char: Option<PhaseResult>,
-    /// Figure 11: sequential input, per block.
-    pub input_block: Option<PhaseResult>,
-    /// Bonnie's random-seek phase.
-    pub seeks: Option<PhaseResult>,
 }
 
 /// Deterministic byte for position `i` (verifiable content).
@@ -188,27 +142,6 @@ pub fn seq_input_block(file: &mut dyn BenchFile, total: u64) -> (PhaseResult, u6
     )
 }
 
-/// Bonnie's random-seek phase: `count` reads of one block at random
-/// block-aligned offsets.
-pub fn random_seeks<R: RngCore>(
-    file: &mut dyn BenchFile,
-    total: u64,
-    count: usize,
-    rng: &mut R,
-) -> PhaseResult {
-    let blocks = (total / BLOCK as u64).max(1);
-    let mut bytes = 0u64;
-    for _ in 0..count {
-        let target = (rng.next_u64() % blocks) * BLOCK as u64;
-        let chunk = file.read_at(target, BLOCK);
-        bytes += chunk.len() as u64;
-    }
-    PhaseResult {
-        bytes,
-        calls: count as u64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,20 +208,6 @@ mod tests {
         let mut f = fs.open("bonnie");
         let (res, _) = seq_input_block(&mut *f, SIZE);
         assert_eq!(res.bytes, SIZE);
-    }
-
-    #[test]
-    fn seeks_stay_in_bounds() {
-        let mut fs = MemFs::new();
-        {
-            let mut f = fs.create("bonnie");
-            seq_output_block(&mut *f, SIZE);
-        }
-        let mut f = fs.open("bonnie");
-        let mut rng = rand::rngs::mock::StepRng::new(0, 0x9E3779B97F4A7C15);
-        let res = random_seeks(&mut *f, SIZE, 57, &mut rng);
-        assert_eq!(res.calls, 57);
-        assert!(res.bytes > 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! kernel sources used by the paper's Figure 12 search workload.
 //!
 //! The generator is seeded and uses its own xorshift PRNG so the tree is
-//! bit-for-bit identical across platforms and `rand` versions — the
+//! bit-for-bit identical across platforms and toolchains — the
 //! search totals can therefore be asserted exactly in tests.
 
 use crate::BenchFs;

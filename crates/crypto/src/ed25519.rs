@@ -533,7 +533,7 @@ impl SigningKey {
     }
 
     /// Generates a fresh key from an RNG.
-    pub fn generate<R: rand::RngCore>(rng: &mut R) -> SigningKey {
+    pub fn generate<R: crate::rng::RngCore>(rng: &mut R) -> SigningKey {
         let mut seed = [0u8; 32];
         rng.fill_bytes(&mut seed);
         SigningKey::from_seed(&seed)
@@ -613,8 +613,7 @@ impl VerifyingKey {
 mod tests {
     use super::*;
     use crate::hex;
-    use crate::rng::DetRng;
-    use rand::RngCore;
+    use crate::rng::{DetRng, RngCore};
 
     // ---- the reference: the bit-serial path the fast ones replaced -------
 

@@ -398,7 +398,7 @@ mod tests {
 
     /// Field elements near 0, p and 2^255 first, then seeded random ones.
     fn samples(n: usize) -> Vec<Fe> {
-        use rand::RngCore;
+        use crate::rng::RngCore;
         let mut out = vec![Fe::ZERO, Fe::ONE, Fe::ONE.neg(), fe(2), fe(19).neg()];
         out.push(Fe::from_bytes(&[0xff; 32])); // 2^255 − 1 ≡ 18
         let mut rng = crate::rng::DetRng::new(0x243f_6a88);

@@ -176,8 +176,7 @@ impl Poly1305 {
 mod tests {
     use super::*;
     use crate::hex;
-    use crate::rng::DetRng;
-    use rand::RngCore;
+    use crate::rng::{DetRng, RngCore};
     use reference::Reference;
 
     /// The radix-2^26 implementation, kept as the differential reference.

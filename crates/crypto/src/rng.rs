@@ -1,12 +1,31 @@
-//! Randomness helpers.
-//!
-//! The workspace needs two kinds of randomness: real entropy for
-//! interactive use (delegated to [`rand`]) and *deterministic* streams
-//! for reproducible simulations and benchmarks. [`DetRng`] provides the
-//! latter, built on our own ChaCha20 so no extra dependency is needed.
+//! Randomness: the [`RngCore`] trait key generation and the IKE
+//! handshake draw from, and [`DetRng`], the workspace's one generator —
+//! a *deterministic* stream for reproducible simulations and
+//! benchmarks, built on our own ChaCha20.
 
 use crate::chacha20::ChaCha20;
-use rand::{CryptoRng, RngCore};
+
+/// A source of random bits.
+pub trait RngCore {
+    /// Returns the next 32 random bits.
+    fn next_u32(&mut self) -> u32;
+    /// Returns the next 64 random bits.
+    fn next_u64(&mut self) -> u64;
+    /// Fills `dest` with random bytes.
+    fn fill_bytes(&mut self, dest: &mut [u8]);
+}
+
+impl<R: RngCore + ?Sized> RngCore for &mut R {
+    fn next_u32(&mut self) -> u32 {
+        (**self).next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        (**self).next_u64()
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        (**self).fill_bytes(dest)
+    }
+}
 
 /// A deterministic ChaCha20-based RNG seeded with 32 bytes.
 ///
@@ -17,8 +36,7 @@ use rand::{CryptoRng, RngCore};
 /// # Examples
 ///
 /// ```
-/// use discfs_crypto::rng::DetRng;
-/// use rand::RngCore;
+/// use discfs_crypto::rng::{DetRng, RngCore};
 ///
 /// let mut a = DetRng::new(7);
 /// let mut b = DetRng::new(7);
@@ -81,16 +99,7 @@ impl RngCore for DetRng {
             filled += take;
         }
     }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
 }
-
-// The stream is a full-strength ChaCha20 keystream, so exposing it as a
-// CryptoRng for key generation in tests/simulations is sound.
-impl CryptoRng for DetRng {}
 
 #[cfg(test)]
 mod tests {

@@ -266,8 +266,7 @@ fn reduce_wide(mut x: [u64; 8]) -> Scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::DetRng;
-    use rand::RngCore;
+    use crate::rng::{DetRng, RngCore};
 
     /// The bit-serial reduction `from_bytes_wide` used to be: shift in
     /// one bit, subtract L when exceeded. Kept as the reference.

@@ -76,7 +76,7 @@ pub struct EphemeralKeypair {
 
 impl EphemeralKeypair {
     /// Generates a keypair from an RNG.
-    pub fn generate<R: rand::RngCore>(rng: &mut R) -> EphemeralKeypair {
+    pub fn generate<R: crate::rng::RngCore>(rng: &mut R) -> EphemeralKeypair {
         let mut private = [0u8; 32];
         rng.fill_bytes(&mut private);
         let public = public_key(&private);
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn keypair_agreement() {
-        let mut rng = rand::thread_rng();
+        let mut rng = crate::rng::DetRng::new(0x25519);
         let a = EphemeralKeypair::generate(&mut rng);
         let b = EphemeralKeypair::generate(&mut rng);
         assert_eq!(a.agree(&b.public), b.agree(&a.public));

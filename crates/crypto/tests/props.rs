@@ -140,8 +140,7 @@ proptest! {
         seed in any::<u64>(),
         chunks in proptest::collection::vec(1usize..64, 1..10),
     ) {
-        use discfs_crypto::rng::DetRng;
-        use rand::RngCore;
+        use discfs_crypto::rng::{DetRng, RngCore};
         let total: usize = chunks.iter().sum();
         let mut whole = vec![0u8; total];
         DetRng::new(seed).fill_bytes(&mut whole);

@@ -7,10 +7,10 @@
 //! the DisCFS mount point" with the granted permissions.
 
 use discfs_crypto::ed25519::{SigningKey, VerifyingKey};
+use discfs_crypto::rng::RngCore;
 use ipsec::SecureTransport;
 use nfsv2::{ClientError, FHandle, Fattr, NfsClient, RemoteFs};
 use onc_rpc::{Decoder, Encoder};
-use rand::RngCore;
 
 use crate::rpc::{
     decode_create_res, proc_discfs, CreateWithCredRes, DiscfsRpcStatus, DISCFS_PROGRAM,

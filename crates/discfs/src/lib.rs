@@ -347,8 +347,7 @@ mod tests {
     fn credentials_change_visible_mode() {
         let bed = Testbed::instant();
         let bob = key(2);
-        let client = bed.connect(&bob).unwrap();
-        client.submit_credential(&root_grant(&bed, &bob)).unwrap();
+        let client = bed.connect_owner(&bob).unwrap();
         let attr = client.client().getattr(&client.remote().root()).unwrap();
         assert_eq!(attr.mode & 0o777, 0o777);
     }
@@ -366,8 +365,7 @@ mod tests {
     fn create_returns_working_credential() {
         let bed = Testbed::instant();
         let bob = key(2);
-        let mut client = bed.connect(&bob).unwrap();
-        client.submit_credential(&root_grant(&bed, &bob)).unwrap();
+        let mut client = bed.connect_owner(&bob).unwrap();
         let root = client.remote().root();
         let res = client
             .create_with_credential(&root, "notes.txt", 0o644)
@@ -387,8 +385,7 @@ mod tests {
         // file the creator holds no credential for.
         let bed = Testbed::instant();
         let bob = key(2);
-        let client = bed.connect(&bob).unwrap();
-        client.submit_credential(&root_grant(&bed, &bob)).unwrap();
+        let client = bed.connect_owner(&bob).unwrap();
         let root = client.remote().root();
         let (fh, _) = client
             .client()
@@ -404,10 +401,7 @@ mod tests {
         let bob = key(2);
         let alice = key(3);
 
-        let mut bob_client = bed.connect(&bob).unwrap();
-        bob_client
-            .submit_credential(&root_grant(&bed, &bob))
-            .unwrap();
+        let mut bob_client = bed.connect_owner(&bob).unwrap();
         let root = bob_client.remote().root();
         let res = bob_client
             .create_with_credential(&root, "doc", 0o644)
@@ -449,10 +443,7 @@ mod tests {
         // SUBMIT_CRED is text, and text is verified.
         let bed = Testbed::instant();
         let (bob, alice) = (key(2), key(3));
-        let mut bob_client = bed.connect(&bob).unwrap();
-        bob_client
-            .submit_credential(&root_grant(&bed, &bob))
-            .unwrap();
+        let mut bob_client = bed.connect_owner(&bob).unwrap();
         let root = bob_client.remote().root();
         let res = bob_client
             .create_with_credential(&root, "doc", 0o644)
@@ -488,8 +479,7 @@ mod tests {
     fn revoked_key_loses_access_immediately() {
         let bed = Testbed::instant();
         let bob = key(2);
-        let client = bed.connect(&bob).unwrap();
-        client.submit_credential(&root_grant(&bed, &bob)).unwrap();
+        let client = bed.connect_owner(&bob).unwrap();
         let root = client.remote().root();
         assert!(client.client().readdir_all(&root).is_ok());
 
@@ -598,10 +588,7 @@ mod tests {
         let bob = key(2);
         let mallory = key(4);
 
-        let bob_client = bed.connect(&bob).unwrap();
-        bob_client
-            .submit_credential(&root_grant(&bed, &bob))
-            .unwrap();
+        let bob_client = bed.connect_owner(&bob).unwrap();
 
         // Mallory (not admin) cannot revoke Bob.
         let mallory_client = bed.connect(&mallory).unwrap();
@@ -671,8 +658,7 @@ mod tests {
     fn audit_log_records_requester_and_authorizers() {
         let bed = Testbed::instant();
         let bob = key(2);
-        let client = bed.connect(&bob).unwrap();
-        client.submit_credential(&root_grant(&bed, &bob)).unwrap();
+        let client = bed.connect_owner(&bob).unwrap();
         client
             .client()
             .readdir_all(&client.remote().root())
@@ -697,8 +683,7 @@ mod tests {
     fn policy_cache_hits_on_repeated_ops() {
         let bed = Testbed::instant();
         let bob = key(2);
-        let client = bed.connect(&bob).unwrap();
-        client.submit_credential(&root_grant(&bed, &bob)).unwrap();
+        let client = bed.connect_owner(&bob).unwrap();
         let root = client.remote().root();
         for _ in 0..20 {
             client.client().readdir_all(&root).unwrap();
@@ -756,10 +741,7 @@ mod tests {
         let bed = Testbed::instant();
         let bob = key(2);
         let stranger = key(9);
-        let mut bob_client = bed.connect(&bob).unwrap();
-        bob_client
-            .submit_credential(&root_grant(&bed, &bob))
-            .unwrap();
+        let mut bob_client = bed.connect_owner(&bob).unwrap();
         let file = bob_client
             .create_with_credential(&bob_client.remote().root(), "pub.txt", 0o644)
             .unwrap();
@@ -820,8 +802,7 @@ mod tests {
         // lookup exactly two (directory + child, distinct handles).
         let bed = Testbed::instant();
         let bob = key(2);
-        let mut client = bed.connect(&bob).unwrap();
-        client.submit_credential(&root_grant(&bed, &bob)).unwrap();
+        let mut client = bed.connect_owner(&bob).unwrap();
         let root = client.remote().root();
         let file = client
             .create_with_credential(&root, "pinned.txt", 0o644)
@@ -859,8 +840,7 @@ mod tests {
     fn cache_hits_take_no_exclusive_locks() {
         let bed = Testbed::instant();
         let bob = key(2);
-        let client = bed.connect(&bob).unwrap();
-        client.submit_credential(&root_grant(&bed, &bob)).unwrap();
+        let client = bed.connect_owner(&bob).unwrap();
         let root = client.remote().root();
         // Warm the decision.
         client.client().getattr(&root).unwrap();
@@ -888,8 +868,7 @@ mod tests {
         // serve them — the post-revocation decision must be a miss.
         let bed = Testbed::instant();
         let bob = key(2);
-        let client = bed.connect(&bob).unwrap();
-        client.submit_credential(&root_grant(&bed, &bob)).unwrap();
+        let client = bed.connect_owner(&bob).unwrap();
         let root = client.remote().root();
         client.client().getattr(&root).unwrap();
         client.client().getattr(&root).unwrap(); // warm: hits
@@ -913,8 +892,7 @@ mod tests {
         // epoch: the first post-lapse decision re-evaluates cleanly.
         let bed = Testbed::instant();
         let bob = key(2);
-        let client = bed.connect(&bob).unwrap();
-        client.submit_credential(&root_grant(&bed, &bob)).unwrap();
+        let client = bed.connect_owner(&bob).unwrap();
         let root = client.remote().root();
         client.client().readdir_all(&root).unwrap();
 

@@ -21,6 +21,8 @@ use netsim::{Endpoint, Link, LinkConfig, SimClock};
 use nfsv2::{Engine, EngineConfig};
 
 use crate::client::{DiscfsClient, DiscfsClientError};
+use crate::cred::CredentialIssuer;
+use crate::perm::Perm;
 use crate::server::{DiscfsConfig, DiscfsService};
 
 /// A running DisCFS server plus the network it lives on.
@@ -295,6 +297,23 @@ impl Testbed {
             "/",
             &mut rng,
         )
+    }
+
+    /// Connects like [`Testbed::connect`], then submits an administrator
+    /// grant of `RWX` on the export root to `identity`: the paper's
+    /// measurement user owning the test directory.
+    ///
+    /// # Errors
+    ///
+    /// Handshake or mount failures, or the server refusing the grant.
+    pub fn connect_owner(&self, identity: &SigningKey) -> Result<DiscfsClient, DiscfsClientError> {
+        let client = self.connect(identity)?;
+        let grant = CredentialIssuer::new(&self.admin)
+            .holder(&identity.public())
+            .grant_handle_string("1.1", Perm::RWX)
+            .issue();
+        client.submit_credential(&grant)?;
+        Ok(client)
     }
 
     /// Connects like [`Testbed::connect`] but also returns the engine

@@ -18,9 +18,9 @@
 
 use discfs_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use discfs_crypto::hkdf;
+use discfs_crypto::rng::RngCore;
 use discfs_crypto::x25519::EphemeralKeypair;
 use netsim::Transport;
-use rand::RngCore;
 
 use crate::esp::{ReplayWindow, Sa};
 use crate::{IpsecError, SecureTransport};

@@ -92,12 +92,7 @@ fn cfs_encrypting_roundtrip_and_privacy() {
 fn discfs_roundtrip() {
     let bed = Testbed::instant();
     let user = SigningKey::from_seed(&[0xB0; 32]);
-    let client = bed.connect(&user).unwrap();
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&user.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    client.submit_credential(&grant).unwrap();
+    let client = bed.connect_owner(&user).unwrap();
     let root = client.remote().root();
 
     roundtrip_files(|name, data| {

@@ -117,8 +117,7 @@ fn run_seed(seed: u64) {
 
     // Phase 1 — workload under loss/dup/jitter: every op must succeed.
     let bob = key(2);
-    let mut client = bed.connect(&bob).expect("connect under loss");
-    client.submit_credential(&grant_root(&bed, &bob)).unwrap();
+    let mut client = bed.connect_owner(&bob).expect("connect under loss");
     let root = client.remote().root();
     let mut files = Vec::new();
     for i in 0..4 {
@@ -261,8 +260,7 @@ fn flap_burst_is_absorbed_by_backoff() {
         store.clone() as Arc<dyn BlockStore>,
     );
     let bob = key(2);
-    let mut client = bed.connect(&bob).unwrap();
-    client.submit_credential(&grant_root(&bed, &bob)).unwrap();
+    let mut client = bed.connect_owner(&bob).unwrap();
     let root = client.remote().root();
     let file = client
         .create_with_credential(&root, "flappy", 0o644)
@@ -380,10 +378,7 @@ fn run_split_brain(seed: u64) {
         store_a.clone() as Arc<dyn BlockStore>,
     );
     let bob = key(2);
-    let mut client_a = bed_a.connect(&bob).expect("connect A");
-    client_a
-        .submit_credential(&grant_root(&bed_a, &bob))
-        .unwrap();
+    let mut client_a = bed_a.connect_owner(&bob).expect("connect A");
     let root = client_a.remote().root();
     let mut files = Vec::new();
     for i in 0..3 {

@@ -26,13 +26,6 @@ fn key(seed: u8) -> SigningKey {
     SigningKey::from_seed(&[seed; 32])
 }
 
-fn grant_root(bed: &Testbed, holder: &SigningKey) -> String {
-    CredentialIssuer::new(bed.admin())
-        .holder(&holder.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue()
-}
-
 #[test]
 fn eight_clients_survive_concurrent_revocation_and_hour_flips() {
     let bed = Testbed::instant();
@@ -49,10 +42,7 @@ fn eight_clients_survive_concurrent_revocation_and_hour_flips() {
         // Survivor clients.
         for i in 1..8u8 {
             let holder = key(0x10 + i);
-            let client = bed.connect(&holder).expect("connect survivor");
-            client
-                .submit_credential(&grant_root(&bed, &holder))
-                .expect("survivor grant");
+            let client = bed.connect_owner(&holder).expect("connect survivor");
             scope.spawn(move || {
                 let root = client.remote().root();
                 for op in 0..ops_per_client {
@@ -75,10 +65,7 @@ fn eight_clients_survive_concurrent_revocation_and_hour_flips() {
         // Victim client: hammers until the revocation lands, then every
         // subsequent request must be denied.
         {
-            let client = bed.connect(&victim).expect("connect victim");
-            client
-                .submit_credential(&grant_root(&bed, &victim))
-                .expect("victim grant");
+            let client = bed.connect_owner(&victim).expect("connect victim");
             let revoked_flag = revoked_flag.clone();
             let denied_after_revoke = denied_after_revoke.clone();
             let victim_ops_after_revoke = victim_ops_after_revoke.clone();
@@ -157,10 +144,9 @@ fn eight_clients_survive_concurrent_revocation_and_hour_flips() {
     );
     // And the server is still healthy: a fresh client works.
     let newcomer = key(0x55);
-    let client = bed.connect(&newcomer).expect("connect after the storm");
-    client
-        .submit_credential(&grant_root(&bed, &newcomer))
-        .expect("fresh grant still accepted");
+    let client = bed
+        .connect_owner(&newcomer)
+        .expect("connect after the storm");
     client
         .client()
         .readdir_all(&client.remote().root())
@@ -178,10 +164,7 @@ fn revocation_races_pipelined_requests_under_engine() {
     // a stale grant across the epoch bump.
     let bed = Testbed::instant();
     let victim = key(0x60);
-    let client = bed.connect(&victim).expect("connect victim");
-    client
-        .submit_credential(&grant_root(&bed, &victim))
-        .expect("victim grant");
+    let client = bed.connect_owner(&victim).expect("connect victim");
     let root = client.remote().root();
     client
         .getattr(&root)

@@ -70,12 +70,7 @@ fn create_without_directory_rights_reports_fs_error() {
 fn create_in_missing_directory_reports_stale() {
     let bed = Testbed::instant();
     let bob = key(2);
-    let mut client = bed.connect(&bob).unwrap();
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&bob.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    client.submit_credential(&grant).unwrap();
+    let mut client = bed.connect_owner(&bob).unwrap();
     // A fabricated directory handle: granted-on-root does not help, and
     // the storage layer reports it stale.
     let bogus_dir = nfsv2::FHandle::pack(1, 999, 7);
@@ -112,12 +107,7 @@ fn revoking_nonexistent_key_is_harmless() {
     admin_client.revoke_key(&key(99).public()).unwrap();
 
     let bob = key(2);
-    let bob_client = bed.connect(&bob).unwrap();
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&bob.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    bob_client.submit_credential(&grant).unwrap();
+    let bob_client = bed.connect_owner(&bob).unwrap();
     assert!(bob_client
         .client()
         .readdir_all(&bob_client.remote().root())
@@ -127,16 +117,8 @@ fn revoking_nonexistent_key_is_harmless() {
 #[test]
 fn credential_count_is_per_peer() {
     let bed = Testbed::instant();
-    let bob = key(2);
-    let carol = key(3);
-    let bob_client = bed.connect(&bob).unwrap();
-    let carol_client = bed.connect(&carol).unwrap();
-
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&bob.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    bob_client.submit_credential(&grant).unwrap();
+    let bob_client = bed.connect_owner(&key(2)).unwrap();
+    let carol_client = bed.connect(&key(3)).unwrap();
     assert_eq!(bob_client.credential_count().unwrap(), 1);
     assert_eq!(carol_client.credential_count().unwrap(), 0);
 }

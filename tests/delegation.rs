@@ -112,12 +112,7 @@ fn per_file_granularity() {
     // nothing else — the granularity claim of §2.
     let bed = Testbed::instant();
     let bob = key(2);
-    let mut bob_client = bed.connect(&bob).expect("attach");
-    let root_grant = CredentialIssuer::new(bed.admin())
-        .holder(&bob.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    bob_client.submit_credential(&root_grant).unwrap();
+    let mut bob_client = bed.connect_owner(&bob).expect("attach");
     let root = bob_client.remote().root();
 
     let public_doc = bob_client
@@ -209,12 +204,7 @@ fn audit_reconstructs_authorization_path() {
     let bob = key(2);
     let alice = key(3);
 
-    let mut bob_client = bed.connect(&bob).expect("attach");
-    let root_grant = CredentialIssuer::new(bed.admin())
-        .holder(&bob.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    bob_client.submit_credential(&root_grant).unwrap();
+    let mut bob_client = bed.connect_owner(&bob).expect("attach");
     let file = bob_client
         .create_with_credential(&bob_client.remote().root(), "x", 0o644)
         .expect("create");

@@ -2,7 +2,7 @@
 //! networks, exercising every layer together (crypto → keynote → ipsec
 //! → rpc → nfs → ffs → discfs).
 
-use discfs::{CredentialIssuer, DiscfsClient, Perm, Testbed};
+use discfs::{CredentialIssuer, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
 
 fn key(seed: u8) -> SigningKey {
@@ -16,20 +16,12 @@ fn grant_root(bed: &Testbed, holder: &SigningKey) -> String {
         .issue()
 }
 
-fn attach_with_root(bed: &Testbed, user: &SigningKey) -> DiscfsClient {
-    let client = bed.connect(user).expect("attach");
-    client
-        .submit_credential(&grant_root(bed, user))
-        .expect("root grant accepted");
-    client
-}
-
 #[test]
 fn full_stack_write_read_over_ethernet_model() {
     // Use the paper-model network (latency + bandwidth) end to end.
     let bed = Testbed::new();
     let bob = key(2);
-    let mut client = attach_with_root(&bed, &bob);
+    let mut client = bed.connect_owner(&bob).expect("attach");
     let root = client.remote().root();
 
     let created = client
@@ -54,7 +46,7 @@ fn full_stack_write_read_over_ethernet_model() {
 fn many_files_and_directories_through_discfs() {
     let bed = Testbed::instant();
     let bob = key(2);
-    let mut client = attach_with_root(&bed, &bob);
+    let mut client = bed.connect_owner(&bob).expect("attach");
     let root = client.remote().root();
 
     let dir = client
@@ -80,7 +72,7 @@ fn many_files_and_directories_through_discfs() {
 fn concurrent_clients_share_one_server() {
     let bed = Testbed::instant();
     let writer = key(2);
-    let mut writer_client = attach_with_root(&bed, &writer);
+    let mut writer_client = bed.connect_owner(&writer).expect("attach");
     let root = writer_client.remote().root();
     let shared = writer_client
         .create_with_credential(&root, "shared.log", 0o644)
@@ -128,7 +120,7 @@ fn reconnect_requires_resubmission() {
     // the server for the duration of the attach).
     let bed = Testbed::instant();
     let bob = key(2);
-    let client1 = attach_with_root(&bed, &bob);
+    let client1 = bed.connect_owner(&bob).expect("attach");
     assert_eq!(client1.credential_count().unwrap(), 1);
     drop(client1);
 
@@ -183,7 +175,7 @@ fn mount_point_semantics_mode_000_until_credentials() {
 fn read_only_holder_sees_read_only_mode() {
     let bed = Testbed::instant();
     let bob = key(2);
-    let mut bob_client = attach_with_root(&bed, &bob);
+    let mut bob_client = bed.connect_owner(&bob).expect("attach");
     let root = bob_client.remote().root();
     let file = bob_client
         .create_with_credential(&root, "ro.txt", 0o644)
@@ -206,7 +198,7 @@ fn read_only_holder_sees_read_only_mode() {
 fn server_side_fsck_after_mixed_workload() {
     let bed = Testbed::instant();
     let bob = key(2);
-    let mut client = attach_with_root(&bed, &bob);
+    let mut client = bed.connect_owner(&bob).expect("attach");
     let root = client.remote().root();
 
     let dir = client.mkdir_with_credential(&root, "work", 0o755).unwrap();

@@ -16,15 +16,16 @@
 //!   change the process's thread count.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use discfs::{CredentialIssuer, DiscfsClient, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
-use ffs::{FsConfig, StoreBackend};
-use ipsec::SecureTransport;
-use netsim::LinkConfig;
+use ffs::{Ffs, FsConfig, StoreBackend};
+use ipsec::{PlainChannel, SecureTransport};
+use netsim::{Link, LinkConfig, SimClock};
 use nfsv2::proto::proc_nfs;
-use nfsv2::EngineConfig;
+use nfsv2::{Engine, EngineConfig, NfsClient, RemoteFs};
 use onc_rpc::{frame, Encoder, ReplyBody, RpcCall, RpcReply};
 
 fn key(seed: u8) -> SigningKey {
@@ -39,12 +40,7 @@ fn grant_root(bed: &Testbed, holder: &SigningKey) -> String {
 }
 
 fn connect_granted(bed: &Testbed, seed: u8) -> DiscfsClient {
-    let holder = key(seed);
-    let client = bed.connect(&holder).expect("connect");
-    client
-        .submit_credential(&grant_root(bed, &holder))
-        .expect("grant");
-    client
+    bed.connect_owner(&key(seed)).expect("connect")
 }
 
 /// Waits (bounded) for an engine-side condition to become true.
@@ -413,4 +409,42 @@ fn every_disconnect_is_observed_and_tears_down_the_session() {
         0,
         "no KeyNote session may outlive its connection"
     );
+}
+
+/// The engine takes any established channel, not only the IKE one it
+/// negotiates itself: plain NFS over a `PlainChannel` handed to
+/// `accept_channel` is served, and its disconnect observed, like an
+/// ESP connection's. (The bench harness serves CFS-NE this way.)
+#[test]
+fn plain_channel_connection_is_served_and_torn_down() {
+    let clock = SimClock::new();
+    let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
+    let service = Arc::new(cfs::CfsService::passthrough(fs, 1));
+    let engine = Engine::start(service, key(1), EngineConfig::default());
+    let (client_end, server_end) = Link::loopback(&clock);
+    let token = engine.accept_channel(Box::new(PlainChannel::new(server_end)));
+
+    let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
+    let remote = RemoteFs::mount(client, "/").expect("mount");
+    let body: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+    remote.write_file("plain.dat", &body).expect("write");
+    assert_eq!(remote.read_file("plain.dat").expect("read"), body);
+    assert!(engine.is_connected(token));
+    assert_eq!(engine.connections(), 1);
+
+    drop(remote);
+    let stats = engine.stats();
+    let gone = eventually(|| {
+        engine.connections() == 0
+            && stats.connections_dropped.load(Ordering::Relaxed)
+                == stats.connections_accepted.load(Ordering::Relaxed)
+    });
+    assert!(
+        gone,
+        "{} connection(s) still attached; accepted {} dropped {}",
+        engine.connections(),
+        stats.connections_accepted.load(Ordering::Relaxed),
+        stats.connections_dropped.load(Ordering::Relaxed),
+    );
+    assert_eq!(stats.connections_accepted.load(Ordering::Relaxed), 1);
 }

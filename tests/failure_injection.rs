@@ -8,19 +8,11 @@ fn key(seed: u8) -> SigningKey {
     SigningKey::from_seed(&[seed; 32])
 }
 
-fn grant_root(bed: &Testbed, holder: &SigningKey) -> String {
-    CredentialIssuer::new(bed.admin())
-        .holder(&holder.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue()
-}
-
 #[test]
 fn client_vanishes_mid_write_volume_stays_consistent() {
     let bed = Testbed::instant();
     let bob = key(2);
-    let mut client = bed.connect(&bob).unwrap();
-    client.submit_credential(&grant_root(&bed, &bob)).unwrap();
+    let mut client = bed.connect_owner(&bob).unwrap();
     let root = client.remote().root();
     let file = client
         .create_with_credential(&root, "half-written", 0o644)
@@ -54,8 +46,7 @@ fn many_connect_disconnect_cycles_do_not_leak_sessions() {
     let bed = Testbed::instant();
     for round in 0..30u8 {
         let user = key(100 + (round % 8));
-        let client = bed.connect(&user).unwrap();
-        client.submit_credential(&grant_root(&bed, &user)).unwrap();
+        let client = bed.connect_owner(&user).unwrap();
         assert!(client.client().readdir_all(&client.remote().root()).is_ok());
         drop(client);
     }
@@ -63,8 +54,7 @@ fn many_connect_disconnect_cycles_do_not_leak_sessions() {
     // The server's peer map holds at most the 8 distinct keys, and a
     // new connection still works (no wedged locks anywhere).
     let user = key(200);
-    let client = bed.connect(&user).unwrap();
-    client.submit_credential(&grant_root(&bed, &user)).unwrap();
+    let client = bed.connect_owner(&user).unwrap();
     assert!(client.client().readdir_all(&client.remote().root()).is_ok());
 }
 
@@ -109,8 +99,7 @@ fn server_reboot_under_load_preserves_synced_state() {
     let backend = StoreBackend::FileJournal { dir: dir.clone() };
     let bed = Testbed::with_backend(FsConfig::small(), LinkConfig::instant(), 128, &backend);
     let bob = key(2);
-    let mut client = bed.connect(&bob).unwrap();
-    client.submit_credential(&grant_root(&bed, &bob)).unwrap();
+    let mut client = bed.connect_owner(&bob).unwrap();
     let root = client.remote().root();
     let precious = client
         .create_with_credential(&root, "precious", 0o644)
@@ -153,10 +142,7 @@ fn server_reboot_under_load_preserves_synced_state() {
     // The reboot's final sync covered the mid-flight file too — and
     // the mounted volume accepts new writes.
     let dave = key(4);
-    let mut dave_client = bed.connect(&dave).unwrap();
-    dave_client
-        .submit_credential(&grant_root(&bed, &dave))
-        .unwrap();
+    let mut dave_client = bed.connect_owner(&dave).unwrap();
     let fresh = dave_client
         .create_with_credential(&root, "post-reboot", 0o644)
         .unwrap();
@@ -192,8 +178,7 @@ fn server_reboot_on_cached_sharded_volume_preserves_synced_state() {
     };
     let bed = Testbed::with_backend(FsConfig::small(), LinkConfig::instant(), 128, &backend);
     let bob = key(2);
-    let mut client = bed.connect(&bob).unwrap();
-    client.submit_credential(&grant_root(&bed, &bob)).unwrap();
+    let mut client = bed.connect_owner(&bob).unwrap();
     let root = client.remote().root();
     let precious = client
         .create_with_credential(&root, "precious", 0o644)
@@ -258,8 +243,7 @@ fn write_failure_no_space_reported_cleanly_over_wire() {
         128,
     );
     let bob = key(2);
-    let mut client = bed.connect(&bob).unwrap();
-    client.submit_credential(&grant_root(&bed, &bob)).unwrap();
+    let mut client = bed.connect_owner(&bob).unwrap();
     let root = client.remote().root();
     let file = client.create_with_credential(&root, "big", 0o644).unwrap();
 

@@ -78,12 +78,7 @@ fn delegation_cannot_escalate_rights() {
     let bob = key(2);
     let _alice = key(3);
 
-    let mut bob_client = bed.connect(&bob).expect("attach");
-    let root_grant = CredentialIssuer::new(bed.admin())
-        .holder(&bob.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    bob_client.submit_credential(&root_grant).unwrap();
+    let mut bob_client = bed.connect_owner(&bob).expect("attach");
     let root = bob_client.remote().root();
     let file = bob_client
         .create_with_credential(&root, "data", 0o644)
@@ -122,12 +117,7 @@ fn handle_guessing_denied() {
     // Even knowing/guessing a valid handle, no credential ⇒ no access.
     let bed = Testbed::instant();
     let bob = key(2);
-    let mut bob_client = bed.connect(&bob).expect("attach");
-    let root_grant = CredentialIssuer::new(bed.admin())
-        .holder(&bob.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    bob_client.submit_credential(&root_grant).unwrap();
+    let mut bob_client = bed.connect_owner(&bob).expect("attach");
     let secret = bob_client
         .create_with_credential(&bob_client.remote().root(), "secret", 0o600)
         .expect("create");
@@ -150,12 +140,7 @@ fn recycled_inode_does_not_inherit_credentials() {
     // B: the generation number in the handle differs.
     let bed = Testbed::instant();
     let owner = key(2);
-    let mut owner_client = bed.connect(&owner).expect("attach");
-    let root_grant = CredentialIssuer::new(bed.admin())
-        .holder(&owner.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    owner_client.submit_credential(&root_grant).unwrap();
+    let mut owner_client = bed.connect_owner(&owner).expect("attach");
     let root = owner_client.remote().root();
 
     let file_a = owner_client
@@ -192,12 +177,7 @@ fn recycled_inode_does_not_inherit_credentials() {
 fn revocation_wins_over_valid_chain() {
     let bed = Testbed::instant();
     let bob = key(2);
-    let client = bed.connect(&bob).expect("attach");
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&bob.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    client.submit_credential(&grant).unwrap();
+    let client = bed.connect_owner(&bob).expect("attach");
     assert!(client.client().readdir_all(&client.remote().root()).is_ok());
 
     // Revoke mid-session: cached decisions must not linger.

@@ -16,12 +16,7 @@ fn bonnie_phases_preserve_data_through_discfs() {
     // crypto/ESP/RPC/XDR/FFS would surface here.
     let bed = Testbed::instant();
     let user = key(2);
-    let mut client = bed.connect(&user).unwrap();
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&user.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    client.submit_credential(&grant).unwrap();
+    let mut client = bed.connect_owner(&user).unwrap();
     let root = client.remote().root();
     let file = client
         .create_with_credential(&root, "bonnie.dat", 0o644)
@@ -72,12 +67,7 @@ fn search_workload_respects_credentials() {
     // only ONE subdirectory can search just that part.
     let bed = Testbed::instant();
     let owner = key(2);
-    let mut owner_client = bed.connect(&owner).unwrap();
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&owner.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    owner_client.submit_credential(&grant).unwrap();
+    let mut owner_client = bed.connect_owner(&owner).unwrap();
     let root = owner_client.remote().root();
 
     // Two project dirs with a couple of files each.
@@ -142,12 +132,7 @@ fn wallet_email_workflow() {
     let bob = key(2);
     let alice = key(3);
 
-    let mut bob_client = bed.connect(&bob).unwrap();
-    let grant = CredentialIssuer::new(bed.admin())
-        .holder(&bob.public())
-        .grant_handle_string("1.1", Perm::RWX)
-        .issue();
-    bob_client.submit_credential(&grant).unwrap();
+    let mut bob_client = bed.connect_owner(&bob).unwrap();
     let doc = bob_client
         .create_with_credential(&bob_client.remote().root(), "memo.txt", 0o644)
         .unwrap();
