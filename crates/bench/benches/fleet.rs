@@ -306,6 +306,7 @@ fn figure_fairness() {
             .send_call(nfsv2::NFS_PROGRAM, 2, proc_nfs::READ, args.clone())
             .expect("flood send");
     }
+    straggler.flush().expect("flood on the wire");
 
     let stressed_p99 = measure_p99(rounds);
 

@@ -15,10 +15,12 @@
 //!   build on.
 //!
 //! Virtual time accounting is deliberately simple: every message
-//! advances the shared clock by `latency + len/bandwidth`. Benchmarks in
-//! this workspace issue RPCs sequentially (as Bonnie does), so the
-//! sequential charge model matches the real serialization of
-//! request/response traffic on a single TCP/UDP flow.
+//! advances the shared clock by `latency + len/bandwidth`, one after
+//! another — the serialization of request/response traffic on a single
+//! TCP/UDP flow. The figures issue RPCs one at a time (as Bonnie does);
+//! a client that pipelines (`nfsv2`'s outbox, `discfs_bench`'s
+//! `seq_*` workloads) puts several calls in one message and pays the
+//! latency once for all of them, the bytes for each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,9 +6,14 @@
 //! [`SecureTransport`], and [`RemoteFs`] offers path-level helpers
 //! (resolve/read/write whole files) that examples and benchmarks use as
 //! their "mounted filesystem".
+//!
+//! Pipelined calls share transport messages: [`NfsClient::send_call`]
+//! frames into a per-connection outbox that goes out when the calls
+//! queued are at least the calls on the wire, and always before the
+//! client receives. [`NfsClient`]'s docs give the rule in full and the
+//! measurement that turned down holding calls until the caller blocks.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use bytes::Bytes;
@@ -35,8 +40,6 @@ pub enum ClientError {
     Denied,
     /// The NFS procedure returned a non-OK status.
     Status(NfsStat),
-    /// Reply transaction id did not match the call.
-    XidMismatch,
 }
 
 impl From<IpsecError> for ClientError {
@@ -59,7 +62,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Rpc(s) => write!(f, "rpc error: {s:?}"),
             ClientError::Denied => write!(f, "rpc denied"),
             ClientError::Status(s) => write!(f, "nfs status: {s}"),
-            ClientError::XidMismatch => write!(f, "reply xid mismatch"),
         }
     }
 }
@@ -76,9 +78,11 @@ struct Inbox {
 }
 
 impl Inbox {
-    /// Decodes every frame of one received message into `pending`.
-    fn absorb(&mut self, msg: Vec<u8>) -> Result<(), ClientError> {
-        self.decoder
+    /// Decodes every frame of one received message into `pending` and
+    /// returns how many replies that was.
+    fn absorb(&mut self, msg: Vec<u8>) -> Result<usize, ClientError> {
+        let replies = self
+            .decoder
             .feed(Bytes::from(msg))
             .map_err(|_| ClientError::Xdr(XdrError::BadValue))?;
         while let Some(bytes) = self.decoder.pop_frame() {
@@ -90,6 +94,38 @@ impl Inbox {
             };
             self.pending.insert(reply.xid, outcome);
         }
+        Ok(replies)
+    }
+}
+
+/// Bytes queued at which the outbox goes out whatever is on the wire:
+/// what one 32-reply engine batch of 8 KiB READs already puts in a
+/// message. It bounds what a sender that never reads can hold.
+pub const OUTBOX_BYTES: usize = 256 * 1024;
+
+/// Send-side state ([`NfsClient`], *The outbox*). One lock covers the
+/// transaction counter, the buffer and the hand-over to the transport,
+/// so frames reach the wire in xid order whichever thread framed them.
+struct Outbox {
+    next_xid: u32,
+    /// Framed calls not yet handed to the transport.
+    buf: Vec<u8>,
+    /// Calls framed in `buf`.
+    queued: usize,
+    /// Calls handed to the transport whose reply [`Inbox::absorb`] has
+    /// not yet decoded.
+    on_wire: usize,
+}
+
+impl Outbox {
+    /// Hands everything queued to `chan` as one message.
+    fn flush(&mut self, chan: &dyn SecureTransport) -> Result<(), ClientError> {
+        if self.queued == 0 {
+            return Ok(());
+        }
+        let calls = std::mem::take(&mut self.queued);
+        chan.send(std::mem::take(&mut self.buf))?;
+        self.on_wire += calls;
         Ok(())
     }
 }
@@ -103,9 +139,43 @@ impl Inbox {
 /// [`NfsClient::try_take_reply`] / [`NfsClient::wait_reply`] collect
 /// replies by transaction id — the fleet bench drives thousands of
 /// virtual clients this way from one thread.
+///
+/// # The outbox
+///
+/// A link message costs the same 120 µs of interrupt and protocol stack
+/// whether it carries one call or eight, so pipelined calls share
+/// messages. [`NfsClient::send_call`] frames each call into a
+/// per-connection *outbox*, and the outbox goes to the transport as one
+/// message (one ESP seal, one link latency) under one rule:
+///
+/// * **at once, when the calls queued are at least the calls on the
+///   wire** (sent, reply not yet decoded). With one call outstanding
+///   nothing is on the wire and every call is a message of its own,
+///   byte for byte what an unbuffered client sends. With a window of W
+///   the sizes ramp 1, 1, 2, 4, … and, once one reply batch has
+///   answered half a window, stay at two half-window messages in
+///   flight: the server works on one while the client checks the
+///   replies to the other. A server that answers every message alone
+///   gets the ramp again each window, two calls a message;
+/// * **always before the client receives** ([`NfsClient::wait_reply`]
+///   with the reply not yet in, [`NfsClient::try_take_reply`],
+///   [`NfsClient::peer_alive`]), on [`NfsClient::flush`] — for a caller
+///   that sends and never receives — on drop, and at [`OUTBOX_BYTES`]
+///   queued.
+///
+/// The rule is clocked by replies, not by a timer or a setting. Holding
+/// calls back until the caller blocks ("cork until block") makes fewer
+/// messages still — 0.25 an operation on `discfs_bench`'s sequential
+/// workloads against this rule's 0.5 — but then client and server take
+/// turns: the server idles while the client fills its window and the
+/// client idles while the server answers all of it. On `seq_write` that
+/// cost 40-49 % of the operations a second (27-33 k to 14-19 k in 4 of
+/// 4 pairs, median latency 240-280 µs to 390-560 µs) where this rule
+/// costs 6.5 % (34.1 k to 31.9 k over ten pairs, 230 µs to 252 µs).
 pub struct NfsClient {
     chan: Box<dyn SecureTransport>,
-    xid: AtomicU32,
+    /// Locked after `inbox` where both are held.
+    outbox: Mutex<Outbox>,
     inbox: Mutex<Inbox>,
 }
 
@@ -114,17 +184,30 @@ impl NfsClient {
     pub fn new(chan: Box<dyn SecureTransport>) -> NfsClient {
         NfsClient {
             chan,
-            xid: AtomicU32::new(1),
+            outbox: Mutex::new(Outbox {
+                next_xid: 1,
+                buf: Vec::new(),
+                queued: 0,
+                on_wire: 0,
+            }),
             inbox: Mutex::new(Inbox::default()),
         }
     }
 
-    /// Sends a call without waiting for its reply, returning the
-    /// transaction id to collect it with.
+    /// Queues a call without waiting for its reply, returning the
+    /// transaction id to collect it with. The call goes to the
+    /// transport before this returns when at least as many calls are
+    /// queued as are on the wire (always, with one call outstanding) or
+    /// [`OUTBOX_BYTES`] are queued; otherwise with the next call that
+    /// meets the rule, or when the client next receives.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Net`] on transport failure.
+    /// [`ClientError::Net`] when this call sent the queue and the
+    /// transport failed. A failure sending it later is returned by the
+    /// [`wait_reply`](NfsClient::wait_reply),
+    /// [`try_take_reply`](NfsClient::try_take_reply) or
+    /// [`flush`](NfsClient::flush) that did.
     pub fn send_call(
         &self,
         prog: u32,
@@ -132,55 +215,97 @@ impl NfsClient {
         proc_num: u32,
         args: Vec<u8>,
     ) -> Result<u32, ClientError> {
-        let xid = self.xid.fetch_add(1, Ordering::Relaxed);
-        let call = RpcCall::new(xid, prog, vers, proc_num, args);
-        self.chan.send(frame::encode_frame(&call.encode()))?;
+        let mut outbox = self.outbox.lock().expect("outbox poisoned");
+        let xid = outbox.next_xid;
+        outbox.next_xid = xid.wrapping_add(1);
+        // Ten words of AUTH_NONE call header.
+        outbox.buf.reserve(frame::FRAME_HEADER + 40 + args.len());
+        let start = frame::begin_frame(&mut outbox.buf);
+        RpcCall::new(xid, prog, vers, proc_num, args).encode_into(&mut outbox.buf);
+        frame::end_frame(&mut outbox.buf, start);
+        outbox.queued += 1;
+        if outbox.queued >= outbox.on_wire || outbox.buf.len() >= OUTBOX_BYTES {
+            outbox.flush(&*self.chan)?;
+        }
         Ok(xid)
     }
 
-    /// Collects the reply to `xid` if it has arrived, draining whatever
-    /// the transport has ready without blocking.
+    /// Hands every queued call to the transport now. Receiving does
+    /// this by itself; it is for a caller that sends and does not
+    /// receive.
     ///
     /// # Errors
     ///
-    /// Transport/decode failures, or the reply's own error outcome.
+    /// [`ClientError::Net`] on transport failure.
+    pub fn flush(&self) -> Result<(), ClientError> {
+        self.outbox
+            .lock()
+            .expect("outbox poisoned")
+            .flush(&*self.chan)
+    }
+
+    /// Decodes one received message and takes its replies off the
+    /// outbox's count of calls on the wire.
+    fn absorb(&self, inbox: &mut Inbox, msg: Vec<u8>) -> Result<(), ClientError> {
+        let replies = inbox.absorb(msg)?;
+        let mut outbox = self.outbox.lock().expect("outbox poisoned");
+        outbox.on_wire = outbox.on_wire.saturating_sub(replies);
+        Ok(())
+    }
+
+    /// Collects the reply to `xid` if it has arrived, sending what is
+    /// queued and draining whatever the transport has ready without
+    /// blocking.
+    ///
+    /// # Errors
+    ///
+    /// Transport/decode failures (sending the queue included), or the
+    /// reply's own error outcome.
     pub fn try_take_reply(&self, xid: u32) -> Result<Option<Vec<u8>>, ClientError> {
         let mut inbox = self.inbox.lock().expect("inbox poisoned");
         loop {
             if let Some(outcome) = inbox.pending.remove(&xid) {
                 return outcome.map(Some);
             }
+            self.flush()?;
             match self.chan.try_recv()? {
-                Some(msg) => inbox.absorb(msg)?,
+                Some(msg) => self.absorb(&mut inbox, msg)?,
                 None => return Ok(None),
             }
         }
     }
 
-    /// Blocks until the reply to `xid` arrives and returns it.
+    /// Blocks until the reply to `xid` arrives and returns it, sending
+    /// what is queued before each receive.
     ///
     /// # Errors
     ///
-    /// Transport/decode failures, or the reply's own error outcome.
+    /// Transport/decode failures (sending the queue included), or the
+    /// reply's own error outcome.
     pub fn wait_reply(&self, xid: u32) -> Result<Vec<u8>, ClientError> {
         let mut inbox = self.inbox.lock().expect("inbox poisoned");
         loop {
             if let Some(outcome) = inbox.pending.remove(&xid) {
                 return outcome;
             }
+            self.flush()?;
             let msg = self.chan.recv()?;
-            inbox.absorb(msg)?;
+            self.absorb(&mut inbox, msg)?;
         }
     }
 
     /// Whether the transport still has a live peer (probes without
-    /// consuming data beyond buffering it in the inbox).
+    /// consuming data beyond buffering it in the inbox). Sends what is
+    /// queued first; `false` when that fails.
     pub fn peer_alive(&self) -> bool {
         let mut inbox = self.inbox.lock().expect("inbox poisoned");
+        if self.flush().is_err() {
+            return false;
+        }
         loop {
             match self.chan.try_recv() {
                 Ok(Some(msg)) => {
-                    if inbox.absorb(msg).is_err() {
+                    if self.absorb(&mut inbox, msg).is_err() {
                         return false;
                     }
                 }
@@ -516,6 +641,16 @@ impl NfsClient {
             pos += chunk;
         }
         Ok(())
+    }
+}
+
+impl Drop for NfsClient {
+    /// Calls still queued go out; a transport error has nobody left to
+    /// hear it.
+    fn drop(&mut self) {
+        if let Ok(outbox) = self.outbox.get_mut() {
+            let _ = outbox.flush(&*self.chan);
+        }
     }
 }
 

@@ -12,7 +12,10 @@
 //!   wakeup it does O(ready) work: drain the readable channels through
 //!   non-blocking [`SecureTransport::try_recv`], feed the bytes to each
 //!   connection's incremental [`FrameDecoder`], and move decoded
-//!   requests into that connection's *bounded* queue. The loop never
+//!   requests into that connection's *bounded* queue. A message may
+//!   carry several frames (a pipelining [`NfsClient`](crate::NfsClient)
+//!   sends half its window in one); they enter the queue together, so
+//!   one quantum answers them in one batch. The loop never
 //!   decrypts-blocking, dispatches, or touches the filesystem.
 //! * **A fixed worker pool** executes everything else: IKE responder
 //!   handshakes (so `accept` never blocks and no per-connection thread

@@ -48,7 +48,7 @@ pub mod proto;
 pub mod server;
 mod service;
 
-pub use client::{ClientError, NfsClient, RemoteFs};
+pub use client::{ClientError, NfsClient, RemoteFs, OUTBOX_BYTES};
 pub use engine::{Engine, EngineConfig, EngineStats};
 pub use ffs_service::FfsService;
 pub use proto::{

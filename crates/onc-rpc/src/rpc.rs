@@ -15,6 +15,11 @@ const MSG_REPLY: u32 = 1;
 const MSG_ACCEPTED: u32 = 0;
 const MSG_DENIED: u32 = 1;
 
+/// Appends one big-endian XDR word.
+fn put(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
 /// Authentication flavors (RFC 5531 §8.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuthFlavor {
@@ -59,9 +64,11 @@ impl OpaqueAuth {
         }
     }
 
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u32(self.flavor.to_u32());
-        e.put_opaque(&self.body);
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put(out, self.flavor.to_u32());
+        put(out, self.body.len() as u32);
+        out.extend_from_slice(&self.body);
+        out.resize(out.len() + (4 - self.body.len() % 4) % 4, 0);
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<OpaqueAuth, XdrError> {
@@ -240,18 +247,28 @@ impl RpcCall {
 
     /// Serializes the call message.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_u32(self.xid);
-        e.put_u32(MSG_CALL);
-        e.put_u32(RPC_VERSION);
-        e.put_u32(self.prog);
-        e.put_u32(self.vers);
-        e.put_u32(self.proc_num);
-        self.cred.encode(&mut e);
-        self.verf.encode(&mut e);
-        let mut bytes = e.finish();
-        bytes.extend_from_slice(&self.args);
+        let mut bytes = Vec::new();
+        self.encode_into(&mut bytes);
         bytes
+    }
+
+    /// Serializes the call message by appending to `out` — the client
+    /// outbox's path: pipelined calls land in one send buffer with no
+    /// per-call copy of the argument bytes.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        for word in [
+            self.xid,
+            MSG_CALL,
+            RPC_VERSION,
+            self.prog,
+            self.vers,
+            self.proc_num,
+        ] {
+            put(out, word);
+        }
+        self.cred.encode_into(out);
+        self.verf.encode_into(out);
+        out.extend_from_slice(&self.args);
     }
 
     /// Parses a call message.
@@ -392,9 +409,6 @@ impl RpcReply {
     /// encoder's path: many replies land in one send buffer with no
     /// per-reply allocation.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        fn put(out: &mut Vec<u8>, v: u32) {
-            out.extend_from_slice(&v.to_be_bytes());
-        }
         put(out, self.xid);
         put(out, MSG_REPLY);
         match &self.body {
@@ -603,5 +617,42 @@ mod tests {
             r.encode_into(&mut batch);
             assert_eq!(&batch[before..], &solo[..]);
         }
+    }
+
+    #[test]
+    fn call_encode_into_matches_encode() {
+        let mut with_cred = RpcCall::new(9, 100005, 1, 1, vec![0xAB; 13]);
+        with_cred.cred = AuthSys {
+            stamp: 1,
+            machine: "bob".into(), // 3 bytes: the body needs padding
+            uid: 1000,
+            gid: 100,
+            gids: vec![4],
+        }
+        .to_opaque();
+        with_cred.verf.body = vec![7; 5];
+        let calls = [
+            RpcCall::new(7, 100003, 2, 6, vec![1, 2, 3, 4]),
+            RpcCall::new(8, 100003, 2, 0, Vec::new()),
+            with_cred,
+        ];
+        // One buffer, each call appended after the one before.
+        let mut batch = Vec::new();
+        for c in &calls {
+            let solo = c.encode();
+            let before = batch.len();
+            c.encode_into(&mut batch);
+            assert_eq!(&batch[before..], &solo[..]);
+            assert_eq!(&RpcCall::decode(&solo).unwrap(), c);
+        }
+        // The AUTH_NONE image, word for word.
+        assert_eq!(
+            calls[0].encode(),
+            [7u32, 0, 2, 100003, 2, 6, 0, 0, 0, 0]
+                .iter()
+                .flat_map(|w| w.to_be_bytes())
+                .chain([1, 2, 3, 4])
+                .collect::<Vec<u8>>()
+        );
     }
 }
