@@ -27,7 +27,8 @@
 //! number with another source: wall-clock costs of the primitives
 //! (signatures, KeyNote queries, IKE, ESP, credential submission, the
 //! policy cache) are `discfs_bench --trace`'s per-layer metrics, and the
-//! cache-size sweep is `multi_client`'s asserted figure.
+//! cache-size sweep is the `discfs` unit test
+//! `a_128_entry_cache_absorbs_the_compliance_check_cost`.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};

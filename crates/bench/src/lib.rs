@@ -1,13 +1,12 @@
 //! Benchmark harness: adapters, the world builder and experiment
 //! runners behind the paper's evaluation (§6).
 //!
-//! The crate does two jobs. The `reproduce` binary regenerates Figures
-//! 7-12 on virtual time and exits 1 when one loses the paper's shape or
-//! (in `--quick` mode) moves off its checked-in golden. The seven
-//! `benches/` targets are plain `main`s that run the scale and chaos
-//! figures and assert them. Wall-clock costs of single layers are not
-//! measured here: `discfs_bench --trace` reports them under the names
-//! in `BENCHMARK.json`.
+//! The `reproduce` binary regenerates Figures 7-12 on virtual time and
+//! exits 1 when one loses the paper's shape or (in `--quick` mode)
+//! moves off its checked-in golden. Every other asserted figure is a
+//! `cargo test` next to the code it pins. Wall-clock costs of single
+//! layers are not measured here: `discfs_bench --trace` reports them
+//! under the names in `BENCHMARK.json`.
 //!
 //! Three systems are measured, exactly as in the paper:
 //!
@@ -45,7 +44,6 @@ use netsim::{Link, LinkConfig, SimClock};
 use nfsv2::{
     ClientError, Engine, EngineConfig, FHandle, Fattr, NfsClient, NfsStat, RemoteFs, Sattr,
 };
-use store::{RemoteOptions, BLOCK_SIZE};
 
 // ---------------------------------------------------------------------------
 // FFS adapter (the "local file system" series).
@@ -548,84 +546,10 @@ pub fn run_search(
     (totals, measurement)
 }
 
-// ---------------------------------------------------------------------------
-// Env knobs and helpers shared by the bench targets.
-// ---------------------------------------------------------------------------
-
-/// True when `BENCH_QUICK` asks for shrunk iteration counts (the CI
-/// smoke mode). `0` and unset mean a full run.
-pub fn bench_quick() -> bool {
-    std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0")
-}
-
-/// Available hardware parallelism (1 when unknown) — the gate for the
-/// scaling assertions benches skip on small hosts.
-pub fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// A block no other `(i, tag)` produces: content-addressed and
-/// deduplicating stores must keep every one.
-pub fn unique_block(i: u64, tag: u64) -> Vec<u8> {
-    let mut block = vec![0u8; BLOCK_SIZE];
-    block[..8].copy_from_slice(&i.to_le_bytes());
-    block[8..16].copy_from_slice(&i.wrapping_mul(0x9E37_79B9).wrapping_add(tag).to_le_bytes());
-    block
-}
-
-/// Retry policy for the remote-store benches: short wall-clock attempt
-/// timeouts (lost frames are rare and resolve fast), virtual-time
-/// backoff that shows up in the tail figures.
-pub fn bench_opts() -> RemoteOptions {
-    RemoteOptions {
-        timeout: Duration::from_millis(10),
-        base: Duration::from_millis(2),
-        multiplier: 2.0,
-        max_backoff: Duration::from_millis(40),
-        deadline: Duration::from_millis(500),
-    }
-}
-
-/// The `p`-quantile (0 < `p` <= 1) of an ascending slice by nearest
-/// rank: the smallest sample with at least `p` of the samples at or
-/// below it. One definition for every bench, so their p50s and p99s
-/// compare.
-///
-/// # Panics
-///
-/// If `sorted` is empty.
-pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> T {
-    let rank = (sorted.len() as f64 * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bonnie::TreeSpec;
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted = [15, 20, 35, 40, 50];
-        for (p, expect) in [
-            (0.05, 15),
-            (0.2, 15),
-            (0.21, 20),
-            (0.5, 35),
-            (0.8, 40),
-            (0.99, 50),
-            (1.0, 50),
-        ] {
-            assert_eq!(percentile(&sorted, p), expect, "p = {p}");
-        }
-        assert_eq!(percentile(&[7], 0.5), 7);
-        // 100 samples: p99 is the 99th, not the maximum.
-        let hundred: Vec<u32> = (1..=100).collect();
-        assert_eq!(percentile(&hundred, 0.99), 99);
-        assert_eq!(percentile(&hundred, 0.5), 50);
-    }
 
     const SMALL: u64 = 256 * 1024;
 

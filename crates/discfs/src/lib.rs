@@ -57,8 +57,7 @@
 //!   only when the credential set changes, so an append allocates
 //!   nothing and hex is rendered only when the log is read.
 //!
-//! The invariants, pinned by `server::AuthStats` counters in tests and
-//! the `multi_client` bench:
+//! The invariants, pinned by `server::AuthStats` counters in tests:
 //!
 //! 1. A cached decision may be served only while both the peer
 //!    credential epoch and the global environment epoch match the key
@@ -92,7 +91,7 @@
 //!   network, not in server memory) until a worker drains it. A
 //!   stalled or slow-loris client therefore sheds **its own** load
 //!   while healthy neighbors keep their latency — the fairness bound
-//!   pinned by `tests/engine.rs` and the `fleet` bench.
+//!   pinned by `tests/engine.rs`.
 //! * **Batched serving** — a worker serves up to `batch` requests per
 //!   scheduling quantum, encoding all replies into one buffer and one
 //!   transport send (one ESP seal per batch) over the zero-copy
@@ -133,9 +132,7 @@
 //!   hit/miss counters surface through [`Testbed::store_stats`]);
 //! * `Sharded { shards, workers, inner }` — the volume striped
 //!   `i % N` across N inner stores with per-shard locks and a parallel
-//!   flush; `workers` gives each shard its own I/O thread;
-//! * `Timed { inner }` — the paper's disk timing model charged on any
-//!   backend, so virtual-time figures can compare persistent backends.
+//!   flush; `workers` gives each shard its own I/O thread.
 //!
 //! Wrappers nest: a production-shaped server volume is
 //! `Cached { inner: Sharded { inner: FileJournal } }`, and the whole
@@ -858,6 +855,71 @@ mod tests {
             "cache-hit authorizations must not take exclusive locks"
         );
         assert_eq!(bed.service().cache().stats().hits() - hits_before, 32);
+    }
+
+    /// Figure 12's shape on virtual time: the same warmed client and
+    /// 400-operation mix (per four: a GETATTR, a LOOKUP and two READs
+    /// over 16 files, five decisions) cost over ten times less with the
+    /// paper's 128-entry cache than with none, where every decision pays
+    /// the full compliance check.
+    #[test]
+    fn a_128_entry_cache_absorbs_the_compliance_check_cost() {
+        let virtual_time = |capacity: usize| {
+            let bed = Testbed::with_backend(
+                ffs::FsConfig::small(),
+                netsim::LinkConfig::instant(),
+                capacity,
+                &ffs::StoreBackend::SimInstant,
+            );
+            let mut setup = bed.connect_owner(&key(0xCE)).unwrap();
+            let root = setup.remote().root();
+            let files: Vec<nfsv2::FHandle> = (0..16u8)
+                .map(|i| {
+                    let name = format!("f{i}.dat");
+                    let fh = setup
+                        .create_with_credential(&root, &name, 0o644)
+                        .unwrap()
+                        .fh;
+                    setup.client().write_all(&fh, 0, &[i; 4096]).unwrap();
+                    fh
+                })
+                .collect();
+            let worker_key = key(0x60);
+            let worker = bed.connect_owner(&worker_key).unwrap();
+            for fh in &files {
+                let grant = CredentialIssuer::new(bed.admin())
+                    .holder(&worker_key.public())
+                    .grant(fh, Perm::R)
+                    .issue();
+                worker.submit_credential(&grant).unwrap();
+            }
+            let nfs = worker.client();
+            nfs.getattr(&root).unwrap();
+            for (i, fh) in files.iter().enumerate() {
+                nfs.getattr(fh).unwrap();
+                nfs.lookup(&root, &format!("f{i}.dat")).unwrap();
+                nfs.read(fh, 0, 4096).unwrap();
+            }
+            bed.clock().reset();
+            let mut x = 0xF1E1u64;
+            for op in 0..400 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let j = (x % files.len() as u64) as usize;
+                let done = match op % 4 {
+                    0 => nfs.getattr(&files[j]).map(|_| ()),
+                    1 => nfs.lookup(&root, &format!("f{j}.dat")).map(|_| ()),
+                    _ => nfs.read(&files[j], 0, 4096).map(|_| ()),
+                };
+                done.unwrap();
+            }
+            bed.clock().now()
+        };
+        let (cacheless, cached) = (virtual_time(0), virtual_time(128));
+        assert!(
+            cached * 10 < cacheless,
+            "the 128-entry cache must absorb >= 90% of the compliance-check cost \
+             ({cached:?} vs {cacheless:?} cacheless)"
+        );
     }
 
     #[test]

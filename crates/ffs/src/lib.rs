@@ -37,11 +37,8 @@
 //! * Composable wrappers nest around any of the above:
 //!   `StoreBackend::Cached` (a sharded write-back LRU buffer cache —
 //!   hot reads become refcounted handle clones and never touch the
-//!   backend), `StoreBackend::Sharded` (one volume striped `i % N`
-//!   across N inner stores with per-shard locks and parallel flush),
-//!   and `StoreBackend::Timed` (the paper's disk timing model charged
-//!   on any backend, so virtual-time figures can compare persistent
-//!   backends too).
+//!   backend) and `StoreBackend::Sharded` (one volume striped `i % N`
+//!   across N inner stores with per-shard locks and parallel flush).
 //! * [`Ffs::format_on`] — any hand-built `Arc<dyn BlockStore>`,
 //!   including custom wrappers like `store::EncryptedStore`.
 //!
@@ -49,7 +46,7 @@
 //! the filesystem's read path consumes them without copying per block
 //! at the store layer — on in-memory, dedup, and cache-hit paths a
 //! block read allocates **no block**, only its 32-byte handle
-//! (`crates/bench/benches/micro_store.rs` pins this with a counting
+//! (`crates/store/tests/zero_copy.rs` pins this with a counting
 //! allocator). A write on `FileJournal` is on the journal file when
 //! the call returns: one append per store call.
 //!

@@ -119,9 +119,6 @@ fn matrix(tag: &str) -> (Vec<MatrixEntry>, std::path::PathBuf) {
             window: 8,
             inner: Box::new(StoreBackend::SimInstant),
         },
-        StoreBackend::Timed {
-            inner: Box::new(StoreBackend::Dedup),
-        },
     ] {
         let store = backend.build(&clock, blocks);
         out.push((

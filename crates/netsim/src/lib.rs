@@ -280,19 +280,6 @@ impl LinkConfig {
         }
     }
 
-    /// An S3-style object-storage link: high fixed per-request latency
-    /// (HTTP + service queueing, ~20 ms one-way) over a fat pipe
-    /// (~250 MB/s). WAN figures use it to model keeping a volume's
-    /// nodes on a cloud object store instead of LAN block servers —
-    /// latency dominates small transfers, bandwidth only matters for
-    /// bulk extents.
-    pub fn s3_object_storage() -> LinkConfig {
-        LinkConfig {
-            latency: Duration::from_millis(20),
-            bandwidth: 250_000_000,
-        }
-    }
-
     /// The virtual-time cost of transmitting `len` bytes.
     pub fn transfer_time(&self, len: usize) -> Duration {
         if self.bandwidth == u64::MAX {
@@ -818,16 +805,6 @@ mod tests {
         // Plain pairs report no plan.
         let (p, _q) = Link::pair(&clock, LinkConfig::instant());
         assert!(Transport::fault_plan(&p).is_none());
-    }
-
-    #[test]
-    fn s3_preset_is_high_latency_high_bandwidth() {
-        let cfg = LinkConfig::s3_object_storage();
-        assert!(cfg.latency >= Duration::from_millis(10));
-        assert!(cfg.bandwidth > LinkConfig::ethernet_100mbps().bandwidth);
-        // An 8 KB block is latency-dominated on the object-storage link.
-        let t = cfg.transfer_time(8192);
-        assert!(t >= cfg.latency && t < cfg.latency * 2, "{t:?}");
     }
 
     #[test]

@@ -419,13 +419,17 @@ mod tests {
 
     #[test]
     fn reads_are_served_from_cache_after_first_touch() {
-        let store = CachedStore::new(SimStore::untimed(16), 16);
+        let clock = netsim::SimClock::new();
+        let disk = SimStore::new(&clock, crate::DiskModel::quantum_fireball_ct10(), 16);
+        let store = CachedStore::new(disk, 16);
         store.write_block(3, &block_of(7));
         // The write cached the block dirty: reads never reach the
-        // inner store.
+        // inner store, so they cost no disk time.
+        let before = clock.now();
         for _ in 0..10 {
             assert_eq!(store.read_block(3), block_of(7));
         }
+        assert_eq!(clock.now(), before, "a hit is not charged");
         let stats = store.stats();
         assert_eq!(stats.cache_hits, 10);
         assert_eq!(stats.cache_misses, 0);

@@ -37,9 +37,6 @@
 //! * [`ShardedStore`] — stripes one volume's blocks across N inner
 //!   stores (`idx % N`), giving per-shard locking and a parallel
 //!   flush — the ROADMAP's sharded block store.
-//! * [`TimedStore`] — charges [`DiskModel`] virtual-time costs on any
-//!   backend, so virtual-time figures can compare persistent backends,
-//!   not just wall time.
 //!
 //! # One I/O path
 //!
@@ -54,17 +51,17 @@
 //! copies. The in-memory backends keep their blocks as handles, so a
 //! read costs a refcount bump per block and the `Vec` of handles (32
 //! bytes a block): **no block-sized allocation and no 8 KB copy**
-//! (`micro_store` proves it with a byte-counting allocator). Callers
-//! that need a mutable view use [`BlockStore::read_block_into`] or
-//! `Bytes::to_vec`; holes and fresh blocks share [`zero_block`].
+//! (`tests/zero_copy.rs` proves it with a byte-counting allocator).
+//! Callers that need a mutable view use [`BlockStore::read_block_into`]
+//! or `Bytes::to_vec`; holes and fresh blocks share [`zero_block`].
 //!
 //! What a backend does with a call is in its own docs: [`FileStore`]
 //! appends a write's records in one `write` (a call is a durability
 //! unit); [`CachedStore`] fetches a read's misses in one inner call
 //! with no shard lock held, and prefetches when one-block data reads
 //! form an ascending stride ([`StoreBackend::CachedReadahead`]);
-//! [`SimStore`] and [`TimedStore`] charge an ascending run one seek
-//! ([`DiskModel::run_cost`]) whether it arrives as one call or as N;
+//! [`SimStore`] charges an ascending run one seek ([`DiskModel::run_cost`])
+//! whether it arrives as one call or as N;
 //! [`ShardedStore`] routes a one-block call to its shard and fans a
 //! longer one out, one job per involved shard when it has **per-shard
 //! worker threads** ([`ShardedStore::with_workers`],
@@ -123,7 +120,7 @@
 //! **Retry and death.** [`RemoteStore`] retries a timed-out attempt
 //! under exponential backoff with decorrelated jitter
 //! ([`RemoteOptions`]: `base`, `multiplier`, `max_backoff`), counting
-//! [`StoreStats::backoff_retries`]; backoff waits are charged to the
+//! [`StoreStats::retries`]; backoff waits are charged to the
 //! virtual clock, never slept on the wall. Only when the accumulated
 //! waiting budget reaches [`RemoteOptions::deadline`] is the node
 //! declared dead, and death is **not terminal**: the latch records a
@@ -216,7 +213,6 @@ mod remote;
 mod replicated;
 mod sharded;
 mod sim;
-mod timed;
 
 pub use bytes::Bytes;
 pub use cached::CachedStore;
@@ -231,7 +227,6 @@ pub use remote::{
 pub use replicated::{RebuildConfig, ReplicatedStore};
 pub use sharded::{ShardedStore, WORKER_QUEUE_DEPTH};
 pub use sim::{DiskModel, SimStore};
-pub use timed::TimedStore;
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -310,11 +305,6 @@ pub struct StoreStats {
     pub bytes_on_wire: u64,
     /// Request frames a `RemoteStore` re-sent after a timeout.
     pub retries: u64,
-    /// Request frames a `RemoteStore` re-sent under its exponential
-    /// backoff schedule (today every retry backs off, so this tracks
-    /// `retries`; the two are kept distinct because `retries` counts
-    /// wire traffic and this counts policy decisions).
-    pub backoff_retries: u64,
     /// Messages dropped or duplicated by a [`netsim::FaultPlan`] on a
     /// `RemoteStore`'s link (both directions; jitter is not counted).
     pub faults_injected: u64,
@@ -387,7 +377,6 @@ impl StoreStats {
             rpc_calls: self.rpc_calls + other.rpc_calls,
             bytes_on_wire: self.bytes_on_wire + other.bytes_on_wire,
             retries: self.retries + other.retries,
-            backoff_retries: self.backoff_retries + other.backoff_retries,
             faults_injected: self.faults_injected + other.faults_injected,
             replica_reads: self.replica_reads + other.replica_reads,
             rebuilds: self.rebuilds + other.rebuilds,
@@ -639,13 +628,6 @@ pub enum StoreBackend {
         /// The backend each shard is built from.
         inner: Box<StoreBackend>,
     },
-    /// The paper's disk timing model charged on top of any inner
-    /// backend ([`TimedStore`]) — virtual-time figures for persistent
-    /// backends, not just the sim store.
-    Timed {
-        /// The wrapped backend.
-        inner: Box<StoreBackend>,
-    },
     /// The inner backend served from a [`BlockServer`] thread behind a
     /// simulated network link, accessed through a [`RemoteStore`]
     /// client — one storage node, so caching/sharding presets compose
@@ -748,11 +730,6 @@ impl StoreBackend {
                     Arc::new(ShardedStore::new(stores, block_count))
                 }
             }
-            StoreBackend::Timed { inner } => Arc::new(TimedStore::new(
-                inner.build(clock, block_count),
-                clock,
-                DiskModel::quantum_fireball_ct10(),
-            )),
             StoreBackend::Remote {
                 ethernet,
                 opts,
@@ -841,9 +818,6 @@ impl StoreBackend {
                 workers: *workers,
                 inner: Box::new(inner.with_subdir(name)),
             },
-            StoreBackend::Timed { inner } => StoreBackend::Timed {
-                inner: Box::new(inner.with_subdir(name)),
-            },
             StoreBackend::Remote {
                 ethernet,
                 opts,
@@ -883,7 +857,6 @@ impl StoreBackend {
             StoreBackend::Cached { inner, .. }
             | StoreBackend::CachedReadahead { inner, .. }
             | StoreBackend::Sharded { inner, .. }
-            | StoreBackend::Timed { inner }
             | StoreBackend::Remote { inner, .. }
             | StoreBackend::Replicated { inner, .. } => inner.is_persistent(),
             _ => false,
@@ -903,7 +876,6 @@ impl StoreBackend {
             StoreBackend::Cached { .. } => "cached",
             StoreBackend::CachedReadahead { .. } => "cached-readahead",
             StoreBackend::Sharded { .. } => "sharded",
-            StoreBackend::Timed { .. } => "timed",
             StoreBackend::Remote { .. } => "remote",
             StoreBackend::Replicated { .. } => "replicated",
         }
@@ -961,9 +933,6 @@ mod tests {
                 inner: Box::new(StoreBackend::FileJournal {
                     dir: dir.join("sharded-workers"),
                 }),
-            },
-            StoreBackend::Timed {
-                inner: Box::new(StoreBackend::Dedup),
             },
             StoreBackend::Cached {
                 capacity: 8,
@@ -1181,20 +1150,20 @@ mod tests {
     fn merge_sums_chaos_counters() {
         let a = StoreStats {
             faults_injected: 5,
-            backoff_retries: 2,
+            retries: 2,
             nodes_revived: 1,
             rebuild_backlog: 7,
             ..StoreStats::default()
         };
         let b = StoreStats {
             faults_injected: 3,
-            backoff_retries: 4,
+            retries: 4,
             rebuild_backlog: 1,
             ..StoreStats::default()
         };
         let m = a.merge(&b);
         assert_eq!(m.faults_injected, 8);
-        assert_eq!(m.backoff_retries, 6);
+        assert_eq!(m.retries, 6);
         assert_eq!(m.nodes_revived, 1);
         assert_eq!(m.rebuild_backlog, 8);
     }

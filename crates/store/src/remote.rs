@@ -690,7 +690,6 @@ pub struct RemoteStore {
     rpc_calls: AtomicU64,
     bytes_on_wire: AtomicU64,
     retries: AtomicU64,
-    backoff_retries: AtomicU64,
 }
 
 /// A permanently-disconnected transport, swapped in on drop so the
@@ -753,7 +752,6 @@ impl RemoteStore {
             rpc_calls: AtomicU64::new(0),
             bytes_on_wire: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            backoff_retries: AtomicU64::new(0),
         };
         let mut store = store;
         let (op, body) = store.rpc(OP_LEN, &[])?;
@@ -1099,12 +1097,11 @@ impl RemoteStore {
                     prev = sleep;
                     waited += sleep;
                     // Charge the wait to the virtual clock so partition
-                    // windows heal and WAN figures see the backoff.
+                    // windows heal and virtual time sees the backoff.
                     if let Some(clock) = &self.clock {
                         clock.advance(sleep);
                     }
                     self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.backoff_retries.fetch_add(1, Ordering::Relaxed);
                     // Re-send the same request (same id).
                 }
                 Err(RemoteError::Net(NetError::Disconnected)) => {
@@ -1272,7 +1269,7 @@ impl BlockStore for RemoteStore {
 
     /// Client-side counters only: logical reads/writes as issued by
     /// callers, plus the wire-level `rpc_calls` / `bytes_on_wire` /
-    /// `retries` / `backoff_retries`, and the link fault plan's
+    /// `retries`, and the link fault plan's
     /// injected-fault count when one is installed. The node's own
     /// store counters live on the server side of the link.
     fn stats(&self) -> StoreStats {
@@ -1285,7 +1282,6 @@ impl BlockStore for RemoteStore {
             rpc_calls: self.rpc_calls.load(Ordering::Relaxed),
             bytes_on_wire: self.bytes_on_wire.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            backoff_retries: self.backoff_retries.load(Ordering::Relaxed),
             fenced: self.fenced_writes.load(Ordering::Relaxed),
             faults_injected: self
                 .faults
@@ -1509,7 +1505,6 @@ mod tests {
         .unwrap();
         assert_eq!(store.block_count(), 8);
         assert_eq!(store.stats().retries, 1);
-        assert_eq!(store.stats().backoff_retries, 1);
         drop(store);
         server.join().ok();
     }
@@ -1552,7 +1547,6 @@ mod tests {
         let stats = store.stats();
         // No timeout ever fired: duplication alone never stalls an op.
         assert_eq!(stats.retries, 0);
-        assert_eq!(stats.backoff_retries, 0);
         assert!(stats.faults_injected >= 6, "{}", stats.faults_injected);
         assert!(!store.is_dead());
     }
@@ -1580,7 +1574,7 @@ mod tests {
         assert!(stats.faults_injected > 0);
         // 25% loss over 30+ round trips: some attempt timed out and
         // was re-sent under backoff.
-        assert!(stats.backoff_retries > 0);
+        assert!(stats.retries > 0);
         // Backoff waits were charged to the virtual clock.
         assert!(clock.now() > Duration::ZERO);
     }
@@ -1673,8 +1667,18 @@ mod tests {
         let renewed = a.try_renew_lease(ttl).unwrap();
         assert_eq!(renewed.token, 1);
         assert!(renewed.expires >= grant.expires);
-        // Past expiry B takes over, and the token only ever goes up.
-        clock.advance(Duration::from_secs(30));
+        // B is refused 1 ms before expiry and takes over 1 ms after it,
+        // and the token only ever goes up.
+        let ms = Duration::from_millis(1);
+        clock.advance(renewed.expires - ms - clock.now());
+        assert!(
+            matches!(
+                b.try_acquire_lease(2, ttl),
+                Err(RemoteError::LeaseHeld { holder: 1, .. })
+            ),
+            "an unexpired lease cannot be stolen"
+        );
+        clock.advance(ms * 2);
         let grant_b = b.try_acquire_lease(2, ttl).unwrap();
         assert_eq!(grant_b.token, 2);
         // A's renewal is now fenced — its grant was superseded.

@@ -1282,6 +1282,51 @@ mod tests {
         assert_eq!(store.live_nodes(), 3, "no spare left: degraded");
     }
 
+    /// Failover reads ride the same link class as primary reads: with
+    /// one node of four dead (no spare, so nothing rebuilds), the median
+    /// per-read virtual latency stays within 2× of the healthy volume's
+    /// and no read fails.
+    #[test]
+    fn failover_reads_stay_near_healthy_latency() {
+        const BLOCKS: u64 = 64;
+        let data: Vec<Vec<u8>> = (0..BLOCKS).map(|i| block_of(i as u8 + 1)).collect();
+        let median_read = |dead: Option<usize>| {
+            let clock = SimClock::new();
+            let node_bc = ReplicatedStore::node_block_count(BLOCKS, 4, 2);
+            let nodes = (0..4)
+                .map(|_| {
+                    RemoteStore::serve_local(
+                        SimStore::untimed(node_bc),
+                        &clock,
+                        LinkConfig::ethernet_100mbps(),
+                        RemoteOptions::default(),
+                    )
+                })
+                .collect();
+            let store = ReplicatedStore::new(nodes, Vec::new(), BLOCKS, 2);
+            let writes: Vec<(u64, &[u8])> = (0..BLOCKS).zip(data.iter().map(|b| &b[..])).collect();
+            store.write_blocks(&writes);
+            store.flush().unwrap();
+            if let Some(node) = dead {
+                store.kill_node(node);
+            }
+            let mut latencies: Vec<Duration> = (0..BLOCKS)
+                .map(|i| {
+                    let before = clock.now();
+                    assert_eq!(store.read_block(i), data[i as usize], "zero failed reads");
+                    clock.now() - before
+                })
+                .collect();
+            latencies.sort_unstable();
+            latencies[(latencies.len() - 1) / 2]
+        };
+        let (healthy, degraded) = (median_read(None), median_read(Some(1)));
+        assert!(
+            degraded <= healthy * 2,
+            "failover must serve reads at near-healthy latency: p50 {degraded:?} vs {healthy:?}"
+        );
+    }
+
     #[test]
     fn write_amplification_is_r_times() {
         let r1 = volume(16, 4, 1, 0);

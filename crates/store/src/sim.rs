@@ -66,9 +66,8 @@ impl DiskModel {
     /// Charges `clock` for one data-block access at `block` with the
     /// head last at `last`: seek + rotational delay unless the access
     /// is sequential (the same or the next block), then one block's
-    /// transfer time. The one charging rule of [`SimStore`] and
-    /// [`TimedStore`](crate::TimedStore).
-    pub(crate) fn charge(&self, clock: &SimClock, last: &mut Option<u64>, block: u64) {
+    /// transfer time. The one charging rule of [`SimStore`].
+    fn charge(&self, clock: &SimClock, last: &mut Option<u64>, block: u64) {
         let sequential = *last == Some(block.wrapping_sub(1)) || *last == Some(block);
         if !sequential {
             clock.advance(self.avg_seek + self.rotational);

@@ -10,7 +10,7 @@ use netsim::{LinkConfig, SimClock};
 use proptest::prelude::*;
 use store::{
     BlockStore, Bytes, CachedStore, DedupStore, EncryptedStore, FileStore, IoClass, RemoteOptions,
-    RemoteStore, ReplicatedStore, ShardedStore, SimStore, StoreBackend, TimedStore, BLOCK_SIZE,
+    RemoteStore, ReplicatedStore, ShardedStore, SimStore, StoreBackend, BLOCK_SIZE,
     JOURNAL_RECORD_LEN,
 };
 
@@ -97,7 +97,7 @@ fn all_backends(tag: &str) -> Vec<(Box<dyn BlockStore>, Option<std::path::PathBu
             None,
         ),
         // The wrappers: a small cache (evictions exercised), a sharded
-        // stripe, the timed charger, and a cache over shards.
+        // stripe, and a cache over shards.
         (
             Box::new(CachedStore::new(SimStore::untimed(BLOCKS), 8)),
             None,
@@ -108,14 +108,6 @@ fn all_backends(tag: &str) -> Vec<(Box<dyn BlockStore>, Option<std::path::PathBu
                     .map(|_| Arc::new(SimStore::untimed(BLOCKS.div_ceil(4))) as Arc<dyn BlockStore>)
                     .collect(),
                 BLOCKS,
-            )),
-            None,
-        ),
-        (
-            Box::new(TimedStore::new(
-                DedupStore::new(BLOCKS),
-                &clock,
-                store::DiskModel::quantum_fireball_ct10(),
             )),
             None,
         ),
@@ -409,7 +401,6 @@ proptest! {
                 window: 4,
                 inner: Box::new(StoreBackend::SimInstant),
             },
-            StoreBackend::Timed { inner: Box::new(StoreBackend::Dedup) },
             StoreBackend::Remote {
                 ethernet: false,
                 opts: RemoteOptions::default(),
@@ -998,12 +989,8 @@ fn chaos_counters_aggregate_through_wrappers() {
         "duplicated/dropped frames must be counted through the nest: {stats:?}"
     );
     assert!(
-        stats.backoff_retries > 0,
+        stats.retries > 0,
         "20% loss must force at least one backoff retry: {stats:?}"
-    );
-    assert_eq!(
-        stats.backoff_retries, stats.retries,
-        "every retry now rides the backoff schedule: {stats:?}"
     );
 }
 

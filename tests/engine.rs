@@ -12,8 +12,9 @@
 //!   audited; split/interleaved *well-formed* frames reassemble.
 //! * `Testbed::reboot` quiesces the engine — drains accepted requests,
 //!   joins every server thread — before the store drops.
-//! * The server runs a fixed thread pool: connection count does not
-//!   change the process's thread count.
+//!
+//! That connection count does not change the thread count is
+//! `tests/engine_threads.rs`, a binary of its own.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -320,38 +321,6 @@ fn reboot_quiesces_engine_with_requests_in_flight() {
     fresh
         .getattr(&fresh.remote().root())
         .expect("fresh client on the rebooted server");
-}
-
-/// The whole point of the engine: more connections, same threads.
-/// Counts the threads the engine names (`engine-loop`,
-/// `engine-worker-N`), not every task in the process — sibling tests
-/// in this binary spawn and retire threads of their own meanwhile.
-#[cfg(target_os = "linux")]
-#[test]
-fn connection_count_does_not_grow_thread_count() {
-    fn engine_threads_now() -> usize {
-        std::fs::read_dir("/proc/self/task")
-            .expect("procfs")
-            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-            .filter(|comm| comm.starts_with("engine-"))
-            .count()
-    }
-    let bed = Testbed::instant();
-    let clients: Vec<DiscfsClient> = (0..8).map(|i| connect_granted(&bed, 0x60 + i)).collect();
-    let before = engine_threads_now();
-    assert!(before >= bed.engine().thread_count());
-    let more: Vec<DiscfsClient> = (0..120)
-        .map(|i| connect_granted(&bed, 0x60 + (i % 40) as u8))
-        .collect();
-    let after = engine_threads_now();
-    assert_eq!(
-        before, after,
-        "accepting 120 more connections must not spawn server threads"
-    );
-    assert_eq!(bed.engine().connections(), clients.len() + more.len());
-    for client in clients.iter().chain(&more) {
-        client.getattr(&client.remote().root()).expect("served");
-    }
 }
 
 /// Every departed client is noticed. `Endpoint::drop` used to wake the
