@@ -1,13 +1,18 @@
 //! The persistent file-backed store with a write-ahead journal.
 //!
 //! Write path: every block write is appended to the journal as a
-//! checksummed record, then kept in an in-memory dirty map. A
-//! [`BlockStore::flush`] applies the dirty blocks to `blocks.dat` and
+//! checksummed record. The journal is the store's only dirty buffer:
+//! memory keeps the block's index and the journal offset of its latest
+//! payload (16 bytes a block), not a copy of the block, and a read of
+//! an un-flushed block is a `pread` from the journal. A
+//! [`BlockStore::flush`] copies the dirty blocks from the journal to
+//! `blocks.dat` in ascending block order, through one 8 KiB buffer, and
 //! truncates the journal. If the process dies between those steps (the
 //! "crash" the property tests simulate by dropping the store without
 //! flushing), [`FileStore::open`] replays every complete, valid journal
 //! record into the data file before serving reads — so an acknowledged
 //! write is never lost and a torn final record is cleanly discarded.
+//! Replay reads the journal one record at a time.
 //!
 //! # One append per call
 //!
@@ -50,6 +55,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
@@ -107,12 +113,14 @@ fn decode_record(record: &[u8], block_count: u64) -> Option<(u64, &[u8])> {
 
 struct FileState {
     data: File,
-    /// The journal file; its cursor stays at `journal_len`.
+    /// The journal file; its cursor stays at `journal_len` (reads are
+    /// positional).
     journal: File,
     /// Bytes of whole records in the journal file.
     journal_len: u64,
-    /// Journaled writes not yet applied to the data file.
-    dirty: HashMap<u64, Bytes>,
+    /// Journaled writes not yet applied to the data file: block index →
+    /// journal offset of that block's latest payload.
+    dirty: HashMap<u64, u64>,
     reads: u64,
     writes: u64,
     journal_records: u64,
@@ -164,7 +172,7 @@ impl FileStore {
     /// touched.
     pub fn open(dir: &Path, block_count: u64) -> std::io::Result<FileStore> {
         std::fs::create_dir_all(dir)?;
-        let mut data = OpenOptions::new()
+        let data = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
@@ -183,7 +191,7 @@ impl FileStore {
             .truncate(false)
             .open(dir.join("journal.wal"))?;
 
-        Self::replay(&mut data, &mut journal, block_count)?;
+        Self::replay(&data, &mut journal, block_count)?;
 
         Ok(FileStore {
             state: Mutex::new(FileState {
@@ -207,26 +215,27 @@ impl FileStore {
     /// data file, then truncates the journal. A torn or corrupt record
     /// ends the replay — records are written in order, so everything
     /// before it is intact. A journal in the previous record layout is
-    /// an error and is left as it was found.
-    fn replay(data: &mut File, journal: &mut File, block_count: u64) -> std::io::Result<()> {
+    /// an error and is left as it was found. The journal is read one
+    /// record at a time into one buffer, however long it is.
+    fn replay(data: &File, journal: &mut File, block_count: u64) -> std::io::Result<()> {
         journal.seek(SeekFrom::Start(0))?;
-        let mut bytes = Vec::new();
-        journal.read_to_end(&mut bytes)?;
-        if bytes.starts_with(&LEGACY_RECORD_MAGIC) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "journal.wal holds records in the earlier \"WALR\" layout; open the store \
-                 with the build that wrote it so they are applied, or remove the journal \
-                 to discard them",
-            ));
-        }
+        let mut record = Vec::with_capacity(JOURNAL_RECORD_LEN);
         let mut applied = 0u64;
-        for record in bytes.chunks_exact(JOURNAL_RECORD_LEN) {
-            let Some((idx, payload)) = decode_record(record, block_count) else {
+        loop {
+            record.clear();
+            Read::take(&mut *journal, JOURNAL_RECORD_LEN as u64).read_to_end(&mut record)?;
+            let Some((idx, payload)) = decode_record(&record, block_count) else {
+                if applied == 0 && record.starts_with(&LEGACY_RECORD_MAGIC) {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        "journal.wal holds records in the earlier \"WALR\" layout; open the \
+                         store with the build that wrote it so they are applied, or remove \
+                         the journal to discard them",
+                    ));
+                }
                 break;
             };
-            data.seek(SeekFrom::Start(idx * BLOCK_SIZE as u64))?;
-            data.write_all(payload)?;
+            data.write_all_at(payload, idx * BLOCK_SIZE as u64)?;
             applied += 1;
         }
         if applied > 0 {
@@ -240,8 +249,8 @@ impl FileStore {
     /// Simulates a crash: drops the store without applying the journal
     /// to the data file. Every acknowledged write is already on the
     /// journal and is recovered by the next [`FileStore::open`]; only
-    /// the in-memory dirty map goes. This exists so tests can exercise
-    /// that path explicitly.
+    /// the in-memory index of journal offsets goes. This exists so
+    /// tests can exercise that path explicitly.
     pub fn crash(self) {
         drop(self);
     }
@@ -252,33 +261,32 @@ impl BlockStore for FileStore {
         self.block_count
     }
 
-    /// One state-lock acquisition for the whole extent: dirty-map
-    /// lookups and data-file reads under it. The file store has no
-    /// separate metadata path; both classes count.
+    /// One state-lock acquisition for the whole extent. A dirty block
+    /// is read from its latest journal record, any other from the data
+    /// file; both are positional reads. The file store has no separate
+    /// metadata path; both classes count.
     fn read(&self, _class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
         let mut s = self.state.lock();
         s.vectored_reads += u64::from(idxs.len() > 1);
-        let mut out = Vec::with_capacity(idxs.len());
-        for &idx in idxs {
-            assert!(idx < self.block_count, "block {idx} out of range");
-            s.reads += 1;
-            if let Some(block) = s.dirty.get(&idx) {
-                out.push(block.clone());
-                continue;
-            }
-            let mut buf = vec![0u8; BLOCK_SIZE];
-            s.data
-                .seek(SeekFrom::Start(idx * BLOCK_SIZE as u64))
-                .and_then(|_| s.data.read_exact(&mut buf))
-                .expect("data file read");
-            out.push(Bytes::from(buf));
-        }
-        out
+        s.reads += idxs.len() as u64;
+        idxs.iter()
+            .map(|&idx| {
+                assert!(idx < self.block_count, "block {idx} out of range");
+                let (file, at) = match s.dirty.get(&idx) {
+                    Some(&at) => (&s.journal, at),
+                    None => (&s.data, idx * BLOCK_SIZE as u64),
+                };
+                let mut buf = vec![0u8; BLOCK_SIZE];
+                file.read_exact_at(&mut buf, at).expect("block read");
+                Bytes::from(buf)
+            })
+            .collect()
     }
 
     /// Journals `writes` as one append, so the call is a durability
-    /// unit, then keeps them in the dirty map. The records are encoded
-    /// before the state lock is taken.
+    /// unit, then records where each block's payload sits in the
+    /// journal; a block named twice reads its later pair. The records
+    /// are encoded before the state lock is taken.
     fn write(&self, _class: IoClass, writes: &[(u64, &[u8])]) {
         let mut records = Vec::with_capacity(writes.len() * JOURNAL_RECORD_LEN);
         for &(idx, data) in writes {
@@ -287,12 +295,14 @@ impl BlockStore for FileStore {
             encode_record(&mut records, idx, data);
         }
         let mut s = self.state.lock();
+        let mut payload_at = s.journal_len + RECORD_PREFIX as u64;
         s.append(&records).expect("journal append");
         s.journal_records += writes.len() as u64;
         s.writes += writes.len() as u64;
         s.vectored_writes += u64::from(writes.len() > 1);
-        for &(idx, data) in writes {
-            s.dirty.insert(idx, Bytes::copy_from_slice(data));
+        for &(idx, _) in writes {
+            s.dirty.insert(idx, payload_at);
+            payload_at += JOURNAL_RECORD_LEN as u64;
         }
     }
 
@@ -300,18 +310,21 @@ impl BlockStore for FileStore {
         let mut s = self.state.lock();
         // Every acknowledged record is already on the journal, so if
         // applying fails midway, replay can still finish the job on
-        // the next open. Apply without draining: if any write fails,
-        // the dirty map (and the on-disk journal) still holds the
+        // the next open. Apply without draining: if any step fails,
+        // the dirty map and the journal it points into still hold the
         // acknowledged writes, so reads stay correct and a later flush
-        // or replay can retry.
-        let indices: Vec<u64> = s.dirty.keys().copied().collect();
-        for idx in indices {
-            let block = s.dirty[&idx].clone();
-            s.data.seek(SeekFrom::Start(idx * BLOCK_SIZE as u64))?;
-            s.data.write_all(&block)?;
+        // or replay can retry. Ascending block order, so the data file
+        // is written front to back.
+        let mut pending: Vec<(u64, u64)> = s.dirty.iter().map(|(&idx, &at)| (idx, at)).collect();
+        pending.sort_unstable_by_key(|&(idx, _)| idx);
+        let mut block = vec![0u8; BLOCK_SIZE];
+        for (idx, at) in pending {
+            s.journal.read_exact_at(&mut block, at)?;
+            s.data.write_all_at(&block, idx * BLOCK_SIZE as u64)?;
         }
         s.data.sync_data()?;
-        // Only now is it safe to forget the journal and cache.
+        // Only now is it safe to forget the journal and the offsets
+        // into it.
         s.dirty.clear();
         s.journal.set_len(0)?;
         s.journal_len = 0;
@@ -620,6 +633,45 @@ mod tests {
             assert_eq!(block, &store.read_block(i as u64));
         }
         assert_eq!(store.stats().vectored_reads, 1);
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A block rewritten before the flush has two records on the
+    /// journal; reads, the flush and a replay all take the newer one.
+    #[test]
+    fn two_writes_to_one_block_read_the_newer() {
+        let dir = temp_dir_for_tests("rewrite");
+        let (old, new) = (vec![1u8; BLOCK_SIZE], vec![2u8; BLOCK_SIZE]);
+        {
+            let store = FileStore::open(&dir, 8).unwrap();
+            store.write_block(3, &old);
+            store.write_block(3, &new);
+            assert_eq!(store.read_block(3), new);
+            store.crash();
+        }
+        let store = FileStore::open(&dir, 8).unwrap();
+        assert_eq!(store.read_block(3), new, "replay");
+        store.write_block(3, &old);
+        store.write_block(3, &new);
+        store.flush().unwrap();
+        assert_eq!(store.read_block(3), new, "flushed");
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn vectored_write_naming_one_block_twice_reads_the_later_pair() {
+        let dir = temp_dir_for_tests("vectored-twice");
+        let (a, b) = (vec![1u8; BLOCK_SIZE], vec![2u8; BLOCK_SIZE]);
+        let store = FileStore::open(&dir, 8).unwrap();
+        store.write_blocks(&[(1, &a), (5, &b), (1, &b)]);
+        assert_eq!(store.read_block(1), b, "later pair for the same index wins");
+        assert_eq!(store.read_block(5), b);
+        let stats = store.stats();
+        assert_eq!((stats.writes, stats.vectored_writes), (3, 1));
+        store.flush().unwrap();
+        assert_eq!(store.read_blocks(&[1, 5]), vec![b.clone(), b]);
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -16,7 +16,9 @@
 //!   journal: every write is appended (checksummed) to the journal
 //!   before the data file is touched, so a crash mid-update replays
 //!   cleanly on reopen. A write's record is on the journal file when
-//!   the call returns: one append per call, however many blocks.
+//!   the call returns: one append per call, however many blocks. The
+//!   journal is also the dirty buffer: an un-flushed block is read back
+//!   from its record, and memory holds only its offset.
 //! * [`DedupStore`] — a content-addressed deduplicating store: blocks
 //!   are keyed by their SHA-256, identical blocks share one stored
 //!   chunk, and the [`StoreStats::dedup_hit_ratio`] stat reports how

@@ -1055,10 +1055,11 @@ impl BlockStore for ReplicatedStore {
     }
 
     /// Commits the buffered epoch under a **write quorum**: each
-    /// writable node receives its replica writes as one durability
-    /// unit whose last record stamps `epoch + 1` (its metadata writes
-    /// ride ahead in a call of their own class — the epoch record still
-    /// commits strictly after them). The commit point is reached when
+    /// writable node receives its replica writes, in ascending inner
+    /// block order, as one durability unit whose last record stamps
+    /// `epoch + 1` (its metadata writes ride ahead in a call of their
+    /// own class — the epoch record still commits strictly after
+    /// them). The commit point is reached when
     /// every dirty block has `ceil(R/2)` replica acks and at least one
     /// live node holds the new record; a node that fails mid-flush
     /// goes to the probation/rebuild path and the pass *continues* —
@@ -1102,6 +1103,9 @@ impl BlockStore for ReplicatedStore {
                             refs.push((inner_of(idx, r, n, self.replicas), block));
                         }
                     }
+                    // The node's disk sees ascending inner indices: the
+                    // fewest runs, so the fewest seeks.
+                    refs.sort_unstable_by_key(|&(inner, _)| inner);
                     // A rebuilding node receives the epoch's data but
                     // NOT its record: it must read as stale until the
                     // copy completes, or a crash mid-rebuild would
@@ -1325,6 +1329,42 @@ mod tests {
             degraded <= healthy * 2,
             "failover must serve reads at near-healthy latency: p50 {degraded:?} vs {healthy:?}"
         );
+    }
+
+    /// Chained placement hands node 1 logical blocks 3 and 4 at inner
+    /// 3 and 2: in logical order that is a step down and a second seek.
+    /// The flush sends each node its writes in inner order, so the pair
+    /// is one run, and the epoch record behind it the only other seek.
+    #[test]
+    fn flush_writes_each_node_in_block_order() {
+        let model = crate::DiskModel::quantum_fireball_ct10();
+        let (blocks, n, replicas) = (12u64, 3usize, 2usize);
+        let node_bc = ReplicatedStore::node_block_count(blocks, n, replicas);
+        let clocks: Vec<SimClock> = (0..n).map(|_| SimClock::new()).collect();
+        let nodes = clocks
+            .iter()
+            .map(|clock| {
+                RemoteStore::serve_local(
+                    SimStore::new(clock, model, node_bc),
+                    clock,
+                    LinkConfig::instant(),
+                    RemoteOptions::default(),
+                )
+            })
+            .collect();
+        let store = ReplicatedStore::new(nodes, Vec::new(), blocks, replicas);
+        assert_eq!((node_of(3, 1, n), inner_of(3, 1, n, replicas)), (1, 3));
+        assert_eq!((node_of(4, 0, n), inner_of(4, 0, n, replicas)), (1, 2));
+        store.write_blocks(&[(3, &block_of(3)), (4, &block_of(4))]);
+        let before = clocks[1].now();
+        store.flush().unwrap();
+        assert_eq!(
+            clocks[1].now() - before,
+            model.run_cost(2) + model.run_cost(1),
+            "one seek for the pair, one for the epoch record"
+        );
+        assert_eq!(store.read_block(3), block_of(3));
+        assert_eq!(store.read_block(4), block_of(4));
     }
 
     #[test]
