@@ -17,7 +17,11 @@ import sys
 # policy-cache miss evaluated every credential the session held and is
 # ~45 since it evaluates the delegation chain; hit_frac is a property of
 # the walk (400 handles through 128 entries) and moves only if the cache
-# key, capacity or replacement changes.
+# key, capacity or replacement changes. store.sim.virtual_us_per_op
+# counts seeks a cycle: each 784-operation cycle transfers 400 blocks
+# (279 us an operation) and pays 14 050 us a seek. One cursor for the
+# whole volume read 851-853 (32 seeks: a directory's block away from
+# its files); allocation groups read ~566 (16: one per directory).
 #
 # seq_read (eight READs in flight; set by the client outbox's rule,
 # banded not exact: a reply batch that answers the whole window
@@ -33,6 +37,7 @@ BANDS = {
     "meta_walk": (True, {
         "alloc.count_per_op": (0.0, 200.0),
         "discfs.policy.hit_frac": (0.65, 0.67),
+        "store.sim.virtual_us_per_op": (0.0, 700.0),
     }),
     "seq_read": (True, {
         "netsim.msgs_per_op": (0.0, 0.8),

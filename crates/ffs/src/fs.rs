@@ -54,6 +54,10 @@ const PTR_CACHE_BLOCKS: usize = 64;
 /// Bits per bitmap block.
 const BITS_PER_BLOCK: u64 = (BLOCK_SIZE * 8) as u64;
 
+/// Data blocks (8 MiB) per allocation group, the role of a BSD
+/// cylinder group. [`FsConfig::small`] is one group.
+const GROUP_BLOCKS: u64 = 1024;
+
 /// Static block layout derived from an [`FsConfig`].
 ///
 /// Block 0 is the checksummed superblock (see [`crate::sb`]); the
@@ -62,6 +66,11 @@ const BITS_PER_BLOCK: u64 = (BLOCK_SIZE * 8) as u64;
 /// live copies stay in memory and the inode table remains
 /// authoritative, so a mount of an uncleanly closed volume rebuilds
 /// them with a recovery sweep instead of trusting stale bits.
+///
+/// The data region and the inode table are each split into `groups`
+/// equal ranges, the last taking the remainder (crate docs,
+/// "Allocation groups"). The groups follow from the geometry alone, so
+/// nothing about them is on disk.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Layout {
     pub(crate) total_blocks: u64,
@@ -69,6 +78,9 @@ pub(crate) struct Layout {
     pub(crate) bbmap_start: u64,
     pub(crate) itable_start: u64,
     pub(crate) data_start: u64,
+    groups: u64,
+    blocks_per_group: u64,
+    inodes_per_group: u64,
 }
 
 impl Layout {
@@ -80,13 +92,34 @@ impl Layout {
         let itable_start = bbmap_start + bbmap_blocks;
         let itable_blocks = (config.inode_count as u64).div_ceil(INODES_PER_BLOCK as u64);
         let data_start = itable_start + itable_blocks;
+        let data_blocks = config.total_blocks.saturating_sub(data_start);
+        let groups = (data_blocks / GROUP_BLOCKS).max(1);
         Layout {
             total_blocks: config.total_blocks,
             ibmap_start,
             bbmap_start,
             itable_start,
             data_start,
+            groups,
+            blocks_per_group: data_blocks / groups,
+            inodes_per_group: (config.inode_count as u64 / groups).max(1),
         }
+    }
+
+    /// The group inode `ino` belongs to.
+    pub(crate) fn inode_group(&self, ino: Ino) -> u64 {
+        (ino as u64 / self.inodes_per_group).min(self.groups - 1)
+    }
+
+    /// The data blocks of group `g`.
+    pub(crate) fn group_data(&self, g: u64) -> std::ops::Range<u64> {
+        let start = self.data_start + g * self.blocks_per_group;
+        let end = if g + 1 == self.groups {
+            self.total_blocks
+        } else {
+            start + self.blocks_per_group
+        };
+        start..end
     }
 
     fn superblock(&self, inode_count: u32, tick: u64, clean: bool) -> Superblock {
@@ -111,8 +144,10 @@ struct FsInner {
     free_inodes: u32,
     /// Monotonic tick used for atime/mtime/ctime (deterministic).
     tick: u64,
-    /// Allocation hint for data blocks: the search for a free block
-    /// starts here. Moves past each allocation, back to each free.
+    /// Allocation cursor for data blocks: the search for a free block
+    /// starts here and moves past each allocation. Every write places
+    /// it first (BSD's blkpref, in `write_inode_data`), so it carries
+    /// nothing from one operation to the next.
     alloc_hint: u64,
     /// Whether in-memory state has diverged from the on-disk bitmaps
     /// since the last [`Ffs::sync`] (mirrors the superblock's `clean`
@@ -990,9 +1025,12 @@ impl Ffs {
         Ok(inode)
     }
 
-    fn alloc_inode(&self, inner: &mut FsInner) -> Result<Ino, FsError> {
-        let start = 2; // skip reserved 0 and root 1
-        for ino in start..self.inode_count {
+    /// Allocates the first free inode at or after the first of group
+    /// `group`, wrapping past the end of the table.
+    fn alloc_inode(&self, inner: &mut FsInner, group: u64) -> Result<Ino, FsError> {
+        // Skip reserved 0 and root 1.
+        let first = (group * self.layout.inodes_per_group).clamp(2, self.inode_count as u64) as u32;
+        for ino in (first..self.inode_count).chain(2..first) {
             if !inner.inode_bitmap[ino as usize] {
                 inner.inode_bitmap[ino as usize] = true;
                 inner.free_inodes -= 1;
@@ -1049,10 +1087,20 @@ impl Ffs {
         inner.block_bitmap[idx as usize] = false;
         inner.free_blocks += 1;
         inner.ptrs.remove(idx);
-        // Pull the hint back so the next allocation reuses what was just
-        // freed: a file that is truncated and rewritten stays where it
-        // was instead of marching across the volume.
-        inner.alloc_hint = inner.alloc_hint.min(idx);
+    }
+
+    /// The group with the fewest used data blocks, the lowest on a tie:
+    /// where a new directory goes (BSD's dirpref).
+    fn emptiest_group(&self, inner: &FsInner) -> u64 {
+        (0..self.layout.groups)
+            .min_by_key(|&g| {
+                let blocks = self.layout.group_data(g);
+                inner.block_bitmap[blocks.start as usize..blocks.end as usize]
+                    .iter()
+                    .filter(|&&used| used)
+                    .count()
+            })
+            .expect("a volume has at least one group")
     }
 
     // -- block mapping ------------------------------------------------------
@@ -1304,6 +1352,7 @@ impl Ffs {
     fn write_inode_data(
         &self,
         inner: &mut FsInner,
+        ino: Ino,
         inode: &mut Inode,
         offset: u64,
         data: &[u8],
@@ -1312,6 +1361,11 @@ impl Ffs {
         if end > max_file_size() {
             return Err(FsError::TooBig);
         }
+        // The disk block of the file block before `pos`, if mapped.
+        let mut prev = match (offset / BLOCK_SIZE as u64).checked_sub(1) {
+            Some(fbn) if offset < end => self.bmap(inner, inode, fbn, false)?,
+            _ => None,
+        };
         // Map (allocating) the whole extent first, staging each
         // block's source: full blocks borrow the caller's buffer
         // directly; partial head/tail blocks are read-modify-written
@@ -1331,9 +1385,20 @@ impl Ffs {
             let fbn = pos / BLOCK_SIZE as u64;
             let in_block = (pos % BLOCK_SIZE as u64) as usize;
             let take = (BLOCK_SIZE - in_block).min((end - pos) as usize);
+            // Place the cursor (BSD's blkpref): right after the file's
+            // previous block, so a file grows as one run and a rewritten
+            // one takes back the blocks it gave up; when there is none,
+            // at the start of the inode's group, so a directory's files
+            // follow its own block. `alloc_block` takes the first free
+            // block from there.
+            inner.alloc_hint = match prev {
+                Some(block) => block + 1,
+                None => self.layout.group_data(self.layout.inode_group(ino)).start,
+            };
             let block = self
                 .bmap(inner, inode, fbn, true)?
                 .expect("bmap with allocate=true returns a block");
+            prev = Some(block);
             if take == BLOCK_SIZE {
                 staged.push((block, Src::Caller(src)));
             } else {
@@ -1468,7 +1533,7 @@ impl Ffs {
         let new_blocks = (data.len() as u64).div_ceil(BLOCK_SIZE as u64);
         self.free_blocks_from(inner, &mut inode, new_blocks.max(1));
         inode.size = 0;
-        self.write_inode_data(inner, &mut inode, 0, &data)?;
+        self.write_inode_data(inner, ino, &mut inode, 0, &data)?;
         inode.size = data.len() as u64;
         inode.mtime = inner.tick;
         inode.ctime = inner.tick;
@@ -1538,7 +1603,7 @@ impl Ffs {
             return Err(FsError::Exists);
         }
         self.mark_dirty(&mut inner);
-        let ino = self.alloc_inode(&mut inner)?;
+        let ino = self.alloc_inode(&mut inner, self.layout.inode_group(dir))?;
         let tick = inner.tick;
         let mut inode = self.read_inode(ino);
         inode.mode = FileKind::Regular.mode_bits() | (mode & 0o7777);
@@ -1573,7 +1638,8 @@ impl Ffs {
             return Err(FsError::Exists);
         }
         self.mark_dirty(&mut inner);
-        let ino = self.alloc_inode(&mut inner)?;
+        let group = self.emptiest_group(&inner);
+        let ino = self.alloc_inode(&mut inner, group)?;
         let tick = inner.tick;
         let mut inode = self.read_inode(ino);
         inode.mode = FileKind::Directory.mode_bits() | (mode & 0o7777);
@@ -1624,7 +1690,7 @@ impl Ffs {
             return Err(FsError::Exists);
         }
         self.mark_dirty(&mut inner);
-        let ino = self.alloc_inode(&mut inner)?;
+        let ino = self.alloc_inode(&mut inner, self.layout.inode_group(dir))?;
         let tick = inner.tick;
         let mut inode = self.read_inode(ino);
         inode.mode = FileKind::Symlink.mode_bits() | 0o777;
@@ -1634,7 +1700,7 @@ impl Ffs {
         inode.atime = tick;
         inode.mtime = tick;
         inode.ctime = tick;
-        self.write_inode_data(&mut inner, &mut inode, 0, target.as_bytes())?;
+        self.write_inode_data(&mut inner, ino, &mut inode, 0, target.as_bytes())?;
         self.write_inode(ino, &inode);
         self.add_entry(&mut inner, dir, name, ino)?;
         Ok(ino)
@@ -1862,7 +1928,7 @@ impl Ffs {
             return Err(FsError::IsDir);
         }
         self.mark_dirty(&mut inner);
-        self.write_inode_data(&mut inner, &mut inode, offset, data)?;
+        self.write_inode_data(&mut inner, ino, &mut inode, offset, data)?;
         inner.tick += 1;
         inode.mtime = inner.tick;
         inode.ctime = inner.tick;

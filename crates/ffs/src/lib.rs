@@ -18,6 +18,21 @@
 //! An [`fsck`][Ffs::check]-style invariant checker backs the property
 //! tests.
 //!
+//! **Allocation groups**, the role of FFS's cylinder groups (McKusick
+//! et al., "A Fast File System for UNIX", 1984). The data region is
+//! split into equal groups of 1 024 blocks (8 MiB), the last taking the
+//! remainder, and the inode table into as many ranges;
+//! [`FsConfig::small`] is one group, [`FsConfig::standard`] 31. The
+//! groups follow from the geometry the superblock records, so nothing
+//! about them is on disk. A new directory's inode goes in the group
+//! with the fewest used data blocks (BSD's dirpref), a file's or
+//! symlink's in its directory's group. A block goes right after the
+//! file's previous block when that is mapped, otherwise first-free
+//! from the start of the inode's group (blkpref). So a directory's
+//! block heads a group and its files follow it in the order they were
+//! written, and a large file stays one ascending run across groups with
+//! its pointer blocks inline: there is no per-file limit per group.
+//!
 //! # Storage backends
 //!
 //! The filesystem is written against the [`BlockStore`] trait from the
@@ -107,22 +122,28 @@
 //! the timed disk a warm LOOKUP costs no disk time, so the head stays
 //! on the file blocks: the Figure 12 walk (`meta_walk`: READDIR, then
 //! LOOKUP + READ per file) went from a 14 ms seek on every one of its
-//! 784 operations (14 756 µs per operation) to one seek per directory
-//! (1 299 µs). On a remote volume a READ behind an indirect pointer is
-//! one RPC instead of two (`repl_mixed`: 1.62 → 0.63 RPCs per
-//! operation, 61 → 28 µs under the lock).
+//! 784 operations (14 756 µs per operation) to two seeks per directory,
+//! 32 a cycle (1 299 µs): its tree makes the 16 directories before
+//! their files, and with one allocation cursor their blocks sat
+//! together, away from the files. With allocation groups each
+//! directory's block heads its own run of files, and the walk pays one
+//! seek per directory (1 012 µs; disk 852 → 565 µs per operation). On
+//! a remote volume a READ behind an indirect pointer is one RPC instead
+//! of two (`repl_mixed`: 1.62 → 0.63 RPCs per operation, 61 → 28 µs
+//! under the lock).
 //!
 //! **READDIR still reads the disk**, and refreshes the name cache from
 //! what it read — as 4.4BSD's name cache serves `namei`, not
-//! `getdirentries`. Serving READDIR from the cache too was measured:
-//! the walk drops to 732 µs per operation, but with the disk nearly
-//! gone what DisCFS adds to CFS-NE — mostly the 200 µs KeyNote charge
-//! on a policy-cache miss, which a third of the walk's decisions are
-//! (400 handles cycling through 128 LRU entries) — is 15 % of what is
-//! left: DisCFS/CFS-NE reads 1.173 in virtual time and the
-//! benchmark's own 0.85–1.15 check fails the run. That is a finding
-//! about the policy cache (ROADMAP), not something to hide here; CI
-//! runs the traced walk on every PR.
+//! `getdirentries`. Serving READDIR from the cache too was measured.
+//! Since the directory's block heads the run of its files' blocks,
+//! that saves one block transfer per directory, not a seek: the walk
+//! drops from 1 012 to 1 001 µs per operation (disk 565 → 554), and
+//! DisCFS/CFS-NE reads 1.121 in virtual time against 1.120. (Before
+//! allocation groups it saved a seek as well, 1 299 → 732 µs, and the
+//! ratio reached 1.173, outside the benchmark's 0.85–1.15 check: with
+//! the disk nearly gone, the 200 µs KeyNote charge on the third of the
+//! walk's decisions that miss the 128-entry policy cache was 15 % of
+//! what was left.) CI runs the traced walk on every PR.
 //!
 //! # Persistence lifecycle
 //!

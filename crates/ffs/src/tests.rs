@@ -718,3 +718,133 @@ mod cache_accounting {
         assert_eq!((stats.ptr_misses, stats.ptr_hits), (1, 1));
     }
 }
+
+// -- allocation groups: where inodes and blocks go on a many-group volume ---
+
+mod allocation_groups {
+    use netsim::SimClock;
+
+    use crate::{DiskModel, Ffs, FsConfig, BLOCK_SIZE};
+
+    /// Used data blocks in group `g`.
+    fn used_in_group(fs: &Ffs, g: u64) -> usize {
+        let (_, block_bitmap, ..) = fs.bitmaps();
+        let blocks = fs.layout().group_data(g);
+        block_bitmap[blocks.start as usize..blocks.end as usize]
+            .iter()
+            .filter(|&&used| used)
+            .count()
+    }
+
+    /// Directories made before their files, as `meta_walk`'s tree is:
+    /// each directory's block heads its own group and its files follow
+    /// it, so READDIR and the READs after it are one run.
+    #[test]
+    fn a_directory_made_before_its_files_reads_as_one_run() {
+        const DIRS: usize = 4;
+        const FILES: usize = 24;
+        let clock = SimClock::new();
+        let fs = Ffs::format_timed(&clock, FsConfig::standard());
+        let dirs: Vec<_> = (0..DIRS)
+            .map(|d| fs.mkdir(fs.root(), &format!("d{d}"), 0o755, 0, 0).unwrap())
+            .collect();
+        let files: Vec<Vec<_>> = dirs
+            .iter()
+            .map(|&dir| {
+                (0..FILES)
+                    .map(|f| fs.create(dir, &format!("f{f}"), 0o644, 0, 0).unwrap())
+                    .collect()
+            })
+            .collect();
+        for (d, inos) in files.iter().enumerate() {
+            for (f, &ino) in inos.iter().enumerate() {
+                fs.write(ino, 0, &vec![(d * FILES + f) as u8; BLOCK_SIZE])
+                    .unwrap();
+            }
+        }
+        let t0 = clock.now();
+        for (d, &dir) in dirs.iter().enumerate() {
+            assert_eq!(fs.readdir(dir).unwrap().len(), FILES + 2);
+            for f in 0..FILES {
+                let ino = fs.lookup(dir, &format!("f{f}")).unwrap();
+                assert_eq!(
+                    fs.read(ino, 0, BLOCK_SIZE).unwrap(),
+                    vec![(d * FILES + f) as u8; BLOCK_SIZE]
+                );
+            }
+        }
+        assert_eq!(
+            clock.now() - t0,
+            DiskModel::quantum_fireball_ct10().run_cost(FILES + 1) * DIRS as u32
+        );
+    }
+
+    #[test]
+    fn files_go_in_their_directorys_group_and_directories_in_the_emptiest() {
+        let fs = Ffs::format_in_memory(FsConfig::standard());
+        let group = |ino| fs.layout().inode_group(ino);
+        let root = fs.root();
+        // Group 0 holds the root directory's block; the rest are empty.
+        let a = fs.mkdir(root, "a", 0o755, 0, 0).unwrap();
+        assert_eq!(group(a), 1);
+        let f = fs.create(a, "f", 0o644, 0, 0).unwrap();
+        let l = fs.symlink(a, "l", "f", 0, 0).unwrap();
+        assert_eq!((group(f), group(l)), (1, 1));
+        fs.write(f, 0, &vec![1u8; 4 * BLOCK_SIZE]).unwrap();
+        // The directory's block, the link's and the file's four.
+        assert_eq!(used_in_group(&fs, 1), 6);
+        // A subdirectory goes to the emptiest group too, not its parent's.
+        let b = fs.mkdir(a, "b", 0o755, 0, 0).unwrap();
+        assert_eq!(group(b), 2);
+        let c = fs.mkdir(root, "c", 0o755, 0, 0).unwrap();
+        assert_eq!(group(c), 3);
+        // Emptied, group 1 is again the lowest of the emptiest.
+        fs.unlink(a, "f").unwrap();
+        fs.unlink(a, "l").unwrap();
+        fs.rmdir(a, "b").unwrap();
+        fs.rmdir(root, "a").unwrap();
+        assert_eq!(used_in_group(&fs, 1), 0);
+        let d = fs.mkdir(root, "d", 0o755, 0, 0).unwrap();
+        assert_eq!(group(d), 1);
+        assert_eq!(group(fs.create(c, "g", 0o644, 0, 0).unwrap()), 3);
+        fs.check().unwrap();
+    }
+
+    /// A root file written in order, as `seq_read`'s and `repl_mixed`'s
+    /// are, runs on past the end of the root's group: one ascending
+    /// extent from the block after the root directory's, with its
+    /// indirect block between file blocks 11 and 12.
+    #[test]
+    fn a_root_file_written_in_order_is_one_extent_across_groups() {
+        let fs = Ffs::format_in_memory(FsConfig::standard());
+        let data_start = fs.data_start();
+        let blocks = fs.layout().group_data(1).start - data_start + 64;
+        let ino = fs.create(fs.root(), "big", 0o644, 0, 0).unwrap();
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        for fbn in 0..blocks {
+            buf[..8].copy_from_slice(&fbn.to_be_bytes());
+            fs.write(ino, fbn * BLOCK_SIZE as u64, &buf).unwrap();
+        }
+        let indirect = data_start + 1 + 12;
+        let block_of = |fbn: u64| data_start + 1 + fbn + u64::from(fbn >= 12);
+        let disk = fs.disk();
+        for fbn in 0..blocks {
+            let raw = disk.read_block_meta(block_of(fbn));
+            assert_eq!(raw[..8], fbn.to_be_bytes(), "file block {fbn}");
+        }
+        let pointers = disk.read_block_meta(indirect);
+        for fbn in [12, blocks - 1] {
+            let at = (fbn - 12) as usize * 4;
+            let ptr = u32::from_be_bytes(pointers[at..at + 4].try_into().unwrap());
+            assert_eq!(u64::from(ptr), block_of(fbn));
+        }
+        // Nothing else is allocated.
+        let (_, block_bitmap, ..) = fs.bitmaps();
+        let last = block_bitmap.iter().rposition(|&used| used).unwrap() as u64;
+        assert_eq!(last, block_of(blocks - 1));
+        assert_eq!(
+            fs.statfs().free_blocks,
+            fs.statfs().total_blocks - (blocks + 2)
+        );
+    }
+}
