@@ -3,9 +3,9 @@
 //! Paper §4.2: *"The system may not know that Alice is trying to get at
 //! a file, but it can log that key A (Alice's key) was used and that
 //! key B (Bob's key) authorized the operation."* Every access decision
-//! is recorded with the requesting key and the issuer keys of the
-//! credentials that were in the session when the decision was made —
-//! the delegation evidence an operator reconstructs chains from.
+//! is recorded with the requesting key and the distinct issuer keys of
+//! the credentials that were in the session when the decision was made
+//! — the delegation evidence an operator reconstructs chains from.
 //!
 //! # Concurrency
 //!
@@ -20,11 +20,15 @@
 //!
 //! A record is stored in binary — the requester's 32 key bytes, a
 //! static operation name, the handle's `(inode, generation)` pair and a
-//! shared [`Arc`] handle to the peer's authorizer keys, built once per
-//! credential change by the server — so an append allocates nothing
-//! and a full ring stays well under 1 MB however many sessions pass
-//! through it. Hex and principal strings are rendered by the accessor
-//! methods, when somebody reads the log.
+//! shared [`Arc`] handle to the peer's authorizer set, which the server
+//! replaces only when a credential change adds an issuer or removes
+//! one's last credential — so an append allocates nothing. The bound is
+//! `capacity` slots of at most 200 bytes each (800 KiB at the server's
+//! 4 096), plus one `Arc` (16 bytes, and 32 a key) for each distinct
+//! issuer set some retained record still references. A new set comes
+//! with a new issuer, not with each credential: a creator given a fresh
+//! credential per file keeps sharing one set. Hex and principal strings
+//! are rendered by the accessor methods, when somebody reads the log.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,7 +65,7 @@ pub struct AuditRecord {
     pub granted: Perm,
     /// Whether the operation proceeded.
     pub allowed: bool,
-    authorizers: Arc<[VerifyingKey]>,
+    pub(crate) authorizers: Arc<[VerifyingKey]>,
 }
 
 impl AuditRecord {
@@ -86,7 +90,8 @@ impl AuditRecord {
     }
 
     /// Principal strings of the credential issuers in the session when
-    /// the decision was made ("key B" and any other links of the chain).
+    /// the decision was made ("key B" and any other links of the chain):
+    /// each issuer once, sorted, as the server records them.
     pub fn authorizers(&self) -> Vec<String> {
         self.authorizers.iter().map(key_principal).collect()
     }
@@ -109,7 +114,7 @@ impl AuditLog {
 
     /// Appends an access decision (overwriting the oldest record when
     /// full). `handle` is the `(inode, generation)` pair; `authorizers`
-    /// is the peer's shared issuer-key list, cloned per record as a
+    /// is the peer's shared issuer-key set, cloned per record as a
     /// refcount bump.
     #[allow(clippy::too_many_arguments)]
     pub fn record(

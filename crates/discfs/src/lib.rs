@@ -53,9 +53,10 @@
 //! * **Ring audit log** — [`audit::AuditLog`] is a fixed-capacity ring
 //!   with an atomic cursor and per-slot locks; records are binary
 //!   (key bytes, static op name, `(inode, generation)`) and the
-//!   authorizer key list is a shared handle cached per peer, rebuilt
-//!   only when the credential set changes, so an append allocates
-//!   nothing and hex is rendered only when the log is read.
+//!   authorizer keys — the distinct issuers of the peer's credentials —
+//!   are a shared handle cached per peer, replaced only when that set
+//!   changes, so an append allocates nothing and hex is rendered only
+//!   when the log is read.
 //!
 //! The invariants, pinned by `server::AuthStats` counters in tests:
 //!

@@ -120,32 +120,30 @@ struct PeerState {
     /// The persistent KeyNote session — locked only on cache misses
     /// and credential mutations, never on the cache-hit path.
     session: Mutex<Session>,
-    /// Cached audit authorizer list (issuer keys of the session's
-    /// credentials), rebuilt only when the credential set changes —
-    /// i.e. exactly when `epoch` bumps. Appending an audit record is a
-    /// refcount bump, not a re-serialization of every credential.
+    /// The audit authorizer set: the distinct issuer keys of the
+    /// session's credentials, sorted. Replaced only when that set
+    /// changes, so every audit record between two changes shares one
+    /// allocation, and appending a record is a refcount bump.
     authorizers: RwLock<Arc<[VerifyingKey]>>,
 }
 
 impl PeerState {
-    /// The shared authorizer-list handle for audit records.
+    /// The shared authorizer-set handle for audit records.
     fn authorizers(&self) -> Arc<[VerifyingKey]> {
         self.authorizers.read().clone()
     }
 
-    /// Rebuilds the cached authorizer list from `session` and bumps the
-    /// credential epoch. Call with the session mutated (credential
-    /// added or purged) while still holding its lock, so a concurrent
-    /// miss that observes the new epoch also observes the new
-    /// credential set.
+    /// Bumps the credential epoch, and replaces the authorizer set if
+    /// the change added an issuer or removed one's last credential.
+    /// Call with the session mutated (credential added or purged) while
+    /// still holding its lock, so a concurrent miss that observes the
+    /// new epoch also observes the new credential set.
     fn credentials_changed(&self, session: &Session) {
-        // Every credential in a session passed `Assertion::verify`, so
-        // its authorizer is a key.
-        *self.authorizers.write() = session
-            .credentials()
-            .iter()
-            .filter_map(|a| a.authorizer().as_key().copied())
-            .collect();
+        let mut issuers: Vec<VerifyingKey> = session.credential_issuers().copied().collect();
+        issuers.sort_unstable();
+        if **self.authorizers.read() != issuers[..] {
+            *self.authorizers.write() = issuers.into();
+        }
         self.epoch.fetch_add(1, Ordering::Release);
     }
 }
@@ -499,7 +497,7 @@ impl DiscfsService {
         let allowed = granted.contains(required);
         // Log "key A was used and key B authorized" (§4.2): the issuers
         // of the session's credentials are the candidate authorizers —
-        // a cached shared handle, rebuilt only on credential changes.
+        // a shared handle, replaced only when the issuer set changes.
         let (_, ino, generation) = fh.unpack();
         self.audit.record(
             self.env_time.load(Ordering::Relaxed),
@@ -854,5 +852,116 @@ impl DiscfsService {
             }
             _ => Err(AcceptStat::ProcUnavail),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ffs::FsConfig;
+    use keynote::key_principal;
+
+    fn key(seed: u8) -> SigningKey {
+        SigningKey::from_seed(&[seed; 32])
+    }
+
+    /// The admin, the peer every test audits, and two more issuers.
+    fn keys() -> [SigningKey; 4] {
+        [key(0xAD), key(2), key(3), key(4)]
+    }
+
+    /// A service on an in-memory volume whose admin is `key(0xAD)`.
+    fn service() -> DiscfsService {
+        let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
+        DiscfsService::new(fs, DiscfsConfig::standard(key(0xAD).public(), key(0x5E)))
+    }
+
+    /// Submits to `peer`'s session a grant of R on `ino` from `issuer`
+    /// to `holder`.
+    fn submit(
+        service: &DiscfsService,
+        peer: &SigningKey,
+        issuer: &SigningKey,
+        holder: &SigningKey,
+        ino: u32,
+    ) {
+        let text = CredentialIssuer::new(issuer)
+            .holder(&holder.public())
+            .grant(&FHandle::pack(1, ino, 1), Perm::R)
+            .issue();
+        let status = service.submit_credential(&peer.public(), &text);
+        assert_eq!(status, DiscfsRpcStatus::Ok);
+    }
+
+    /// Audits one READ of inode 1 by `peer` and returns its record.
+    fn audited_read(service: &DiscfsService, peer: &SigningKey) -> crate::audit::AuditRecord {
+        let ctx = RequestCtx {
+            peer: Some(peer.public()),
+            uid: u32::MAX,
+            gid: u32::MAX,
+        };
+        let _ = service.authorize(&ctx, &FHandle::pack(1, 1, 1), Perm::R, "read");
+        service
+            .audit()
+            .records()
+            .pop()
+            .expect("the read was audited")
+    }
+
+    fn principals(keys: &[&SigningKey]) -> Vec<String> {
+        let mut names: Vec<String> = keys.iter().map(|k| key_principal(&k.public())).collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn audit_records_each_issuer_once_sorted() {
+        let service = service();
+        let [admin, bob, carol, _] = keys();
+        submit(&service, &bob, &admin, &carol, 1);
+        submit(&service, &bob, &carol, &bob, 1);
+        submit(&service, &bob, &admin, &bob, 2);
+        let record = audited_read(&service, &bob);
+        assert_eq!(record.authorizers(), principals(&[&admin, &carol]));
+    }
+
+    #[test]
+    fn records_share_one_issuer_set_until_an_issuer_joins() {
+        let service = service();
+        let [admin, bob, _, dave] = keys();
+        submit(&service, &bob, &admin, &bob, 1);
+        let first = audited_read(&service, &bob);
+        let second = audited_read(&service, &bob);
+        assert!(Arc::ptr_eq(&first.authorizers, &second.authorizers));
+
+        // A known issuer: the epoch moves, the set does not.
+        let state = service.peer_state(&bob.public());
+        let epoch = state.epoch.load(Ordering::Acquire);
+        submit(&service, &bob, &admin, &bob, 2);
+        assert_eq!(state.epoch.load(Ordering::Acquire), epoch + 1);
+        let known = audited_read(&service, &bob);
+        assert!(Arc::ptr_eq(&first.authorizers, &known.authorizers));
+
+        // A new issuer replaces it.
+        submit(&service, &bob, &dave, &bob, 3);
+        let joined = audited_read(&service, &bob);
+        assert!(!Arc::ptr_eq(&first.authorizers, &joined.authorizers));
+        assert_eq!(joined.authorizers(), principals(&[&admin, &dave]));
+    }
+
+    #[test]
+    fn a_purged_issuer_leaves_later_records() {
+        let service = service();
+        let [admin, bob, carol, _] = keys();
+        submit(&service, &bob, &admin, &bob, 1);
+        submit(&service, &bob, &carol, &bob, 2);
+        let before = audited_read(&service, &bob);
+        assert_eq!(before.authorizers(), principals(&[&admin, &carol]));
+
+        service.revoke_key(&carol.public(), None);
+        let after = audited_read(&service, &bob);
+        assert_eq!(after.authorizers(), principals(&[&admin]));
+        // The record made before the purge keeps what it saw.
+        assert_eq!(before.authorizers(), principals(&[&admin, &carol]));
     }
 }

@@ -1,0 +1,94 @@
+//! What one session makes the server hold, measured: a creator that
+//! receives a fresh credential for each of 1 000 files costs the
+//! process a bounded number of bytes per credential (the client
+//! wallet's copy plus the server session's), and little beyond its
+//! files once it has disconnected. While every audit record pinned a
+//! list of one issuer per credential, a session's memory grew with the
+//! square of its credentials: 18 KB a create here, and 16 MB stayed in
+//! the audit ring after the client left.
+//!
+//! A test binary of its own, because it installs a global allocator
+//! that counts live bytes. The server allocates on its engine threads,
+//! so the count is process-wide; this binary runs one test.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::time::{Duration, Instant};
+
+use discfs::Testbed;
+use discfs_crypto::ed25519::SigningKey;
+
+struct LiveBytes;
+
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+// SAFETY: delegates to the system allocator unchanged; the counter is a
+// static atomic, which neither allocates nor can be gone when accessed.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+fn live() -> i64 {
+    LIVE.load(Ordering::Relaxed)
+}
+
+const CREATES: i64 = 1000;
+
+#[test]
+fn a_session_grows_linearly_in_its_credentials_and_leaves_little_behind() {
+    let bed = Testbed::new();
+    let before_connect = live();
+    let mut client = bed
+        .connect_owner(&SigningKey::from_seed(&[0xC0; 32]))
+        .unwrap();
+    let root = client.remote().root();
+
+    let before_creates = live();
+    for i in 0..CREATES {
+        client
+            .create_with_credential(&root, &format!("f{i:04}"), 0o644)
+            .unwrap();
+    }
+    let per_create = (live() - before_creates) / CREATES;
+    assert!(
+        per_create <= 4 << 10,
+        "live heap grew {per_create} bytes a create over {CREATES} creates"
+    );
+
+    drop(client);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while bed.service().peer_session_count() != 0 {
+        assert!(Instant::now() < deadline, "the session outlived its client");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let retained = live() - before_connect;
+
+    // The files stay, and so does what the volume spent on them: since
+    // the simulated disk shares zero blocks, the inode-table blocks the
+    // creates filled (8 KiB for every 32 files) are new heap. Price that
+    // by making as many files again straight on the volume, with no
+    // session, and allow the session 256 KiB beyond it.
+    let fs = bed.fs();
+    let before_files = live();
+    for i in 0..CREATES {
+        fs.create(fs.root(), &format!("g{i:04}"), 0o644, 0, 0)
+            .unwrap();
+    }
+    let files = live() - before_files;
+    assert!(
+        retained - files <= 256 << 10,
+        "{retained} live heap bytes remain after the client disconnected, \
+         {files} of them the price of its files"
+    );
+}

@@ -289,6 +289,16 @@ impl Session {
         &self.credentials
     }
 
+    /// The keys that signed the session's credentials, each once however
+    /// many credentials it signed, in no particular order. Read off the
+    /// per-authorizer index, so the cost follows the number of distinct
+    /// issuers, not of credentials.
+    pub fn credential_issuers(&self) -> impl Iterator<Item = &VerifyingKey> {
+        // Policies are all authorized by `POLICY`, and every credential
+        // by a key: the keys are exactly the credential issuers.
+        self.delegations.ids.keys().filter_map(Principal::as_key)
+    }
+
     /// Drops credentials for which `keep` returns false (used by the
     /// DisCFS revocation path).
     pub fn retain_credentials<F: FnMut(&Assertion) -> bool>(&mut self, keep: F) {
@@ -769,6 +779,29 @@ mod tests {
         let revoked = Assertion::parse(&cred).unwrap();
         s.retain_credentials(|a| a.id() != revoked.id());
         assert!(s.query().unwrap().is_min());
+    }
+
+    #[test]
+    fn credential_issuers_are_distinct_and_follow_retain() {
+        let mut s = discfs_session("8");
+        let issuers = |s: &Session| {
+            let mut keys: Vec<VerifyingKey> = s.credential_issuers().copied().collect();
+            keys.sort();
+            keys
+        };
+        assert!(issuers(&s).is_empty(), "the policy's POLICY is no issuer");
+        s.add_credential(&discfs_cred(&admin(), &bob(), "8", "RW"))
+            .unwrap();
+        s.add_credential(&discfs_cred(&admin(), &bob(), "9", "R"))
+            .unwrap();
+        s.add_credential(&discfs_cred(&bob(), &alice(), "8", "R"))
+            .unwrap();
+        let mut both = vec![admin().public(), bob().public()];
+        both.sort();
+        assert_eq!(issuers(&s), both);
+        // Bob's only credential goes, and with it Bob as an issuer.
+        s.retain_credentials(|a| a.authorizer().as_key() != Some(&bob().public()));
+        assert_eq!(issuers(&s), vec![admin().public()]);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! allocates no block. Before PR 3 every read built a fresh 8 KB `Vec`;
 //! now it clones a refcount into the `Vec` of handles a read returns
 //! (32 bytes a handle): at most 128 bytes for each layer it crosses.
+//! The simulated disk copies no write of zeros either: such a block is
+//! the shared zero block.
 //!
 //! A test binary of its own, because it installs a byte-counting global
 //! allocator. The count lives in a `const`-initialised thread-local, so
@@ -47,6 +49,32 @@ fn sharded_sim(shards: usize, total: u64) -> ShardedStore {
             .collect(),
         total,
     )
+}
+
+#[test]
+fn zero_writes_share_the_zero_block() {
+    let store = SimStore::untimed(BLOCKS);
+    let zeros = vec![0u8; BLOCK_SIZE];
+    let mut one = zeros.clone();
+    one[BLOCK_SIZE - 1] = 1;
+    let before = ALLOC_BYTES.with(Cell::get);
+    for i in 0..BLOCKS {
+        store.write_block(i, &zeros);
+    }
+    let zero_writes = ALLOC_BYTES.with(Cell::get) - before;
+    assert!(
+        zero_writes < BLOCK_SIZE as u64,
+        "{BLOCKS} all-zero writes allocated {zero_writes} bytes"
+    );
+    let before = ALLOC_BYTES.with(Cell::get);
+    store.write_block(7, &one);
+    let one_write = ALLOC_BYTES.with(Cell::get) - before;
+    assert!(
+        (BLOCK_SIZE as u64..2 * BLOCK_SIZE as u64).contains(&one_write),
+        "a non-zero write allocated {one_write} bytes, not one block"
+    );
+    assert_eq!(store.read_block(7), one);
+    assert_eq!(store.read_block(8), zeros);
 }
 
 #[test]
