@@ -204,27 +204,38 @@ impl NfsService for CfsService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use discfs_crypto::ed25519::SigningKey;
     use ffs::FsConfig;
     use ipsec::PlainChannel;
     use netsim::{Link, SimClock};
-    use nfsv2::{NfsClient, RemoteFs};
+    use nfsv2::{Engine, EngineConfig, NfsClient, RemoteFs};
 
-    fn setup(cipher: Option<CfsCipher>) -> (RemoteFs, Arc<Ffs>) {
-        let clock = SimClock::new();
-        let (client_end, server_end) = Link::loopback(&clock);
+    /// Serves `service` to a fresh client over a plain channel. The
+    /// engine must outlive the client: dropping it shuts the server
+    /// down. A plain channel runs no handshake, so the key signs
+    /// nothing.
+    fn serve(service: Arc<CfsService>) -> (RemoteFs, Engine) {
+        let (client_end, server_end) = Link::loopback(&SimClock::new());
+        let identity = SigningKey::from_seed(&[0x5E; 32]);
+        let engine = Engine::start(service, identity, EngineConfig::default());
+        engine.accept_channel(Box::new(PlainChannel::new(server_end)));
+        let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
+        (RemoteFs::mount(client, "/").unwrap(), engine)
+    }
+
+    fn setup(cipher: Option<CfsCipher>) -> (RemoteFs, Arc<Ffs>, Engine) {
         let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
         let service = Arc::new(match cipher {
             Some(c) => CfsService::encrypting(fs.clone(), 1, c),
             None => CfsService::passthrough(fs.clone(), 1),
         });
-        nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
-        let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
-        (RemoteFs::mount(client, "/").unwrap(), fs)
+        let (remote, engine) = serve(service);
+        (remote, fs, engine)
     }
 
     #[test]
     fn passthrough_stores_plaintext() {
-        let (remote, fs) = setup(None);
+        let (remote, fs, _engine) = setup(None);
         remote.write_file("plain.txt", b"visible bytes").unwrap();
         let ino = fs.lookup(fs.root(), "plain.txt").unwrap();
         assert_eq!(fs.read(ino, 0, 100).unwrap(), b"visible bytes");
@@ -232,7 +243,7 @@ mod tests {
 
     #[test]
     fn encrypting_stores_ciphertext() {
-        let (remote, fs) = setup(Some(CfsCipher::new(&[7; 32])));
+        let (remote, fs, _engine) = setup(Some(CfsCipher::new(&[7; 32])));
         remote.write_file("secret.txt", b"hidden bytes!").unwrap();
 
         // The client sees plaintext.
@@ -257,7 +268,7 @@ mod tests {
 
     #[test]
     fn random_access_through_encryption() {
-        let (remote, _) = setup(Some(CfsCipher::new(&[8; 32])));
+        let (remote, _, _engine) = setup(Some(CfsCipher::new(&[8; 32])));
         let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
         let fh = remote.write_file("big.bin", &payload).unwrap();
         // Unaligned mid-file read.
@@ -273,7 +284,7 @@ mod tests {
 
     #[test]
     fn directories_and_dot_entries() {
-        let (remote, _) = setup(Some(CfsCipher::new(&[9; 32])));
+        let (remote, _, _engine) = setup(Some(CfsCipher::new(&[9; 32])));
         remote.mkdir_path("projects").unwrap();
         remote
             .write_file("projects/paper.tex", b"\\begin{document}")
@@ -293,14 +304,10 @@ mod tests {
 
     #[test]
     fn mount_translates_encrypted_paths() {
-        let clock = SimClock::new();
-        let (client_end, server_end) = Link::loopback(&clock);
         let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
         let cipher = CfsCipher::new(&[10; 32]);
         let service = Arc::new(CfsService::encrypting(fs.clone(), 1, cipher.clone()));
-        nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
-        let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
-        let remote = RemoteFs::mount(client, "/").unwrap();
+        let (remote, _engine) = serve(service);
         remote.mkdir_path("exported").unwrap();
         // Mounting the subdirectory by its *plain* name works.
         let fh = remote.client().mount("/exported").unwrap();
@@ -310,7 +317,7 @@ mod tests {
 
     #[test]
     fn symlink_targets_encrypted() {
-        let (remote, fs) = setup(Some(CfsCipher::new(&[11; 32])));
+        let (remote, fs, _engine) = setup(Some(CfsCipher::new(&[11; 32])));
         remote
             .client()
             .symlink(&remote.root(), "ln", "target-name", &Sattr::unchanged())
@@ -330,29 +337,22 @@ mod tests {
     #[test]
     fn wrong_key_sees_garbage() {
         // Write with key A, then serve the same volume with key B.
-        let clock = SimClock::new();
         let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
         {
-            let (client_end, server_end) = Link::loopback(&clock);
             let service = Arc::new(CfsService::encrypting(
                 fs.clone(),
                 1,
                 CfsCipher::new(&[1; 32]),
             ));
-            nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
-            let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
-            let remote = RemoteFs::mount(client, "/").unwrap();
+            let (remote, _engine) = serve(service);
             remote.write_file("doc.txt", b"plaintext body").unwrap();
         }
-        let (client_end, server_end) = Link::loopback(&clock);
         let service = Arc::new(CfsService::encrypting(
             fs.clone(),
             1,
             CfsCipher::new(&[2; 32]),
         ));
-        nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
-        let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
-        let remote = RemoteFs::mount(client, "/").unwrap();
+        let (remote, _engine) = serve(service);
         // The name does not decrypt under key B: shown in stored form.
         let names = remote.client().readdir_all(&remote.root()).unwrap();
         let foreign = names

@@ -1,11 +1,9 @@
 //! The event-driven request engine: thousands of connections, a fixed
 //! thread pool.
 //!
-//! The thread-per-connection loop in [`server`](crate::server) matches
-//! the paper's user-level daemon but cannot host fleet-scale traffic —
-//! 10 000 clients would mean 10 000 server threads. The [`Engine`]
-//! replaces it with an epoll-style architecture on the simulated
-//! network:
+//! The [`Engine`] is the crate's NFS server: the paper's user-level
+//! daemon, built so that 10 000 clients do not mean 10 000 server
+//! threads. It is an epoll-style architecture on the simulated network:
 //!
 //! * **One readiness loop thread** blocks on a [`netsim::ReadySet`]
 //!   that every registered channel pokes when a message lands. Per
@@ -23,24 +21,30 @@
 //!   serves at most [`EngineConfig::batch`] requests per scheduling
 //!   quantum, then requeues the connection behind everyone else —
 //!   round-robin over connections, so one busy peer cannot starve the
-//!   rest. All replies of a quantum are encoded into a single framed
-//!   buffer and sent as one transport message (one ESP seal per batch).
+//!   rest. Each request is routed into the [`NfsService`] by the
+//!   engine's private `dispatch` module. All replies of a quantum are
+//!   encoded into a single framed buffer and sent as one transport
+//!   message (one ESP seal per batch).
 //! * **Backpressure**: when a connection's queue reaches
 //!   [`EngineConfig::queue_bound`], the loop stops draining its channel
 //!   — excess requests stay "in the network" and the sender eventually
 //!   stalls on its own unacknowledged pipeline. A slow-loris client
 //!   sheds its *own* load; a worker un-pauses the connection the next
 //!   time it frees queue space. Memory per connection is O(bound).
-//! * **Malformed input**: a frame that declares an oversized length or
-//!   fails its checksum — or a broken ESP record stream — condemns the
-//!   connection. It is dropped cleanly (the service's
-//!   `connection_aborted` + `connection_closed` hooks fire, so DisCFS
-//!   audits the event) and neighbors never notice.
+//! * **Malformed input**: a frame that declares a length over
+//!   [`frame::DEFAULT_MAX_FRAME`] or fails its checksum — or a broken
+//!   ESP record stream — condemns the connection. It is dropped cleanly
+//!   (the service's `connection_aborted` + `connection_closed` hooks
+//!   fire, so DisCFS audits the event) and neighbors never notice. A
+//!   well-formed frame that is not an RPC call is skipped, and the
+//!   connection lives on.
 //!
 //! [`Engine::shutdown`] quiesces in order: stop the loop (no new input),
 //! serve every already-queued request, join all threads. Only then may
 //! the owner sync and drop the store underneath — the join-before-sync
 //! discipline `Testbed::reboot` relies on.
+
+pub(crate) mod dispatch;
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -56,8 +60,8 @@ use netsim::{Endpoint, ReadySet};
 use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::RpcCallView;
 
-use crate::server::{dispatch, request_ctx};
 use crate::service::{NfsService, RequestCtx};
+use dispatch::{dispatch, request_ctx};
 
 /// Sizing knobs for an [`Engine`].
 #[derive(Debug, Clone, Copy)]
@@ -71,8 +75,6 @@ pub struct EngineConfig {
     /// Max requests a worker serves for one connection per scheduling
     /// quantum before yielding to others.
     pub batch: usize,
-    /// Per-frame payload bound handed to each connection's decoder.
-    pub max_frame: usize,
     /// Seed base for the responder-side handshake RNGs.
     pub handshake_seed: u64,
 }
@@ -83,7 +85,6 @@ impl Default for EngineConfig {
             workers: 4,
             queue_bound: 64,
             batch: 32,
-            max_frame: frame::DEFAULT_MAX_FRAME,
             handshake_seed: 0x5EED_E4614E,
         }
     }
@@ -505,7 +506,7 @@ impl Shared {
             token,
             peer: chan.peer_identity(),
             chan,
-            decoder: Mutex::new(FrameDecoder::with_max_frame(self.config.max_frame)),
+            decoder: Mutex::new(FrameDecoder::new()),
             queue: Mutex::new(VecDeque::new()),
             high_water: AtomicUsize::new(0),
             scheduled: AtomicBool::new(false),
@@ -550,7 +551,7 @@ impl Shared {
             for req in &batch {
                 let Ok(call) = RpcCallView::decode(req) else {
                     // Garbage that framed correctly but is not a call is
-                    // ignored, as in the legacy loop.
+                    // ignored; the connection lives on.
                     continue;
                 };
                 let ctx = request_ctx(conn.peer, &call.cred);

@@ -1,5 +1,5 @@
-//! NFSv2 + MOUNT: protocol types, a generic user-level server loop, a
-//! typed client, and a plain export of the `ffs` volume.
+//! NFSv2 + MOUNT: protocol types, the request engine that serves them,
+//! a typed client, and a plain export of the `ffs` volume.
 //!
 //! The paper's prototype is "a modified user-level NFS server" (§1);
 //! this crate supplies the unmodified parts of that stack so `cfs` and
@@ -8,10 +8,11 @@
 //! * [`proto`] — RFC 1094 wire types, including the 32-byte file handle
 //!   carrying `(fsid, inode, generation)`.
 //! * [`NfsService`] — the dispatch trait servers implement.
-//! * [`server`] — the per-connection RPC loop over any
-//!   [`ipsec::SecureTransport`] (plain or IPsec).
-//! * [`engine`] — the event-driven request engine multiplexing
-//!   thousands of connections onto a fixed worker pool.
+//! * [`engine`] — the NFS server: an event-driven request engine
+//!   multiplexing thousands of connections, over any
+//!   [`ipsec::SecureTransport`] (plain or IPsec), onto a fixed worker
+//!   pool. Its private `dispatch` module routes each decoded call into
+//!   the [`NfsService`].
 //! * [`NfsClient`] / [`RemoteFs`] — typed stubs and path helpers used
 //!   by examples and the Bonnie benchmarks as the "mounted" filesystem
 //!   (no kernel VFS exists in a pure-userspace reproduction).
@@ -21,16 +22,21 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use discfs_crypto::ed25519::SigningKey;
 //! use ffs::{Ffs, FsConfig};
 //! use ipsec::PlainChannel;
 //! use netsim::{Link, SimClock};
-//! use nfsv2::{FfsService, NfsClient, RemoteFs};
+//! use nfsv2::{Engine, EngineConfig, FfsService, NfsClient, RemoteFs};
 //!
 //! let clock = SimClock::new();
 //! let (client_end, server_end) = Link::loopback(&clock);
 //! let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
 //! let service = Arc::new(FfsService::new(fs, 1));
-//! nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+//! // A plain channel runs no handshake: the key signs nothing. Dropping
+//! // the engine shuts it down, so it lives as long as the client.
+//! let identity = SigningKey::from_seed(&[0x5E; 32]);
+//! let engine = Engine::start(service, identity, EngineConfig::default());
+//! engine.accept_channel(Box::new(PlainChannel::new(server_end)));
 //!
 //! let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
 //! let remote = RemoteFs::mount(client, "/").unwrap();
@@ -45,6 +51,7 @@ mod client;
 pub mod engine;
 mod ffs_service;
 pub mod proto;
+#[doc(hidden)]
 pub mod server;
 mod service;
 
@@ -68,21 +75,34 @@ mod tests {
     use netsim::{Link, SimClock};
 
     use crate::proto::{FHandle, NfsStat, Sattr};
-    use crate::{ClientError, FfsService, NfsClient, RemoteFs};
+    use crate::{ClientError, Engine, EngineConfig, FfsService, NfsClient, RemoteFs};
 
-    fn setup() -> (RemoteFs, Arc<FfsService>) {
-        let clock = SimClock::new();
-        let (client_end, server_end) = Link::loopback(&clock);
+    /// An engine serving a fresh small volume. A plain channel runs no
+    /// handshake, so the key signs nothing.
+    fn start_engine() -> Engine {
         let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
         let service = Arc::new(FfsService::new(fs, 1));
-        crate::server::spawn(service.clone(), Box::new(PlainChannel::new(server_end)));
+        Engine::start(
+            service,
+            SigningKey::from_seed(&[0x5E; 32]),
+            EngineConfig::default(),
+        )
+    }
+
+    /// A client mounted over a plain channel. The engine must outlive
+    /// it: dropping the engine shuts the server down.
+    fn setup() -> (RemoteFs, Engine) {
+        let clock = SimClock::new();
+        let (client_end, server_end) = Link::loopback(&clock);
+        let engine = start_engine();
+        engine.accept_channel(Box::new(PlainChannel::new(server_end)));
         let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
-        (RemoteFs::mount(client, "/").unwrap(), service)
+        (RemoteFs::mount(client, "/").unwrap(), engine)
     }
 
     #[test]
     fn mount_and_null() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         remote.client().null().unwrap();
         let attr = remote.client().getattr(&remote.root()).unwrap();
         assert_eq!(attr.fileid, 1);
@@ -90,7 +110,7 @@ mod tests {
 
     #[test]
     fn create_write_read() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         let (fh, attr) = remote
             .client()
             .create(&remote.root(), "f.txt", &Sattr::with_mode(0o640))
@@ -104,7 +124,7 @@ mod tests {
 
     #[test]
     fn large_transfer_chunks_at_8k() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         let payload: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
         remote.write_file("big.bin", &payload).unwrap();
         assert_eq!(remote.read_file("big.bin").unwrap(), payload);
@@ -112,7 +132,7 @@ mod tests {
 
     #[test]
     fn lookup_missing_is_noent() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         match remote.client().lookup(&remote.root(), "ghost") {
             Err(ClientError::Status(NfsStat::NoEnt)) => {}
             other => panic!("expected NoEnt, got {other:?}"),
@@ -121,7 +141,7 @@ mod tests {
 
     #[test]
     fn mkdir_and_nested_resolve() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         remote.mkdir_path("a").unwrap();
         remote.mkdir_path("a/b").unwrap();
         remote.write_file("a/b/c.txt", b"deep").unwrap();
@@ -132,7 +152,7 @@ mod tests {
 
     #[test]
     fn readdir_pagination() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         for i in 0..40 {
             remote
                 .client()
@@ -153,7 +173,7 @@ mod tests {
 
     #[test]
     fn rename_remove() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         remote.write_file("old", b"x").unwrap();
         remote
             .client()
@@ -169,7 +189,7 @@ mod tests {
 
     #[test]
     fn symlink_readlink() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         remote
             .client()
             .symlink(&remote.root(), "ln", "/target/path", &Sattr::unchanged())
@@ -180,7 +200,7 @@ mod tests {
 
     #[test]
     fn hard_link_via_protocol() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         let fh = remote.write_file("orig", b"data").unwrap();
         remote.client().link(&fh, &remote.root(), "alias").unwrap();
         assert_eq!(remote.read_file("alias").unwrap(), b"data");
@@ -190,7 +210,7 @@ mod tests {
 
     #[test]
     fn setattr_truncate() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         let fh = remote.write_file("f", b"0123456789").unwrap();
         let mut sattr = Sattr::unchanged();
         sattr.size = 4;
@@ -201,7 +221,7 @@ mod tests {
 
     #[test]
     fn statfs_sane() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         let info = remote.client().statfs(&remote.root()).unwrap();
         assert_eq!(info.bsize, 8192);
         assert!(info.bfree <= info.blocks);
@@ -209,7 +229,7 @@ mod tests {
 
     #[test]
     fn stale_handle_detected_across_wire() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         let fh = remote.write_file("f", b"x").unwrap();
         remote.client().remove(&remote.root(), "f").unwrap();
         match remote.client().getattr(&fh) {
@@ -220,7 +240,7 @@ mod tests {
 
     #[test]
     fn bogus_handle_rejected() {
-        let (remote, _) = setup();
+        let (remote, _engine) = setup();
         let bogus = FHandle::pack(99, 12345, 7);
         assert!(matches!(
             remote.client().getattr(&bogus),
@@ -232,9 +252,8 @@ mod tests {
     fn mount_nonexistent_export_fails() {
         let clock = SimClock::new();
         let (client_end, server_end) = Link::loopback(&clock);
-        let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
-        let service = Arc::new(FfsService::new(fs, 1));
-        crate::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+        let engine = start_engine();
+        engine.accept_channel(Box::new(PlainChannel::new(server_end)));
         let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
         assert!(matches!(
             client.mount("/no/such/dir"),
@@ -249,11 +268,9 @@ mod tests {
         let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
         let service = Arc::new(FfsService::new(fs, 1));
         let server_key = SigningKey::from_seed(&[2; 32]);
-        std::thread::spawn(move || {
-            let mut rng = DetRng::new(22);
-            let chan = ipsec::ike::respond(server_end, &server_key, &mut rng).unwrap();
-            crate::server::serve_connection(service, Box::new(chan));
-        });
+        // The engine runs the responder handshake on a worker.
+        let engine = Engine::start(service, server_key, EngineConfig::default());
+        engine.accept(server_end);
         let client_key = SigningKey::from_seed(&[1; 32]);
         let mut rng = DetRng::new(11);
         let chan = ipsec::ike::initiate(client_end, &client_key, None, &mut rng).unwrap();

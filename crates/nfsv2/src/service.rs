@@ -12,7 +12,7 @@ use onc_rpc::AcceptStat;
 
 use crate::proto::{DirOpArgs, FHandle, Fattr, NfsStat, ReaddirEntry, Sattr, StatfsRes};
 
-/// Per-request context assembled by the server loop.
+/// Per-request context the engine assembles for each call.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestCtx {
     /// The public key authenticated by the IPsec channel, when present.

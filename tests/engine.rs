@@ -12,6 +12,9 @@
 //!   audited; split/interleaved *well-formed* frames reassemble.
 //! * `Testbed::reboot` quiesces the engine — drains accepted requests,
 //!   joins every server thread — before the store drops.
+//! * A failed responder handshake (a garbage IKE init, a peer gone
+//!   mid-handshake) is counted in `handshake_failures`, attaches
+//!   nothing and costs no worker.
 //!
 //! That connection count does not change the thread count is
 //! `tests/engine_threads.rs`, a binary of its own.
@@ -22,9 +25,10 @@ use std::time::{Duration, Instant};
 
 use discfs::{CredentialIssuer, DiscfsClient, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
+use discfs_crypto::rng::DetRng;
 use ffs::{Ffs, FsConfig, StoreBackend};
-use ipsec::{PlainChannel, SecureTransport};
-use netsim::{Link, LinkConfig, SimClock};
+use ipsec::{ike, PlainChannel, SecureTransport};
+use netsim::{Link, LinkConfig, SimClock, Transport};
 use nfsv2::proto::proc_nfs;
 use nfsv2::{Engine, EngineConfig, NfsClient, RemoteFs};
 use onc_rpc::{frame, Encoder, ReplyBody, RpcCall, RpcReply};
@@ -418,6 +422,76 @@ fn plain_channel_connection_is_served_and_torn_down() {
         stats.connections_dropped.load(Ordering::Relaxed),
     );
     assert_eq!(stats.connections_accepted.load(Ordering::Relaxed), 1);
+}
+
+/// A responder handshake that fails costs the engine nothing but a
+/// count: a peer whose IKE init is garbage, and one that hangs up after
+/// the responder's reply, leave no connection behind and no worker
+/// lost, so a well-formed initiator is still served.
+#[test]
+fn failed_handshakes_are_counted_and_lose_no_worker() {
+    let clock = SimClock::new();
+    let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
+    let service = Arc::new(cfs::CfsService::passthrough(fs, 1));
+    // Two workers, two failures: a failure that cost its worker would
+    // leave none to serve the third peer.
+    let engine = Engine::start(
+        service,
+        key(1),
+        EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        },
+    );
+    let stats = engine.stats();
+
+    // Peer 1: an init of the wrong length.
+    let (garbage_peer, server_end) = Link::loopback(&clock);
+    engine.accept(server_end);
+    garbage_peer.send(vec![0xAB; 7]).expect("send garbage init");
+    assert!(
+        garbage_peer.recv().is_err(),
+        "the responder hangs up on a bad init"
+    );
+
+    // Peer 2: a well-formed init (ephemeral key, nonce, identity), then
+    // gone before the authentication message.
+    let (quitter, server_end) = Link::loopback(&clock);
+    engine.accept(server_end);
+    let mut init = vec![0x11; 64];
+    init.extend_from_slice(&key(2).public().0);
+    quitter.send(init).expect("send init");
+    quitter.recv().expect("responder's signed reply");
+    drop(quitter);
+
+    assert!(
+        eventually(|| stats.handshake_failures.load(Ordering::Relaxed) == 2),
+        "handshake failures: {}",
+        stats.handshake_failures.load(Ordering::Relaxed)
+    );
+    assert_eq!(stats.connections_accepted.load(Ordering::Relaxed), 0);
+    assert_eq!(engine.connections(), 0);
+
+    // A well-formed initiator still gets a channel and is served.
+    let (client_end, server_end) = Link::loopback(&clock);
+    engine.accept(server_end);
+    let chan = ike::initiate(
+        client_end,
+        &key(3),
+        Some(&key(1).public()),
+        &mut DetRng::new(3),
+    )
+    .expect("handshake");
+    let remote = RemoteFs::mount(NfsClient::new(Box::new(chan)), "/").expect("mount");
+    remote
+        .write_file("after.txt", b"still served")
+        .expect("write");
+    assert_eq!(
+        remote.read_file("after.txt").expect("read"),
+        b"still served"
+    );
+    assert_eq!(stats.connections_accepted.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.handshake_failures.load(Ordering::Relaxed), 2);
 }
 
 #[test]

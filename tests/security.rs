@@ -191,17 +191,15 @@ fn revocation_wins_over_valid_chain() {
 #[test]
 fn anonymous_channel_gets_nothing() {
     // A client that connects over a *plain* channel (no IKE identity)
-    // cannot even mount: DisCFS requires the channel identity.
+    // to the testbed's own engine cannot even mount: DisCFS requires
+    // the channel identity.
     use ipsec::PlainChannel;
-    use netsim::{Link, SimClock};
+    use netsim::Link;
 
     let bed = Testbed::instant();
-    let clock = SimClock::new();
-    let (client_end, server_end) = Link::loopback(&clock);
-    let service = bed.service().clone();
-    std::thread::spawn(move || {
-        nfsv2::server::serve_connection(service, Box::new(PlainChannel::new(server_end)));
-    });
+    let (client_end, server_end) = Link::loopback(bed.clock());
+    bed.engine()
+        .accept_channel(Box::new(PlainChannel::new(server_end)));
     let client = nfsv2::NfsClient::new(Box::new(PlainChannel::new(client_end)));
     let err = client.mount("/");
     assert!(
