@@ -262,12 +262,6 @@ impl DiscfsService {
         *self.policy_charge.write() = Some(Arc::new(charge));
     }
 
-    /// Removes the policy-decision cost model (wall-clock benchmarks
-    /// that want the raw code path, no virtual-clock traffic).
-    pub fn clear_policy_charge(&self) {
-        *self.policy_charge.write() = None;
-    }
-
     fn charge(&self) -> Option<Arc<PolicyCharge>> {
         self.policy_charge.read().clone()
     }

@@ -72,7 +72,7 @@
 //! buffers ride in the same write as the full blocks, in ascending
 //! file order — so the journal records of a journaled backend are the
 //! records, in the order, of a per-block loop. What each backend makes
-//! of the one call (a fan-out over per-shard workers, one journal
+//! of the one call (a write fan-out over per-shard workers, one journal
 //! append, readahead on one-block reads, one seek per contiguous run)
 //! is in the `store` crate docs, "One I/O path".
 //!

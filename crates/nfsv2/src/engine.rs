@@ -513,6 +513,11 @@ impl Shared {
             paused: AtomicBool::new(false),
             closing: AtomicBool::new(false),
         });
+        // Counted before it can be served, so a client that sees a
+        // reply also sees its connection counted.
+        self.stats
+            .connections_accepted
+            .fetch_add(1, Ordering::Relaxed);
         self.conns
             .lock()
             .expect("conn map poisoned")
@@ -521,9 +526,6 @@ impl Shared {
         // immediately (messages already pending) must find the
         // connection.
         conn.chan.register_ready(&self.ready, token);
-        self.stats
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Serves one scheduling quantum: up to `batch` requests, one

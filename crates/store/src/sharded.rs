@@ -8,25 +8,33 @@
 //! shards in parallel, which matters for persistent inners whose flush
 //! does real disk work.
 //!
-//! # Per-shard worker threads (the parallel I/O engine)
+//! # Per-shard worker threads (the parallel write path)
 //!
 //! Per-shard locking removes *contention*, but a single client still
 //! drives one shard at a time: its thread executes every block's I/O
-//! itself. [`ShardedStore::with_workers`] attaches the ROADMAP's
-//! "NUMA-style per-shard worker threads with a submission queue": one
-//! thread per shard, each owning a **bounded** submission queue
+//! itself. [`ShardedStore::with_workers`] attaches one worker thread
+//! per shard, each owning a **bounded** submission queue
 //! ([`WORKER_QUEUE_DEPTH`] jobs — a slow shard back-pressures its
 //! callers instead of buffering unbounded work). A multi-block
-//! [`BlockStore::read`] / [`BlockStore::write`] partitions its block
-//! list by shard, submits **one job per involved shard**, and joins
-//! the replies — so a single client's streaming burst executes on all
-//! N shards concurrently ([`StoreStats::worker_jobs`] counts the jobs).
+//! [`BlockStore::write`] partitions its block list by shard, submits
+//! **one job per involved shard**, and joins the replies — so a single
+//! client's streaming write burst executes on all N shards concurrently
+//! ([`StoreStats::worker_jobs`] counts the jobs). `flush` goes through
+//! the queues too.
+//!
+//! Reads never go to the workers: a multi-block [`BlockStore::read`]
+//! makes one subcall per involved shard on the caller's thread. When
+//! the workers served the benchmark's `stack_mixed` reads (a readahead
+//! cache's 8-block prefetches), the blocks that became cache entries
+//! were allocated in four more malloc arenas, each keeping its own
+//! high-water mark: 21.4 MB resident against 19.4 MB inline, for the
+//! same live heap and no measured gain.
 //!
 //! Ordering and shutdown guarantees:
 //!
-//! * A call returns only after every shard job completed, so a
-//!   one-block call (which goes straight to its shard, bypassing the
-//!   queue) can never observe a half-applied multi-block write.
+//! * A write returns only after every shard job completed, so a read
+//!   (on its caller's thread, straight on the shards) that starts
+//!   after it returned sees all of it.
 //! * Per-shard job order equals submission order (the queue is FIFO),
 //!   and within one job the shard applies blocks in the caller's
 //!   order — so each shard's journal holds the same records in the
@@ -35,7 +43,7 @@
 //!   everything queued before it; `Drop` disconnects the queues, lets
 //!   each worker drain what remains, and joins the threads, so no job
 //!   is still running when the shard stores are dropped.
-//! * A call whose blocks all land on one shard skips the queue and
+//! * A write whose blocks all land on one shard skips the queue and
 //!   runs inline — dispatch only pays off when there is parallelism
 //!   to win.
 //!
@@ -64,14 +72,9 @@ use crate::{vectored, BlockStore, IoClass, StoreStats};
 /// instead of buffering unbounded block copies.
 pub const WORKER_QUEUE_DEPTH: usize = 4;
 
-/// A unit of work submitted to one shard's worker.
+/// A unit of work submitted to one shard's worker. Reads never are:
+/// they run on the caller's thread (see the module docs).
 enum Job {
-    /// Read these shard-local indices, reply with the blocks in order.
-    Read {
-        class: IoClass,
-        idxs: Vec<u64>,
-        reply: mpsc::Sender<Vec<Bytes>>,
-    },
     /// Write these `(shard-local index, block)` pairs in order.
     Write {
         class: IoClass,
@@ -93,10 +96,6 @@ struct WorkerPool {
 fn worker_loop(shard: Arc<dyn BlockStore>, jobs: mpsc::Receiver<Job>) {
     while let Ok(job) = jobs.recv() {
         match job {
-            Job::Read { class, idxs, reply } => {
-                // A dropped caller is not an error for the worker.
-                let _ = reply.send(shard.read(class, &idxs));
-            }
             Job::Write {
                 class,
                 blocks,
@@ -105,6 +104,7 @@ fn worker_loop(shard: Arc<dyn BlockStore>, jobs: mpsc::Receiver<Job>) {
                 let refs: Vec<(u64, &[u8])> =
                     blocks.iter().map(|(idx, data)| (*idx, &data[..])).collect();
                 shard.write(class, &refs);
+                // A dropped caller is not an error for the worker.
                 let _ = reply.send(());
             }
             Job::Flush { reply } => {
@@ -158,10 +158,10 @@ impl ShardedStore {
     }
 
     /// Like [`ShardedStore::new`], plus one worker thread per shard
-    /// behind a bounded submission queue: multi-block calls fan out one
-    /// job per involved shard and join, so a single caller's burst
-    /// drives all shards concurrently (see the module docs for the
-    /// ordering and shutdown guarantees).
+    /// behind a bounded submission queue for multi-block writes and
+    /// flushes; reads stay on the caller's thread (2.0 MB less resident
+    /// set on `stack_mixed`). See the module docs for both, and for the
+    /// ordering and shutdown guarantees.
     pub fn with_workers(shards: Vec<Arc<dyn BlockStore>>, block_count: u64) -> ShardedStore {
         let mut store = ShardedStore::new(shards, block_count);
         let mut senders = Vec::with_capacity(store.shards.len());
@@ -174,11 +174,6 @@ impl ShardedStore {
         }
         store.workers = Some(WorkerPool { senders, handles });
         store
-    }
-
-    /// Whether per-shard worker threads are attached.
-    pub fn has_workers(&self) -> bool {
-        self.workers.is_some()
     }
 
     /// Which shard serves block `idx` — exposed so tests can pin the
@@ -246,10 +241,9 @@ impl BlockStore for ShardedStore {
     }
 
     /// A one-block call is routed straight to its shard. A longer one
-    /// is partitioned by shard: with workers and ≥ 2 involved shards,
-    /// one job per shard runs concurrently and the replies are
-    /// scattered back into caller order; otherwise each involved shard
-    /// gets one inline subcall.
+    /// is partitioned by shard, and each involved shard gets one inline
+    /// subcall on the caller's thread, workers or not (see the module
+    /// docs for why reads never go to the workers).
     fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
         if let &[idx] = idxs {
             let (shard, inner_idx) = self.route(idx);
@@ -257,27 +251,11 @@ impl BlockStore for ShardedStore {
         }
         self.vectored_reads
             .fetch_add(vectored(class, idxs.len()), Ordering::Relaxed);
-        let per_shard = self.partition(idxs.iter().copied());
         let mut out: Vec<Option<Bytes>> = vec![None; idxs.len()];
-        if per_shard.len() > 1 && self.workers.is_some() {
-            let mut pending: Vec<(Vec<usize>, mpsc::Receiver<Vec<Bytes>>)> = Vec::new();
-            for (shard, positions, idxs) in per_shard {
-                let (reply, rx) = mpsc::channel();
-                self.submit(shard, Job::Read { class, idxs, reply });
-                pending.push((positions, rx));
-            }
-            for (positions, rx) in pending {
-                let blocks = rx.recv().expect("shard worker reply");
-                for (pos, block) in positions.into_iter().zip(blocks) {
-                    out[pos] = Some(block);
-                }
-            }
-        } else {
-            for (shard, positions, inner_idxs) in per_shard {
-                let blocks = self.shards[shard].read(class, &inner_idxs);
-                for (pos, block) in positions.into_iter().zip(blocks) {
-                    out[pos] = Some(block);
-                }
+        for (shard, positions, inner_idxs) in self.partition(idxs.iter().copied()) {
+            let blocks = self.shards[shard].read(class, &inner_idxs);
+            for (pos, block) in positions.into_iter().zip(blocks) {
+                out[pos] = Some(block);
             }
         }
         out.into_iter()
@@ -285,10 +263,12 @@ impl BlockStore for ShardedStore {
             .collect()
     }
 
-    /// Routed and partitioned like [`ShardedStore::read`]; the worker
-    /// path copies each block into its job (the bounded queue crosses
-    /// a thread boundary), the inline path passes the caller's slices
-    /// through. Per-shard order is the caller's order either way.
+    /// Routed and partitioned like [`ShardedStore::read`]. With workers
+    /// and ≥ 2 involved shards, one job per shard runs concurrently and
+    /// the call joins them; each job carries a copy of its blocks (the
+    /// bounded queue crosses a thread boundary). Otherwise each shard
+    /// gets one inline subcall on the caller's slices. Per-shard order
+    /// is the caller's order either way.
     fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         if let &[(idx, block)] = writes {
             let (shard, inner_idx) = self.route(idx);
@@ -446,38 +426,79 @@ mod tests {
             } else {
                 sharded(4, 64)
             };
-            assert_eq!(store.has_workers(), workers);
-            // A deliberately scattered, multi-shard write order.
-            let idxs: Vec<u64> = vec![7, 0, 63, 12, 33, 1, 40, 8];
-            let blocks: Vec<Vec<u8>> = idxs
-                .iter()
-                .map(|&i| {
-                    let mut b = vec![0u8; BLOCK_SIZE];
-                    b[0] = i as u8 + 1;
-                    b
-                })
-                .collect();
-            let writes: Vec<(u64, &[u8])> = idxs
-                .iter()
-                .zip(&blocks)
-                .map(|(&i, b)| (i, b.as_slice()))
-                .collect();
-            store.write_blocks(&writes);
-            // Vectored read returns the blocks in the caller's order.
-            let read = store.read_blocks(&idxs);
-            for (i, block) in read.iter().enumerate() {
-                assert_eq!(block[0], idxs[i] as u8 + 1, "workers={workers}");
+            // A deliberately scattered write order over all four shards.
+            let idxs = [7, 0, 63, 12, 33, 1, 42, 8];
+            write_stamped(&store, &idxs, 1);
+            // 8 blocks over 4 shards: one write job per shard.
+            let jobs = if workers { 4 } else { 0 };
+            assert_eq!(store.stats().worker_jobs, jobs, "workers={workers}");
+            // Vectored read returns the blocks in the caller's order,
+            // inline: no job.
+            for (&idx, block) in idxs.iter().zip(store.read_blocks(&idxs)) {
+                assert_eq!(block, stamped(idx, 1), "workers={workers}");
             }
             let stats = store.stats();
             assert!(stats.vectored_writes >= 1, "workers={workers}");
-            if workers {
-                // 8 blocks over 4 shards: one job per involved shard,
-                // for the write and for the read.
-                assert!(stats.worker_jobs >= 2, "workers must have run jobs");
-            } else {
-                assert_eq!(stats.worker_jobs, 0);
-            }
+            assert_eq!(stats.worker_jobs, jobs, "workers={workers}");
         }
+    }
+
+    /// A block of `idx` as write number `version` left it.
+    fn stamped(idx: u64, version: u64) -> Vec<u8> {
+        let mut block = vec![version as u8; BLOCK_SIZE];
+        block[..8].copy_from_slice(&idx.to_le_bytes());
+        block[8..16].copy_from_slice(&version.to_le_bytes());
+        block
+    }
+
+    /// Writes every block of `idxs` as write number `version`, in one call.
+    fn write_stamped(store: &ShardedStore, idxs: &[u64], version: u64) {
+        let blocks: Vec<Vec<u8>> = idxs.iter().map(|&i| stamped(i, version)).collect();
+        let writes: Vec<(u64, &[u8])> = idxs
+            .iter()
+            .zip(&blocks)
+            .map(|(&i, b)| (i, &b[..]))
+            .collect();
+        store.write_blocks(&writes);
+    }
+
+    #[test]
+    fn inline_reads_see_worker_writes_once_they_return() {
+        const ROUNDS: u64 = 200;
+        let store = ShardedStore::with_workers(shards_of(4, 64), 64);
+        let extent: Vec<u64> = (0..8).collect();
+        write_stamped(&store, &extent, 1);
+        // The last version whose write call has returned.
+        let returned = AtomicU64::new(1);
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for version in 2..=ROUNDS {
+                    write_stamped(&store, &extent, version);
+                    returned.store(version, Ordering::SeqCst);
+                }
+            });
+            // Read until the writer has finished, then once more. A
+            // writer that panics ends the loop too, and the scope
+            // re-raises its panic.
+            loop {
+                let finished = writer.is_finished();
+                let floor = returned.load(Ordering::SeqCst);
+                for (&idx, block) in extent.iter().zip(store.read_blocks(&extent)) {
+                    let version = u64::from_le_bytes(block[8..16].try_into().unwrap());
+                    assert!(
+                        (floor..=ROUNDS).contains(&version),
+                        "block {idx} holds version {version}, {floor} had returned"
+                    );
+                    assert_eq!(block, stamped(idx, version), "block {idx}");
+                }
+                if finished {
+                    break;
+                }
+            }
+        });
+        assert_eq!(returned.into_inner(), ROUNDS);
+        // Every write job went to the workers; no read did.
+        assert_eq!(store.stats().worker_jobs, 4 * ROUNDS);
     }
 
     #[test]
