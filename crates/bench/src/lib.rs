@@ -11,13 +11,14 @@
 //! Three systems are measured, exactly as in the paper:
 //!
 //! * **FFS** — the local filesystem (direct `ffs` calls, timed disk).
-//! * **CFS-NE** — the baseline: the CFS code path with encryption off,
-//!   served over plain NFS on simulated 100 Mbps Ethernet.
+//! * **CFS-NE** — the baseline: CFS with encryption off, which is the
+//!   plain NFS export [`FfsService`], served on simulated 100 Mbps
+//!   Ethernet.
 //! * **DisCFS** — the full system: IPsec channel, KeyNote checks with
 //!   the 128-entry policy cache, same network and disk.
 //!
-//! The two networked systems differ by the service (`CfsService` with
-//! a null cipher / `DiscfsService`) and the channel (`PlainChannel` /
+//! The two networked systems differ by the service (`FfsService` /
+//! `DiscfsService`) and the channel (`PlainChannel` /
 //! IKE + ESP) and by nothing else: [`build_world`] serves both from an
 //! [`Engine`] of the same sizing, over the same link and disk models,
 //! and [`NfsBench`] drives both, so their ratio varies what the paper
@@ -42,7 +43,8 @@ use ffs::{Ffs, FsConfig, Ino, SetAttr};
 use ipsec::PlainChannel;
 use netsim::{Link, LinkConfig, SimClock};
 use nfsv2::{
-    ClientError, Engine, EngineConfig, FHandle, Fattr, NfsClient, NfsStat, RemoteFs, Sattr,
+    ClientError, Engine, EngineConfig, FHandle, Fattr, FfsService, NfsClient, NfsStat, RemoteFs,
+    Sattr,
 };
 
 // ---------------------------------------------------------------------------
@@ -394,7 +396,7 @@ pub fn build_world(kind: SystemKind, fs_config: FsConfig, cache_size: usize) -> 
         SystemKind::CfsNe => {
             let clock = SimClock::new();
             let fs = Arc::new(Ffs::format_timed(&clock, fs_config));
-            let service = Arc::new(cfs::CfsService::passthrough(fs, 1));
+            let service = Arc::new(FfsService::new(fs, 1));
             // A plain channel runs no handshake: the key signs nothing.
             let identity = SigningKey::from_seed(&[0x5E; 32]);
             let engine = Engine::start(service, identity, EngineConfig::default());

@@ -34,10 +34,10 @@
 //! `#[cfg(test)]` as the reference the fast paths are compared against.
 //!
 //! Point operations — table lookups and the non-adjacent-form loop in
-//! particular — are *variable time*; that is an accepted trade-off for
-//! this research reproduction (side channels are out of scope for a
-//! simulated testbed) and is documented here per the threat model in
-//! DESIGN.md.
+//! particular — are *variable time*. That is an accepted trade-off for
+//! this research reproduction: its threat model covers forged, stolen
+//! and replayed credentials and a hostile network, not timing side
+//! channels.
 
 use std::sync::OnceLock;
 

@@ -26,14 +26,7 @@ pub fn encode(data: &[u8]) -> String {
 /// # Errors
 ///
 /// Returns [`CryptoError::BadHex`] on odd length or non-hex characters.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(discfs_crypto::hex::decode("DEad").unwrap(), vec![0xde, 0xad]);
-/// assert!(discfs_crypto::hex::decode("xyz").is_err());
-/// ```
-pub fn decode(s: &str) -> Result<Vec<u8>, CryptoError> {
+pub(crate) fn decode(s: &str) -> Result<Vec<u8>, CryptoError> {
     let bytes = s.as_bytes();
     if !bytes.len().is_multiple_of(2) {
         return Err(CryptoError::BadHex);
@@ -53,6 +46,16 @@ pub fn decode(s: &str) -> Result<Vec<u8>, CryptoError> {
 ///
 /// Returns [`CryptoError::BadHex`] for invalid hex and
 /// [`CryptoError::BadLength`] when the decoded length is not `N`.
+///
+/// # Examples
+///
+/// ```
+/// use discfs_crypto::{hex, CryptoError};
+///
+/// assert_eq!(hex::decode_array::<2>("DEad"), Ok([0xde, 0xad]));
+/// assert_eq!(hex::decode_array::<2>("xyz"), Err(CryptoError::BadHex));
+/// assert_eq!(hex::decode_array::<3>("dead"), Err(CryptoError::BadLength));
+/// ```
 pub fn decode_array<const N: usize>(s: &str) -> Result<[u8; N], CryptoError> {
     let v = decode(s)?;
     v.try_into().map_err(|_| CryptoError::BadLength)

@@ -13,10 +13,11 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The two widths KeyNote decodes: keys and signatures.
     #[test]
-    fn hex_round_trip(data in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let encoded = hex::encode(&data);
-        prop_assert_eq!(hex::decode(&encoded).unwrap(), data);
+    fn hex_round_trip(key in any::<[u8; 32]>(), sig in any::<[u8; 64]>()) {
+        prop_assert_eq!(hex::decode_array::<32>(&hex::encode(&key)).unwrap(), key);
+        prop_assert_eq!(hex::decode_array::<64>(&hex::encode(&sig)).unwrap(), sig);
     }
 
     #[test]

@@ -256,8 +256,10 @@ impl DiscfsService {
         self.env_epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// Installs a virtual-time cost model for policy decisions (used by
-    /// the benchmark testbed; see DESIGN.md §5).
+    /// Installs a virtual-time cost model for policy decisions: each
+    /// cache hit or full KeyNote check advances the simulated clock, so
+    /// the benchmark testbed's figures include the cost of access
+    /// control (paper §6).
     pub fn set_policy_charge(&self, charge: PolicyCharge) {
         *self.policy_charge.write() = Some(Arc::new(charge));
     }

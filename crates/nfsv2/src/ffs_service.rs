@@ -1,8 +1,9 @@
 //! A plain NFS export of an [`ffs::Ffs`] volume.
 //!
 //! This is the unmodified user-level server: no credential checks, no
-//! encryption. Wrapped by `cfs` (the CFS/CFS-NE baseline) and reused by
-//! `discfs` as the storage-access layer beneath its KeyNote enforcement.
+//! encryption. It is the paper's CFS-NE baseline (CFS with encryption
+//! off, §5), and `discfs` reuses it as the storage-access layer beneath
+//! its KeyNote enforcement.
 
 use std::sync::Arc;
 

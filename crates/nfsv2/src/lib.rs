@@ -2,8 +2,9 @@
 //! a typed client, and a plain export of the `ffs` volume.
 //!
 //! The paper's prototype is "a modified user-level NFS server" (§1);
-//! this crate supplies the unmodified parts of that stack so `cfs` and
-//! `discfs` can layer their behavior on the same protocol plumbing:
+//! this crate supplies the unmodified parts of that stack, the CFS-NE
+//! baseline among them, so `discfs` can layer its behavior on the same
+//! protocol plumbing:
 //!
 //! * [`proto`] — RFC 1094 wire types, including the 32-byte file handle
 //!   carrying `(fsid, inode, generation)`.

@@ -1,11 +1,11 @@
 //! Encryption-at-rest wrapper over any [`BlockStore`].
 //!
-//! Uses the CFS cipher construction (OmniShare, arXiv:1511.02119,
-//! motivates client-independent encrypted storage backends): subkeys
-//! are derived from a master key with HMAC-SHA256 labels, and each
-//! block is XORed with a ChaCha20 keystream whose nonce encodes the
-//! block number — so random block access commutes with encryption,
-//! exactly like `cfs::CfsCipher` does for file offsets.
+//! OmniShare (arXiv:1511.02119) motivates client-independent encrypted
+//! storage backends. Subkeys are derived from a master key with
+//! HMAC-SHA256 labels, and each block is XORed with a ChaCha20
+//! keystream whose nonce encodes the block number, so any block can be
+//! read or written alone: random block access commutes with
+//! encryption.
 //!
 //! Composes with any inner backend; the one preset is
 //! [`StoreBackend::EncryptedJournal`](crate::StoreBackend), over a
@@ -50,7 +50,8 @@ impl<S: BlockStore> EncryptedStore<S> {
 
     fn transform(&self, idx: u64, data: &mut [u8]) {
         let cipher = ChaCha20::new(&self.block_key, &Self::nonce(idx));
-        // Counter 0 reserved, matching the CFS cipher convention.
+        // Counter 0 is left unused, as in ChaCha20-Poly1305 (RFC 8439),
+        // where that block makes the MAC key.
         cipher.apply_keystream(1, data);
     }
 

@@ -22,9 +22,9 @@
 //!
 //! # Wrappers
 //!
-//! * [`EncryptedStore`] — encryption at rest over any other backend,
-//!   using the same ChaCha20 + HMAC-SHA256 key-derivation construction
-//!   as the CFS cipher.
+//! * [`EncryptedStore`] — encryption at rest over any other backend:
+//!   a per-block ChaCha20 keystream under a key derived with
+//!   HMAC-SHA256.
 //! * [`CachedStore`] — a sharded write-back LRU buffer cache over any
 //!   backend: repeated reads are served from memory as cheap handle
 //!   clones, writes are held dirty until `flush`/eviction, and the

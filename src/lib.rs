@@ -5,17 +5,17 @@
 //! * [`discfs`] — the paper's system (core crate),
 //! * [`keynote`] — the RFC 2704 trust-management engine,
 //! * [`nfsv2`], [`ffs`], [`ipsec`], [`netsim`], [`onc_rpc`] — substrates,
-//! * [`cfs`] — the CFS / CFS-NE baseline,
 //! * [`bonnie`] — the evaluation workloads.
 //!
-//! This crate hosts the runnable examples (`examples/`) and the
-//! cross-crate integration tests (`tests/`). See README.md for the
-//! quickstart and DESIGN.md for the system inventory.
+//! The paper's CFS-NE baseline (CFS with encryption off, §5) is the
+//! plain export [`nfsv2::FfsService`].
+//!
+//! This crate hosts the runnable examples (`examples/`, start with
+//! `quickstart`) and the cross-crate integration tests (`tests/`).
 
 #![forbid(unsafe_code)]
 
 pub use bonnie;
-pub use cfs;
 pub use discfs;
 pub use discfs_crypto;
 pub use ffs;

@@ -30,7 +30,7 @@ use ffs::{Ffs, FsConfig, StoreBackend};
 use ipsec::{ike, PlainChannel, SecureTransport};
 use netsim::{Link, LinkConfig, SimClock, Transport};
 use nfsv2::proto::proc_nfs;
-use nfsv2::{Engine, EngineConfig, NfsClient, RemoteFs};
+use nfsv2::{Engine, EngineConfig, FfsService, NfsClient, RemoteFs};
 use onc_rpc::{frame, Encoder, ReplyBody, RpcCall, RpcReply};
 
 fn key(seed: u8) -> SigningKey {
@@ -394,7 +394,7 @@ fn every_disconnect_is_observed_and_tears_down_the_session() {
 fn plain_channel_connection_is_served_and_torn_down() {
     let clock = SimClock::new();
     let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
-    let service = Arc::new(cfs::CfsService::passthrough(fs, 1));
+    let service = Arc::new(FfsService::new(fs, 1));
     let engine = Engine::start(service, key(1), EngineConfig::default());
     let (client_end, server_end) = Link::loopback(&clock);
     let token = engine.accept_channel(Box::new(PlainChannel::new(server_end)));
@@ -432,7 +432,7 @@ fn plain_channel_connection_is_served_and_torn_down() {
 fn failed_handshakes_are_counted_and_lose_no_worker() {
     let clock = SimClock::new();
     let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
-    let service = Arc::new(cfs::CfsService::passthrough(fs, 1));
+    let service = Arc::new(FfsService::new(fs, 1));
     // Two workers, two failures: a failure that cost its worker would
     // leave none to serve the third peer.
     let engine = Engine::start(
