@@ -72,6 +72,46 @@ impl DetRng {
         self.counter = self.counter.wrapping_add(1);
         self.pos = 0;
     }
+
+    /// A draw in `0..n` (0 when `n` is 0).
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n.max(1) as u64) as usize
+    }
+
+    /// One seeded, structure-aware mutation of `msg`, for driving a
+    /// decoder with hostile input. It truncates, extends with random
+    /// bytes, flips one to four bits, rewrites a four-byte-aligned word
+    /// (where XDR keeps its counts and lengths) with an edge value, or
+    /// splices the head of `msg` onto the tail of `donor`.
+    pub fn mutate(&mut self, msg: &[u8], donor: &[u8]) -> Vec<u8> {
+        let mut out = msg.to_vec();
+        match self.below(5) {
+            0 => out.truncate(self.below(msg.len())),
+            1 => {
+                let mut tail = [0; 16];
+                self.fill_bytes(&mut tail);
+                out.extend_from_slice(&tail[self.below(16)..]);
+            }
+            2 if !out.is_empty() => {
+                for _ in 0..1 + self.below(4) {
+                    let bit = self.below(out.len() * 8);
+                    out[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            3 if out.len() >= 4 => {
+                let at = 4 * self.below(out.len() / 4);
+                let word = u32::from_be_bytes(out[at..at + 4].try_into().expect("4 bytes"));
+                let (up, down) = (word.wrapping_add(1), word.wrapping_sub(1));
+                let edges = [0, 1, up, down, 1 << 31, u32::MAX];
+                out[at..at + 4].copy_from_slice(&edges[self.below(6)].to_be_bytes());
+            }
+            _ => {
+                out.truncate(self.below(msg.len() + 1));
+                out.extend_from_slice(&donor[self.below(donor.len() + 1)..]);
+            }
+        }
+        out
+    }
 }
 
 impl RngCore for DetRng {
@@ -135,6 +175,26 @@ mod tests {
             r2.fill_bytes(chunk);
         }
         assert_eq!(big, parts);
+    }
+
+    #[test]
+    fn mutations_replay_per_seed_and_change_the_message() {
+        let msg: Vec<u8> = (0..64).collect();
+        let donor = [0xEE; 40];
+        let run = |seed| {
+            let mut r = DetRng::new(seed);
+            (0..200).map(|_| r.mutate(&msg, &donor)).collect::<Vec<_>>()
+        };
+        let cases = run(5);
+        assert_eq!(cases, run(5));
+        let changed = cases.iter().filter(|m| **m != msg).count();
+        assert!(
+            changed > 180,
+            "{changed} of 200 mutations changed the message"
+        );
+        assert!(cases.iter().any(|m| m.len() < msg.len()));
+        assert!(cases.iter().any(|m| m.len() > msg.len()));
+        assert!(cases.iter().any(|m| m.windows(4).any(|w| w == [0xFF; 4])));
     }
 
     #[test]

@@ -168,8 +168,8 @@
 //!
 //! The paper's volumes live on network-attached storage nodes; the
 //! `store` crate now models that tier. A `store::BlockServer` exports
-//! any block store over a simulated link with a length-prefixed,
-//! checksummed wire protocol; `store::RemoteStore` is its client —
+//! any block store over a simulated link as an ONC-RPC program, in the
+//! same frames as NFS; `store::RemoteStore` is its client —
 //! an ordinary `BlockStore` with per-request timeout and retry — and
 //! `store::ReplicatedStore` stripes a volume R-way across N such
 //! nodes, committing each flush under an epoch record so a torn

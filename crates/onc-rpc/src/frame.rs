@@ -21,6 +21,11 @@
 //! the message buffer; only partial frames that straddle message
 //! boundaries are copied into a reassembly buffer.
 //!
+//! A transport that delivers every message whole, one frame to a
+//! message — the block protocol over `netsim` links — needs no
+//! reassembly: [`unframe`] checks such a message and borrows its
+//! payload in place, with no copy and no length bound.
+//!
 //! The decoder is deliberately paranoid — it fronts the readiness loop,
 //! the part of the server most exposed to malformed input. A declared
 //! length beyond the decoder's bound or a checksum mismatch is a hard
@@ -30,12 +35,14 @@
 //!
 //! # The integrity checksum
 //!
-//! One checksum serves every framing in the tree: these RPC frames
-//! (folded to 32 bits, [`checksum`]), the block protocol's frames in
-//! `store::remote` and the journal records in `store::file` (both the
-//! full 64 bits, [`checksum64`]). It is defined here, once.
+//! One checksum serves every framing in the tree. Every RPC frame
+//! carries it folded to 32 bits ([`checksum`]): NFS, MOUNT and the
+//! DisCFS control procedures, and the block protocol of
+//! `store::remote`, which is an ONC-RPC program of its own. The full
+//! 64 bits ([`checksum64`]) serve the journal records of `store::file`.
+//! It is defined here, once.
 //!
-//! **A tripwire, not a MAC.** RPC frames travel inside an
+//! **A tripwire, not a MAC.** NFS frames travel inside an
 //! authenticated ESP tunnel, block frames between a coordinator and
 //! its own storage nodes, journal records on the server's own disk.
 //! None of the three is a place where an adversary chooses bytes and
@@ -153,6 +160,8 @@ pub enum FrameError {
     },
     /// The payload checksum did not match the header.
     Checksum,
+    /// A message handed to [`unframe`] was not exactly one frame.
+    Misframed,
 }
 
 impl std::fmt::Display for FrameError {
@@ -162,6 +171,7 @@ impl std::fmt::Display for FrameError {
                 write!(f, "frame declares {declared} bytes (max {max})")
             }
             FrameError::Checksum => write!(f, "frame checksum mismatch"),
+            FrameError::Misframed => write!(f, "message is not exactly one frame"),
         }
     }
 }
@@ -180,6 +190,28 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
     encode_frame_into(&mut buf, payload);
     buf
+}
+
+/// The payload of `msg`, borrowed, when `msg` is exactly one whole
+/// frame: its length word counts every byte after the header and its
+/// checksum holds.
+///
+/// # Errors
+///
+/// [`FrameError::Misframed`] on a message shorter than a header, or
+/// holding less or more than one frame; [`FrameError::Checksum`] on a
+/// checksum mismatch.
+pub fn unframe(msg: &[u8]) -> Result<&[u8], FrameError> {
+    let (header, payload) = msg
+        .split_first_chunk::<FRAME_HEADER>()
+        .ok_or(FrameError::Misframed)?;
+    if read_u32(header) as usize != payload.len() {
+        return Err(FrameError::Misframed);
+    }
+    if checksum(payload) != read_u32(&header[4..]) {
+        return Err(FrameError::Checksum);
+    }
+    Ok(payload)
 }
 
 /// Reserves a frame header in `buf` and returns a marker for
@@ -232,7 +264,7 @@ impl FrameDecoder {
     }
 
     /// A decoder rejecting payloads larger than `max_frame`.
-    pub fn with_max_frame(max_frame: usize) -> FrameDecoder {
+    fn with_max_frame(max_frame: usize) -> FrameDecoder {
         FrameDecoder {
             partial: Vec::new(),
             ready: VecDeque::new(),
@@ -260,11 +292,6 @@ impl FrameDecoder {
     /// Pops the next decoded payload, oldest first.
     pub fn pop_frame(&mut self) -> Option<Bytes> {
         self.ready.pop_front()
-    }
-
-    /// Decoded payloads waiting to be popped.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
     }
 
     /// Whether an incomplete frame is buffered.
@@ -508,6 +535,10 @@ mod tests {
             for bit in 0..frame.len() * 8 {
                 let mut bad = frame.clone();
                 bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    unframe(&bad).is_err(),
+                    "len {len}: flip of bit {bit} unframed"
+                );
                 let mut dec = FrameDecoder::new();
                 let fed = dec.feed(bad.into());
                 // A flip in the length word can also read as "more bytes
@@ -525,6 +556,7 @@ mod tests {
         for len in EDGE_LENGTHS {
             let frame = encode_frame(&patterned(len));
             for keep in 0..frame.len() {
+                assert!(unframe(&frame[..keep]).is_err(), "len {len} cut to {keep}");
                 let mut dec = FrameDecoder::new();
                 assert_eq!(
                     dec.feed(Bytes::copy_from_slice(&frame[..keep])),
@@ -535,6 +567,18 @@ mod tests {
                 assert_eq!(dec.has_partial(), keep > 0);
             }
         }
+    }
+
+    #[test]
+    fn unframe_takes_exactly_one_frame() {
+        let frame = encode_frame(b"one call");
+        assert_eq!(unframe(&frame), Ok(&b"one call"[..]));
+        let mut two = frame.clone();
+        encode_frame_into(&mut two, b"");
+        assert_eq!(unframe(&two), Err(FrameError::Misframed));
+        let mut trailing = frame;
+        trailing.push(0);
+        assert_eq!(unframe(&trailing), Err(FrameError::Misframed));
     }
 
     #[test]
@@ -657,7 +701,7 @@ mod prop_tests {
                 }
             }
             prop_assert!(rejected);
-            prop_assert_eq!(dec.ready_len(), 0);
+            prop_assert!(dec.pop_frame().is_none());
         }
     }
 }

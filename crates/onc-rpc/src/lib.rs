@@ -8,7 +8,7 @@
 //! accept/deny status space.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod frame;
 pub mod rpc;
@@ -17,6 +17,6 @@ pub mod xdr;
 pub use frame::{FrameDecoder, FrameError};
 pub use rpc::{
     AcceptStat, AuthFlavor, AuthSys, OpaqueAuth, RejectStat, ReplyBody, RpcCall, RpcCallView,
-    RpcReply,
+    RpcReply, RpcReplyView,
 };
 pub use xdr::{Decoder, Encoder, XdrError};

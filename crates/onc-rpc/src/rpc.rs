@@ -8,7 +8,7 @@
 use crate::xdr::{Decoder, Encoder, XdrError};
 
 /// RPC protocol version (always 2).
-pub const RPC_VERSION: u32 = 2;
+const RPC_VERSION: u32 = 2;
 
 const MSG_CALL: u32 = 0;
 const MSG_REPLY: u32 = 1;
@@ -192,6 +192,13 @@ impl AcceptStat {
     }
 }
 
+/// Arguments that do not decode are `GARBAGE_ARGS`.
+impl From<XdrError> for AcceptStat {
+    fn from(_: XdrError) -> AcceptStat {
+        AcceptStat::GarbageArgs
+    }
+}
+
 /// Reasons a call may be rejected outright.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectStat {
@@ -201,11 +208,12 @@ pub enum RejectStat {
     AuthError,
 }
 
-/// The body of a reply.
+/// The body of a reply: its results owned (`Vec<u8>`, in [`RpcReply`])
+/// or borrowed from the message (`&[u8]`, in [`RpcReplyView`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplyBody {
+pub enum ReplyBody<R = Vec<u8>> {
     /// Accepted and executed: serialized results.
-    Success(Vec<u8>),
+    Success(R),
     /// Accepted but failed with the given status.
     Error(AcceptStat),
     /// Denied before execution.
@@ -278,28 +286,15 @@ impl RpcCall {
     /// [`XdrError`] variants on truncation, a non-call message type, or
     /// an unsupported RPC version.
     pub fn decode(data: &[u8]) -> Result<RpcCall, XdrError> {
-        let mut d = Decoder::new(data);
-        let xid = d.get_u32()?;
-        if d.get_u32()? != MSG_CALL {
-            return Err(XdrError::BadValue);
-        }
-        if d.get_u32()? != RPC_VERSION {
-            return Err(XdrError::BadValue);
-        }
-        let prog = d.get_u32()?;
-        let vers = d.get_u32()?;
-        let proc_num = d.get_u32()?;
-        let cred = OpaqueAuth::decode(&mut d)?;
-        let verf = OpaqueAuth::decode(&mut d)?;
-        let args = data[data.len() - d.remaining()..].to_vec();
+        let view = RpcCallView::decode(data)?;
         Ok(RpcCall {
-            xid,
-            prog,
-            vers,
-            proc_num,
-            cred,
-            verf,
-            args,
+            xid: view.xid,
+            prog: view.prog,
+            vers: view.vers,
+            proc_num: view.proc_num,
+            cred: view.cred,
+            verf: view.verf,
+            args: view.args.to_vec(),
         })
     }
 }
@@ -322,6 +317,8 @@ pub struct RpcCallView<'a> {
     pub proc_num: u32,
     /// Credential block.
     pub cred: OpaqueAuth,
+    /// Verifier block.
+    pub verf: OpaqueAuth,
     /// Procedure arguments, borrowed from the message buffer.
     pub args: &'a [u8],
 }
@@ -346,7 +343,7 @@ impl RpcCallView<'_> {
         let vers = d.get_u32()?;
         let proc_num = d.get_u32()?;
         let cred = OpaqueAuth::decode(&mut d)?;
-        let _verf = OpaqueAuth::decode(&mut d)?;
+        let verf = OpaqueAuth::decode(&mut d)?;
         let args = &data[data.len() - d.remaining()..];
         Ok(RpcCallView {
             xid,
@@ -354,6 +351,7 @@ impl RpcCallView<'_> {
             vers,
             proc_num,
             cred,
+            verf,
             args,
         })
     }
@@ -449,12 +447,41 @@ impl RpcReply {
         }
     }
 
-    /// Parses a reply message.
+    /// Parses a reply message, copying the results out of `data`.
     ///
     /// # Errors
     ///
     /// [`XdrError`] variants on truncation or invalid discriminants.
     pub fn decode(data: &[u8]) -> Result<RpcReply, XdrError> {
+        let RpcReplyView { xid, body } = RpcReplyView::decode(data)?;
+        let body = match body {
+            ReplyBody::Success(results) => ReplyBody::Success(results.to_vec()),
+            ReplyBody::Error(stat) => ReplyBody::Error(stat),
+            ReplyBody::Denied(stat) => ReplyBody::Denied(stat),
+        };
+        Ok(RpcReply { xid, body })
+    }
+}
+
+/// A borrowed view of an RPC reply: like [`RpcReply`] but with a
+/// success's results as a slice into the undecoded message, as
+/// [`RpcCallView`] is for calls — a block node's READ reply stays one
+/// buffer, however many blocks it carries.
+#[derive(Debug, PartialEq, Eq)]
+pub struct RpcReplyView<'a> {
+    /// Transaction id of the call being answered.
+    pub xid: u32,
+    /// Outcome, with the results borrowed.
+    pub body: ReplyBody<&'a [u8]>,
+}
+
+impl RpcReplyView<'_> {
+    /// Parses a reply message without copying the results.
+    ///
+    /// # Errors
+    ///
+    /// [`XdrError`] variants on truncation or invalid discriminants.
+    pub fn decode(data: &[u8]) -> Result<RpcReplyView<'_>, XdrError> {
         let mut d = Decoder::new(data);
         let xid = d.get_u32()?;
         if d.get_u32()? != MSG_REPLY {
@@ -464,12 +491,12 @@ impl RpcReply {
             MSG_ACCEPTED => {
                 let _verf = OpaqueAuth::decode(&mut d)?;
                 let stat = AcceptStat::from_u32(d.get_u32()?)?;
-                if stat == AcceptStat::Success {
-                    let results = data[data.len() - d.remaining()..].to_vec();
-                    Ok(RpcReply::success(xid, results))
+                let body = if stat == AcceptStat::Success {
+                    ReplyBody::Success(&data[data.len() - d.remaining()..])
                 } else {
-                    Ok(RpcReply::error(xid, stat))
-                }
+                    ReplyBody::Error(stat)
+                };
+                Ok(RpcReplyView { xid, body })
             }
             MSG_DENIED => {
                 let stat = match d.get_u32()? {
@@ -477,7 +504,10 @@ impl RpcReply {
                     1 => RejectStat::AuthError,
                     _ => return Err(XdrError::BadValue),
                 };
-                Ok(RpcReply::denied(xid, stat))
+                Ok(RpcReplyView {
+                    xid,
+                    body: ReplyBody::Denied(stat),
+                })
             }
             _ => Err(XdrError::BadValue),
         }
@@ -514,7 +544,12 @@ mod tests {
     #[test]
     fn success_reply_round_trip() {
         let reply = RpcReply::success(7, vec![9, 9, 9, 9]);
-        assert_eq!(RpcReply::decode(&reply.encode()).unwrap(), reply);
+        let bytes = reply.encode();
+        assert_eq!(RpcReply::decode(&bytes).unwrap(), reply);
+        // The view borrows the results: the message's last bytes.
+        let view = RpcReplyView::decode(&bytes).unwrap();
+        assert_eq!(view.xid, 7);
+        assert_eq!(view.body, ReplyBody::Success(&bytes[bytes.len() - 4..]));
     }
 
     #[test]

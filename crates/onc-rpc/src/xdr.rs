@@ -65,12 +65,6 @@ impl Encoder {
         self
     }
 
-    /// Encodes a signed 32-bit integer.
-    pub fn put_i32(&mut self, v: i32) -> &mut Self {
-        self.buf.put_i32(v);
-        self
-    }
-
     /// Encodes an unsigned 64-bit integer (XDR unsigned hyper).
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
         self.buf.put_u64(v);
@@ -105,20 +99,6 @@ impl Encoder {
     /// Encodes a string (same wire form as variable opaque).
     pub fn put_string(&mut self, s: &str) -> &mut Self {
         self.put_opaque(s.as_bytes())
-    }
-
-    /// Encodes an optional item as an XDR `*pointer` (bool + item).
-    pub fn put_option<T, F: FnOnce(&mut Self, &T)>(&mut self, opt: Option<&T>, f: F) -> &mut Self {
-        match opt {
-            Some(v) => {
-                self.put_bool(true);
-                f(self, v);
-            }
-            None => {
-                self.put_bool(false);
-            }
-        }
-        self
     }
 
     fn pad(&mut self, len: usize) {
@@ -172,12 +152,6 @@ impl<'a> Decoder<'a> {
         Ok(s.get_u32())
     }
 
-    /// Decodes a signed 32-bit integer.
-    pub fn get_i32(&mut self) -> Result<i32, XdrError> {
-        let mut s = self.take(4)?;
-        Ok(s.get_i32())
-    }
-
     /// Decodes an unsigned 64-bit integer.
     pub fn get_u64(&mut self) -> Result<u64, XdrError> {
         let mut s = self.take(8)?;
@@ -199,12 +173,13 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Decodes fixed-length opaque data (consuming padding).
-    pub fn get_opaque_fixed(&mut self, len: usize) -> Result<Vec<u8>, XdrError> {
+    /// Decodes fixed-length opaque data (consuming padding), borrowed
+    /// from the buffer: a block payload stays a slice of its message.
+    pub fn get_opaque_fixed(&mut self, len: usize) -> Result<&'a [u8], XdrError> {
         if len > MAX_LEN {
             return Err(XdrError::BadLength);
         }
-        let data = self.take(len)?.to_vec();
+        let data = self.take(len)?;
         let rem = len % 4;
         if rem != 0 {
             self.take(4 - rem)?;
@@ -218,7 +193,7 @@ impl<'a> Decoder<'a> {
         if len > MAX_LEN || len > self.remaining() {
             return Err(XdrError::BadLength);
         }
-        self.get_opaque_fixed(len)
+        Ok(self.get_opaque_fixed(len)?.to_vec())
     }
 
     /// Decodes a string (UTF-8 validated).
@@ -247,14 +222,12 @@ mod tests {
     fn integer_round_trips() {
         let mut e = Encoder::new();
         e.put_u32(0xdeadbeef)
-            .put_i32(-42)
             .put_u64(0x0123456789abcdef)
             .put_i64(i64::MIN)
             .put_bool(true);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.get_u32().unwrap(), 0xdeadbeef);
-        assert_eq!(d.get_i32().unwrap(), -42);
         assert_eq!(d.get_u64().unwrap(), 0x0123456789abcdef);
         assert_eq!(d.get_i64().unwrap(), i64::MIN);
         assert!(d.get_bool().unwrap());
@@ -300,17 +273,14 @@ mod tests {
 
     #[test]
     fn option_round_trip() {
+        // `*pointer` on the wire: a bool, then the item when it is true.
         let mut e = Encoder::new();
-        e.put_option(Some(&7u32), |e, v| {
-            e.put_u32(*v);
-        });
-        e.put_option::<u32, _>(None, |e, v| {
-            e.put_u32(*v);
-        });
+        e.put_bool(true).put_u32(7).put_bool(false);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.get_option(|d| d.get_u32()).unwrap(), Some(7));
         assert_eq!(d.get_option(|d| d.get_u32()).unwrap(), None);
+        assert!(d.is_exhausted());
     }
 
     #[test]
@@ -354,7 +324,7 @@ mod tests {
         let bytes = e.finish();
         assert_eq!(bytes.len(), 8); // 7 + 1 pad
         let mut d = Decoder::new(&bytes);
-        assert_eq!(d.get_opaque_fixed(7).unwrap(), vec![1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(d.get_opaque_fixed(7).unwrap(), [1, 2, 3, 4, 5, 6, 7]);
         assert!(d.is_exhausted());
     }
 }

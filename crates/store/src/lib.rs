@@ -73,8 +73,8 @@
 //! the block layer itself behind simulated network boundaries:
 //!
 //! * [`BlockServer`] serves any backend over a [`netsim::Transport`]
-//!   with a checksummed, length-prefixed request/response protocol —
-//!   one simulated storage node per server thread.
+//!   as an ONC-RPC program, framed and checksummed as NFS is — one
+//!   simulated storage node per server thread.
 //! * [`RemoteStore`] is the client: a [`BlockStore`] whose every call
 //!   is one RPC (a round trip per call, however many blocks), with
 //!   per-node timeout/retry and a **dead-node latch** once the link

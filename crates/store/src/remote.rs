@@ -12,43 +12,48 @@
 //!
 //! # Wire format
 //!
-//! Every message — request or response — is one checksummed frame:
+//! The block protocol is ONC-RPC program `0x2000_0B10`, version 1
+//! (RFC 5531). Every message is one [`onc_rpc::frame`] frame around an
+//! `RpcCall` or an `RpcReply`, as for NFS. Arguments and results are
+//! XDR: integers are words, 64-bit ones unsigned hypers, a block is
+//! fixed-length opaque of `BLOCK_SIZE` bytes, and class 0 is data, 1
+//! metadata.
 //!
-//! ```text
-//! +------------------+------------+-------+--------+-----------------+
-//! | remaining length | request id | op    | body   | checksum        |
-//! | u32 LE           | u64 LE     | u8    | ...    | u64 LE          |
-//! +------------------+------------+-------+--------+-----------------+
-//!                    |<-------- checksummed -------->|
-//! ```
+//! | Procedure | Arguments | Results after `OK` |
+//! | --- | --- | --- |
+//! | 1 LEN | none | block count |
+//! | 2 READ | class, count, index × count | count, block × count |
+//! | 3 WRITE | fence token, class, count, (index, block) × count | none |
+//! | 4 FLUSH | fence token | none |
+//! | 5 ACQUIRE_LEASE | coordinator id, ttl (ns) | fence token, expiry (ns) |
+//! | 6 SHUTDOWN | none | none |
 //!
-//! `remaining length` counts everything after itself, so a frame is
-//! `FRAME_OVERHEAD` = 21 bytes around its body. The checksum is
-//! [`onc_rpc::frame::checksum64`] over request id ‖ op ‖ body — the
-//! tree's one integrity checksum, defined (with why a tripwire and not
-//! a MAC is the right tool between a coordinator and its own nodes) in
-//! [`onc_rpc::frame`]. A frame that fails it, or whose length prefix
-//! disagrees with the message it arrived in, is a
-//! [`RemoteError::Protocol`].
+//! Every result starts with a discriminant word:
 //!
-//! The block protocol carries one READ and one WRITE, the bodies of
-//! [`BlockStore::read`] and [`BlockStore::write`] (integers LE, blocks
-//! as raw 8 KB payloads, class 0 = data and 1 = metadata):
+//! - `OK` (0), then the results above;
+//! - `FENCED` (1), then the node's granted fence token
+//!   ([`RemoteError::Fenced`]);
+//! - `LEASE_HELD` (2), then the holder's coordinator id and the lease's
+//!   expiry ([`RemoteError::LeaseHeld`]).
 //!
-//! ```text
-//! OP_READ   | class u8 | count u32 | idx u64 × count |
-//! OP_WRITE  | token u64 | class u8 | count u32 | (idx u64, block) × count |
-//! ```
+//! The server checks a WRITE's or a FLUSH's fence token first. It
+//! refuses with `GARBAGE_ARGS` an unknown class, a count the arguments
+//! do not hold, an index past the end and trailing bytes; a failed
+//! flush is `SYSTEM_ERR` (both [`RemoteError::Server`]); an unknown
+//! procedure is `PROC_UNAVAIL`, another program `PROG_UNAVAIL`. Nothing
+//! refused reaches the store. The `xid` is the request id, a u32 that
+//! wraps, by which a client that re-sent drains stale replies.
 //!
-//! The server checks a WRITE's fence token before anything else, then
-//! the class byte, the count against the body's length and every index
-//! against its store's block count: a well-framed request it cannot
-//! serve is answered `RESP_ERR` ([`RemoteError::Server`]), never passed
-//! to the store to panic on. Responses echo the request id, so a client
-//! that timed out and re-sent can drain the stale first reply. Block
-//! payloads ride the zero-copy [`Bytes`] path: the server reads
-//! handles from its store and the client slices response frames into
-//! handles without re-copying per block.
+//! Messages arrive whole, so a frame is checked and decoded in place
+//! ([`onc_rpc::frame::unframe`]), with no length bound: a flush sends a
+//! node its whole batch in one WRITE. Blocks stay zero-copy: the server
+//! writes a WRITE's blocks as slices of the message, the client slices
+//! a READ reply into [`Bytes`] handles of one buffer. The frame
+//! checksum is the folded 32-bit [`onc_rpc::frame::checksum`]: a
+//! tripwire, not a MAC ([`onc_rpc::frame`] says why that suffices
+//! between a coordinator and its own nodes). A message that is not one
+//! frame around an RPC message is dropped by the server and is a
+//! [`RemoteError::Protocol`] at the client.
 //!
 //! # Failure model
 //!
@@ -90,7 +95,7 @@
 //! lost ownership must not be applied at all. The server enforces that
 //! with **fencing tokens**:
 //!
-//! - [`OP_ACQUIRE_LEASE`](RemoteStore::try_acquire_lease) grants a
+//! - ACQUIRE_LEASE ([`RemoteStore::try_acquire_lease`]) grants a
 //!   `(coordinator_id, fence_token)` lease with a virtual-clock expiry
 //!   (the transport's [`netsim::SimClock`]). The token is a per-node
 //!   monotonic counter: every *fresh* grant — first lease, takeover,
@@ -124,42 +129,48 @@
 //! (counting it in [`StoreStats::fenced`]) — `ReplicatedStore` reacts
 //! by latching the whole volume read-only.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use netsim::{Endpoint, Link, LinkConfig, NetError, SimClock, Transport};
-use onc_rpc::frame::checksum64;
+use onc_rpc::frame::{self, FRAME_HEADER};
+use onc_rpc::XdrError;
+use onc_rpc::{AcceptStat, Decoder, ReplyBody, RpcCall, RpcCallView, RpcReply, RpcReplyView};
 use parking_lot::Mutex;
 
 use crate::{vectored, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
-// Request opcodes.
-const OP_READ: u8 = 1;
-const OP_WRITE: u8 = 3;
-const OP_FLUSH: u8 = 5;
-const OP_LEN: u8 = 6;
-const OP_SHUTDOWN: u8 = 10;
-const OP_ACQUIRE_LEASE: u8 = 11;
-const OP_RENEW_LEASE: u8 = 12;
+/// The block protocol's program number, from the range RFC 5531
+/// leaves to users, and its one version.
+const BLOCK_PROGRAM: u32 = 0x2000_0B10;
+const BLOCK_VERSION: u32 = 1;
 
-// Response opcodes (high bit set).
-const RESP_BLOCKS: u8 = 0x81;
-const RESP_OK: u8 = 0x82;
-const RESP_LEN: u8 = 0x83;
-const RESP_ERR: u8 = 0x84;
-const RESP_FENCED: u8 = 0x85;
-const RESP_LEASE: u8 = 0x86;
-const RESP_LEASE_HELD: u8 = 0x87;
+// Procedures (module docs, *Wire format*).
+const PROC_LEN: u32 = 1;
+const PROC_READ: u32 = 2;
+const PROC_WRITE: u32 = 3;
+const PROC_FLUSH: u32 = 4;
+const PROC_ACQUIRE_LEASE: u32 = 5;
+const PROC_SHUTDOWN: u32 = 6;
 
-/// Bytes of the trailing checksum.
-const CHECKSUM_LEN: usize = 8;
-/// Offset of the body in a frame: length prefix, request id, op.
-const BODY_START: usize = 4 + 8 + 1;
-/// Everything in a frame but its body: header and trailing checksum.
-const FRAME_OVERHEAD: usize = BODY_START + CHECKSUM_LEN;
+// Result discriminants: the first word of every result.
+const OK: u32 = 0;
+const FENCED: u32 = 1;
+const LEASE_HELD: u32 = 2;
+
+/// Bytes a call adds to its arguments: frame and RPC headers.
+const CALL_OVERHEAD: usize = FRAME_HEADER + 40;
+
+/// Appends a result: its discriminant, then unsigned hypers.
+fn put_result(out: &mut Vec<u8>, verdict: u32, hypers: &[u64]) {
+    out.put_u32(verdict);
+    for &h in hypers {
+        out.put_u64(h);
+    }
+}
 
 /// Errors a [`RemoteStore`] request can fail with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,10 +178,11 @@ pub enum RemoteError {
     /// The link failed (node dead or request timed out past the retry
     /// budget).
     Net(NetError),
-    /// A frame failed to parse or checksum, or an unexpected response
-    /// op arrived.
+    /// A reply was not one frame, failed its checksum or did not
+    /// decode.
     Protocol(String),
-    /// The server reported an error (e.g. a failed flush).
+    /// The server refused the call (`GARBAGE_ARGS`, or `SYSTEM_ERR` for
+    /// a failed flush).
     Server(String),
     /// A mutating request carried a fence token below the node's
     /// current grant: a newer lease exists, this coordinator must stop
@@ -207,56 +219,29 @@ impl std::fmt::Display for RemoteError {
 
 impl std::error::Error for RemoteError {}
 
-/// The trailer of a frame whose request id ‖ op ‖ body are `covered`.
-fn frame_checksum(covered: &[u8]) -> [u8; CHECKSUM_LEN] {
-    checksum64(covered).to_le_bytes()
+/// A reply that does not decode is a protocol error.
+impl From<XdrError> for RemoteError {
+    fn from(e: XdrError) -> RemoteError {
+        RemoteError::Protocol(format!("reply does not decode: {e}"))
+    }
 }
 
-/// Builds a frame whose `body_len`-byte body `write_body` appends
-/// straight into the frame buffer, so a block payload is copied once.
-fn encode_frame_with(
-    req_id: u64,
-    op: u8,
-    body_len: usize,
-    write_body: impl FnOnce(&mut Vec<u8>),
+/// Builds one call: the frame and RPC headers, then the `args_len`
+/// bytes of XDR arguments that `write_args` appends straight into the
+/// message, so a block payload is copied once.
+fn encode_call(
+    xid: u32,
+    proc: u32,
+    args_len: usize,
+    write_args: impl FnOnce(&mut Vec<u8>),
 ) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + body_len);
-    frame.extend_from_slice(&((FRAME_OVERHEAD - 4 + body_len) as u32).to_le_bytes());
-    frame.extend_from_slice(&req_id.to_le_bytes());
-    frame.push(op);
-    write_body(&mut frame);
-    assert_eq!(frame.len(), BODY_START + body_len, "frame body length");
-    let sum = frame_checksum(&frame[4..]);
-    frame.extend_from_slice(&sum);
-    frame
-}
-
-fn encode_frame(req_id: u64, op: u8, body: &[u8]) -> Vec<u8> {
-    encode_frame_with(req_id, op, body.len(), |frame| {
-        frame.extend_from_slice(body)
-    })
-}
-
-fn decode_frame(msg: &[u8]) -> Result<(u64, u8, &[u8]), RemoteError> {
-    if msg.len() < FRAME_OVERHEAD {
-        return Err(RemoteError::Protocol(format!(
-            "frame too short: {} bytes",
-            msg.len()
-        )));
-    }
-    let len = u32::from_le_bytes(msg[0..4].try_into().expect("4 bytes")) as usize;
-    if len != msg.len() - 4 {
-        return Err(RemoteError::Protocol(format!(
-            "length prefix {len} != {} remaining bytes",
-            msg.len() - 4
-        )));
-    }
-    let (covered, sum) = msg[4..].split_at(len - CHECKSUM_LEN);
-    if frame_checksum(covered) != sum {
-        return Err(RemoteError::Protocol("frame checksum mismatch".into()));
-    }
-    let req_id = u64::from_le_bytes(covered[..8].try_into().expect("8 bytes"));
-    Ok((req_id, covered[8], &covered[9..]))
+    let mut msg = Vec::with_capacity(CALL_OVERHEAD + args_len);
+    let start = frame::begin_frame(&mut msg);
+    RpcCall::new(xid, BLOCK_PROGRAM, BLOCK_VERSION, proc, Vec::new()).encode_into(&mut msg);
+    write_args(&mut msg);
+    debug_assert_eq!(msg.len(), CALL_OVERHEAD + args_len, "call arguments length");
+    frame::end_frame(&mut msg, start);
+    msg
 }
 
 /// Server-side lease state for one storage node: the current
@@ -327,25 +312,6 @@ impl NodeLease {
         s.token += 1;
         s.holder = coordinator;
         s.expires = fresh;
-        Ok((s.token, s.expires))
-    }
-
-    /// Extends the expiry of the lease identified by `(coordinator,
-    /// token)` — only while that grant is still the current one; a
-    /// renewal under a superseded token is fenced.
-    fn renew(
-        &self,
-        coordinator: u64,
-        token: u64,
-        ttl: Duration,
-        now: Option<Duration>,
-    ) -> Result<(u64, Duration), u64> {
-        let mut s = self.slot.lock();
-        if s.token != token || s.holder != coordinator || token == 0 {
-            return Err(s.token);
-        }
-        let fresh = now.map_or(Duration::MAX, |t| t.saturating_add(ttl));
-        s.expires = s.expires.max(fresh);
         Ok((s.token, s.expires))
     }
 
@@ -425,157 +391,130 @@ impl<S: BlockStore> BlockServer<S> {
             if kill.load(Ordering::SeqCst) {
                 return;
             }
-            // A malformed frame is dropped: the client times out and
-            // retries (or declares this node dead).
-            let Ok((req_id, op, body)) = decode_frame(&msg) else {
+            // A message that is not one frame around an RPC call is
+            // dropped: the client times out and retries (or declares
+            // this node dead).
+            let Some(call) = frame::unframe(&msg)
+                .ok()
+                .and_then(|payload| RpcCallView::decode(payload).ok())
+            else {
                 continue;
             };
-            let shutdown = op == OP_SHUTDOWN;
-            let now = clock.as_ref().map(netsim::SimClock::now);
-            let reply = self.handle(req_id, op, body, now);
-            if link.send(reply).is_err() || shutdown {
+            let mut reply = Vec::new();
+            let start = frame::begin_frame(&mut reply);
+            RpcReply::success(call.xid, Vec::new()).encode_into(&mut reply);
+            let served = self.results(&call, clock.as_ref().map(SimClock::now), &mut reply);
+            if let Err(stat) = served {
+                reply.truncate(start + FRAME_HEADER);
+                RpcReply::error(call.xid, stat).encode_into(&mut reply);
+            }
+            frame::end_frame(&mut reply, start);
+            if link.send(reply).is_err() || served == Ok(PROC_SHUTDOWN) {
                 return;
             }
         }
     }
 
-    fn handle(&self, req_id: u64, op: u8, body: &[u8], now: Option<Duration>) -> Vec<u8> {
-        match op {
-            OP_READ => match decode_items(body, 8, self.store.block_count(), |idx, _| idx) {
-                Ok((class, idxs)) => encode_blocks_resp(req_id, &self.store.read(class, &idxs)),
-                Err(why) => encode_frame(req_id, RESP_ERR, why.as_bytes()),
-            },
-            OP_WRITE if body.len() >= 8 => {
-                let token = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-                if let Err(granted) = self.lease.check(token) {
-                    return encode_frame(req_id, RESP_FENCED, &granted.to_le_bytes());
-                }
-                let blocks = self.store.block_count();
-                match decode_items(&body[8..], 8 + BLOCK_SIZE, blocks, |idx, block| {
-                    (idx, block)
-                }) {
-                    Ok((class, writes)) => {
-                        self.store.write(class, &writes);
-                        encode_frame(req_id, RESP_OK, &[])
-                    }
-                    Err(why) => encode_frame(req_id, RESP_ERR, why.as_bytes()),
-                }
-            }
-            OP_FLUSH if body.len() == 8 => {
-                let token = u64::from_le_bytes(body.try_into().expect("8 bytes"));
-                if let Err(granted) = self.lease.check(token) {
-                    return encode_frame(req_id, RESP_FENCED, &granted.to_le_bytes());
-                }
-                match self.store.flush() {
-                    Ok(()) => encode_frame(req_id, RESP_OK, &[]),
-                    Err(e) => encode_frame(req_id, RESP_ERR, e.to_string().as_bytes()),
-                }
-            }
-            OP_ACQUIRE_LEASE if body.len() == 16 => {
-                let coordinator = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-                let ttl =
-                    Duration::from_nanos(u64::from_le_bytes(body[8..16].try_into().expect("8")));
-                match self.lease.acquire(coordinator, ttl, now) {
-                    Ok((token, expires)) => encode_lease_resp(req_id, RESP_LEASE, token, expires),
-                    Err((holder, expires)) => {
-                        encode_lease_resp(req_id, RESP_LEASE_HELD, holder, expires)
-                    }
-                }
-            }
-            OP_RENEW_LEASE if body.len() == 24 => {
-                let coordinator = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-                let token = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-                let ttl =
-                    Duration::from_nanos(u64::from_le_bytes(body[16..24].try_into().expect("8")));
-                match self.lease.renew(coordinator, token, ttl, now) {
-                    Ok((token, expires)) => encode_lease_resp(req_id, RESP_LEASE, token, expires),
-                    Err(granted) => encode_frame(req_id, RESP_FENCED, &granted.to_le_bytes()),
-                }
-            }
-            OP_LEN => encode_frame(req_id, RESP_LEN, &self.store.block_count().to_le_bytes()),
-            OP_SHUTDOWN => encode_frame(req_id, RESP_OK, &[]),
-            _ => encode_frame(req_id, RESP_ERR, format!("bad request op {op}").as_bytes()),
+    /// Appends the results of `call` to `out` and names the procedure
+    /// served, or refuses the call with an accept status. Nothing a
+    /// refused call asked for reaches the store.
+    fn results(
+        &self,
+        call: &RpcCallView<'_>,
+        now: Option<Duration>,
+        out: &mut Vec<u8>,
+    ) -> Result<u32, AcceptStat> {
+        if call.prog != BLOCK_PROGRAM || call.vers != BLOCK_VERSION {
+            return Err(AcceptStat::ProgUnavail);
         }
+        let mut args = Decoder::new(call.args);
+        let blocks = self.store.block_count();
+        match call.proc_num {
+            PROC_LEN => {
+                require(args.is_exhausted())?;
+                put_result(out, OK, &[blocks]);
+            }
+            PROC_READ => {
+                let (class, count) = extent(&mut args, 8)?;
+                let idxs = (0..count)
+                    .map(|_| block_index(&mut args, blocks))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let read = self.store.read(class, &idxs);
+                out.reserve_exact(8 + read.len() * BLOCK_SIZE);
+                out.put_u32(OK);
+                out.put_u32(read.len() as u32);
+                for block in &read {
+                    out.extend_from_slice(block);
+                }
+            }
+            PROC_WRITE | PROC_FLUSH => {
+                // The fence check comes before anything else.
+                if let Err(granted) = self.lease.check(args.get_u64()?) {
+                    put_result(out, FENCED, &[granted]);
+                } else if call.proc_num == PROC_FLUSH {
+                    require(args.is_exhausted())?;
+                    self.store.flush().map_err(|_| AcceptStat::SystemErr)?;
+                    put_result(out, OK, &[]);
+                } else {
+                    let (class, count) = extent(&mut args, 8 + BLOCK_SIZE)?;
+                    let writes = (0..count)
+                        .map(|_| {
+                            let idx = block_index(&mut args, blocks)?;
+                            Ok((idx, args.get_opaque_fixed(BLOCK_SIZE)?))
+                        })
+                        .collect::<Result<Vec<_>, AcceptStat>>()?;
+                    self.store.write(class, &writes);
+                    put_result(out, OK, &[]);
+                }
+            }
+            PROC_ACQUIRE_LEASE => {
+                let coordinator = args.get_u64()?;
+                let ttl = Duration::from_nanos(args.get_u64()?);
+                require(args.is_exhausted())?;
+                let (verdict, (word, expires)) = match self.lease.acquire(coordinator, ttl, now) {
+                    Ok(grant) => (OK, grant),
+                    Err(holder) => (LEASE_HELD, holder),
+                };
+                put_result(out, verdict, &[word, duration_nanos(expires)]);
+            }
+            PROC_SHUTDOWN => {
+                require(args.is_exhausted())?;
+                put_result(out, OK, &[]);
+            }
+            _ => return Err(AcceptStat::ProcUnavail),
+        }
+        Ok(call.proc_num)
     }
 }
 
-/// `[u64 token-or-holder][u64 expiry nanos]` lease reply (`RESP_LEASE`
-/// on a grant, `RESP_LEASE_HELD` on a refusal).
-fn encode_lease_resp(req_id: u64, resp: u8, word: u64, expires: Duration) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16);
-    body.extend_from_slice(&word.to_le_bytes());
-    body.extend_from_slice(&duration_nanos(expires).to_le_bytes());
-    encode_frame(req_id, resp, &body)
+/// `GARBAGE_ARGS` unless `ok`.
+fn require(ok: bool) -> Result<(), AcceptStat> {
+    ok.then_some(()).ok_or(AcceptStat::GarbageArgs)
+}
+
+/// A READ's or a WRITE's class and count: `count` items of `item_len`
+/// bytes must be exactly the rest of the arguments.
+fn extent(args: &mut Decoder<'_>, item_len: usize) -> Result<(IoClass, usize), AcceptStat> {
+    let class = match args.get_u32()? {
+        0 => IoClass::Data,
+        1 => IoClass::Meta,
+        _ => return Err(AcceptStat::GarbageArgs),
+    };
+    let count = args.get_u32()? as usize;
+    require(count.saturating_mul(item_len) == args.remaining())?;
+    Ok((class, count))
+}
+
+fn block_index(args: &mut Decoder<'_>, block_count: u64) -> Result<u64, AcceptStat> {
+    let idx = args.get_u64()?;
+    require(idx < block_count)?;
+    Ok(idx)
 }
 
 /// Nanoseconds of `d`, saturating (a clockless lease "expires" at
 /// `Duration::MAX`, which overflows u64 nanos).
 fn duration_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-fn encode_blocks_resp(req_id: u64, blocks: &[Bytes]) -> Vec<u8> {
-    let body_len = 4 + blocks.len() * BLOCK_SIZE;
-    encode_frame_with(req_id, RESP_BLOCKS, body_len, |frame| {
-        frame.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-        for block in blocks {
-            frame.extend_from_slice(block);
-        }
-    })
-}
-
-/// Parses `[class u8][count u32] item × count` — a READ body, or a
-/// WRITE body after its token — where an item is `item_len` bytes and
-/// starts with its block index. Refuses a class byte it does not know,
-/// a count the body does not hold and an index at or past
-/// `block_count`: the reason goes back in a `RESP_ERR`.
-fn decode_items<'a, T>(
-    body: &'a [u8],
-    item_len: usize,
-    block_count: u64,
-    item: impl Fn(u64, &'a [u8]) -> T,
-) -> Result<(IoClass, Vec<T>), &'static str> {
-    let (head, items) = body
-        .split_first_chunk::<5>()
-        .ok_or("request body shorter than its class and count")?;
-    let class = match head[0] {
-        0 => IoClass::Data,
-        1 => IoClass::Meta,
-        _ => return Err("unknown I/O class"),
-    };
-    let count = u32::from_le_bytes(head[1..].try_into().expect("4 bytes")) as usize;
-    if items.len() != count.saturating_mul(item_len) {
-        return Err("item list does not match its count");
-    }
-    let items = items.chunks_exact(item_len).map(|c| {
-        let idx = u64::from_le_bytes(c[..8].try_into().expect("8 bytes"));
-        if idx < block_count {
-            Ok(item(idx, &c[8..]))
-        } else {
-            Err("block index out of range")
-        }
-    });
-    Ok((class, items.collect::<Result<_, _>>()?))
-}
-
-/// Appends a READ body: class (0 = data, 1 = metadata), count, indices.
-fn encode_read(frame: &mut Vec<u8>, class: IoClass, idxs: &[u64]) {
-    frame.push(class as u8);
-    frame.extend_from_slice(&(idxs.len() as u32).to_le_bytes());
-    for idx in idxs {
-        frame.extend_from_slice(&idx.to_le_bytes());
-    }
-}
-
-/// Appends a WRITE body: fence token, class, count, `(index, block)`s.
-fn encode_write(frame: &mut Vec<u8>, token: u64, class: IoClass, writes: &[(u64, &[u8])]) {
-    frame.extend_from_slice(&token.to_le_bytes());
-    frame.push(class as u8);
-    frame.extend_from_slice(&(writes.len() as u32).to_le_bytes());
-    for &(idx, data) in writes {
-        frame.extend_from_slice(&idx.to_le_bytes());
-        frame.extend_from_slice(data);
-    }
 }
 
 /// Retry policy for a [`RemoteStore`]: exponential backoff with
@@ -660,7 +599,7 @@ struct ServerHandle {
 /// preset) treats node death like any other fatal storage failure.
 pub struct RemoteStore {
     link: Mutex<Box<dyn Transport>>,
-    next_req_id: AtomicU64,
+    next_xid: AtomicU32,
     block_count: u64,
     opts: RemoteOptions,
     /// One-way link latency, used by `ReplicatedStore` to rank
@@ -677,10 +616,8 @@ pub struct RemoteStore {
     backoff_rng: AtomicU64,
     server: Mutex<Option<ServerHandle>>,
     /// The fence token granted by the node's last lease reply (0 =
-    /// unleased legacy mode), stamped on every mutating frame.
+    /// unleased legacy mode), stamped on every mutating call.
     fence: AtomicU64,
-    /// This client's coordinator id (0 until a lease is acquired).
-    coordinator: AtomicU64,
     fenced_writes: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
@@ -729,9 +666,9 @@ impl RemoteStore {
     ) -> Result<RemoteStore, RemoteError> {
         let faults = link.fault_plan();
         let clock = link.sim_clock();
-        let store = RemoteStore {
+        let mut store = RemoteStore {
             link: Mutex::new(Box::new(link)),
-            next_req_id: AtomicU64::new(1),
+            next_xid: AtomicU32::new(1),
             block_count: 0,
             opts,
             latency_hint,
@@ -742,7 +679,6 @@ impl RemoteStore {
             backoff_rng: AtomicU64::new(0x5DEE_CE66_D0F1_5A4D),
             server: Mutex::new(None),
             fence: AtomicU64::new(0),
-            coordinator: AtomicU64::new(0),
             fenced_writes: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -753,12 +689,7 @@ impl RemoteStore {
             bytes_on_wire: AtomicU64::new(0),
             retries: AtomicU64::new(0),
         };
-        let mut store = store;
-        let (op, body) = store.rpc(OP_LEN, &[])?;
-        if op != RESP_LEN || body.len() != 8 {
-            return Err(RemoteError::Protocol("bad length response".into()));
-        }
-        store.block_count = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
+        [store.block_count] = hypers(&store.call(PROC_LEN, 0, |_| {})?)?;
         Ok(store)
     }
 
@@ -884,15 +815,12 @@ impl RemoteStore {
     /// [`DeadCause`] untouched.
     pub fn probe(&self) -> Result<u64, RemoteError> {
         let link = self.link.lock();
-        let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
-        let frame = encode_frame(req_id, OP_LEN, &[]);
-        let (op, body) = self.attempt(&**link, frame, req_id)?;
-        if op != RESP_LEN || body.len() != 8 {
-            return Err(RemoteError::Protocol("bad length response".into()));
-        }
+        let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
+        let call = encode_call(xid, PROC_LEN, 0, |_| {});
+        let [blocks] = hypers(&self.attempt(&**link, call, xid)?)?;
         *self.cause.lock() = None;
         self.dead.store(false, Ordering::SeqCst);
-        Ok(u64::from_le_bytes(body[..8].try_into().expect("8 bytes")))
+        Ok(blocks)
     }
 
     /// The one-way link latency hint used for replica ranking.
@@ -918,7 +846,8 @@ impl RemoteStore {
 
     /// Acquires (or re-acquires) the node's lease for `coordinator`:
     /// on a grant the returned fence token is remembered and stamped
-    /// on every later mutating frame. Refused with
+    /// on every later mutating call. Re-acquiring an unexpired lease
+    /// extends it under the same token. Refused with
     /// [`RemoteError::LeaseHeld`] while another coordinator's lease is
     /// unexpired on the node's virtual clock.
     ///
@@ -932,48 +861,22 @@ impl RemoteStore {
         coordinator: u64,
         ttl: Duration,
     ) -> Result<LeaseGrant, RemoteError> {
-        let mut body = Vec::with_capacity(16);
-        body.extend_from_slice(&coordinator.to_le_bytes());
-        body.extend_from_slice(&duration_nanos(ttl).to_le_bytes());
-        let grant = Self::expect_lease(self.rpc(OP_ACQUIRE_LEASE, &body)?)?;
-        self.coordinator.store(coordinator, Ordering::SeqCst);
-        self.fence.store(grant.token, Ordering::SeqCst);
-        Ok(grant)
+        let results = self.call(PROC_ACQUIRE_LEASE, 16, |msg| {
+            msg.put_u64(coordinator);
+            msg.put_u64(duration_nanos(ttl));
+        })?;
+        let [token, expires] = hypers(&results)?;
+        self.fence.store(token, Ordering::SeqCst);
+        Ok(LeaseGrant {
+            token,
+            expires: Duration::from_nanos(expires),
+        })
     }
 
-    /// Extends the current lease's expiry without bumping the fence
-    /// token. Fenced (and *not* retried) if a newer lease superseded
-    /// ours in the meantime.
-    ///
-    /// # Errors
-    ///
-    /// [`RemoteError::Fenced`] when our grant is no longer current;
-    /// any transport-level [`RemoteError`] otherwise.
-    pub fn try_renew_lease(&self, ttl: Duration) -> Result<LeaseGrant, RemoteError> {
-        let mut body = Vec::with_capacity(24);
-        body.extend_from_slice(&self.coordinator.load(Ordering::SeqCst).to_le_bytes());
-        body.extend_from_slice(&self.fence.load(Ordering::SeqCst).to_le_bytes());
-        body.extend_from_slice(&duration_nanos(ttl).to_le_bytes());
-        Self::expect_lease(self.rpc(OP_RENEW_LEASE, &body)?)
-    }
-
-    /// The fence token this client stamps on mutating frames (0 =
+    /// The fence token this client stamps on mutating calls (0 =
     /// unleased legacy mode).
     pub fn fence_token(&self) -> u64 {
         self.fence.load(Ordering::SeqCst)
-    }
-
-    fn expect_lease(resp: (u8, Bytes)) -> Result<LeaseGrant, RemoteError> {
-        let (op, body) = resp;
-        if op != RESP_LEASE || body.len() != 16 {
-            return Err(RemoteError::Protocol(format!("bad lease response op {op}")));
-        }
-        Ok(LeaseGrant {
-            token: u64::from_le_bytes(body[..8].try_into().expect("8 bytes")),
-            expires: Duration::from_nanos(u64::from_le_bytes(
-                body[8..16].try_into().expect("8 bytes"),
-            )),
-        })
     }
 
     fn mark_dead(&self, cause: DeadCause) {
@@ -999,17 +902,13 @@ impl RemoteStore {
 
     /// One send + await-matching-reply attempt: no retries, no dead
     /// latch. Stale replies (timed-out or fault-duplicated earlier
-    /// attempts) are drained by the request-id check.
-    fn attempt(
-        &self,
-        link: &dyn Transport,
-        frame: Vec<u8>,
-        req_id: u64,
-    ) -> Result<(u8, Bytes), RemoteError> {
+    /// attempts) are drained by the `xid` check. Returns the results
+    /// after the `OK` discriminant, as a slice of the reply message.
+    fn attempt(&self, link: &dyn Transport, call: Vec<u8>, xid: u32) -> Result<Bytes, RemoteError> {
         self.rpc_calls.fetch_add(1, Ordering::Relaxed);
         self.bytes_on_wire
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        if link.send(frame).is_err() {
+            .fetch_add(call.len() as u64, Ordering::Relaxed);
+        if link.send(call).is_err() {
             return Err(RemoteError::Net(NetError::Disconnected));
         }
         loop {
@@ -1018,70 +917,67 @@ impl RemoteStore {
                 .map_err(RemoteError::Net)?;
             self.bytes_on_wire
                 .fetch_add(msg.len() as u64, Ordering::Relaxed);
-            let (resp_id, resp_op, resp_body) = decode_frame(&msg)?;
-            if resp_id != req_id {
+            let payload = frame::unframe(&msg).map_err(|e| RemoteError::Protocol(e.to_string()))?;
+            let reply = RpcReplyView::decode(payload)?;
+            if reply.xid != xid {
                 // Stale reply from a timed-out or duplicated attempt.
                 continue;
             }
-            if resp_op == RESP_ERR {
-                return Err(RemoteError::Server(
-                    String::from_utf8_lossy(resp_body).into_owned(),
-                ));
-            }
-            if resp_op == RESP_FENCED {
-                let granted = resp_body
-                    .get(..8)
-                    .ok_or_else(|| RemoteError::Protocol("short fenced response".into()))?;
-                return Err(RemoteError::Fenced {
-                    granted: u64::from_le_bytes(granted.try_into().expect("8 bytes")),
-                });
-            }
-            if resp_op == RESP_LEASE_HELD {
-                if resp_body.len() != 16 {
-                    return Err(RemoteError::Protocol("short lease-held response".into()));
+            let ReplyBody::Success(results) = reply.body else {
+                return Err(RemoteError::Server(format!(
+                    "node refused the call: {:?}",
+                    reply.body
+                )));
+            };
+            let verdict = Decoder::new(results).get_u32()?;
+            let rest = &results[4..];
+            return match verdict {
+                OK => {
+                    let start = msg.len() - rest.len();
+                    Ok(Bytes::from(msg).slice(start..))
                 }
-                return Err(RemoteError::LeaseHeld {
-                    holder: u64::from_le_bytes(resp_body[..8].try_into().expect("8 bytes")),
-                    expires: Duration::from_nanos(u64::from_le_bytes(
-                        resp_body[8..16].try_into().expect("8 bytes"),
-                    )),
-                });
-            }
-            // The reply body as a slice of the message it arrived in.
-            let body_end = BODY_START + resp_body.len();
-            return Ok((resp_op, Bytes::from(msg).slice(BODY_START..body_end)));
+                FENCED => {
+                    let [granted] = hypers(rest)?;
+                    Err(RemoteError::Fenced { granted })
+                }
+                LEASE_HELD => {
+                    let [holder, expires] = hypers(rest)?;
+                    Err(RemoteError::LeaseHeld {
+                        holder,
+                        expires: Duration::from_nanos(expires),
+                    })
+                }
+                _ => Err(RemoteError::Protocol(format!(
+                    "unknown result discriminant {verdict}"
+                ))),
+            };
         }
     }
 
-    /// [`RemoteStore::rpc_with`] for a body that is already in one
-    /// piece.
-    fn rpc(&self, op: u8, body: &[u8]) -> Result<(u8, Bytes), RemoteError> {
-        self.rpc_with(op, body.len(), |frame| frame.extend_from_slice(body))
-    }
-
-    /// One request/response exchange: send, await the matching reply,
-    /// re-send on timeout under backoff until the deadline, fail fast
-    /// on a dead node or link. `write_body` appends the `body_len`-byte
-    /// request body to the frame; each attempt hands its frame to the
-    /// link, so a re-send after a timeout encodes it again.
-    fn rpc_with(
+    /// One call: send, await the matching reply, re-send on timeout
+    /// under backoff until the deadline, fail fast on a dead node or
+    /// link. `write_args` appends the `args_len` bytes of arguments to
+    /// the message; each attempt hands its message to the link, so a
+    /// re-send after a timeout encodes it again. Returns the results
+    /// after the `OK` discriminant.
+    fn call(
         &self,
-        op: u8,
-        body_len: usize,
-        write_body: impl Fn(&mut Vec<u8>),
-    ) -> Result<(u8, Bytes), RemoteError> {
+        proc: u32,
+        args_len: usize,
+        write_args: impl Fn(&mut Vec<u8>),
+    ) -> Result<Bytes, RemoteError> {
         if self.is_dead() {
             return Err(RemoteError::Net(NetError::Disconnected));
         }
         let link = self.link.lock();
-        let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
+        let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
         // The deadline meters *waiting*, deterministically: per-attempt
         // timeouts plus backoff sleeps, not wall time.
         let mut waited = Duration::ZERO;
         let mut prev = self.opts.base;
         loop {
-            let frame = encode_frame_with(req_id, op, body_len, &write_body);
-            match self.attempt(&**link, frame, req_id) {
+            let call = encode_call(xid, proc, args_len, &write_args);
+            match self.attempt(&**link, call, xid) {
                 Ok(resp) => return Ok(resp),
                 Err(RemoteError::Net(NetError::Timeout)) => {
                     waited += self.opts.timeout;
@@ -1102,7 +998,7 @@ impl RemoteStore {
                         clock.advance(sleep);
                     }
                     self.retries.fetch_add(1, Ordering::Relaxed);
-                    // Re-send the same request (same id).
+                    // Re-send the same call (same xid).
                 }
                 Err(RemoteError::Net(NetError::Disconnected)) => {
                     self.mark_dead(DeadCause::Disconnected);
@@ -1118,7 +1014,7 @@ impl RemoteStore {
                     // A server *verdict*, not a network failure: the
                     // node is healthy, this coordinator is superseded.
                     // Never retried — a fenced write must stay unwritten.
-                    if matches!(op, OP_WRITE | OP_FLUSH) {
+                    if matches!(proc, PROC_WRITE | PROC_FLUSH) {
                         self.fenced_writes.fetch_add(1, Ordering::Relaxed);
                     }
                     return Err(e);
@@ -1127,37 +1023,6 @@ impl RemoteStore {
                 Err(e @ RemoteError::Server(_)) => return Err(e),
             }
         }
-    }
-
-    fn expect_blocks(resp: (u8, Bytes), want: usize) -> Result<Vec<Bytes>, RemoteError> {
-        let (op, body) = resp;
-        if op != RESP_BLOCKS {
-            return Err(RemoteError::Protocol(format!("bad response op {op}")));
-        }
-        let count = u32::from_le_bytes(
-            body.get(..4)
-                .ok_or_else(|| RemoteError::Protocol("short blocks response".into()))?
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
-        if count != want || body.len() != 4 + count * BLOCK_SIZE {
-            return Err(RemoteError::Protocol(
-                "blocks response size mismatch".into(),
-            ));
-        }
-        // Each block is a zero-copy slice handle into the received
-        // message.
-        let payload = body.slice(4..);
-        Ok((0..count)
-            .map(|i| payload.slice(i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE))
-            .collect())
-    }
-
-    fn expect_ok(resp: (u8, Bytes)) -> Result<(), RemoteError> {
-        if resp.0 != RESP_OK {
-            return Err(RemoteError::Protocol(format!("bad response op {}", resp.0)));
-        }
-        Ok(())
     }
 
     /// Fallible [`BlockStore::read`]: one round trip for the extent.
@@ -1169,10 +1034,23 @@ impl RemoteStore {
         for &idx in idxs {
             assert!(idx < self.block_count, "block {idx} out of range");
         }
-        let reply = self.rpc_with(OP_READ, 5 + idxs.len() * 8, |frame| {
-            encode_read(frame, class, idxs)
+        let results = self.call(PROC_READ, 8 + idxs.len() * 8, |msg| {
+            msg.put_u32(class as u32);
+            msg.put_u32(idxs.len() as u32);
+            for &idx in idxs {
+                msg.put_u64(idx);
+            }
         })?;
-        let blocks = Self::expect_blocks(reply, idxs.len())?;
+        let mut d = Decoder::new(&results);
+        let count = d.get_u32()? as usize;
+        if count != idxs.len() || d.remaining() != count * BLOCK_SIZE {
+            let why = format!("READ of {} answered {count}", idxs.len());
+            return Err(RemoteError::Protocol(why));
+        }
+        // Each block is a zero-copy slice handle into the reply.
+        let blocks = (0..count)
+            .map(|i| results.slice(4 + i * BLOCK_SIZE..4 + (i + 1) * BLOCK_SIZE))
+            .collect();
         self.vectored_reads
             .fetch_add(vectored(class, idxs.len()), Ordering::Relaxed);
         if class == IoClass::Data {
@@ -1202,10 +1080,17 @@ impl RemoteStore {
             assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
         }
         let token = self.fence_token();
-        let body_len = 13 + writes.len() * (8 + BLOCK_SIZE);
-        Self::expect_ok(self.rpc_with(OP_WRITE, body_len, |frame| {
-            encode_write(frame, token, class, writes)
-        })?)?;
+        let args_len = 16 + writes.len() * (8 + BLOCK_SIZE);
+        let results = self.call(PROC_WRITE, args_len, |msg| {
+            msg.put_u64(token);
+            msg.put_u32(class as u32);
+            msg.put_u32(writes.len() as u32);
+            for &(idx, data) in writes {
+                msg.put_u64(idx);
+                msg.extend_from_slice(data);
+            }
+        })?;
+        hypers::<0>(&results)?;
         self.vectored_writes
             .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
         if class == IoClass::Data {
@@ -1222,10 +1107,24 @@ impl RemoteStore {
     /// Any [`RemoteError`]; network errors declare the node dead,
     /// server errors carry the node's flush failure.
     pub fn try_flush(&self) -> Result<(), RemoteError> {
-        Self::expect_ok(self.rpc(OP_FLUSH, &self.fence_token().to_le_bytes())?)?;
+        let token = self.fence_token();
+        hypers::<0>(&self.call(PROC_FLUSH, 8, |msg| msg.put_u64(token))?)?;
         self.flushes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
+}
+
+/// Results that are exactly `N` XDR unsigned hypers.
+fn hypers<const N: usize>(results: &[u8]) -> Result<[u64; N], RemoteError> {
+    let mut d = Decoder::new(results);
+    let mut words = [0; N];
+    for word in &mut words {
+        *word = d.get_u64()?;
+    }
+    if !d.is_exhausted() {
+        return Err(RemoteError::Protocol("trailing bytes in a reply".into()));
+    }
+    Ok(words)
 }
 
 impl Drop for RemoteStore {
@@ -1234,11 +1133,11 @@ impl Drop for RemoteStore {
             // Best-effort clean shutdown; a killed or disconnected
             // server ignores it but still wakes and exits, so the join
             // is deterministic either way.
-            let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
+            let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
             let _ = self
                 .link
                 .lock()
-                .send(encode_frame(req_id, OP_SHUTDOWN, &[]));
+                .send(encode_call(xid, PROC_SHUTDOWN, 0, |_| {}));
             // Sever the link too: if a fault plan swallowed the
             // shutdown frame, the disconnect still wakes the serve
             // loop, so the join below cannot hang.
@@ -1297,9 +1196,13 @@ impl BlockStore for RemoteStore {
 }
 
 #[cfg(test)]
+mod hostile;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::SimStore;
+    use onc_rpc::Encoder;
 
     fn local_node(blocks: u64) -> RemoteStore {
         RemoteStore::serve_local(
@@ -1310,95 +1213,58 @@ mod tests {
         )
     }
 
-    #[test]
-    fn frame_round_trips_and_rejects_corruption() {
-        let frame = encode_frame(7, OP_READ, &42u64.to_le_bytes());
-        let (id, op, body) = decode_frame(&frame).unwrap();
-        assert_eq!((id, op), (7, OP_READ));
-        assert_eq!(body, 42u64.to_le_bytes());
-        for i in 0..frame.len() {
-            let mut bad = frame.clone();
-            bad[i] ^= 0x40;
-            assert!(decode_frame(&bad).is_err(), "flip at byte {i} undetected");
+    /// A transport that keeps a copy of every message it sends.
+    struct Recorder {
+        inner: Endpoint,
+        sent: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl Transport for Recorder {
+        fn send(&self, msg: Vec<u8>) -> Result<(), NetError> {
+            self.sent.lock().push(msg.clone());
+            self.inner.send(msg)
+        }
+        fn recv(&self) -> Result<Vec<u8>, NetError> {
+            self.inner.recv()
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, NetError> {
+            self.inner.recv_timeout(timeout)
         }
     }
 
-    /// Body lengths around every boundary of the checksum (the covered
-    /// bytes are the body plus a 9-byte id ‖ op prefix), and the block
-    /// the data path carries.
-    const EDGE_BODIES: [usize; 8] = [0, 1, 7, 8, 31, 32, 33, BLOCK_SIZE];
-
-    fn patterned_frame(body_len: usize) -> Vec<u8> {
-        let body: Vec<u8> = (0..body_len).map(|i| (i * 5 + body_len) as u8).collect();
-        let frame = encode_frame(0x0102_0304_0506_0708, OP_WRITE, &body);
-        assert_eq!(frame.len(), FRAME_OVERHEAD + body_len);
-        let (id, op, got) = decode_frame(&frame).unwrap();
-        assert_eq!((id, op, got), (0x0102_0304_0506_0708, OP_WRITE, &body[..]));
-        frame
-    }
-
+    /// The block protocol's wire format, pinned word by word: the call
+    /// a client sends to read metadata block 42, its second call (the
+    /// connect-time LEN was the first).
     #[test]
-    fn every_single_bit_flip_of_a_frame_is_rejected() {
-        for body_len in EDGE_BODIES {
-            let frame = patterned_frame(body_len);
-            for bit in 0..frame.len() * 8 {
-                let mut bad = frame.clone();
-                bad[bit / 8] ^= 1 << (bit % 8);
-                assert!(
-                    matches!(decode_frame(&bad), Err(RemoteError::Protocol(_))),
-                    "body {body_len}: flip of bit {bit} undetected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_truncation_of_a_frame_is_rejected() {
-        for body_len in EDGE_BODIES {
-            let frame = patterned_frame(body_len);
-            for keep in 0..frame.len() {
-                assert!(
-                    matches!(decode_frame(&frame[..keep]), Err(RemoteError::Protocol(_))),
-                    "body {body_len} cut to {keep}"
-                );
-            }
-            // Cut, with the length prefix rewritten to agree: now it is
-            // the checksum that has to refuse.
-            for keep in FRAME_OVERHEAD..frame.len() {
-                let mut cut = frame[..keep].to_vec();
-                cut[..4].copy_from_slice(&((keep - 4) as u32).to_le_bytes());
-                assert!(
-                    decode_frame(&cut).is_err(),
-                    "body {body_len} recut to {keep}"
-                );
-            }
-        }
-    }
-
-    /// The block protocol's wire format, pinned byte for byte: the
-    /// frame, then the READ and WRITE bodies a client sends.
-    #[test]
-    fn frame_bytes_are_pinned() {
-        let frame = encode_frame_with(7, OP_READ, 13, |f| encode_read(f, IoClass::Meta, &[42]));
-        let mut expected = Vec::new();
-        expected.extend_from_slice(&30u32.to_le_bytes());
-        expected.extend_from_slice(&7u64.to_le_bytes());
-        expected.push(1); // OP_READ
-        expected.push(1); // class: metadata
-        expected.extend_from_slice(&1u32.to_le_bytes());
-        expected.extend_from_slice(&42u64.to_le_bytes());
-        expected.extend_from_slice(&0xa5f7_738a_a447_9a0eu64.to_le_bytes());
-        assert_eq!(frame, expected);
-
-        let mut body = Vec::new();
-        encode_write(&mut body, 9, IoClass::Data, &[(5, &[0xA1; BLOCK_SIZE])]);
-        let mut expected = Vec::new();
-        expected.extend_from_slice(&9u64.to_le_bytes()); // fence token
-        expected.push(0); // class: data
-        expected.extend_from_slice(&1u32.to_le_bytes());
-        expected.extend_from_slice(&5u64.to_le_bytes());
-        expected.extend_from_slice(&[0xA1; BLOCK_SIZE]);
-        assert_eq!((body, OP_WRITE), (expected, 3));
+    fn call_bytes_are_pinned() {
+        let (client_end, server_end) = Link::pair(&SimClock::new(), LinkConfig::instant());
+        let server =
+            std::thread::spawn(move || BlockServer::new(SimStore::untimed(64)).serve(&server_end));
+        let sent = Arc::default();
+        let store = RemoteStore::connect(
+            Recorder {
+                inner: client_end,
+                sent: Arc::clone(&sent),
+            },
+            RemoteOptions::default(),
+        )
+        .unwrap();
+        store.try_read(IoClass::Meta, &[42]).unwrap();
+        drop(store);
+        server.join().unwrap();
+        let words: Vec<u32> = sent.lock()[1]
+            .chunks_exact(4)
+            .map(|w| u32::from_be_bytes(w.try_into().unwrap()))
+            .collect();
+        #[rustfmt::skip]
+        let expected = [
+            56, 0x78a4_371f,               // frame: payload length, checksum
+            2, 0, 2,                       // xid, CALL, RPC version 2
+            0x2000_0B10, 1, 2,             // program, version, READ
+            0, 0, 0, 0,                    // AUTH_NONE credential and verifier
+            1, 1, 0, 42,                   // metadata, one index: block 42
+        ];
+        assert_eq!(words, expected);
     }
 
     #[test]
@@ -1663,8 +1529,9 @@ mod tests {
             other => panic!("expected LeaseHeld, got {other:?}"),
         }
         assert!(!b.is_dead(), "a refusal is a verdict, not a failure");
-        // Renewal extends expiry without bumping the token.
-        let renewed = a.try_renew_lease(ttl).unwrap();
+        // The holder renews by re-acquiring: the expiry moves, the
+        // token does not.
+        let renewed = a.try_acquire_lease(1, ttl).unwrap();
         assert_eq!(renewed.token, 1);
         assert!(renewed.expires >= grant.expires);
         // B is refused 1 ms before expiry and takes over 1 ms after it,
@@ -1681,8 +1548,8 @@ mod tests {
         clock.advance(ms * 2);
         let grant_b = b.try_acquire_lease(2, ttl).unwrap();
         assert_eq!(grant_b.token, 2);
-        // A's renewal is now fenced — its grant was superseded.
-        match a.try_renew_lease(ttl) {
+        // A's grant was superseded: its flush is fenced.
+        match a.try_flush() {
             Err(RemoteError::Fenced { granted }) => assert_eq!(granted, 2),
             other => panic!("expected Fenced, got {other:?}"),
         }
@@ -1750,35 +1617,46 @@ mod tests {
         )
     }
 
-    /// Sends one request frame, returns the reply's op and body.
-    fn exchange(end: &Endpoint, req_id: u64, op: u8, body: &[u8]) -> (u8, Vec<u8>) {
-        end.send(encode_frame(req_id, op, body)).unwrap();
+    /// Sends one call of the block program, built by `onc_rpc`, and
+    /// returns the body of the reply.
+    fn exchange(end: &Endpoint, xid: u32, proc: u32, args: &[u8]) -> ReplyBody {
+        let call = RpcCall::new(xid, BLOCK_PROGRAM, BLOCK_VERSION, proc, args.into());
+        end.send(frame::encode_frame(&call.encode())).unwrap();
         let reply = end.recv().expect("the serve thread is alive");
-        let (_, op, body) = decode_frame(&reply).unwrap();
-        (op, body.to_vec())
+        RpcReply::decode(frame::unframe(&reply).unwrap())
+            .unwrap()
+            .body
     }
 
-    /// A READ or WRITE body laid out by hand, not by `encode_read` /
-    /// `encode_write` — the server's side of what
-    /// `frame_bytes_are_pinned` pins: `[class][count][idx…]`; a WRITE
-    /// puts `token` before it and a block of `fill` after each index.
-    fn io_body(op: u8, token: u64, class: u8, count: u32, idxs: &[u64], fill: u8) -> Vec<u8> {
-        let mut body = Vec::new();
-        if op == OP_WRITE {
-            body.extend_from_slice(&token.to_le_bytes());
+    /// The reply body of a result: its discriminant, then hypers.
+    fn result(verdict: u32, hypers: &[u64]) -> ReplyBody {
+        let mut e = Encoder::new();
+        e.put_u32(verdict);
+        for &h in hypers {
+            e.put_u64(h);
         }
-        body.push(class);
-        body.extend_from_slice(&count.to_le_bytes());
-        for idx in idxs {
-            body.extend_from_slice(&idx.to_le_bytes());
-            if op == OP_WRITE {
-                body.extend_from_slice(&[fill; BLOCK_SIZE]);
+        ReplyBody::Success(e.finish())
+    }
+
+    /// READ or WRITE arguments laid out by `onc_rpc::Encoder`, not by
+    /// the client: `[class][count][index…]`; a WRITE puts `token` first
+    /// and a block of `fill` after each index.
+    fn io_args(proc: u32, token: u64, class: u32, count: u32, idxs: &[u64], fill: u8) -> Vec<u8> {
+        let mut e = Encoder::new();
+        if proc == PROC_WRITE {
+            e.put_u64(token);
+        }
+        e.put_u32(class).put_u32(count);
+        for &idx in idxs {
+            e.put_u64(idx);
+            if proc == PROC_WRITE {
+                e.put_opaque_fixed(&[fill; BLOCK_SIZE]);
             }
         }
-        body
+        e.finish()
     }
 
-    /// Regression for the fault-duplication hole: a mutating frame
+    /// Regression for the fault-duplication hole: a mutating call
     /// duplicated by a `FaultPlan` and re-delivered *after* the lease
     /// changed hands must be rejected by its stale fence token — the
     /// exact bytes that were once accepted must now bounce. Without the
@@ -1790,71 +1668,81 @@ mod tests {
         let lease = Arc::new(NodeLease::default());
         let (end, server) = raw_node(&clock, &lease);
         let acquire = |coordinator: u64| {
-            let mut body = coordinator.to_le_bytes().to_vec();
-            body.extend_from_slice(&Duration::from_millis(1).as_nanos().to_le_bytes()[..8]);
-            body
+            let mut args = Encoder::new();
+            args.put_u64(coordinator).put_u64(1_000_000); // ttl: 1 ms
+            args.finish()
         };
-        let write = |token: u64, fill: u8| io_body(OP_WRITE, token, 0, 1, &[3], fill);
-        // Coordinator 1 acquires token 1 and lands a write.
-        let (op, body) = exchange(&end, 1, OP_ACQUIRE_LEASE, &acquire(1));
-        assert_eq!(op, RESP_LEASE);
-        assert_eq!(u64::from_le_bytes(body[..8].try_into().unwrap()), 1);
-        assert_eq!(exchange(&end, 2, OP_WRITE, &write(1, 0xAA)).0, RESP_OK);
+        let write = |token: u64, fill: u8| io_args(PROC_WRITE, token, 0, 1, &[3], fill);
+        // Coordinator 1 acquires token 1, until 1 ms, and lands a write.
+        let grant = exchange(&end, 1, PROC_ACQUIRE_LEASE, &acquire(1));
+        assert_eq!(grant, result(OK, &[1, 1_000_000]));
+        assert_eq!(
+            exchange(&end, 2, PROC_WRITE, &write(1, 0xAA)),
+            result(OK, &[])
+        );
         // The lease changes hands; coordinator 2 writes its own data.
         clock.advance(Duration::from_secs(1));
+        let grant = exchange(&end, 3, PROC_ACQUIRE_LEASE, &acquire(2));
+        assert_eq!(grant, result(OK, &[2, 1_001_000_000]));
         assert_eq!(
-            exchange(&end, 3, OP_ACQUIRE_LEASE, &acquire(2)).0,
-            RESP_LEASE
+            exchange(&end, 4, PROC_WRITE, &write(2, 0xBB)),
+            result(OK, &[])
         );
-        assert_eq!(exchange(&end, 4, OP_WRITE, &write(2, 0xBB)).0, RESP_OK);
-        // The fault-duplicated replay of coordinator 1's frame — the
+        // The fault-duplicated replay of coordinator 1's call — the
         // byte-identical message a `FaultPlan` dup would re-deliver —
         // bounces off the fence and the block keeps coordinator 2's
         // data.
-        let (op, body) = exchange(&end, 2, OP_WRITE, &write(1, 0xAA));
-        assert_eq!(op, RESP_FENCED, "stale replay must be rejected");
-        assert_eq!(u64::from_le_bytes(body[..8].try_into().unwrap()), 2);
+        assert_eq!(
+            exchange(&end, 2, PROC_WRITE, &write(1, 0xAA)),
+            result(FENCED, &[2]),
+            "stale replay must be rejected"
+        );
         assert_eq!(lease.fenced_rejections(), 1);
-        let (op, body) = exchange(&end, 5, OP_READ, &io_body(OP_READ, 0, 0, 1, &[3], 0));
-        assert_eq!(op, RESP_BLOCKS);
-        assert_eq!(body[4], 0xBB, "the replay must not have been applied");
-        exchange(&end, 6, OP_SHUTDOWN, &[]);
+        let read = io_args(PROC_READ, 0, 0, 1, &[3], 0);
+        let ReplyBody::Success(blocks) = exchange(&end, 5, PROC_READ, &read) else {
+            panic!("READ refused");
+        };
+        assert_eq!(blocks[8], 0xBB, "the replay must not have been applied");
+        exchange(&end, 6, PROC_SHUTDOWN, &[]);
         server.join().ok();
     }
 
-    /// A request the node cannot serve is answered with an error, and
-    /// the serve thread goes on serving. Passed to the store, block 99
-    /// of 8 panics the thread and the client sees a disconnect: a
-    /// terminal `DeadCause` that only a spare rebuild heals.
+    /// A call the node cannot serve is answered `GARBAGE_ARGS`, and the
+    /// serve thread goes on serving. Passed to the store, block 99 of 8
+    /// panics the thread and the client sees a disconnect: a terminal
+    /// `DeadCause` that only a spare rebuild heals.
     #[test]
     fn a_request_for_a_block_the_node_does_not_have_is_an_error_reply() {
         let (end, server) = raw_node(&SimClock::new(), &Arc::default());
         // A block past the end, alone and behind a good one; a class
-        // nobody defined; counts the body does not hold.
-        let refused: [(u8, u32, &[u64]); 5] = [
+        // nobody defined; counts the arguments do not hold.
+        let refused: [(u32, u32, &[u64]); 5] = [
             (0, 1, &[99]),
             (1, 2, &[3, 8]),
             (2, 1, &[3]),
             (0, 2, &[3]),
             (0, u32::MAX, &[3]),
         ];
-        for op in [OP_READ, OP_WRITE] {
+        for proc in [PROC_READ, PROC_WRITE] {
             for (class, count, idxs) in refused {
-                let body = io_body(op, 0, class, count, idxs, 0x5A);
-                let resp = exchange(&end, 1, op, &body).0;
-                assert_eq!(resp, RESP_ERR, "op {op}: {class}, {count}, {idxs:?}");
+                let args = io_args(proc, 0, class, count, idxs, 0x5A);
+                let reply = exchange(&end, 1, proc, &args);
+                let garbage = ReplyBody::Error(AcceptStat::GarbageArgs);
+                assert_eq!(reply, garbage, "proc {proc}: {class}, {count}, {idxs:?}");
             }
         }
         // The same thread on the same link still serves, and no refused
         // write touched the store.
-        let write = io_body(OP_WRITE, 0, 0, 1, &[7], 0x5A);
-        assert_eq!(exchange(&end, 2, OP_WRITE, &write).0, RESP_OK);
-        let read = io_body(OP_READ, 0, 0, 2, &[7, 3], 0);
-        let (resp, blocks) = exchange(&end, 3, OP_READ, &read);
-        assert_eq!(resp, RESP_BLOCKS);
-        assert!(blocks[4..4 + BLOCK_SIZE].iter().all(|&b| b == 0x5A));
-        assert!(blocks[4 + BLOCK_SIZE..].iter().all(|&b| b == 0));
-        exchange(&end, 4, OP_SHUTDOWN, &[]);
+        let write = io_args(PROC_WRITE, 0, 0, 1, &[7], 0x5A);
+        assert_eq!(exchange(&end, 2, PROC_WRITE, &write), result(OK, &[]));
+        let read = io_args(PROC_READ, 0, 0, 2, &[7, 3], 0);
+        let ReplyBody::Success(blocks) = exchange(&end, 3, PROC_READ, &read) else {
+            panic!("READ refused");
+        };
+        assert_eq!(blocks[..8], [0, 0, 0, 0, 0, 0, 0, 2]); // OK, two blocks
+        assert!(blocks[8..8 + BLOCK_SIZE].iter().all(|&b| b == 0x5A));
+        assert!(blocks[8 + BLOCK_SIZE..].iter().all(|&b| b == 0));
+        exchange(&end, 4, PROC_SHUTDOWN, &[]);
         server.join().expect("the serve thread never panicked");
     }
 }

@@ -1,0 +1,243 @@
+//! Hostile input through the block protocol's two entry points, the
+//! node reading calls and the client reading replies: one frame check
+//! ([`frame::unframe`]) and one XDR decoder ([`Decoder`]).
+//!
+//! A case mutates the RPC message of a valid call or reply with
+//! [`DetRng::mutate`] and frames it again; under the old frame the
+//! checksum would refuse it before any decoder ran. So a flipped bit in
+//! a block reaches the store or the caller as data. What the decoders
+//! owe is never to panic, to refuse what they cannot serve, and to
+//! return only results of the shape asked for.
+
+use discfs_crypto::rng::DetRng;
+
+use super::*;
+use crate::SimStore;
+
+const CASES: u64 = 1000;
+const BLOCKS: u64 = 8;
+/// The xid of the valid LEN sent after each hostile call.
+const MARKER: u32 = 0xFFFF_FFF0;
+
+fn result(verdict: u32, hypers: &[u64]) -> ReplyBody {
+    let mut out = Vec::new();
+    put_result(&mut out, verdict, hypers);
+    ReplyBody::Success(out)
+}
+
+fn snapshot(store: &SimStore) -> Vec<Bytes> {
+    store.read(IoClass::Data, &(0..BLOCKS).collect::<Vec<_>>())
+}
+
+/// Sends the call `payload`, framed, to a fresh serve thread, then a
+/// valid LEN, and returns the reply to the call, if any. Only a
+/// SHUTDOWN may end the thread before it answers the LEN, and the
+/// thread must not panic.
+fn serve_one(store: &Arc<SimStore>, lease: Arc<NodeLease>, payload: &[u8]) -> Option<ReplyBody> {
+    let (end, server_end) = Link::pair(&SimClock::new(), LinkConfig::instant());
+    let server = BlockServer::with_lease(Arc::clone(store), lease);
+    let thread = std::thread::spawn(move || server.serve(&server_end));
+    end.send(frame::encode_frame(payload)).unwrap();
+    end.send(encode_call(MARKER, PROC_LEN, 0, |_| {})).unwrap();
+    let mut replies = Vec::new();
+    while let Ok(msg) = end.recv() {
+        let reply = RpcReply::decode(frame::unframe(&msg).unwrap()).unwrap();
+        if reply.xid == MARKER && reply.body == result(OK, &[BLOCKS]) {
+            break;
+        }
+        replies.push(reply.body);
+    }
+    drop(end);
+    thread.join().expect("the serve thread never panics");
+    assert!(replies.len() <= 1, "one call, {} replies", replies.len());
+    replies.pop()
+}
+
+#[test]
+fn mutated_calls_get_an_error_reply_or_a_clean_drop() {
+    // The six calls, built by the client's encoder. WRITE and FLUSH carry
+    // the largest token, so that a lease an earlier case granted does
+    // not fence them before their arguments decode.
+    let calls = [
+        encode_call(1, PROC_LEN, 0, |_| {}),
+        encode_call(2, PROC_READ, 24, |m| {
+            m.extend([0, 0, 0, 0, 0, 0, 0, 2]); // data, two indices
+            m.put_u64(1);
+            m.put_u64(6);
+        }),
+        encode_call(3, PROC_WRITE, 16 + 2 * (8 + BLOCK_SIZE), |m| {
+            m.put_u64(u64::MAX);
+            m.extend([0, 0, 0, 1, 0, 0, 0, 2]); // metadata, two blocks
+            for idx in [2, 5] {
+                m.put_u64(idx);
+                m.extend_from_slice(&[0xA5; BLOCK_SIZE]);
+            }
+        }),
+        encode_call(4, PROC_FLUSH, 8, |m| m.put_u64(u64::MAX)),
+        encode_call(5, PROC_ACQUIRE_LEASE, 16, |m| {
+            m.put_u64(9);
+            m.put_u64(1_000_000);
+        }),
+        encode_call(6, PROC_SHUTDOWN, 0, |_| {}),
+    ];
+    let corpus: Vec<&[u8]> = calls.iter().map(|c| frame::unframe(c).unwrap()).collect();
+    let (store, lease) = (Arc::new(SimStore::untimed(BLOCKS)), Arc::default());
+    let mut rng = DetRng::new(0xB10C);
+    let mut outcomes = [0; 3]; // dropped, refused, answered
+    for case in 0..CASES as usize {
+        let n = corpus.len();
+        let hostile = rng.mutate(corpus[case % n], corpus[(case * 7 + 3) % n]);
+        let before = snapshot(&store);
+        let reply = serve_one(&store, Arc::clone(&lease), &hostile);
+        match &reply {
+            None => outcomes[0] += 1,
+            Some(ReplyBody::Error(_)) => outcomes[1] += 1,
+            Some(ReplyBody::Success(_)) => outcomes[2] += 1,
+            Some(ReplyBody::Denied(_)) => panic!("case {case}: a block node never denies"),
+        }
+        // Only a call the node served may change the store.
+        if !matches!(&reply, Some(ReplyBody::Success(r)) if r[..4] == OK.to_be_bytes()) {
+            assert_eq!(snapshot(&store), before, "case {case}: {reply:?} wrote");
+        }
+    }
+    // A mutated call may stay valid (a flipped data bit), be refused,
+    // or not parse as a call at all; the cases reach all three.
+    assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
+}
+
+/// The calls a hostile peer tries first; none touches the store.
+#[test]
+fn named_hostile_calls_are_refused() {
+    use AcceptStat::{GarbageArgs, ProcUnavail, ProgUnavail};
+    let (p, v) = (BLOCK_PROGRAM, BLOCK_VERSION);
+    // `count = u32::MAX` is a case of remote's own
+    // `a_request_for_a_block_the_node_does_not_have_is_an_error_reply`.
+    // A word after FLUSH's, ACQUIRE_LEASE's and LEN's arguments; the
+    // NFS program; another version; procedures nobody defined.
+    let cases: [(u32, u32, u32, &[u32], AcceptStat); 7] = [
+        (p, v, PROC_FLUSH, &[0, 0, 0], GarbageArgs),
+        (p, v, PROC_ACQUIRE_LEASE, &[0, 9, 0, 1, 0], GarbageArgs),
+        (p, v, PROC_LEN, &[0], GarbageArgs),
+        (100_003, 2, PROC_READ, &[0, 1, 0, 1], ProgUnavail),
+        (p, 2, PROC_LEN, &[], ProgUnavail),
+        (p, v, 0, &[], ProcUnavail),
+        (p, v, 7, &[], ProcUnavail),
+    ];
+    let store = Arc::new(SimStore::untimed(BLOCKS));
+    let before = snapshot(&store);
+    for (prog, vers, proc_num, words, stat) in cases {
+        let args = words.iter().flat_map(|w| w.to_be_bytes()).collect();
+        let call = RpcCall::new(7, prog, vers, proc_num, args).encode();
+        let reply = serve_one(&store, Arc::default(), &call);
+        assert_eq!(
+            reply,
+            Some(ReplyBody::Error(stat)),
+            "{prog} {vers} {proc_num} {words:?}"
+        );
+    }
+    assert_eq!(snapshot(&store), before);
+}
+
+/// Rewrites the next reply's RPC message, once.
+type Lie = Arc<Mutex<Option<Box<dyn FnOnce(&[u8]) -> Vec<u8> + Send>>>>;
+
+/// A link that tells the [`Lie`] set on it, framed again.
+struct Lying {
+    inner: Endpoint,
+    lie: Lie,
+}
+
+impl Transport for Lying {
+    fn send(&self, msg: Vec<u8>) -> Result<(), NetError> {
+        self.inner.send(msg)
+    }
+    fn recv(&self) -> Result<Vec<u8>, NetError> {
+        self.inner.recv()
+    }
+    fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, NetError> {
+        let reply = self.inner.recv_timeout(timeout)?;
+        Ok(match self.lie.lock().take() {
+            Some(lie) => frame::encode_frame(&lie(frame::unframe(&reply).unwrap())),
+            None => reply,
+        })
+    }
+}
+
+/// A client of a fresh node thread over a [`Lying`] link, the lie's
+/// slot, and the thread.
+fn lied_to(store: &Arc<SimStore>, lease: Arc<NodeLease>) -> (RemoteStore, Lie, JoinHandle<()>) {
+    let (client_end, server_end) = Link::pair(&SimClock::new(), LinkConfig::instant());
+    let server = BlockServer::with_lease(Arc::clone(store), lease);
+    let thread = std::thread::spawn(move || server.serve(&server_end));
+    let lie = Lie::default();
+    let link = Lying {
+        inner: client_end,
+        lie: Arc::clone(&lie),
+    };
+    let timeout = Duration::from_millis(5);
+    let opts = RemoteOptions {
+        timeout,
+        ..RemoteOptions::default()
+    };
+    (RemoteStore::connect(link, opts).unwrap(), lie, thread)
+}
+
+#[test]
+fn mutated_replies_are_an_error_or_the_shape_asked_for() {
+    let store = Arc::new(SimStore::untimed(BLOCKS));
+    let mut failed = 0;
+    for case in 0..CASES {
+        // Every other node is leased to coordinator 1, so the replies
+        // include FENCED and LEASE_HELD as well as OK.
+        let lease = Arc::new(NodeLease::default());
+        if case % 2 == 1 {
+            lease.acquire(1, Duration::from_secs(1), None).unwrap();
+        }
+        let (remote, lie, thread) = lied_to(&store, lease);
+        let mut rng = DetRng::new(case);
+        *lie.lock() = Some(Box::new(move |reply| rng.mutate(reply, reply)));
+        let outcome = match case % 5 {
+            0 => remote.try_read(IoClass::Data, &[1, 6]).map(|blocks| {
+                assert!(blocks.len() == 2 && blocks.iter().all(|b| b.len() == BLOCK_SIZE));
+            }),
+            1 => remote.try_write(IoClass::Data, &[(2, &[0x3C; BLOCK_SIZE])]),
+            2 => remote.try_flush(),
+            3 => remote
+                .try_acquire_lease(1 + case % 3, Duration::from_secs(1))
+                .map(|grant| {
+                    assert_eq!(remote.fence_token(), grant.token);
+                }),
+            _ => remote.probe().map(drop),
+        };
+        failed += u64::from(outcome.is_err());
+        drop(remote);
+        thread.join().expect("the serve thread never panics");
+    }
+    assert!(
+        failed > 0 && failed < CASES,
+        "{failed} of {CASES} calls failed"
+    );
+}
+
+/// A READ reply that carries another number of blocks than asked for
+/// is a protocol error, whatever its count word says.
+#[test]
+fn a_read_reply_with_another_count_is_a_protocol_error() {
+    let store = Arc::new(SimStore::untimed(BLOCKS));
+    for count in [0, 1, 3, u32::MAX] {
+        let (remote, lie, thread) = lied_to(&store, Arc::default());
+        // The count follows a 24-byte reply header and `OK`.
+        *lie.lock() = Some(Box::new(move |reply| {
+            let mut lie = reply.to_vec();
+            lie[28..32].copy_from_slice(&count.to_be_bytes());
+            lie
+        }));
+        let read = remote.try_read(IoClass::Data, &[1, 6]);
+        assert!(
+            matches!(read, Err(RemoteError::Protocol(_))),
+            "count {count}: {read:?}"
+        );
+        drop(remote);
+        thread.join().unwrap();
+    }
+}

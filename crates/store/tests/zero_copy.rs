@@ -13,7 +13,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use store::{BlockStore, CachedStore, ShardedStore, SimStore, BLOCK_SIZE};
+use netsim::{LinkConfig, SimClock};
+use store::{
+    BlockStore, CachedStore, IoClass, RemoteOptions, RemoteStore, ShardedStore, SimStore,
+    BLOCK_SIZE,
+};
 
 struct CountingAlloc;
 
@@ -110,4 +114,34 @@ fn hot_reads_allocate_no_block() {
             "{name}: hot read path must not allocate a block ({per_read} bytes a read)"
         );
     }
+}
+
+/// A hot 8-block read from a remote node over an instant link. The
+/// node's thread builds the reply; on the client's thread the one copy
+/// is the reply's conversion to `Bytes` (the vendored `Bytes` is an
+/// `Arc<[u8]>`), and every block is a slice of it: 8 blocks and at
+/// most 1 KiB besides, where a copy per block would double it.
+#[test]
+fn a_hot_remote_read_copies_the_reply_once() {
+    let remote = RemoteStore::serve_local(
+        SimStore::untimed(BLOCKS),
+        &SimClock::new(),
+        LinkConfig::instant(),
+        RemoteOptions::default(),
+    );
+    let idxs: Vec<u64> = (0..8).collect();
+    for &i in &idxs {
+        remote.write_block(i, &[i as u8 + 1; BLOCK_SIZE]);
+    }
+    std::hint::black_box(remote.read(IoClass::Data, &idxs));
+    let reads = 100;
+    let before = ALLOC_BYTES.with(Cell::get);
+    for _ in 0..reads {
+        std::hint::black_box(remote.read(IoClass::Data, &idxs));
+    }
+    let per_read = (ALLOC_BYTES.with(Cell::get) - before) / reads;
+    assert!(
+        per_read <= 8 * BLOCK_SIZE as u64 + 1024,
+        "a hot 8-block remote read allocated {per_read} bytes"
+    );
 }
