@@ -45,6 +45,14 @@ import sys
 # 8-block prefetches, each kept a malloc arena of cache blocks.
 # store.sharded.worker_jobs_per_op read 0.19 then and ~0.002 since
 # (flush jobs only); a read job back on the workers shows here.
+#
+# repl_mixed: peak_rss_mb read 69.3 while a sync sent each node its
+# whole share in one WRITE (an 11.2 MB message beside the 16.8 MB
+# write-back buffer on the first sync) and ~59 since every block
+# protocol message fits one 1 MiB frame: a sync commits frame-sized
+# epochs and frees each as it lands. store.remote.retries is 0 on the
+# lossless link; a call the node drops as over the bound, or a reply
+# the client refuses, shows here first.
 BANDS = {
     "meta_walk": (True, {
         "alloc.count_per_op": (0.0, 200.0),
@@ -59,6 +67,10 @@ BANDS = {
     "stack_mixed": (True, {
         "peak_rss_mb": (0.0, 35.0),
         "store.sharded.worker_jobs_per_op": (0.0, 0.01),
+    }),
+    "repl_mixed": (True, {
+        "peak_rss_mb": (0.0, 64.0),
+        "store.remote.retries": (0.0, 0.0),
     }),
 }
 

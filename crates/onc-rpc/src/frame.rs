@@ -24,7 +24,8 @@
 //! A transport that delivers every message whole, one frame to a
 //! message — the block protocol over `netsim` links — needs no
 //! reassembly: [`unframe`] checks such a message and borrows its
-//! payload in place, with no copy and no length bound.
+//! payload in place, with no copy, under the same
+//! [`DEFAULT_MAX_FRAME`] bound.
 //!
 //! The decoder is deliberately paranoid — it fronts the readiness loop,
 //! the part of the server most exposed to malformed input. A declared
@@ -193,20 +194,27 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// The payload of `msg`, borrowed, when `msg` is exactly one whole
-/// frame: its length word counts every byte after the header and its
-/// checksum holds.
+/// frame of at most [`DEFAULT_MAX_FRAME`] payload bytes: its length
+/// word counts every byte after the header and its checksum holds.
 ///
 /// # Errors
 ///
 /// [`FrameError::Misframed`] on a message shorter than a header, or
-/// holding less or more than one frame; [`FrameError::Checksum`] on a
-/// checksum mismatch.
+/// holding less or more than one frame; [`FrameError::Oversized`] on a
+/// payload over the bound, before its checksum is computed;
+/// [`FrameError::Checksum`] on a checksum mismatch.
 pub fn unframe(msg: &[u8]) -> Result<&[u8], FrameError> {
     let (header, payload) = msg
         .split_first_chunk::<FRAME_HEADER>()
         .ok_or(FrameError::Misframed)?;
     if read_u32(header) as usize != payload.len() {
         return Err(FrameError::Misframed);
+    }
+    if payload.len() > DEFAULT_MAX_FRAME {
+        return Err(FrameError::Oversized {
+            declared: payload.len(),
+            max: DEFAULT_MAX_FRAME,
+        });
     }
     if checksum(payload) != read_u32(&header[4..]) {
         return Err(FrameError::Checksum);
@@ -579,6 +587,20 @@ mod tests {
         let mut trailing = frame;
         trailing.push(0);
         assert_eq!(unframe(&trailing), Err(FrameError::Misframed));
+    }
+
+    #[test]
+    fn unframe_holds_the_frame_bound() {
+        let largest = encode_frame(&vec![7; DEFAULT_MAX_FRAME]);
+        assert_eq!(unframe(&largest).map(<[u8]>::len), Ok(DEFAULT_MAX_FRAME));
+        let over = encode_frame(&vec![7; DEFAULT_MAX_FRAME + 1]);
+        assert_eq!(
+            unframe(&over),
+            Err(FrameError::Oversized {
+                declared: DEFAULT_MAX_FRAME + 1,
+                max: DEFAULT_MAX_FRAME
+            })
+        );
     }
 
     #[test]

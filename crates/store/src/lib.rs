@@ -76,20 +76,24 @@
 //!   as an ONC-RPC program, framed and checksummed as NFS is — one
 //!   simulated storage node per server thread.
 //! * [`RemoteStore`] is the client: a [`BlockStore`] whose every call
-//!   is one RPC (a round trip per call, however many blocks), with
+//!   is one RPC for each 127 blocks (every message fits
+//!   [`onc_rpc::frame::DEFAULT_MAX_FRAME`], as on the NFS path), with
 //!   per-node timeout/retry and a **dead-node latch** once the link
 //!   fails. The
 //!   [`StoreBackend::Remote`] preset composes it under the cache and
 //!   sharding wrappers — `Cached { Sharded { Remote } }` is a buffer
 //!   cache over a striped set of network nodes.
 //! * [`ReplicatedStore`] stripes one volume R-way across N nodes with
-//!   **epoch-stamped commits**: each flush lands on every node as one
-//!   journaled durability unit whose last record stamps the new
-//!   epoch, so a node torn mid-flush replays to the *previous* epoch
-//!   and reopening rebuilds it from the fresh replicas — the volume
-//!   always recovers to one consistent epoch, never a mix of old and
-//!   new shards. A node death is detected on the failing RPC, reads
-//!   fail over to the nearest live replica
+//!   **epoch-stamped commits**: a flush is one or more epochs, each a
+//!   block-order prefix of the buffer whose share lands on every node
+//!   as one call, one journaled durability unit whose last record
+//!   stamps the epoch, so a node torn mid-epoch replays to the
+//!   *previous* epoch and reopening rebuilds it from the fresh
+//!   replicas — the volume always recovers to one consistent epoch,
+//!   never a mix of old and new shards (a flush torn between its
+//!   epochs keeps a prefix of its writes, which the filesystem's dirty
+//!   marker already covers). A node death is detected on the failing
+//!   RPC, reads fail over to the nearest live replica
 //!   ([`StoreStats::replica_reads`]), and the dead node's replica set
 //!   is rebuilt onto a spare ([`StoreStats::rebuilds`]). The
 //!   [`StoreBackend::Replicated`] preset builds the whole fleet.
@@ -239,6 +243,21 @@ pub fn zero_block() -> Bytes {
     static ZERO: OnceLock<Bytes> = OnceLock::new();
     ZERO.get_or_init(|| Bytes::from(vec![0u8; BLOCK_SIZE]))
         .clone()
+}
+
+/// `block` as a handle: the shared [`zero_block`] when it is all
+/// zeros, else a copy. The zero test runs on every buffered write, so
+/// it reads 16 bytes at a time: testing byte by byte made volume setup
+/// slower than copying the zeros did.
+pub(crate) fn block_copy(block: &[u8]) -> Bytes {
+    let zero = block
+        .chunks_exact(16)
+        .all(|word| u128::from_ne_bytes(word.try_into().expect("16 bytes")) == 0);
+    if zero {
+        zero_block()
+    } else {
+        Bytes::copy_from_slice(block)
+    }
 }
 
 /// Counters every backend reports through [`BlockStore::stats`].

@@ -45,8 +45,28 @@
 //! wraps, by which a client that re-sent drains stale replies.
 //!
 //! Messages arrive whole, so a frame is checked and decoded in place
-//! ([`onc_rpc::frame::unframe`]), with no length bound: a flush sends a
-//! node its whole batch in one WRITE. Blocks stay zero-copy: the server
+//! ([`onc_rpc::frame::unframe`]).
+//!
+//! # The frame bound
+//!
+//! Every message, call or reply, holds at most
+//! [`onc_rpc::frame::DEFAULT_MAX_FRAME`] payload bytes (1 MiB), the
+//! bound the NFS path has: `CALL_BLOCKS` = 127 blocks a call, in a
+//! WRITE's arguments or a READ's results. `unframe` enforces it on both
+//! ends, before any checksum or decode: the node drops a larger call as
+//! it drops any misframed one, and a larger reply is a
+//! [`RemoteError::Protocol`] at the client. The node also refuses with
+//! `GARBAGE_ARGS` a READ whose reply would not fit, before it reads or
+//! reserves anything, so a call of a few bytes cannot make it hold a
+//! reply of many. The client splits: [`RemoteStore::try_read`] and
+//! [`RemoteStore::try_write`] send a larger extent as calls of at most
+//! `CALL_BLOCKS` blocks, in order. A split WRITE is not atomic on the
+//! node — a crash can keep its first calls and lose the rest — so
+//! `ReplicatedStore`, which needs each node's share of an epoch to be
+//! one durability unit, sizes its epochs to one call per node and
+//! class and never hands a node more.
+//!
+//! Blocks stay zero-copy: the server
 //! writes a WRITE's blocks as slices of the message, the client slices
 //! a READ reply into [`Bytes`] handles of one buffer. The frame
 //! checksum is the folded 32-bit [`onc_rpc::frame::checksum`]: a
@@ -136,7 +156,7 @@ use std::time::Duration;
 
 use bytes::{BufMut, Bytes};
 use netsim::{Endpoint, Link, LinkConfig, NetError, SimClock, Transport};
-use onc_rpc::frame::{self, FRAME_HEADER};
+use onc_rpc::frame::{self, DEFAULT_MAX_FRAME, FRAME_HEADER};
 use onc_rpc::XdrError;
 use onc_rpc::{AcceptStat, Decoder, ReplyBody, RpcCall, RpcCallView, RpcReply, RpcReplyView};
 use parking_lot::Mutex;
@@ -163,6 +183,13 @@ const LEASE_HELD: u32 = 2;
 
 /// Bytes a call adds to its arguments: frame and RPC headers.
 const CALL_OVERHEAD: usize = FRAME_HEADER + 40;
+
+/// The most blocks one call carries (module docs, *The frame bound*):
+/// 127, the WRITE arguments that fit [`DEFAULT_MAX_FRAME`] beside the
+/// call header, fence token, class and count. A READ reply of as many
+/// blocks fits too.
+pub(crate) const CALL_BLOCKS: usize =
+    (DEFAULT_MAX_FRAME + FRAME_HEADER - CALL_OVERHEAD - 16) / (8 + BLOCK_SIZE);
 
 /// Appends a result: its discriminant, then unsigned hypers.
 fn put_result(out: &mut Vec<u8>, verdict: u32, hypers: &[u64]) {
@@ -391,9 +418,9 @@ impl<S: BlockStore> BlockServer<S> {
             if kill.load(Ordering::SeqCst) {
                 return;
             }
-            // A message that is not one frame around an RPC call is
-            // dropped: the client times out and retries (or declares
-            // this node dead).
+            // A message that is not one frame, within the frame bound,
+            // around an RPC call is dropped: the client times out and
+            // retries (or declares this node dead).
             let Some(call) = frame::unframe(&msg)
                 .ok()
                 .and_then(|payload| RpcCallView::decode(payload).ok())
@@ -436,6 +463,12 @@ impl<S: BlockStore> BlockServer<S> {
             }
             PROC_READ => {
                 let (class, count) = extent(&mut args, 8)?;
+                // The reply must fit one frame too: `out` holds its
+                // frame and RPC headers already.
+                require(
+                    count.saturating_mul(BLOCK_SIZE) + 8 + out.len()
+                        <= FRAME_HEADER + DEFAULT_MAX_FRAME,
+                )?;
                 let idxs = (0..count)
                     .map(|_| block_index(&mut args, blocks))
                     .collect::<Result<Vec<_>, _>>()?;
@@ -1025,7 +1058,8 @@ impl RemoteStore {
         }
     }
 
-    /// Fallible [`BlockStore::read`]: one round trip for the extent.
+    /// Fallible [`BlockStore::read`]: one round trip for each
+    /// 127 blocks (`CALL_BLOCKS`) of the extent, in order.
     ///
     /// # Errors
     ///
@@ -1034,23 +1068,26 @@ impl RemoteStore {
         for &idx in idxs {
             assert!(idx < self.block_count, "block {idx} out of range");
         }
-        let results = self.call(PROC_READ, 8 + idxs.len() * 8, |msg| {
-            msg.put_u32(class as u32);
-            msg.put_u32(idxs.len() as u32);
-            for &idx in idxs {
-                msg.put_u64(idx);
+        let mut blocks = Vec::with_capacity(idxs.len());
+        for part in idxs.chunks(CALL_BLOCKS) {
+            let results = self.call(PROC_READ, 8 + part.len() * 8, |msg| {
+                msg.put_u32(class as u32);
+                msg.put_u32(part.len() as u32);
+                for &idx in part {
+                    msg.put_u64(idx);
+                }
+            })?;
+            let mut d = Decoder::new(&results);
+            let count = d.get_u32()? as usize;
+            if count != part.len() || d.remaining() != count * BLOCK_SIZE {
+                let why = format!("READ of {} answered {count}", part.len());
+                return Err(RemoteError::Protocol(why));
             }
-        })?;
-        let mut d = Decoder::new(&results);
-        let count = d.get_u32()? as usize;
-        if count != idxs.len() || d.remaining() != count * BLOCK_SIZE {
-            let why = format!("READ of {} answered {count}", idxs.len());
-            return Err(RemoteError::Protocol(why));
+            // Each block is a zero-copy slice handle into the reply.
+            blocks.extend(
+                (0..count).map(|i| results.slice(4 + i * BLOCK_SIZE..4 + (i + 1) * BLOCK_SIZE)),
+            );
         }
-        // Each block is a zero-copy slice handle into the reply.
-        let blocks = (0..count)
-            .map(|i| results.slice(4 + i * BLOCK_SIZE..4 + (i + 1) * BLOCK_SIZE))
-            .collect();
         self.vectored_reads
             .fetch_add(vectored(class, idxs.len()), Ordering::Relaxed);
         if class == IoClass::Data {
@@ -1068,8 +1105,11 @@ impl RemoteStore {
         Ok(self.try_read(class, &[idx])?.pop().expect("one block"))
     }
 
-    /// Fallible [`BlockStore::write`]: one round trip, stamped with
-    /// the fence token.
+    /// Fallible [`BlockStore::write`]: one round trip for each 127
+    /// blocks (`CALL_BLOCKS`), in order, each stamped with the fence
+    /// token. Only a write of at most `CALL_BLOCKS` blocks is one
+    /// durability unit on the node: an error part-way through a longer
+    /// one may leave its first calls applied.
     ///
     /// # Errors
     ///
@@ -1080,17 +1120,19 @@ impl RemoteStore {
             assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
         }
         let token = self.fence_token();
-        let args_len = 16 + writes.len() * (8 + BLOCK_SIZE);
-        let results = self.call(PROC_WRITE, args_len, |msg| {
-            msg.put_u64(token);
-            msg.put_u32(class as u32);
-            msg.put_u32(writes.len() as u32);
-            for &(idx, data) in writes {
-                msg.put_u64(idx);
-                msg.extend_from_slice(data);
-            }
-        })?;
-        hypers::<0>(&results)?;
+        for part in writes.chunks(CALL_BLOCKS) {
+            let args_len = 16 + part.len() * (8 + BLOCK_SIZE);
+            let results = self.call(PROC_WRITE, args_len, |msg| {
+                msg.put_u64(token);
+                msg.put_u32(class as u32);
+                msg.put_u32(part.len() as u32);
+                for &(idx, data) in part {
+                    msg.put_u64(idx);
+                    msg.extend_from_slice(data);
+                }
+            })?;
+            hypers::<0>(&results)?;
+        }
         self.vectored_writes
             .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
         if class == IoClass::Data {
@@ -1230,6 +1272,29 @@ mod tests {
         fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, NetError> {
             self.inner.recv_timeout(timeout)
         }
+    }
+
+    /// An extent of more than 127 blocks goes as calls of at most 127,
+    /// in order, and reads back whole.
+    #[test]
+    fn a_large_extent_is_split_into_frame_sized_calls() {
+        assert_eq!(CALL_BLOCKS, 127);
+        let store = local_node(400);
+        let blocks: Vec<Vec<u8>> = (0..300u32)
+            .map(|i| vec![(i % 250) as u8 + 1; BLOCK_SIZE])
+            .collect();
+        let writes: Vec<(u64, &[u8])> = (50..).zip(blocks.iter().map(|b| &b[..])).collect();
+        let calls = store.stats().rpc_calls;
+        store.try_write(IoClass::Data, &writes).unwrap();
+        assert_eq!(store.stats().rpc_calls - calls, 3, "127 + 127 + 46 blocks");
+        let idxs: Vec<u64> = (50..350).collect();
+        let back = store.try_read(IoClass::Data, &idxs).unwrap();
+        assert_eq!(store.stats().rpc_calls - calls, 6);
+        assert!(back
+            .iter()
+            .zip(&blocks)
+            .all(|(got, put)| got[..] == put[..]));
+        assert_eq!(store.stats().writes, 300);
     }
 
     /// The block protocol's wire format, pinned word by word: the call

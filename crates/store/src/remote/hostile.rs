@@ -31,8 +31,8 @@ fn snapshot(store: &SimStore) -> Vec<Bytes> {
 
 /// Sends the call `payload`, framed, to a fresh serve thread, then a
 /// valid LEN, and returns the reply to the call, if any. Only a
-/// SHUTDOWN may end the thread before it answers the LEN, and the
-/// thread must not panic.
+/// SHUTDOWN may end the thread before it answers the LEN, the thread
+/// must not panic, and every reply must fit the frame bound.
 fn serve_one(store: &Arc<SimStore>, lease: Arc<NodeLease>, payload: &[u8]) -> Option<ReplyBody> {
     let (end, server_end) = Link::pair(&SimClock::new(), LinkConfig::instant());
     let server = BlockServer::with_lease(Arc::clone(store), lease);
@@ -41,6 +41,10 @@ fn serve_one(store: &Arc<SimStore>, lease: Arc<NodeLease>, payload: &[u8]) -> Op
     end.send(encode_call(MARKER, PROC_LEN, 0, |_| {})).unwrap();
     let mut replies = Vec::new();
     while let Ok(msg) = end.recv() {
+        assert!(
+            msg.len() <= FRAME_HEADER + DEFAULT_MAX_FRAME,
+            "a reply over the bound"
+        );
         let reply = RpcReply::decode(frame::unframe(&msg).unwrap()).unwrap();
         if reply.xid == MARKER && reply.body == result(OK, &[BLOCKS]) {
             break;
@@ -136,6 +140,58 @@ fn named_hostile_calls_are_refused() {
         );
     }
     assert_eq!(snapshot(&store), before);
+}
+
+/// A READ call for `count` indices, all of block 1.
+fn read_call(count: usize) -> Vec<u8> {
+    let mut args = vec![0, 0, 0, 0]; // data
+    args.put_u32(count as u32);
+    for _ in 0..count {
+        args.put_u64(1);
+    }
+    RpcCall::new(7, BLOCK_PROGRAM, BLOCK_VERSION, PROC_READ, args).encode()
+}
+
+/// The frame bound (module docs, *The frame bound*) at its edges: a
+/// message one byte over it is dropped unread and the thread serves on;
+/// a READ whose reply would not fit is refused, however small the call,
+/// and the largest READ that fits is served in one reply.
+#[test]
+fn the_frame_bound_holds_at_its_edges() {
+    let store = Arc::new(SimStore::untimed(BLOCKS));
+    let before = snapshot(&store);
+    // A WRITE of 127 blocks padded to the bound, then one byte over it.
+    // At the bound the padding is trailing garbage; over it, the call is
+    // never decoded.
+    let mut call = RpcCall::new(7, BLOCK_PROGRAM, BLOCK_VERSION, PROC_WRITE, Vec::new()).encode();
+    call.put_u64(0);
+    call.put_u32(IoClass::Data as u32);
+    call.put_u32(CALL_BLOCKS as u32);
+    for _ in 0..CALL_BLOCKS {
+        call.put_u64(3);
+        call.extend_from_slice(&[0x5A; BLOCK_SIZE]);
+    }
+    call.resize(DEFAULT_MAX_FRAME, 0);
+    let at_bound = serve_one(&store, Arc::default(), &call);
+    assert_eq!(at_bound, Some(ReplyBody::Error(AcceptStat::GarbageArgs)));
+    call.push(0);
+    assert_eq!(serve_one(&store, Arc::default(), &call), None);
+    assert_eq!(snapshot(&store), before, "a dropped frame wrote");
+
+    // 131 066 indices is the largest READ call that fits one frame:
+    // 1 MiB of arguments that ask for 1 GiB of reply.
+    let largest_call = (DEFAULT_MAX_FRAME - 48) / 8;
+    assert_eq!(read_call(largest_call).len(), DEFAULT_MAX_FRAME);
+    let largest_reply = serve_one(&store, Arc::default(), &read_call(CALL_BLOCKS));
+    assert!(
+        matches!(&largest_reply, Some(ReplyBody::Success(r)) if r.len() == 8 + CALL_BLOCKS * BLOCK_SIZE),
+        "{largest_reply:?}"
+    );
+    for count in [CALL_BLOCKS + 1, largest_call] {
+        let reply = serve_one(&store, Arc::default(), &read_call(count));
+        let refused = Some(ReplyBody::Error(AcceptStat::GarbageArgs));
+        assert_eq!(reply, refused, "READ of {count}");
+    }
 }
 
 /// Rewrites the next reply's RPC message, once.

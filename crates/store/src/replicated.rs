@@ -15,21 +15,37 @@
 //!
 //! Writes are buffered coordinator-side (a dirty map, exactly like the
 //! buffer cache's write-back discipline): between flushes, no node
-//! sees a partial burst. [`BlockStore::flush`] then pushes each node's
-//! replica writes as **one vectored write whose last record is the
-//! epoch record for `epoch + 1`** — on a journaled node store that is
-//! a single durability unit, so a torn node journal replays to a
-//! *prefix*: either the epoch record is present (the node has every
-//! write of that epoch) or the node's epoch block still reads the old
-//! epoch. Reopening the volume compares node epochs: any node behind
-//! the maximum **committed** epoch (or torn mid-epoch, which reads as
-//! behind) is rebuilt block-for-block from the fresh replicas and
-//! re-stamped — so the volume always replays to one consistent epoch,
-//! never a mix. Block 0 (the filesystem's superblock dirty/clean
-//! marker) is the one exception: it is written through to its replicas
-//! immediately, outside the epoch transaction, preserving the
-//! recovery-sweep ordering discipline (see `CachedStore`'s module
+//! sees a partial burst. [`BlockStore::flush`] then commits the buffer
+//! as **one or more epochs**. An epoch is the longest block-order
+//! prefix of the buffer whose share on every node fits one block
+//! protocol call per class (127 blocks, the data call's last slot kept
+//! for the record; the `remote` module docs, *The frame bound*), so a
+//! buffer that fits is one epoch, and a larger one is several, each
+//! committed and dropped from the buffer before the next is sent. Each
+//! node receives its share of an epoch as **one vectored write whose
+//! last record is the epoch record for `epoch + 1`** — on a journaled
+//! node store that is a single durability unit, so a torn node journal
+//! replays to a *prefix*: either the epoch record is present (the node
+//! has every write of that epoch) or the node's epoch block still reads
+//! an older epoch. Reopening the volume compares node epochs: any node
+//! behind the maximum **committed** epoch (or torn mid-epoch, which
+//! reads as behind) is rebuilt block-for-block from the fresh replicas
+//! and re-stamped — so the volume always replays to one consistent
+//! epoch, never a mix of replicas. Block 0 (the filesystem's superblock
+//! dirty/clean marker) is the one exception: it is written through to
+//! its replicas immediately, outside the epoch transaction, preserving
+//! the recovery-sweep ordering discipline (see `CachedStore`'s module
 //! docs for why that marker cannot be buffered).
+//!
+//! A flush torn *between* two of its epochs remounts at the last
+//! committed one: the volume then holds a block-order prefix of that
+//! flush's writes, the same on every replica. This is what a crash
+//! during `CachedStore`'s eviction write-back already shows a
+//! filesystem — some of the blocks it wrote since its last sync, not
+//! all — and `ffs` tolerates it the same way: the superblock's dirty
+//! marker, written through before any of those blocks, is still set,
+//! so the next mount runs the recovery sweep, and a completed sync
+//! clears the marker only after its last epoch has committed.
 //!
 //! # Node death, probation, revival, and background rebuild
 //!
@@ -95,6 +111,7 @@
 //!   as [`StoreStats::read_repairs`].
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -103,7 +120,8 @@ use discfs_crypto::sha256::Sha256;
 use discfs_crypto::Digest;
 use netsim::SimClock;
 
-use crate::vectored;
+use crate::remote::CALL_BLOCKS;
+use crate::{block_copy, vectored};
 use crate::{BlockStore, DeadCause, IoClass, RemoteError, RemoteStore, StoreStats, BLOCK_SIZE};
 
 /// Epoch record magic.
@@ -288,11 +306,12 @@ fn hosted_items(target: usize, n: usize, block_count: u64, replicas: usize) -> V
 }
 
 /// Copies every block hosted by `nodes[target]` from the freshest
-/// surviving replicas and stamps `epoch` — one read per source node,
-/// one write for the target (epoch record last, so a torn rebuild
-/// reads as still-stale and is simply redone). This is the *inline*
-/// mount-recovery path; post-mount failures go through the
-/// rate-limited background queue instead.
+/// surviving replicas and stamps `epoch`, streaming: a chunk of at most
+/// one call's blocks is read (one read per source node) and written to
+/// the target before the next, and the last chunk carries the epoch
+/// record last, so a torn rebuild reads as still-stale and is simply
+/// redone. This is the *inline* mount-recovery path; post-mount
+/// failures go through the rate-limited background queue instead.
 fn rebuild_node(
     nodes: &[Node],
     target: usize,
@@ -302,41 +321,53 @@ fn rebuild_node(
     epoch: u64,
 ) {
     let n = nodes.len();
-    // Per source node: (source inner indices, target inner indices).
-    let mut per_source: Vec<(Vec<u64>, Vec<u64>)> =
-        (0..n).map(|_| (Vec::new(), Vec::new())).collect();
-    for (idx, r) in hosted_items(target, n, block_count, replicas) {
-        let source = (0..replicas)
-            .filter(|&r2| r2 != r)
-            .map(|r2| (node_of(idx, r2, n), r2))
-            .find(|&(m, _)| m != target && fresh[m] && !nodes[m].store.is_dead());
-        let Some((m, r2)) = source else {
-            panic!("no fresh replica of block {idx} to rebuild node {target} from");
-        };
-        let (src, dst) = &mut per_source[m];
-        src.push(inner_of(idx, r2, n, replicas));
-        dst.push(inner_of(idx, r, n, replicas));
+    let items = hosted_items(target, n, block_count, replicas);
+    // Room for the record in the last chunk, and a chunk even when the
+    // target hosts nothing.
+    let mut chunks: Vec<&[(u64, usize)]> = items.chunks(CALL_BLOCKS - 1).collect();
+    if chunks.is_empty() {
+        chunks.push(&[]);
     }
-    let mut writes: Vec<(u64, Bytes)> = Vec::new();
-    for (m, (src, dst)) in per_source.into_iter().enumerate() {
-        if src.is_empty() {
-            continue;
+    let last = chunks.len() - 1;
+    for (k, chunk) in chunks.into_iter().enumerate() {
+        // Per source node: (source inner indices, target inner indices).
+        let mut per_source: Vec<(Vec<u64>, Vec<u64>)> =
+            (0..n).map(|_| (Vec::new(), Vec::new())).collect();
+        for &(idx, r) in chunk {
+            let source = (0..replicas)
+                .filter(|&r2| r2 != r)
+                .map(|r2| (node_of(idx, r2, n), r2))
+                .find(|&(m, _)| m != target && fresh[m] && !nodes[m].store.is_dead());
+            let Some((m, r2)) = source else {
+                panic!("no fresh replica of block {idx} to rebuild node {target} from");
+            };
+            let (src, dst) = &mut per_source[m];
+            src.push(inner_of(idx, r2, n, replicas));
+            dst.push(inner_of(idx, r, n, replicas));
         }
-        let blocks = nodes[m]
+        let mut writes: Vec<(u64, Bytes)> = Vec::new();
+        for (m, (src, dst)) in per_source.into_iter().enumerate() {
+            if src.is_empty() {
+                continue;
+            }
+            let blocks = nodes[m]
+                .store
+                .try_read(IoClass::Data, &src)
+                .expect("rebuild source node failed mid-copy");
+            writes.extend(dst.into_iter().zip(blocks));
+        }
+        if k == last {
+            writes.push((
+                epoch_slot(block_count, n, replicas),
+                Bytes::from(epoch_record(epoch)),
+            ));
+        }
+        let refs: Vec<(u64, &[u8])> = writes.iter().map(|(i, b)| (*i, &b[..])).collect();
+        nodes[target]
             .store
-            .try_read(IoClass::Data, &src)
-            .expect("rebuild source node failed mid-copy");
-        writes.extend(dst.into_iter().zip(blocks));
+            .try_write(IoClass::Data, &refs)
+            .expect("rebuild target node failed");
     }
-    writes.push((
-        epoch_slot(block_count, n, replicas),
-        Bytes::from(epoch_record(epoch)),
-    ));
-    let refs: Vec<(u64, &[u8])> = writes.iter().map(|(i, b)| (*i, &b[..])).collect();
-    nodes[target]
-        .store
-        .try_write(IoClass::Data, &refs)
-        .expect("rebuild target node failed");
 }
 
 impl ReplicatedStore {
@@ -966,6 +997,119 @@ impl ReplicatedStore {
         }
         panic!("block 0 write-through kept failing");
     }
+
+    /// The first buffered index the next epoch leaves out, or `None`
+    /// when it takes the whole buffer: an epoch is the longest
+    /// block-order prefix of the buffer whose share on every node fits
+    /// one call per class, the data call keeping room for the record.
+    fn epoch_end(&self, st: &ReplState) -> Option<u64> {
+        let n = st.nodes.len();
+        // Per node, the room left in its data and metadata calls.
+        let mut room = vec![[CALL_BLOCKS - 1, CALL_BLOCKS]; n];
+        for (&idx, &(_, class)) in &st.dirty {
+            let c = class as usize;
+            if (0..self.replicas).any(|r| room[node_of(idx, r, n)][c] == 0) {
+                return Some(idx);
+            }
+            for r in 0..self.replicas {
+                room[node_of(idx, r, n)][c] -= 1;
+            }
+        }
+        None
+    }
+
+    /// Commits the buffered blocks below `end` (all of them on `None`)
+    /// as epoch `epoch + 1` and drops them from the buffer (see
+    /// [`BlockStore::flush`]).
+    fn commit_epoch(&self, st: &mut ReplState, end: Option<u64>) -> std::io::Result<()> {
+        let n = st.nodes.len();
+        let next = st.epoch + 1;
+        let record = Bytes::from(epoch_record(next));
+        let slot = epoch_slot(self.block_count, n, self.replicas);
+        let quorum = self.replicas.div_ceil(2);
+        let epoch = (
+            Bound::Unbounded,
+            end.map_or(Bound::Unbounded, Bound::Excluded),
+        );
+        // Per node slot: has its current occupant acked its full share
+        // of this epoch? (A spare swapped in mid-flush starts over.)
+        let mut done = vec![false; n];
+        for _ in 0..self.failover_budget {
+            for (node, node_done) in done.iter_mut().enumerate() {
+                if *node_done || !st.nodes[node].writable() {
+                    continue; // degraded: probation/failed nodes catch
+                              // up via re-sync or remount recovery
+                }
+                let mut acked = true;
+                for class in [IoClass::Meta, IoClass::Data] {
+                    let mut refs: Vec<(u64, &[u8])> = Vec::new();
+                    for (&idx, (block, _)) in
+                        st.dirty.range(epoch).filter(|(_, (_, c))| *c == class)
+                    {
+                        for r in (0..self.replicas).filter(|&r| node_of(idx, r, n) == node) {
+                            refs.push((inner_of(idx, r, n, self.replicas), block));
+                        }
+                    }
+                    // The node's disk sees ascending inner indices: the
+                    // fewest runs, so the fewest seeks.
+                    refs.sort_unstable_by_key(|&(inner, _)| inner);
+                    // A rebuilding node receives the epoch's data but
+                    // NOT its record: it must read as stale until the
+                    // copy completes, or a crash mid-rebuild would
+                    // mount a node that claims an epoch it only
+                    // partially holds.
+                    if class == IoClass::Data && st.nodes[node].state == NodeState::Live {
+                        refs.push((slot, &record));
+                    }
+                    if refs.is_empty() {
+                        continue;
+                    }
+                    // One call, so one durability unit on the node: a
+                    // split write could tear inside the epoch.
+                    assert!(
+                        refs.len() <= CALL_BLOCKS,
+                        "an epoch's share overflows a call"
+                    );
+                    match st.nodes[node].store.try_write(class, &refs) {
+                        Ok(()) => {}
+                        Err(RemoteError::Fenced { .. }) => {
+                            st.fenced = true;
+                            return Err(std::io::Error::other(
+                                "flush fenced: a newer coordinator holds the lease",
+                            ));
+                        }
+                        Err(_) => {
+                            self.handle_failure(st, node);
+                            acked = false;
+                            break;
+                        }
+                    }
+                }
+                *node_done = acked;
+            }
+            // Commit check: quorum of acks per block of the epoch, plus
+            // a live record holder.
+            let acked = |st: &ReplState, m: usize| done[m] && !st.nodes[m].store.is_dead();
+            let quorum_met = st.dirty.range(epoch).all(|(&idx, _)| {
+                (0..self.replicas)
+                    .filter(|&r| acked(st, node_of(idx, r, n)))
+                    .count()
+                    >= quorum
+            });
+            let record_held = (0..n).any(|m| acked(st, m) && st.nodes[m].state == NodeState::Live);
+            if quorum_met && record_held {
+                st.epoch = next;
+                // The epoch's blocks leave the buffer as it lands.
+                st.dirty = match end {
+                    Some(end) => st.dirty.split_off(&end),
+                    None => BTreeMap::new(),
+                };
+                st.pending_commit = false;
+                return Ok(());
+            }
+        }
+        Err(std::io::Error::other("replicated flush kept failing"))
+    }
 }
 
 impl BlockStore for ReplicatedStore {
@@ -1037,8 +1181,8 @@ impl BlockStore for ReplicatedStore {
             .collect()
     }
 
-    /// Buffers the writes for the next epoch; block 0 is written
-    /// through.
+    /// Buffers the writes for the next flush, an all-zero block as the
+    /// shared [`crate::zero_block`]; block 0 is written through.
     fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         self.vectored_writes
             .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
@@ -1049,27 +1193,29 @@ impl BlockStore for ReplicatedStore {
             if idx == 0 {
                 self.write_through_zero(&mut st, block, class);
             } else {
-                st.dirty.insert(idx, (Bytes::copy_from_slice(block), class));
+                st.dirty.insert(idx, (block_copy(block), class));
             }
         }
     }
 
-    /// Commits the buffered epoch under a **write quorum**: each
-    /// writable node receives its replica writes, in ascending inner
-    /// block order, as one durability unit whose last record stamps
-    /// `epoch + 1` (its metadata writes ride ahead in a call of their
-    /// own class — the epoch record still commits strictly after
-    /// them). The commit point is reached when
-    /// every dirty block has `ceil(R/2)` replica acks and at least one
-    /// live node holds the new record; a node that fails mid-flush
-    /// goes to the probation/rebuild path and the pass *continues* —
-    /// the minority catches up via re-sync instead of blocking the
-    /// flush. Every frame carries the coordinator's fence token: a
-    /// [`RemoteError::Fenced`] refusal aborts immediately (never
-    /// retried — the frame was not applied) and latches the volume
-    /// read-only. Node journals are deliberately *not* flushed here:
-    /// the journal is each node's durability channel, and keeping the
-    /// epoch history in it is what the torn-write recovery replays.
+    /// Commits the buffer as one or more epochs (module docs,
+    /// *Epochs*), each under a **write quorum**: each writable node
+    /// receives its share of the epoch, in ascending inner block
+    /// order, as one call whose last record stamps the epoch's number
+    /// (its metadata writes ride ahead in a call of their own class —
+    /// the epoch record still commits strictly after them). An epoch
+    /// commits when every one of its blocks has `ceil(R/2)` replica
+    /// acks and at least one live node holds the new record; its
+    /// blocks then leave the buffer, and the next epoch starts. A node
+    /// that fails mid-flush goes to the probation/rebuild path and the
+    /// pass *continues* — the minority catches up via re-sync instead
+    /// of blocking the flush. Every frame carries the coordinator's
+    /// fence token: a [`RemoteError::Fenced`] refusal aborts
+    /// immediately (never retried — the frame was not applied) and
+    /// latches the volume read-only. Node journals are deliberately
+    /// *not* flushed here: the journal is each node's durability
+    /// channel, and keeping the epoch history in it is what the
+    /// torn-write recovery replays.
     fn flush(&self) -> std::io::Result<()> {
         let mut st = self.state.lock();
         self.flushes.fetch_add(1, Ordering::Relaxed);
@@ -1081,78 +1227,15 @@ impl BlockStore for ReplicatedStore {
         if st.dirty.is_empty() && !st.pending_commit {
             return Ok(());
         }
-        let n = st.nodes.len();
-        let next = st.epoch + 1;
-        let record = Bytes::from(epoch_record(next));
-        let slot = epoch_slot(self.block_count, n, self.replicas);
-        let quorum = self.replicas.div_ceil(2);
-        // Per node slot: has its current occupant acked its full batch
-        // this flush? (A spare swapped in mid-flush starts over.)
-        let mut done = vec![false; n];
-        for _ in 0..self.failover_budget {
-            for (node, node_done) in done.iter_mut().enumerate() {
-                if *node_done || !st.nodes[node].writable() {
-                    continue; // degraded: probation/failed nodes catch
-                              // up via re-sync or remount recovery
-                }
-                let mut acked = true;
-                for class in [IoClass::Meta, IoClass::Data] {
-                    let mut refs: Vec<(u64, &[u8])> = Vec::new();
-                    for (&idx, (block, _)) in st.dirty.iter().filter(|(_, (_, c))| *c == class) {
-                        for r in (0..self.replicas).filter(|&r| node_of(idx, r, n) == node) {
-                            refs.push((inner_of(idx, r, n, self.replicas), block));
-                        }
-                    }
-                    // The node's disk sees ascending inner indices: the
-                    // fewest runs, so the fewest seeks.
-                    refs.sort_unstable_by_key(|&(inner, _)| inner);
-                    // A rebuilding node receives the epoch's data but
-                    // NOT its record: it must read as stale until the
-                    // copy completes, or a crash mid-rebuild would
-                    // mount a node that claims an epoch it only
-                    // partially holds.
-                    if class == IoClass::Data && st.nodes[node].state == NodeState::Live {
-                        refs.push((slot, &record));
-                    }
-                    if refs.is_empty() {
-                        continue;
-                    }
-                    match st.nodes[node].store.try_write(class, &refs) {
-                        Ok(()) => {}
-                        Err(RemoteError::Fenced { .. }) => {
-                            st.fenced = true;
-                            return Err(std::io::Error::other(
-                                "flush fenced: a newer coordinator holds the lease",
-                            ));
-                        }
-                        Err(_) => {
-                            self.handle_failure(&mut st, node);
-                            acked = false;
-                            break;
-                        }
-                    }
-                }
-                *node_done = acked;
-            }
-            // Commit check: quorum of acks per dirty block, plus a
-            // live record holder.
-            let acked = |st: &ReplState, m: usize| done[m] && !st.nodes[m].store.is_dead();
-            let quorum_met = st.dirty.keys().all(|&idx| {
-                (0..self.replicas)
-                    .filter(|&r| acked(&st, node_of(idx, r, n)))
-                    .count()
-                    >= quorum
-            });
-            let record_held = (0..n).any(|m| acked(&st, m) && st.nodes[m].state == NodeState::Live);
-            if quorum_met && record_held {
-                st.epoch = next;
-                st.dirty.clear();
-                st.pending_commit = false;
-                self.maybe_tick(&mut st);
-                return Ok(());
+        loop {
+            let end = self.epoch_end(&st);
+            self.commit_epoch(&mut st, end)?;
+            if st.dirty.is_empty() {
+                break;
             }
         }
-        Err(std::io::Error::other("replicated flush kept failing"))
+        self.maybe_tick(&mut st);
+        Ok(())
     }
 
     /// Sum of the node clients' stats (so node-level `writes` shows

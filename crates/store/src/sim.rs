@@ -23,7 +23,7 @@ use bytes::Bytes;
 use netsim::SimClock;
 use parking_lot::Mutex;
 
-use crate::{vectored, zero_block, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
+use crate::{block_copy, vectored, zero_block, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 /// Timing model for the simulated disk.
 #[derive(Debug, Clone, Copy)]
@@ -140,15 +140,6 @@ impl SimStore {
     }
 }
 
-/// True when `block` is all zeros. Every write pays this test, so it
-/// reads 16 bytes at a time: testing byte by byte made volume setup
-/// slower than copying the zeros did.
-fn is_zero(block: &[u8]) -> bool {
-    block
-        .chunks_exact(16)
-        .all(|word| u128::from_ne_bytes(word.try_into().expect("16 bytes")) == 0)
-}
-
 impl BlockStore for SimStore {
     fn block_count(&self) -> u64 {
         self.block_count
@@ -185,11 +176,7 @@ impl BlockStore for SimStore {
                 self.model.charge(&self.clock, &mut s.last_block, idx);
                 s.writes += 1;
             }
-            s.blocks[idx as usize] = if is_zero(block) {
-                zero_block()
-            } else {
-                Bytes::copy_from_slice(block)
-            };
+            s.blocks[idx as usize] = block_copy(block);
         }
     }
 

@@ -2,8 +2,10 @@
 //! allocates no block. Before PR 3 every read built a fresh 8 KB `Vec`;
 //! now it clones a refcount into the `Vec` of handles a read returns
 //! (32 bytes a handle): at most 128 bytes for each layer it crosses.
-//! The simulated disk copies no write of zeros either: such a block is
-//! the shared zero block.
+//! The simulated disk and the replicated store's write buffer copy no
+//! write of zeros either: such a block is the shared zero block. And a
+//! storage node asked for a reply larger than a frame refuses before it
+//! reserves one.
 //!
 //! A test binary of its own, because it installs a byte-counting global
 //! allocator. The count lives in a `const`-initialised thread-local, so
@@ -13,10 +15,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use netsim::{LinkConfig, SimClock};
+use netsim::{Link, LinkConfig, SimClock, Transport};
+use onc_rpc::frame::{self, DEFAULT_MAX_FRAME};
+use onc_rpc::{AcceptStat, ReplyBody, RpcCall, RpcReply};
 use store::{
-    BlockStore, CachedStore, IoClass, RemoteOptions, RemoteStore, ShardedStore, SimStore,
-    BLOCK_SIZE,
+    BlockServer, BlockStore, CachedStore, IoClass, RemoteOptions, RemoteStore, ReplicatedStore,
+    ShardedStore, SimStore, BLOCK_SIZE,
 };
 
 struct CountingAlloc;
@@ -144,4 +148,97 @@ fn a_hot_remote_read_copies_the_reply_once() {
         per_read <= 8 * BLOCK_SIZE as u64 + 1024,
         "a hot 8-block remote read allocated {per_read} bytes"
     );
+}
+
+/// Allocated bytes on this thread while `f` runs.
+fn allocated(f: impl FnOnce()) -> u64 {
+    let before = ALLOC_BYTES.with(Cell::get);
+    f();
+    ALLOC_BYTES.with(Cell::get) - before
+}
+
+/// Formatting a volume zeroes its inode table, ~256 blocks that sat in
+/// the replicated store's write buffer as 8 KiB copies until the first
+/// sync. The buffer now holds them as the shared zero block: fresh zero
+/// writes cost their buffer entries only, and zero writes over buffered
+/// blocks cost nothing.
+#[test]
+fn buffered_zero_writes_share_the_zero_block() {
+    let (nodes, replicas, blocks) = (3, 2, BLOCKS + 1);
+    let clock = SimClock::new();
+    let node_bc = ReplicatedStore::node_block_count(blocks, nodes, replicas);
+    let store = ReplicatedStore::new(
+        (0..nodes)
+            .map(|_| {
+                RemoteStore::serve_local(
+                    SimStore::untimed(node_bc),
+                    &clock,
+                    LinkConfig::instant(),
+                    RemoteOptions::default(),
+                )
+            })
+            .collect(),
+        Vec::new(),
+        blocks,
+        replicas,
+    );
+    let zeros = vec![0u8; BLOCK_SIZE];
+    let mut one = zeros.clone();
+    one[BLOCK_SIZE - 1] = 1;
+    // Block 0 is written through to the nodes; 1..=256 are buffered.
+    let fresh = allocated(|| (1..blocks).for_each(|i| store.write_block(i, &zeros)));
+    assert!(
+        fresh < BLOCKS * 128,
+        "{BLOCKS} fresh zero writes allocated {fresh} bytes"
+    );
+    let again = allocated(|| (1..blocks).for_each(|i| store.write_block(i, &zeros)));
+    assert!(
+        again < BLOCK_SIZE as u64,
+        "{BLOCKS} zero writes over buffered blocks allocated {again} bytes"
+    );
+    let one_write = allocated(|| store.write_block(7, &one));
+    assert!(
+        (BLOCK_SIZE as u64..2 * BLOCK_SIZE as u64).contains(&one_write),
+        "a non-zero write allocated {one_write} bytes, not one block"
+    );
+    assert_eq!(store.read_block(7), one);
+    assert_eq!(store.read_block(8), zeros);
+}
+
+/// The largest READ call one frame holds asks for 131 066 blocks: a
+/// 1 GiB reply for 1 MiB of arguments. The node refuses it
+/// (`GARBAGE_ARGS`) before it reads or reserves anything, so serving it
+/// allocates less than twice the call; without the check the node
+/// reserved count × 8 KiB. The serve loop runs on this thread, so the
+/// count sees all of it.
+#[test]
+fn a_node_refuses_a_read_too_large_to_answer_before_reserving_it() {
+    // The block protocol: program 0x2000_0B10 version 1, READ = 2,
+    // SHUTDOWN = 6 (`store::remote` module docs, *Wire format*).
+    let call = |xid, proc_num, args| {
+        frame::encode_frame(&RpcCall::new(xid, 0x2000_0B10, 1, proc_num, args).encode())
+    };
+    let count = (DEFAULT_MAX_FRAME - 48) / 8;
+    let mut args = Vec::with_capacity(8 + 8 * count);
+    args.extend_from_slice(&0u32.to_be_bytes()); // data
+    args.extend_from_slice(&(count as u32).to_be_bytes());
+    for _ in 0..count {
+        args.extend_from_slice(&1u64.to_be_bytes());
+    }
+    let read = call(1, 2, args);
+    let read_len = read.len() as u64;
+    assert_eq!(read_len, 8 + DEFAULT_MAX_FRAME as u64, "one full frame");
+    let (client, node_end) = Link::pair(&SimClock::new(), LinkConfig::instant());
+    client.send(read).unwrap();
+    client.send(call(2, 6, Vec::new())).unwrap();
+    let node = BlockServer::new(SimStore::untimed(BLOCKS));
+    // The READ, then the SHUTDOWN, which ends the loop.
+    let served = allocated(|| node.serve(&node_end));
+    assert!(
+        served < 2 * read_len,
+        "a {read_len}-byte READ made the node allocate {served} bytes"
+    );
+    let reply = client.recv().unwrap();
+    let reply = RpcReply::decode(frame::unframe(&reply).unwrap()).unwrap();
+    assert_eq!(reply.body, ReplyBody::Error(AcceptStat::GarbageArgs));
 }
