@@ -25,14 +25,6 @@ pub fn eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// Selects `a` when `choice` is 1 and `b` when `choice` is 0, without
-/// branching on `choice`.
-pub fn select_u64(choice: u64, a: u64, b: u64) -> u64 {
-    debug_assert!(choice <= 1);
-    let mask = choice.wrapping_neg();
-    (a & mask) | (b & !mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,11 +35,5 @@ mod tests {
         assert!(eq(&[1, 2, 3], &[1, 2, 3]));
         assert!(!eq(&[1, 2, 3], &[1, 2, 4]));
         assert!(!eq(&[1, 2], &[1, 2, 3]));
-    }
-
-    #[test]
-    fn select_basic() {
-        assert_eq!(select_u64(1, 7, 9), 7);
-        assert_eq!(select_u64(0, 7, 9), 9);
     }
 }

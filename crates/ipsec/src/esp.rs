@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use crate::IpsecError;
 
 /// Header length: SPI (4) + sequence (8).
-pub const HEADER_LEN: usize = 12;
+pub(crate) const HEADER_LEN: usize = 12;
 
 /// Keys and state for one direction of traffic.
 pub struct Sa {
@@ -36,11 +36,6 @@ impl Sa {
             aead: ChaCha20Poly1305::new(key),
             base_nonce,
         }
-    }
-
-    /// This SA's security parameter index.
-    pub fn spi(&self) -> u32 {
-        self.spi
     }
 
     fn nonce_for(&self, seq: u64) -> [u8; 12] {
@@ -102,7 +97,7 @@ impl Sa {
     /// # Errors
     ///
     /// As [`Sa::open`].
-    pub fn open_in_place(&self, mut record: Vec<u8>) -> Result<(u64, Vec<u8>), IpsecError> {
+    pub(crate) fn open_in_place(&self, mut record: Vec<u8>) -> Result<(u64, Vec<u8>), IpsecError> {
         let seq = self.parse_header(&record)?;
         let (header, sealed) = record.split_at_mut(HEADER_LEN);
         let len = self

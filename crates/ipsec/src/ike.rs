@@ -40,15 +40,7 @@ pub struct SecureChannel<T: Transport> {
     recv_sa: Sa,
     recv_window: ReplayWindow,
     send_seq: std::sync::atomic::AtomicU64,
-    local: VerifyingKey,
     peer: VerifyingKey,
-}
-
-impl<T: Transport> SecureChannel<T> {
-    /// The local identity key.
-    pub fn local_identity(&self) -> VerifyingKey {
-        self.local
-    }
 }
 
 impl<T: Transport> SecureTransport for SecureChannel<T> {
@@ -180,7 +172,6 @@ pub fn initiate<T: Transport, R: RngCore>(
         recv_sa: Sa::new(keys.spi_r2i, &keys.key_r2i, keys.nonce_r2i),
         recv_window: ReplayWindow::new(),
         send_seq: std::sync::atomic::AtomicU64::new(0),
-        local: identity.public(),
         peer: id_r,
     })
 }
@@ -237,7 +228,6 @@ pub fn respond<T: Transport, R: RngCore>(
         recv_sa: Sa::new(keys.spi_i2r, &keys.key_i2r, keys.nonce_i2r),
         recv_window: ReplayWindow::new(),
         send_seq: std::sync::atomic::AtomicU64::new(0),
-        local: identity.public(),
         peer: id_i,
     })
 }
@@ -277,7 +267,6 @@ mod tests {
         let (ck, sk) = keys();
         assert_eq!(client.peer_identity().unwrap(), sk.public());
         assert_eq!(server.peer_identity().unwrap(), ck.public());
-        assert_eq!(client.local_identity(), ck.public());
     }
 
     #[test]

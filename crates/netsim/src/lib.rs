@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -389,23 +390,6 @@ impl ReadySet {
         inner.queued.clear();
         inner.queue.drain(..).collect()
     }
-
-    /// Drains ready tokens without blocking.
-    pub fn drain(&self) -> Vec<u64> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.queued.clear();
-        inner.queue.drain(..).collect()
-    }
-
-    /// Number of tokens currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().queue.len()
-    }
-
-    /// Whether no token is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Per-direction shared state backing readiness wakeups: how many
@@ -430,13 +414,6 @@ impl DirState {
     }
 }
 
-/// Traffic counters for one endpoint.
-#[derive(Debug, Default)]
-struct Stats {
-    messages_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-}
-
 /// One side of a duplex [`Link`].
 pub struct Endpoint {
     tx: mpsc::Sender<Vec<u8>>,
@@ -445,7 +422,6 @@ pub struct Endpoint {
     rx: Mutex<mpsc::Receiver<Vec<u8>>>,
     clock: SimClock,
     config: LinkConfig,
-    stats: Arc<Stats>,
     /// Direction peer → us: what our `recv` drains.
     incoming: Arc<DirState>,
     /// Direction us → peer: what our `send` fills.
@@ -470,7 +446,6 @@ impl Link {
                 rx: Mutex::new(rx_a),
                 clock: clock.clone(),
                 config,
-                stats: Arc::new(Stats::default()),
                 incoming: Arc::clone(&dir_ba),
                 outgoing: Arc::clone(&dir_ab),
                 faults: None,
@@ -480,7 +455,6 @@ impl Link {
                 rx: Mutex::new(rx_b),
                 clock: clock.clone(),
                 config,
-                stats: Arc::new(Stats::default()),
                 incoming: dir_ab,
                 outgoing: dir_ba,
                 faults: None,
@@ -509,33 +483,11 @@ impl Link {
 }
 
 impl Endpoint {
-    /// Messages sent through this endpoint.
-    pub fn messages_sent(&self) -> u64 {
-        self.stats.messages_sent.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes sent through this endpoint.
-    pub fn bytes_sent(&self) -> u64 {
-        self.stats.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// The clock this endpoint charges.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// The latency/bandwidth parameters of the link this endpoint
-    /// belongs to — request/response layers (the `store` crate's
-    /// `RemoteStore`) use it to rank replicas by link latency.
-    pub fn link_config(&self) -> LinkConfig {
-        self.config
-    }
-
     /// Installs `faults` on this endpoint: every message it **sends**
     /// from now on goes through the plan. Call before moving the
     /// endpoint to its thread ([`Link::pair_faulty`] installs one plan
     /// on both sides).
-    pub fn inject_faults(&mut self, faults: &FaultPlan) {
+    fn inject_faults(&mut self, faults: &FaultPlan) {
         self.faults = Some(faults.clone());
     }
 
@@ -565,10 +517,6 @@ impl Endpoint {
 impl Transport for Endpoint {
     fn send(&self, msg: Vec<u8>) -> Result<(), NetError> {
         self.clock.advance(self.config.transfer_time(msg.len()));
-        self.stats.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_sent
-            .fetch_add(msg.len() as u64, Ordering::Relaxed);
         if let Some(faults) = &self.faults {
             match faults.on_send(self.clock.now()) {
                 // The sender still paid the wire time, but the message
@@ -805,19 +753,6 @@ mod tests {
         // Plain pairs report no plan.
         let (p, _q) = Link::pair(&clock, LinkConfig::instant());
         assert!(Transport::fault_plan(&p).is_none());
-    }
-
-    #[test]
-    fn stats_count_messages() {
-        let clock = SimClock::new();
-        let (a, b) = Link::pair(&clock, LinkConfig::instant());
-        a.send(vec![0; 10]).unwrap();
-        a.send(vec![0; 20]).unwrap();
-        assert_eq!(a.messages_sent(), 2);
-        assert_eq!(a.bytes_sent(), 30);
-        assert_eq!(b.messages_sent(), 0);
-        // Messages are waiting for b.
-        assert_eq!(b.recv().unwrap().len(), 10);
     }
 
     #[test]

@@ -139,8 +139,10 @@
 //! **Background rebuild.** The operation that detects a death only
 //! marks the node and enqueues the lost replica set; a rate-limited
 //! rebuilder ([`RebuildConfig`]: `blocks_per_tick` copies per
-//! `tick_interval` of virtual time) drains the queue off the hot path
-//! while degraded reads keep failing over. The backlog is observable
+//! `tick_interval` of virtual time, one read call per source node and
+//! one write call a chunk) drains the queue off the hot path while
+//! degraded reads keep failing over. Mount recovery drains the same
+//! queue, unmetered, before the volume opens. The backlog is observable
 //! as [`StoreStats::rebuild_backlog`]; a completed rebuild stamps the
 //! node's epoch record *last*, so a torn rebuild reads as stale and is
 //! simply redone. See the `remote` and `replicated` module docs for

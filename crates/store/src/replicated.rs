@@ -27,11 +27,12 @@
 //! node store that is a single durability unit, so a torn node journal
 //! replays to a *prefix*: either the epoch record is present (the node
 //! has every write of that epoch) or the node's epoch block still reads
-//! an older epoch. Reopening the volume compares node epochs: any node
+//! an older epoch. Reopening the volume compares node epochs: every node
 //! behind the maximum **committed** epoch (or torn mid-epoch, which
-//! reads as behind) is rebuilt block-for-block from the fresh replicas
-//! and re-stamped — so the volume always replays to one consistent
-//! epoch, never a mix of replicas. Block 0 (the filesystem's superblock
+//! reads as behind) is re-synced from the fresh replicas through the
+//! rebuild queue (below), drained before the mount returns, and
+//! re-stamped — so the volume always replays to one consistent epoch,
+//! never a mix of replicas. Block 0 (the filesystem's superblock
 //! dirty/clean marker) is the one exception: it is written through to
 //! its replicas immediately, outside the epoch transaction, preserving
 //! the recovery-sweep ordering discipline (see `CachedStore`'s module
@@ -66,6 +67,11 @@
 //!   slot is failed and the volume keeps serving degraded from the
 //!   surviving replicas.
 //!
+//! Mount recovery treats a node whose epoch record it cannot read the
+//! same way: one that times out goes to probation and spends no spare;
+//! one that is disconnected takes a spare, rebuilt before the mount
+//! returns.
+//!
 //! The *detecting* operation only marks the node and enqueues work —
 //! reads fail over to the next live replica
 //! ([`StoreStats::replica_reads`], ranked nearest-first by link
@@ -75,10 +81,12 @@
 //! [`RebuildConfig::tick_interval`] of virtual time, piggy-backed on
 //! ordinary operations) probes one probation node and copies at most
 //! [`RebuildConfig::blocks_per_tick`] blocks from live replicas onto
-//! the rebuilding node, stamping the epoch record only when the copy
-//! completes ([`StoreStats::rebuilds`]) — so a torn rebuild reads as
-//! still-stale and is simply redone. The remaining queue depth is
-//! observable as [`StoreStats::rebuild_backlog`]. With R = 2 and a
+//! the rebuilding node, a call's worth at a time: one read per source
+//! node and one write to the target. The epoch record is stamped, in a
+//! call of its own, only when the copy completes
+//! ([`StoreStats::rebuilds`]) — so a torn rebuild reads as still-stale
+//! and is simply redone. The remaining queue depth is observable as
+//! [`StoreStats::rebuild_backlog`]. With R = 2 and a
 //! spare, a volume survives the death of any single node with zero
 //! failed reads.
 //!
@@ -161,12 +169,9 @@ pub struct RebuildConfig {
     /// Blocks copied onto rebuilding nodes per tick — the rebuild
     /// bandwidth budget.
     pub blocks_per_tick: usize,
-    /// Minimum virtual time between background ticks; `ZERO` ticks on
-    /// every operation.
+    /// Minimum virtual time between background ticks (each probes one
+    /// probation node); `ZERO` ticks on every operation.
     pub tick_interval: Duration,
-    /// Minimum virtual time between revival probes of probation nodes;
-    /// `ZERO` probes on every tick.
-    pub probe_interval: Duration,
 }
 
 impl Default for RebuildConfig {
@@ -174,7 +179,6 @@ impl Default for RebuildConfig {
         RebuildConfig {
             blocks_per_tick: 32,
             tick_interval: Duration::ZERO,
-            probe_interval: Duration::ZERO,
         }
     }
 }
@@ -251,9 +255,22 @@ struct ReplState {
     /// Background-rebuild work, drained `blocks_per_tick` at a time.
     queue: VecDeque<RebuildWork>,
     last_tick: Duration,
-    last_probe: Duration,
     /// Round-robin start for the revival prober.
     probe_cursor: usize,
+}
+
+impl ReplState {
+    /// What a rebuild pass can move: queued blocks, queued nodes, and
+    /// nodes in probation.
+    fn progress(&self) -> (usize, usize, usize) {
+        let items = self.queue.iter().map(|w| w.items.len()).sum();
+        let probation = self
+            .nodes
+            .iter()
+            .filter(|nd| nd.state == NodeState::Probation)
+            .count();
+        (items, self.queue.len(), probation)
+    }
 }
 
 /// N-node, R-replica block store over [`RemoteStore`] clients (see the
@@ -305,71 +322,6 @@ fn hosted_items(target: usize, n: usize, block_count: u64, replicas: usize) -> V
     items
 }
 
-/// Copies every block hosted by `nodes[target]` from the freshest
-/// surviving replicas and stamps `epoch`, streaming: a chunk of at most
-/// one call's blocks is read (one read per source node) and written to
-/// the target before the next, and the last chunk carries the epoch
-/// record last, so a torn rebuild reads as still-stale and is simply
-/// redone. This is the *inline* mount-recovery path; post-mount
-/// failures go through the rate-limited background queue instead.
-fn rebuild_node(
-    nodes: &[Node],
-    target: usize,
-    fresh: &[bool],
-    block_count: u64,
-    replicas: usize,
-    epoch: u64,
-) {
-    let n = nodes.len();
-    let items = hosted_items(target, n, block_count, replicas);
-    // Room for the record in the last chunk, and a chunk even when the
-    // target hosts nothing.
-    let mut chunks: Vec<&[(u64, usize)]> = items.chunks(CALL_BLOCKS - 1).collect();
-    if chunks.is_empty() {
-        chunks.push(&[]);
-    }
-    let last = chunks.len() - 1;
-    for (k, chunk) in chunks.into_iter().enumerate() {
-        // Per source node: (source inner indices, target inner indices).
-        let mut per_source: Vec<(Vec<u64>, Vec<u64>)> =
-            (0..n).map(|_| (Vec::new(), Vec::new())).collect();
-        for &(idx, r) in chunk {
-            let source = (0..replicas)
-                .filter(|&r2| r2 != r)
-                .map(|r2| (node_of(idx, r2, n), r2))
-                .find(|&(m, _)| m != target && fresh[m] && !nodes[m].store.is_dead());
-            let Some((m, r2)) = source else {
-                panic!("no fresh replica of block {idx} to rebuild node {target} from");
-            };
-            let (src, dst) = &mut per_source[m];
-            src.push(inner_of(idx, r2, n, replicas));
-            dst.push(inner_of(idx, r, n, replicas));
-        }
-        let mut writes: Vec<(u64, Bytes)> = Vec::new();
-        for (m, (src, dst)) in per_source.into_iter().enumerate() {
-            if src.is_empty() {
-                continue;
-            }
-            let blocks = nodes[m]
-                .store
-                .try_read(IoClass::Data, &src)
-                .expect("rebuild source node failed mid-copy");
-            writes.extend(dst.into_iter().zip(blocks));
-        }
-        if k == last {
-            writes.push((
-                epoch_slot(block_count, n, replicas),
-                Bytes::from(epoch_record(epoch)),
-            ));
-        }
-        let refs: Vec<(u64, &[u8])> = writes.iter().map(|(i, b)| (*i, &b[..])).collect();
-        nodes[target]
-            .store
-            .try_write(IoClass::Data, &refs)
-            .expect("rebuild target node failed");
-    }
-}
-
 impl ReplicatedStore {
     /// Blocks each node store must hold for a volume of `block_count`
     /// logical blocks over `nodes` nodes with `replicas` copies:
@@ -381,15 +333,19 @@ impl ReplicatedStore {
 
     /// Assembles a replicated volume from connected node clients (plus
     /// idle spares), then runs **recovery**: node epochs are read, and
-    /// any node behind the maximum committed epoch — a torn flush, a
-    /// stale disk — is rebuilt from the fresh replicas and re-stamped,
-    /// so the reopened volume reads at one consistent epoch.
+    /// every node behind the maximum committed epoch — a torn flush, a
+    /// stale disk — goes through the transitions a running volume
+    /// uses. A live one is re-synced in place, a dead one goes to
+    /// probation (timeout) or onto a spare, and the rebuild queue is
+    /// drained before this returns, so the reopened volume reads at
+    /// one consistent epoch.
     ///
     /// # Panics
     ///
     /// Panics when `replicas` is zero, exceeds the node count, or a
-    /// node store is too small; and when recovery finds a block with
-    /// no fresh replica (more simultaneous failures than R − 1).
+    /// node store is too small; and when recovery finds a block of a
+    /// stale node with no fresh replica to copy from (more simultaneous
+    /// failures than R − 1) — the one way recovery itself can panic.
     pub fn new(
         nodes: Vec<RemoteStore>,
         spares: Vec<RemoteStore>,
@@ -407,84 +363,81 @@ impl ReplicatedStore {
                 node.remote_block_count()
             );
         }
-        let mut st = ReplState {
-            nodes: nodes
-                .into_iter()
-                .map(|store| Node {
-                    store,
-                    state: NodeState::Live,
-                    generation: 0,
-                })
-                .collect(),
-            spares,
-            dirty: BTreeMap::new(),
-            epoch: 0,
-            fenced: false,
-            lease: None,
-            pending_commit: false,
-            queue: VecDeque::new(),
-            last_tick: Duration::ZERO,
-            last_probe: Duration::ZERO,
-            probe_cursor: 0,
-        };
-        let clock = st
-            .nodes
-            .first()
-            .and_then(|nd| nd.store.sim_clock().cloned());
-        let failover_budget = n + st.spares.len() + 2;
-        let slot = epoch_slot(block_count, n, replicas);
-        let epochs: Vec<Option<u64>> = st
-            .nodes
-            .iter()
-            .map(|node| {
-                node.store
-                    .try_read_block(slot, IoClass::Meta)
-                    .ok()
-                    .map(|b| decode_epoch(&b))
-            })
-            .collect();
-        let e_max = epochs.iter().flatten().copied().max().unwrap_or(0);
-        st.epoch = e_max;
-        let mut recovered = 0;
-        if e_max > 0 {
-            let fresh: Vec<bool> = epochs.iter().map(|e| *e == Some(e_max)).collect();
-            for target in 0..n {
-                if fresh[target] {
-                    continue;
-                }
-                if st.nodes[target].store.is_dead() {
-                    let Some(spare) = st.spares.pop() else {
-                        // Degraded: no spare for a dead node. A timeout
-                        // may heal, so it waits in probation; anything
-                        // else is out until remount.
-                        st.nodes[target].state = match st.nodes[target].store.dead_cause() {
-                            Some(DeadCause::Timeout) => NodeState::Probation,
-                            _ => NodeState::Failed,
-                        };
-                        st.nodes[target].generation += 1;
-                        continue;
-                    };
-                    st.nodes[target].store = spare;
-                    st.nodes[target].generation += 1;
-                }
-                rebuild_node(&st.nodes, target, &fresh, block_count, replicas, e_max);
-                recovered += 1;
-            }
-        }
-        ReplicatedStore {
-            state: parking_lot::Mutex::new(st),
+        let clock = nodes.first().and_then(|nd| nd.sim_clock().cloned());
+        let failover_budget = n + spares.len() + 2;
+        let store = ReplicatedStore {
+            state: parking_lot::Mutex::new(ReplState {
+                nodes: nodes
+                    .into_iter()
+                    .map(|store| Node {
+                        store,
+                        state: NodeState::Live,
+                        generation: 0,
+                    })
+                    .collect(),
+                spares,
+                dirty: BTreeMap::new(),
+                epoch: 0,
+                fenced: false,
+                lease: None,
+                pending_commit: false,
+                queue: VecDeque::new(),
+                last_tick: Duration::ZERO,
+                probe_cursor: 0,
+            }),
             block_count,
             replicas,
             failover_budget,
             rebuild_cfg: RebuildConfig::default(),
             clock,
             replica_reads: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(recovered),
+            rebuilds: AtomicU64::new(0),
             nodes_revived: AtomicU64::new(0),
             read_repairs: AtomicU64::new(0),
             vectored_reads: AtomicU64::new(0),
             vectored_writes: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
+        };
+        store.recover();
+        store
+    }
+
+    /// Mount recovery (see [`ReplicatedStore::new`]): the queue is
+    /// drained with no block budget, and a pass that moves nothing has
+    /// met a block with no serving replica.
+    fn recover(&self) {
+        let mut st = self.state.lock();
+        let epochs: Vec<Option<u64>> = (0..st.nodes.len())
+            .map(|m| self.node_epoch(&st, m))
+            .collect();
+        st.epoch = epochs.iter().flatten().copied().max().unwrap_or(0);
+        if st.epoch == 0 {
+            return; // nothing committed, so no node is behind
+        }
+        for (m, epoch) in epochs.into_iter().enumerate() {
+            if epoch == Some(st.epoch) {
+                continue;
+            }
+            if st.nodes[m].store.is_dead() {
+                self.handle_failure(&mut st, m);
+            } else {
+                self.resync(&mut st, m);
+            }
+        }
+        loop {
+            let before = st.progress();
+            self.drain_step(&mut st, usize::MAX);
+            self.repair(&mut st);
+            let Some(work) = st.queue.front() else {
+                return;
+            };
+            if st.progress() == before {
+                let (idx, _) = work.items[0];
+                panic!(
+                    "no fresh replica of block {idx} to rebuild node {} from",
+                    work.node
+                );
+            }
         }
     }
 
@@ -577,28 +530,13 @@ impl ReplicatedStore {
         st.pending_commit = false;
         // Sweep the epoch records: the committed history may have
         // advanced while we were fenced out.
-        let n = st.nodes.len();
-        let slot = epoch_slot(self.block_count, n, self.replicas);
-        let epochs: Vec<Option<u64>> = st
-            .nodes
-            .iter()
-            .map(|node| {
-                if node.store.is_dead() {
-                    return None;
-                }
-                node.store
-                    .try_read_block(slot, IoClass::Meta)
-                    .ok()
-                    .map(|b| decode_epoch(&b))
-            })
+        let epochs: Vec<Option<u64>> = (0..st.nodes.len())
+            .map(|m| self.node_epoch(&st, m))
             .collect();
-        let e_max = epochs.iter().flatten().copied().max().unwrap_or(0);
-        st.epoch = e_max.max(st.epoch);
-        for (target, epoch) in epochs.iter().enumerate() {
+        st.epoch = epochs.iter().flatten().copied().fold(st.epoch, u64::max);
+        for (target, epoch) in epochs.into_iter().enumerate() {
             if st.nodes[target].state == NodeState::Live && epoch.is_some_and(|e| e < st.epoch) {
-                st.nodes[target].generation += 1;
-                st.nodes[target].state = NodeState::Rebuilding;
-                self.enqueue_rebuild(&mut st, target);
+                self.resync(&mut st, target);
                 self.read_repairs.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -655,52 +593,37 @@ impl ReplicatedStore {
 
     /// Blocks still queued for the background rebuilder.
     pub fn rebuild_backlog(&self) -> u64 {
-        self.state
-            .lock()
-            .queue
-            .iter()
-            .map(|w| w.items.len() as u64)
-            .sum()
+        self.state.lock().progress().0 as u64
     }
 
-    /// Runs one background tick by hand: probe one probation node
-    /// (gating intervals ignored), then copy up to the block budget.
+    /// Runs one background tick by hand: probe one probation node,
+    /// then copy up to the block budget.
     pub fn rebuild_tick(&self) {
         let mut st = self.state.lock();
-        self.tick(&mut st, true);
+        self.tick(&mut st);
     }
 
     /// Drives ticks until the rebuild queue drains and no probation
     /// node is left to probe — or no further progress is possible
     /// (e.g. a node is still partitioned), bounded so it always
-    /// returns. Probes are forced, so healed nodes revive along the
-    /// way.
+    /// returns. Healed nodes revive along the way.
     pub fn pump_rebuild(&self) {
         let mut st = self.state.lock();
         let n = st.nodes.len();
         let per_node = self.block_count.div_ceil(n as u64) as usize * self.replicas;
-        let backlog: usize = st.queue.iter().map(|w| w.items.len()).sum();
+        let (backlog, _, _) = st.progress();
         // Worst case every probation node revives stale and re-syncs.
         let bound = (backlog + n * per_node) / self.rebuild_cfg.blocks_per_tick.max(1) + 2 * n + 8;
-        let snapshot = |st: &ReplState| {
-            let items: usize = st.queue.iter().map(|w| w.items.len()).sum();
-            let probation = st
-                .nodes
-                .iter()
-                .filter(|nd| nd.state == NodeState::Probation)
-                .count();
-            (items, st.queue.len(), probation)
-        };
         // Each tick probes one node round-robin, so give a full lap of
         // fruitless ticks before concluding nothing can move.
         let mut stalled = 0;
         for _ in 0..bound {
-            let before = snapshot(&st);
+            let before = st.progress();
             if before.1 == 0 && before.2 == 0 {
                 return;
             }
-            self.tick(&mut st, true);
-            if snapshot(&st) == before {
+            self.tick(&mut st);
+            if st.progress() == before {
                 stalled += 1;
                 if stalled > n {
                     return;
@@ -737,8 +660,7 @@ impl ReplicatedStore {
                 if let Some(spare) = st.spares.pop() {
                     let old = std::mem::replace(&mut st.nodes[n].store, spare);
                     drop(old); // joins the dead node's server thread
-                    st.nodes[n].state = NodeState::Rebuilding;
-                    self.enqueue_rebuild(st, n);
+                    self.resync(st, n);
                 } else {
                     st.nodes[n].state = NodeState::Failed;
                 }
@@ -746,16 +668,32 @@ impl ReplicatedStore {
         }
     }
 
-    /// Queues a full replica-set rebuild of node `n` (stamped with its
-    /// current generation, so work outlives neither a re-death nor a
-    /// slot swap).
-    fn enqueue_rebuild(&self, st: &mut ReplState, n: usize) {
+    /// Re-syncs node `n` — live but behind the committed epoch, or a
+    /// spare just swapped in — through the rebuild queue: it takes
+    /// writes but serves no reads until its whole replica set is
+    /// copied and its record stamped. The work carries the bumped
+    /// generation, so it outlives neither a re-death nor a slot swap.
+    fn resync(&self, st: &mut ReplState, n: usize) {
+        st.nodes[n].generation += 1;
+        st.nodes[n].state = NodeState::Rebuilding;
         let items = hosted_items(n, st.nodes.len(), self.block_count, self.replicas);
         st.queue.push_back(RebuildWork {
             node: n,
             generation: st.nodes[n].generation,
             items: items.into(),
         });
+    }
+
+    /// Node `m`'s epoch record, or `None` when the node is dead or the
+    /// read fails (which declares it dead).
+    fn node_epoch(&self, st: &ReplState, m: usize) -> Option<u64> {
+        let store = &st.nodes[m].store;
+        if store.is_dead() {
+            return None;
+        }
+        let slot = epoch_slot(self.block_count, st.nodes.len(), self.replicas);
+        let block = store.try_read_block(slot, IoClass::Meta).ok()?;
+        Some(decode_epoch(&block))
     }
 
     /// Transitions every in-service node whose client has latched dead
@@ -776,15 +714,8 @@ impl ReplicatedStore {
     /// service — a partitioned-then-healed node is *not* rebuilt —
     /// while one that missed commits is re-synced in place through the
     /// rebuild queue.
-    fn probe_step(&self, st: &mut ReplState, force: bool) {
+    fn probe_step(&self, st: &mut ReplState) {
         let n = st.nodes.len();
-        if !force {
-            if let Some(clock) = &self.clock {
-                if clock.now() < st.last_probe + self.rebuild_cfg.probe_interval {
-                    return;
-                }
-            }
-        }
         let Some(offset) =
             (0..n).find(|i| st.nodes[(st.probe_cursor + i) % n].state == NodeState::Probation)
         else {
@@ -792,18 +723,10 @@ impl ReplicatedStore {
         };
         let target = (st.probe_cursor + offset) % n;
         st.probe_cursor = (target + 1) % n;
-        if let Some(clock) = &self.clock {
-            st.last_probe = clock.now();
-        }
         if st.nodes[target].store.probe().is_err() {
             return; // still unreachable; a later tick tries again
         }
-        let slot = epoch_slot(self.block_count, n, self.replicas);
-        let node_epoch = st.nodes[target]
-            .store
-            .try_read_block(slot, IoClass::Meta)
-            .map_or(0, |b| decode_epoch(&b));
-        if node_epoch == st.epoch {
+        if self.node_epoch(st, target) == Some(st.epoch) {
             // The epoch-stamped state is current, but block 0 commits
             // *outside* the epoch transaction (write-through), so a
             // matching epoch does not cover it: refresh the revived
@@ -816,9 +739,7 @@ impl ReplicatedStore {
         } else {
             // The revived replica's epoch record reads behind the
             // committed epoch: schedule a read-repair re-sync.
-            st.nodes[target].generation += 1;
-            st.nodes[target].state = NodeState::Rebuilding;
-            self.enqueue_rebuild(st, target);
+            self.resync(st, target);
             self.read_repairs.fetch_add(1, Ordering::Relaxed);
         }
         self.nodes_revived.fetch_add(1, Ordering::Relaxed);
@@ -850,41 +771,45 @@ impl ReplicatedStore {
             .is_ok()
     }
 
-    /// Copies up to `blocks_per_tick` queued blocks from live replicas
-    /// onto rebuilding nodes. A node whose copy completes gets its
-    /// epoch record stamped *last* and returns to service — a torn
-    /// rebuild reads as still-stale and is redone on remount.
-    fn drain_step(&self, st: &mut ReplState) {
-        let mut budget = self.rebuild_cfg.blocks_per_tick;
+    /// Copies up to `budget` queued blocks from serving replicas onto
+    /// rebuilding nodes, a call's worth at a time: each chunk is the
+    /// longest prefix of the front node's queue that fits the budget
+    /// and one call and whose every block has a serving source, read
+    /// with one call per source node and written with one call to the
+    /// target. A node whose copy completes gets its epoch record
+    /// stamped *last*, in a call of its own, and returns to service —
+    /// a torn rebuild reads as still-stale and is redone on remount.
+    fn drain_step(&self, st: &mut ReplState, mut budget: usize) {
+        let n = st.nodes.len();
         loop {
             let Some(front) = st.queue.front() else {
                 return;
             };
-            let (target, generation) = (front.node, front.generation);
-            if st.nodes[target].generation != generation
+            let target = front.node;
+            if st.nodes[target].generation != front.generation
                 || st.nodes[target].state != NodeState::Rebuilding
             {
                 st.queue.pop_front(); // a previous life's work
                 continue;
             }
-            let item = front.items.front().copied();
-            let Some((idx, r)) = item else {
+            if front.items.is_empty() {
                 // Copy complete: stamp the epoch, return to service.
-                st.queue.pop_front();
-                let slot = epoch_slot(self.block_count, st.nodes.len(), self.replicas);
+                let slot = epoch_slot(self.block_count, n, self.replicas);
                 let record = epoch_record(st.epoch);
-                if st.nodes[target]
+                match st.nodes[target]
                     .store
                     .try_write(IoClass::Data, &[(slot, &record)])
-                    .is_err()
                 {
-                    self.handle_failure(st, target);
-                    continue;
+                    Ok(()) => {
+                        st.queue.pop_front();
+                        st.nodes[target].state = NodeState::Live;
+                        self.rebuilds.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(_) if st.nodes[target].store.is_dead() => self.handle_failure(st, target),
+                    Err(_) => return, // refused (say, fenced); a later tick retries
                 }
-                st.nodes[target].state = NodeState::Live;
-                self.rebuilds.fetch_add(1, Ordering::Relaxed);
                 continue;
-            };
+            }
             // The budget meters block *copies*; pops, stale drops and
             // the completion stamp above are free, so a node whose last
             // copy lands on the tick's final budget unit still returns
@@ -893,46 +818,59 @@ impl ReplicatedStore {
             if budget == 0 {
                 return;
             }
-            let n = st.nodes.len();
-            let source = (0..self.replicas)
-                .filter(|&r2| r2 != r)
-                .map(|r2| (node_of(idx, r2, n), r2))
-                .find(|&(m, _)| m != target && st.nodes[m].serving());
-            let Some((m, r2)) = source else {
-                return; // no live source right now; retry next tick
-            };
-            let Ok(block) = st.nodes[m]
-                .store
-                .try_read_block(inner_of(idx, r2, n, self.replicas), IoClass::Data)
-            else {
-                return; // the source just died; repair picks it up
-            };
-            if st.nodes[target]
-                .store
-                .try_write(
-                    IoClass::Data,
-                    &[(inner_of(idx, r, n, self.replicas), &block)],
-                )
-                .is_err()
-            {
+            // Per source node: (source inner indices, target inner
+            // indices).
+            let mut per_source: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); n];
+            let mut chunk = 0;
+            for &(idx, r) in front.items.iter().take(budget.min(CALL_BLOCKS)) {
+                let source = (0..self.replicas)
+                    .filter(|&r2| r2 != r)
+                    .map(|r2| (node_of(idx, r2, n), r2))
+                    .find(|&(m, _)| m != target && st.nodes[m].serving());
+                let Some((m, r2)) = source else {
+                    break;
+                };
+                per_source[m].0.push(inner_of(idx, r2, n, self.replicas));
+                per_source[m].1.push(inner_of(idx, r, n, self.replicas));
+                chunk += 1;
+            }
+            if chunk == 0 {
+                return; // no serving source right now; retry next tick
+            }
+            let mut writes: Vec<(u64, Bytes)> = Vec::with_capacity(chunk);
+            for (m, (src, dst)) in per_source.into_iter().enumerate() {
+                if src.is_empty() {
+                    continue;
+                }
+                let Ok(blocks) = st.nodes[m].store.try_read(IoClass::Data, &src) else {
+                    return; // the source just died; repair picks it up
+                };
+                writes.extend(dst.into_iter().zip(blocks));
+            }
+            let refs: Vec<(u64, &[u8])> = writes.iter().map(|(i, b)| (*i, &b[..])).collect();
+            match st.nodes[target].store.try_write(IoClass::Data, &refs) {
+                Ok(()) => {}
                 // The target died mid-rebuild; the generation bump
                 // discards the rest of this work.
-                self.handle_failure(st, target);
-                continue;
+                Err(_) if st.nodes[target].store.is_dead() => {
+                    self.handle_failure(st, target);
+                    continue;
+                }
+                Err(_) => return, // refused (say, fenced); a later tick retries
             }
             st.queue
                 .front_mut()
                 .expect("front checked above")
                 .items
-                .pop_front();
-            budget -= 1;
+                .drain(..chunk);
+            budget -= chunk;
         }
     }
 
     /// One background tick: probe, then copy under the block budget.
-    fn tick(&self, st: &mut ReplState, force_probe: bool) {
-        self.probe_step(st, force_probe);
-        self.drain_step(st);
+    fn tick(&self, st: &mut ReplState) {
+        self.probe_step(st);
+        self.drain_step(st, self.rebuild_cfg.blocks_per_tick);
     }
 
     /// Ticks at most once per `tick_interval` of virtual time,
@@ -947,7 +885,7 @@ impl ReplicatedStore {
             }
             st.last_tick = now;
         }
-        self.tick(st, false);
+        self.tick(st);
     }
 
     /// Replica order for `idx`: nearest link first (ties broken by
@@ -1257,7 +1195,7 @@ impl BlockStore for ReplicatedStore {
         stats.rebuilds += self.rebuilds.load(Ordering::Relaxed);
         stats.nodes_revived += self.nodes_revived.load(Ordering::Relaxed);
         stats.read_repairs += self.read_repairs.load(Ordering::Relaxed);
-        stats.rebuild_backlog += st.queue.iter().map(|w| w.items.len() as u64).sum::<u64>();
+        stats.rebuild_backlog += st.progress().0 as u64;
         // The node clients already contribute their fenced-write
         // rejections; the latch itself shows as one more.
         stats.fenced += u64::from(st.fenced);
@@ -1532,19 +1470,43 @@ mod tests {
     }
 
     fn shared_clients(clock: &SimClock, backing: &[SharedNode]) -> Vec<RemoteStore> {
+        faulty_clients(clock, backing, RemoteOptions::default(), None)
+    }
+
+    /// [`shared_clients`] under `opts`, with `faults` on node 2's link
+    /// when given.
+    fn faulty_clients(
+        clock: &SimClock,
+        backing: &[SharedNode],
+        opts: RemoteOptions,
+        faults: Option<&netsim::FaultPlan>,
+    ) -> Vec<RemoteStore> {
         backing
             .iter()
-            .map(|(store, lease)| {
+            .enumerate()
+            .map(|(m, (store, lease))| {
                 RemoteStore::serve_shared(
                     std::sync::Arc::clone(store) as std::sync::Arc<dyn BlockStore>,
                     std::sync::Arc::clone(lease),
                     clock,
                     LinkConfig::instant(),
-                    RemoteOptions::default(),
-                    None,
+                    opts,
+                    faults.filter(|_| m == 2),
                 )
             })
             .collect()
+    }
+
+    /// Timeouts short enough that a partition declares a node dead
+    /// after 200 ms of virtual time.
+    fn short_timeouts() -> RemoteOptions {
+        RemoteOptions {
+            timeout: Duration::from_millis(10),
+            base: Duration::from_millis(2),
+            multiplier: 2.0,
+            max_backoff: Duration::from_millis(40),
+            deadline: Duration::from_millis(200),
+        }
     }
 
     #[test]
@@ -1598,13 +1560,7 @@ mod tests {
     fn revived_stale_replica_schedules_a_read_repair() {
         let clock = SimClock::new();
         let node_bc = ReplicatedStore::node_block_count(16, 4, 2);
-        let opts = RemoteOptions {
-            timeout: Duration::from_millis(10),
-            base: Duration::from_millis(2),
-            multiplier: 2.0,
-            max_backoff: Duration::from_millis(40),
-            deadline: Duration::from_millis(200),
-        };
+        let opts = short_timeouts();
         let plan = netsim::FaultPlan::seeded(42);
         let mut nodes: Vec<RemoteStore> = (0..3)
             .map(|_| {
@@ -1652,6 +1608,192 @@ mod tests {
         for i in 0..16u64 {
             let want = if i == 6 { 0x66 } else { i as u8 + 1 };
             assert_eq!(store.read_block(i)[0], want);
+        }
+    }
+
+    /// A background rebuild copies a call's worth of blocks at a time:
+    /// one read per source node and one write to the target a chunk,
+    /// not a read and a write per block.
+    #[test]
+    fn rebuild_makes_one_call_per_source_per_chunk() {
+        const BLOCKS: u64 = 3_072;
+        let clock = SimClock::new();
+        let node_bc = ReplicatedStore::node_block_count(BLOCKS, 3, 2);
+        let make = |_| {
+            RemoteStore::serve_local(
+                SimStore::untimed(node_bc),
+                &clock,
+                LinkConfig::ethernet_100mbps(),
+                RemoteOptions::default(),
+            )
+        };
+        let store = ReplicatedStore::new((0..3).map(make).collect(), vec![make(3)], BLOCKS, 2);
+        let block = |i: u64| block_of((i % 251) as u8 + 1);
+        for i in 0..BLOCKS {
+            store.write_block(i, &block(i));
+        }
+        store.flush().unwrap();
+        store.kill_node(1);
+        assert_eq!(
+            store.read_block(1),
+            block(1),
+            "the detecting read fails over"
+        );
+        let (calls, copied) = (store.stats().rpc_calls, store.rebuild_backlog());
+        store.pump_rebuild();
+        let calls = store.stats().rpc_calls - calls;
+        let per_tick = RebuildConfig::default().blocks_per_tick as u64;
+        assert_eq!(store.rebuild_backlog(), 0);
+        assert!(
+            calls <= 3 * copied.div_ceil(per_tick) + 1,
+            "{calls} calls to copy {copied} blocks"
+        );
+        assert_eq!(store.stats().rebuilds, 1);
+        for i in 0..BLOCKS {
+            assert_eq!(store.read_block(i), block(i));
+        }
+    }
+
+    /// A shared-node volume whose first coordinator committed
+    /// `block_of(i + 1)` at every block `i` as epoch 1 and is gone,
+    /// ready for a test to tamper with the backing stores and remount.
+    fn committed_backing(
+        blocks: u64,
+        nodes: usize,
+        replicas: usize,
+    ) -> (SimClock, Vec<SharedNode>) {
+        let (clock, backing) = shared_backing(blocks, nodes, replicas);
+        let store =
+            ReplicatedStore::new(shared_clients(&clock, &backing), vec![], blocks, replicas);
+        for i in 0..blocks {
+            store.write_block(i, &block_of(i as u8 + 1));
+        }
+        store.flush().unwrap();
+        (clock, backing)
+    }
+
+    /// An idle spare sized for a 16-block, 4-node, R = 2 volume.
+    fn spare(clock: &SimClock) -> RemoteStore {
+        let node_bc = ReplicatedStore::node_block_count(16, 4, 2);
+        RemoteStore::serve_local(
+            SimStore::untimed(node_bc),
+            clock,
+            LinkConfig::instant(),
+            RemoteOptions::default(),
+        )
+    }
+
+    fn assert_reads_committed(store: &ReplicatedStore, blocks: u64) {
+        for i in 0..blocks {
+            assert_eq!(store.read_block(i), block_of(i as u8 + 1), "block {i}");
+        }
+    }
+
+    #[test]
+    fn mount_resyncs_a_stale_live_node_in_place() {
+        let (clock, backing) = committed_backing(16, 4, 2);
+        let slot = epoch_slot(16, 4, 2);
+        // Node 1 missed the commit: its record reads as epoch 0, and
+        // its copy of block 1 (replica 0) is garbage.
+        let inner = inner_of(1, 0, 4, 2);
+        backing[1].0.write_block(slot, &block_of(0));
+        backing[1].0.write_block(inner, &block_of(0xEE));
+        let store = ReplicatedStore::new(shared_clients(&clock, &backing), vec![], 16, 2);
+        assert_eq!(store.stats().rebuilds, 1, "rebuilt before new returned");
+        assert_eq!((store.live_nodes(), store.rebuild_backlog()), (4, 0));
+        assert_eq!(decode_epoch(&backing[1].0.read_block(slot)), 1);
+        assert_eq!(backing[1].0.read_block(inner), block_of(2));
+        assert_reads_committed(&store, 16);
+    }
+
+    #[test]
+    fn mount_rebuilds_a_disconnected_node_onto_the_spare() {
+        let (clock, backing) = committed_backing(16, 4, 2);
+        let clients = shared_clients(&clock, &backing);
+        clients[2].kill_server();
+        let store = ReplicatedStore::new(clients, vec![spare(&clock)], 16, 2);
+        assert_eq!(store.spare_count(), 0);
+        assert_eq!(store.stats().rebuilds, 1, "the spare was rebuilt at mount");
+        assert_eq!(store.live_nodes(), 4);
+        // With node 3 gone too, blocks 2, 6, 10 and 14 (nodes 2 and 3)
+        // read from the spare alone.
+        store.kill_node(3);
+        assert_reads_committed(&store, 16);
+    }
+
+    #[test]
+    fn mount_puts_a_timed_out_node_in_probation_and_keeps_the_spare() {
+        let (clock, backing) = committed_backing(16, 4, 2);
+        // Node 2 missed the commit, and its link is partitioned at
+        // mount.
+        backing[2].0.write_block(epoch_slot(16, 4, 2), &block_of(0));
+        let plan = netsim::FaultPlan::seeded(42);
+        let clients = faulty_clients(&clock, &backing, short_timeouts(), Some(&plan));
+        plan.partition(clock.now(), clock.now() + Duration::from_secs(60));
+        let store = ReplicatedStore::new(clients, vec![spare(&clock)], 16, 2);
+        assert_eq!(store.probation_nodes(), 1);
+        assert_eq!(store.spare_count(), 1, "a timeout spends no spare");
+        assert_reads_committed(&store, 16);
+        // Heal; the revival probe finds node 2 behind and re-syncs it.
+        clock.advance(Duration::from_secs(61));
+        store.pump_rebuild();
+        let stats = store.stats();
+        assert_eq!((stats.read_repairs, stats.rebuilds), (1, 1));
+        assert_eq!((store.live_nodes(), store.spare_count()), (4, 1));
+        assert_reads_committed(&store, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "no fresh replica")]
+    fn mount_without_a_fresh_replica_panics() {
+        let (clock, backing) = committed_backing(12, 3, 2);
+        // Nodes 0 and 1 both missed the commit, and they hold block 0's
+        // only two replicas.
+        for (store, _) in &backing[..2] {
+            store.write_block(epoch_slot(12, 3, 2), &block_of(0));
+        }
+        ReplicatedStore::new(shared_clients(&clock, &backing), vec![], 12, 2);
+    }
+
+    /// A rebuild write refused by a newer coordinator's fence is not a
+    /// death: the tick stops instead of retrying it forever, and the
+    /// copy resumes once this coordinator holds the lease again.
+    #[test]
+    fn fenced_rebuild_write_waits_for_reacquire() {
+        let ttl = Duration::from_millis(1);
+        let (clock, backing) = shared_backing(16, 4, 2);
+        let plan = netsim::FaultPlan::seeded(42);
+        let clients = faulty_clients(&clock, &backing, short_timeouts(), Some(&plan));
+        let a = ReplicatedStore::new(clients, vec![], 16, 2);
+        a.try_acquire_lease(1, ttl).unwrap();
+        for i in 0..16u64 {
+            a.write_block(i, &block_of(i as u8 + 1));
+        }
+        a.flush().unwrap();
+        // Node 2 misses epoch 2 behind a partition.
+        plan.partition(clock.now(), clock.now() + Duration::from_secs(60));
+        assert_eq!(a.read_block(2)[0], 3);
+        a.write_block(6, &block_of(0x66));
+        a.flush().unwrap();
+        // The link heals, A's lease lapses, and B takes every node.
+        clock.advance(Duration::from_secs(61));
+        let b_clients = shared_clients(&clock, &backing);
+        for c in &b_clients {
+            c.try_acquire_lease(2, ttl).unwrap();
+        }
+        // A revives node 2 behind, and its re-sync write is fenced.
+        a.pump_rebuild();
+        assert_eq!(a.stats().read_repairs, 1);
+        assert_eq!(a.live_nodes(), 3);
+        assert!(a.rebuild_backlog() > 0);
+        // B's lease lapses; A re-acquires, and the copy completes.
+        clock.advance(Duration::from_secs(1));
+        a.reacquire().unwrap();
+        a.pump_rebuild();
+        assert_eq!((a.live_nodes(), a.rebuild_backlog()), (4, 0));
+        for i in 0..16u64 {
+            let want = if i == 6 { 0x66 } else { i as u8 + 1 };
+            assert_eq!(a.read_block(i)[0], want);
         }
     }
 

@@ -611,7 +611,6 @@ fn manual_rebuild() -> RebuildConfig {
     RebuildConfig {
         blocks_per_tick: 8,
         tick_interval: Duration::from_secs(3600),
-        probe_interval: Duration::ZERO,
     }
 }
 
