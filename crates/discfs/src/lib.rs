@@ -167,9 +167,9 @@
 //! ## Distributed volume tier
 //!
 //! The paper's volumes live on network-attached storage nodes; the
-//! `store` crate now models that tier. A `store::BlockServer` exports
-//! any block store over a simulated link as an ONC-RPC program, in the
-//! same frames as NFS; `store::RemoteStore` is its client —
+//! `store` crate now models that tier. A `store::BlockServer` answers
+//! for any block store as an ONC-RPC program, in the same frames as
+//! NFS, at the far end of a simulated link and on the caller's thread; `store::RemoteStore` is its client —
 //! an ordinary `BlockStore` with per-request timeout and retry — and
 //! `store::ReplicatedStore` stripes a volume R-way across N such
 //! nodes, committing each flush under an epoch record so a torn

@@ -72,9 +72,10 @@
 //! The paper's DisCFS is a *distributed* filesystem; this tier puts
 //! the block layer itself behind simulated network boundaries:
 //!
-//! * [`BlockServer`] serves any backend over a [`netsim::Transport`]
-//!   as an ONC-RPC program, framed and checksummed as NFS is — one
-//!   simulated storage node per server thread.
+//! * [`BlockServer`] serves any backend as an ONC-RPC program, framed
+//!   and checksummed as NFS is — one simulated storage node, answering
+//!   each call on the caller's thread at the far end of a
+//!   [`NodeLink`].
 //! * [`RemoteStore`] is the client: a [`BlockStore`] whose every call
 //!   is one RPC for each 127 blocks (every message fits
 //!   [`onc_rpc::frame::DEFAULT_MAX_FRAME`], as on the NFS path), with
@@ -122,8 +123,9 @@
 //! **Retry and death.** [`RemoteStore`] retries a timed-out attempt
 //! under exponential backoff with decorrelated jitter
 //! ([`RemoteOptions`]: `base`, `multiplier`, `max_backoff`), counting
-//! [`StoreStats::retries`]; backoff waits are charged to the
-//! virtual clock, never slept on the wall. Only when the accumulated
+//! [`StoreStats::retries`]; a timed-out attempt costs its
+//! [`RemoteOptions::timeout`] and a backoff wait its length on the
+//! virtual clock, never on the wall. Only when the accumulated
 //! waiting budget reaches [`RemoteOptions::deadline`] is the node
 //! declared dead, and death is **not terminal**: the latch records a
 //! [`DeadCause`]. A `Timeout` looks like loss or a partition, so the
@@ -223,7 +225,8 @@ pub use encrypted::EncryptedStore;
 pub use file::temp_dir_for_tests;
 pub use file::{FileStore, JOURNAL_RECORD_LEN};
 pub use remote::{
-    BlockServer, DeadCause, LeaseGrant, NodeLease, RemoteError, RemoteOptions, RemoteStore,
+    BlockServer, DeadCause, LeaseGrant, NodeLease, NodeLink, RemoteError, RemoteOptions,
+    RemoteStore,
 };
 pub use replicated::{RebuildConfig, ReplicatedStore};
 pub use sharded::{ShardedStore, WORKER_QUEUE_DEPTH};
@@ -606,8 +609,8 @@ pub enum StoreBackend {
         /// The backend each shard is built from.
         inner: Box<StoreBackend>,
     },
-    /// The inner backend served from a [`BlockServer`] thread behind a
-    /// simulated network link, accessed through a [`RemoteStore`]
+    /// The inner backend served by a [`BlockServer`] behind a
+    /// simulated network link ([`NodeLink`]), accessed through a [`RemoteStore`]
     /// client — one storage node, so caching/sharding presets compose
     /// over the network exactly as they do locally.
     Remote {

@@ -3,12 +3,18 @@
 //!
 //! The paper's DisCFS vision is *global* file sharing, but every
 //! backend so far lived inside one process. This module puts a
-//! [`BlockStore`] behind a network boundary: a [`BlockServer`] serves
-//! any store over a [`netsim::Transport`] (one simulated storage
-//! node), and a [`RemoteStore`] is the client-side [`BlockStore`] that
-//! speaks to it — so encryption, caching and sharding compose
-//! over remote storage exactly as they do over local backends
-//! (`Cached { Sharded { Remote } }` is just another preset nest).
+//! [`BlockStore`] behind a network boundary: a [`BlockServer`] answers
+//! block-protocol calls for any store (one simulated storage node), a
+//! [`NodeLink`] carries them over a netsim link to it, and a
+//! [`RemoteStore`] is the client-side [`BlockStore`] that speaks to it
+//! — so encryption, caching and sharding compose over remote storage
+//! exactly as they do over local backends (`Cached { Sharded { Remote } }`
+//! is just another preset nest).
+//!
+//! A node has no thread of its own: like the paper's server it answers
+//! one call at a time, on the caller's thread inside the client's send
+//! ([`NodeLink`]), so its work lands on the virtual clock in the same
+//! order on every run.
 //!
 //! # Wire format
 //!
@@ -26,7 +32,6 @@
 //! | 3 WRITE | fence token, class, count, (index, block) × count | none |
 //! | 4 FLUSH | fence token | none |
 //! | 5 ACQUIRE_LEASE | coordinator id, ttl (ns) | fence token, expiry (ns) |
-//! | 6 SHUTDOWN | none | none |
 //!
 //! Every result starts with a discriminant word:
 //!
@@ -80,11 +85,13 @@
 //! [`RemoteStore`] retries a timed-out request (same id, so a late
 //! or fault-duplicated reply is recognized and drained) under
 //! exponential backoff with decorrelated jitter: after each timeout it
-//! waits `min(max_backoff, uniform(base, prev × multiplier))` — waits
-//! are charged to the link's virtual clock, never the wall — and keeps
-//! re-sending until the accumulated waiting budget (attempt timeouts
-//! plus backoff sleeps) crosses [`RemoteOptions::deadline`]. Only then
-//! is the node declared **dead**, with a [`DeadCause`] recording *why*:
+//! waits `min(max_backoff, uniform(base, prev × multiplier))`. Every
+//! wait is virtual: a timed-out attempt costs its
+//! [`RemoteOptions::timeout`] on the link's clock, a backoff sleep its
+//! length, and neither any wall time. The client keeps re-sending until
+//! the accumulated waiting budget (attempt timeouts plus backoff
+//! sleeps) crosses [`RemoteOptions::deadline`]. Only then is the node
+//! declared **dead**, with a [`DeadCause`] recording *why*:
 //!
 //! - [`DeadCause::Timeout`] — the deadline lapsed with no reply. This
 //!   is what a lossy link or a partition window looks like, so death is
@@ -94,16 +101,16 @@
 //!   *probation*, probes them in the background, and re-syncs a
 //!   revived node from its peers before it serves reads again.
 //! - [`DeadCause::Disconnected`] — the link dropped, which is how a
-//!   killed [`BlockServer`] thread manifests; the process is gone and
-//!   only a rebuild onto a spare brings the data back.
+//!   killed node ([`RemoteStore::kill_server`]) manifests; the process
+//!   is gone and only a rebuild onto a spare brings the data back.
 //! - [`DeadCause::Protocol`] — a frame failed to parse or checksum. A
 //!   node that cannot frame correctly cannot be trusted with retries.
 //!
 //! A dead node fails every later call without touching the wire;
 //! `ReplicatedStore` uses that latch to fail over (see
 //! [`crate::ReplicatedStore`]). Fault injection ([`netsim::FaultPlan`])
-//! plugs in below this whole policy: [`RemoteStore::serve_local_with_faults`]
-//! runs the wire protocol over a lossy, duplicating, jittery,
+//! plugs in below this whole policy: [`RemoteStore::serve_shared`] with
+//! a plan runs the wire protocol over a lossy, duplicating, jittery,
 //! partitionable link, and the client counts the plan's injected
 //! faults in its [`StoreStats::faults_injected`].
 //!
@@ -134,14 +141,12 @@
 //! - A second coordinator can only acquire once the current lease has
 //!   expired on the virtual clock (or by re-acquiring under the same
 //!   coordinator id); until then it gets [`RemoteError::LeaseHeld`].
-//!   On a clockless transport leases never expire — takeover then
-//!   requires the same coordinator id.
 //! - Token `0` is the *unleased* legacy mode: while no lease has ever
 //!   been granted on a node, bare clients write freely (the
 //!   single-coordinator presets keep working unchanged). The first
 //!   grant fences them out.
 //!
-//! Lease state lives in a [`NodeLease`] shared by every serve loop
+//! Lease state lives in a [`NodeLease`] shared by every server
 //! attached to the same node ([`RemoteStore::serve_shared`]), so two
 //! coordinators' connections to one node see one fence. A `Fenced`
 //! reply is a *server verdict*, not a network failure: the client
@@ -151,7 +156,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes};
@@ -174,7 +178,6 @@ const PROC_READ: u32 = 2;
 const PROC_WRITE: u32 = 3;
 const PROC_FLUSH: u32 = 4;
 const PROC_ACQUIRE_LEASE: u32 = 5;
-const PROC_SHUTDOWN: u32 = 6;
 
 // Result discriminants: the first word of every result.
 const OK: u32 = 0;
@@ -274,7 +277,7 @@ fn encode_call(
 /// Server-side lease state for one storage node: the current
 /// `(coordinator_id, fence_token)` grant and its virtual-clock expiry.
 ///
-/// Shared (via `Arc`) by every serve loop attached to the same node —
+/// Shared (via `Arc`) by every server attached to the same node —
 /// two coordinators' connections see one fence — and by tests and
 /// benches that want the server's own view of rejections. The fence
 /// token is monotonic for the node's lifetime: grants bump it, nothing
@@ -318,17 +321,16 @@ impl NodeLease {
     /// token; re-acquisition by the *current holder while unexpired*
     /// is idempotent (same token, expiry extended), so a retransmitted
     /// or fault-duplicated acquire frame can never fence its own
-    /// coordinator. Without a clock (`now == None`) leases never
-    /// expire.
+    /// coordinator.
     fn acquire(
         &self,
         coordinator: u64,
         ttl: Duration,
-        now: Option<Duration>,
+        now: Duration,
     ) -> Result<(u64, Duration), (u64, Duration)> {
         let mut s = self.slot.lock();
-        let expired = now.is_some_and(|t| t >= s.expires);
-        let fresh = now.map_or(Duration::MAX, |t| t.saturating_add(ttl));
+        let expired = now >= s.expires;
+        let fresh = now.saturating_add(ttl);
         if s.token != 0 && s.holder == coordinator && !expired {
             s.expires = s.expires.max(fresh);
             return Ok((s.token, s.expires));
@@ -357,7 +359,7 @@ impl NodeLease {
 
 /// A granted lease as seen by the client: the fence token to stamp on
 /// mutating frames and when the grant expires on the node's virtual
-/// clock ([`Duration::MAX`]-ish on a clockless transport: never).
+/// clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaseGrant {
     /// The fence token granted to this coordinator.
@@ -366,17 +368,17 @@ pub struct LeaseGrant {
     pub expires: Duration,
 }
 
-/// Serves one [`BlockStore`] over a [`Transport`] — one simulated
+/// Answers block-protocol calls for one [`BlockStore`] — one simulated
 /// storage node.
 ///
-/// The serve loop handles one request frame at a time (the paper's
-/// sequential RPC model) and exits on a disconnected link, a shutdown
-/// request, or — without replying, simulating a crashed node — when
-/// its kill switch is set (see [`RemoteStore::kill_server`]).
+/// [`BlockServer::handle`] takes one call message and returns at most
+/// one reply (the paper's sequential RPC model). It runs on whatever
+/// thread hands it the call, a [`NodeLink`]'s sender in the volume, so
+/// a store that panics panics that thread.
 ///
 /// Every mutating request is admitted through the node's [`NodeLease`]
-/// fence *before* the store is touched; serve loops sharing one store
-/// must share one lease ([`BlockServer::with_lease`]) or the fence has
+/// fence *before* the store is touched; servers sharing one store must
+/// share one lease ([`BlockServer::with_lease`]) or the fence has
 /// holes.
 pub struct BlockServer<S> {
     store: S,
@@ -390,9 +392,8 @@ impl<S: BlockStore> BlockServer<S> {
     }
 
     /// Wraps `store` for serving under a shared lease table — the
-    /// multi-coordinator path: every serve loop attached to the same
-    /// node store passes the same `lease` so all connections see one
-    /// fence.
+    /// multi-coordinator path: every server attached to the same node
+    /// store passes the same `lease` so all connections see one fence.
     pub fn with_lease(store: S, lease: Arc<NodeLease>) -> BlockServer<S> {
         BlockServer { store, lease }
     }
@@ -402,55 +403,33 @@ impl<S: BlockStore> BlockServer<S> {
         &self.lease
     }
 
-    /// Serves requests until the peer disconnects or sends a shutdown
-    /// request.
-    pub fn serve<T: Transport>(&self, link: &T) {
-        self.serve_until(link, &AtomicBool::new(false));
-    }
-
-    /// Like [`BlockServer::serve`], plus a kill switch: once `kill` is
-    /// set, the next incoming request wakes the loop and it exits
-    /// *without replying* — the client observes the dropped link as a
-    /// dead node, exactly like a crashed machine.
-    pub fn serve_until<T: Transport>(&self, link: &T, kill: &AtomicBool) {
-        let clock = link.sim_clock();
-        while let Ok(msg) = link.recv() {
-            if kill.load(Ordering::SeqCst) {
-                return;
-            }
-            // A message that is not one frame, within the frame bound,
-            // around an RPC call is dropped: the client times out and
-            // retries (or declares this node dead).
-            let Some(call) = frame::unframe(&msg)
-                .ok()
-                .and_then(|payload| RpcCallView::decode(payload).ok())
-            else {
-                continue;
-            };
-            let mut reply = Vec::new();
-            let start = frame::begin_frame(&mut reply);
-            RpcReply::success(call.xid, Vec::new()).encode_into(&mut reply);
-            let served = self.results(&call, clock.as_ref().map(SimClock::now), &mut reply);
-            if let Err(stat) = served {
-                reply.truncate(start + FRAME_HEADER);
-                RpcReply::error(call.xid, stat).encode_into(&mut reply);
-            }
-            frame::end_frame(&mut reply, start);
-            if link.send(reply).is_err() || served == Ok(PROC_SHUTDOWN) {
-                return;
-            }
+    /// Answers one call message at virtual time `now`, the clock that
+    /// leases expire on. A message that is not one frame, within the
+    /// frame bound, around an RPC call gets no reply: the client times
+    /// out and retries, or declares this node dead. Every other call
+    /// gets exactly one reply frame, its results or a refusal.
+    pub fn handle(&self, msg: &[u8], now: Duration) -> Option<Vec<u8>> {
+        let call = RpcCallView::decode(frame::unframe(msg).ok()?).ok()?;
+        let mut reply = Vec::new();
+        let start = frame::begin_frame(&mut reply);
+        RpcReply::success(call.xid, Vec::new()).encode_into(&mut reply);
+        if let Err(stat) = self.results(&call, now, &mut reply) {
+            reply.truncate(start + FRAME_HEADER);
+            RpcReply::error(call.xid, stat).encode_into(&mut reply);
         }
+        frame::end_frame(&mut reply, start);
+        Some(reply)
     }
 
-    /// Appends the results of `call` to `out` and names the procedure
-    /// served, or refuses the call with an accept status. Nothing a
-    /// refused call asked for reaches the store.
+    /// Appends the results of `call` to `out`, or refuses the call with
+    /// an accept status. Nothing a refused call asked for reaches the
+    /// store.
     fn results(
         &self,
         call: &RpcCallView<'_>,
-        now: Option<Duration>,
+        now: Duration,
         out: &mut Vec<u8>,
-    ) -> Result<u32, AcceptStat> {
+    ) -> Result<(), AcceptStat> {
         if call.prog != BLOCK_PROGRAM || call.vers != BLOCK_VERSION {
             return Err(AcceptStat::ProgUnavail);
         }
@@ -510,13 +489,9 @@ impl<S: BlockStore> BlockServer<S> {
                 };
                 put_result(out, verdict, &[word, duration_nanos(expires)]);
             }
-            PROC_SHUTDOWN => {
-                require(args.is_exhausted())?;
-                put_result(out, OK, &[]);
-            }
             _ => return Err(AcceptStat::ProcUnavail),
         }
-        Ok(call.proc_num)
+        Ok(())
     }
 }
 
@@ -544,8 +519,8 @@ fn block_index(args: &mut Decoder<'_>, block_count: u64) -> Result<u64, AcceptSt
     Ok(idx)
 }
 
-/// Nanoseconds of `d`, saturating (a clockless lease "expires" at
-/// `Duration::MAX`, which overflows u64 nanos).
+/// Nanoseconds of `d`, saturating: a lease of a long ttl expires past
+/// what u64 nanos hold.
 fn duration_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
@@ -557,13 +532,15 @@ fn duration_nanos(d: Duration) -> u64 {
 /// `min(max_backoff, uniform(base, prev × multiplier))` before
 /// re-sending (the AWS "decorrelated jitter" schedule — retries from
 /// many clients de-synchronize instead of stampeding a recovering
-/// node). Backoff waits are charged to the link's virtual clock, never
-/// slept on the wall, and the node is declared dead only once the
-/// accumulated waiting budget — attempt timeouts plus backoff sleeps —
-/// reaches `deadline`.
+/// node). Timeouts and backoff waits are charged to the link's virtual
+/// clock, never spent on the wall, and the node is declared dead only
+/// once the accumulated waiting budget — attempt timeouts plus backoff
+/// sleeps — reaches `deadline`.
 #[derive(Debug, Clone, Copy)]
 pub struct RemoteOptions {
-    /// Wait per request attempt before it counts as timed out.
+    /// Wait per request attempt before it counts as timed out. A
+    /// timed-out attempt costs this much virtual time (charged by the
+    /// link's `recv_timeout`, as a [`NodeLink`] does) and no wall time.
     pub timeout: Duration,
     /// Floor of every backoff sleep (and the first retry's window).
     pub base: Duration,
@@ -599,17 +576,94 @@ pub enum DeadCause {
     /// The per-operation deadline lapsed with no reply — possibly a
     /// transient partition; the node may come back.
     Timeout,
-    /// The link dropped: the server side is gone.
+    /// The link dropped: the node is gone (killed, or its link closed).
     Disconnected,
     /// The node sent an unparseable or mis-checksummed frame.
     Protocol,
 }
 
-/// The local server thread behind a [`RemoteStore::serve_local`]
-/// store: its kill switch and join handle.
-struct ServerHandle {
-    kill: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+/// One storage node behind its link, as the client's [`Transport`]: a
+/// [`BlockServer`] that answers each call on the sending thread.
+///
+/// The link is [`Link::pair`]'s two endpoints, with the fault plan on
+/// both when there is one, so every call and reply pays its wire time
+/// and meets its faults in [`Endpoint::send`] as it would between two
+/// threads. `send` puts the call on the wire, then drains the node's
+/// end and answers what arrived — nothing, the call, or it twice —
+/// with [`BlockServer::handle`]; the replies wait at the client's end.
+/// No reply can arrive after `send` returns, so a `recv_timeout` that
+/// finds none queued charges its whole timeout to the link's virtual
+/// clock and returns [`NetError::Timeout`] at once. A killed node
+/// ([`RemoteStore::kill_server`]) takes calls off the wire unanswered,
+/// and every receive from it is [`NetError::Disconnected`].
+pub struct NodeLink<S> {
+    client: Endpoint,
+    node: Endpoint,
+    server: BlockServer<S>,
+    clock: SimClock,
+    killed: Arc<AtomicBool>,
+}
+
+impl<S: BlockStore> NodeLink<S> {
+    /// `server` behind a fresh link on `clock`, faulty when `faults` is
+    /// given.
+    pub fn new(
+        server: BlockServer<S>,
+        clock: &SimClock,
+        config: LinkConfig,
+        faults: Option<&netsim::FaultPlan>,
+    ) -> NodeLink<S> {
+        let (client, node) = match faults {
+            Some(plan) => Link::pair_faulty(clock, config, plan),
+            None => Link::pair(clock, config),
+        };
+        NodeLink {
+            client,
+            node,
+            server,
+            clock: clock.clone(),
+            killed: Arc::default(),
+        }
+    }
+}
+
+impl<S: BlockStore> Transport for NodeLink<S> {
+    fn send(&self, msg: Vec<u8>) -> Result<(), NetError> {
+        self.client.send(msg)?;
+        while let Some(call) = self.node.try_recv()? {
+            if self.killed.load(Ordering::SeqCst) {
+                continue;
+            }
+            if let Some(reply) = self.server.handle(&call, self.clock.now()) {
+                self.node.send(reply)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Nothing arrives while the caller blocks: a receive with no reply
+    /// queued is a timeout that waited no time.
+    fn recv(&self) -> Result<Vec<u8>, NetError> {
+        self.recv_timeout(Duration::ZERO)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, NetError> {
+        if self.killed.load(Ordering::SeqCst) {
+            return Err(NetError::Disconnected);
+        }
+        self.client.try_recv()?.ok_or_else(|| {
+            self.clock.advance(timeout);
+            NetError::Timeout
+        })
+    }
+
+    fn fault_plan(&self) -> Option<netsim::FaultPlan> {
+        self.client.fault_plan()
+    }
+
+    fn sim_clock(&self) -> Option<SimClock> {
+        Some(self.clock.clone())
+    }
 }
 
 /// A client-side [`BlockStore`] speaking the block-server wire
@@ -642,12 +696,13 @@ pub struct RemoteStore {
     cause: Mutex<Option<DeadCause>>,
     /// The link's fault plan and clock, captured at connect so
     /// `stats()` and backoff never have to take the link lock (held
-    /// across `recv_timeout` for up to a full deadline).
+    /// across a whole call, retries and the node's work included).
     faults: Option<netsim::FaultPlan>,
     clock: Option<SimClock>,
     /// SplitMix64 state for the decorrelated-jitter draws.
     backoff_rng: AtomicU64,
-    server: Mutex<Option<ServerHandle>>,
+    /// The kill switch of the [`NodeLink`] behind a `serve_*` store.
+    kill: Option<Arc<AtomicBool>>,
     /// The fence token granted by the node's last lease reply (0 =
     /// unleased legacy mode), stamped on every mutating call.
     fence: AtomicU64,
@@ -660,22 +715,6 @@ pub struct RemoteStore {
     rpc_calls: AtomicU64,
     bytes_on_wire: AtomicU64,
     retries: AtomicU64,
-}
-
-/// A permanently-disconnected transport, swapped in on drop so the
-/// server loop wakes even if a fault plan swallowed the shutdown frame.
-struct SeveredLink;
-
-impl Transport for SeveredLink {
-    fn send(&self, _msg: Vec<u8>) -> Result<(), NetError> {
-        Err(NetError::Disconnected)
-    }
-    fn recv(&self) -> Result<Vec<u8>, NetError> {
-        Err(NetError::Disconnected)
-    }
-    fn recv_timeout(&self, _timeout: Duration) -> Result<Vec<u8>, NetError> {
-        Err(NetError::Disconnected)
-    }
 }
 
 impl RemoteStore {
@@ -710,7 +749,7 @@ impl RemoteStore {
             faults,
             clock,
             backoff_rng: AtomicU64::new(0x5DEE_CE66_D0F1_5A4D),
-            server: Mutex::new(None),
+            kill: None,
             fence: AtomicU64::new(0),
             fenced_writes: AtomicU64::new(0),
             reads: AtomicU64::new(0),
@@ -726,34 +765,28 @@ impl RemoteStore {
         Ok(store)
     }
 
-    /// Spawns a [`BlockServer`] thread over a fresh link on `clock`
-    /// and connects to it — one self-contained simulated storage node.
-    /// Dropping the returned store shuts the server down cleanly and
-    /// joins the thread, so the node store is gone when that drop
-    /// returns.
-    pub fn serve_local<S: BlockStore + Send + 'static>(
+    /// Serves `store` as one self-contained simulated storage node
+    /// behind a fresh [`NodeLink`] on `clock`, and connects to it. The
+    /// node store is the returned client's, and goes with it.
+    pub fn serve_local<S: BlockStore + 'static>(
         store: S,
         clock: &SimClock,
         config: LinkConfig,
         opts: RemoteOptions,
     ) -> RemoteStore {
-        let (client_end, server_end) = Link::pair(clock, config);
-        RemoteStore::serve_on(
-            store,
-            Arc::new(NodeLease::default()),
-            client_end,
-            server_end,
-            config,
-            opts,
-        )
+        RemoteStore::serve_on(BlockServer::new(store), clock, config, opts, None)
     }
 
-    /// Spawns a serve loop for one more connection to a *shared* node:
-    /// `store` and `lease` are `Arc`s that other serve loops (other
-    /// coordinators' connections) hold too, so every connection sees
-    /// the same blocks behind the same fence. This is the
-    /// multi-coordinator path — see the module docs, *Leases and
-    /// fencing*.
+    /// One more connection to a *shared* node: `store` and `lease` are
+    /// `Arc`s that other connections (other coordinators') hold too, so
+    /// every connection sees the same blocks behind the same fence —
+    /// the multi-coordinator path, see the module docs, *Leases and
+    /// fencing*. With `faults`, the plan is installed on both
+    /// directions of this connection's link: every request and reply
+    /// is subject to its loss, duplication, jitter and partition
+    /// schedule. The connect-time length request already rides the
+    /// faulty link, so the plan's loss rate must leave the backoff
+    /// schedule room to get one request through within the deadline.
     pub fn serve_shared(
         store: Arc<dyn BlockStore>,
         lease: Arc<NodeLease>,
@@ -762,57 +795,22 @@ impl RemoteStore {
         opts: RemoteOptions,
         faults: Option<&netsim::FaultPlan>,
     ) -> RemoteStore {
-        let (client_end, server_end) = match faults {
-            Some(plan) => Link::pair_faulty(clock, config, plan),
-            None => Link::pair(clock, config),
-        };
-        RemoteStore::serve_on(store, lease, client_end, server_end, config, opts)
+        let server = BlockServer::with_lease(store, lease);
+        RemoteStore::serve_on(server, clock, config, opts, faults)
     }
 
-    /// Like [`RemoteStore::serve_local`], but with a
-    /// [`netsim::FaultPlan`] installed on both directions of the link:
-    /// every request and reply is subject to the plan's loss,
-    /// duplication, jitter, and partition schedule. The connect-time
-    /// length request already rides the faulty link, so the plan's
-    /// loss rate must leave the backoff schedule room to get one
-    /// request through within the deadline.
-    pub fn serve_local_with_faults<S: BlockStore + Send + 'static>(
-        store: S,
+    fn serve_on<S: BlockStore + 'static>(
+        server: BlockServer<S>,
         clock: &SimClock,
         config: LinkConfig,
         opts: RemoteOptions,
-        faults: &netsim::FaultPlan,
+        faults: Option<&netsim::FaultPlan>,
     ) -> RemoteStore {
-        let (client_end, server_end) = Link::pair_faulty(clock, config, faults);
-        RemoteStore::serve_on(
-            store,
-            Arc::new(NodeLease::default()),
-            client_end,
-            server_end,
-            config,
-            opts,
-        )
-    }
-
-    fn serve_on<S: BlockStore + Send + 'static>(
-        store: S,
-        lease: Arc<NodeLease>,
-        client_end: Endpoint,
-        server_end: Endpoint,
-        config: LinkConfig,
-        opts: RemoteOptions,
-    ) -> RemoteStore {
-        let kill = Arc::new(AtomicBool::new(false));
-        let server_kill = Arc::clone(&kill);
-        let handle = std::thread::spawn(move || {
-            BlockServer::with_lease(store, lease).serve_until(&server_end, &server_kill);
-        });
-        let remote = RemoteStore::connect_with_hint(client_end, opts, config.latency)
+        let link = NodeLink::new(server, clock, config, faults);
+        let kill = Arc::clone(&link.killed);
+        let mut remote = RemoteStore::connect_with_hint(link, opts, config.latency)
             .expect("local block server must answer the length request");
-        *remote.server.lock() = Some(ServerHandle {
-            kill,
-            handle: Some(handle),
-        });
+        remote.kill = Some(kill);
         remote
     }
 
@@ -867,13 +865,13 @@ impl RemoteStore {
         self.clock.as_ref()
     }
 
-    /// Crashes the local server thread (test/bench hook): the kill
-    /// switch is set, so the server exits without replying on the next
-    /// request — the client then observes a dead node. No-op for
-    /// stores connected over an external transport.
+    /// Crashes the node behind a `serve_*` store (test/bench hook): it
+    /// answers nothing more and its link reads as disconnected, so the
+    /// next call declares it dead. No-op for stores connected over an
+    /// external transport.
     pub fn kill_server(&self) {
-        if let Some(server) = self.server.lock().as_ref() {
-            server.kill.store(true, Ordering::SeqCst);
+        if let Some(kill) = &self.kill {
+            kill.store(true, Ordering::SeqCst);
         }
     }
 
@@ -1169,28 +1167,6 @@ fn hypers<const N: usize>(results: &[u8]) -> Result<[u64; N], RemoteError> {
     Ok(words)
 }
 
-impl Drop for RemoteStore {
-    fn drop(&mut self) {
-        if let Some(mut server) = self.server.lock().take() {
-            // Best-effort clean shutdown; a killed or disconnected
-            // server ignores it but still wakes and exits, so the join
-            // is deterministic either way.
-            let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
-            let _ = self
-                .link
-                .lock()
-                .send(encode_call(xid, PROC_SHUTDOWN, 0, |_| {}));
-            // Sever the link too: if a fault plan swallowed the
-            // shutdown frame, the disconnect still wakes the serve
-            // loop, so the join below cannot hang.
-            *self.link.lock() = Box::new(SeveredLink);
-            if let Some(handle) = server.handle.take() {
-                handle.join().ok();
-            }
-        }
-    }
-}
-
 impl BlockStore for RemoteStore {
     fn block_count(&self) -> u64 {
         self.block_count
@@ -1255,9 +1231,15 @@ mod tests {
         )
     }
 
+    /// An 8-block node behind an instant link.
+    fn node_link(clock: &SimClock, lease: &Arc<NodeLease>) -> NodeLink<SimStore> {
+        let server = BlockServer::with_lease(SimStore::untimed(8), Arc::clone(lease));
+        NodeLink::new(server, clock, LinkConfig::instant(), None)
+    }
+
     /// A transport that keeps a copy of every message it sends.
     struct Recorder {
-        inner: Endpoint,
+        inner: NodeLink<SimStore>,
         sent: Arc<Mutex<Vec<Vec<u8>>>>,
     }
 
@@ -1302,21 +1284,17 @@ mod tests {
     /// connect-time LEN was the first).
     #[test]
     fn call_bytes_are_pinned() {
-        let (client_end, server_end) = Link::pair(&SimClock::new(), LinkConfig::instant());
-        let server =
-            std::thread::spawn(move || BlockServer::new(SimStore::untimed(64)).serve(&server_end));
+        let server = BlockServer::new(SimStore::untimed(64));
         let sent = Arc::default();
         let store = RemoteStore::connect(
             Recorder {
-                inner: client_end,
+                inner: NodeLink::new(server, &SimClock::new(), LinkConfig::instant(), None),
                 sent: Arc::clone(&sent),
             },
             RemoteOptions::default(),
         )
         .unwrap();
         store.try_read(IoClass::Meta, &[42]).unwrap();
-        drop(store);
-        server.join().unwrap();
         let words: Vec<u32> = sent.lock()[1]
             .chunks_exact(4)
             .map(|w| u32::from_be_bytes(w.try_into().unwrap()))
@@ -1400,7 +1378,7 @@ mod tests {
         // the late... nothing: the swallowed request simply never
         // reaches the server.
         struct Flaky {
-            inner: Endpoint,
+            inner: NodeLink<SimStore>,
             drop_first: AtomicBool,
         }
         impl Transport for Flaky {
@@ -1418,14 +1396,12 @@ mod tests {
             }
         }
         // Armed from the start: the connect-time LEN request itself is
-        // swallowed, times out, and the retry succeeds.
+        // swallowed, times out, and the retry succeeds. The timed-out
+        // attempt cost its 50 ms on the virtual clock.
         let clock = SimClock::new();
-        let (client_end, server_end) = Link::loopback(&clock);
-        let node = SimStore::untimed(8);
-        let server = std::thread::spawn(move || BlockServer::new(node).serve(&server_end));
         let store = RemoteStore::connect(
             Flaky {
-                inner: client_end,
+                inner: node_link(&clock, &Arc::default()),
                 drop_first: AtomicBool::new(true),
             },
             RemoteOptions {
@@ -1436,13 +1412,13 @@ mod tests {
         .unwrap();
         assert_eq!(store.block_count(), 8);
         assert_eq!(store.stats().retries, 1);
-        drop(store);
-        server.join().ok();
+        assert_eq!(clock.now(), Duration::from_millis(50));
     }
 
-    /// Chaos-grade options: tight per-attempt timeout so lossy-link
-    /// tests stay fast on the wall clock, generous deadline so they
-    /// never spuriously declare death.
+    /// Chaos-grade options: a 10 ms per-attempt timeout, so a lost
+    /// frame costs little virtual time, and a deadline that leaves
+    /// room for ~17 attempts, so a lossy link never passes for a dead
+    /// node.
     fn chaos_opts() -> RemoteOptions {
         RemoteOptions {
             timeout: Duration::from_millis(10),
@@ -1461,12 +1437,13 @@ mod tests {
         // duplicate, so each rpc leaves a stale reply behind that the
         // next rpc's request-id check must drain.
         let plan = netsim::FaultPlan::seeded(11).with_duplication(1.0);
-        let store = RemoteStore::serve_local_with_faults(
-            SimStore::untimed(8),
+        let store = RemoteStore::serve_shared(
+            Arc::new(SimStore::untimed(8)),
+            Arc::default(),
             &clock,
             LinkConfig::instant(),
             chaos_opts(),
-            &plan,
+            Some(&plan),
         );
         let a = vec![0xAAu8; BLOCK_SIZE];
         let b = vec![0xBBu8; BLOCK_SIZE];
@@ -1486,12 +1463,13 @@ mod tests {
     fn lossy_link_retries_with_backoff_and_succeeds() {
         let clock = SimClock::new();
         let plan = netsim::FaultPlan::seeded(12).with_loss(0.25);
-        let store = RemoteStore::serve_local_with_faults(
-            SimStore::untimed(16),
+        let store = RemoteStore::serve_shared(
+            Arc::new(SimStore::untimed(16)),
+            Arc::default(),
             &clock,
             LinkConfig::instant(),
             chaos_opts(),
-            &plan,
+            Some(&plan),
         );
         let data = vec![0x5Au8; BLOCK_SIZE];
         for i in 0..16 {
@@ -1514,12 +1492,13 @@ mod tests {
     fn timeout_death_is_probation_and_probe_revives() {
         let clock = SimClock::new();
         let plan = netsim::FaultPlan::seeded(13);
-        let store = RemoteStore::serve_local_with_faults(
-            SimStore::untimed(8),
+        let store = RemoteStore::serve_shared(
+            Arc::new(SimStore::untimed(8)),
+            Arc::default(),
             &clock,
             LinkConfig::instant(),
             chaos_opts(),
-            &plan,
+            Some(&plan),
         );
         let data = vec![0x77u8; BLOCK_SIZE];
         store.write_block(4, &data);
@@ -1544,7 +1523,7 @@ mod tests {
         store.kill_server();
         assert!(store.try_flush().is_err());
         assert_eq!(store.dead_cause(), Some(DeadCause::Disconnected));
-        // The server thread is gone: probing cannot revive it, and the
+        // The node is gone: probing cannot revive it, and the
         // original cause survives the failed probe.
         assert!(store.probe().is_err());
         assert!(store.is_dead());
@@ -1671,23 +1650,12 @@ mod tests {
         assert_eq!(leased.try_read_block(1, IoClass::Data).unwrap()[0], 0x11);
     }
 
-    /// A serve thread over an 8-block node, and the raw end of its
-    /// link.
-    fn raw_node(clock: &SimClock, lease: &Arc<NodeLease>) -> (Endpoint, JoinHandle<()>) {
-        let (client_end, server_end) = Link::pair(clock, LinkConfig::instant());
-        let server = BlockServer::with_lease(SimStore::untimed(8), Arc::clone(lease));
-        (
-            client_end,
-            std::thread::spawn(move || server.serve(&server_end)),
-        )
-    }
-
     /// Sends one call of the block program, built by `onc_rpc`, and
     /// returns the body of the reply.
-    fn exchange(end: &Endpoint, xid: u32, proc: u32, args: &[u8]) -> ReplyBody {
+    fn exchange(node: &NodeLink<SimStore>, xid: u32, proc: u32, args: &[u8]) -> ReplyBody {
         let call = RpcCall::new(xid, BLOCK_PROGRAM, BLOCK_VERSION, proc, args.into());
-        end.send(frame::encode_frame(&call.encode())).unwrap();
-        let reply = end.recv().expect("the serve thread is alive");
+        node.send(frame::encode_frame(&call.encode())).unwrap();
+        let reply = node.recv().expect("the node answered");
         RpcReply::decode(frame::unframe(&reply).unwrap())
             .unwrap()
             .body
@@ -1731,7 +1699,7 @@ mod tests {
     fn duplicated_frame_replayed_after_lease_change_is_fenced() {
         let clock = SimClock::new();
         let lease = Arc::new(NodeLease::default());
-        let (end, server) = raw_node(&clock, &lease);
+        let end = node_link(&clock, &lease);
         let acquire = |coordinator: u64| {
             let mut args = Encoder::new();
             args.put_u64(coordinator).put_u64(1_000_000); // ttl: 1 ms
@@ -1768,17 +1736,14 @@ mod tests {
             panic!("READ refused");
         };
         assert_eq!(blocks[8], 0xBB, "the replay must not have been applied");
-        exchange(&end, 6, PROC_SHUTDOWN, &[]);
-        server.join().ok();
     }
 
     /// A call the node cannot serve is answered `GARBAGE_ARGS`, and the
-    /// serve thread goes on serving. Passed to the store, block 99 of 8
-    /// panics the thread and the client sees a disconnect: a terminal
-    /// `DeadCause` that only a spare rebuild heals.
+    /// node goes on serving. Passed to the store, block 99 of 8 would
+    /// panic the calling coordinator's thread.
     #[test]
     fn a_request_for_a_block_the_node_does_not_have_is_an_error_reply() {
-        let (end, server) = raw_node(&SimClock::new(), &Arc::default());
+        let end = node_link(&SimClock::new(), &Arc::default());
         // A block past the end, alone and behind a good one; a class
         // nobody defined; counts the arguments do not hold.
         let refused: [(u32, u32, &[u64]); 5] = [
@@ -1796,7 +1761,7 @@ mod tests {
                 assert_eq!(reply, garbage, "proc {proc}: {class}, {count}, {idxs:?}");
             }
         }
-        // The same thread on the same link still serves, and no refused
+        // The same node on the same link still serves, and no refused
         // write touched the store.
         let write = io_args(PROC_WRITE, 0, 0, 1, &[7], 0x5A);
         assert_eq!(exchange(&end, 2, PROC_WRITE, &write), result(OK, &[]));
@@ -1807,7 +1772,5 @@ mod tests {
         assert_eq!(blocks[..8], [0, 0, 0, 0, 0, 0, 0, 2]); // OK, two blocks
         assert!(blocks[8..8 + BLOCK_SIZE].iter().all(|&b| b == 0x5A));
         assert!(blocks[8 + BLOCK_SIZE..].iter().all(|&b| b == 0));
-        exchange(&end, 4, PROC_SHUTDOWN, &[]);
-        server.join().expect("the serve thread never panicked");
     }
 }

@@ -16,50 +16,29 @@ use crate::SimStore;
 
 const CASES: u64 = 1000;
 const BLOCKS: u64 = 8;
-/// The xid of the valid LEN sent after each hostile call.
-const MARKER: u32 = 0xFFFF_FFF0;
-
-fn result(verdict: u32, hypers: &[u64]) -> ReplyBody {
-    let mut out = Vec::new();
-    put_result(&mut out, verdict, hypers);
-    ReplyBody::Success(out)
-}
 
 fn snapshot(store: &SimStore) -> Vec<Bytes> {
     store.read(IoClass::Data, &(0..BLOCKS).collect::<Vec<_>>())
 }
 
-/// Sends the call `payload`, framed, to a fresh serve thread, then a
-/// valid LEN, and returns the reply to the call, if any. Only a
-/// SHUTDOWN may end the thread before it answers the LEN, the thread
-/// must not panic, and every reply must fit the frame bound.
+/// Hands the call `payload`, framed, to a node over `store` and
+/// returns the body of its reply, if any. The node must not panic,
+/// answers at most once by its type, and its reply must fit the frame
+/// bound.
 fn serve_one(store: &Arc<SimStore>, lease: Arc<NodeLease>, payload: &[u8]) -> Option<ReplyBody> {
-    let (end, server_end) = Link::pair(&SimClock::new(), LinkConfig::instant());
     let server = BlockServer::with_lease(Arc::clone(store), lease);
-    let thread = std::thread::spawn(move || server.serve(&server_end));
-    end.send(frame::encode_frame(payload)).unwrap();
-    end.send(encode_call(MARKER, PROC_LEN, 0, |_| {})).unwrap();
-    let mut replies = Vec::new();
-    while let Ok(msg) = end.recv() {
-        assert!(
-            msg.len() <= FRAME_HEADER + DEFAULT_MAX_FRAME,
-            "a reply over the bound"
-        );
-        let reply = RpcReply::decode(frame::unframe(&msg).unwrap()).unwrap();
-        if reply.xid == MARKER && reply.body == result(OK, &[BLOCKS]) {
-            break;
-        }
-        replies.push(reply.body);
-    }
-    drop(end);
-    thread.join().expect("the serve thread never panics");
-    assert!(replies.len() <= 1, "one call, {} replies", replies.len());
-    replies.pop()
+    let reply = server.handle(&frame::encode_frame(payload), Duration::ZERO)?;
+    assert!(
+        reply.len() <= FRAME_HEADER + DEFAULT_MAX_FRAME,
+        "a reply over the bound"
+    );
+    let reply = RpcReply::decode(frame::unframe(&reply).unwrap()).unwrap();
+    Some(reply.body)
 }
 
 #[test]
 fn mutated_calls_get_an_error_reply_or_a_clean_drop() {
-    // The six calls, built by the client's encoder. WRITE and FLUSH carry
+    // The five calls, built by the client's encoder. WRITE and FLUSH carry
     // the largest token, so that a lease an earlier case granted does
     // not fence them before their arguments decode.
     let calls = [
@@ -82,7 +61,6 @@ fn mutated_calls_get_an_error_reply_or_a_clean_drop() {
             m.put_u64(9);
             m.put_u64(1_000_000);
         }),
-        encode_call(6, PROC_SHUTDOWN, 0, |_| {}),
     ];
     let corpus: Vec<&[u8]> = calls.iter().map(|c| frame::unframe(c).unwrap()).collect();
     let (store, lease) = (Arc::new(SimStore::untimed(BLOCKS)), Arc::default());
@@ -117,14 +95,16 @@ fn named_hostile_calls_are_refused() {
     // `count = u32::MAX` is a case of remote's own
     // `a_request_for_a_block_the_node_does_not_have_is_an_error_reply`.
     // A word after FLUSH's, ACQUIRE_LEASE's and LEN's arguments; the
-    // NFS program; another version; procedures nobody defined.
-    let cases: [(u32, u32, u32, &[u32], AcceptStat); 7] = [
+    // NFS program; another version; procedures nobody defined, 6 among
+    // them (it was SHUTDOWN, which stopped a serve thread).
+    let cases: [(u32, u32, u32, &[u32], AcceptStat); 8] = [
         (p, v, PROC_FLUSH, &[0, 0, 0], GarbageArgs),
         (p, v, PROC_ACQUIRE_LEASE, &[0, 9, 0, 1, 0], GarbageArgs),
         (p, v, PROC_LEN, &[0], GarbageArgs),
         (100_003, 2, PROC_READ, &[0, 1, 0, 1], ProgUnavail),
         (p, 2, PROC_LEN, &[], ProgUnavail),
         (p, v, 0, &[], ProcUnavail),
+        (p, v, 6, &[], ProcUnavail),
         (p, v, 7, &[], ProcUnavail),
     ];
     let store = Arc::new(SimStore::untimed(BLOCKS));
@@ -153,7 +133,7 @@ fn read_call(count: usize) -> Vec<u8> {
 }
 
 /// The frame bound (module docs, *The frame bound*) at its edges: a
-/// message one byte over it is dropped unread and the thread serves on;
+/// message one byte over it is dropped unread;
 /// a READ whose reply would not fit is refused, however small the call,
 /// and the largest READ that fits is served in one reply.
 #[test]
@@ -199,7 +179,7 @@ type Lie = Arc<Mutex<Option<Box<dyn FnOnce(&[u8]) -> Vec<u8> + Send>>>>;
 
 /// A link that tells the [`Lie`] set on it, framed again.
 struct Lying {
-    inner: Endpoint,
+    inner: NodeLink<Arc<SimStore>>,
     lie: Lie,
 }
 
@@ -219,15 +199,12 @@ impl Transport for Lying {
     }
 }
 
-/// A client of a fresh node thread over a [`Lying`] link, the lie's
-/// slot, and the thread.
-fn lied_to(store: &Arc<SimStore>, lease: Arc<NodeLease>) -> (RemoteStore, Lie, JoinHandle<()>) {
-    let (client_end, server_end) = Link::pair(&SimClock::new(), LinkConfig::instant());
+/// A client of a fresh node over a [`Lying`] link, and the lie's slot.
+fn lied_to(store: &Arc<SimStore>, lease: Arc<NodeLease>) -> (RemoteStore, Lie) {
     let server = BlockServer::with_lease(Arc::clone(store), lease);
-    let thread = std::thread::spawn(move || server.serve(&server_end));
     let lie = Lie::default();
     let link = Lying {
-        inner: client_end,
+        inner: NodeLink::new(server, &SimClock::new(), LinkConfig::instant(), None),
         lie: Arc::clone(&lie),
     };
     let timeout = Duration::from_millis(5);
@@ -235,7 +212,7 @@ fn lied_to(store: &Arc<SimStore>, lease: Arc<NodeLease>) -> (RemoteStore, Lie, J
         timeout,
         ..RemoteOptions::default()
     };
-    (RemoteStore::connect(link, opts).unwrap(), lie, thread)
+    (RemoteStore::connect(link, opts).unwrap(), lie)
 }
 
 #[test]
@@ -247,9 +224,9 @@ fn mutated_replies_are_an_error_or_the_shape_asked_for() {
         // include FENCED and LEASE_HELD as well as OK.
         let lease = Arc::new(NodeLease::default());
         if case % 2 == 1 {
-            lease.acquire(1, Duration::from_secs(1), None).unwrap();
+            lease.acquire(1, Duration::MAX, Duration::ZERO).unwrap();
         }
-        let (remote, lie, thread) = lied_to(&store, lease);
+        let (remote, lie) = lied_to(&store, lease);
         let mut rng = DetRng::new(case);
         *lie.lock() = Some(Box::new(move |reply| rng.mutate(reply, reply)));
         let outcome = match case % 5 {
@@ -266,8 +243,6 @@ fn mutated_replies_are_an_error_or_the_shape_asked_for() {
             _ => remote.probe().map(drop),
         };
         failed += u64::from(outcome.is_err());
-        drop(remote);
-        thread.join().expect("the serve thread never panics");
     }
     assert!(
         failed > 0 && failed < CASES,
@@ -281,7 +256,7 @@ fn mutated_replies_are_an_error_or_the_shape_asked_for() {
 fn a_read_reply_with_another_count_is_a_protocol_error() {
     let store = Arc::new(SimStore::untimed(BLOCKS));
     for count in [0, 1, 3, u32::MAX] {
-        let (remote, lie, thread) = lied_to(&store, Arc::default());
+        let (remote, lie) = lied_to(&store, Arc::default());
         // The count follows a 24-byte reply header and `OK`.
         *lie.lock() = Some(Box::new(move |reply| {
             let mut lie = reply.to_vec();
@@ -293,7 +268,5 @@ fn a_read_reply_with_another_count_is_a_protocol_error() {
             matches!(read, Err(RemoteError::Protocol(_))),
             "count {count}: {read:?}"
         );
-        drop(remote);
-        thread.join().unwrap();
     }
 }

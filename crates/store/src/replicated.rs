@@ -634,8 +634,8 @@ impl ReplicatedStore {
         }
     }
 
-    /// Crashes node `n`'s local server thread (test/bench hook): the
-    /// next RPC to it fails, the store declares it dead, fails the
+    /// Crashes node `n` (test/bench hook, see
+    /// [`RemoteStore::kill_server`]): the next RPC to it fails, the store declares it dead, fails the
     /// read over, and queues a background rebuild onto a spare.
     pub fn kill_node(&self, n: usize) {
         self.state.lock().nodes[n].store.kill_server();
@@ -658,8 +658,7 @@ impl ReplicatedStore {
             Some(DeadCause::Timeout) => st.nodes[n].state = NodeState::Probation,
             _ => {
                 if let Some(spare) = st.spares.pop() {
-                    let old = std::mem::replace(&mut st.nodes[n].store, spare);
-                    drop(old); // joins the dead node's server thread
+                    st.nodes[n].store = spare;
                     self.resync(st, n);
                 } else {
                     st.nodes[n].state = NodeState::Failed;
@@ -1212,6 +1211,7 @@ mod tests {
     use super::*;
     use crate::{RemoteOptions, SimStore};
     use netsim::{LinkConfig, SimClock};
+    use std::sync::Arc;
 
     fn volume(blocks: u64, nodes: usize, replicas: usize, spares: usize) -> ReplicatedStore {
         let clock = SimClock::new();
@@ -1574,12 +1574,13 @@ mod tests {
             .collect();
         nodes.insert(
             2,
-            RemoteStore::serve_local_with_faults(
-                SimStore::untimed(node_bc),
+            RemoteStore::serve_shared(
+                Arc::new(SimStore::untimed(node_bc)),
+                Arc::default(),
                 &clock,
                 LinkConfig::instant(),
                 opts,
-                &plan,
+                Some(&plan),
             ),
         );
         let store = ReplicatedStore::new(nodes, vec![], 16, 2);

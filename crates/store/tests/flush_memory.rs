@@ -7,18 +7,20 @@
 //! of the buffer and the nodes' growing copies.
 //!
 //! A test binary of its own, because it installs a global allocator
-//! that counts live bytes and keeps their high-water mark. The nodes
-//! allocate on their own serve threads, so the count is process-wide;
-//! this binary runs one test.
+//! that counts live bytes and keeps their high-water mark. The count is
+//! process-wide, so this binary runs one test; the nodes answer on the
+//! flushing thread, so their copies count as they land.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use netsim::{Endpoint, Link, LinkConfig, NetError, SimClock, Transport};
+use netsim::{LinkConfig, NetError, SimClock, Transport};
 use onc_rpc::frame::{DEFAULT_MAX_FRAME, FRAME_HEADER};
-use store::{BlockServer, BlockStore, RemoteOptions, RemoteStore, ReplicatedStore, SimStore};
+use store::{
+    BlockServer, BlockStore, NodeLink, RemoteOptions, RemoteStore, ReplicatedStore, SimStore,
+};
 
 struct LiveBytes;
 
@@ -49,7 +51,7 @@ fn live() -> i64 {
 
 /// A client link that keeps the size of the largest message it sent.
 struct Recorder {
-    inner: Endpoint,
+    inner: NodeLink<SimStore>,
     largest: Arc<AtomicUsize>,
 }
 
@@ -74,14 +76,11 @@ const REPLICAS: usize = 2;
 fn a_flush_holds_at_most_one_call_beyond_its_buffer_or_its_nodes() {
     let node_bc = ReplicatedStore::node_block_count(BLOCKS + 1, NODES, REPLICAS);
     let largest = Arc::new(AtomicUsize::new(0));
-    let mut servers = Vec::new();
     let nodes = (0..NODES)
         .map(|_| {
-            let (client_end, node_end) = Link::pair(&SimClock::new(), LinkConfig::instant());
             let node = BlockServer::new(SimStore::untimed(node_bc));
-            servers.push(std::thread::spawn(move || node.serve(&node_end)));
             let link = Recorder {
-                inner: client_end,
+                inner: NodeLink::new(node, &SimClock::new(), LinkConfig::instant(), None),
                 largest: Arc::clone(&largest),
             };
             RemoteStore::connect(link, RemoteOptions::default()).unwrap()
@@ -124,9 +123,5 @@ fn a_flush_holds_at_most_one_call_beyond_its_buffer_or_its_nodes() {
     );
     for i in [1, 500, BLOCKS] {
         assert_eq!(store.read_block(i)[..8], i.to_le_bytes());
-    }
-    drop(store);
-    for server in servers {
-        server.join().unwrap();
     }
 }

@@ -14,8 +14,8 @@ use store::{
 
 const BLOCKS: u64 = 32;
 
-/// One simulated storage node: a [`BlockServer`] thread over `store`,
-/// returned as the connected client.
+/// One simulated storage node: a `BlockServer` over `store` behind its
+/// link, returned as the connected client.
 fn local_node<S: BlockStore + Send + 'static>(store: S, clock: &SimClock) -> RemoteStore {
     RemoteStore::serve_local(
         store,
@@ -895,12 +895,13 @@ fn chaos_counters_aggregate_through_wrappers() {
         deadline: std::time::Duration::from_secs(5),
         ..RemoteOptions::default()
     };
-    let leaf = RemoteStore::serve_local_with_faults(
-        SimStore::untimed(BLOCKS),
+    let leaf = RemoteStore::serve_shared(
+        Arc::new(SimStore::untimed(BLOCKS)),
+        Arc::default(),
         &clock,
         LinkConfig::instant(),
         opts,
-        &plan,
+        Some(&plan),
     );
     let store = CachedStore::new(Arc::new(leaf), 4);
     for idx in 0..BLOCKS {

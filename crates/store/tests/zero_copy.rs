@@ -14,8 +14,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use std::time::Duration;
 
-use netsim::{Link, LinkConfig, SimClock, Transport};
+use netsim::{LinkConfig, SimClock};
 use onc_rpc::frame::{self, DEFAULT_MAX_FRAME};
 use onc_rpc::{AcceptStat, ReplyBody, RpcCall, RpcReply};
 use store::{
@@ -120,23 +121,36 @@ fn hot_reads_allocate_no_block() {
     }
 }
 
+/// The block protocol's call for `args`: program 0x2000_0B10 version 1
+/// (`store::remote` module docs, *Wire format*), framed.
+fn block_call(xid: u32, proc_num: u32, args: Vec<u8>) -> Vec<u8> {
+    frame::encode_frame(&RpcCall::new(xid, 0x2000_0B10, 1, proc_num, args).encode())
+}
+
 /// A hot 8-block read from a remote node over an instant link. The
-/// node's thread builds the reply; on the client's thread the one copy
-/// is the reply's conversion to `Bytes` (the vendored `Bytes` is an
-/// `Arc<[u8]>`), and every block is a slice of it: 8 blocks and at
+/// node answers on this thread too, so the count holds two shares. The
+/// node's is its reply, 8 blocks and at most 1 KiB besides, measured by
+/// handing the same READ call to a node of its own. The client's one
+/// copy is the reply's conversion to `Bytes` (the vendored `Bytes` is
+/// an `Arc<[u8]>`), and every block is a slice of it: 8 blocks and at
 /// most 1 KiB besides, where a copy per block would double it.
 #[test]
 fn a_hot_remote_read_copies_the_reply_once() {
+    let bound = 8 * BLOCK_SIZE as u64 + 1024;
+    let idxs: Vec<u64> = (0..8).collect();
+    let written = || {
+        let store = SimStore::untimed(BLOCKS);
+        for &i in &idxs {
+            store.write_block(i, &[i as u8 + 1; BLOCK_SIZE]);
+        }
+        store
+    };
     let remote = RemoteStore::serve_local(
-        SimStore::untimed(BLOCKS),
+        written(),
         &SimClock::new(),
         LinkConfig::instant(),
         RemoteOptions::default(),
     );
-    let idxs: Vec<u64> = (0..8).collect();
-    for &i in &idxs {
-        remote.write_block(i, &[i as u8 + 1; BLOCK_SIZE]);
-    }
     std::hint::black_box(remote.read(IoClass::Data, &idxs));
     let reads = 100;
     let before = ALLOC_BYTES.with(Cell::get);
@@ -144,9 +158,25 @@ fn a_hot_remote_read_copies_the_reply_once() {
         std::hint::black_box(remote.read(IoClass::Data, &idxs));
     }
     let per_read = (ALLOC_BYTES.with(Cell::get) - before) / reads;
+
+    // READ = 2: data, eight indices.
+    let mut args = vec![0, 0, 0, 0, 0, 0, 0, 8];
+    idxs.iter().for_each(|i| args.extend(i.to_be_bytes()));
+    let read = block_call(7, 2, args);
+    let node = BlockServer::new(written());
+    std::hint::black_box(node.handle(&read, Duration::ZERO));
+    let node_share = allocated(|| {
+        std::hint::black_box(node.handle(&read, Duration::ZERO));
+    });
     assert!(
-        per_read <= 8 * BLOCK_SIZE as u64 + 1024,
-        "a hot 8-block remote read allocated {per_read} bytes"
+        node_share <= bound,
+        "a node answering an 8-block READ allocated {node_share} bytes"
+    );
+    let client_share = per_read.saturating_sub(node_share);
+    assert!(
+        client_share <= bound,
+        "a hot 8-block remote read allocated {client_share} bytes on the client \
+         ({per_read} with the node's {node_share})"
     );
 }
 
@@ -209,15 +239,10 @@ fn buffered_zero_writes_share_the_zero_block() {
 /// 1 GiB reply for 1 MiB of arguments. The node refuses it
 /// (`GARBAGE_ARGS`) before it reads or reserves anything, so serving it
 /// allocates less than twice the call; without the check the node
-/// reserved count × 8 KiB. The serve loop runs on this thread, so the
-/// count sees all of it.
+/// reserved count × 8 KiB. `handle` runs on this thread, so the count
+/// sees all of it.
 #[test]
 fn a_node_refuses_a_read_too_large_to_answer_before_reserving_it() {
-    // The block protocol: program 0x2000_0B10 version 1, READ = 2,
-    // SHUTDOWN = 6 (`store::remote` module docs, *Wire format*).
-    let call = |xid, proc_num, args| {
-        frame::encode_frame(&RpcCall::new(xid, 0x2000_0B10, 1, proc_num, args).encode())
-    };
     let count = (DEFAULT_MAX_FRAME - 48) / 8;
     let mut args = Vec::with_capacity(8 + 8 * count);
     args.extend_from_slice(&0u32.to_be_bytes()); // data
@@ -225,20 +250,17 @@ fn a_node_refuses_a_read_too_large_to_answer_before_reserving_it() {
     for _ in 0..count {
         args.extend_from_slice(&1u64.to_be_bytes());
     }
-    let read = call(1, 2, args);
+    let read = block_call(1, 2, args);
     let read_len = read.len() as u64;
     assert_eq!(read_len, 8 + DEFAULT_MAX_FRAME as u64, "one full frame");
-    let (client, node_end) = Link::pair(&SimClock::new(), LinkConfig::instant());
-    client.send(read).unwrap();
-    client.send(call(2, 6, Vec::new())).unwrap();
     let node = BlockServer::new(SimStore::untimed(BLOCKS));
-    // The READ, then the SHUTDOWN, which ends the loop.
-    let served = allocated(|| node.serve(&node_end));
+    let mut reply = None;
+    let served = allocated(|| reply = node.handle(&read, Duration::ZERO));
     assert!(
         served < 2 * read_len,
         "a {read_len}-byte READ made the node allocate {served} bytes"
     );
-    let reply = client.recv().unwrap();
+    let reply = reply.expect("a refusal is a reply");
     let reply = RpcReply::decode(frame::unframe(&reply).unwrap()).unwrap();
     assert_eq!(reply.body, ReplyBody::Error(AcceptStat::GarbageArgs));
 }

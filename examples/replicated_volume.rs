@@ -30,8 +30,8 @@ const NODES: usize = 4;
 const REPLICAS: usize = 2;
 const BLOCKS: u64 = 64;
 
-/// One storage node: an in-memory store served over a simulated
-/// 100 Mbps Ethernet link by a `BlockServer` thread.
+/// One storage node: an in-memory store that a `BlockServer` serves
+/// over a simulated 100 Mbps Ethernet link.
 fn node(clock: &SimClock, blocks: u64) -> RemoteStore {
     RemoteStore::serve_local(
         SimStore::untimed(blocks),

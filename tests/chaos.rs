@@ -41,10 +41,10 @@ fn grant_root(bed: &Testbed, holder: &SigningKey) -> String {
         .issue()
 }
 
-/// Retry policy sized for chaos runs: the per-attempt wall wait is
-/// small (a dropped frame costs 10 ms of real time, not 200 ms) while
-/// the virtual waiting budget still allows ~17 attempts before a node
-/// is declared dead.
+/// Retry policy sized for chaos runs: a dropped frame costs a 10 ms
+/// timeout of virtual time, not 200 ms, while the waiting budget still
+/// allows ~17 attempts before a node is declared dead, so the plans'
+/// loss never passes for a dead node.
 fn chaos_opts() -> RemoteOptions {
     RemoteOptions {
         timeout: Duration::from_millis(10),
@@ -83,12 +83,13 @@ fn faulty_volume(
             .with_jitter(Duration::from_micros(200));
         let inner = FileStore::open(&dir.join(format!("node-{i}")), node_bc)
             .expect("open node journal store");
-        nodes.push(RemoteStore::serve_local_with_faults(
-            inner,
+        nodes.push(RemoteStore::serve_shared(
+            Arc::new(inner),
+            Arc::default(),
             &clock,
             LinkConfig::ethernet_100mbps(),
             chaos_opts(),
-            &plan,
+            Some(&plan),
         ));
         plans.push(plan);
     }
@@ -96,11 +97,27 @@ fn faulty_volume(
     (store, plans, clock)
 }
 
+/// What one chaos run ends with. Nothing in the stack waits on the
+/// wall clock, so two runs of one seed end equal.
+#[derive(Debug, PartialEq)]
+struct RunEnd {
+    /// The virtual clock.
+    now: Duration,
+    retries: u64,
+    faults_injected: u64,
+    rpc_calls: u64,
+    /// Each node's state and dead cause (`ReplicatedStore::node_states`).
+    nodes: Vec<String>,
+    /// The node states after each change from the partition to the
+    /// end of the heal: the order nodes died, revived and rebuilt.
+    transitions: Vec<Vec<String>>,
+}
+
 /// One full chaos schedule: workload under loss, a partition that
 /// sends one node to probation, (odd seeds) commits the node misses,
 /// heal, revival, and a remount — asserting the seed-parity recovery
 /// path and byte-exact data throughout.
-fn run_seed(seed: u64) {
+fn run_seed(seed: u64) -> RunEnd {
     let dir = store::temp_dir_for_tests(&format!("chaos-seed-{seed}"));
     let fs_config = FsConfig {
         total_blocks: 512,
@@ -133,10 +150,17 @@ fn run_seed(seed: u64) {
     // Phase 2 — partition one node. The detecting read fails over
     // (zero failed ops) and the node lands in probation.
     let victim = (seed as usize) % NODES;
+    let mut transitions = vec![store.node_states()];
+    let mut note = |states: Vec<String>| {
+        if transitions.last() != Some(&states) {
+            transitions.push(states);
+        }
+    };
     plans[victim].partition(clock.now(), clock.now() + PARTITION);
     for (fh, data) in &files {
         let back = client.client().read_all(fh, 0, data.len()).unwrap();
         assert_eq!(&back, data, "read under partition (seed {seed})");
+        note(store.node_states());
     }
     assert_eq!(
         store.probation_nodes(),
@@ -152,6 +176,7 @@ fn run_seed(seed: u64) {
         client.client().write_all(&extra.fh, 0, &data).unwrap();
         files.push((extra.fh, data));
         bed.sync().expect("degraded sync");
+        note(store.node_states());
         // Ffs::sync commits twice (bulk apply, then the clean marker),
         // so the probation node is now at least one epoch behind.
         assert!(store.epoch() > epoch_before);
@@ -166,6 +191,7 @@ fn run_seed(seed: u64) {
             break;
         }
         store.rebuild_tick();
+        note(store.node_states());
     }
     assert_eq!(
         store.probation_nodes(),
@@ -225,11 +251,23 @@ fn run_seed(seed: u64) {
         assert_eq!(&back, data, "read after remount (seed {seed})");
     }
     std::fs::remove_dir_all(&dir).ok();
+    let stats = store.stats();
+    RunEnd {
+        now: clock.now(),
+        retries: stats.retries,
+        faults_injected: stats.faults_injected,
+        rpc_calls: stats.rpc_calls,
+        nodes: store.node_states(),
+        transitions,
+    }
 }
 
 #[test]
 fn chaos_seeds_0_to_3() {
-    for seed in 0..4 {
+    // Seed 0 twice: a schedule replays exactly.
+    let first = run_seed(0);
+    assert_eq!(run_seed(0), first, "seed 0 did not replay");
+    for seed in 1..4 {
         run_seed(seed);
     }
 }
