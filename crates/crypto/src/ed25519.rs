@@ -67,7 +67,7 @@ const D2: Fe = Fe([
 /// A point on the Ed25519 curve in extended homogeneous coordinates
 /// (X : Y : Z : T) with X·Y = T·Z.
 #[derive(Clone, Copy, Debug)]
-pub struct EdwardsPoint {
+pub(crate) struct EdwardsPoint {
     x: Fe,
     y: Fe,
     z: Fe,
@@ -187,7 +187,7 @@ impl AffineNiels {
 
 impl EdwardsPoint {
     /// The identity element (0, 1).
-    pub const IDENTITY: EdwardsPoint = EdwardsPoint {
+    pub(crate) const IDENTITY: EdwardsPoint = EdwardsPoint {
         x: Fe::ZERO,
         y: Fe::ONE,
         z: Fe::ONE,
@@ -195,7 +195,7 @@ impl EdwardsPoint {
     };
 
     /// The standard base point B (y = 4/5, x even).
-    pub const BASE: EdwardsPoint = EdwardsPoint {
+    pub(crate) const BASE: EdwardsPoint = EdwardsPoint {
         x: Fe([
             1738742601995546,
             1146398526822698,
@@ -226,7 +226,7 @@ impl EdwardsPoint {
     ///
     /// Returns [`CryptoError::InvalidPoint`] when the encoding does not
     /// correspond to a curve point.
-    pub fn decompress(bytes: &[u8; 32]) -> Result<EdwardsPoint, CryptoError> {
+    pub(crate) fn decompress(bytes: &[u8; 32]) -> Result<EdwardsPoint, CryptoError> {
         let x_sign = (bytes[31] >> 7) & 1;
         let y = Fe::from_bytes(bytes);
         let yy = y.square();
@@ -265,7 +265,7 @@ impl EdwardsPoint {
     }
 
     /// Compresses to the 32-byte encoding.
-    pub fn compress(&self) -> [u8; 32] {
+    pub(crate) fn compress(&self) -> [u8; 32] {
         let (x, y) = self.to_affine();
         let mut out = y.to_bytes();
         out[31] |= (x.is_negative() as u8) << 7;
@@ -329,18 +329,18 @@ impl EdwardsPoint {
     }
 
     /// Point addition.
-    pub fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
+    pub(crate) fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
         self.add_projective_niels(&other.to_projective_niels())
             .to_extended()
     }
 
     /// Point doubling.
-    pub fn double(&self) -> EdwardsPoint {
+    pub(crate) fn double(&self) -> EdwardsPoint {
         self.to_projective().double().to_extended()
     }
 
     /// Negation: (x, y) → (−x, y).
-    pub fn neg(&self) -> EdwardsPoint {
+    pub(crate) fn neg(&self) -> EdwardsPoint {
         EdwardsPoint {
             x: self.x.neg(),
             y: self.y,
@@ -424,13 +424,15 @@ impl EdwardsPoint {
         }
     }
 
-    /// Equality check via compressed encodings.
-    pub fn ct_eq(&self, other: &EdwardsPoint) -> bool {
+    /// Equality check via compressed encodings (test aid).
+    #[cfg(test)]
+    fn ct_eq(&self, other: &EdwardsPoint) -> bool {
         ct::eq(&self.compress(), &other.compress())
     }
 
     /// Checks the affine curve equation −x² + y² = 1 + d·x²·y² (test aid).
-    pub fn is_on_curve(&self) -> bool {
+    #[cfg(test)]
+    fn is_on_curve(&self) -> bool {
         let (x, y) = self.to_affine();
         let xx = x.square();
         let yy = y.square();
@@ -530,13 +532,6 @@ impl SigningKey {
             prefix,
             public: VerifyingKey(public_point.compress()),
         }
-    }
-
-    /// Generates a fresh key from an RNG.
-    pub fn generate<R: crate::rng::RngCore>(rng: &mut R) -> SigningKey {
-        let mut seed = [0u8; 32];
-        rng.fill_bytes(&mut seed);
-        SigningKey::from_seed(&seed)
     }
 
     /// Returns the 32-byte seed this key was derived from.

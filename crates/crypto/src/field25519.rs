@@ -22,11 +22,11 @@ pub struct Fe(pub(crate) [u64; 5]);
 #[allow(clippy::should_implement_trait, clippy::needless_range_loop)]
 impl Fe {
     /// The additive identity.
-    pub const ZERO: Fe = Fe([0, 0, 0, 0, 0]);
+    pub(crate) const ZERO: Fe = Fe([0, 0, 0, 0, 0]);
     /// The multiplicative identity.
     pub const ONE: Fe = Fe([1, 0, 0, 0, 0]);
     /// √−1 mod p = 2^((p−1)/4), needed during point decompression.
-    pub const SQRT_M1: Fe = Fe([
+    pub(crate) const SQRT_M1: Fe = Fe([
         1718705420411056,
         234908883556509,
         2233514472574048,
@@ -151,7 +151,7 @@ impl Fe {
     }
 
     /// Negation.
-    pub fn neg(self) -> Fe {
+    pub(crate) fn neg(self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
@@ -185,7 +185,7 @@ impl Fe {
 
     /// Squaring: the ten cross products `a[i]·a[j]` (i < j) are computed
     /// once and doubled, 15 limb products instead of [`Fe::mul`]'s 25.
-    pub fn square(self) -> Fe {
+    pub(crate) fn square(self) -> Fe {
         let a: [u128; 5] = [
             self.0[0] as u128,
             self.0[1] as u128,
@@ -235,7 +235,7 @@ impl Fe {
     }
 
     /// Multiplies by a small constant (used by X25519's a24 = 121665).
-    pub fn mul_small(self, n: u64) -> Fe {
+    pub(crate) fn mul_small(self, n: u64) -> Fe {
         debug_assert!(n < (1 << 20));
         let mut c: [u128; 5] = [0; 5];
         for i in 0..5 {
@@ -273,7 +273,7 @@ impl Fe {
     }
 
     /// Computes x^((p−5)/8), the core of the Ed25519 square-root step.
-    pub fn pow_p58(self) -> Fe {
+    pub(crate) fn pow_p58(self) -> Fe {
         // (p − 5) / 8 = 2^252 − 3 = (2^250 − 1)·2^2 + 1.
         let (t250, _) = self.pow22501();
         t250.pow2k(2).mul(self)
@@ -290,12 +290,12 @@ impl Fe {
     }
 
     /// Returns bit 0 of the canonical encoding (the "sign" of x).
-    pub fn is_negative(self) -> bool {
+    pub(crate) fn is_negative(self) -> bool {
         self.to_bytes()[0] & 1 == 1
     }
 
     /// Constant-time conditional swap of two elements when `swap` is 1.
-    pub fn cswap(swap: u64, a: &mut Fe, b: &mut Fe) {
+    pub(crate) fn cswap(swap: u64, a: &mut Fe, b: &mut Fe) {
         debug_assert!(swap <= 1);
         let mask = swap.wrapping_neg();
         for i in 0..5 {

@@ -36,11 +36,6 @@ pub fn expand(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
     okm
 }
 
-/// One-shot extract-then-expand.
-pub fn derive(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-    expand(&extract(salt, ikm), info, len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,7 +64,7 @@ mod tests {
     #[test]
     fn rfc5869_case3() {
         let ikm = [0x0b; 22];
-        let okm = derive(&[], &ikm, &[], 42);
+        let okm = expand(&extract(&[], &ikm), &[], 42);
         assert_eq!(
             hex::encode(&okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d\

@@ -1,6 +1,6 @@
 //! HMAC (RFC 2104), generic over any [`Digest`].
 
-use crate::{ct, Digest};
+use crate::Digest;
 
 /// Streaming HMAC state over digest `D`.
 ///
@@ -20,7 +20,7 @@ pub struct Hmac<D: Digest> {
 
 impl<D: Digest> Hmac<D> {
     /// Creates an HMAC state keyed with `key` (any length).
-    pub fn new(key: &[u8]) -> Self {
+    pub(crate) fn new(key: &[u8]) -> Self {
         let mut block_key = vec![0u8; D::BLOCK_LEN];
         if key.len() > D::BLOCK_LEN {
             let hashed = D::digest(key);
@@ -38,12 +38,12 @@ impl<D: Digest> Hmac<D> {
     }
 
     /// Absorbs message data.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
     }
 
     /// Finishes and returns the tag (`D::OUTPUT_LEN` bytes).
-    pub fn finalize(mut self) -> Vec<u8> {
+    pub(crate) fn finalize(mut self) -> Vec<u8> {
         let inner_hash = self.inner.finalize();
         self.outer.update(&inner_hash);
         self.outer.finalize()
@@ -54,11 +54,6 @@ impl<D: Digest> Hmac<D> {
         let mut h = Self::new(key);
         h.update(data);
         h.finalize()
-    }
-
-    /// One-shot verification in constant time.
-    pub fn verify(key: &[u8], data: &[u8], tag: &[u8]) -> bool {
-        ct::eq(&Self::mac(key, data), tag)
     }
 }
 
@@ -115,14 +110,6 @@ mod tests {
             hex::encode(&Hmac::<Sha256>::mac(&key, data)),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
-    }
-
-    #[test]
-    fn verify_accepts_and_rejects() {
-        let tag = Hmac::<Sha256>::mac(b"k", b"m");
-        assert!(Hmac::<Sha256>::verify(b"k", b"m", &tag));
-        assert!(!Hmac::<Sha256>::verify(b"k", b"m2", &tag));
-        assert!(!Hmac::<Sha256>::verify(b"k2", b"m", &tag));
     }
 
     #[test]

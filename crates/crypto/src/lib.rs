@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod chacha20;
 pub mod chacha20poly1305;
@@ -36,7 +37,7 @@ pub mod field25519;
 pub mod hex;
 pub mod hkdf;
 pub mod hmac;
-pub mod poly1305;
+mod poly1305;
 pub mod rng;
 pub mod scalar25519;
 pub mod sha256;

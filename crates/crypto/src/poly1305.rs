@@ -16,7 +16,7 @@ const MASK42: u64 = (1 << 42) - 1;
 
 /// Streaming Poly1305 state.
 #[derive(Clone)]
-pub struct Poly1305 {
+pub(crate) struct Poly1305 {
     r: [u64; 3],
     /// The second key half, added to the accumulator mod 2^128 at the end.
     pad: [u64; 2],
@@ -61,7 +61,7 @@ fn carry(d: [u128; 3]) -> [u64; 3] {
 
 impl Poly1305 {
     /// Creates an authenticator from a 32-byte one-time key.
-    pub fn new(key: &[u8; 32]) -> Poly1305 {
+    pub(crate) fn new(key: &[u8; 32]) -> Poly1305 {
         // Clamp r per RFC 8439 §2.5 (the masks are the clamp, split at
         // the limb boundaries).
         let (t0, t1) = (le64(&key[0..8]), le64(&key[8..16]));
@@ -101,7 +101,7 @@ impl Poly1305 {
     }
 
     /// Absorbs message data.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         if self.buf_len > 0 {
             let take = (16 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
@@ -121,7 +121,7 @@ impl Poly1305 {
     }
 
     /// Finishes and returns the 16-byte tag.
-    pub fn finalize(mut self) -> [u8; 16] {
+    pub(crate) fn finalize(mut self) -> [u8; 16] {
         if self.buf_len > 0 {
             // Pad the final partial block: append 0x01 then zeros, no hibit.
             let mut block = [0u8; 16];
@@ -164,8 +164,9 @@ impl Poly1305 {
         tag
     }
 
-    /// One-shot MAC.
-    pub fn mac(key: &[u8; 32], data: &[u8]) -> [u8; 16] {
+    /// One-shot MAC (test aid).
+    #[cfg(test)]
+    fn mac(key: &[u8; 32], data: &[u8]) -> [u8; 16] {
         let mut p = Poly1305::new(key);
         p.update(data);
         p.finalize()
@@ -184,7 +185,7 @@ mod tests {
         const MASK26: u64 = (1 << 26) - 1;
 
         /// Five 26-bit limbs, 64-bit products ("donna-32").
-        pub struct Reference {
+        pub(super) struct Reference {
             r: [u64; 5],
             s: [u64; 4],
             h: [u64; 5],
@@ -198,7 +199,7 @@ mod tests {
 
         impl Reference {
             /// Creates an authenticator from a 32-byte one-time key.
-            pub fn new(key: &[u8; 32]) -> Reference {
+            pub(super) fn new(key: &[u8; 32]) -> Reference {
                 // Clamp r per RFC 8439 §2.5.
                 let r = [
                     le32(&key[0..4]) & 0x3ffffff,
@@ -264,7 +265,7 @@ mod tests {
             }
 
             /// Absorbs message data.
-            pub fn update(&mut self, mut data: &[u8]) {
+            pub(super) fn update(&mut self, mut data: &[u8]) {
                 if self.buf_len > 0 {
                     let take = (16 - self.buf_len).min(data.len());
                     self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
@@ -288,7 +289,7 @@ mod tests {
             }
 
             /// Finishes and returns the 16-byte tag.
-            pub fn finalize(mut self) -> [u8; 16] {
+            pub(super) fn finalize(mut self) -> [u8; 16] {
                 if self.buf_len > 0 {
                     // Pad the final partial block: append 0x01 then zeros, no hibit.
                     let mut block = [0u8; 16];
@@ -349,7 +350,7 @@ mod tests {
             }
 
             /// One-shot MAC.
-            pub fn mac(key: &[u8; 32], data: &[u8]) -> [u8; 16] {
+            pub(super) fn mac(key: &[u8; 32], data: &[u8]) -> [u8; 16] {
                 let mut p = Reference::new(key);
                 p.update(data);
                 p.finalize()

@@ -58,7 +58,7 @@ impl DetRng {
     }
 
     /// Creates a deterministic RNG from a full 256-bit key.
-    pub fn from_key(key: &[u8; 32]) -> DetRng {
+    pub(crate) fn from_key(key: &[u8; 32]) -> DetRng {
         DetRng {
             cipher: ChaCha20::new(key, &[0u8; 12]),
             counter: 0,

@@ -156,19 +156,16 @@ impl Scalar {
     }
 
     /// Computes `self * b + c mod L` (the signing equation `r + h·a`).
-    pub fn mul_add(self, b: Scalar, c: Scalar) -> Scalar {
+    pub(crate) fn mul_add(self, b: Scalar, c: Scalar) -> Scalar {
         self.mul(b).add(c)
     }
 
-    /// Returns the i-th bit (little-endian) of the scalar.
-    pub fn bit(&self, i: usize) -> u8 {
+    /// Returns the i-th bit (little-endian) of the scalar (the
+    /// reference ladder in the ed25519 tests).
+    #[cfg(test)]
+    pub(crate) fn bit(&self, i: usize) -> u8 {
         debug_assert!(i < 256);
         ((self.0[i / 64] >> (i % 64)) & 1) as u8
-    }
-
-    /// True iff the scalar is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0, 0, 0, 0]
     }
 
     /// Signed radix-16 digits, least significant first: the scalar is
@@ -398,7 +395,7 @@ mod tests {
 
     #[test]
     fn zero_and_one() {
-        assert!(Scalar::ZERO.is_zero());
+        assert_eq!(Scalar::ZERO.0, [0; 4]);
         assert_eq!(Scalar::ONE.add(Scalar::ZERO), Scalar::ONE);
         assert_eq!(Scalar::ONE.mul(Scalar::ONE), Scalar::ONE);
     }
@@ -409,7 +406,7 @@ mod tests {
         for (i, limb) in L.iter().enumerate() {
             l_bytes[i * 8..(i + 1) * 8].copy_from_slice(&limb.to_le_bytes());
         }
-        assert!(Scalar::from_bytes_wide(&l_bytes).is_zero());
+        assert_eq!(Scalar::from_bytes_wide(&l_bytes), Scalar::ZERO);
         assert!(Scalar::from_canonical_bytes(&l_bytes).is_err());
     }
 
@@ -423,7 +420,7 @@ mod tests {
         }
         let s = Scalar::from_canonical_bytes(&bytes).unwrap();
         // (L-1) + 1 == 0 mod L.
-        assert!(s.add(Scalar::ONE).is_zero());
+        assert_eq!(s.add(Scalar::ONE), Scalar::ZERO);
     }
 
     #[test]

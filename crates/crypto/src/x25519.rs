@@ -69,7 +69,7 @@ pub fn public_key(k: &[u8; 32]) -> [u8; 32] {
 #[derive(Clone)]
 pub struct EphemeralKeypair {
     /// The private scalar (kept for the duration of one handshake).
-    pub private: [u8; 32],
+    pub(crate) private: [u8; 32],
     /// The corresponding public value.
     pub public: [u8; 32],
 }

@@ -53,16 +53,16 @@ enum Subject {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditRecord {
     /// Monotonic sequence number.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Virtual time of the decision.
-    pub time: u64,
+    pub(crate) time: u64,
     requester: [u8; 32],
     op: &'static str,
     subject: Subject,
     /// Permissions the operation needed.
-    pub required: Perm,
+    pub(crate) required: Perm,
     /// Permissions the policy granted.
-    pub granted: Perm,
+    pub(crate) granted: Perm,
     /// Whether the operation proceeded.
     pub allowed: bool,
     pub(crate) authorizers: Arc<[VerifyingKey]>,
@@ -105,7 +105,7 @@ pub struct AuditLog {
 
 impl AuditLog {
     /// Creates a log keeping the most recent `capacity` records.
-    pub fn new(capacity: usize) -> AuditLog {
+    pub(crate) fn new(capacity: usize) -> AuditLog {
         AuditLog {
             slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
             cursor: AtomicU64::new(0),
@@ -117,7 +117,7 @@ impl AuditLog {
     /// is the peer's shared issuer-key set, cloned per record as a
     /// refcount bump.
     #[allow(clippy::too_many_arguments)]
-    pub fn record(
+    pub(crate) fn record(
         &self,
         time: u64,
         requester: &[u8; 32],
@@ -143,7 +143,7 @@ impl AuditLog {
 
     /// Appends an `"abort"` record: `requester`'s connection was
     /// condemned for `reason`.
-    pub fn record_abort(&self, time: u64, requester: &[u8; 32], reason: &str) {
+    pub(crate) fn record_abort(&self, time: u64, requester: &[u8; 32], reason: &str) {
         self.append(AuditRecord {
             seq: 0,
             time,
@@ -191,21 +191,6 @@ impl AuditLog {
     /// Denied accesses only — the operator's first question.
     pub fn denials(&self) -> Vec<AuditRecord> {
         self.records().into_iter().filter(|r| !r.allowed).collect()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        (self.cursor.load(Ordering::Relaxed) as usize).min(self.slots.len())
-    }
-
-    /// True when no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.cursor.load(Ordering::Relaxed) == 0
-    }
-
-    /// Total records ever appended (including those the ring dropped).
-    pub fn appended(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
     }
 }
 
@@ -265,8 +250,7 @@ mod tests {
         }
         let records = log.records();
         assert_eq!(records.len(), 3);
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.appended(), 5);
+        assert_eq!(log.cursor.load(Ordering::Relaxed), 5, "appended");
         assert_eq!(records[0].seq, 3, "two oldest dropped");
     }
 

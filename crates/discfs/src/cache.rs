@@ -34,15 +34,15 @@ use crate::perm::Perm;
 
 /// A cache key: requester, file, and invalidation epochs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// Requester public key bytes.
-    pub peer: [u8; 32],
+    pub(crate) peer: [u8; 32],
     /// `(inode, generation)` of the file.
-    pub handle: (u32, u32),
+    pub(crate) handle: (u32, u32),
     /// Peer-session epoch (bumped on credential submission) and global
     /// environment epoch (bumped on time/revocation changes). Kept as a
     /// pair — combining them arithmetically invites collisions.
-    pub epoch: (u64, u64),
+    pub(crate) epoch: (u64, u64),
 }
 
 /// Hit/miss/eviction counters (for the Figure 12 analysis and the cache
@@ -78,7 +78,7 @@ struct Entry {
     stamp: AtomicU64,
 }
 
-/// A bounded LRU map from [`CacheKey`] to granted [`Perm`].
+/// A bounded LRU map from `CacheKey` to granted [`Perm`].
 pub struct PolicyCache {
     entries: RwLock<HashMap<CacheKey, Entry>>,
     capacity: usize,
@@ -90,7 +90,7 @@ impl PolicyCache {
     /// Creates a cache holding at most `capacity` results. A capacity
     /// of 0 disables caching (every check is a full KeyNote query — the
     /// ablation baseline).
-    pub fn new(capacity: usize) -> PolicyCache {
+    pub(crate) fn new(capacity: usize) -> PolicyCache {
         PolicyCache {
             entries: RwLock::new(HashMap::new()),
             capacity,
@@ -102,7 +102,7 @@ impl PolicyCache {
     /// Looks up a cached decision. A hit touches only the read lock
     /// plus atomic counters — concurrent lookups do not exclude each
     /// other.
-    pub fn get(&self, key: &CacheKey) -> Option<Perm> {
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<Perm> {
         if self.capacity == 0 {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -129,7 +129,7 @@ impl PolicyCache {
     /// recency list would have to be relinked on every hit). It runs
     /// only on a miss that has just paid a KeyNote query and costs
     /// about half a microsecond at the paper's 128 entries.
-    pub fn insert(&self, key: CacheKey, perm: Perm) {
+    pub(crate) fn insert(&self, key: CacheKey, perm: Perm) {
         if self.capacity == 0 {
             return;
         }
@@ -155,18 +155,14 @@ impl PolicyCache {
     }
 
     /// Drops every entry (full invalidation after revocation).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.entries.write().clear();
     }
 
     /// Current entry count.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries.read().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Access to the counters.
@@ -322,7 +318,7 @@ mod tests {
         let cache = PolicyCache::new(4);
         cache.insert(key(1, 1, 0), Perm::R);
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert_eq!(cache.get(&key(1, 1, 0)), None);
     }
 

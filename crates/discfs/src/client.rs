@@ -52,7 +52,6 @@ impl From<ClientError> for DiscfsClientError {
 /// A connected DisCFS client.
 pub struct DiscfsClient {
     remote: RemoteFs,
-    identity_public: VerifyingKey,
     wallet: Wallet,
 }
 
@@ -65,7 +64,7 @@ impl DiscfsClient {
     /// # Errors
     ///
     /// Handshake or mount failures.
-    pub fn attach<R: RngCore>(
+    pub(crate) fn attach<R: RngCore>(
         endpoint: netsim::Endpoint,
         identity: &SigningKey,
         expected_server: Option<&VerifyingKey>,
@@ -78,20 +77,21 @@ impl DiscfsClient {
     }
 
     /// Attaches over an existing secure transport (tests, custom nets).
+    /// The identity is the channel's; `_identity` is unused and goes
+    /// when the benchmark package stops passing it.
     ///
     /// # Errors
     ///
     /// Mount failures.
     pub fn attach_over(
         chan: Box<dyn SecureTransport>,
-        identity_public: VerifyingKey,
+        _identity: VerifyingKey,
         path: &str,
     ) -> Result<DiscfsClient, DiscfsClientError> {
         let client = NfsClient::new(chan);
         let remote = RemoteFs::mount(client, path)?;
         Ok(DiscfsClient {
             remote,
-            identity_public,
             wallet: Wallet::new(),
         })
     }
@@ -104,17 +104,6 @@ impl DiscfsClient {
     /// The raw NFS client.
     pub fn client(&self) -> &NfsClient {
         self.remote.client()
-    }
-
-    /// This client's public identity.
-    pub fn identity(&self) -> VerifyingKey {
-        self.identity_public
-    }
-
-    /// Adds a credential to the local wallet (does not submit).
-    /// Invalid credentials are dropped (the wallet validates).
-    pub fn wallet_add(&mut self, credential: &str) {
-        let _ = self.wallet.add(credential);
     }
 
     /// The local wallet.
@@ -153,20 +142,6 @@ impl DiscfsClient {
         } else {
             Err(DiscfsClientError::CredentialRejected(status))
         }
-    }
-
-    /// Submits every wallet credential (ignoring rejects of unrelated
-    /// chains); returns how many were accepted.
-    pub fn submit_wallet(&self) -> Result<usize, DiscfsClientError> {
-        let mut accepted = 0;
-        for credential in self.wallet.credentials() {
-            match self.submit_credential(credential) {
-                Ok(()) => accepted += 1,
-                Err(DiscfsClientError::CredentialRejected(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(accepted)
     }
 
     /// Submits only the wallet credentials relevant to `handle` (plus

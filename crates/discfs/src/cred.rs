@@ -18,14 +18,14 @@ use crate::perm::Perm;
 
 /// Extra conditions attached to a grant.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Restrictions {
+pub(crate) struct Restrictions {
     /// Valid only while the server's virtual time is below this value.
-    pub expires_at: Option<u64>,
+    pub(crate) expires_at: Option<u64>,
     /// Valid only when the server's hour-of-day lies in `[start, end)`.
     /// (Paper §3.1: "the access policy can consider factors such as
     /// time-of-day, so that leisure-related files may not be available
     /// during office hours.")
-    pub hours: Option<(u32, u32)>,
+    pub(crate) hours: Option<(u32, u32)>,
 }
 
 /// Builder for DisCFS credentials.

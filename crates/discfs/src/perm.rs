@@ -15,7 +15,7 @@ impl Perm {
     /// No access (`"false"` in credentials).
     pub const NONE: Perm = Perm(0);
     /// Execute / traverse.
-    pub const X: Perm = Perm(1);
+    pub(crate) const X: Perm = Perm(1);
     /// Write.
     pub const W: Perm = Perm(2);
     /// Read.
@@ -24,8 +24,6 @@ impl Perm {
     pub const RW: Perm = Perm(6);
     /// Read + execute.
     pub const RX: Perm = Perm(5);
-    /// Write + execute.
-    pub const WX: Perm = Perm(3);
     /// Full access.
     pub const RWX: Perm = Perm(7);
 
@@ -33,44 +31,29 @@ impl Perm {
     /// octal value.
     pub const VALUE_SET: [&'static str; 8] = ["false", "X", "W", "WX", "R", "RX", "RW", "RWX"];
 
-    /// Builds from raw bits (masked to 0–7).
-    pub fn from_bits(bits: u8) -> Perm {
-        Perm(bits & 7)
-    }
-
-    /// The raw bits (octal digit).
-    pub fn bits(self) -> u8 {
-        self.0
-    }
-
     /// True when this set includes all of `required`.
-    pub fn contains(self, required: Perm) -> bool {
+    pub(crate) fn contains(self, required: Perm) -> bool {
         self.0 & required.0 == required.0
     }
 
     /// Union of two sets.
-    pub fn union(self, other: Perm) -> Perm {
+    pub(crate) fn union(self, other: Perm) -> Perm {
         Perm(self.0 | other.0)
     }
 
-    /// Intersection of two sets.
-    pub fn intersect(self, other: Perm) -> Perm {
-        Perm(self.0 & other.0)
-    }
-
     /// True when no permission is granted.
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self.0 == 0
     }
 
     /// The credential value string (`"RW"`, `"false"`, …).
-    pub fn value_string(self) -> &'static str {
+    pub(crate) fn value_string(self) -> &'static str {
         Self::VALUE_SET[self.0 as usize]
     }
 
     /// Parses a compliance value string; unknown strings mean no access
     /// (the fail-safe direction).
-    pub fn from_value_string(s: &str) -> Perm {
+    pub(crate) fn from_value_string(s: &str) -> Perm {
         Self::VALUE_SET
             .iter()
             .position(|v| *v == s)
@@ -82,7 +65,7 @@ impl Perm {
     /// the bits replicate to user/group/other because DisCFS identities
     /// are keys, not local uids (paper §5: the userid "has no local
     /// significance").
-    pub fn mode_bits(self) -> u32 {
+    pub(crate) fn mode_bits(self) -> u32 {
         (self.0 as u32) * 0o111
     }
 }
@@ -99,14 +82,14 @@ mod tests {
 
     #[test]
     fn value_set_index_is_octal() {
-        for bits in 0u8..8 {
-            let p = Perm::from_bits(bits);
-            assert_eq!(p.bits(), bits);
-            assert_eq!(Perm::from_value_string(p.value_string()), p);
+        for (bits, value) in Perm::VALUE_SET.iter().enumerate() {
+            let p = Perm::from_value_string(value);
+            assert_eq!(p.0 as usize, bits);
+            assert_eq!(p.value_string(), *value);
         }
         assert_eq!(Perm::RWX.value_string(), "RWX");
         assert_eq!(Perm::NONE.value_string(), "false");
-        assert_eq!(Perm::RW.bits(), 6);
+        assert_eq!(Perm::RW.0, 6);
     }
 
     #[test]
@@ -122,8 +105,8 @@ mod tests {
     #[test]
     fn set_algebra() {
         assert_eq!(Perm::R.union(Perm::W), Perm::RW);
-        assert_eq!(Perm::RWX.intersect(Perm::RW), Perm::RW);
-        assert!(Perm::R.intersect(Perm::W).is_none());
+        assert_eq!(Perm::RX.union(Perm::W), Perm::RWX);
+        assert!(Perm::NONE.union(Perm::NONE).is_none());
     }
 
     #[test]

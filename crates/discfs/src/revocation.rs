@@ -19,7 +19,7 @@ use discfs_crypto::ed25519::VerifyingKey;
 
 /// The revocation list.
 #[derive(Debug, Default)]
-pub struct RevocationList {
+pub(crate) struct RevocationList {
     /// Bad keys → optional forget-after time.
     keys: HashMap<[u8; 32], Option<u64>>,
     /// Bad credential ids (see [`keynote::Assertion::id`]) → forget-after.
@@ -28,7 +28,7 @@ pub struct RevocationList {
 
 impl RevocationList {
     /// An empty list.
-    pub fn new() -> RevocationList {
+    pub(crate) fn new() -> RevocationList {
         RevocationList::default()
     }
 
@@ -37,40 +37,36 @@ impl RevocationList {
     /// `forget_after`: virtual time after which the server may drop the
     /// entry (pass the credential-lifetime horizon; `None` = keep
     /// forever).
-    pub fn revoke_key(&mut self, key: &VerifyingKey, forget_after: Option<u64>) {
+    pub(crate) fn revoke_key(&mut self, key: &VerifyingKey, forget_after: Option<u64>) {
         self.keys.insert(key.0, forget_after);
     }
 
     /// Revokes a single credential by content id.
-    pub fn revoke_credential(&mut self, id: &str, forget_after: Option<u64>) {
+    pub(crate) fn revoke_credential(&mut self, id: &str, forget_after: Option<u64>) {
         self.credentials.insert(id.to_string(), forget_after);
     }
 
     /// Is this key revoked?
-    pub fn is_key_revoked(&self, key: &VerifyingKey) -> bool {
+    pub(crate) fn is_key_revoked(&self, key: &VerifyingKey) -> bool {
         self.keys.contains_key(&key.0)
     }
 
     /// Is this credential revoked?
-    pub fn is_credential_revoked(&self, id: &str) -> bool {
+    pub(crate) fn is_credential_revoked(&self, id: &str) -> bool {
         self.credentials.contains_key(id)
     }
 
     /// Forgets entries whose horizon has passed (the "short period of
     /// time" bound from the paper).
-    pub fn expire(&mut self, now: u64) {
+    pub(crate) fn expire(&mut self, now: u64) {
         self.keys.retain(|_, t| t.is_none_or(|t| t > now));
         self.credentials.retain(|_, t| t.is_none_or(|t| t > now));
     }
 
     /// Number of live entries (keys + credentials).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.keys.len() + self.credentials.len()
-    }
-
-    /// True when nothing is revoked.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty() && self.credentials.is_empty()
     }
 }
 

@@ -24,15 +24,15 @@ pub mod proc_discfs {
     /// Submit a credential assertion: `string → u32 status`.
     pub const SUBMIT_CRED: u32 = 1;
     /// Create a file and receive its credential.
-    pub const CREATE: u32 = 2;
+    pub(crate) const CREATE: u32 = 2;
     /// Create a directory and receive its credential.
-    pub const MKDIR: u32 = 3;
+    pub(crate) const MKDIR: u32 = 3;
     /// Number of credentials in this connection's session.
-    pub const CRED_COUNT: u32 = 4;
+    pub(crate) const CRED_COUNT: u32 = 4;
     /// Revoke a key (administrators only).
     pub const REVOKE_KEY: u32 = 5;
     /// Revoke a credential by id (administrators only).
-    pub const REVOKE_CRED: u32 = 6;
+    pub(crate) const REVOKE_CRED: u32 = 6;
 }
 
 /// Status codes for the control procedures.
@@ -52,7 +52,7 @@ pub enum DiscfsRpcStatus {
 
 impl DiscfsRpcStatus {
     /// Decodes from a wire word.
-    pub fn from_u32(v: u32) -> Result<DiscfsRpcStatus, XdrError> {
+    pub(crate) fn from_u32(v: u32) -> Result<DiscfsRpcStatus, XdrError> {
         Ok(match v {
             0 => DiscfsRpcStatus::Ok,
             1 => DiscfsRpcStatus::BadCredential,
@@ -70,13 +70,13 @@ pub struct CreateWithCredRes {
     /// The new file's handle.
     pub fh: FHandle,
     /// Its attributes.
-    pub attr: Fattr,
+    pub(crate) attr: Fattr,
     /// A signed credential granting the creator RWX on the new file.
     pub credential: String,
 }
 
 /// Encodes a CREATE/MKDIR result.
-pub fn encode_create_res(result: &Result<CreateWithCredRes, NfsStat>) -> Vec<u8> {
+pub(crate) fn encode_create_res(result: &Result<CreateWithCredRes, NfsStat>) -> Vec<u8> {
     let mut e = Encoder::new();
     match result {
         Ok(res) => {
@@ -99,7 +99,9 @@ pub fn encode_create_res(result: &Result<CreateWithCredRes, NfsStat>) -> Vec<u8>
 ///
 /// `Ok(Err(stat))` for server-reported filesystem errors; `Err` for
 /// wire-format problems.
-pub fn decode_create_res(data: &[u8]) -> Result<Result<CreateWithCredRes, NfsStat>, XdrError> {
+pub(crate) fn decode_create_res(
+    data: &[u8],
+) -> Result<Result<CreateWithCredRes, NfsStat>, XdrError> {
     let mut d = Decoder::new(data);
     match DiscfsRpcStatus::from_u32(d.get_u32()?)? {
         DiscfsRpcStatus::Ok => {

@@ -81,17 +81,17 @@ use crate::rpc::{
 /// Server configuration.
 pub struct DiscfsConfig {
     /// Filesystem id baked into handles.
-    pub fsid: u32,
+    pub(crate) fsid: u32,
     /// Local policy assertions (authorizer `POLICY`).
-    pub policy: Vec<String>,
+    pub(crate) policy: Vec<String>,
     /// The server's signing key (issues CREATE/MKDIR credentials).
-    pub server_key: SigningKey,
+    pub(crate) server_key: SigningKey,
     /// Keys allowed to drive revocation remotely.
-    pub admin_keys: Vec<VerifyingKey>,
+    pub(crate) admin_keys: Vec<VerifyingKey>,
     /// Policy-result cache capacity (paper: 128).
     pub cache_size: usize,
     /// Audit log capacity.
-    pub audit_capacity: usize,
+    pub(crate) audit_capacity: usize,
 }
 
 impl DiscfsConfig {
@@ -331,7 +331,7 @@ impl DiscfsService {
     }
 
     /// Revokes a credential by id server-side.
-    pub fn revoke_credential(&self, id: &str, forget_after: Option<u64>) {
+    pub(crate) fn revoke_credential(&self, id: &str, forget_after: Option<u64>) {
         self.revocations.write().revoke_credential(id, forget_after);
         self.purge_revoked();
     }

@@ -275,11 +275,6 @@ impl Testbed {
         &self.admin
     }
 
-    /// The server's public identity (what clients pin).
-    pub fn server_public(&self) -> VerifyingKey {
-        self.server_public
-    }
-
     /// Connects a new client with `identity`, running IKE and mounting
     /// the root export. The server side joins the shared engine — no
     /// thread is spawned per connection.

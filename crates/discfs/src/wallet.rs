@@ -10,8 +10,6 @@ use std::collections::HashSet;
 
 use keynote::Assertion;
 
-use crate::perm::Perm;
-
 /// A client-side collection of credential texts.
 #[derive(Debug, Clone, Default)]
 pub struct Wallet {
@@ -46,16 +44,6 @@ impl Wallet {
     /// All credentials, in insertion order.
     pub fn credentials(&self) -> &[String] {
         &self.credentials
-    }
-
-    /// Number of credentials held.
-    pub fn len(&self) -> usize {
-        self.credentials.len()
-    }
-
-    /// True when the wallet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.credentials.is_empty()
     }
 
     /// Serializes the wallet to a mail-friendly text format.
@@ -114,16 +102,14 @@ impl Wallet {
             .collect()
     }
 
-    /// Summarizes holdings: `(issuer, comment, handles)` per credential.
+    /// Summarizes holdings: one entry per credential.
     pub fn inventory(&self) -> Vec<WalletEntry> {
         self.credentials
             .iter()
             .filter_map(|c| {
                 let assertion = Assertion::parse(c).ok()?;
                 Some(WalletEntry {
-                    issuer: assertion.authorizer().to_text(),
                     comment: assertion.comment().map(|s| s.to_string()),
-                    id: assertion.id().to_string(),
                 })
             })
             .collect()
@@ -133,39 +119,16 @@ impl Wallet {
 /// One wallet inventory line.
 #[derive(Debug, Clone)]
 pub struct WalletEntry {
-    /// The issuing principal.
-    pub issuer: String,
     /// The credential's comment, if any.
     pub comment: Option<String>,
-    /// Content id (for revocation requests).
-    pub id: String,
-}
-
-/// Re-exported convenience: issue + add in one step.
-impl Wallet {
-    /// Issues a credential with `issuer` and stores it.
-    pub fn issue_and_add(
-        &mut self,
-        issuer: &discfs_crypto::ed25519::SigningKey,
-        holder: &discfs_crypto::ed25519::VerifyingKey,
-        handle: &nfsv2::FHandle,
-        perms: Perm,
-    ) -> String {
-        let cred = crate::cred::CredentialIssuer::new(issuer)
-            .holder(holder)
-            .grant(handle, perms)
-            .issue();
-        self.add(&cred).expect("freshly issued credentials verify");
-        cred
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cred::CredentialIssuer;
+    use crate::perm::Perm;
     use discfs_crypto::ed25519::SigningKey;
-    use nfsv2::FHandle;
 
     fn sample_credential(seed: u8, handle: &str) -> String {
         let issuer = SigningKey::from_seed(&[seed; 32]);
@@ -183,7 +146,7 @@ mod tests {
         let cred = sample_credential(1, "5.1");
         wallet.add(&cred).unwrap();
         wallet.add(&cred).unwrap();
-        assert_eq!(wallet.len(), 1);
+        assert_eq!(wallet.credentials().len(), 1);
     }
 
     #[test]
@@ -192,7 +155,7 @@ mod tests {
         assert!(wallet.add("not a credential").is_err());
         let tampered = sample_credential(1, "5.1").replace("\"R\"", "\"RWX\"");
         assert!(wallet.add(&tampered).is_err());
-        assert!(wallet.is_empty());
+        assert!(wallet.credentials().is_empty());
     }
 
     #[test]
@@ -259,17 +222,5 @@ mod tests {
         let inv = wallet.inventory();
         assert_eq!(inv.len(), 1);
         assert_eq!(inv[0].comment.as_deref(), Some("cred-1-5.1"));
-        assert!(inv[0].issuer.starts_with("ed25519-hex:"));
-    }
-
-    #[test]
-    fn issue_and_add_helper() {
-        let mut wallet = Wallet::new();
-        let issuer = SigningKey::from_seed(&[7; 32]);
-        let holder = SigningKey::from_seed(&[8; 32]);
-        let handle = FHandle::pack(1, 42, 1);
-        wallet.issue_and_add(&issuer, &holder.public(), &handle, Perm::RW);
-        assert_eq!(wallet.len(), 1);
-        assert_eq!(wallet.relevant_for("42.1").len(), 1);
     }
 }

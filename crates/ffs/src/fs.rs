@@ -247,7 +247,7 @@ pub struct FsStats {
     /// Free data blocks.
     pub free_blocks: u64,
     /// Total inodes.
-    pub total_inodes: u32,
+    pub(crate) total_inodes: u32,
     /// Free inodes.
     pub free_inodes: u32,
 }
@@ -302,7 +302,7 @@ impl Ffs {
 
     /// Whether `disk` carries a volume superblock (even a damaged
     /// one): the signal that a `format_*` path would destroy data.
-    pub fn is_formatted(disk: &dyn BlockStore) -> bool {
+    pub(crate) fn is_formatted(disk: &dyn BlockStore) -> bool {
         disk.block_count() > 0
             && !matches!(
                 Superblock::from_block(&disk.read_block_meta(0)),
@@ -315,7 +315,7 @@ impl Ffs {
     /// that is neither formatted nor virgin holds *something* —
     /// foreign data, or a volume decrypted with the wrong key — and
     /// [`Ffs::open_or_format`] refuses to format over it.
-    pub fn is_virgin(disk: &dyn BlockStore) -> bool {
+    pub(crate) fn is_virgin(disk: &dyn BlockStore) -> bool {
         disk.block_count() == 0 || disk.read_block_meta(0).iter().all(|&b| b == 0)
     }
 

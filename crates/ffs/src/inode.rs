@@ -10,13 +10,13 @@
 use store::BLOCK_SIZE;
 
 /// Size of one serialized inode.
-pub const INODE_SIZE: usize = 256;
+pub(crate) const INODE_SIZE: usize = 256;
 /// Inodes per filesystem block.
-pub const INODES_PER_BLOCK: usize = BLOCK_SIZE / INODE_SIZE;
+pub(crate) const INODES_PER_BLOCK: usize = BLOCK_SIZE / INODE_SIZE;
 /// Number of direct block pointers.
-pub const NDIRECT: usize = 12;
+pub(crate) const NDIRECT: usize = 12;
 /// Pointers per indirect block.
-pub const PTRS_PER_BLOCK: usize = BLOCK_SIZE / 4;
+pub(crate) const PTRS_PER_BLOCK: usize = BLOCK_SIZE / 4;
 
 /// File type, stored in the high bits of `mode` like Unix `S_IFMT`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +40,7 @@ impl FileKind {
     }
 
     /// Extracts the kind from a full mode word.
-    pub fn from_mode(mode: u32) -> Option<FileKind> {
+    pub(crate) fn from_mode(mode: u32) -> Option<FileKind> {
         match mode & 0o170000 {
             0o100000 => Some(FileKind::Regular),
             0o040000 => Some(FileKind::Directory),
@@ -52,7 +52,7 @@ impl FileKind {
 
 /// An in-memory inode image (serialized to 256 bytes on disk).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Inode {
+pub(crate) struct Inode {
     /// Type + permission bits.
     pub mode: u32,
     /// Owner user id.
@@ -74,16 +74,16 @@ pub struct Inode {
     /// for).
     pub generation: u32,
     /// Direct block pointers.
-    pub direct: [u32; NDIRECT],
+    pub(crate) direct: [u32; NDIRECT],
     /// Single-indirect block pointer.
-    pub indirect: u32,
+    pub(crate) indirect: u32,
     /// Double-indirect block pointer.
-    pub double_indirect: u32,
+    pub(crate) double_indirect: u32,
 }
 
 impl Inode {
     /// An empty (freed) inode with a retained generation number.
-    pub fn empty(generation: u32) -> Inode {
+    pub(crate) fn empty(generation: u32) -> Inode {
         Inode {
             mode: 0,
             uid: 0,
@@ -101,7 +101,7 @@ impl Inode {
     }
 
     /// Whether the inode is allocated (mode 0 means free).
-    pub fn is_allocated(&self) -> bool {
+    pub(crate) fn is_allocated(&self) -> bool {
         self.mode != 0
     }
 
@@ -110,12 +110,12 @@ impl Inode {
     /// # Panics
     ///
     /// Panics on a free inode; callers check allocation first.
-    pub fn kind(&self) -> FileKind {
+    pub(crate) fn kind(&self) -> FileKind {
         FileKind::from_mode(self.mode).expect("allocated inode has a valid kind")
     }
 
     /// Serializes to the on-disk form.
-    pub fn to_bytes(&self) -> [u8; INODE_SIZE] {
+    pub(crate) fn to_bytes(&self) -> [u8; INODE_SIZE] {
         let mut out = [0u8; INODE_SIZE];
         out[0..4].copy_from_slice(&self.mode.to_be_bytes());
         out[4..8].copy_from_slice(&self.uid.to_be_bytes());
@@ -135,7 +135,7 @@ impl Inode {
     }
 
     /// Deserializes from the on-disk form.
-    pub fn from_bytes(data: &[u8]) -> Inode {
+    pub(crate) fn from_bytes(data: &[u8]) -> Inode {
         assert!(data.len() >= INODE_SIZE, "short inode record");
         let u32_at =
             |off: usize| u32::from_be_bytes(data[off..off + 4].try_into().expect("4 bytes"));

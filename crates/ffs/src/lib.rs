@@ -203,6 +203,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cache;
 mod check;
@@ -216,9 +217,7 @@ pub use cache::CacheStats;
 pub use fs::{Attr, DirEntry, Ffs, FsConfig, FsStats, Ino, SetAttr};
 pub use inode::FileKind;
 pub use sb::MountError;
-pub use store::{
-    BlockStore, DiskModel, IoClass, RemoteOptions, StoreBackend, StoreStats, BLOCK_SIZE,
-};
+pub use store::{BlockStore, IoClass, RemoteOptions, StoreBackend, StoreStats, BLOCK_SIZE};
 
 /// Errors returned by filesystem operations (errno-flavored).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

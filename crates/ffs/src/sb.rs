@@ -94,19 +94,19 @@ impl std::error::Error for MountError {}
 pub(crate) struct Superblock {
     pub total_blocks: u64,
     pub inode_count: u32,
-    pub ibmap_start: u64,
-    pub bbmap_start: u64,
-    pub itable_start: u64,
-    pub data_start: u64,
+    pub(crate) ibmap_start: u64,
+    pub(crate) bbmap_start: u64,
+    pub(crate) itable_start: u64,
+    pub(crate) data_start: u64,
     /// Filesystem tick at the last sync (mount resumes past it).
-    pub tick: u64,
+    pub(crate) tick: u64,
     /// Whether the on-disk bitmaps match the inode table.
-    pub clean: bool,
+    pub(crate) clean: bool,
 }
 
 impl Superblock {
     /// Serializes to a full superblock block (checksummed).
-    pub fn to_block(self) -> Vec<u8> {
+    pub(crate) fn to_block(self) -> Vec<u8> {
         let mut out = vec![0u8; BLOCK_SIZE];
         out[0..8].copy_from_slice(&SB_MAGIC);
         out[8..12].copy_from_slice(&SB_VERSION.to_be_bytes());
@@ -131,7 +131,7 @@ impl Superblock {
     /// [`MountError::UnsupportedVersion`] /
     /// [`MountError::ChecksumMismatch`] for recognizable-but-unusable
     /// headers.
-    pub fn from_block(data: &[u8]) -> Result<Superblock, MountError> {
+    pub(crate) fn from_block(data: &[u8]) -> Result<Superblock, MountError> {
         if data.len() < BLOCK_SIZE || data[0..8] != SB_MAGIC {
             return Err(MountError::NoSuperblock);
         }

@@ -560,7 +560,8 @@ mod cache_accounting {
 
     use store::{Bytes, SimStore};
 
-    use crate::{BlockStore, DiskModel, Ffs, FsConfig, IoClass, StoreStats, BLOCK_SIZE};
+    use crate::{BlockStore, Ffs, FsConfig, IoClass, StoreStats, BLOCK_SIZE};
+    use store::DiskModel;
 
     /// A directory of 24 one-block files written in creation order.
     fn directory_of_24(fs: &Ffs) -> crate::Ino {
@@ -724,7 +725,8 @@ mod cache_accounting {
 mod allocation_groups {
     use netsim::SimClock;
 
-    use crate::{DiskModel, Ffs, FsConfig, BLOCK_SIZE};
+    use crate::{Ffs, FsConfig, BLOCK_SIZE};
+    use store::DiskModel;
 
     /// Used data blocks in group `g`.
     fn used_in_group(fs: &Ffs, g: u64) -> usize {

@@ -10,7 +10,7 @@
 //! The figure was set when the record checksum was a SHA-256 (~45 µs a
 //! block); PR 14 made it `checksum64` (< 1 µs), so a 4-core run of this
 //! test decides whether the workers still earn their place (ROADMAP
-//! item 11). Best of three rounds a side, so one scheduler hiccup on a
+//! item 10). Best of three rounds a side, so one scheduler hiccup on a
 //! shared runner cannot set the ratio.
 
 use std::time::Instant;

@@ -158,7 +158,7 @@ impl Assertion {
     }
 
     /// The assertion's raw text as parsed.
-    pub fn raw(&self) -> &str {
+    pub(crate) fn raw(&self) -> &str {
         &self.raw
     }
 
@@ -184,13 +184,8 @@ impl Assertion {
     }
 
     /// The parsed conditions program (`None` = no restrictions).
-    pub fn conditions(&self) -> Option<&Program> {
+    pub(crate) fn conditions(&self) -> Option<&Program> {
         self.conditions.as_ref()
-    }
-
-    /// Whether a `Signature` field is present.
-    pub fn is_signed(&self) -> bool {
-        self.signature.is_some()
     }
 
     /// A stable content identifier: SHA-256 of the raw text (hex).
@@ -404,7 +399,6 @@ mod tests {
             .conditions("(app_domain == \"DisCFS\") && (HANDLE == \"666240\") -> \"RWX\";")
             .sign(&admin());
         let a = Assertion::parse(&text).unwrap();
-        assert!(a.is_signed());
         assert_eq!(a.comment(), Some("testdir"));
         assert_eq!(a.authorizer(), &Principal::Key(admin().public()));
         a.verify().unwrap();
@@ -430,7 +424,6 @@ mod tests {
             .policy();
         let a = Assertion::parse(&text).unwrap();
         assert_eq!(a.authorizer(), &Principal::Policy);
-        assert!(!a.is_signed());
         assert_eq!(a.verify(), Err(KeyNoteError::MissingField("Signature")));
     }
 

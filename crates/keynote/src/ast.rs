@@ -45,20 +45,20 @@ impl LicenseeExpr {
 /// A conditions program: an ordered list of clauses whose overall value
 /// is the maximum clause value (RFC 2704 §4.6.4).
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Program(pub Vec<Clause>);
+pub(crate) struct Program(pub Vec<Clause>);
 
 /// One `test -> outcome` clause.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Clause {
+pub(crate) struct Clause {
     /// The boolean guard.
-    pub test: BoolExpr,
+    pub(crate) test: BoolExpr,
     /// What the clause yields when the guard holds.
-    pub outcome: Outcome,
+    pub(crate) outcome: Outcome,
 }
 
 /// The right-hand side of a clause.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     /// No explicit `->`: a passing test yields `_MAX_TRUST`.
     MaxTrust,
     /// `-> "value"`: a passing test yields the named compliance value.
@@ -69,7 +69,7 @@ pub enum Outcome {
 
 /// Boolean expressions over action attributes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum BoolExpr {
+pub(crate) enum BoolExpr {
     /// Literal `true`.
     True,
     /// Literal `false`.
@@ -88,7 +88,7 @@ pub enum BoolExpr {
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
+pub(crate) enum CmpOp {
     /// `==`
     Eq,
     /// `!=`
@@ -111,7 +111,7 @@ pub enum CmpOp {
 /// string literals and concatenations are strings, and attribute
 /// references adopt the other side's kind.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ValExpr {
+pub(crate) enum ValExpr {
     /// A quoted string literal.
     Str(String),
     /// A numeric literal (kept as written for exactness).
@@ -130,7 +130,7 @@ pub enum ValExpr {
 
 /// Arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArithOp {
+pub(crate) enum ArithOp {
     /// `+`
     Add,
     /// `-`
@@ -147,7 +147,7 @@ pub enum ArithOp {
 
 impl ValExpr {
     /// Whether this expression is syntactically numeric.
-    pub fn is_numeric_kind(&self) -> bool {
+    pub(crate) fn is_numeric_kind(&self) -> bool {
         matches!(self, ValExpr::Num(_) | ValExpr::Arith(..) | ValExpr::Neg(_))
     }
 }

@@ -7,26 +7,24 @@
 //! them, and exporting them would ship a second query path.
 
 use discfs_crypto::ed25519::SigningKey;
+use discfs_crypto::rng::{DetRng, RngCore};
 
 use crate::session::PROGRAMS_EVALUATED;
 use crate::{key_principal, AssertionBuilder, Principal, Session};
 
 const PERMS: [&str; 8] = ["false", "X", "W", "WX", "R", "RX", "RW", "RWX"];
 
-/// SplitMix64: small, seedable, and the same stream on every platform.
-struct Rng(u64);
+/// The workspace's seeded generator, with the draws the generators
+/// below need.
+struct Rng(DetRng);
 
 impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+    fn new(seed: u64) -> Rng {
+        Rng(DetRng::new(seed))
     }
 
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.0.next_u64() % n as u64) as usize
     }
 
     fn chance(&mut self, percent: usize) -> bool {
@@ -270,7 +268,7 @@ fn indexed_query_equals_full_scan_on_random_sessions() {
     let world = World::new();
     let (mut queries, mut granted) = (0, 0);
     for seed in 0..SESSIONS {
-        let mut rng = Rng(0x5eed_0016_0000_0000 + seed);
+        let mut rng = Rng::new(0x5eed_0016_0000_0000 + seed);
         // 1-60 assertions, most sessions small: cycles and chains need
         // few, bucket pressure needs many.
         let size = if rng.chance(75) {
@@ -287,7 +285,7 @@ fn indexed_query_equals_full_scan_on_random_sessions() {
         granted += compare(&world, &mut rng, &mut session, 4, seed);
 
         // Revocation shape: drop a third, then keep adding.
-        let mut keep = Rng(rng.next());
+        let mut keep = Rng::new(rng.0.next_u64());
         session.retain_credentials(|_| !keep.chance(33));
         granted += compare(&world, &mut rng, &mut session, 2, seed);
         for _ in 0..rng.below(4) {

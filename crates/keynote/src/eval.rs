@@ -26,13 +26,13 @@ use crate::regex::Regex;
 use crate::values::ValueSet;
 
 /// Evaluation context for one query.
-pub struct EvalCtx<'a> {
+pub(crate) struct EvalCtx<'a> {
     /// The action attributes the caller set.
-    pub attributes: &'a HashMap<String, String>,
+    pub(crate) attributes: &'a HashMap<String, String>,
     /// The `_ACTION_AUTHORIZERS` text (requesters, sorted, comma-joined).
-    pub action_authorizers: &'a str,
+    pub(crate) action_authorizers: &'a str,
     /// The ordered compliance value set of the query.
-    pub values: &'a ValueSet,
+    pub(crate) values: &'a ValueSet,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -60,7 +60,7 @@ impl<'a> EvalCtx<'a> {
 /// with a non-empty literal it holds exactly when the attribute is
 /// defined and equal to the literal (an undefined attribute reads as
 /// `""`). [`crate::Session`] indexes assertions by these pairs.
-pub fn required_equalities<'p>(test: &'p BoolExpr, out: &mut Vec<(&'p str, &'p str)>) {
+pub(crate) fn required_equalities<'p>(test: &'p BoolExpr, out: &mut Vec<(&'p str, &'p str)>) {
     match test {
         BoolExpr::And(a, b) => {
             required_equalities(a, out);
@@ -77,7 +77,7 @@ pub fn required_equalities<'p>(test: &'p BoolExpr, out: &mut Vec<(&'p str, &'p s
 }
 
 /// Evaluates a conditions program to a compliance value index.
-pub fn eval_program<'a>(program: &'a Program, ctx: &EvalCtx<'a>) -> usize {
+pub(crate) fn eval_program<'a>(program: &'a Program, ctx: &EvalCtx<'a>) -> usize {
     let mut best = ctx.values.min_index();
     for clause in &program.0 {
         if eval_bool(&clause.test, ctx) {
@@ -93,7 +93,7 @@ pub fn eval_program<'a>(program: &'a Program, ctx: &EvalCtx<'a>) -> usize {
 }
 
 /// Evaluates a boolean test; any evaluation error yields `false`.
-pub fn eval_bool<'a>(expr: &'a BoolExpr, ctx: &EvalCtx<'a>) -> bool {
+pub(crate) fn eval_bool<'a>(expr: &'a BoolExpr, ctx: &EvalCtx<'a>) -> bool {
     match expr {
         BoolExpr::True => true,
         BoolExpr::False => false,
@@ -146,7 +146,7 @@ fn eval_cmp<'a>(lhs: &'a ValExpr, op: CmpOp, rhs: &'a ValExpr, ctx: &EvalCtx<'a>
 
 /// Evaluates a value expression to a string; `None` signals a numeric
 /// evaluation error (which fails the enclosing test).
-pub fn eval_val<'a>(expr: &'a ValExpr, ctx: &EvalCtx<'a>) -> Option<Cow<'a, str>> {
+pub(crate) fn eval_val<'a>(expr: &'a ValExpr, ctx: &EvalCtx<'a>) -> Option<Cow<'a, str>> {
     match expr {
         ValExpr::Str(s) => Some(Cow::Borrowed(s)),
         ValExpr::Num(n) => Some(Cow::Borrowed(n)),
@@ -220,7 +220,7 @@ mod tests {
             action_authorizers: "",
             values: &vs,
         };
-        vs.value_at(eval_program(&program, &ctx)).to_string()
+        vs.shared_value_at(eval_program(&program, &ctx)).to_string()
     }
 
     fn eval_bool_str(conditions: &str, attrs: &[(&str, &str)]) -> bool {

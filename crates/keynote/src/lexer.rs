@@ -5,7 +5,7 @@ use crate::KeyNoteError;
 
 /// A lexical token of the KeyNote assertion language.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// An identifier: `[A-Za-z_][A-Za-z0-9_]*`.
     Ident(String),
     /// A quoted string literal (quotes stripped, escapes resolved).
@@ -74,7 +74,7 @@ pub enum Token {
 ///
 /// Returns [`KeyNoteError::Syntax`] on unterminated strings or
 /// unrecognized characters.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, KeyNoteError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, KeyNoteError> {
     let mut tokens = Vec::new();
     let chars: Vec<char> = input.chars().collect();
     let mut i = 0;

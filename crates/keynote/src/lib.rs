@@ -98,6 +98,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod assertion;
 mod ast;
@@ -114,7 +115,6 @@ mod values;
 pub use assertion::{Assertion, AssertionBuilder, SignedAssertion};
 pub use principal::{key_principal, Principal};
 pub use session::{ComplianceValue, Session};
-pub use values::ValueSet;
 
 /// Errors produced while parsing or evaluating KeyNote assertions.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -66,7 +66,7 @@ impl Ts {
 ///
 /// Unquoted identifiers are resolved through the assertion's
 /// `Local-Constants`.
-pub fn parse_licensees(
+pub(crate) fn parse_licensees(
     input: &str,
     constants: &HashMap<String, String>,
 ) -> Result<Option<LicenseeExpr>, KeyNoteError> {
@@ -155,7 +155,7 @@ fn parse_lic_atom(
 
 /// Parses an `Authorizer:` field body (one principal, possibly through a
 /// local constant).
-pub fn parse_authorizer(
+pub(crate) fn parse_authorizer(
     input: &str,
     constants: &HashMap<String, String>,
 ) -> Result<Principal, KeyNoteError> {
@@ -189,7 +189,7 @@ pub fn parse_authorizer(
 // ---------------------------------------------------------------------------
 
 /// Parses a `Local-Constants:` field body: `NAME = "value"` pairs.
-pub fn parse_local_constants(input: &str) -> Result<Vec<(String, String)>, KeyNoteError> {
+pub(crate) fn parse_local_constants(input: &str) -> Result<Vec<(String, String)>, KeyNoteError> {
     let mut ts = Ts::new(input)?;
     let mut out = Vec::new();
     while !ts.at_end() {
@@ -220,7 +220,7 @@ pub fn parse_local_constants(input: &str) -> Result<Vec<(String, String)>, KeyNo
 // ---------------------------------------------------------------------------
 
 /// Parses a `Conditions:` field body into a [`Program`].
-pub fn parse_conditions(input: &str) -> Result<Program, KeyNoteError> {
+pub(crate) fn parse_conditions(input: &str) -> Result<Program, KeyNoteError> {
     let mut ts = Ts::new(input)?;
     let program = parse_program(&mut ts)?;
     if !ts.at_end() {

@@ -11,7 +11,7 @@ use discfs_crypto::hex;
 use crate::KeyNoteError;
 
 /// The algorithm tag for Ed25519 keys in hex encoding.
-pub const ED25519_HEX: &str = "ed25519-hex";
+pub(crate) const ED25519_HEX: &str = "ed25519-hex";
 
 /// A KeyNote principal.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,7 +35,7 @@ impl Principal {
     ///
     /// Returns [`KeyNoteError::BadPrincipal`] when a key prefix is
     /// present but the payload is not a valid key encoding.
-    pub fn parse(s: &str) -> Result<Principal, KeyNoteError> {
+    pub(crate) fn parse(s: &str) -> Result<Principal, KeyNoteError> {
         if s == "POLICY" {
             return Ok(Principal::Policy);
         }
@@ -55,7 +55,7 @@ impl Principal {
     }
 
     /// Renders the principal in assertion syntax.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         match self {
             Principal::Policy => "POLICY".to_string(),
             Principal::Key(k) => format!("{ED25519_HEX}:{}", hex::encode(&k.0)),

@@ -199,13 +199,8 @@ impl Session {
     /// Creates a session with the given ordered compliance value set
     /// (minimum trust first).
     pub fn new<S: AsRef<str>>(values: &[S]) -> Session {
-        Session::with_value_set(ValueSet::new(values))
-    }
-
-    /// Creates a session from a pre-built [`ValueSet`].
-    pub fn with_value_set(values: ValueSet) -> Session {
         Session {
-            values,
+            values: ValueSet::new(values),
             policies: Vec::new(),
             credentials: Vec::new(),
             attributes: HashMap::new(),
@@ -213,11 +208,6 @@ impl Session {
             action_authorizers: String::new(),
             delegations: Delegations::default(),
         }
-    }
-
-    /// The session's value set.
-    pub fn values(&self) -> &ValueSet {
-        &self.values
     }
 
     /// Adds an unsigned local policy assertion (authorizer `POLICY`).
@@ -340,7 +330,8 @@ impl Session {
     }
 
     /// Removes all action attributes.
-    pub fn clear_attributes(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear_attributes(&mut self) {
         self.attributes.clear();
     }
 

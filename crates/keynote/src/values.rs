@@ -12,7 +12,7 @@ use std::sync::Arc;
 ///
 /// Index 0 is `_MIN_TRUST`, the last index is `_MAX_TRUST`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValueSet {
+pub(crate) struct ValueSet {
     /// Shared so a query result carries its value text by refcount.
     values: Vec<Arc<str>>,
     /// The `_VALUES` attribute, joined once.
@@ -26,7 +26,7 @@ impl ValueSet {
     ///
     /// Panics if fewer than two values are supplied — RFC 2704 requires
     /// at least `_MIN_TRUST` and `_MAX_TRUST` to be distinct.
-    pub fn new<S: AsRef<str>>(values: &[S]) -> ValueSet {
+    pub(crate) fn new<S: AsRef<str>>(values: &[S]) -> ValueSet {
         assert!(
             values.len() >= 2,
             "a compliance value set needs at least two values"
@@ -36,44 +36,19 @@ impl ValueSet {
         ValueSet { values, joined }
     }
 
-    /// The boolean set `["false", "true"]`.
-    pub fn boolean() -> ValueSet {
-        ValueSet::new(&["false", "true"])
-    }
-
     /// The index of `_MIN_TRUST` (always 0).
-    pub fn min_index(&self) -> usize {
+    pub(crate) fn min_index(&self) -> usize {
         0
     }
 
     /// The index of `_MAX_TRUST`.
-    pub fn max_index(&self) -> usize {
+    pub(crate) fn max_index(&self) -> usize {
         self.values.len() - 1
     }
 
     /// Looks up a value's index; `None` when not a member.
-    pub fn index_of(&self, value: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, value: &str) -> Option<usize> {
         self.values.iter().position(|v| v.as_ref() == value)
-    }
-
-    /// The value string at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of range (indices always originate
-    /// from this set, so this indicates an internal logic error).
-    pub fn value_at(&self, index: usize) -> &str {
-        &self.values[index]
-    }
-
-    /// The number of values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the set is empty (never true for a constructed set).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// The value at `index`, shared with the set.
@@ -82,17 +57,17 @@ impl ValueSet {
     }
 
     /// The `_VALUES` attribute string: values joined by commas.
-    pub fn values_attribute(&self) -> &str {
+    pub(crate) fn values_attribute(&self) -> &str {
         &self.joined
     }
 
     /// The `_MIN_TRUST` value string.
-    pub fn min_value(&self) -> &str {
+    pub(crate) fn min_value(&self) -> &str {
         &self.values[0]
     }
 
     /// The `_MAX_TRUST` value string.
-    pub fn max_value(&self) -> &str {
+    pub(crate) fn max_value(&self) -> &str {
         &self.values[self.values.len() - 1]
     }
 }
@@ -103,12 +78,12 @@ mod tests {
 
     #[test]
     fn boolean_set() {
-        let vs = ValueSet::boolean();
+        let vs = ValueSet::new(&["false", "true"]);
         assert_eq!(vs.min_value(), "false");
         assert_eq!(vs.max_value(), "true");
         assert_eq!(vs.index_of("true"), Some(1));
         assert_eq!(vs.index_of("maybe"), None);
-        assert_eq!(vs.len(), 2);
+        assert_eq!(vs.max_index(), 1);
     }
 
     #[test]
@@ -128,7 +103,8 @@ mod tests {
 
     #[test]
     fn values_attribute_joins() {
-        assert_eq!(ValueSet::boolean().values_attribute(), "false,true");
+        let vs = ValueSet::new(&["false", "true"]);
+        assert_eq!(vs.values_attribute(), "false,true");
     }
 
     #[test]

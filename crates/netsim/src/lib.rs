@@ -97,6 +97,8 @@ pub struct LinkConfig {
 // ---------------------------------------------------------------------------
 
 /// SplitMix64 step — the deterministic generator behind [`FaultPlan`].
+/// The workspace's one generator is `discfs_crypto::rng::DetRng`; this
+/// crate keeps its own because it does not depend on the crypto crate.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

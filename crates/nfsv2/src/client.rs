@@ -23,8 +23,8 @@ use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::{AcceptStat, Decoder, Encoder, ReplyBody, RpcCall, RpcReply, XdrError};
 
 use crate::proto::{
-    proc_mount, proc_nfs, DirOpArgs, FHandle, Fattr, NfsStat, ReaddirEntry, Sattr, StatfsRes,
-    MAX_DATA, MOUNT_PROGRAM, MOUNT_VERSION, NFS_PROGRAM, NFS_VERSION,
+    proc_mount, proc_nfs, DirOpArgs, FHandle, Fattr, NfsStat, ReaddirEntry, Sattr, MAX_DATA,
+    MOUNT_PROGRAM, MOUNT_VERSION, NFS_PROGRAM, NFS_VERSION,
 };
 
 /// Client-side errors.
@@ -362,7 +362,8 @@ impl NfsClient {
     }
 
     /// NULL: protocol ping.
-    pub fn null(&self) -> Result<(), ClientError> {
+    #[cfg(test)]
+    pub(crate) fn null(&self) -> Result<(), ClientError> {
         self.call_nfs(proc_nfs::NULL, Vec::new()).map(|_| ())
     }
 
@@ -400,7 +401,8 @@ impl NfsClient {
     }
 
     /// READLINK.
-    pub fn readlink(&self, fh: &FHandle) -> Result<String, ClientError> {
+    #[cfg(test)]
+    pub(crate) fn readlink(&self, fh: &FHandle) -> Result<String, ClientError> {
         let mut e = Encoder::new();
         e.put_opaque_fixed(&fh.0);
         let results = self.call_nfs(proc_nfs::READLINK, e.finish())?;
@@ -408,7 +410,7 @@ impl NfsClient {
         Ok(d.get_string()?)
     }
 
-    /// READ (single call; at most [`MAX_DATA`] bytes).
+    /// READ (single call; at most `MAX_DATA`, 8 KiB).
     pub fn read(
         &self,
         fh: &FHandle,
@@ -426,7 +428,7 @@ impl NfsClient {
         Ok((attr, d.get_opaque()?))
     }
 
-    /// WRITE (single call; at most [`MAX_DATA`] bytes).
+    /// WRITE (single call; at most `MAX_DATA`, 8 KiB).
     pub fn write(&self, fh: &FHandle, offset: u32, data: &[u8]) -> Result<Fattr, ClientError> {
         debug_assert!(data.len() <= MAX_DATA);
         let mut e = Encoder::new();
@@ -485,11 +487,6 @@ impl NfsClient {
         self.name_only_call(proc_nfs::REMOVE, dir, name)
     }
 
-    /// RMDIR.
-    pub fn rmdir(&self, dir: &FHandle, name: &str) -> Result<(), ClientError> {
-        self.name_only_call(proc_nfs::RMDIR, dir, name)
-    }
-
     fn name_only_call(&self, proc_num: u32, dir: &FHandle, name: &str) -> Result<(), ClientError> {
         let mut e = Encoder::new();
         DirOpArgs {
@@ -527,7 +524,13 @@ impl NfsClient {
     }
 
     /// LINK.
-    pub fn link(&self, from: &FHandle, to_dir: &FHandle, to_name: &str) -> Result<(), ClientError> {
+    #[cfg(test)]
+    pub(crate) fn link(
+        &self,
+        from: &FHandle,
+        to_dir: &FHandle,
+        to_name: &str,
+    ) -> Result<(), ClientError> {
         let mut e = Encoder::new();
         e.put_opaque_fixed(&from.0);
         DirOpArgs {
@@ -541,7 +544,8 @@ impl NfsClient {
     }
 
     /// SYMLINK.
-    pub fn symlink(
+    #[cfg(test)]
+    pub(crate) fn symlink(
         &self,
         dir: &FHandle,
         name: &str,
@@ -562,7 +566,7 @@ impl NfsClient {
     }
 
     /// One READDIR call from `cookie`.
-    pub fn readdir(
+    pub(crate) fn readdir(
         &self,
         fh: &FHandle,
         cookie: u32,
@@ -605,12 +609,13 @@ impl NfsClient {
     }
 
     /// STATFS.
-    pub fn statfs(&self, fh: &FHandle) -> Result<StatfsRes, ClientError> {
+    #[cfg(test)]
+    pub(crate) fn statfs(&self, fh: &FHandle) -> Result<crate::proto::StatfsRes, ClientError> {
         let mut e = Encoder::new();
         e.put_opaque_fixed(&fh.0);
         let results = self.call_nfs(proc_nfs::STATFS, e.finish())?;
         let mut d = self.status(&results)?;
-        Ok(StatfsRes::decode(&mut d)?)
+        Ok(crate::proto::StatfsRes::decode(&mut d)?)
     }
 
     // -- multi-call helpers -------------------------------------------------
@@ -737,7 +742,8 @@ impl RemoteFs {
     /// # Errors
     ///
     /// Lookup/mkdir errors.
-    pub fn mkdir_path(&self, path: &str) -> Result<FHandle, ClientError> {
+    #[cfg(test)]
+    pub(crate) fn mkdir_path(&self, path: &str) -> Result<FHandle, ClientError> {
         let (dir, name) = self.split_parent(path)?;
         let (fh, _) = self.client.mkdir(&dir, &name, &Sattr::with_mode(0o755))?;
         Ok(fh)

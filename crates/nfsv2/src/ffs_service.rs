@@ -35,7 +35,7 @@ impl FfsService {
     }
 
     /// Validates a handle and returns the inode number.
-    pub fn resolve_handle(&self, fh: &FHandle) -> Result<u32, NfsStat> {
+    pub(crate) fn resolve_handle(&self, fh: &FHandle) -> Result<u32, NfsStat> {
         let (fsid, ino, generation) = fh.unpack();
         if fsid != self.fsid {
             return Err(NfsStat::Stale);
@@ -47,7 +47,7 @@ impl FfsService {
     }
 
     /// Builds the handle for an inode.
-    pub fn handle_for(&self, ino: u32) -> Result<FHandle, NfsStat> {
+    pub(crate) fn handle_for(&self, ino: u32) -> Result<FHandle, NfsStat> {
         let attr = self.fs.getattr(ino).map_err(NfsStat::from)?;
         Ok(FHandle::pack(self.fsid, ino, attr.generation))
     }

@@ -47,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod client;
 pub mod engine;
@@ -60,8 +61,7 @@ pub use client::{ClientError, NfsClient, RemoteFs, OUTBOX_BYTES};
 pub use engine::{Engine, EngineConfig, EngineStats};
 pub use ffs_service::FfsService;
 pub use proto::{
-    DirOpArgs, FHandle, FType, Fattr, NfsStat, ReaddirEntry, Sattr, StatfsRes, TimeVal, MAX_DATA,
-    MOUNT_PROGRAM, NFS_PROGRAM,
+    DirOpArgs, FHandle, FType, Fattr, NfsStat, ReaddirEntry, Sattr, StatfsRes, TimeVal, NFS_PROGRAM,
 };
 pub use service::{NfsService, RequestCtx};
 

@@ -8,43 +8,43 @@ pub const NFS_PROGRAM: u32 = 100003;
 /// NFS protocol version implemented here.
 pub const NFS_VERSION: u32 = 2;
 /// The MOUNT program number.
-pub const MOUNT_PROGRAM: u32 = 100005;
+pub(crate) const MOUNT_PROGRAM: u32 = 100005;
 /// MOUNT protocol version.
-pub const MOUNT_VERSION: u32 = 1;
+pub(crate) const MOUNT_VERSION: u32 = 1;
 
 /// NFSv2 procedure numbers.
 #[allow(missing_docs)]
 pub mod proc_nfs {
-    pub const NULL: u32 = 0;
+    pub(crate) const NULL: u32 = 0;
     pub const GETATTR: u32 = 1;
     pub const SETATTR: u32 = 2;
-    pub const ROOT: u32 = 3;
+    pub(crate) const ROOT: u32 = 3;
     pub const LOOKUP: u32 = 4;
-    pub const READLINK: u32 = 5;
+    pub(crate) const READLINK: u32 = 5;
     pub const READ: u32 = 6;
-    pub const WRITECACHE: u32 = 7;
+    pub(crate) const WRITECACHE: u32 = 7;
     pub const WRITE: u32 = 8;
-    pub const CREATE: u32 = 9;
-    pub const REMOVE: u32 = 10;
-    pub const RENAME: u32 = 11;
-    pub const LINK: u32 = 12;
-    pub const SYMLINK: u32 = 13;
-    pub const MKDIR: u32 = 14;
-    pub const RMDIR: u32 = 15;
+    pub(crate) const CREATE: u32 = 9;
+    pub(crate) const REMOVE: u32 = 10;
+    pub(crate) const RENAME: u32 = 11;
+    pub(crate) const LINK: u32 = 12;
+    pub(crate) const SYMLINK: u32 = 13;
+    pub(crate) const MKDIR: u32 = 14;
+    pub(crate) const RMDIR: u32 = 15;
     pub const READDIR: u32 = 16;
-    pub const STATFS: u32 = 17;
+    pub(crate) const STATFS: u32 = 17;
 }
 
 /// MOUNT procedure numbers.
 #[allow(missing_docs)]
-pub mod proc_mount {
-    pub const NULL: u32 = 0;
-    pub const MNT: u32 = 1;
-    pub const UMNT: u32 = 3;
+pub(crate) mod proc_mount {
+    pub(crate) const NULL: u32 = 0;
+    pub(crate) const MNT: u32 = 1;
+    pub(crate) const UMNT: u32 = 3;
 }
 
 /// Maximum data per READ/WRITE call (NFSv2 limit).
-pub const MAX_DATA: usize = 8192;
+pub(crate) const MAX_DATA: usize = 8192;
 
 /// NFSv2 status codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,9 +203,9 @@ impl From<FileKind> for FType {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TimeVal {
     /// Seconds.
-    pub secs: u32,
+    pub(crate) secs: u32,
     /// Microseconds.
-    pub usecs: u32,
+    pub(crate) usecs: u32,
 }
 
 /// NFSv2 file attributes (`fattr`).
@@ -243,7 +243,7 @@ pub struct Fattr {
 
 impl Fattr {
     /// Builds NFS attributes from filesystem attributes.
-    pub fn from_attr(fsid: u32, attr: &ffs::Attr) -> Fattr {
+    pub(crate) fn from_attr(fsid: u32, attr: &ffs::Attr) -> Fattr {
         Fattr {
             ftype: attr.kind.into(),
             mode: attr.kind.mode_bits() | attr.mode,
@@ -373,7 +373,7 @@ impl Sattr {
     }
 
     /// Converts to the filesystem's update type.
-    pub fn to_setattr(&self) -> ffs::SetAttr {
+    pub(crate) fn to_setattr(self) -> ffs::SetAttr {
         let opt = |v: u32| if v == u32::MAX { None } else { Some(v) };
         ffs::SetAttr {
             mode: opt(self.mode),
@@ -398,7 +398,7 @@ impl Sattr {
     }
 
     /// Decodes an sattr block.
-    pub fn decode(d: &mut Decoder<'_>) -> Result<Sattr, XdrError> {
+    pub(crate) fn decode(d: &mut Decoder<'_>) -> Result<Sattr, XdrError> {
         Ok(Sattr {
             mode: d.get_u32()?,
             uid: d.get_u32()?,
@@ -449,27 +449,27 @@ pub struct ReaddirEntry {
     /// Entry name.
     pub name: String,
     /// Opaque continuation cookie.
-    pub cookie: u32,
+    pub(crate) cookie: u32,
 }
 
 /// Result of STATFS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatfsRes {
     /// Optimal transfer size.
-    pub tsize: u32,
+    pub(crate) tsize: u32,
     /// Block size.
-    pub bsize: u32,
+    pub(crate) bsize: u32,
     /// Total blocks.
     pub blocks: u32,
     /// Free blocks.
-    pub bfree: u32,
+    pub(crate) bfree: u32,
     /// Blocks available to non-privileged users.
-    pub bavail: u32,
+    pub(crate) bavail: u32,
 }
 
 impl StatfsRes {
     /// Encodes the info block.
-    pub fn encode(&self, e: &mut Encoder) {
+    pub(crate) fn encode(&self, e: &mut Encoder) {
         e.put_u32(self.tsize);
         e.put_u32(self.bsize);
         e.put_u32(self.blocks);
@@ -478,7 +478,8 @@ impl StatfsRes {
     }
 
     /// Decodes the info block.
-    pub fn decode(d: &mut Decoder<'_>) -> Result<StatfsRes, XdrError> {
+    #[cfg(test)]
+    pub(crate) fn decode(d: &mut Decoder<'_>) -> Result<StatfsRes, XdrError> {
         Ok(StatfsRes {
             tsize: d.get_u32()?,
             bsize: d.get_u32()?,
@@ -488,9 +489,6 @@ impl StatfsRes {
         })
     }
 }
-
-/// Re-export used by service implementations.
-pub use FHandle as Handle;
 
 #[cfg(test)]
 mod tests {

@@ -25,7 +25,7 @@ pub struct RequestCtx {
 
 impl RequestCtx {
     /// An anonymous context (no channel identity, nobody uid).
-    pub fn anonymous() -> RequestCtx {
+    pub(crate) fn anonymous() -> RequestCtx {
         RequestCtx {
             peer: None,
             uid: u32::MAX,

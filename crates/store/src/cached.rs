@@ -183,13 +183,9 @@ impl<S: BlockStore> CachedStore<S> {
         &self.inner
     }
 
-    /// The configured sequential-readahead window (0 = disabled).
-    pub fn readahead_window(&self) -> usize {
-        self.readahead_window
-    }
-
     /// Blocks currently held dirty (not yet written back).
-    pub fn dirty_blocks(&self) -> usize {
+    #[cfg(test)]
+    fn dirty_blocks(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().map.values().filter(|e| e.dirty).count())
@@ -599,7 +595,7 @@ mod tests {
     #[test]
     fn readahead_is_off_by_default() {
         let store = CachedStore::new(SimStore::untimed(64), 64);
-        assert_eq!(store.readahead_window(), 0);
+        assert_eq!(store.readahead_window, 0);
         for i in 0..64u64 {
             store.read_block(i);
         }

@@ -35,12 +35,6 @@ impl<S: BlockStore> EncryptedStore<S> {
         EncryptedStore { inner, block_key }
     }
 
-    /// The wrapped backend (its stats are also reachable through
-    /// [`BlockStore::stats`] on the wrapper).
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     fn nonce(idx: u64) -> [u8; 12] {
         let mut nonce = [0u8; 12];
         nonce[..8].copy_from_slice(&idx.to_be_bytes());
@@ -137,7 +131,7 @@ mod tests {
             let store = EncryptedStore::new(inner, &[1; 32]);
             store.write_block(0, &block);
             // What the inner store holds is not the plaintext.
-            let raw = store.inner().read_block(0);
+            let raw = store.inner.read_block(0);
             assert_ne!(raw, block);
             assert_eq!(store.read_block(0), block);
         }
@@ -150,8 +144,8 @@ mod tests {
         store.write_block(0, &block);
         store.write_block(1, &block);
         assert_ne!(
-            store.inner().read_block(0),
-            store.inner().read_block(1),
+            store.inner.read_block(0),
+            store.inner.read_block(1),
             "per-block nonces must separate the keystreams"
         );
     }

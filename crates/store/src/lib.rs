@@ -63,7 +63,7 @@
 //! ([`ShardedStore::with_workers`], [`StoreStats::worker_jobs`]) a write
 //! runs one job per involved shard, a read stays on the caller's thread
 //! (2.0 MB less resident set on `stack_mixed`).
-//! [`StoreStats::vectored_reads`] / `vectored_writes` count the calls
+//! `StoreStats::vectored_reads` / `vectored_writes` count the calls
 //! that carried more than one data block, at each layer that received
 //! them.
 //!
@@ -80,10 +80,8 @@
 //!   is one RPC for each 127 blocks (every message fits
 //!   [`onc_rpc::frame::DEFAULT_MAX_FRAME`], as on the NFS path), with
 //!   per-node timeout/retry and a **dead-node latch** once the link
-//!   fails. The
-//!   [`StoreBackend::Remote`] preset composes it under the cache and
-//!   sharding wrappers — `Cached { Sharded { Remote } }` is a buffer
-//!   cache over a striped set of network nodes.
+//!   fails. It is [`ReplicatedStore`]'s node client; no preset mounts
+//!   a bare one.
 //! * [`ReplicatedStore`] stripes one volume R-way across N nodes with
 //!   **epoch-stamped commits**: a flush is one or more epochs, each a
 //!   block-order prefix of the buffer whose share lands on every node
@@ -128,10 +126,10 @@
 //! virtual clock, never on the wall. Only when the accumulated
 //! waiting budget reaches [`RemoteOptions::deadline`] is the node
 //! declared dead, and death is **not terminal**: the latch records a
-//! [`DeadCause`]. A `Timeout` looks like loss or a partition, so the
+//! `DeadCause`. A `Timeout` looks like loss or a partition, so the
 //! replicated tier puts the node in *probation* and periodically
 //! probes it with a cheap un-retried length RPC
-//! ([`RemoteStore::probe`]); a successful probe revives the node
+//! (`RemoteStore::probe`); a successful probe revives the node
 //! ([`StoreStats::nodes_revived`]). If its epoch record matches the
 //! committed epoch it rejoins live with **no data copied**; if it
 //! missed commits it is re-synced from its peers first. A
@@ -209,6 +207,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cached;
 mod encrypted;
@@ -225,11 +224,10 @@ pub use encrypted::EncryptedStore;
 pub use file::temp_dir_for_tests;
 pub use file::{FileStore, JOURNAL_RECORD_LEN};
 pub use remote::{
-    BlockServer, DeadCause, LeaseGrant, NodeLease, NodeLink, RemoteError, RemoteOptions,
-    RemoteStore,
+    BlockServer, LeaseGrant, NodeLease, NodeLink, RemoteError, RemoteOptions, RemoteStore,
 };
 pub use replicated::{RebuildConfig, ReplicatedStore};
-pub use sharded::{ShardedStore, WORKER_QUEUE_DEPTH};
+pub use sharded::ShardedStore;
 pub use sim::{DiskModel, SimStore};
 
 use std::path::PathBuf;
@@ -295,7 +293,7 @@ pub struct StoreStats {
     /// layer of a composition counts the calls *it* receives (a cache
     /// forwards only its misses, a sharded store fans one call out to
     /// its shards), so the merged stats of a wrapped stack sum them.
-    pub vectored_reads: u64,
+    pub(crate) vectored_reads: u64,
     /// [`BlockStore::write`] calls that carried more than one data
     /// block (same per-layer accounting as `vectored_reads`).
     pub vectored_writes: u64,
@@ -307,7 +305,7 @@ pub struct StoreStats {
     /// pattern never forms an ascending stride).
     pub readahead_blocks: u64,
     /// Completed [`BlockStore::flush`] calls.
-    pub flushes: u64,
+    pub(crate) flushes: u64,
     /// RPC round-trips a `RemoteStore` client issued: one per request
     /// frame that reached the wire, retries included.
     pub rpc_calls: u64,
@@ -356,7 +354,7 @@ impl StoreStats {
     }
 
     /// Field-wise sum — how [`ShardedStore`] aggregates its shards.
-    pub fn merge(&self, other: &StoreStats) -> StoreStats {
+    pub(crate) fn merge(&self, other: &StoreStats) -> StoreStats {
         StoreStats {
             reads: self.reads + other.reads,
             writes: self.writes + other.writes,
@@ -609,26 +607,15 @@ pub enum StoreBackend {
         /// The backend each shard is built from.
         inner: Box<StoreBackend>,
     },
-    /// The inner backend served by a [`BlockServer`] behind a
-    /// simulated network link ([`NodeLink`]), accessed through a [`RemoteStore`]
-    /// client — one storage node, so caching/sharding presets compose
-    /// over the network exactly as they do locally.
-    Remote {
-        /// Charge the paper's 100 Mbps Ethernet timing on the link
-        /// (`false` = an instant link for correctness tests).
-        ethernet: bool,
-        /// Timeout/backoff/deadline policy for the client
-        /// ([`RemoteOptions::default`] for the stock schedule).
-        opts: RemoteOptions,
-        /// The backend the node serves. Persistent inners get a
-        /// `node` subdirectory.
-        inner: Box<StoreBackend>,
-    },
-    /// One volume replicated R-way across N [`RemoteStore`] nodes
-    /// (plus idle spares) with epoch-stamped commits and
-    /// rebuild-onto-spare after a node death ([`ReplicatedStore`]).
-    /// Persistent inners get per-node subdirectories (`node-0`, …,
-    /// `spare-0`, …).
+    /// One volume replicated R-way across N storage nodes (plus idle
+    /// spares) with epoch-stamped commits and rebuild-onto-spare after
+    /// a node death ([`ReplicatedStore`]). Each node is the inner
+    /// backend served by a [`BlockServer`] behind a simulated network
+    /// link ([`NodeLink`]) and reached through a [`RemoteStore`]
+    /// client; `nodes: 1, replicas: 1, spares: 0` is one node, so
+    /// caching/sharding presets compose over the network exactly as
+    /// they do locally. Persistent inners get per-node subdirectories
+    /// (`node-0`, …, `spare-0`, …).
     Replicated {
         /// Number of storage nodes.
         nodes: u32,
@@ -704,19 +691,6 @@ impl StoreBackend {
                     Arc::new(ShardedStore::new(stores, block_count))
                 }
             }
-            StoreBackend::Remote {
-                ethernet,
-                opts,
-                inner,
-            } => {
-                let node = inner.with_subdir("node").build(clock, block_count);
-                Arc::new(RemoteStore::serve_local(
-                    node,
-                    clock,
-                    link_config(*ethernet),
-                    *opts,
-                ))
-            }
             StoreBackend::Replicated {
                 nodes,
                 replicas,
@@ -758,7 +732,7 @@ impl StoreBackend {
     /// A copy of this spec with every persistence directory pushed
     /// down into `name` — how [`StoreBackend::Sharded`] gives each
     /// shard of a persistent backend its own subdirectory.
-    pub fn with_subdir(&self, name: &str) -> StoreBackend {
+    pub(crate) fn with_subdir(&self, name: &str) -> StoreBackend {
         match self {
             StoreBackend::FileJournal { dir } => StoreBackend::FileJournal {
                 dir: dir.join(name),
@@ -789,15 +763,6 @@ impl StoreBackend {
                 workers: *workers,
                 inner: Box::new(inner.with_subdir(name)),
             },
-            StoreBackend::Remote {
-                ethernet,
-                opts,
-                inner,
-            } => StoreBackend::Remote {
-                ethernet: *ethernet,
-                opts: *opts,
-                inner: Box::new(inner.with_subdir(name)),
-            },
             StoreBackend::Replicated {
                 nodes,
                 replicas,
@@ -826,7 +791,6 @@ impl StoreBackend {
             StoreBackend::Cached { inner, .. }
             | StoreBackend::CachedReadahead { inner, .. }
             | StoreBackend::Sharded { inner, .. }
-            | StoreBackend::Remote { inner, .. }
             | StoreBackend::Replicated { inner, .. } => inner.is_persistent(),
             _ => false,
         }
@@ -842,7 +806,6 @@ impl StoreBackend {
             StoreBackend::Cached { .. } => "cached",
             StoreBackend::CachedReadahead { .. } => "cached-readahead",
             StoreBackend::Sharded { .. } => "sharded",
-            StoreBackend::Remote { .. } => "remote",
             StoreBackend::Replicated { .. } => "replicated",
         }
     }
@@ -908,7 +871,10 @@ mod tests {
                 window: 4,
                 inner: Box::new(StoreBackend::SimInstant),
             },
-            StoreBackend::Remote {
+            StoreBackend::Replicated {
+                nodes: 1,
+                replicas: 1,
+                spares: 0,
                 ethernet: false,
                 opts: RemoteOptions::default(),
                 inner: Box::new(StoreBackend::FileJournal {
@@ -920,7 +886,10 @@ mod tests {
                 inner: Box::new(StoreBackend::Sharded {
                     shards: 2,
                     workers: false,
-                    inner: Box::new(StoreBackend::Remote {
+                    inner: Box::new(StoreBackend::Replicated {
+                        nodes: 1,
+                        replicas: 1,
+                        spares: 0,
                         ethernet: false,
                         opts: RemoteOptions::default(),
                         inner: Box::new(StoreBackend::SimInstant),

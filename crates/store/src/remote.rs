@@ -159,6 +159,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes};
+use discfs_crypto::rng::{DetRng, RngCore};
 use netsim::{Endpoint, Link, LinkConfig, NetError, SimClock, Transport};
 use onc_rpc::frame::{self, DEFAULT_MAX_FRAME, FRAME_HEADER};
 use onc_rpc::XdrError;
@@ -297,17 +298,6 @@ struct LeaseSlot {
 }
 
 impl NodeLease {
-    /// The currently-granted fence token (0 while the node has never
-    /// been leased).
-    pub fn granted(&self) -> u64 {
-        self.slot.lock().token
-    }
-
-    /// The coordinator id holding the current grant (0 while unleased).
-    pub fn holder(&self) -> u64 {
-        self.slot.lock().holder
-    }
-
     /// Mutating frames this node refused because their token was below
     /// the current grant — the server-side count of fenced writes,
     /// none of which touched the store.
@@ -363,9 +353,9 @@ impl NodeLease {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaseGrant {
     /// The fence token granted to this coordinator.
-    pub token: u64,
+    pub(crate) token: u64,
     /// Virtual-clock instant the lease expires.
-    pub expires: Duration,
+    pub(crate) expires: Duration,
 }
 
 /// Answers block-protocol calls for one [`BlockStore`] — one simulated
@@ -378,7 +368,7 @@ pub struct LeaseGrant {
 ///
 /// Every mutating request is admitted through the node's [`NodeLease`]
 /// fence *before* the store is touched; servers sharing one store must
-/// share one lease ([`BlockServer::with_lease`]) or the fence has
+/// share one lease (`BlockServer::with_lease`) or the fence has
 /// holes.
 pub struct BlockServer<S> {
     store: S,
@@ -394,13 +384,8 @@ impl<S: BlockStore> BlockServer<S> {
     /// Wraps `store` for serving under a shared lease table — the
     /// multi-coordinator path: every server attached to the same node
     /// store passes the same `lease` so all connections see one fence.
-    pub fn with_lease(store: S, lease: Arc<NodeLease>) -> BlockServer<S> {
+    pub(crate) fn with_lease(store: S, lease: Arc<NodeLease>) -> BlockServer<S> {
         BlockServer { store, lease }
-    }
-
-    /// The node's lease table.
-    pub fn lease(&self) -> &Arc<NodeLease> {
-        &self.lease
     }
 
     /// Answers one call message at virtual time `now`, the clock that
@@ -572,7 +557,7 @@ impl Default for RemoteOptions {
 /// revival; the other causes mean the process or its framing is gone,
 /// so only a spare-rebuild brings the data back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadCause {
+pub(crate) enum DeadCause {
     /// The per-operation deadline lapsed with no reply — possibly a
     /// transient partition; the node may come back.
     Timeout,
@@ -594,7 +579,7 @@ pub enum DeadCause {
 /// No reply can arrive after `send` returns, so a `recv_timeout` that
 /// finds none queued charges its whole timeout to the link's virtual
 /// clock and returns [`NetError::Timeout`] at once. A killed node
-/// ([`RemoteStore::kill_server`]) takes calls off the wire unanswered,
+/// (`RemoteStore::kill_server`) takes calls off the wire unanswered,
 /// and every receive from it is [`NetError::Disconnected`].
 pub struct NodeLink<S> {
     client: Endpoint,
@@ -677,13 +662,13 @@ impl<S: BlockStore> Transport for NodeLink<S> {
 /// frames echo the request id, so a stale or fault-duplicated reply
 /// from an earlier attempt is drained, never mistaken for the current
 /// one. A disconnected link or a lapsed deadline declares the node
-/// **dead** (with a [`DeadCause`]): every later call fails
+/// **dead** (with a `DeadCause`): every later call fails
 /// immediately, and the fallible `try_*` methods surface that to
-/// `ReplicatedStore`'s failover, while [`RemoteStore::probe`] can
+/// `ReplicatedStore`'s failover, while `RemoteStore::probe` can
 /// revive a node whose death was only a timeout. The infallible
-/// [`BlockStore`] methods panic on a dead node — using a bare
-/// `RemoteStore` as a volume's backend (the `StoreBackend::Remote`
-/// preset) treats node death like any other fatal storage failure.
+/// [`BlockStore`] methods panic on a dead node; no preset mounts a bare
+/// `RemoteStore` (a one-node volume is `StoreBackend::Replicated`
+/// with `nodes: 1, replicas: 1, spares: 0`).
 pub struct RemoteStore {
     link: Mutex<Box<dyn Transport>>,
     next_xid: AtomicU32,
@@ -699,8 +684,8 @@ pub struct RemoteStore {
     /// across a whole call, retries and the node's work included).
     faults: Option<netsim::FaultPlan>,
     clock: Option<SimClock>,
-    /// SplitMix64 state for the decorrelated-jitter draws.
-    backoff_rng: AtomicU64,
+    /// The decorrelated-jitter draws.
+    backoff_rng: Mutex<DetRng>,
     /// The kill switch of the [`NodeLink`] behind a `serve_*` store.
     kill: Option<Arc<AtomicBool>>,
     /// The fence token granted by the node's last lease reply (0 =
@@ -748,7 +733,7 @@ impl RemoteStore {
             cause: Mutex::new(None),
             faults,
             clock,
-            backoff_rng: AtomicU64::new(0x5DEE_CE66_D0F1_5A4D),
+            backoff_rng: Mutex::new(DetRng::new(0x5DEE_CE66_D0F1_5A4D)),
             kill: None,
             fence: AtomicU64::new(0),
             fenced_writes: AtomicU64::new(0),
@@ -815,20 +800,20 @@ impl RemoteStore {
     }
 
     /// Number of addressable blocks on the node (learned at connect).
-    pub fn remote_block_count(&self) -> u64 {
+    pub(crate) fn remote_block_count(&self) -> u64 {
         self.block_count
     }
 
     /// Whether this node has been declared dead (disconnected link,
     /// lapsed deadline, or a protocol violation).
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.dead.load(Ordering::SeqCst)
     }
 
     /// Why the node was declared dead (`None` while it is healthy).
     /// The first cause wins: a probe failure on an already-dead node
     /// never overwrites the original diagnosis.
-    pub fn dead_cause(&self) -> Option<DeadCause> {
+    pub(crate) fn dead_cause(&self) -> Option<DeadCause> {
         *self.cause.lock()
     }
 
@@ -844,7 +829,7 @@ impl RemoteStore {
     ///
     /// Any [`RemoteError`]; a failed probe leaves the dead latch and
     /// [`DeadCause`] untouched.
-    pub fn probe(&self) -> Result<u64, RemoteError> {
+    pub(crate) fn probe(&self) -> Result<u64, RemoteError> {
         let link = self.link.lock();
         let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
         let call = encode_call(xid, PROC_LEN, 0, |_| {});
@@ -855,7 +840,7 @@ impl RemoteStore {
     }
 
     /// The one-way link latency hint used for replica ranking.
-    pub fn latency_hint(&self) -> Duration {
+    pub(crate) fn latency_hint(&self) -> Duration {
         self.latency_hint
     }
 
@@ -869,7 +854,7 @@ impl RemoteStore {
     /// answers nothing more and its link reads as disconnected, so the
     /// next call declares it dead. No-op for stores connected over an
     /// external transport.
-    pub fn kill_server(&self) {
+    pub(crate) fn kill_server(&self) {
         if let Some(kill) = &self.kill {
             kill.store(true, Ordering::SeqCst);
         }
@@ -906,7 +891,7 @@ impl RemoteStore {
 
     /// The fence token this client stamps on mutating calls (0 =
     /// unleased legacy mode).
-    pub fn fence_token(&self) -> u64 {
+    pub(crate) fn fence_token(&self) -> u64 {
         self.fence.load(Ordering::SeqCst)
     }
 
@@ -918,17 +903,15 @@ impl RemoteStore {
         self.dead.store(true, Ordering::SeqCst);
     }
 
-    /// A uniform draw in `[0, 1)` from the store's SplitMix64 stream
-    /// (deterministic: backoff schedules replay exactly).
-    fn backoff_draw(&self) -> f64 {
-        let mut s = self
-            .backoff_rng
-            .load(Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        self.backoff_rng.store(s, Ordering::Relaxed);
-        s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((s ^ (s >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    /// The backoff sleep after one of `prev`: decorrelated jitter,
+    /// `min(max_backoff, uniform(base, prev × multiplier))`, drawn from
+    /// the store's [`DetRng`] (seeded alike in every store, so backoff
+    /// schedules replay exactly).
+    fn backoff_sleep(&self, prev: Duration) -> Duration {
+        let hi = prev.mul_f64(self.opts.multiplier.max(1.0));
+        let span = hi.saturating_sub(self.opts.base);
+        let draw = (self.backoff_rng.lock().next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        (self.opts.base + span.mul_f64(draw)).min(self.opts.max_backoff)
     }
 
     /// One send + await-matching-reply attempt: no retries, no dead
@@ -1016,11 +999,7 @@ impl RemoteStore {
                         self.mark_dead(DeadCause::Timeout);
                         return Err(RemoteError::Net(NetError::Timeout));
                     }
-                    // Decorrelated jitter, clamped to [base, max_backoff].
-                    let hi = prev.mul_f64(self.opts.multiplier.max(1.0));
-                    let span = hi.saturating_sub(self.opts.base);
-                    let sleep = (self.opts.base + span.mul_f64(self.backoff_draw()))
-                        .min(self.opts.max_backoff);
+                    let sleep = self.backoff_sleep(prev);
                     prev = sleep;
                     waited += sleep;
                     // Charge the wait to the virtual clock so partition
@@ -1062,7 +1041,7 @@ impl RemoteStore {
     /// # Errors
     ///
     /// Any [`RemoteError`]; network errors declare the node dead.
-    pub fn try_read(&self, class: IoClass, idxs: &[u64]) -> Result<Vec<Bytes>, RemoteError> {
+    pub(crate) fn try_read(&self, class: IoClass, idxs: &[u64]) -> Result<Vec<Bytes>, RemoteError> {
         for &idx in idxs {
             assert!(idx < self.block_count, "block {idx} out of range");
         }
@@ -1099,7 +1078,7 @@ impl RemoteStore {
     /// # Errors
     ///
     /// Any [`RemoteError`]; network errors declare the node dead.
-    pub fn try_read_block(&self, idx: u64, class: IoClass) -> Result<Bytes, RemoteError> {
+    pub(crate) fn try_read_block(&self, idx: u64, class: IoClass) -> Result<Bytes, RemoteError> {
         Ok(self.try_read(class, &[idx])?.pop().expect("one block"))
     }
 
@@ -1112,7 +1091,11 @@ impl RemoteStore {
     /// # Errors
     ///
     /// Any [`RemoteError`]; network errors declare the node dead.
-    pub fn try_write(&self, class: IoClass, writes: &[(u64, &[u8])]) -> Result<(), RemoteError> {
+    pub(crate) fn try_write(
+        &self,
+        class: IoClass,
+        writes: &[(u64, &[u8])],
+    ) -> Result<(), RemoteError> {
         for &(idx, data) in writes {
             assert!(idx < self.block_count, "block {idx} out of range");
             assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
@@ -1146,7 +1129,7 @@ impl RemoteStore {
     ///
     /// Any [`RemoteError`]; network errors declare the node dead,
     /// server errors carry the node's flush failure.
-    pub fn try_flush(&self) -> Result<(), RemoteError> {
+    pub(crate) fn try_flush(&self) -> Result<(), RemoteError> {
         let token = self.fence_token();
         hypers::<0>(&self.call(PROC_FLUSH, 8, |msg| msg.put_u64(token))?)?;
         self.flushes.fetch_add(1, Ordering::Relaxed);
@@ -1484,6 +1467,31 @@ mod tests {
         // 25% loss over 30+ round trips: some attempt timed out and
         // was re-sent under backoff.
         assert!(stats.retries > 0);
+
+        // The sleeps come from the store's `DetRng`: each within
+        // [base, max_backoff], and the same schedule from every store.
+        let opts = chaos_opts();
+        let schedule = || {
+            let store = RemoteStore::serve_local(
+                SimStore::untimed(1),
+                &SimClock::new(),
+                LinkConfig::instant(),
+                opts,
+            );
+            let mut prev = opts.base;
+            (0..64)
+                .map(|_| {
+                    prev = store.backoff_sleep(prev);
+                    prev
+                })
+                .collect::<Vec<_>>()
+        };
+        let sleeps = schedule();
+        assert_eq!(sleeps, schedule());
+        assert!(sleeps
+            .iter()
+            .all(|s| (opts.base..=opts.max_backoff).contains(s)));
+        assert!(sleeps.windows(2).any(|w| w[0] != w[1]), "{sleeps:?}");
         // Backoff waits were charged to the virtual clock.
         assert!(clock.now() > Duration::ZERO);
     }
@@ -1566,7 +1574,7 @@ mod tests {
         let grant = a.try_acquire_lease(1, ttl).unwrap();
         assert_eq!(grant.token, 1);
         assert_eq!(a.fence_token(), 1);
-        assert_eq!(lease.holder(), 1);
+        assert_eq!(lease.slot.lock().holder, 1);
         // B is refused while A's lease is unexpired.
         match b.try_acquire_lease(2, ttl) {
             Err(RemoteError::LeaseHeld { holder, .. }) => assert_eq!(holder, 1),

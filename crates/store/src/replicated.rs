@@ -51,7 +51,7 @@
 //! # Node death, probation, revival, and background rebuild
 //!
 //! A node is **declared dead** when an RPC to it fails, and its
-//! [`DeadCause`](crate::DeadCause) picks the recovery path:
+//! [`DeadCause`](crate::remote::DeadCause) picks the recovery path:
 //!
 //! - **Timeout** (a lossy link or a partition — the machine may be
 //!   fine) puts the node in **probation**: it serves nothing, but the
@@ -128,9 +128,9 @@ use discfs_crypto::sha256::Sha256;
 use discfs_crypto::Digest;
 use netsim::SimClock;
 
-use crate::remote::CALL_BLOCKS;
+use crate::remote::{DeadCause, CALL_BLOCKS};
 use crate::{block_copy, vectored};
-use crate::{BlockStore, DeadCause, IoClass, RemoteError, RemoteStore, StoreStats, BLOCK_SIZE};
+use crate::{BlockStore, IoClass, RemoteError, RemoteStore, StoreStats, BLOCK_SIZE};
 
 /// Epoch record magic.
 const EPOCH_MAGIC: [u8; 8] = *b"DISCEPOC";
@@ -448,11 +448,6 @@ impl ReplicatedStore {
         self
     }
 
-    /// Replicas kept per block.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
     /// The last committed epoch.
     pub fn epoch(&self) -> u64 {
         self.state.lock().epoch
@@ -635,7 +630,7 @@ impl ReplicatedStore {
     }
 
     /// Crashes node `n` (test/bench hook, see
-    /// [`RemoteStore::kill_server`]): the next RPC to it fails, the store declares it dead, fails the
+    /// `RemoteStore::kill_server`): the next RPC to it fails, the store declares it dead, fails the
     /// read over, and queues a background rebuild onto a spare.
     pub fn kill_node(&self, n: usize) {
         self.state.lock().nodes[n].store.kill_server();
@@ -887,13 +882,14 @@ impl ReplicatedStore {
         self.tick(st);
     }
 
-    /// Replica order for `idx`: nearest link first (ties broken by
-    /// replica number, so equal-latency volumes read primary-first).
-    fn replica_order(&self, st: &ReplState, idx: u64) -> Vec<usize> {
+    /// The replica of `idx` to read from: the first serving one in
+    /// (link latency, replica number) order, so equal-latency volumes
+    /// read primary-first.
+    fn nearest_serving(&self, st: &ReplState, idx: u64) -> Option<usize> {
         let n = st.nodes.len();
-        let mut order: Vec<usize> = (0..self.replicas).collect();
-        order.sort_by_key(|&r| (st.nodes[node_of(idx, r, n)].store.latency_hint(), r));
-        order
+        (0..self.replicas)
+            .filter(|&r| st.nodes[node_of(idx, r, n)].serving())
+            .min_by_key(|&r| (st.nodes[node_of(idx, r, n)].store.latency_hint(), r))
     }
 
     /// Block 0 is written through to every live replica immediately —
@@ -1082,11 +1078,7 @@ impl BlockStore for ReplicatedStore {
                 if out[pos].is_some() {
                     continue;
                 }
-                let order = self.replica_order(&st, idx);
-                let Some(&r) = order
-                    .iter()
-                    .find(|&&r| st.nodes[node_of(idx, r, n)].serving())
-                else {
+                let Some(r) = self.nearest_serving(&st, idx) else {
                     panic!("no live replica for block {idx}");
                 };
                 let (positions, inners, via_replica) = &mut per_node[node_of(idx, r, n)];

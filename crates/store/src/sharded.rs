@@ -70,7 +70,7 @@ use crate::{vectored, BlockStore, IoClass, StoreStats};
 /// Bounded submission-queue depth per worker: enough for a handful of
 /// concurrent callers, small enough that a stalled shard back-pressures
 /// instead of buffering unbounded block copies.
-pub const WORKER_QUEUE_DEPTH: usize = 4;
+pub(crate) const WORKER_QUEUE_DEPTH: usize = 4;
 
 /// A unit of work submitted to one shard's worker. Reads never are:
 /// they run on the caller's thread (see the module docs).

@@ -29,11 +29,11 @@ use crate::{block_copy, vectored, zero_block, BlockStore, IoClass, StoreStats, B
 #[derive(Debug, Clone, Copy)]
 pub struct DiskModel {
     /// Average seek time applied to non-sequential accesses.
-    pub avg_seek: Duration,
+    pub(crate) avg_seek: Duration,
     /// Average rotational delay (half a revolution).
-    pub rotational: Duration,
+    pub(crate) rotational: Duration,
     /// Sustained media transfer rate in bytes/second.
-    pub transfer_rate: u64,
+    pub(crate) transfer_rate: u64,
 }
 
 impl DiskModel {
@@ -132,11 +132,6 @@ impl SimStore {
     /// Creates an untimed store (unit tests).
     pub fn untimed(block_count: u64) -> SimStore {
         SimStore::new(&SimClock::new(), DiskModel::instant(), block_count)
-    }
-
-    /// The clock charged by this store.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
     }
 }
 

@@ -147,7 +147,8 @@ fn all_backends(tag: &str) -> Vec<(Box<dyn BlockStore>, Option<std::path::PathBu
             None,
         ),
         // The distributed volume tier: a single network node, the full
-        // Cached{Sharded{Remote}} nest, and a 4-node replicated volume.
+        // Cached{Sharded{one-node Replicated}} nest, and a 4-node
+        // replicated volume.
         (
             Box::new(local_node(SimStore::untimed(BLOCKS), &clock)),
             None,
@@ -159,7 +160,10 @@ fn all_backends(tag: &str) -> Vec<(Box<dyn BlockStore>, Option<std::path::PathBu
                     inner: Box::new(StoreBackend::Sharded {
                         shards: 2,
                         workers: false,
-                        inner: Box::new(StoreBackend::Remote {
+                        inner: Box::new(StoreBackend::Replicated {
+                            nodes: 1,
+                            replicas: 1,
+                            spares: 0,
                             ethernet: false,
                             opts: RemoteOptions::default(),
                             inner: Box::new(StoreBackend::SimInstant),
@@ -328,7 +332,10 @@ proptest! {
                 window: 4,
                 inner: Box::new(StoreBackend::SimInstant),
             },
-            StoreBackend::Remote {
+            StoreBackend::Replicated {
+                nodes: 1,
+                replicas: 1,
+                spares: 0,
                 ethernet: false,
                 opts: RemoteOptions::default(),
                 inner: Box::new(StoreBackend::FileJournal { dir: dir.join("remote") }),
@@ -923,15 +930,18 @@ fn chaos_counters_aggregate_through_wrappers() {
 }
 
 /// The new wire counters aggregate through the full
-/// `Cached{Sharded{Remote}}` nest: RPC traffic from the leaf remote
-/// stores surfaces in the top-level stats merge.
+/// `Cached{Sharded{Replicated}}` nest of one-node volumes: RPC traffic
+/// from the leaf node clients surfaces in the top-level stats merge.
 #[test]
 fn wire_stats_aggregate_through_the_preset_nest() {
     let clock = SimClock::new();
     let striped = StoreBackend::Sharded {
         shards: 4,
         workers: false,
-        inner: Box::new(StoreBackend::Remote {
+        inner: Box::new(StoreBackend::Replicated {
+            nodes: 1,
+            replicas: 1,
+            spares: 0,
             ethernet: true,
             opts: RemoteOptions::default(),
             inner: Box::new(StoreBackend::SimInstant),
@@ -940,20 +950,24 @@ fn wire_stats_aggregate_through_the_preset_nest() {
 
     // Striped wire batching, on the bare stripe: a W-block extent is W
     // RPCs as a scalar loop and one RPC per involved node as a vectored
-    // call, which saves the per-frame latency of the rest.
+    // call, which saves the per-frame latency of the rest. A volume
+    // buffers writes until its flush, so the extent is read back.
     let bare = striped.build(&clock, BLOCKS);
     let blocks: Vec<Vec<u8>> = (0..BLOCKS)
         .map(|idx| block_for((idx % 5) as u8 + 1))
         .collect();
+    let writes: Vec<(u64, &[u8])> = (0..).zip(blocks.iter().map(Vec::as_slice)).collect();
+    bare.write_blocks(&writes);
+    bare.flush().unwrap();
     let (rpcs, start) = (bare.stats().rpc_calls, clock.now());
     for (idx, block) in (0..).zip(&blocks) {
-        bare.write_block(idx, block);
+        assert_eq!(&bare.read_block(idx), block);
     }
     assert_eq!(bare.stats().rpc_calls - rpcs, BLOCKS);
     let scalar_time = clock.now() - start;
-    let writes: Vec<(u64, &[u8])> = (0..).zip(blocks.iter().map(Vec::as_slice)).collect();
+    let idxs: Vec<u64> = (0..BLOCKS).collect();
     let (rpcs, start) = (bare.stats().rpc_calls, clock.now());
-    bare.write_blocks(&writes);
+    assert_eq!(bare.read_blocks(&idxs), blocks);
     assert_eq!(bare.stats().rpc_calls - rpcs, 4);
     assert!(clock.now() - start < scalar_time);
 
