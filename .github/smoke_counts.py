@@ -38,6 +38,14 @@ import sys
 # 0.51-0.64 and 3.2-3.9. The rule's floor, every message answered
 # alone, is 1.0 and 2.0.
 #
+# seq_write: alloc.bytes_per_op read ~105 000 (13 blocks' worth for
+# one 8 KiB WRITE) while the vendored Bytes copied every message it was
+# built from, Encoder::finish copied every encoded message and the
+# simulated disk put every overwritten block in a fresh allocation;
+# with a Bytes that keeps its Vec, a finish that returns its buffer and
+# an unshared block overwritten in place it reads ~48 000. It is
+# banded, not exact; a copy of the block back on the path is 8 192.
+#
 # stack_mixed: peak_rss_mb read 54-56 while the file store kept an
 # 8 KiB copy of every un-flushed block, 21-22 once the journal was its
 # only dirty buffer, and ~19 since the sharded store reads on the
@@ -63,6 +71,9 @@ BANDS = {
     "seq_read": (True, {
         "netsim.msgs_per_op": (0.0, 0.8),
         "nfsv2.engine.requests_per_batch": (2.5, 32.0),
+    }),
+    "seq_write": (True, {
+        "alloc.bytes_per_op": (0.0, 80000.0),
     }),
     "stack_mixed": (True, {
         "peak_rss_mb": (0.0, 35.0),

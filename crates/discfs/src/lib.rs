@@ -84,15 +84,18 @@
 //!   regardless of connection count: one readiness loop polling the
 //!   `netsim` channels (edge-triggered tokens via `netsim::ReadySet`),
 //!   plus a worker pool draining a shared job queue. IKE responder
-//!   handshakes run as worker jobs too, so even connection setup
-//!   spawns nothing.
+//!   handshakes run as worker jobs too, one job a step, each queued
+//!   only once the peer's message is in, so even connection setup
+//!   spawns nothing and no worker waits on a peer.
 //! * **Bounded queues, backpressure** — the loop decodes frames into a
 //!   per-connection request queue capped at `queue_bound`; a full
 //!   queue pauses reading that connection (the flood stays in the
 //!   network, not in server memory) until a worker drains it. A
 //!   stalled or slow-loris client therefore sheds **its own** load
 //!   while healthy neighbors keep their latency — the fairness bound
-//!   pinned by `tests/engine.rs`.
+//!   pinned by `tests/engine.rs`. That holds during the handshake too:
+//!   peers that never finish IKE hold no worker, so they neither starve
+//!   honest handshakes nor delay a reboot.
 //! * **Batched serving** — a worker serves up to `batch` requests per
 //!   scheduling quantum, encoding all replies into one buffer and one
 //!   transport send (one ESP seal per batch) over the zero-copy

@@ -31,7 +31,6 @@ const RESPONDER_CONTEXT: &[u8] = b"discfs-ike-responder-v1";
 
 const INIT_LEN: usize = 32 + 32 + 32;
 const RESP_LEN: usize = 32 + 32 + 32 + 64;
-const AUTH_LEN: usize = 64;
 
 /// An established secure channel: two SAs over a raw transport.
 pub struct SecureChannel<T: Transport> {
@@ -176,7 +175,9 @@ pub fn initiate<T: Transport, R: RngCore>(
     })
 }
 
-/// Runs the responder side of the handshake (the DisCFS server).
+/// Runs the responder side of the handshake (the DisCFS server),
+/// blocking for each of the initiator's two messages: [`respond_init`]
+/// then [`PendingResponder::complete`].
 ///
 /// The resulting channel's [`SecureTransport::peer_identity`] is the
 /// client key the server binds every request on this connection to.
@@ -190,6 +191,35 @@ pub fn respond<T: Transport, R: RngCore>(
     rng: &mut R,
 ) -> Result<SecureChannel<T>, IpsecError> {
     let init = transport.recv()?;
+    let pending = respond_init(&transport, &init, identity, rng)?;
+    let auth = transport.recv()?;
+    pending.complete(transport, &auth)
+}
+
+/// A responder that has answered the initiator's INIT and awaits its
+/// AUTH. Holding one costs no thread: a server that multiplexes many
+/// handshakes takes each step only once its message has arrived.
+pub struct PendingResponder {
+    eph: EphemeralKeypair,
+    eph_i: [u8; 32],
+    id_i: VerifyingKey,
+    transcript: Vec<u8>,
+}
+
+/// The responder's first step: checks the initiator's `init` message
+/// and sends the signed RESP on `transport`.
+///
+/// # Errors
+///
+/// [`IpsecError::BadHandshake`] on a malformed INIT,
+/// [`IpsecError::Crypto`] on a bad identity key, [`IpsecError::Net`]
+/// when the RESP cannot be sent.
+pub fn respond_init<T: Transport, R: RngCore>(
+    transport: &T,
+    init: &[u8],
+    identity: &SigningKey,
+    rng: &mut R,
+) -> Result<PendingResponder, IpsecError> {
     if init.len() != INIT_LEN {
         return Err(IpsecError::BadHandshake);
     }
@@ -205,31 +235,52 @@ pub fn respond<T: Transport, R: RngCore>(
     resp_unsigned.extend_from_slice(&nonce_r);
     resp_unsigned.extend_from_slice(&identity.public().0);
 
-    let transcript = [&init[..], &resp_unsigned[..]].concat();
+    let transcript = [init, &resp_unsigned[..]].concat();
     let sig_r = identity.sign(&signed_transcript(RESPONDER_CONTEXT, &transcript));
 
     let mut resp = resp_unsigned;
     resp.extend_from_slice(&sig_r.0);
     transport.send(resp)?;
-
-    let auth = transport.recv()?;
-    if auth.len() != AUTH_LEN {
-        return Err(IpsecError::BadHandshake);
-    }
-    let sig_i = Signature(auth.as_slice().try_into().expect("64 bytes"));
-    id_i.verify(&signed_transcript(INITIATOR_CONTEXT, &transcript), &sig_i)?;
-
-    let shared = eph.agree(&eph_i);
-    let keys = derive_keys(&shared, &transcript);
-    Ok(SecureChannel {
-        transport,
-        // The responder sends on r2i and receives on i2r.
-        send_sa: Sa::new(keys.spi_r2i, &keys.key_r2i, keys.nonce_r2i),
-        recv_sa: Sa::new(keys.spi_i2r, &keys.key_i2r, keys.nonce_i2r),
-        recv_window: ReplayWindow::new(),
-        send_seq: std::sync::atomic::AtomicU64::new(0),
-        peer: id_i,
+    Ok(PendingResponder {
+        eph,
+        eph_i,
+        id_i,
+        transcript,
     })
+}
+
+impl PendingResponder {
+    /// The responder's second step: checks the initiator's `auth`
+    /// signature over the transcript and derives the channel over
+    /// `transport`.
+    ///
+    /// # Errors
+    ///
+    /// [`IpsecError::BadHandshake`] on a malformed AUTH,
+    /// [`IpsecError::Crypto`] on a bad signature.
+    pub fn complete<T: Transport>(
+        self,
+        transport: T,
+        auth: &[u8],
+    ) -> Result<SecureChannel<T>, IpsecError> {
+        let sig_i = Signature(auth.try_into().map_err(|_| IpsecError::BadHandshake)?);
+        self.id_i.verify(
+            &signed_transcript(INITIATOR_CONTEXT, &self.transcript),
+            &sig_i,
+        )?;
+
+        let shared = self.eph.agree(&self.eph_i);
+        let keys = derive_keys(&shared, &self.transcript);
+        Ok(SecureChannel {
+            transport,
+            // The responder sends on r2i and receives on i2r.
+            send_sa: Sa::new(keys.spi_r2i, &keys.key_r2i, keys.nonce_r2i),
+            recv_sa: Sa::new(keys.spi_i2r, &keys.key_i2r, keys.nonce_i2r),
+            recv_window: ReplayWindow::new(),
+            send_seq: std::sync::atomic::AtomicU64::new(0),
+            peer: self.id_i,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -425,7 +425,7 @@ impl NfsClient {
         let results = self.call_nfs(proc_nfs::READ, e.finish())?;
         let mut d = self.status(&results)?;
         let attr = Fattr::decode(&mut d)?;
-        Ok((attr, d.get_opaque()?))
+        Ok((attr, d.get_opaque()?.to_vec()))
     }
 
     /// WRITE (single call; at most `MAX_DATA`, 8 KiB).

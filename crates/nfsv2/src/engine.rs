@@ -16,8 +16,12 @@
 //!   one quantum answers them in one batch. The loop never
 //!   decrypts-blocking, dispatches, or touches the filesystem.
 //! * **A fixed worker pool** executes everything else: IKE responder
-//!   handshakes (so `accept` never blocks and no per-connection thread
-//!   exists even during session setup) and request batches. A worker
+//!   handshake steps (so `accept` never blocks and no per-connection
+//!   thread exists even during session setup) and request batches. A
+//!   handshaking endpoint is registered with the readiness loop like a
+//!   connection; the loop schedules the INIT step, then the AUTH step,
+//!   only once that message has arrived, so no worker ever waits on a
+//!   peer's handshake. A worker
 //!   serves at most [`EngineConfig::batch`] requests per scheduling
 //!   quantum, then requeues the connection behind everyone else —
 //!   round-robin over connections, so one busy peer cannot starve the
@@ -30,7 +34,9 @@
 //!   — excess requests stay "in the network" and the sender eventually
 //!   stalls on its own unacknowledged pipeline. A slow-loris client
 //!   sheds its *own* load; a worker un-pauses the connection the next
-//!   time it frees queue space. Memory per connection is O(bound).
+//!   time it frees queue space. Memory per connection is O(bound). The
+//!   same holds before the connection exists: a peer that never
+//!   finishes its handshake holds one parked entry, not a worker.
 //! * **Malformed input**: a frame that declares a length over
 //!   [`frame::DEFAULT_MAX_FRAME`] or fails its checksum — or a broken
 //!   ESP record stream — condemns the connection. It is dropped cleanly
@@ -56,7 +62,7 @@ use bytes::Bytes;
 use discfs_crypto::ed25519::{SigningKey, VerifyingKey};
 use discfs_crypto::rng::DetRng;
 use ipsec::{ike, IpsecError, SecureTransport};
-use netsim::{Endpoint, ReadySet};
+use netsim::{Endpoint, ReadySet, Transport};
 use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::RpcCallView;
 
@@ -119,10 +125,24 @@ struct Conn {
     closing: AtomicBool,
 }
 
+/// An endpoint whose IKE responder handshake is under way. It is
+/// parked in `Shared::handshakes` while the peer's next message is
+/// outstanding, and out of it while a worker takes a step.
+struct Handshake {
+    endpoint: Endpoint,
+    /// Set once the INIT step has answered: the AUTH step is next.
+    pending: Option<ike::PendingResponder>,
+}
+
 /// Work items for the pool.
 enum Job {
-    /// Run the IKE responder handshake, then attach the channel.
-    Handshake { token: u64, endpoint: Endpoint },
+    /// Take one responder handshake step on the peer's message `msg`;
+    /// the last step attaches the channel.
+    Handshake {
+        token: u64,
+        hs: Box<Handshake>,
+        msg: Vec<u8>,
+    },
     /// Attach an already-established channel.
     Attach {
         token: u64,
@@ -201,6 +221,8 @@ struct Shared {
     config: EngineConfig,
     ready: Arc<ReadySet>,
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
+    /// Handshakes waiting for the peer's next message.
+    handshakes: Mutex<HashMap<u64, Box<Handshake>>>,
     jobs: JobQueue,
     next_token: AtomicU64,
     shutdown: AtomicBool,
@@ -235,6 +257,7 @@ impl Engine {
             config,
             ready: ReadySet::new(),
             conns: Mutex::new(HashMap::new()),
+            handshakes: Mutex::new(HashMap::new()),
             jobs: JobQueue::default(),
             next_token: AtomicU64::new(CONTROL_TOKEN + 1),
             shutdown: AtomicBool::new(false),
@@ -264,13 +287,20 @@ impl Engine {
         }
     }
 
-    /// Accepts a raw endpoint: the IKE responder handshake runs as a
-    /// worker job (never on the caller or a dedicated thread), then the
-    /// established channel joins the readiness loop. Returns the
-    /// connection's token.
+    /// Accepts a raw endpoint: it joins the readiness loop at once,
+    /// each IKE responder handshake step runs as a worker job once its
+    /// message has arrived (never on the caller or a dedicated thread),
+    /// then the established channel is served under the same token.
+    /// Returns the connection's token.
     pub fn accept(&self, endpoint: Endpoint) -> u64 {
         let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-        self.shared.jobs.push(Job::Handshake { token, endpoint });
+        self.shared.park(
+            token,
+            Box::new(Handshake {
+                endpoint,
+                pending: None,
+            }),
+        );
         token
     }
 
@@ -349,6 +379,12 @@ impl Engine {
         for handle in threads.drain(..) {
             handle.join().ok();
         }
+        // Peers still mid-handshake see a hang-up.
+        self.shared
+            .handshakes
+            .lock()
+            .expect("handshake map poisoned")
+            .clear();
     }
 }
 
@@ -375,11 +411,44 @@ impl Shared {
                     let conns = self.conns.lock().expect("conn map poisoned");
                     conns.get(&token).cloned()
                 };
-                if let Some(conn) = conn {
-                    self.poll_conn(&conn);
+                match conn {
+                    Some(conn) => self.poll_conn(&conn),
+                    None => self.poll_handshake(token),
                 }
             }
         }
+    }
+
+    /// Schedules the next step of a parked handshake once the peer's
+    /// message is in. A token that is neither parked nor attached
+    /// belongs to a handshake a worker holds (it re-arms the token when
+    /// it parks the handshake again) or to one that is gone.
+    fn poll_handshake(&self, token: u64) {
+        let mut handshakes = self.handshakes.lock().expect("handshake map poisoned");
+        let Some(hs) = handshakes.remove(&token) else {
+            return;
+        };
+        match hs.endpoint.try_recv() {
+            Ok(Some(msg)) => {
+                drop(handshakes);
+                self.jobs.push(Job::Handshake { token, hs, msg });
+            }
+            Ok(None) => {
+                handshakes.insert(token, hs);
+            }
+            // The peer hung up mid-handshake.
+            Err(_) => self.handshake_failed(),
+        }
+    }
+
+    /// Parks `hs` until the peer's next message arrives. The
+    /// registration is made under the map lock and re-arms the token
+    /// when that message (or a hang-up) is already in, so a wakeup the
+    /// loop skipped while a worker held the handshake is not lost.
+    fn park(&self, token: u64, hs: Box<Handshake>) {
+        let mut handshakes = self.handshakes.lock().expect("handshake map poisoned");
+        hs.endpoint.register_ready(&self.ready, token);
+        handshakes.insert(token, hs);
     }
 
     /// Drains one readable connection: channel → frame decoder →
@@ -467,7 +536,7 @@ impl Shared {
     fn run_worker(self: Arc<Self>) {
         while let Some(job) = self.jobs.pop() {
             match job {
-                Job::Handshake { token, endpoint } => self.handshake(token, endpoint),
+                Job::Handshake { token, hs, msg } => self.handshake_step(token, hs, msg),
                 Job::Attach { token, chan } => self.attach(token, chan),
                 Job::Serve { token } => {
                     let conn = {
@@ -482,23 +551,43 @@ impl Shared {
         }
     }
 
-    fn handshake(&self, token: u64, endpoint: Endpoint) {
+    /// Takes the step of `hs` that `msg` answers: INIT gets the signed
+    /// reply and the handshake is parked for AUTH; AUTH attaches the
+    /// channel.
+    fn handshake_step(&self, token: u64, hs: Box<Handshake>, msg: Vec<u8>) {
         if self.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let mut rng = DetRng::new(
-            self.config
-                .handshake_seed
-                .wrapping_add(token.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        match ike::respond(endpoint, &self.identity, &mut rng) {
-            Ok(chan) => self.attach(token, Box::new(chan)),
-            Err(_) => {
-                self.stats
-                    .handshake_failures
-                    .fetch_add(1, Ordering::Relaxed);
+        let Handshake { endpoint, pending } = *hs;
+        match pending {
+            None => {
+                let mut rng = DetRng::new(
+                    self.config
+                        .handshake_seed
+                        .wrapping_add(token.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                );
+                match ike::respond_init(&endpoint, &msg, &self.identity, &mut rng) {
+                    Ok(pending) => self.park(
+                        token,
+                        Box::new(Handshake {
+                            endpoint,
+                            pending: Some(pending),
+                        }),
+                    ),
+                    Err(_) => self.handshake_failed(),
+                }
             }
+            Some(pending) => match pending.complete(endpoint, &msg) {
+                Ok(chan) => self.attach(token, Box::new(chan)),
+                Err(_) => self.handshake_failed(),
+            },
         }
+    }
+
+    fn handshake_failed(&self) {
+        self.stats
+            .handshake_failures
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     fn attach(&self, token: u64, chan: Box<dyn SecureTransport>) {

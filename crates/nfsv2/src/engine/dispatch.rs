@@ -147,7 +147,7 @@ fn nfs_dispatch<S: NfsService + ?Sized>(
             }
             Ok(status_reply(
                 service
-                    .write(ctx, &fh, offset, &data)
+                    .write(ctx, &fh, offset, data)
                     .map(|attr| move |e: &mut Encoder| attr.encode(e)),
             ))
         }

@@ -77,7 +77,10 @@ impl OpaqueAuth {
         if body.len() > 400 {
             return Err(XdrError::BadLength);
         }
-        Ok(OpaqueAuth { flavor, body })
+        Ok(OpaqueAuth {
+            flavor,
+            body: body.to_vec(),
+        })
     }
 }
 

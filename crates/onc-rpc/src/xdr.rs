@@ -44,9 +44,10 @@ impl Encoder {
         Encoder::default()
     }
 
-    /// Finishes encoding and returns the bytes.
+    /// Finishes encoding and returns the buffer the bytes were
+    /// encoded into (no copy).
     pub fn finish(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf.into()
     }
 
     /// Current encoded length.
@@ -187,18 +188,23 @@ impl<'a> Decoder<'a> {
         Ok(data)
     }
 
-    /// Decodes variable-length opaque data.
-    pub fn get_opaque(&mut self) -> Result<Vec<u8>, XdrError> {
+    /// Decodes variable-length opaque data (consuming padding),
+    /// borrowed from the buffer like [`Decoder::get_opaque_fixed`]: a
+    /// WRITE's payload reaches the service as a slice of its request
+    /// message. A caller that keeps the bytes copies them.
+    pub fn get_opaque(&mut self) -> Result<&'a [u8], XdrError> {
         let len = self.get_u32()? as usize;
         if len > MAX_LEN || len > self.remaining() {
             return Err(XdrError::BadLength);
         }
-        Ok(self.get_opaque_fixed(len)?.to_vec())
+        self.get_opaque_fixed(len)
     }
 
-    /// Decodes a string (UTF-8 validated).
+    /// Decodes a string (UTF-8 validated) into an owned copy.
     pub fn get_string(&mut self) -> Result<String, XdrError> {
-        String::from_utf8(self.get_opaque()?).map_err(|_| XdrError::BadUtf8)
+        std::str::from_utf8(self.get_opaque()?)
+            .map(str::to_owned)
+            .map_err(|_| XdrError::BadUtf8)
     }
 
     /// Decodes an XDR optional: `f` runs only when the marker is true.
@@ -253,6 +259,29 @@ mod tests {
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.get_opaque().unwrap(), b"abcde");
         assert!(d.is_exhausted());
+    }
+
+    #[test]
+    fn opaque_is_borrowed_from_the_message() {
+        let mut e = Encoder::new();
+        e.put_opaque(b"payload").put_u32(9);
+        let bytes = e.finish();
+        let mut d = Decoder::new(&bytes);
+        let data = d.get_opaque().unwrap();
+        assert_eq!(data, b"payload");
+        // The slice points into the message, just past the length word.
+        assert_eq!(data.as_ptr(), bytes[4..].as_ptr());
+        assert_eq!(d.get_u32().unwrap(), 9);
+        assert!(d.is_exhausted());
+    }
+
+    #[test]
+    fn finish_returns_the_encoding_buffer() {
+        let mut e = Encoder::new();
+        e.put_u32(1);
+        let at = e.buf.as_slice().as_ptr();
+        let bytes = e.finish();
+        assert_eq!(bytes.as_ptr(), at);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::{vectored, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
+use crate::{block_overwrite, vectored, zero_block, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 /// Lock shards: adjacent blocks land on different shards so a
 /// sequential scan does not serialize on one mutex.
@@ -330,16 +330,15 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
 
     /// Each block lands dirty in its cache shard (the write-back cache
     /// absorbs the burst; the inner store sees it at flush or eviction,
-    /// as the class it was written with). Block 0 (the superblock) is
-    /// written through so the clean-flag discipline survives: see the
-    /// module docs.
+    /// as the class it was written with), in the entry's own buffer
+    /// when no reader holds it (`block_overwrite`). Block 0 (the superblock) is written through so the
+    /// clean-flag discipline survives: see the module docs.
     fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         self.vectored_writes
             .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
         for &(idx, data) in writes {
             assert!(idx < self.inner.block_count(), "block {idx} out of range");
             assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
-            let handle = Bytes::copy_from_slice(data);
             let mut shard = self.shard(idx).lock();
             shard.write_version += 1;
             let stamp = self.stamp();
@@ -347,13 +346,22 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
             if write_through {
                 self.inner.write(class, &[(idx, data)]);
             }
-            let entry = Entry {
-                data: handle,
-                dirty: !write_through,
-                class,
-                seq: stamp,
+            let (entry, was_present) = match shard.map.entry(idx) {
+                MapEntry::Occupied(slot) => (slot.into_mut(), true),
+                MapEntry::Vacant(slot) => (
+                    slot.insert(Entry {
+                        data: zero_block(),
+                        dirty: false,
+                        class,
+                        seq: stamp,
+                    }),
+                    false,
+                ),
             };
-            let was_present = shard.map.insert(idx, entry).is_some();
+            block_overwrite(&mut entry.data, data);
+            entry.dirty = !write_through;
+            entry.class = class;
+            entry.seq = stamp;
             shard.note_insert(idx, stamp, was_present);
             self.evict_overflow(&mut shard);
         }
@@ -430,6 +438,11 @@ mod tests {
         assert_eq!(stats.cache_hits, 10);
         assert_eq!(stats.cache_misses, 0);
         assert_eq!(stats.reads, 0, "inner store never saw a read");
+    }
+
+    #[test]
+    fn an_unshared_cached_block_is_overwritten_in_place() {
+        crate::check_overwrite_in_place(&CachedStore::new(SimStore::untimed(16), 16), 5);
     }
 
     #[test]

@@ -248,19 +248,78 @@ pub fn zero_block() -> Bytes {
         .clone()
 }
 
-/// `block` as a handle: the shared [`zero_block`] when it is all
-/// zeros, else a copy. The zero test runs on every buffered write, so
-/// it reads 16 bytes at a time: testing byte by byte made volume setup
-/// slower than copying the zeros did.
-pub(crate) fn block_copy(block: &[u8]) -> Bytes {
-    let zero = block
-        .chunks_exact(16)
-        .all(|word| u128::from_ne_bytes(word.try_into().expect("16 bytes")) == 0);
-    if zero {
-        zero_block()
-    } else {
-        Bytes::copy_from_slice(block)
-    }
+/// Stores `block` in `slot`, in the slot's own buffer when nothing
+/// else holds that buffer: an overwrite of a block no reader has a
+/// handle to reuses its allocation. A buffer some reader still holds (or
+/// the zero block) is never mutated; the slot then gets the shared
+/// [`zero_block`] when `block` is all zeros, else a fresh copy.
+///
+/// An unshared buffer keeps its allocation through an all-zero write
+/// too: `ffs` zeroes every block it allocates just before it writes
+/// the block's data, so a file rewritten block by block would
+/// otherwise free and reallocate each block on every pass. The zero
+/// test reads 16 bytes at a time: testing byte by byte made volume
+/// setup slower than copying the zeros did.
+pub(crate) fn block_overwrite(slot: &mut Bytes, block: &[u8]) {
+    let old = std::mem::replace(slot, zero_block());
+    *slot = match old.try_into_mut() {
+        Ok(mut buf) if buf.len() == block.len() => {
+            buf.copy_from_slice(block);
+            buf.freeze()
+        }
+        _ if block
+            .chunks_exact(16)
+            .all(|word| u128::from_ne_bytes(word.try_into().expect("16 bytes")) == 0) =>
+        {
+            zero_block()
+        }
+        _ => Bytes::copy_from_slice(block),
+    };
+}
+
+/// Checks [`block_overwrite`]'s rule through `store`'s own calls at
+/// block `idx`, which no flush may move out of the store's hands
+/// in between: an overwrite of an unshared block keeps its
+/// allocation, zeros included; a reader's earlier handle keeps the
+/// old bytes; and an all-zero write over a shared block is the shared
+/// zero block.
+#[cfg(test)]
+pub(crate) fn check_overwrite_in_place(store: &dyn BlockStore, idx: u64) {
+    let read = || store.read(IoClass::Data, &[idx]).remove(0);
+    let write = |byte: u8| store.write(IoClass::Data, &[(idx, &[byte; BLOCK_SIZE][..])]);
+    let filled = |block: &Bytes, byte: u8| block.iter().all(|&b| b == byte);
+    write(1);
+    let first = read();
+    let at = first.as_ptr();
+    drop(first);
+    write(2);
+    let second = read();
+    assert_eq!(
+        second.as_ptr(),
+        at,
+        "an unshared block is overwritten in place"
+    );
+    assert!(filled(&second, 2));
+    write(3);
+    assert!(
+        filled(&second, 2),
+        "a reader's handle keeps the bytes it read"
+    );
+    let third = read();
+    assert_ne!(third.as_ptr(), at);
+    assert!(filled(&third, 3));
+    write(0);
+    assert!(filled(&third, 3));
+    assert_eq!(read().as_ptr(), zero_block().as_ptr());
+    drop((second, third));
+    write(4);
+    let fourth = read();
+    let at = fourth.as_ptr();
+    drop(fourth);
+    write(0);
+    let zeroed = read();
+    assert_eq!(zeroed.as_ptr(), at, "an unshared block is zeroed in place");
+    assert!(filled(&zeroed, 0));
 }
 
 /// Counters every backend reports through [`BlockStore::stats`].

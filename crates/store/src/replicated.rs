@@ -129,7 +129,7 @@ use discfs_crypto::Digest;
 use netsim::SimClock;
 
 use crate::remote::{DeadCause, CALL_BLOCKS};
-use crate::{block_copy, vectored};
+use crate::{block_overwrite, vectored, zero_block};
 use crate::{BlockStore, IoClass, RemoteError, RemoteStore, StoreStats, BLOCK_SIZE};
 
 /// Epoch record magic.
@@ -1110,8 +1110,10 @@ impl BlockStore for ReplicatedStore {
             .collect()
     }
 
-    /// Buffers the writes for the next flush, an all-zero block as the
-    /// shared [`crate::zero_block`]; block 0 is written through.
+    /// Buffers the writes for the next flush, a rewrite of a buffered
+    /// block no reader holds in that block's buffer and any other
+    /// all-zero block as the shared [`crate::zero_block`]; block 0 is
+    /// written through.
     fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         self.vectored_writes
             .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
@@ -1122,7 +1124,9 @@ impl BlockStore for ReplicatedStore {
             if idx == 0 {
                 self.write_through_zero(&mut st, block, class);
             } else {
-                st.dirty.insert(idx, (block_copy(block), class));
+                let slot = st.dirty.entry(idx).or_insert_with(|| (zero_block(), class));
+                block_overwrite(&mut slot.0, block);
+                slot.1 = class;
             }
         }
     }
@@ -1226,6 +1230,11 @@ mod tests {
 
     fn block_of(byte: u8) -> Vec<u8> {
         vec![byte; BLOCK_SIZE]
+    }
+
+    #[test]
+    fn an_unshared_buffered_block_is_overwritten_in_place() {
+        crate::check_overwrite_in_place(&volume(32, 3, 2, 0), 5);
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //! itself, so repeated uses of those never arrive here.
 //!
 //! Blocks are held as shared [`Bytes`] handles: a read clones a
-//! refcount instead of copying 8 KB, and a block of zeros is the
-//! process-wide zero block however it came to be — never written, or
-//! written as zeros (`ffs` formats a volume by zeroing its inode
-//! table). A store of any size costs one pointer per zero block, not
-//! 8 KB.
+//! refcount instead of copying 8 KB, and a write overwrites a block in
+//! its own buffer when no reader still holds a handle to it (one that
+//! is held gets a fresh copy, so the reader keeps what it read). A
+//! pass that rewrites a file thus reuses the file's blocks instead of
+//! reallocating them. A block never written, or written as zeros over
+//! the zero block or a buffer a reader holds (`ffs` formats a volume
+//! by zeroing its inode table), is the process-wide zero block: a
+//! store of any size costs one pointer per such block, not 8 KB.
 
 use std::time::Duration;
 
@@ -23,7 +26,7 @@ use bytes::Bytes;
 use netsim::SimClock;
 use parking_lot::Mutex;
 
-use crate::{block_copy, vectored, zero_block, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
+use crate::{block_overwrite, vectored, zero_block, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 /// Timing model for the simulated disk.
 #[derive(Debug, Clone, Copy)]
@@ -171,7 +174,7 @@ impl BlockStore for SimStore {
                 self.model.charge(&self.clock, &mut s.last_block, idx);
                 s.writes += 1;
             }
-            s.blocks[idx as usize] = block_copy(block);
+            block_overwrite(&mut s.blocks[idx as usize], block);
         }
     }
 
@@ -239,6 +242,11 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_read_panics() {
         SimStore::untimed(4).read_block(4);
+    }
+
+    #[test]
+    fn an_unshared_block_is_overwritten_in_place() {
+        crate::check_overwrite_in_place(&SimStore::untimed(8), 5);
     }
 
     #[test]

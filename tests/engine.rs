@@ -14,7 +14,8 @@
 //!   joins every server thread — before the store drops.
 //! * A failed responder handshake (a garbage IKE init, a peer gone
 //!   mid-handshake) is counted in `handshake_failures`, attaches
-//!   nothing and costs no worker.
+//!   nothing and costs no worker; an unfinished one (a peer that never
+//!   sends) holds no worker and does not delay a reboot.
 //!
 //! That connection count does not change the thread count is
 //! `tests/engine_threads.rs`, a binary of its own.
@@ -492,6 +493,65 @@ fn failed_handshakes_are_counted_and_lose_no_worker() {
     );
     assert_eq!(stats.connections_accepted.load(Ordering::Relaxed), 1);
     assert_eq!(stats.handshake_failures.load(Ordering::Relaxed), 2);
+}
+
+/// Runs `work` on a thread of its own and waits at most ten seconds
+/// for its result: a hang is a failed assertion, not a stuck suite.
+fn within_bound<T: Send + 'static>(work: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(work());
+    });
+    rx.recv_timeout(Duration::from_secs(10)).ok()
+}
+
+/// Peers that connect and never send their IKE init hold no worker:
+/// with as many silent peers as the engine has workers (four), an
+/// honest initiator still completes its handshake and is served.
+#[test]
+fn silent_handshakes_hold_no_worker() {
+    let bed = Arc::new(Testbed::instant());
+    let clock = SimClock::new();
+    let silent: Vec<_> = (0..EngineConfig::default().workers)
+        .map(|_| {
+            let (peer, server_end) = Link::pair(&clock, LinkConfig::instant());
+            bed.engine().accept(server_end);
+            peer
+        })
+        .collect();
+    let honest = {
+        let bed = Arc::clone(&bed);
+        within_bound(move || {
+            let (chan, token) = bed.connect_raw(&key(0x60)).expect("handshake");
+            assert!(eventually(|| bed.engine().is_connected(token)));
+            chan
+        })
+    };
+    assert!(
+        honest.is_some(),
+        "silent peers must not starve an honest handshake"
+    );
+    assert_eq!(bed.engine().connections(), 1);
+    drop(silent);
+    assert!(eventually(|| bed
+        .engine()
+        .stats()
+        .handshake_failures
+        .load(Ordering::Relaxed)
+        == 4));
+}
+
+/// A peer stuck before its IKE init does not hold up a reboot: the
+/// engine joins at once and the peer sees a hang-up.
+#[test]
+fn reboot_is_not_held_up_by_a_silent_handshake() {
+    let bed = Testbed::instant();
+    let clock = SimClock::new();
+    let (silent, server_end) = Link::pair(&clock, LinkConfig::instant());
+    bed.engine().accept(server_end);
+    let rebooted = within_bound(move || bed.reboot());
+    assert!(rebooted.is_some(), "reboot waited on a silent handshake");
+    assert!(silent.recv_timeout(Duration::from_secs(10)).is_err());
 }
 
 #[test]
