@@ -15,7 +15,7 @@ use netsim::NetError;
 use nfsv2::proto::{proc_nfs, NFS_VERSION};
 use nfsv2::{ClientError, NfsClient, NFS_PROGRAM, OUTBOX_BYTES};
 use onc_rpc::frame::{self, FrameDecoder};
-use onc_rpc::{RpcCall, RpcReply};
+use onc_rpc::{RpcCall, RpcCallView, RpcReply};
 
 #[derive(Default)]
 struct Wire {
@@ -39,12 +39,9 @@ impl Wire {
         let end = (self.answered + n).min(self.sent.len());
         let mut reply = Vec::new();
         for msg in &self.sent[self.answered..end] {
-            for call in calls_in(msg) {
-                let results = call.xid.to_be_bytes().to_vec();
-                frame::encode_frame_into(
-                    &mut reply,
-                    &RpcReply::success(call.xid, results).encode(),
-                );
+            for xid in xids_in(msg) {
+                let results = xid.to_be_bytes().to_vec();
+                frame::encode_frame_into(&mut reply, &RpcReply::success(xid, results).encode());
             }
         }
         self.answered = end;
@@ -74,17 +71,13 @@ impl Peer {
 
     /// Calls carried by each message sent so far.
     fn message_sizes(&self) -> Vec<usize> {
-        self.wire().sent.iter().map(|m| calls_in(m).len()).collect()
+        self.wire().sent.iter().map(|m| xids_in(m).len()).collect()
     }
 
     /// Every xid that reached the wire, in wire order.
     fn xids_on_wire(&self) -> Vec<u32> {
         let wire = self.wire();
-        wire.sent
-            .iter()
-            .flat_map(|m| calls_in(m))
-            .map(|c| c.xid)
-            .collect()
+        wire.sent.iter().flat_map(|m| xids_in(m)).collect()
     }
 }
 
@@ -117,14 +110,15 @@ impl SecureTransport for Peer {
     }
 }
 
-fn calls_in(msg: &[u8]) -> Vec<RpcCall> {
+/// The xid of every call in a message, in order.
+fn xids_in(msg: &[u8]) -> Vec<u32> {
     let mut decoder = FrameDecoder::new();
     decoder
         .feed(Bytes::copy_from_slice(msg))
         .expect("well-formed frames");
     assert!(!decoder.has_partial(), "a message ends on a frame boundary");
     std::iter::from_fn(|| decoder.pop_frame())
-        .map(|payload| RpcCall::decode(&payload).expect("a call"))
+        .map(|payload| RpcCallView::decode(&payload).expect("a call").xid)
         .collect()
 }
 

@@ -1,7 +1,7 @@
 //! Property tests for the XDR/RPC wire layer: round trips always hold
 //! and the decoder survives arbitrary bytes (it faces the network).
 
-use onc_rpc::{AuthSys, Decoder, Encoder, RpcCall, RpcReply};
+use onc_rpc::{AuthSys, Decoder, Encoder, RpcCall, RpcCallView, RpcReply};
 use proptest::prelude::*;
 
 proptest! {
@@ -86,8 +86,12 @@ proptest! {
         proc_num in any::<u32>(),
         args in proptest::collection::vec(any::<u8>(), 0..500),
     ) {
-        let call = RpcCall::new(xid, prog, vers, proc_num, args);
-        prop_assert_eq!(RpcCall::decode(&call.encode()).unwrap(), call);
+        let bytes = RpcCall::new(xid, prog, vers, proc_num, args.clone()).encode();
+        let view = RpcCallView::decode(&bytes).unwrap();
+        prop_assert_eq!(
+            (view.xid, view.prog, view.vers, view.proc_num, view.args),
+            (xid, prog, vers, proc_num, &args[..])
+        );
     }
 
     #[test]
@@ -102,7 +106,7 @@ proptest! {
     /// Call decoding never panics on arbitrary bytes.
     #[test]
     fn rpc_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = RpcCall::decode(&bytes);
+        let _ = RpcCallView::decode(&bytes);
         let _ = RpcReply::decode(&bytes);
     }
 

@@ -31,6 +31,13 @@
 //!   (and flushes again after), so the clean marker can never overtake
 //!   a buffered mutation on its way into the journal.
 //!
+//! This cache is the only store layer that must know which block holds
+//! the marker, because its eviction is the only one that reorders
+//! writes. Every other layer passes blocks on in the order it was
+//! given them or, like `ReplicatedStore`, in block order, where block
+//! 0 commits in the first epoch of the flush that carries it (the
+//! `replicated` module docs, *Epochs*).
+//!
 //! Between syncs the cache trades durability for speed exactly like a
 //! kernel page cache: dropping the store without a flush loses the
 //! dirty blocks, and the volume mounts through the recovery sweep

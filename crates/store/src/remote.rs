@@ -7,9 +7,8 @@
 //! block-protocol calls for any store (one simulated storage node), a
 //! [`NodeLink`] carries them over a netsim link to it, and a
 //! [`RemoteStore`] is the client-side [`BlockStore`] that speaks to it
-//! — so encryption, caching and sharding compose over remote storage
-//! exactly as they do over local backends (`Cached { Sharded { Remote } }`
-//! is just another preset nest).
+//! — [`ReplicatedStore`](crate::ReplicatedStore)'s node client, one per
+//! storage node.
 //!
 //! A node has no thread of its own: like the paper's server it answers
 //! one call at a time, on the caller's thread inside the client's send

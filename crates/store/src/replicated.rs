@@ -32,21 +32,21 @@
 //! reads as behind) is re-synced from the fresh replicas through the
 //! rebuild queue (below), drained before the mount returns, and
 //! re-stamped — so the volume always replays to one consistent epoch,
-//! never a mix of replicas. Block 0 (the filesystem's superblock
-//! dirty/clean marker) is the one exception: it is written through to
-//! its replicas immediately, outside the epoch transaction, preserving
-//! the recovery-sweep ordering discipline (see `CachedStore`'s module
-//! docs for why that marker cannot be buffered).
+//! never a mix of replicas.
 //!
 //! A flush torn *between* two of its epochs remounts at the last
 //! committed one: the volume then holds a block-order prefix of that
 //! flush's writes, the same on every replica. This is what a crash
 //! during `CachedStore`'s eviction write-back already shows a
 //! filesystem — some of the blocks it wrote since its last sync, not
-//! all — and `ffs` tolerates it the same way: the superblock's dirty
-//! marker, written through before any of those blocks, is still set,
-//! so the next mount runs the recovery sweep, and a completed sync
-//! clears the marker only after its last epoch has committed.
+//! all — and `ffs` tolerates it the same way, through the
+//! superblock's dirty marker. Block order is what keeps that marker
+//! ahead of the blocks it covers, with no special case for it: block
+//! 0 is the lowest index, so a flush that carries the dirty marker
+//! commits it in its first epoch, and any later epoch of that flush
+//! lands on a volume that already reads dirty. The clean marker is
+//! the only block of `Ffs::sync`'s second flush, so it commits in an
+//! epoch of its own, after every epoch of the first.
 //!
 //! # Node death, probation, revival, and background rebuild
 //!
@@ -248,10 +248,6 @@ struct ReplState {
     fenced: bool,
     /// The lease terms this coordinator last acquired under.
     lease: Option<LeaseTerms>,
-    /// Set by block-0 write-throughs: the next flush must commit an
-    /// epoch even if the dirty map is empty, so node content never
-    /// stays ahead of the last committed epoch across a clean flush.
-    pending_commit: bool,
     /// Background-rebuild work, drained `blocks_per_tick` at a time.
     queue: VecDeque<RebuildWork>,
     last_tick: Duration,
@@ -380,7 +376,6 @@ impl ReplicatedStore {
                 epoch: 0,
                 fenced: false,
                 lease: None,
-                pending_commit: false,
                 queue: VecDeque::new(),
                 last_tick: Duration::ZERO,
                 probe_cursor: 0,
@@ -522,7 +517,6 @@ impl ReplicatedStore {
             .ok_or_else(|| RemoteError::Server("no lease terms to reacquire under".into()))?;
         self.acquire_locked(&mut st, terms)?;
         st.dirty.clear();
-        st.pending_commit = false;
         // Sweep the epoch records: the committed history may have
         // advanced while we were fenced out.
         let epochs: Vec<Option<u64>> = (0..st.nodes.len())
@@ -721,13 +715,6 @@ impl ReplicatedStore {
             return; // still unreachable; a later tick tries again
         }
         if self.node_epoch(st, target) == Some(st.epoch) {
-            // The epoch-stamped state is current, but block 0 commits
-            // *outside* the epoch transaction (write-through), so a
-            // matching epoch does not cover it: refresh the revived
-            // node's copy from a serving peer before it serves reads.
-            if target < self.replicas && !self.refresh_block_zero(st, target) {
-                return; // no reachable peer right now; a later tick retries
-            }
             st.nodes[target].generation += 1;
             st.nodes[target].state = NodeState::Live;
         } else {
@@ -737,32 +724,6 @@ impl ReplicatedStore {
             self.read_repairs.fetch_add(1, Ordering::Relaxed);
         }
         self.nodes_revived.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copies the write-through block's replica hosted by revived node
-    /// `target` from a serving peer. Only nodes `0..replicas` host a
-    /// copy of block 0 (replica `r` of block 0 lives on node `r`).
-    fn refresh_block_zero(&self, st: &mut ReplState, target: usize) -> bool {
-        let n = st.nodes.len();
-        let source = (0..self.replicas)
-            .map(|r2| (node_of(0, r2, n), r2))
-            .find(|&(m, _)| m != target && st.nodes[m].serving());
-        let Some((m, r2)) = source else {
-            return false;
-        };
-        let Ok(block) = st.nodes[m]
-            .store
-            .try_read_block(inner_of(0, r2, n, self.replicas), IoClass::Meta)
-        else {
-            return false;
-        };
-        st.nodes[target]
-            .store
-            .try_write(
-                IoClass::Meta,
-                &[(inner_of(0, target, n, self.replicas), &block)],
-            )
-            .is_ok()
     }
 
     /// Copies up to `budget` queued blocks from serving replicas onto
@@ -892,45 +853,6 @@ impl ReplicatedStore {
             .min_by_key(|&r| (st.nodes[node_of(idx, r, n)].store.latency_hint(), r))
     }
 
-    /// Block 0 is written through to every live replica immediately —
-    /// outside the epoch transaction — so the filesystem's
-    /// dirty-marker ordering survives (module docs). Idempotent, so a
-    /// mid-loop node failure restarts the whole pass after the rebuild.
-    /// A `Fenced` refusal latches the volume read-only instead (the
-    /// write is dropped, never retried — the newer coordinator owns
-    /// block 0 now); the caller's next flush surfaces the error.
-    fn write_through_zero(&self, st: &mut ReplState, data: &[u8], class: IoClass) {
-        let n = st.nodes.len();
-        if st.fenced {
-            return;
-        }
-        'retry: for _ in 0..self.failover_budget {
-            for r in 0..self.replicas {
-                let node = node_of(0, r, n);
-                if !st.nodes[node].writable() {
-                    continue;
-                }
-                match st.nodes[node]
-                    .store
-                    .try_write(class, &[(inner_of(0, r, n, self.replicas), data)])
-                {
-                    Ok(()) => {}
-                    Err(RemoteError::Fenced { .. }) => {
-                        st.fenced = true;
-                        return;
-                    }
-                    Err(_) => {
-                        self.handle_failure(st, node);
-                        continue 'retry;
-                    }
-                }
-            }
-            st.pending_commit = true;
-            return;
-        }
-        panic!("block 0 write-through kept failing");
-    }
-
     /// The first buffered index the next epoch leaves out, or `None`
     /// when it takes the whole buffer: an epoch is the longest
     /// block-order prefix of the buffer whose share on every node fits
@@ -1037,7 +959,6 @@ impl ReplicatedStore {
                     Some(end) => st.dirty.split_off(&end),
                     None => BTreeMap::new(),
                 };
-                st.pending_commit = false;
                 return Ok(());
             }
         }
@@ -1110,10 +1031,11 @@ impl BlockStore for ReplicatedStore {
             .collect()
     }
 
-    /// Buffers the writes for the next flush, a rewrite of a buffered
-    /// block no reader holds in that block's buffer and any other
-    /// all-zero block as the shared [`crate::zero_block`]; block 0 is
-    /// written through.
+    /// Buffers the writes for the next flush, block 0 included: a
+    /// rewrite of a buffered block no reader holds in that block's
+    /// buffer and any other all-zero block as the shared
+    /// [`crate::zero_block`]. No node sees a write before the flush
+    /// that commits it.
     fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         self.vectored_writes
             .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
@@ -1121,20 +1043,18 @@ impl BlockStore for ReplicatedStore {
         for &(idx, block) in writes {
             assert!(idx < self.block_count, "block {idx} out of range");
             assert_eq!(block.len(), BLOCK_SIZE, "partial block write");
-            if idx == 0 {
-                self.write_through_zero(&mut st, block, class);
-            } else {
-                let slot = st.dirty.entry(idx).or_insert_with(|| (zero_block(), class));
-                block_overwrite(&mut slot.0, block);
-                slot.1 = class;
-            }
+            let slot = st.dirty.entry(idx).or_insert_with(|| (zero_block(), class));
+            block_overwrite(&mut slot.0, block);
+            slot.1 = class;
         }
     }
 
     /// Commits the buffer as one or more epochs (module docs,
-    /// *Epochs*), each under a **write quorum**: each writable node
-    /// receives its share of the epoch, in ascending inner block
-    /// order, as one call whose last record stamps the epoch's number
+    /// *Epochs*), in block order, so a buffered block 0 commits in the
+    /// first. Each epoch commits under a **write quorum**: each
+    /// writable node receives its share of the epoch, in ascending
+    /// inner block order, as one call whose last record stamps the
+    /// epoch's number
     /// (its metadata writes ride ahead in a call of their own class —
     /// the epoch record still commits strictly after them). An epoch
     /// commits when every one of its blocks has `ceil(R/2)` replica
@@ -1157,7 +1077,7 @@ impl BlockStore for ReplicatedStore {
                 "volume is fenced: a newer coordinator holds the lease",
             ));
         }
-        if st.dirty.is_empty() && !st.pending_commit {
+        if st.dirty.is_empty() {
             return Ok(());
         }
         loop {
@@ -1282,6 +1202,33 @@ mod tests {
             64 + 4,
             "R× amplification plus 4 epoch records"
         );
+    }
+
+    /// Block 0, the filesystem's superblock, is buffered like every
+    /// other block: no node sees it before the flush, and the flush
+    /// commits it to every replica under the epoch.
+    #[test]
+    fn block_zero_reaches_the_nodes_only_in_an_epoch() {
+        let (clock, backing) = shared_backing(16, 4, 2);
+        let store = ReplicatedStore::new(shared_clients(&clock, &backing), vec![], 16, 2);
+        let before = store.stats();
+        store.write_block(0, &block_of(0xD1));
+        let after = store.stats();
+        assert_eq!(
+            (after.rpc_calls, after.writes),
+            (before.rpc_calls, before.writes),
+            "block 0 sent before the flush"
+        );
+        store.flush().unwrap();
+        assert_eq!(store.epoch(), 1);
+        for r in 0..2 {
+            let (node, inner) = (node_of(0, r, 4), inner_of(0, r, 4, 2));
+            assert_eq!(
+                backing[node].0.read_block(inner),
+                block_of(0xD1),
+                "replica {r}"
+            );
+        }
     }
 
     #[test]

@@ -88,8 +88,7 @@ fn a_flush_holds_at_most_one_call_beyond_its_buffer_or_its_nodes() {
         .collect();
     let store = ReplicatedStore::new(nodes, Vec::new(), BLOCKS + 1, REPLICAS);
     // Blocks 1..=1024, all distinct and none zero, so every buffered
-    // block and every node's copy is 8 KiB of heap (block 0 is written
-    // through, not buffered).
+    // block and every node's copy is 8 KiB of heap.
     for i in 1..=BLOCKS {
         let mut block = vec![(i % 251) as u8 + 1; store::BLOCK_SIZE];
         block[..8].copy_from_slice(&i.to_le_bytes());

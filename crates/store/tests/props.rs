@@ -801,9 +801,7 @@ fn torn_replicated_write_replays_to_a_single_epoch() {
         let clock = SimClock::new();
         let store = open_volume(&base.join("master"), &clock);
         for epoch in 1..=EPOCHS {
-            // Blocks 1.. only: block 0 is written through outside the
-            // epoch transaction and would interleave journal records.
-            for idx in 1..BLOCKS {
+            for idx in 0..BLOCKS {
                 store.write_block(idx, &block_for(seed_at(epoch, idx)));
             }
             store.flush().unwrap();
@@ -860,7 +858,7 @@ fn torn_replicated_write_replays_to_a_single_epoch() {
                 EPOCHS,
                 "cut {cut}: recovery must land on the max committed epoch"
             );
-            for idx in 1..BLOCKS {
+            for idx in 0..BLOCKS {
                 assert_eq!(
                     store.read_block(idx),
                     block_for(seed_at(EPOCHS, idx)),
@@ -871,7 +869,7 @@ fn torn_replicated_write_replays_to_a_single_epoch() {
             // stamp: kill a neighbour so reads whose surviving replica
             // lives on the victim are served from the rebuilt data.
             store.kill_node((victim + 1) % NODES);
-            for idx in 1..BLOCKS {
+            for idx in 0..BLOCKS {
                 assert_eq!(
                     store.read_block(idx),
                     block_for(seed_at(EPOCHS, idx)),

@@ -215,7 +215,7 @@ fn buffered_zero_writes_share_the_zero_block() {
     let zeros = vec![0u8; BLOCK_SIZE];
     let mut one = zeros.clone();
     one[BLOCK_SIZE - 1] = 1;
-    // Block 0 is written through to the nodes; 1..=256 are buffered.
+    // Blocks 1..=256, all buffered: no flush runs here.
     let fresh = allocated(|| (1..blocks).for_each(|i| store.write_block(i, &zeros)));
     assert!(
         fresh < BLOCKS * 128,

@@ -256,9 +256,22 @@ fn a_sync_torn_at_any_record_remounts_at_an_epoch_that_holds_a_prefix_of_it() {
         let store = volume(nodes.iter().map(|nd| nd.clone() as _).collect(), &clock);
         assert_eq!(store.epoch(), pre_epoch + epochs, "{what}");
         let image = check_remount(&nodes, store, &what);
-        // Block 0, the dirty marker, is written through, outside the
-        // epochs. Past it, the image is the sync's up to some block
-        // and the volume's before it from there on.
+        // Block 0 commits in the sync's first epoch, with the dirty
+        // marker, and the clean marker's epoch is the last: in between,
+        // the remount's superblock is neither the one before the sync
+        // nor the one after it.
+        if epochs == 0 {
+            assert!(image[0] == pre[0], "{what}: block 0 moved");
+        } else if pre_epoch + epochs == last_epoch {
+            assert!(image[0] == post[0], "{what}: not the clean marker");
+        } else {
+            assert!(
+                image[0] != pre[0] && image[0] != post[0],
+                "{what}: not the dirty marker"
+            );
+        }
+        // Past block 0, the image is the sync's up to some block and
+        // the volume's before it from there on.
         let new = (1..FS.total_blocks as usize)
             .find(|&i| image[i] != post[i])
             .unwrap_or(post.len());
@@ -292,7 +305,7 @@ fn a_sync_torn_at_any_record_remounts_at_an_epoch_that_holds_a_prefix_of_it() {
         let store = volume(nodes.iter().map(|nd| nd.clone() as _).collect(), &clock);
         assert_eq!(store.epoch(), last_epoch, "{what}");
         let image = check_remount(&nodes, store, &what);
-        assert!(image[1..] == post[1..], "{what}: not the whole sync");
+        assert!(image == post, "{what}: not the whole sync");
         drop(nodes);
         std::fs::remove_dir_all(&cut).unwrap();
     }
