@@ -50,7 +50,11 @@ import sys
 # 8 KiB copy of every un-flushed block, 21-22 once the journal was its
 # only dirty buffer, and ~19 since the sharded store reads on the
 # caller's thread: when its four workers served the readahead cache's
-# 8-block prefetches, each kept a malloc arena of cache blocks.
+# 8-block prefetches, each kept a malloc arena of cache blocks. It still
+# read 17.1-19.3 while the cache allocated a block on every insert, on
+# whichever thread inserted it, and freed it on whichever evicted it;
+# with the cache's buffers allocated when it is built and recycled on
+# eviction it reads ~15.2, hence the band of 16.5.
 # store.sharded.worker_jobs_per_op read 0.19 then and ~0.002 since
 # (flush jobs only); a read job back on the workers shows here.
 #
@@ -76,7 +80,7 @@ BANDS = {
         "alloc.bytes_per_op": (0.0, 80000.0),
     }),
     "stack_mixed": (True, {
-        "peak_rss_mb": (0.0, 35.0),
+        "peak_rss_mb": (0.0, 16.5),
         "store.sharded.worker_jobs_per_op": (0.0, 0.01),
     }),
     "repl_mixed": (True, {

@@ -630,9 +630,11 @@ pub enum StoreBackend {
     },
     /// A write-back buffer cache ([`CachedStore`]) over any inner
     /// backend: hot reads become handle clones, repeated writes are
-    /// absorbed until the next flush.
+    /// absorbed until the next flush. Its `capacity` × 8 KiB of block
+    /// buffers are allocated when the store is built and recycled on
+    /// eviction (the `cached` module docs, *Buffers*).
     Cached {
-        /// Cache capacity in blocks.
+        /// Cache capacity in blocks, allocated up front.
         capacity: usize,
         /// The wrapped backend.
         inner: Box<StoreBackend>,
@@ -641,9 +643,10 @@ pub enum StoreBackend {
     /// stride is detected among one-block data reads, the next
     /// `window` blocks are prefetched from the inner backend in one
     /// call ([`StoreStats::readahead_blocks`] counts them). Otherwise
-    /// identical to [`StoreBackend::Cached`].
+    /// identical to [`StoreBackend::Cached`], capacity allocated up
+    /// front included.
     CachedReadahead {
-        /// Cache capacity in blocks.
+        /// Cache capacity in blocks, allocated up front.
         capacity: usize,
         /// Readahead window in blocks (0 disables readahead).
         window: usize,

@@ -121,6 +121,46 @@ fn hot_reads_allocate_no_block() {
     }
 }
 
+/// A full write-back cache recycles the buffer of the block a miss
+/// displaces: write misses, read misses and readahead prefetches copy
+/// into buffers the cache allocated when it was built, so together they
+/// allocate less than one block besides the `Vec`s a call passes
+/// around. Each write miss allocated a fresh block before.
+#[test]
+fn a_full_cache_allocates_no_block_for_a_miss() {
+    let (capacity, n) = (64u64, 16u64);
+    let inner = SimStore::untimed(BLOCKS);
+    for i in 0..BLOCKS {
+        inner.write_block(i, &[i as u8 % 16 + 1; BLOCK_SIZE]);
+    }
+    let store = CachedStore::with_readahead(inner, capacity as usize, n as usize);
+    // Twice the capacity, so each shard's eviction queue has grown to
+    // its size for good. A vectored read never triggers readahead.
+    let filled = 2 * capacity;
+    store.read_blocks(&(0..filled).collect::<Vec<_>>());
+    let writes: Vec<u64> = (filled..filled + n).collect();
+    let reads: Vec<u64> = (filled + n..filled + 2 * n).collect();
+    let stride = filled + 2 * n;
+    let misses = allocated(|| {
+        for &i in &writes {
+            store.write_block(i, &[0xA5; BLOCK_SIZE]);
+        }
+        std::hint::black_box(store.read_blocks(&reads));
+        // Three ascending one-block reads form a stride; the third
+        // prefetches the `n` blocks after it.
+        for i in stride..stride + 3 {
+            std::hint::black_box(store.read_block(i));
+        }
+    });
+    let stats = store.stats();
+    assert_eq!(stats.readahead_blocks, n, "{stats:?}");
+    assert_eq!(stats.cache_misses, filled + n + 3, "{stats:?}");
+    assert!(
+        misses < BLOCK_SIZE as u64,
+        "{n} write misses, {n} read misses and {n} prefetches allocated {misses} bytes"
+    );
+}
+
 /// The block protocol's call for `args`: program 0x2000_0B10 version 1
 /// (`store::remote` module docs, *Wire format*), framed.
 fn block_call(xid: u32, proc_num: u32, args: Vec<u8>) -> Vec<u8> {
