@@ -62,9 +62,14 @@ import sys
 # whole share in one WRITE (an 11.2 MB message beside the 16.8 MB
 # write-back buffer on the first sync) and ~59 since every block
 # protocol message fits one 1 MiB frame: a sync commits frame-sized
-# epochs and frees each as it lands. store.remote.retries is 0 on the
-# lossless link; a call the node drops as over the bound, or a reply
-# the client refuses, shows here first.
+# epochs and frees each as it lands. It read 57.2-57.3 while each
+# committed block went back to the malloc arena of the engine worker
+# that wrote it and every node copy on the syncing thread was fresh,
+# and ~45.2 since committed blocks become the next epoch's node copies
+# through the store's block-buffer pool, hence the band of 50.
+# store.remote.retries is 0 on the lossless link; a call the node
+# drops as over the bound, or a reply the client refuses, shows here
+# first.
 BANDS = {
     "meta_walk": (True, {
         "alloc.count_per_op": (0.0, 200.0),
@@ -84,7 +89,7 @@ BANDS = {
         "store.sharded.worker_jobs_per_op": (0.0, 0.01),
     }),
     "repl_mixed": (True, {
-        "peak_rss_mb": (0.0, 64.0),
+        "peak_rss_mb": (0.0, 50.0),
         "store.remote.retries": (0.0, 0.0),
     }),
 }

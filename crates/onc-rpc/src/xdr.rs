@@ -4,7 +4,7 @@
 //! alignment — the properties NFS clients and servers rely on for
 //! interoperability.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 
 /// Errors from decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +35,7 @@ impl std::error::Error for XdrError {}
 /// Serializes XDR items into a growable buffer.
 #[derive(Debug, Default)]
 pub struct Encoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Encoder {
@@ -47,7 +47,7 @@ impl Encoder {
     /// Finishes encoding and returns the buffer the bytes were
     /// encoded into (no copy).
     pub fn finish(self) -> Vec<u8> {
-        self.buf.into()
+        self.buf
     }
 
     /// Current encoded length.

@@ -6,9 +6,10 @@
 //! dirty and written back on [`BlockStore::flush`] or eviction, so a
 //! burst of rewrites to the same block reaches the backend once.
 //!
-//! When a shard overflows, its least-recently-used entry leaves; a
-//! dirty victim is first written back as the [`IoClass`] it was written
-//! with (`StoreStats::writeback_blocks` counts those).
+//! When a shard overflows, its least-recently-used entry leaves, never
+//! the block whose arrival overflowed it; a dirty victim is first
+//! written back as the [`IoClass`] it was written with
+//! (`StoreStats::writeback_blocks` counts those).
 //!
 //! Write-back is what the cache is for under `ffs`, which rewrites an
 //! inode-table block, a bitmap block and a pointer block for every
@@ -53,7 +54,8 @@
 //! copied into one of its shard's spare buffers, and an evicted block's
 //! buffer goes back to the spares when no reader holds it. A buffer a
 //! reader still holds is simply dropped; the next insert that finds no
-//! spare allocates one, and that one joins the spares when its block
+//! spare takes one from the process-wide pool (crate docs, *Buffers*)
+//! or allocates one, and that one joins the spares when its block
 //! leaves. So the cache holds `capacity` × 8 KiB (and one block a
 //! shard) from construction, allocated by the thread that built it,
 //! whichever threads fill and empty it.
@@ -72,10 +74,10 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
-use crate::{block_overwrite, vectored, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
+use crate::{block_overwrite, pooled_block, vectored, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 /// Lock shards: adjacent blocks land on different shards so a
 /// sequential scan does not serialize on one mutex.
@@ -114,7 +116,7 @@ struct Shard {
     /// linearizable for a read that overlapped the write.
     write_version: u64,
     /// Block buffers no entry holds (module docs, *Buffers*).
-    spares: Vec<Vec<u8>>,
+    spares: Vec<BytesMut>,
 }
 
 impl Shard {
@@ -128,16 +130,20 @@ impl Shard {
     }
 
     /// Removes and returns the least-recently-used entry, giving
-    /// touched-since-queued entries a second chance. Terminates: the
-    /// caller holds the shard lock, so each entry is re-queued at most
-    /// once per call before its seq matches.
-    fn pop_lru(&mut self) -> Option<(u64, Entry)> {
+    /// touched-since-queued entries a second chance. `admitted`, the
+    /// block the caller has just put in, is passed over unless it is
+    /// the only entry: when every other entry was touched, the second
+    /// chances queue them all behind it, and it would be the first
+    /// untouched record the pass reaches. Terminates: the caller holds
+    /// the shard lock, so each other entry is re-queued at most once
+    /// per call before its seq matches.
+    fn pop_lru(&mut self, admitted: u64) -> Option<(u64, Entry)> {
         while let Some((idx, seq)) = self.clock.pop_front() {
             match self.map.get(&idx) {
                 // Defensive: no current path removes a map entry
                 // without popping its queue record.
                 None => continue,
-                Some(entry) if entry.seq != seq => {
+                Some(entry) if entry.seq != seq || (idx == admitted && self.map.len() > 1) => {
                     let current = entry.seq;
                     self.clock.push_back((idx, current));
                 }
@@ -151,15 +157,16 @@ impl Shard {
     }
 }
 
-/// `block` in a spare buffer, or in a fresh one when readers hold every
-/// buffer the shard had.
-fn pooled(spares: &mut Vec<Vec<u8>>, block: &[u8]) -> Bytes {
+/// `block` in a spare buffer of the shard's, or, when readers hold
+/// every buffer the shard had, in one from the process-wide pool
+/// ([`pooled_block`]).
+fn pooled(spares: &mut Vec<BytesMut>, block: &[u8]) -> Bytes {
     match spares.pop() {
         Some(mut buf) => {
             buf.copy_from_slice(block);
-            Bytes::from(buf)
+            buf.freeze()
         }
-        None => Bytes::copy_from_slice(block),
+        None => pooled_block(block),
     }
 }
 
@@ -212,7 +219,7 @@ impl<S: BlockStore> CachedStore<S> {
                 .map(|_| {
                     Mutex::new(Shard {
                         spares: (0..=per_shard_capacity)
-                            .map(|_| vec![0; BLOCK_SIZE])
+                            .map(|_| BytesMut::zeroed(BLOCK_SIZE))
                             .collect(),
                         ..Shard::default()
                     })
@@ -254,14 +261,14 @@ impl<S: BlockStore> CachedStore<S> {
         &self.shards[(idx % CACHE_SHARDS as u64) as usize]
     }
 
-    /// Evicts least-recently-used entries while the shard is over
-    /// capacity, writing a dirty victim back first (under the shard
-    /// lock, so no concurrent miss can read the pre-write-back state),
-    /// and returns each victim's buffer to the spares unless a reader
-    /// holds it.
-    fn evict_overflow(&self, shard: &mut Shard) {
+    /// Evicts least-recently-used entries other than `admitted`, the
+    /// block just put in, while the shard is over capacity, writing a
+    /// dirty victim back first (under the shard lock, so no concurrent
+    /// miss can read the pre-write-back state), and returns each
+    /// victim's buffer to the spares unless a reader holds it.
+    fn evict_overflow(&self, shard: &mut Shard, admitted: u64) {
         while shard.map.len() > self.per_shard_capacity {
-            let Some((victim, entry)) = shard.pop_lru() else {
+            let Some((victim, entry)) = shard.pop_lru(admitted) else {
                 break;
             };
             if entry.dirty {
@@ -269,7 +276,7 @@ impl<S: BlockStore> CachedStore<S> {
                 self.inner.write(entry.class, &[(victim, &entry.data)]);
             }
             if let Ok(buf) = entry.data.try_into_mut() {
-                shard.spares.push(buf.into());
+                shard.spares.push(buf);
             }
         }
     }
@@ -297,7 +304,7 @@ impl<S: BlockStore> CachedStore<S> {
             }),
         };
         shard.note_insert(idx, stamp, false);
-        self.evict_overflow(shard);
+        self.evict_overflow(shard, idx);
         true
     }
 
@@ -430,7 +437,7 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
             entry.class = class;
             entry.seq = stamp;
             shard.note_insert(idx, stamp, was_present);
-            self.evict_overflow(shard);
+            self.evict_overflow(shard, idx);
         }
     }
 
@@ -555,6 +562,26 @@ mod tests {
             assert_eq!(buffers(&store, 2), pool, "block {idx} reused a buffer");
         }
         assert_eq!(store.read_block(2), block_of(0));
+    }
+
+    #[test]
+    fn a_miss_into_a_shard_of_touched_entries_evicts_the_oldest() {
+        // Four blocks a shard: 1, 9, 17 and 25 fill shard 1.
+        let store = CachedStore::new(SimStore::untimed(64), 32);
+        let full = [1, 9, 17, 25];
+        for idx in full {
+            store.write_block(idx, &block_of(idx as u8));
+        }
+        for idx in full {
+            store.read_block(idx);
+        }
+        store.write_block(33, &block_of(33));
+        let cached = |idx| store.shards[1].lock().map.contains_key(&idx);
+        assert!(cached(33), "the miss that overflowed the shard stays");
+        assert!(!cached(1), "the oldest entry leaves");
+        assert!(full[1..].iter().all(|&idx| cached(idx)));
+        assert_eq!(store.stats().writeback_blocks, 1);
+        assert_eq!(store.inner().read_block(1), block_of(1));
     }
 
     #[test]

