@@ -2,8 +2,15 @@
 //! handshake draw from, and [`DetRng`], the workspace's one generator —
 //! a *deterministic* stream for reproducible simulations and
 //! benchmarks, built on our own ChaCha20.
+//!
+//! Tests draw from it too: [`DetRng::mutate`] turns a valid message
+//! into hostile input, and [`check`] is the workspace's property
+//! harness, whose cases draw from a `DetRng` and arrive shrunk when they
+//! fail.
 
 use crate::chacha20::ChaCha20;
+
+pub mod check;
 
 /// A source of random bits.
 pub trait RngCore {

@@ -78,6 +78,15 @@ use crate::rpc::{
     encode_create_res, proc_discfs, CreateWithCredRes, DiscfsRpcStatus, DISCFS_PROGRAM,
 };
 
+/// Credentials one peer's session may hold, the ones the server issued
+/// it at CREATE/MKDIR included; `SUBMIT_CRED` refuses more. Each
+/// credential has one authorizer, so this also bounds the distinct
+/// issuers a peer can make an audit record pin.
+const MAX_PEER_CREDENTIALS: usize = 4096;
+
+/// Bytes of one assertion's text that `SUBMIT_CRED` accepts.
+const MAX_ASSERTION_BYTES: usize = 8 << 10;
+
 /// Server configuration.
 pub struct DiscfsConfig {
     /// Filesystem id baked into handles.
@@ -131,6 +140,26 @@ impl PeerState {
     /// The shared authorizer-set handle for audit records.
     fn authorizers(&self) -> Arc<[VerifyingKey]> {
         self.authorizers.read().clone()
+    }
+
+    /// [`PeerState::credentials_changed`] for a session that has just
+    /// gained its last credential, at the cost of one search of the
+    /// sorted set rather than a sort of all the peer's issuers: the set
+    /// is copied only when the issuer is new.
+    fn credential_added(&self, session: &Session) {
+        let issuer = session
+            .credentials()
+            .last()
+            .and_then(|a| a.authorizer().as_key());
+        if let Some(issuer) = issuer {
+            let set = self.authorizers();
+            if let Err(at) = set.binary_search(issuer) {
+                let mut grown = set.to_vec();
+                grown.insert(at, *issuer);
+                *self.authorizers.write() = grown.into();
+            }
+        }
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Bumps the credential epoch, and replaces the authorizer set if
@@ -527,11 +556,14 @@ impl DiscfsService {
         let mut session = state.session.lock();
         // Signed two lines up, by this server: nothing to verify.
         session.add_signed(signed);
-        state.credentials_changed(&session);
+        state.credential_added(&session);
         credential
     }
 
     fn submit_credential(&self, peer: &VerifyingKey, text: &str) -> DiscfsRpcStatus {
+        if text.len() > MAX_ASSERTION_BYTES {
+            return DiscfsRpcStatus::BadCredential;
+        }
         let Ok(assertion) = keynote::Assertion::parse(text) else {
             return DiscfsRpcStatus::BadCredential;
         };
@@ -549,9 +581,12 @@ impl DiscfsService {
         }
         let state = self.peer_state(peer);
         let mut session = state.session.lock();
+        if session.credentials().len() >= MAX_PEER_CREDENTIALS {
+            return DiscfsRpcStatus::BadCredential;
+        }
         match session.add_assertion(assertion) {
             Ok(()) => {
-                state.credentials_changed(&session);
+                state.credential_added(&session);
                 DiscfsRpcStatus::Ok
             }
             Err(_) => DiscfsRpcStatus::BadCredential,

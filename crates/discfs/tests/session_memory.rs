@@ -5,17 +5,21 @@
 //! files once it has disconnected. While every audit record pinned a
 //! list of one issuer per credential, a session's memory grew with the
 //! square of its credentials: 18 KB a create here, and 16 MB stayed in
-//! the audit ring after the client left.
+//! the audit ring after the client left. And what a hostile peer can
+//! make the server hold: self-signed junk credentials stop at the
+//! session's cap.
 //!
 //! A test binary of its own, because it installs a global allocator
 //! that counts live bytes. The server allocates on its engine threads,
-//! so the count is process-wide; this binary runs one test.
+//! so the count is process-wide, and the tests take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use discfs::Testbed;
+use discfs::rpc::DiscfsRpcStatus;
+use discfs::{CredentialIssuer, DiscfsClientError, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
 
 struct LiveBytes;
@@ -43,10 +47,17 @@ fn live() -> i64 {
     LIVE.load(Ordering::Relaxed)
 }
 
+/// One test at a time: the count is process-wide.
+fn turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 const CREATES: i64 = 1000;
 
 #[test]
 fn a_session_grows_linearly_in_its_credentials_and_leaves_little_behind() {
+    let _turn = turn();
     let bed = Testbed::new();
     let before_connect = live();
     let mut client = bed
@@ -90,5 +101,50 @@ fn a_session_grows_linearly_in_its_credentials_and_leaves_little_behind() {
         retained - files <= 256 << 10,
         "{retained} live heap bytes remain after the client disconnected, \
          {files} of them the price of its files"
+    );
+}
+
+/// The most credentials one peer's session holds (`discfs::server`).
+const SESSION_CAP: usize = 4096;
+
+const JUNK: usize = 10_000;
+
+#[test]
+fn self_signed_junk_credentials_stop_at_the_session_cap() {
+    let _turn = turn();
+    let bed = Testbed::new();
+    let peer = SigningKey::from_seed(&[0xD0; 32]);
+    let client = bed.connect(&peer).unwrap();
+    // Held, or refused with `BadCredential`; anything else is a failure.
+    let held = |text: &str| match client.submit_credential(text) {
+        Ok(()) => true,
+        Err(DiscfsClientError::CredentialRejected(DiscfsRpcStatus::BadCredential)) => false,
+        Err(e) => panic!("submission failed: {e:?}"),
+    };
+    let oversized = CredentialIssuer::new(&peer)
+        .holder(&peer.public())
+        .comment(&"x".repeat(8 << 10))
+        .grant_handle_string("1.1", Perm::R)
+        .issue();
+    assert!(!held(&oversized), "an 8 KiB comment is over the text cap");
+
+    let before = live();
+    let mut accepted = 0;
+    for i in 0..JUNK {
+        // Each from its own issuer: the worst case for the audit ring.
+        let mut seed = [0xA5; 32];
+        seed[..8].copy_from_slice(&(i as u64).to_le_bytes());
+        let junk = CredentialIssuer::new(&SigningKey::from_seed(&seed))
+            .holder(&peer.public())
+            .grant_handle_string(&format!("{i}.1"), Perm::R)
+            .issue();
+        accepted += usize::from(held(&junk));
+    }
+    let bytes = live() - before;
+    assert_eq!(accepted, SESSION_CAP);
+    assert_eq!(client.credential_count().unwrap() as usize, SESSION_CAP);
+    assert!(
+        bytes <= (SESSION_CAP << 12) as i64,
+        "{JUNK} junk credentials left {bytes} live heap bytes"
     );
 }

@@ -8,9 +8,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use discfs_crypto::rng::check::check;
 use ffs::{BlockStore, Ffs, FsConfig, MountError, StoreBackend};
 use netsim::SimClock;
-use proptest::prelude::*;
 use store::SimStore;
 
 /// Small geometry so FileJournal-backed cases stay cheap.
@@ -161,16 +161,17 @@ fn verify(fs: &Ffs, model: &BTreeMap<String, Vec<u8>>, label: &str) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Random file trees written, synced, dropped, and remounted
-    /// compare byte-identical against an in-memory model, across every
-    /// backend config of the matrix.
-    #[test]
-    fn remounted_tree_matches_model(
-        ops in proptest::collection::vec((0u8..4, 0u8..10, any::<u8>(), 0u8..18), 1..20)
-    ) {
+/// Random file trees written, synced, dropped, and remounted
+/// compare byte-identical against an in-memory model, across every
+/// backend config of the matrix.
+#[test]
+fn remounted_tree_matches_model() {
+    check("remounted_tree_matches_model", 6, |src| {
+        let ops = src.vec(1..20, |src| {
+            let dir_sel = src.range(0u8..4);
+            let name = src.range(0u8..10);
+            (dir_sel, name, src.any::<u8>(), src.range(0u8..18))
+        });
         let (matrix, base) = matrix("persist-props");
         for (label, store, reopen) in matrix {
             let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
@@ -199,25 +200,24 @@ proptest! {
                 // here: the only surviving state is on disk.
             }
             let store = match reopen {
-                Reopen::Backend(backend) => {
-                    backend.build(&SimClock::new(), config().total_blocks)
-                }
+                Reopen::Backend(backend) => backend.build(&SimClock::new(), config().total_blocks),
                 Reopen::SameStore(store) => store,
             };
-            let fs = Ffs::mount_on(store)
-                .unwrap_or_else(|e| panic!("{label}: mount failed: {e}"));
+            let fs = Ffs::mount_on(store).unwrap_or_else(|e| panic!("{label}: mount failed: {e}"));
             verify(&fs, &model, &label);
             // The volume stays writable after a mount.
             put_file(&fs, fs.root(), "post-mount", b"still writable");
-            prop_assert_eq!(
-                fs.read(fs.resolve_path("post-mount").unwrap(), 0, 32).unwrap(),
+            assert_eq!(
+                fs.read(fs.resolve_path("post-mount").unwrap(), 0, 32)
+                    .unwrap(),
                 b"still writable".to_vec(),
-                "{}", &label
+                "{}",
+                &label
             );
             fs.check().unwrap();
         }
         std::fs::remove_dir_all(&base).ok();
-    }
+    });
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! the fsck-style checker must pass, data must read back, and space
 //! accounting must balance.
 
+use discfs_crypto::rng::check::{check, Source};
 use ffs::{Ffs, FsConfig, FsError, SetAttr};
-use proptest::prelude::*;
 
 /// A randomly generated filesystem operation. Targets are small indexes
 /// into a rolling name pool so that operations frequently collide
@@ -21,22 +21,25 @@ enum Op {
     Symlink(u8),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..12).prop_map(Op::Create),
-        (0u8..6).prop_map(Op::Mkdir),
-        ((0u8..12), any::<u16>(), (0u16..2048)).prop_map(|(name, offset, len)| Op::Write {
-            name,
-            offset,
-            len
-        }),
-        ((0u8..12), any::<u16>()).prop_map(|(name, size)| Op::Truncate { name, size }),
-        (0u8..12).prop_map(Op::Unlink),
-        (0u8..6).prop_map(Op::Rmdir),
-        ((0u8..12), (0u8..12)).prop_map(|(a, b)| Op::Rename(a, b)),
-        ((0u8..12), (0u8..12)).prop_map(|(a, b)| Op::Link(a, b)),
-        (0u8..12).prop_map(Op::Symlink),
-    ]
+fn op(src: &mut Source) -> Op {
+    match src.below(9) {
+        0 => Op::Create(src.range(0..12)),
+        1 => Op::Mkdir(src.range(0..6)),
+        2 => Op::Write {
+            name: src.range(0..12),
+            offset: src.any(),
+            len: src.range(0..2048),
+        },
+        3 => Op::Truncate {
+            name: src.range(0..12),
+            size: src.any(),
+        },
+        4 => Op::Unlink(src.range(0..12)),
+        5 => Op::Rmdir(src.range(0..6)),
+        6 => Op::Rename(src.range(0..12), src.range(0..12)),
+        7 => Op::Link(src.range(0..12), src.range(0..12)),
+        _ => Op::Symlink(src.range(0..12)),
+    }
 }
 
 fn fname(i: u8) -> String {
@@ -80,13 +83,12 @@ fn apply(fs: &Ffs, op: &Op) {
     };
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The one invariant to rule them all: any op sequence leaves a
-    /// filesystem that fsck finds consistent.
-    #[test]
-    fn random_ops_stay_consistent(ops in proptest::collection::vec(op_strategy(), 1..60)) {
+/// The one invariant to rule them all: any op sequence leaves a
+/// filesystem that fsck finds consistent.
+#[test]
+fn random_ops_stay_consistent() {
+    check("random_ops_stay_consistent", 64, |src| {
+        let ops = src.vec(1..60, op);
         let fs = Ffs::format_in_memory(FsConfig::small());
         for op in &ops {
             apply(&fs, op);
@@ -94,13 +96,14 @@ proptest! {
         if let Err(problems) = fs.check() {
             panic!("inconsistent after {ops:?}:\n{}", problems.join("\n"));
         }
-    }
+    });
+}
 
-    /// Written data always reads back, regardless of chunking.
-    #[test]
-    fn write_read_round_trip(
-        chunks in proptest::collection::vec((any::<u16>(), 0u16..3000), 1..12)
-    ) {
+/// Written data always reads back, regardless of chunking.
+#[test]
+fn write_read_round_trip() {
+    check("write_read_round_trip", 64, |src| {
+        let chunks = src.vec(1..12, |src| (src.any::<u16>(), src.range(0u16..3000)));
         let fs = Ffs::format_in_memory(FsConfig::small());
         let ino = fs.create(fs.root(), "f", 0o644, 0, 0).unwrap();
         // Shadow model: a simple Vec<u8>.
@@ -121,16 +124,19 @@ proptest! {
             }
         }
         let size = fs.getattr(ino).unwrap().size;
-        prop_assert_eq!(size, model.len() as u64);
+        assert_eq!(size, model.len() as u64);
         let back = fs.read(ino, 0, model.len()).unwrap();
-        prop_assert_eq!(back, model);
+        assert_eq!(back, model);
         fs.check().unwrap();
-    }
+    });
+}
 
-    /// Deleting everything returns the filesystem to its initial free
-    /// counts (no leaked blocks or inodes).
-    #[test]
-    fn space_fully_reclaimed(ops in proptest::collection::vec(op_strategy(), 1..40)) {
+/// Deleting everything returns the filesystem to its initial free
+/// counts (no leaked blocks or inodes).
+#[test]
+fn space_fully_reclaimed() {
+    check("space_fully_reclaimed", 64, |src| {
+        let ops = src.vec(1..40, op);
         let fs = Ffs::format_in_memory(FsConfig::small());
         let initial = fs.statfs();
         for op in &ops {
@@ -153,15 +159,21 @@ proptest! {
             }
         }
         let end = fs.statfs();
-        prop_assert_eq!(initial.free_blocks, end.free_blocks);
-        prop_assert_eq!(initial.free_inodes, end.free_inodes);
+        assert_eq!(initial.free_blocks, end.free_blocks);
+        assert_eq!(initial.free_inodes, end.free_inodes);
         fs.check().unwrap();
-    }
+    });
+}
 
-    /// Handles with an old generation are reliably detected as stale.
-    #[test]
-    fn stale_handles_detected(rounds in 1usize..20) {
-        let fs = Ffs::format_in_memory(FsConfig { total_blocks: 256, inode_count: 16 });
+/// Handles with an old generation are reliably detected as stale.
+#[test]
+fn stale_handles_detected() {
+    check("stale_handles_detected", 64, |src| {
+        let rounds = src.range(1usize..20);
+        let fs = Ffs::format_in_memory(FsConfig {
+            total_blocks: 256,
+            inode_count: 16,
+        });
         let mut old_handles = Vec::new();
         for round in 0..rounds {
             let name = format!("f{round}");
@@ -175,10 +187,10 @@ proptest! {
         let live = fs.create(fs.root(), "live", 0o644, 0, 0).unwrap();
         let live_generation = fs.getattr(live).unwrap().generation;
         for (ino, generation) in old_handles {
-            prop_assert!(fs.validate_handle(ino, generation).is_err());
+            assert!(fs.validate_handle(ino, generation).is_err());
         }
         fs.validate_handle(live, live_generation).unwrap();
-    }
+    });
 }
 
 // -- in-core cache coherence -------------------------------------------------
@@ -193,6 +205,7 @@ mod coherence {
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
+    use discfs_crypto::rng::{DetRng, RngCore};
     use ffs::{BlockStore, Ffs, FileKind, FsConfig, FsError, Ino, SetAttr, BLOCK_SIZE};
     use store::SimStore;
 
@@ -205,16 +218,12 @@ mod coherence {
         }
     }
 
-    /// SplitMix64: the whole run replays from its seed.
-    struct Rng(u64);
+    /// The walk's generator: the whole run replays from its seed.
+    struct Rng(DetRng);
 
     impl Rng {
         fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            self.0.next_u64()
         }
 
         fn below(&mut self, n: usize) -> usize {
@@ -645,7 +654,7 @@ mod coherence {
     fn random_walk_stays_coherent(seed: u64) {
         let (fs, disk) = live_volume();
         let mut m = Model::new(fs.root());
-        let mut rng = Rng(seed);
+        let mut rng = Rng(DetRng::new(seed));
         // More directories than the name cache keeps and more files with
         // an indirect block than the pointer-block cache keeps, so both
         // evict for the rest of the run.

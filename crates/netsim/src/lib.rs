@@ -892,13 +892,13 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use proptest::prelude::*;
+    use discfs_crypto::rng::check::check;
 
-    proptest! {
-        /// Clock accounting is exact: each message charges
-        /// latency + ceil-free bytes/bandwidth, accumulated.
-        #[test]
-        fn clock_accounting_exact(sizes in proptest::collection::vec(0usize..100_000, 1..20)) {
+    /// Clock accounting is exact: each message charges
+    /// latency + ceil-free bytes/bandwidth, accumulated.
+    #[test]
+    fn clock_accounting_exact() {
+        check("clock_accounting_exact", 64, |src| {
             let clock = SimClock::new();
             let config = LinkConfig {
                 latency: Duration::from_micros(50),
@@ -906,27 +906,28 @@ mod prop_tests {
             };
             let (a, _b) = Link::pair(&clock, config);
             let mut expected = Duration::ZERO;
-            for size in &sizes {
-                a.send(vec![0u8; *size]).unwrap();
+            for size in src.vec(1..20, |src| src.range(0usize..100_000)) {
+                a.send(vec![0u8; size]).unwrap();
                 expected += Duration::from_micros(50)
-                    + Duration::from_nanos((*size as u64) * 1_000_000_000 / 1_000_000);
+                    + Duration::from_nanos((size as u64) * 1_000_000_000 / 1_000_000);
             }
-            prop_assert_eq!(clock.now(), expected);
-        }
+            assert_eq!(clock.now(), expected);
+        });
+    }
 
-        /// FIFO order holds for any message sequence.
-        #[test]
-        fn fifo_order(payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..50), 1..30
-        )) {
+    /// FIFO order holds for any message sequence.
+    #[test]
+    fn fifo_order() {
+        check("fifo_order", 64, |src| {
+            let payloads = src.vec(1..30, |src| src.vec(0..50, |src| src.any::<u8>()));
             let clock = SimClock::new();
             let (a, b) = Link::pair(&clock, LinkConfig::instant());
             for p in &payloads {
                 a.send(p.clone()).unwrap();
             }
             for p in &payloads {
-                prop_assert_eq!(&b.recv().unwrap(), p);
+                assert_eq!(&b.recv().unwrap(), p);
             }
-        }
+        });
     }
 }

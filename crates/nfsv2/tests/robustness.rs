@@ -14,13 +14,13 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use discfs_crypto::ed25519::SigningKey;
+use discfs_crypto::rng::check::check;
 use ffs::{Ffs, FsConfig};
 use ipsec::{PlainChannel, SecureTransport};
 use netsim::{Link, SimClock, Transport};
 use nfsv2::{Engine, EngineConfig, FfsService, NfsClient, RemoteFs};
 use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::{AcceptStat, ReplyBody, RpcCall, RpcReply};
-use proptest::prelude::*;
 
 /// One connection to an engine serving a fresh volume: the bare client
 /// endpoint, the volume, and the engine, which must outlive the
@@ -207,17 +207,13 @@ impl SecureTransport for WrapEndpoint {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Random payloads in well-formed frames never kill the connection:
-    /// a valid NULL call always succeeds afterwards.
-    #[test]
-    fn survives_random_frames(payloads in proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 0..200), 1..10
-    )) {
+/// Random payloads in well-formed frames never kill the connection:
+/// a valid NULL call always succeeds afterwards.
+#[test]
+fn survives_random_frames() {
+    check("survives_random_frames", 32, |src| {
         let (endpoint, _, _engine) = start_server();
-        for payload in payloads {
+        for payload in src.vec(1..10, |src| src.vec(0..200, |src| src.any::<u8>())) {
             endpoint.send(frame::encode_frame(&payload)).unwrap();
         }
         let call = RpcCall::new(77, nfsv2::NFS_PROGRAM, 2, 0, vec![]);
@@ -227,25 +223,26 @@ proptest! {
         loop {
             let reply = replies.next();
             if reply.xid == 77 {
-                prop_assert!(matches!(reply.body, ReplyBody::Success(_)));
+                assert!(matches!(reply.body, ReplyBody::Success(_)));
                 break;
             }
         }
-    }
+    });
+}
 
-    /// Random args to every NFS procedure produce clean errors, never
-    /// hangs or panics.
-    #[test]
-    fn random_args_yield_clean_errors(
-        proc_num in 1u32..18,
-        args in proptest::collection::vec(any::<u8>(), 0..120),
-    ) {
+/// Random args to every NFS procedure produce clean errors, never
+/// hangs or panics.
+#[test]
+fn random_args_yield_clean_errors() {
+    check("random_args_yield_clean_errors", 32, |src| {
         let (endpoint, fs, _engine) = start_server();
+        let proc_num = src.range(1u32..18);
+        let args = src.vec(0..120, |src| src.any::<u8>());
         let call = RpcCall::new(9, nfsv2::NFS_PROGRAM, 2, proc_num, args);
         send_call(&endpoint, &call);
         let reply = recv_reply(&endpoint);
-        prop_assert_eq!(reply.xid, 9);
+        assert_eq!(reply.xid, 9);
         // Either an RPC-level error or an NFS status reply; both fine.
         fs.check().expect("volume stays consistent");
-    }
+    });
 }

@@ -645,17 +645,20 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use proptest::prelude::*;
+    use discfs_crypto::rng::check::{check, Source};
 
-    proptest! {
-        /// Any payload sequence, split at arbitrary message boundaries,
-        /// reassembles to exactly the original payloads in order.
-        #[test]
-        fn arbitrary_splits_reassemble_exactly(
-            payloads in proptest::collection::vec(
-                proptest::collection::vec(any::<u8>(), 0..200), 1..12),
-            cut in 1usize..64,
-        ) {
+    /// One to `most - 1` payloads of `bytes` bytes each.
+    fn payloads(src: &mut Source, most: usize, bytes: std::ops::Range<usize>) -> Vec<Vec<u8>> {
+        src.vec(1..most, |src| src.vec(bytes.clone(), |src| src.any::<u8>()))
+    }
+
+    /// Any payload sequence, split at arbitrary message boundaries,
+    /// reassembles to exactly the original payloads in order.
+    #[test]
+    fn arbitrary_splits_reassemble_exactly() {
+        check("arbitrary_splits_reassemble_exactly", 64, |src| {
+            let payloads = payloads(src, 12, 0..200);
+            let cut = src.range(1usize..64);
             let mut stream = Vec::new();
             for p in &payloads {
                 encode_frame_into(&mut stream, p);
@@ -668,26 +671,25 @@ mod prop_tests {
                     got.push(frame.to_vec());
                 }
             }
-            prop_assert_eq!(got, payloads);
-            prop_assert!(!dec.has_partial());
-        }
+            assert_eq!(got, payloads);
+            assert!(!dec.has_partial());
+        });
+    }
 
-        /// Flipping any single byte of the stream never panics or hangs:
-        /// the decoder either errors, or yields a (possibly shorter)
-        /// prefix of intact frames — it must not fabricate payloads that
-        /// were never sent, except within the flipped frame itself.
-        #[test]
-        fn single_byte_corruption_never_panics(
-            payloads in proptest::collection::vec(
-                proptest::collection::vec(any::<u8>(), 1..50), 1..6),
-            flip_at in any::<u32>(),
-            cut in 1usize..32,
-        ) {
+    /// Flipping any single byte of the stream never panics or hangs:
+    /// the decoder either errors, or yields a (possibly shorter)
+    /// prefix of intact frames — it must not fabricate payloads that
+    /// were never sent, except within the flipped frame itself.
+    #[test]
+    fn single_byte_corruption_never_panics() {
+        check("single_byte_corruption_never_panics", 64, |src| {
+            let payloads = payloads(src, 6, 1..50);
             let mut stream = Vec::new();
             for p in &payloads {
                 encode_frame_into(&mut stream, p);
             }
-            let pos = (flip_at as usize) % stream.len();
+            let pos = src.range(0..stream.len());
+            let cut = src.range(1usize..32);
             stream[pos] ^= 0x01;
             let mut dec = FrameDecoder::new();
             let mut decoded = 0usize;
@@ -695,21 +697,27 @@ mod prop_tests {
             for chunk in stream.chunks(cut) {
                 match dec.feed(Bytes::copy_from_slice(chunk)) {
                     Ok(n) => decoded += n,
-                    Err(_) => { failed = true; break; }
+                    Err(_) => {
+                        failed = true;
+                        break;
+                    }
                 }
             }
             // A corrupted stream may still parse (the flip can land in a
             // payload whose checksum we also flipped past — impossible
             // for a 1-bit flip, or desync into plausible frames), but it
             // must never yield more frames than were sent.
-            prop_assert!(decoded <= payloads.len());
-            prop_assert!(failed || decoded <= payloads.len());
-        }
+            assert!(decoded <= payloads.len());
+            assert!(failed || decoded <= payloads.len());
+        });
+    }
 
-        /// Oversized declared lengths are rejected no matter how the
-        /// stream is sliced.
-        #[test]
-        fn oversized_always_rejected(extra in 1u32..1000, cut in 1usize..8) {
+    /// Oversized declared lengths are rejected no matter how the
+    /// stream is sliced.
+    #[test]
+    fn oversized_always_rejected() {
+        check("oversized_always_rejected", 64, |src| {
+            let (extra, cut) = (src.range(1u32..1000), src.range(1usize..8));
             let max = 128usize;
             let declared = max as u32 + extra;
             let mut stream = declared.to_be_bytes().to_vec();
@@ -722,8 +730,8 @@ mod prop_tests {
                     break;
                 }
             }
-            prop_assert!(rejected);
-            prop_assert!(dec.pop_frame().is_none());
-        }
+            assert!(rejected);
+            assert!(dec.pop_frame().is_none());
+        });
     }
 }

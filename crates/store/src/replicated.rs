@@ -1766,40 +1766,37 @@ mod tests {
 
     mod epoch_props {
         use super::*;
-        use proptest::prelude::*;
+        use discfs_crypto::rng::check::check;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Arbitrary bytes — wrong-sized, empty, random — never
+        /// panic and never read as a committed epoch.
+        #[test]
+        fn arbitrary_bytes_decode_to_epoch_zero() {
+            check("arbitrary_bytes_decode_to_epoch_zero", 48, |src| {
+                let data = src.vec(0..2 * BLOCK_SIZE, |src| src.any::<u8>());
+                assert_eq!(decode_epoch(&data), 0);
+            });
+        }
 
-            /// Arbitrary bytes — wrong-sized, empty, random — never
-            /// panic and never read as a committed epoch.
-            #[test]
-            fn arbitrary_bytes_decode_to_epoch_zero(
-                data in proptest::collection::vec(any::<u8>(), 0..2 * BLOCK_SIZE)
-            ) {
-                prop_assert_eq!(decode_epoch(&data), 0);
-            }
+        /// A truncated (torn) epoch record reads as epoch 0.
+        #[test]
+        fn truncated_record_decodes_to_zero() {
+            check("truncated_record_decodes_to_zero", 48, |src| {
+                let block = epoch_record(src.range(1u64..u64::MAX));
+                assert_eq!(decode_epoch(&block[..src.range(0..BLOCK_SIZE)]), 0);
+            });
+        }
 
-            /// A truncated (torn) epoch record reads as epoch 0.
-            #[test]
-            fn truncated_record_decodes_to_zero(
-                epoch in 1u64..u64::MAX, len in 0usize..BLOCK_SIZE
-            ) {
-                let block = epoch_record(epoch);
-                prop_assert_eq!(decode_epoch(&block[..len]), 0);
-            }
-
-            /// Any single bit flip in the covered prefix (magic, epoch,
-            /// checksum) invalidates the record: it reads as epoch 0,
-            /// never as a wrong epoch, and never panics.
-            #[test]
-            fn bit_flipped_record_decodes_to_zero(
-                epoch in 1u64..u64::MAX, byte in 0usize..48, bit in 0u32..8
-            ) {
-                let mut block = epoch_record(epoch);
-                block[byte] ^= 1 << bit;
-                prop_assert_eq!(decode_epoch(&block), 0);
-            }
+        /// Any single bit flip in the covered prefix (magic, epoch,
+        /// checksum) invalidates the record: it reads as epoch 0,
+        /// never as a wrong epoch, and never panics.
+        #[test]
+        fn bit_flipped_record_decodes_to_zero() {
+            check("bit_flipped_record_decodes_to_zero", 48, |src| {
+                let mut block = epoch_record(src.range(1u64..u64::MAX));
+                block[src.range(0usize..48)] ^= 1 << src.range(0u32..8);
+                assert_eq!(decode_epoch(&block), 0);
+            });
         }
     }
 }

@@ -5,8 +5,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use discfs_crypto::rng::check::check;
 use netsim::{LinkConfig, SimClock};
-use proptest::prelude::*;
 use store::{
     BlockStore, Bytes, CachedStore, EncryptedStore, FileStore, IoClass, RemoteOptions, RemoteStore,
     ReplicatedStore, ShardedStore, SimStore, StoreBackend, BLOCK_SIZE, JOURNAL_RECORD_LEN,
@@ -178,15 +178,14 @@ fn all_backends(tag: &str) -> Vec<(Box<dyn BlockStore>, Option<std::path::PathBu
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Any write sequence reads back exactly like a flat block array,
-    /// on every backend, through both the charged and the meta paths.
-    #[test]
-    fn roundtrip_matches_model_on_all_backends(
-        ops in proptest::collection::vec((0u64..BLOCKS, 0u8..16, any::<bool>()), 1..40)
-    ) {
+/// Any write sequence reads back exactly like a flat block array,
+/// on every backend, through both the charged and the meta paths.
+#[test]
+fn roundtrip_matches_model_on_all_backends() {
+    check("roundtrip_matches_model_on_all_backends", 24, |src| {
+        let ops = src.vec(1..40, |src| {
+            (src.range(0..BLOCKS), src.range(0u8..16), src.bool())
+        });
         for (store, dir) in all_backends("props-roundtrip") {
             let mut model: HashMap<u64, u8> = HashMap::new();
             for (idx, seed, meta) in &ops {
@@ -198,14 +197,14 @@ proptest! {
                 }
                 model.insert(*idx, *seed);
             }
+            let label = store.label();
             for idx in 0..BLOCKS {
                 let expected = block_for(model.get(&idx).copied().unwrap_or(0));
-                prop_assert_eq!(&store.read_block(idx), &expected, "backend {}", store.label());
-                prop_assert_eq!(
+                assert_eq!(&store.read_block(idx), &expected, "backend {label}");
+                assert_eq!(
                     &store.read_block_meta(idx),
                     &expected,
-                    "backend {} meta",
-                    store.label()
+                    "backend {label} meta"
                 );
             }
             store.flush().unwrap();
@@ -213,15 +212,16 @@ proptest! {
                 std::fs::remove_dir_all(&dir).ok();
             }
         }
-    }
+    });
+}
 
-    /// Crash before flush: every journaled write survives reopen; the
-    /// data file alone (journal wiped) only holds flushed state.
-    #[test]
-    fn journal_replay_after_crash(
-        flushed in proptest::collection::vec((0u64..BLOCKS, 1u8..16), 0..12),
-        unflushed in proptest::collection::vec((0u64..BLOCKS, 1u8..16), 1..12),
-    ) {
+/// Crash before flush: every journaled write survives reopen; the
+/// data file alone (journal wiped) only holds flushed state.
+#[test]
+fn journal_replay_after_crash() {
+    check("journal_replay_after_crash", 24, |src| {
+        let flushed = src.vec(0..12, |src| (src.range(0..BLOCKS), src.range(1u8..16)));
+        let unflushed = src.vec(1..12, |src| (src.range(0..BLOCKS), src.range(1u8..16)));
         let dir = store::temp_dir_for_tests("props-journal");
         let mut model: HashMap<u64, u8> = HashMap::new();
         {
@@ -240,25 +240,26 @@ proptest! {
         let store = FileStore::open(&dir, BLOCKS).unwrap();
         for idx in 0..BLOCKS {
             let expected = block_for(model.get(&idx).copied().unwrap_or(0));
-            prop_assert_eq!(
+            assert_eq!(
                 &store.read_block(idx),
                 &expected,
-                "block {} after replay",
-                idx
+                "block {idx} after replay"
             );
         }
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
+}
 
-    /// A journal truncated at an arbitrary byte offset replays exactly
-    /// the longest intact prefix of acknowledged writes — never torn
-    /// or misplaced data.
-    #[test]
-    fn journal_prefix_replay_under_arbitrary_truncation(
-        writes in proptest::collection::vec((0u64..BLOCKS, 1u8..16), 1..16),
-        cut_percent in 0u8..101,
-    ) {
+/// A journal truncated at an arbitrary byte offset replays exactly
+/// the longest intact prefix of acknowledged writes — never torn
+/// or misplaced data.
+#[test]
+fn journal_prefix_replay_under_arbitrary_truncation() {
+    let name = "journal_prefix_replay_under_arbitrary_truncation";
+    check(name, 24, |src| {
+        let writes = src.vec(1..16, |src| (src.range(0..BLOCKS), src.range(1u8..16)));
+        let cut_percent = src.range(0u8..101);
         let dir = store::temp_dir_for_tests("props-truncate");
         {
             let store = FileStore::open(&dir, BLOCKS).unwrap();
@@ -286,46 +287,48 @@ proptest! {
         let store = FileStore::open(&dir, BLOCKS).unwrap();
         for idx in 0..BLOCKS {
             let expected = block_for(model.get(&idx).copied().unwrap_or(0));
-            prop_assert_eq!(
-                &store.read_block(idx),
-                &expected,
-                "block {} after cut {} ({} records kept)",
-                idx,
-                cut,
-                kept
-            );
+            let at = format!("block {idx} after cut {cut} ({kept} records kept)");
+            assert_eq!(&store.read_block(idx), &expected, "{at}");
         }
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
+}
 
-    /// The backend selector builds stores that satisfy the same
-    /// roundtrip contract (spot check with one op sequence).
-    #[test]
-    fn backend_selector_roundtrips(
-        idx in 0u64..BLOCKS,
-        seed in 1u8..16,
-    ) {
+/// The backend selector builds stores that satisfy the same
+/// roundtrip contract (spot check with one op sequence).
+#[test]
+fn backend_selector_roundtrips() {
+    check("backend_selector_roundtrips", 24, |src| {
+        let (idx, seed) = (src.range(0..BLOCKS), src.range(1u8..16));
         let clock = SimClock::new();
         let dir = store::temp_dir_for_tests("props-selector");
+        let journal = |name| {
+            Box::new(StoreBackend::FileJournal {
+                dir: dir.join(name),
+            })
+        };
         let specs = [
             StoreBackend::SimTimed,
             StoreBackend::SimInstant,
-            StoreBackend::FileJournal { dir: dir.join("file") },
-            StoreBackend::EncryptedJournal { dir: dir.join("enc"), key: [10; 32] },
+            *journal("file"),
+            StoreBackend::EncryptedJournal {
+                dir: dir.join("enc"),
+                key: [10; 32],
+            },
             StoreBackend::Cached {
                 capacity: 8,
-                inner: Box::new(StoreBackend::FileJournal { dir: dir.join("cached") }),
+                inner: journal("cached"),
             },
             StoreBackend::Sharded {
                 shards: 4,
                 workers: false,
-                inner: Box::new(StoreBackend::FileJournal { dir: dir.join("sharded") }),
+                inner: journal("sharded"),
             },
             StoreBackend::Sharded {
                 shards: 4,
                 workers: true,
-                inner: Box::new(StoreBackend::FileJournal { dir: dir.join("sharded-w") }),
+                inner: journal("sharded-w"),
             },
             StoreBackend::CachedReadahead {
                 capacity: 8,
@@ -338,7 +341,7 @@ proptest! {
                 spares: 0,
                 ethernet: false,
                 opts: RemoteOptions::default(),
-                inner: Box::new(StoreBackend::FileJournal { dir: dir.join("remote") }),
+                inner: journal("remote"),
             },
             StoreBackend::Replicated {
                 nodes: 4,
@@ -346,34 +349,35 @@ proptest! {
                 spares: 0,
                 ethernet: false,
                 opts: RemoteOptions::default(),
-                inner: Box::new(StoreBackend::FileJournal { dir: dir.join("replicated") }),
+                inner: journal("replicated"),
             },
         ];
         for spec in &specs {
             let store = spec.build(&clock, BLOCKS);
             let data = block_for(seed);
             store.write_block(idx, &data);
-            prop_assert_eq!(&store.read_block(idx), &data, "{}", spec.label());
+            assert_eq!(&store.read_block(idx), &data, "{}", spec.label());
             store.flush().unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
+}
 
-    /// The one I/O path's contract: a run of blocks moves the same
-    /// bytes and is counted alike as one many-block call, as one-block
-    /// calls and through the ten provided names — in either class, on
-    /// every backend of the wrapper matrix. Duplicate indices resolve
-    /// like the loop (last pair wins). `reads` is compared over a cold
-    /// read of the device and `writes` after a flush: behind a warm
-    /// cache the counters depend on residency, which a many-block call
-    /// (every lookup before any insert) legitimately changes. The
-    /// device is read in descending order: ascending one-block data
-    /// reads are what the readahead nest prefetches on, by design.
-    #[test]
-    fn vectored_ops_match_per_block_loop(
-        ops in proptest::collection::vec((0u64..BLOCKS, 0u8..16), 1..40),
-        meta in any::<bool>(),
-    ) {
+/// The one I/O path's contract: a run of blocks moves the same
+/// bytes and is counted alike as one many-block call, as one-block
+/// calls and through the ten provided names — in either class, on
+/// every backend of the wrapper matrix. Duplicate indices resolve
+/// like the loop (last pair wins). `reads` is compared over a cold
+/// read of the device and `writes` after a flush: behind a warm
+/// cache the counters depend on residency, which a many-block call
+/// (every lookup before any insert) legitimately changes. The
+/// device is read in descending order: ascending one-block data
+/// reads are what the readahead nest prefetches on, by design.
+#[test]
+fn vectored_ops_match_per_block_loop() {
+    check("vectored_ops_match_per_block_loop", 24, |src| {
+        let ops = src.vec(1..40, |src| (src.range(0..BLOCKS), src.range(0u8..16)));
+        let meta = src.bool();
         let class = if meta { IoClass::Meta } else { IoClass::Data };
         let model = SimStore::untimed(BLOCKS);
         for (idx, seed) in &ops {
@@ -392,7 +396,9 @@ proptest! {
         let many_write = |s: &dyn BlockStore| s.write(class, &writes);
         // The same blocks, one call a block.
         let single_read = |s: &dyn BlockStore| -> Vec<Bytes> {
-            idxs.iter().map(|&i| s.read(class, &[i]).remove(0)).collect()
+            idxs.iter()
+                .map(|&i| s.read(class, &[i]).remove(0))
+                .collect()
         };
         let single_write = |s: &dyn BlockStore| writes.iter().for_each(|w| s.write(class, &[*w]));
         // The ten names in turn (many-block calls are the first shape's).
@@ -434,7 +440,11 @@ proptest! {
         for (shape, read, write) in shapes {
             for (nest, (store, dir)) in all_backends("props-vectored").into_iter().enumerate() {
                 let at = format!("backend {} ({nest}), {shape}", store.label());
-                prop_assert!(read(&*store).iter().all(|b| b == &store::zero_block()), "{}", at);
+                assert!(
+                    read(&*store).iter().all(|b| b == &store::zero_block()),
+                    "{}",
+                    at
+                );
                 let cold = store.stats().reads;
                 write(&*store);
                 store.flush().unwrap();
@@ -442,25 +452,28 @@ proptest! {
                 if counted.len() == nest {
                     counted.push(counts);
                 }
-                prop_assert_eq!(counts, counted[nest], "{}: (reads, writes)", at);
+                assert_eq!(counts, counted[nest], "{}: (reads, writes)", at);
                 for (block, &idx) in read(&*store).iter().zip(&idxs) {
-                    prop_assert_eq!(block, &model.read_block(idx), "{}, block {}", at, idx);
+                    assert_eq!(block, &model.read_block(idx), "{}, block {}", at, idx);
                 }
                 if let Some(dir) = dir {
                     std::fs::remove_dir_all(&dir).ok();
                 }
             }
         }
-    }
+    });
+}
 
-    /// Equivalence: any workload over `CachedStore(X)` or
-    /// `ShardedStore([X; N])` reads back byte-identical to the same
-    /// workload over plain `X` — for every block, through both paths,
-    /// after a flush.
-    #[test]
-    fn wrappers_are_byte_identical_to_plain_store(
-        ops in proptest::collection::vec((0u64..BLOCKS, 0u8..16, any::<bool>()), 1..48)
-    ) {
+/// Equivalence: any workload over `CachedStore(X)` or
+/// `ShardedStore([X; N])` reads back byte-identical to the same
+/// workload over plain `X` — for every block, through both paths,
+/// after a flush.
+#[test]
+fn wrappers_are_byte_identical_to_plain_store() {
+    check("wrappers_are_byte_identical_to_plain_store", 24, |src| {
+        let ops = src.vec(1..48, |src| {
+            (src.range(0..BLOCKS), src.range(0u8..16), src.bool())
+        });
         let plain = SimStore::untimed(BLOCKS);
         // A deliberately tiny cache so evictions and write-backs fire.
         let cached = CachedStore::new(SimStore::untimed(BLOCKS), 4);
@@ -485,34 +498,38 @@ proptest! {
         }
         for idx in 0..BLOCKS {
             let expected = plain.read_block(idx);
-            prop_assert_eq!(&cached.read_block(idx), &expected, "cached, block {}", idx);
-            prop_assert_eq!(&sharded.read_block(idx), &expected, "sharded, block {}", idx);
-            prop_assert_eq!(
-                &cached.read_block_meta(idx), &expected, "cached meta, block {}", idx
-            );
-            prop_assert_eq!(
-                &sharded.read_block_meta(idx), &expected, "sharded meta, block {}", idx
-            );
+            for store in &stores[1..] {
+                let at = format!("{}, block {idx}", store.label());
+                assert_eq!(&store.read_block(idx), &expected, "{at}");
+                assert_eq!(&store.read_block_meta(idx), &expected, "{at} meta");
+            }
         }
-    }
+    });
+}
 
-    /// Equivalence on persistent backends across a full
-    /// sync/drop/mount cycle: wrapping FileJournal in a cache, in
-    /// shards, or in both must not change what comes back after a
-    /// process restart.
-    #[test]
-    fn wrapped_persistent_stores_survive_reopen_byte_identical(
-        ops in proptest::collection::vec((0u64..BLOCKS, 0u8..16), 1..24)
-    ) {
+/// Equivalence on persistent backends across a full
+/// sync/drop/mount cycle: wrapping FileJournal in a cache, in
+/// shards, or in both must not change what comes back after a
+/// process restart.
+#[test]
+fn wrapped_persistent_stores_survive_reopen_byte_identical() {
+    let name = "wrapped_persistent_stores_survive_reopen_byte_identical";
+    check(name, 24, |src| {
+        let ops = src.vec(1..24, |src| (src.range(0..BLOCKS), src.range(0u8..16)));
         let clock = SimClock::new();
         let dir = store::temp_dir_for_tests("props-wrap-reopen");
+        let journal = |name| {
+            Box::new(StoreBackend::FileJournal {
+                dir: dir.join(name),
+            })
+        };
         let specs = [
-            ("plain", StoreBackend::FileJournal { dir: dir.join("plain") }),
+            ("plain", *journal("plain")),
             (
                 "cached",
                 StoreBackend::Cached {
                     capacity: 6,
-                    inner: Box::new(StoreBackend::FileJournal { dir: dir.join("cached") }),
+                    inner: journal("cached"),
                 },
             ),
             (
@@ -520,7 +537,7 @@ proptest! {
                 StoreBackend::Sharded {
                     shards: 4,
                     workers: false,
-                    inner: Box::new(StoreBackend::FileJournal { dir: dir.join("sharded") }),
+                    inner: journal("sharded"),
                 },
             ),
             (
@@ -528,7 +545,7 @@ proptest! {
                 StoreBackend::Sharded {
                     shards: 4,
                     workers: true,
-                    inner: Box::new(StoreBackend::FileJournal { dir: dir.join("sharded-w") }),
+                    inner: journal("sharded-w"),
                 },
             ),
             (
@@ -538,7 +555,7 @@ proptest! {
                     inner: Box::new(StoreBackend::Sharded {
                         shards: 3,
                         workers: false,
-                        inner: Box::new(StoreBackend::FileJournal { dir: dir.join("both") }),
+                        inner: journal("both"),
                     }),
                 },
             ),
@@ -549,7 +566,7 @@ proptest! {
                     inner: Box::new(StoreBackend::Sharded {
                         shards: 3,
                         workers: true,
-                        inner: Box::new(StoreBackend::FileJournal { dir: dir.join("both-w") }),
+                        inner: journal("both-w"),
                     }),
                 },
             ),
@@ -569,13 +586,12 @@ proptest! {
             let store = spec.build(&clock, BLOCKS);
             for idx in 0..BLOCKS {
                 let expected = block_for(model.get(&idx).copied().unwrap_or(0));
-                prop_assert_eq!(
-                    &store.read_block(idx), &expected, "{}, block {} after reopen", label, idx
-                );
+                let at = format!("{label}, block {idx} after reopen");
+                assert_eq!(&store.read_block(idx), &expected, "{at}");
             }
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
 }
 
 /// A torn vectored write through the worker pool must be
