@@ -699,6 +699,28 @@ mod tests {
     }
 
     #[test]
+    fn a_resubmitted_credential_is_a_no_op() {
+        // Each copy used to be verified, stored and indexed, and to
+        // bump the peer's epoch, discarding its cached decisions.
+        let bed = Testbed::instant();
+        let bob = key(2);
+        let client = bed.connect(&bob).unwrap();
+        let root = client.remote().root();
+        let grant = root_grant(&bed, &bob);
+        client.submit_credential(&grant).unwrap();
+        client.client().getattr(&root).unwrap();
+        let stats = bed.service().cache().stats();
+        let (hits, misses) = (stats.hits(), stats.misses());
+        for _ in 1..5 {
+            client.submit_credential(&grant).unwrap();
+        }
+        assert_eq!(client.credential_count().unwrap(), 1);
+        client.client().getattr(&root).unwrap();
+        assert_eq!(stats.misses(), misses, "the cached decision survives");
+        assert_eq!(stats.hits(), hits + 1);
+    }
+
+    #[test]
     fn malformed_credential_rejected() {
         let bed = Testbed::instant();
         let bob = key(2);

@@ -581,6 +581,11 @@ impl DiscfsService {
         }
         let state = self.peer_state(peer);
         let mut session = state.session.lock();
+        // A resubmit changes nothing: no verification, no second copy,
+        // and no epoch bump to throw away the peer's cached decisions.
+        if session.holds_credential(assertion.id()) {
+            return DiscfsRpcStatus::Ok;
+        }
         if session.credentials().len() >= MAX_PEER_CREDENTIALS {
             return DiscfsRpcStatus::BadCredential;
         }

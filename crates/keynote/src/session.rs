@@ -187,6 +187,9 @@ pub struct Session {
     values: ValueSet,
     policies: Vec<Assertion>,
     credentials: Vec<Assertion>,
+    /// Each credential's [`Assertion::id`], kept in step with
+    /// `credentials`: a credential already held is not added again.
+    credential_ids: HashSet<String>,
     attributes: HashMap<String, String>,
     requesters: HashSet<Principal>,
     /// `_ACTION_AUTHORIZERS`: requester names, sorted, comma-joined;
@@ -203,6 +206,7 @@ impl Session {
             values: ValueSet::new(values),
             policies: Vec::new(),
             credentials: Vec::new(),
+            credential_ids: HashSet::new(),
             attributes: HashMap::new(),
             requesters: HashSet::new(),
             action_authorizers: String::new(),
@@ -230,7 +234,9 @@ impl Session {
         Ok(())
     }
 
-    /// Adds a signed credential after verifying its signature.
+    /// Adds a signed credential after verifying its signature. A
+    /// credential the session already holds is a no-op, as in
+    /// [`Session::add_assertion`].
     ///
     /// # Errors
     ///
@@ -243,25 +249,34 @@ impl Session {
     /// Adds an already-parsed signed credential after verifying its
     /// signature — for callers that had to inspect the assertion first
     /// (DisCFS screens it against the revocation list) and should not
-    /// pay for a second parse.
+    /// pay for a second parse. A credential the session already holds
+    /// ([`Session::holds_credential`]) is a no-op: it is neither
+    /// verified again nor stored twice.
     ///
     /// # Errors
     ///
     /// [`KeyNoteError::AuthorizerNotAKey`] or
     /// [`KeyNoteError::BadSignature`].
     pub fn add_assertion(&mut self, assertion: Assertion) -> Result<(), KeyNoteError> {
+        if self.holds_credential(assertion.id()) {
+            return Ok(());
+        }
         assertion.verify()?;
         self.push_credential(assertion);
         Ok(())
     }
 
     /// Adds a credential this process signed itself. The type is the
-    /// proof (see [`SignedAssertion`]), so nothing is verified again.
+    /// proof (see [`SignedAssertion`]), so nothing is verified again;
+    /// one the session already holds is not stored twice.
     pub fn add_signed(&mut self, signed: SignedAssertion) {
         self.push_credential(signed.into_assertion());
     }
 
     fn push_credential(&mut self, assertion: Assertion) {
+        if !self.credential_ids.insert(assertion.id().to_string()) {
+            return;
+        }
         self.delegations
             .insert(Slot::Credential(self.credentials.len()), &assertion);
         self.credentials.push(assertion);
@@ -277,6 +292,12 @@ impl Session {
     /// The credentials currently in the session.
     pub fn credentials(&self) -> &[Assertion] {
         &self.credentials
+    }
+
+    /// Whether the session holds the credential whose
+    /// [`Assertion::id`] is `id`: one hash lookup.
+    pub fn holds_credential(&self, id: &str) -> bool {
+        self.credential_ids.contains(id)
     }
 
     /// The keys that signed the session's credentials, each once however
@@ -297,6 +318,11 @@ impl Session {
         if self.credentials.len() == before {
             return;
         }
+        self.credential_ids = self
+            .credentials
+            .iter()
+            .map(|a| a.id().to_string())
+            .collect();
         // Slots name positions, and positions have shifted.
         self.delegations = Delegations::default();
         for (at, assertion) in self.policies.iter().enumerate() {
@@ -770,6 +796,26 @@ mod tests {
         let revoked = Assertion::parse(&cred).unwrap();
         s.retain_credentials(|a| a.id() != revoked.id());
         assert!(s.query().unwrap().is_min());
+    }
+
+    #[test]
+    fn a_credential_already_held_is_added_once() {
+        let mut s = discfs_session("8");
+        let cred = discfs_cred(&admin(), &bob(), "8", "RW");
+        let id = Assertion::parse(&cred).unwrap().id().to_string();
+        assert!(!s.holds_credential(&id));
+        for _ in 0..3 {
+            s.add_credential(&cred).unwrap();
+        }
+        assert_eq!(s.credentials().len(), 1);
+        assert!(s.holds_credential(&id));
+        // The id set follows a purge: the credential can come back.
+        s.retain_credentials(|a| a.id() != id);
+        assert!(!s.holds_credential(&id));
+        s.add_credential(&cred).unwrap();
+        s.add_requester_key(&bob().public());
+        assert_eq!(s.credentials().len(), 1);
+        assert_eq!(s.query().unwrap().as_str(), "RW");
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //! its own buffer when no reader still holds a handle to it (one that
 //! is held gets a fresh copy, so the reader keeps what it read). A
 //! pass that rewrites a file thus reuses the file's blocks instead of
-//! reallocating them. A block never written, or written as zeros over
+//! reallocating them. The store holds a map entry only for a block
+//! once written non-zero: one never written, or written as zeros over
 //! the zero block or a buffer a reader holds (`ffs` formats a volume
-//! by zeroing its inode table), is the process-wide zero block: a
-//! store of any size costs one pointer per such block, not 8 KB.
+//! by zeroing its inode table), has no entry and reads as the
+//! process-wide zero block. A store costs what its data costs, not
+//! what its size does: a 256 MiB volume built and never written holds
+//! no memory per block (it held a 24-byte handle for each, 778 KB).
 
+use std::collections::HashMap;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -98,7 +102,9 @@ impl DiskModel {
 }
 
 struct SimState {
-    blocks: Vec<Bytes>,
+    /// The blocks once written non-zero; any other reads as
+    /// [`zero_block`].
+    blocks: HashMap<u64, Bytes>,
     last_block: Option<u64>,
     reads: u64,
     writes: u64,
@@ -119,7 +125,7 @@ impl SimStore {
     pub fn new(clock: &SimClock, model: DiskModel, block_count: u64) -> SimStore {
         SimStore {
             state: Mutex::new(SimState {
-                blocks: vec![zero_block(); block_count as usize],
+                blocks: HashMap::new(),
                 last_block: None,
                 reads: 0,
                 writes: 0,
@@ -157,7 +163,7 @@ impl BlockStore for SimStore {
                     self.model.charge(&self.clock, &mut s.last_block, idx);
                     s.reads += 1;
                 }
-                s.blocks[idx as usize].clone()
+                s.blocks.get(&idx).cloned().unwrap_or_else(zero_block)
             })
             .collect()
     }
@@ -174,7 +180,11 @@ impl BlockStore for SimStore {
                 self.model.charge(&self.clock, &mut s.last_block, idx);
                 s.writes += 1;
             }
-            block_overwrite(&mut s.blocks[idx as usize], block);
+            let mut slot = s.blocks.remove(&idx).unwrap_or_else(zero_block);
+            block_overwrite(&mut slot, block);
+            if slot.as_ptr() != zero_block().as_ptr() {
+                s.blocks.insert(idx, slot);
+            }
         }
     }
 

@@ -3,7 +3,8 @@
 //! now it clones a refcount into the `Vec` of handles a read returns
 //! (32 bytes a handle): at most 128 bytes for each layer it crosses.
 //! The simulated disk and the replicated store's write buffer copy no
-//! write of zeros either: such a block is the shared zero block. A
+//! write of zeros either: such a block is the shared zero block, and
+//! the disk holds nothing for a block never written non-zero. A
 //! replicated flush hands each committed block's buffer to the nodes'
 //! copies of the next epoch. And a storage node asked for a reply
 //! larger than a frame refuses before it reserves one.
@@ -115,6 +116,54 @@ fn zero_writes_share_the_zero_block() {
     assert_one_block_of_its_own(one_write, &store, 7);
     assert_eq!(store.read_block(7), one);
     assert_eq!(store.read_block(8), zeros);
+}
+
+/// The simulated disk holds only the blocks written non-zero: a
+/// 1 Mi-block (8 GiB) store costs nothing a block when built (24 MiB
+/// while it held a handle for every block), a non-zero write costs its
+/// block and its map entry, and a read of a block never written hands
+/// out the shared zero block. The pool is drained first, so each of
+/// the 64 writes allocates a fresh block: 8 192 bytes and the 40-byte
+/// `Arc` around it.
+#[test]
+fn a_sim_store_holds_only_the_blocks_written() {
+    let _turn = pool_turn();
+    let blocks: u64 = 1 << 20;
+    let mut store = None;
+    let built = allocated(|| store = Some(SimStore::untimed(blocks)));
+    let store = store.unwrap();
+    assert!(
+        built < 4096,
+        "a {blocks}-block store allocated {built} bytes"
+    );
+
+    let drain = SimStore::untimed(BLOCKS * 2);
+    (0..BLOCKS * 2).for_each(|i| drain.write_block(i, &stamped(i, 1)));
+    let n = 64;
+    let spread = blocks / n;
+    let data: Vec<Vec<u8>> = (0..n).map(|i| stamped(i, 2)).collect();
+    let written =
+        allocated(|| (0..n).for_each(|i| store.write_block(i * spread, &data[i as usize])));
+    let block = BLOCK_SIZE as u64;
+    assert!(
+        (n * block..=n * (block + 40) + 16 * 1024).contains(&written),
+        "{n} non-zero writes allocated {written} bytes ({:.3} blocks each)",
+        written as f64 / (n * block) as f64
+    );
+    assert_eq!(store.read_block(5 * spread), data[5]);
+
+    // Odd blocks: the writes went to multiples of `spread`.
+    let reads = 1000;
+    let read = allocated(|| {
+        for i in 0..reads {
+            let zero = store.read_block(i * 1000 + 1);
+            assert_eq!(zero.as_ptr(), zero_block().as_ptr());
+        }
+    });
+    assert!(
+        read <= 128 * reads,
+        "{reads} reads of blocks never written allocated {read} bytes"
+    );
 }
 
 #[test]
