@@ -15,12 +15,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use discfs::rpc::DiscfsRpcStatus;
 use discfs::{CredentialIssuer, DiscfsClientError, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
+use parking_lot::{Mutex, MutexGuard};
 
 struct LiveBytes;
 
@@ -50,7 +50,7 @@ fn live() -> i64 {
 /// One test at a time: the count is process-wide.
 fn turn() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    TURN.lock()
 }
 
 const CREATES: i64 = 1000;

@@ -10,7 +10,8 @@
 //!   ([`LinkConfig::ethernet_100mbps`] matches the paper's testbed).
 //! * [`Link::pair`] — a duplex connection: two [`Endpoint`]s that can be
 //!   moved to different threads (client thread / server thread, exactly
-//!   like the two hosts in the paper's Figure 6).
+//!   like the two hosts in the paper's Figure 6). Each direction is
+//!   one message queue under one lock ([`Endpoint`] gives the rules).
 //! * [`Transport`] — the byte-message interface the RPC and IPsec layers
 //!   build on.
 //!
@@ -27,9 +28,11 @@
 #![warn(unreachable_pub)]
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+
+use parking_lot::{Condvar, Mutex};
 
 /// Errors from the simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,37 +194,32 @@ impl FaultPlan {
 
     /// Sets the per-message drop probability, builder-style.
     pub fn with_loss(self, p: f64) -> FaultPlan {
-        self.inner.state.lock().unwrap().drop_p = p;
+        self.inner.state.lock().drop_p = p;
         self
     }
 
     /// Sets the per-message duplication probability, builder-style.
     pub fn with_duplication(self, p: f64) -> FaultPlan {
-        self.inner.state.lock().unwrap().dup_p = p;
+        self.inner.state.lock().dup_p = p;
         self
     }
 
     /// Sets the maximum extra per-message delay, builder-style.
     pub fn with_jitter(self, max: Duration) -> FaultPlan {
-        self.inner.state.lock().unwrap().jitter = max;
+        self.inner.state.lock().jitter = max;
         self
     }
 
     /// Schedules a partition: every message sent while the virtual
     /// clock reads within `[from, until)` is dropped.
     pub fn partition(&self, from: Duration, until: Duration) {
-        self.inner
-            .state
-            .lock()
-            .unwrap()
-            .partitions
-            .push((from, until));
+        self.inner.state.lock().partitions.push((from, until));
     }
 
     /// Test hook: drop the next `n` messages unconditionally — a link
     /// flap, independent of the virtual clock.
     pub fn flap(&self, n: u64) {
-        self.inner.state.lock().unwrap().flap_remaining += n;
+        self.inner.state.lock().flap_remaining += n;
     }
 
     /// Messages dropped or duplicated by this plan so far.
@@ -231,7 +229,7 @@ impl FaultPlan {
 
     /// Decides the fate of one message sent at virtual time `now`.
     fn on_send(&self, now: Duration) -> FaultAction {
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.state.lock();
         if st.flap_remaining > 0 {
             st.flap_remaining -= 1;
             self.inner.injected.fetch_add(1, Ordering::Relaxed);
@@ -371,7 +369,7 @@ impl ReadySet {
     /// Marks `token` ready, waking one waiter. Idempotent while the token
     /// is still queued.
     pub fn push(&self, token: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         if inner.queued.insert(token) {
             inner.queue.push_back(token);
             self.cv.notify_one();
@@ -381,54 +379,71 @@ impl ReadySet {
     /// Blocks until at least one token is ready (or `timeout` expires),
     /// then drains and returns every queued token, oldest first.
     pub fn wait(&self, timeout: Duration) -> Vec<u64> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.queue.is_empty() {
-            let (guard, _timed_out) = self
-                .cv
-                .wait_timeout_while(inner, timeout, |i| i.queue.is_empty())
-                .unwrap();
-            inner = guard;
-        }
+        let mut inner = self
+            .cv
+            .wait_timeout_while(self.inner.lock(), timeout, |i| i.queue.is_empty());
         inner.queued.clear();
         inner.queue.drain(..).collect()
     }
 }
 
-/// Per-direction shared state backing readiness wakeups: how many
-/// messages are in flight, and which [`ReadySet`]/token to poke when one
-/// lands.
+/// One direction of a [`Link`]: everything in it sits under `state`,
+/// and `cv` wakes the receiving endpoint's blocked receives.
 #[derive(Default)]
-struct DirState {
-    pending: AtomicUsize,
-    watcher: Mutex<Option<(Arc<ReadySet>, u64)>>,
-    /// Set when the sending endpoint is dropped, *before* its watcher is
-    /// woken: the channel itself only disconnects once the sender field
-    /// is dropped, which is after `Drop::drop` returns — too late for a
-    /// receiver that the wakeup has already sent polling.
-    closed: AtomicBool,
+struct Pipe {
+    state: Mutex<Dir>,
+    cv: Condvar,
 }
 
-impl DirState {
-    fn notify(&self) {
-        if let Some((set, token)) = self.watcher.lock().unwrap().as_ref() {
+#[derive(Default)]
+struct Dir {
+    /// Messages sent and not yet received, oldest first.
+    queue: VecDeque<Vec<u8>>,
+    /// Set when either endpoint is dropped: sends fail from then on,
+    /// and receives drain `queue` and then report `Disconnected`.
+    closed: bool,
+    /// The [`ReadySet`] and token the receiving endpoint registered.
+    watcher: Option<(Arc<ReadySet>, u64)>,
+    /// Receives asleep on `cv`. A send notifies only when there is one:
+    /// a notify is a system call even with nobody waiting.
+    waiting: usize,
+}
+
+impl Dir {
+    /// Pokes the watcher, if there is one.
+    fn wake_watcher(&self) {
+        if let Some((set, token)) = &self.watcher {
             set.push(*token);
+        }
+    }
+
+    /// The next message, or why there is none (`Timeout`: not yet).
+    fn pop(&mut self) -> Result<Vec<u8>, NetError> {
+        match self.queue.pop_front() {
+            Some(msg) => Ok(msg),
+            None if self.closed => Err(NetError::Disconnected),
+            None => Err(NetError::Timeout),
         }
     }
 }
 
 /// One side of a duplex [`Link`].
+///
+/// Each direction is one queue under one lock: a send pushes its
+/// message and pokes the receiver's watcher under that lock, a receive
+/// pops or waits on it, and a registration arms its token under it, so
+/// none of them can see another half done. Dropping an endpoint closes
+/// both directions: the peer's sends fail from then on, and its
+/// receives get what was already queued, then `Disconnected`.
 pub struct Endpoint {
-    tx: mpsc::Sender<Vec<u8>>,
-    /// `Transport` is `Sync` and `mpsc::Receiver` is not, hence the
-    /// mutex; only this endpoint's own receive calls take it.
-    rx: Mutex<mpsc::Receiver<Vec<u8>>>,
     clock: SimClock,
     config: LinkConfig,
     /// Direction peer → us: what our `recv` drains.
-    incoming: Arc<DirState>,
+    incoming: Arc<Pipe>,
     /// Direction us → peer: what our `send` fills.
-    outgoing: Arc<DirState>,
-    /// Faults applied to messages this endpoint sends.
+    outgoing: Arc<Pipe>,
+    /// Faults applied to messages this endpoint sends
+    /// ([`Link::pair_faulty`] installs one plan on both sides).
     faults: Option<FaultPlan>,
 }
 
@@ -438,30 +453,15 @@ pub struct Link;
 impl Link {
     /// Creates a connected pair of endpoints sharing `clock`.
     pub fn pair(clock: &SimClock, config: LinkConfig) -> (Endpoint, Endpoint) {
-        let (tx_a, rx_b) = mpsc::channel();
-        let (tx_b, rx_a) = mpsc::channel();
-        let dir_ab = Arc::new(DirState::default());
-        let dir_ba = Arc::new(DirState::default());
-        (
-            Endpoint {
-                tx: tx_a,
-                rx: Mutex::new(rx_a),
-                clock: clock.clone(),
-                config,
-                incoming: Arc::clone(&dir_ba),
-                outgoing: Arc::clone(&dir_ab),
-                faults: None,
-            },
-            Endpoint {
-                tx: tx_b,
-                rx: Mutex::new(rx_b),
-                clock: clock.clone(),
-                config,
-                incoming: dir_ab,
-                outgoing: dir_ba,
-                faults: None,
-            },
-        )
+        let (ab, ba) = (Arc::new(Pipe::default()), Arc::new(Pipe::default()));
+        let end = |incoming, outgoing| Endpoint {
+            clock: clock.clone(),
+            config,
+            incoming,
+            outgoing,
+            faults: None,
+        };
+        (end(Arc::clone(&ba), Arc::clone(&ab)), end(ab, ba))
     }
 
     /// Like [`Link::pair`], with `faults` installed on **both**
@@ -473,8 +473,8 @@ impl Link {
         faults: &FaultPlan,
     ) -> (Endpoint, Endpoint) {
         let (mut a, mut b) = Link::pair(clock, config);
-        a.inject_faults(faults);
-        b.inject_faults(faults);
+        a.faults = Some(faults.clone());
+        b.faults = Some(faults.clone());
         (a, b)
     }
 
@@ -485,33 +485,19 @@ impl Link {
 }
 
 impl Endpoint {
-    /// Installs `faults` on this endpoint: every message it **sends**
-    /// from now on goes through the plan. Call before moving the
-    /// endpoint to its thread ([`Link::pair_faulty`] installs one plan
-    /// on both sides).
-    fn inject_faults(&mut self, faults: &FaultPlan) {
-        self.faults = Some(faults.clone());
-    }
-
-    fn rx(&self) -> MutexGuard<'_, mpsc::Receiver<Vec<u8>>> {
-        self.rx
-            .lock()
-            .expect("a receive call panicked holding the receiver")
-    }
-
-    /// Enqueues one message toward the peer and wakes any watcher.
+    /// Enqueues one message toward the peer and wakes it.
     fn enqueue(&self, msg: Vec<u8>) -> Result<(), NetError> {
-        // Count the message before enqueuing it: a receiver can only
-        // decrement after the send below succeeds, so `pending` never
-        // underflows, and it over-counts for at most this call's duration.
-        self.outgoing.pending.fetch_add(1, Ordering::Release);
-        if self.tx.send(msg).is_err() {
-            self.outgoing.pending.fetch_sub(1, Ordering::Release);
+        let mut dir = self.outgoing.state.lock();
+        if dir.closed {
             return Err(NetError::Disconnected);
         }
-        // Wake any watcher only after the message is enqueued, so a woken
-        // loop that polls immediately always finds it.
-        self.outgoing.notify();
+        dir.queue.push_back(msg);
+        dir.wake_watcher();
+        let waiting = dir.waiting > 0;
+        drop(dir);
+        if waiting {
+            self.outgoing.cv.notify_one();
+        }
         Ok(())
     }
 }
@@ -539,43 +525,42 @@ impl Transport for Endpoint {
     }
 
     fn recv(&self) -> Result<Vec<u8>, NetError> {
-        let msg = self.rx().recv().map_err(|_| NetError::Disconnected)?;
-        self.incoming.pending.fetch_sub(1, Ordering::Release);
-        Ok(msg)
+        let mut dir = self.incoming.state.lock();
+        while dir.queue.is_empty() && !dir.closed {
+            dir.waiting += 1;
+            dir = self.incoming.cv.wait(dir);
+            dir.waiting -= 1;
+        }
+        dir.pop()
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        let msg = self.rx().recv_timeout(timeout).map_err(|e| match e {
-            mpsc::RecvTimeoutError::Timeout => NetError::Timeout,
-            mpsc::RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })?;
-        self.incoming.pending.fetch_sub(1, Ordering::Release);
-        Ok(msg)
+        let pipe = &self.incoming;
+        let mut dir = pipe.state.lock();
+        dir.waiting += 1;
+        dir = pipe
+            .cv
+            .wait_timeout_while(dir, timeout, |d| d.queue.is_empty() && !d.closed);
+        dir.waiting -= 1;
+        dir.pop()
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, NetError> {
-        // Read the flag first: the peer sets it after its last send, so
-        // an empty queue seen afterwards is empty for good.
-        let closed = self.incoming.closed.load(Ordering::SeqCst);
-        match self.rx().try_recv() {
-            Ok(msg) => {
-                self.incoming.pending.fetch_sub(1, Ordering::Release);
-                Ok(Some(msg))
-            }
-            Err(mpsc::TryRecvError::Empty) if !closed => Ok(None),
-            Err(_) => Err(NetError::Disconnected),
+        match self.incoming.state.lock().pop() {
+            Ok(msg) => Ok(Some(msg)),
+            Err(NetError::Timeout) => Ok(None),
+            Err(e) => Err(e),
         }
     }
 
     fn register_ready(&self, set: &Arc<ReadySet>, token: u64) {
-        *self.incoming.watcher.lock().unwrap() = Some((Arc::clone(set), token));
+        let mut dir = self.incoming.state.lock();
+        dir.watcher = Some((Arc::clone(set), token));
         // Messages that arrived — or a peer that left — before
         // registration would otherwise never produce an edge: arm the
         // token once if there is anything to observe.
-        if self.incoming.pending.load(Ordering::Acquire) > 0
-            || self.incoming.closed.load(Ordering::SeqCst)
-        {
-            set.push(token);
+        if !dir.queue.is_empty() || dir.closed {
+            dir.wake_watcher();
         }
     }
 
@@ -589,14 +574,21 @@ impl Transport for Endpoint {
 }
 
 impl Drop for Endpoint {
+    /// A dropped endpoint is a disconnect from the peer's point of view:
+    /// its sends fail, and its receives, blocked ones and the watcher's
+    /// loop included, are woken to drain the queue and see
+    /// `Disconnected` instead of sleeping forever.
     fn drop(&mut self) {
-        // A dropped endpoint is a disconnect from the peer's point of
-        // view: wake whoever watches the direction we used to feed so the
-        // loop observes `Disconnected` instead of sleeping forever. The
-        // flag goes up first — `self.tx` is still alive here, and a woken
-        // poller that preempts this thread must not read "nothing yet".
-        self.outgoing.closed.store(true, Ordering::SeqCst);
-        self.outgoing.notify();
+        let mut dir = self.incoming.state.lock();
+        dir.closed = true;
+        // Nobody is left to receive these.
+        dir.queue.clear();
+        drop(dir);
+        let mut dir = self.outgoing.state.lock();
+        dir.closed = true;
+        dir.wake_watcher();
+        drop(dir);
+        self.outgoing.cv.notify_all();
     }
 }
 
@@ -847,6 +839,42 @@ mod tests {
         });
         assert_eq!(set.wait(Duration::from_secs(5)), vec![1]);
         assert_eq!(b.try_recv().unwrap().unwrap(), vec![42]);
+        drop(sender.join().unwrap());
+    }
+
+    /// Returns once a receive of `a`'s peer is asleep on the condvar.
+    fn until_peer_waits(a: &Endpoint) {
+        while a.outgoing.state.lock().waiting == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn blocked_recv_sees_a_peer_dropped_on_another_thread() {
+        let clock = SimClock::new();
+        let (a, b) = Link::pair(&clock, LinkConfig::instant());
+        let dropper = std::thread::spawn(move || {
+            until_peer_waits(&a);
+            drop(a);
+        });
+        assert_eq!(b.recv(), Err(NetError::Disconnected));
+        dropper.join().unwrap();
+    }
+
+    #[test]
+    fn blocked_recv_timeout_gets_a_message_sent_on_another_thread() {
+        let clock = SimClock::new();
+        let (a, b) = Link::pair(&clock, LinkConfig::instant());
+        let sender = std::thread::spawn(move || {
+            until_peer_waits(&a);
+            a.send(vec![8]).unwrap();
+            a
+        });
+        let timeout = Duration::from_secs(5);
+        let start = std::time::Instant::now();
+        assert_eq!(b.recv_timeout(timeout), Ok(vec![8]));
+        // Woken by the send, not found when the wait ran out.
+        assert!(start.elapsed() < timeout);
         drop(sender.join().unwrap());
     }
 

@@ -13,14 +13,14 @@
 //! client receives. [`NfsClient`]'s docs give the rule in full and the
 //! measurement that turned down holding calls until the caller blocks.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
 use ipsec::{IpsecError, SecureTransport};
 use netsim::NetError;
 use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::{AcceptStat, Decoder, Encoder, ReplyBody, RpcCall, RpcReply, XdrError};
+use parking_lot::Mutex;
 
 use crate::proto::{
     proc_mount, proc_nfs, DirOpArgs, FHandle, Fattr, NfsStat, ReaddirEntry, Sattr, MAX_DATA,
@@ -78,15 +78,27 @@ struct Inbox {
 }
 
 impl Inbox {
-    /// Decodes every frame of one received message into `pending` and
-    /// returns how many replies that was.
-    fn absorb(&mut self, msg: Vec<u8>) -> Result<usize, ClientError> {
-        let replies = self
-            .decoder
-            .feed(Bytes::from(msg))
-            .map_err(|_| ClientError::Xdr(XdrError::BadValue))?;
+    /// Decodes every frame of one received message. A reply to a call
+    /// outstanding in `outbox` goes into `pending` and off the calls on
+    /// the wire; any other (never sent, or answered already) is dropped.
+    /// A frame that fails to decode holds up none after it: the first
+    /// error is returned once every frame is in.
+    fn absorb(&mut self, msg: Vec<u8>, outbox: &Mutex<Outbox>) -> Result<(), ClientError> {
+        let fed = self.decoder.feed(Bytes::from(msg));
+        let mut first_err = fed.err().map(|_| ClientError::Xdr(XdrError::BadValue));
         while let Some(bytes) = self.decoder.pop_frame() {
-            let reply = RpcReply::decode(&bytes)?;
+            let reply = match RpcReply::decode(&bytes) {
+                Ok(reply) => reply,
+                Err(e) => {
+                    first_err.get_or_insert(e.into());
+                    continue;
+                }
+            };
+            let mut outbox = outbox.lock();
+            if !outbox.outstanding.remove(&reply.xid) {
+                continue;
+            }
+            outbox.on_wire = outbox.on_wire.saturating_sub(1);
             let outcome = match reply.body {
                 ReplyBody::Success(results) => Ok(results),
                 ReplyBody::Error(stat) => Err(ClientError::Rpc(stat)),
@@ -94,7 +106,7 @@ impl Inbox {
             };
             self.pending.insert(reply.xid, outcome);
         }
-        Ok(replies)
+        first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -115,6 +127,8 @@ struct Outbox {
     /// Calls handed to the transport whose reply [`Inbox::absorb`] has
     /// not yet decoded.
     on_wire: usize,
+    /// Xids issued whose reply [`Inbox::absorb`] has not yet decoded.
+    outstanding: HashSet<u32>,
 }
 
 impl Outbox {
@@ -189,6 +203,7 @@ impl NfsClient {
                 buf: Vec::new(),
                 queued: 0,
                 on_wire: 0,
+                outstanding: HashSet::new(),
             }),
             inbox: Mutex::new(Inbox::default()),
         }
@@ -215,9 +230,10 @@ impl NfsClient {
         proc_num: u32,
         args: Vec<u8>,
     ) -> Result<u32, ClientError> {
-        let mut outbox = self.outbox.lock().expect("outbox poisoned");
+        let mut outbox = self.outbox.lock();
         let xid = outbox.next_xid;
         outbox.next_xid = xid.wrapping_add(1);
+        outbox.outstanding.insert(xid);
         // Ten words of AUTH_NONE call header.
         outbox.buf.reserve(frame::FRAME_HEADER + 40 + args.len());
         let start = frame::begin_frame(&mut outbox.buf);
@@ -238,19 +254,7 @@ impl NfsClient {
     ///
     /// [`ClientError::Net`] on transport failure.
     pub fn flush(&self) -> Result<(), ClientError> {
-        self.outbox
-            .lock()
-            .expect("outbox poisoned")
-            .flush(&*self.chan)
-    }
-
-    /// Decodes one received message and takes its replies off the
-    /// outbox's count of calls on the wire.
-    fn absorb(&self, inbox: &mut Inbox, msg: Vec<u8>) -> Result<(), ClientError> {
-        let replies = inbox.absorb(msg)?;
-        let mut outbox = self.outbox.lock().expect("outbox poisoned");
-        outbox.on_wire = outbox.on_wire.saturating_sub(replies);
-        Ok(())
+        self.outbox.lock().flush(&*self.chan)
     }
 
     /// Collects the reply to `xid` if it has arrived, sending what is
@@ -262,14 +266,14 @@ impl NfsClient {
     /// Transport/decode failures (sending the queue included), or the
     /// reply's own error outcome.
     pub fn try_take_reply(&self, xid: u32) -> Result<Option<Vec<u8>>, ClientError> {
-        let mut inbox = self.inbox.lock().expect("inbox poisoned");
+        let mut inbox = self.inbox.lock();
         loop {
             if let Some(outcome) = inbox.pending.remove(&xid) {
                 return outcome.map(Some);
             }
             self.flush()?;
             match self.chan.try_recv()? {
-                Some(msg) => self.absorb(&mut inbox, msg)?,
+                Some(msg) => inbox.absorb(msg, &self.outbox)?,
                 None => return Ok(None),
             }
         }
@@ -283,14 +287,14 @@ impl NfsClient {
     /// Transport/decode failures (sending the queue included), or the
     /// reply's own error outcome.
     pub fn wait_reply(&self, xid: u32) -> Result<Vec<u8>, ClientError> {
-        let mut inbox = self.inbox.lock().expect("inbox poisoned");
+        let mut inbox = self.inbox.lock();
         loop {
             if let Some(outcome) = inbox.pending.remove(&xid) {
                 return outcome;
             }
             self.flush()?;
             let msg = self.chan.recv()?;
-            self.absorb(&mut inbox, msg)?;
+            inbox.absorb(msg, &self.outbox)?;
         }
     }
 
@@ -298,14 +302,14 @@ impl NfsClient {
     /// consuming data beyond buffering it in the inbox). Sends what is
     /// queued first; `false` when that fails.
     pub fn peer_alive(&self) -> bool {
-        let mut inbox = self.inbox.lock().expect("inbox poisoned");
+        let mut inbox = self.inbox.lock();
         if self.flush().is_err() {
             return false;
         }
         loop {
             match self.chan.try_recv() {
                 Ok(Some(msg)) => {
-                    if self.absorb(&mut inbox, msg).is_err() {
+                    if inbox.absorb(msg, &self.outbox).is_err() {
                         return false;
                     }
                 }
@@ -653,9 +657,7 @@ impl Drop for NfsClient {
     /// Calls still queued go out; a transport error has nobody left to
     /// hear it.
     fn drop(&mut self) {
-        if let Ok(outbox) = self.outbox.get_mut() {
-            let _ = outbox.flush(&*self.chan);
-        }
+        let _ = self.outbox.lock().flush(&*self.chan);
     }
 }
 

@@ -54,7 +54,7 @@ pub(crate) mod dispatch;
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -65,6 +65,7 @@ use ipsec::{ike, IpsecError, SecureTransport};
 use netsim::{Endpoint, ReadySet, Transport};
 use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::RpcCallView;
+use parking_lot::{Condvar, Mutex};
 
 use crate::service::{NfsService, RequestCtx};
 use dispatch::{dispatch, request_ctx};
@@ -152,38 +153,45 @@ enum Job {
     Serve { token: u64 },
 }
 
-/// A condvar-backed MPMC job queue (`std::sync::mpsc` has no cloneable
+/// The pool's MPMC job queue (`std::sync::mpsc` has no cloneable
 /// receiver, so the pool rolls its own).
 #[derive(Default)]
 struct JobQueue {
-    jobs: Mutex<VecDeque<Job>>,
+    state: Mutex<Jobs>,
     cv: Condvar,
-    closed: AtomicBool,
+}
+
+#[derive(Default)]
+struct Jobs {
+    queue: VecDeque<Job>,
+    /// Under `queue`'s lock: a worker that saw it clear sleeps on `cv`
+    /// before `close` can set it and notify, so no wakeup is missed.
+    closed: bool,
 }
 
 impl JobQueue {
     fn push(&self, job: Job) {
-        self.jobs.lock().expect("job queue poisoned").push_back(job);
+        self.state.lock().queue.push_back(job);
         self.cv.notify_one();
     }
 
     /// Blocks for the next job; `None` once closed *and* empty, so
     /// closing still drains everything already queued.
     fn pop(&self) -> Option<Job> {
-        let mut jobs = self.jobs.lock().expect("job queue poisoned");
+        let mut jobs = self.state.lock();
         loop {
-            if let Some(job) = jobs.pop_front() {
+            if let Some(job) = jobs.queue.pop_front() {
                 return Some(job);
             }
-            if self.closed.load(Ordering::Acquire) {
+            if jobs.closed {
                 return None;
             }
-            jobs = self.cv.wait(jobs).expect("job queue poisoned");
+            jobs = self.cv.wait(jobs);
         }
     }
 
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.state.lock().closed = true;
         self.cv.notify_all();
     }
 }
@@ -323,7 +331,7 @@ impl Engine {
 
     /// Currently attached connections.
     pub fn connections(&self) -> usize {
-        self.shared.conns.lock().expect("conn map poisoned").len()
+        self.shared.conns.lock().len()
     }
 
     /// The highest queue depth `token`'s connection ever reached, or
@@ -332,18 +340,13 @@ impl Engine {
         self.shared
             .conns
             .lock()
-            .expect("conn map poisoned")
             .get(&token)
             .map(|c| c.high_water.load(Ordering::Relaxed))
     }
 
     /// Whether `token` is still attached.
     pub fn is_connected(&self, token: u64) -> bool {
-        self.shared
-            .conns
-            .lock()
-            .expect("conn map poisoned")
-            .contains_key(&token)
+        self.shared.conns.lock().contains_key(&token)
     }
 
     /// Quiesces the engine: stops the readiness loop (no further input
@@ -358,7 +361,7 @@ impl Engine {
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.ready.push(CONTROL_TOKEN);
-        let mut threads = self.threads.lock().expect("thread list poisoned");
+        let mut threads = self.threads.lock();
         // Join the loop first (it is threads[0]): once it exits, no new
         // requests can enter any queue.
         if !threads.is_empty() {
@@ -367,9 +370,9 @@ impl Engine {
         // Make sure every queued request has a Serve job covering it,
         // then let the workers drain the job queue and exit.
         {
-            let conns = self.shared.conns.lock().expect("conn map poisoned");
+            let conns = self.shared.conns.lock();
             for conn in conns.values() {
-                let backlog = !conn.queue.lock().expect("queue poisoned").is_empty();
+                let backlog = !conn.queue.lock().is_empty();
                 if backlog && !conn.scheduled.swap(true, Ordering::SeqCst) {
                     self.shared.jobs.push(Job::Serve { token: conn.token });
                 }
@@ -380,11 +383,7 @@ impl Engine {
             handle.join().ok();
         }
         // Peers still mid-handshake see a hang-up.
-        self.shared
-            .handshakes
-            .lock()
-            .expect("handshake map poisoned")
-            .clear();
+        self.shared.handshakes.lock().clear();
     }
 }
 
@@ -408,7 +407,7 @@ impl Shared {
                     continue;
                 }
                 let conn = {
-                    let conns = self.conns.lock().expect("conn map poisoned");
+                    let conns = self.conns.lock();
                     conns.get(&token).cloned()
                 };
                 match conn {
@@ -424,7 +423,7 @@ impl Shared {
     /// belongs to a handshake a worker holds (it re-arms the token when
     /// it parks the handshake again) or to one that is gone.
     fn poll_handshake(&self, token: u64) {
-        let mut handshakes = self.handshakes.lock().expect("handshake map poisoned");
+        let mut handshakes = self.handshakes.lock();
         let Some(hs) = handshakes.remove(&token) else {
             return;
         };
@@ -446,7 +445,7 @@ impl Shared {
     /// when that message (or a hang-up) is already in, so a wakeup the
     /// loop skipped while a worker held the handshake is not lost.
     fn park(&self, token: u64, hs: Box<Handshake>) {
-        let mut handshakes = self.handshakes.lock().expect("handshake map poisoned");
+        let mut handshakes = self.handshakes.lock();
         hs.endpoint.register_ready(&self.ready, token);
         handshakes.insert(token, hs);
     }
@@ -461,9 +460,9 @@ impl Shared {
         loop {
             // Move already-decoded frames into the queue first, up to
             // the bound.
-            let mut decoder = conn.decoder.lock().expect("decoder poisoned");
+            let mut decoder = conn.decoder.lock();
             {
-                let mut queue = conn.queue.lock().expect("queue poisoned");
+                let mut queue = conn.queue.lock();
                 while queue.len() < self.config.queue_bound {
                     match decoder.pop_frame() {
                         Some(frame) => queue.push_back(frame),
@@ -482,7 +481,7 @@ impl Shared {
                     // Re-check: a worker may have drained and cleared
                     // `paused` between our len check and the store,
                     // never seeing our pause — undo and retry.
-                    if conn.queue.lock().expect("queue poisoned").len() >= self.config.queue_bound {
+                    if conn.queue.lock().len() >= self.config.queue_bound {
                         break;
                     }
                     conn.paused.store(false, Ordering::SeqCst);
@@ -525,7 +524,7 @@ impl Shared {
 
     /// Ensures a Serve job exists when the connection has queued work.
     fn schedule(&self, conn: &Arc<Conn>) {
-        let backlog = !conn.queue.lock().expect("queue poisoned").is_empty();
+        let backlog = !conn.queue.lock().is_empty();
         if backlog && !conn.scheduled.swap(true, Ordering::SeqCst) {
             self.jobs.push(Job::Serve { token: conn.token });
         }
@@ -540,7 +539,7 @@ impl Shared {
                 Job::Attach { token, chan } => self.attach(token, chan),
                 Job::Serve { token } => {
                     let conn = {
-                        let conns = self.conns.lock().expect("conn map poisoned");
+                        let conns = self.conns.lock();
                         conns.get(&token).cloned()
                     };
                     if let Some(conn) = conn {
@@ -607,10 +606,7 @@ impl Shared {
         self.stats
             .connections_accepted
             .fetch_add(1, Ordering::Relaxed);
-        self.conns
-            .lock()
-            .expect("conn map poisoned")
-            .insert(token, Arc::clone(&conn));
+        self.conns.lock().insert(token, Arc::clone(&conn));
         // Register only after the map insert: a wakeup that fires
         // immediately (messages already pending) must find the
         // connection.
@@ -622,7 +618,7 @@ impl Shared {
     fn serve_quantum(&self, conn: &Arc<Conn>) {
         loop {
             let batch: Vec<Bytes> = {
-                let mut queue = conn.queue.lock().expect("queue poisoned");
+                let mut queue = conn.queue.lock();
                 let n = queue.len().min(self.config.batch);
                 queue.drain(..n).collect()
             };
@@ -631,7 +627,7 @@ impl Shared {
                 // The loop may have refilled the queue after our drain
                 // but before the store above, and seen `scheduled` still
                 // true — re-claim and keep going if so.
-                let refilled = !conn.queue.lock().expect("queue poisoned").is_empty();
+                let refilled = !conn.queue.lock().is_empty();
                 if refilled && !conn.scheduled.swap(true, Ordering::SeqCst) {
                     continue;
                 }
@@ -669,13 +665,13 @@ impl Shared {
             // Quantum done. If more work remains, requeue behind other
             // connections instead of monopolizing this worker
             // (`scheduled` stays true — the job still exists).
-            let more = !conn.queue.lock().expect("queue poisoned").is_empty();
+            let more = !conn.queue.lock().is_empty();
             if more {
                 self.jobs.push(Job::Serve { token: conn.token });
                 return;
             }
             conn.scheduled.store(false, Ordering::SeqCst);
-            let refilled = !conn.queue.lock().expect("queue poisoned").is_empty();
+            let refilled = !conn.queue.lock().is_empty();
             if refilled && !conn.scheduled.swap(true, Ordering::SeqCst) {
                 continue;
             }
@@ -705,9 +701,6 @@ impl Shared {
         // Removed from the map last, so an observer that sees the
         // connection gone also sees the service-side session torn down
         // (`is_connected`/`connections` double as teardown barriers).
-        self.conns
-            .lock()
-            .expect("conn map poisoned")
-            .remove(&conn.token);
+        self.conns.lock().remove(&conn.token);
     }
 }

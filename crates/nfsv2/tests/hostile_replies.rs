@@ -10,7 +10,7 @@
 //! made (a mangled xid) must end in the transport's error when the
 //! server goes, not in a hang.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 
 use discfs_crypto::ed25519::SigningKey;
@@ -21,6 +21,7 @@ use ipsec::{IpsecError, PlainChannel, SecureTransport};
 use netsim::{Link, NetError, SimClock, Transport};
 use nfsv2::{ClientError, Engine, EngineConfig, FHandle, FfsService, NfsClient, RemoteFs};
 use onc_rpc::frame;
+use parking_lot::Mutex;
 
 /// A client transport that keeps a copy of every message it receives.
 struct Recorder(netsim::Endpoint, Arc<Mutex<Vec<Vec<u8>>>>);
@@ -31,7 +32,7 @@ impl SecureTransport for Recorder {
     }
     fn recv(&self) -> Result<Vec<u8>, IpsecError> {
         let msg = self.0.recv()?;
-        self.1.lock().unwrap().push(msg.clone());
+        self.1.lock().push(msg.clone());
         Ok(msg)
     }
     fn peer_identity(&self) -> Option<discfs_crypto::ed25519::VerifyingKey> {
@@ -72,7 +73,7 @@ fn recorded_replies() -> Vec<Vec<u8>> {
         .iter()
         .map(|(name, stub)| {
             stub(remote.client(), &file, &remote.root()).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let msg = got.lock().unwrap().last().unwrap().clone();
+            let msg = got.lock().last().unwrap().clone();
             let mut payload = frame::unframe(&msg).unwrap().to_vec();
             payload[..4].copy_from_slice(&1u32.to_be_bytes());
             payload

@@ -6,7 +6,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 
 use bytes::Bytes;
 use discfs_crypto::ed25519::VerifyingKey;
@@ -16,6 +16,7 @@ use nfsv2::proto::{proc_nfs, NFS_VERSION};
 use nfsv2::{ClientError, NfsClient, NFS_PROGRAM, OUTBOX_BYTES};
 use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::{RpcCall, RpcCallView, RpcReply};
+use parking_lot::{Mutex, MutexGuard};
 
 #[derive(Default)]
 struct Wire {
@@ -65,8 +66,8 @@ impl Peer {
         NfsClient::new(Box::new(self.clone()))
     }
 
-    fn wire(&self) -> std::sync::MutexGuard<'_, Wire> {
-        self.wire.lock().unwrap()
+    fn wire(&self) -> MutexGuard<'_, Wire> {
+        self.wire.lock()
     }
 
     /// Calls carried by each message sent so far.
@@ -331,4 +332,53 @@ fn a_send_failure_surfaces_where_the_send_ran() {
         }
         assert_eq!(peer.message_sizes(), [1, 1]);
     }
+}
+
+/// One framed reply to `xid` whose results are `results`.
+fn reply_frame(xid: u32, results: Vec<u8>) -> Vec<u8> {
+    frame::encode_frame(&RpcReply::success(xid, results).encode())
+}
+
+#[test]
+fn a_junk_frame_does_not_strand_the_reply_after_it() {
+    let peer = Peer::default();
+    let client = peer.client();
+    for _ in 0..5 {
+        getattr(&client).expect("send");
+    }
+    client.flush().expect("flush");
+    // One message: a frame that is no reply, then the reply to xid 5.
+    let mut msg = frame::encode_frame(&[1, 2, 3]);
+    msg.extend(reply_frame(5, 5u32.to_be_bytes().to_vec()));
+    peer.wire().ready.push_back(msg);
+    assert!(matches!(client.try_take_reply(5), Err(ClientError::Xdr(_))));
+    let results = client.try_take_reply(5).expect("no error left");
+    assert_eq!(echoed(&results.expect("the reply came with the junk")), 5);
+    // It was counted off the five calls on the wire: with four left,
+    // the fourth call queued goes out.
+    let before = peer.message_sizes().len();
+    for _ in 0..4 {
+        getattr(&client).expect("send");
+    }
+    assert_eq!(peer.message_sizes()[before..], [4]);
+}
+
+#[test]
+fn replies_to_calls_not_outstanding_are_dropped() {
+    let peer = Peer::default();
+    let client = peer.client();
+    let xid = getattr(&client).expect("send");
+    // 1 000 replies of 1 000 bytes to xids the client never sent.
+    let mut strays = Vec::new();
+    for stray in 1000..2000 {
+        strays.extend(reply_frame(stray, vec![0; 1000]));
+    }
+    peer.wire().ready.push_back(strays);
+    assert_eq!(echoed(&client.wait_reply(xid).expect("reply")), xid);
+    for stray in 1000..2000 {
+        assert_eq!(client.try_take_reply(stray), Ok(None), "xid {stray}");
+    }
+    // A second reply to a call already answered is dropped too.
+    peer.wire().ready.push_back(reply_frame(xid, vec![0; 4]));
+    assert_eq!(client.try_take_reply(xid), Ok(None));
 }

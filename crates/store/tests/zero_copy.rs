@@ -18,12 +18,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use netsim::{LinkConfig, SimClock};
 use onc_rpc::frame::{self, DEFAULT_MAX_FRAME};
 use onc_rpc::{AcceptStat, ReplyBody, RpcCall, RpcReply};
+use parking_lot::{Mutex, MutexGuard};
 use store::{
     zero_block, BlockServer, BlockStore, CachedStore, IoClass, RemoteOptions, RemoteStore,
     ReplicatedStore, ShardedStore, SimStore, BLOCK_SIZE,
@@ -58,7 +59,7 @@ const BLOCKS: u64 = 256;
 /// docs).
 fn pool_turn() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+    TURN.lock()
 }
 
 /// A volume of `blocks` blocks on three in-process nodes, two replicas

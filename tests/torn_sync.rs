@@ -16,10 +16,11 @@
 //! mounted on the remount is fsck-clean.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ffs::{Ffs, FsConfig};
 use netsim::{LinkConfig, SimClock};
+use parking_lot::Mutex;
 use store::{
     BlockStore, Bytes, FileStore, IoClass, NodeLease, RemoteOptions, RemoteStore, ReplicatedStore,
     StoreStats, JOURNAL_RECORD_LEN,
@@ -74,7 +75,7 @@ impl BlockStore for Logged {
     }
     fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         self.inner.write(class, writes);
-        self.log.lock().unwrap().push(Call {
+        self.log.lock().push(Call {
             node: self.node,
             records: records(&self.dir),
             stamped: writes.last().is_some_and(|&(idx, _)| idx == node_bc() - 1),
@@ -204,7 +205,7 @@ fn a_sync_torn_at_any_record_remounts_at_an_epoch_that_holds_a_prefix_of_it() {
         file.flush().unwrap();
     }
     let (pre, pre_epoch) = (read_all(&*store), store.epoch());
-    log.lock().unwrap().clear();
+    log.lock().clear();
 
     // The sync: 400 data blocks, a node's share of which is 267.
     for f in 0..4u8 {
@@ -220,7 +221,7 @@ fn a_sync_torn_at_any_record_remounts_at_an_epoch_that_holds_a_prefix_of_it() {
 
     // The points between two epochs: every node has stamped as many
     // epochs as the others, and each node's journal length there.
-    let log = log.lock().unwrap();
+    let log = log.lock();
     let mut stamps = [0u64; NODES];
     let mut at = [0u64; NODES];
     let mut between = vec![(0, at)];
