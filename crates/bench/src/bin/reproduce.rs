@@ -6,11 +6,10 @@
 //! ```
 //!
 //! * `--quick` (default): scaled-down workloads (16 MB Bonnie file,
-//!   small source tree) — same shapes, seconds of runtime. Without a
-//!   `--fig` filter the 18 virtual times (6 figures × 3 systems) must
-//!   equal `reproduce_quick.txt` to the nanosecond: they depend on the
-//!   disk, link and policy-charge models and on the request stream, not
-//!   on the host. A change that means to move them edits that file.
+//!   small source tree) — same shapes, seconds of runtime. Their 18
+//!   virtual times (6 figures × 3 systems) are held to
+//!   `reproduce_quick.txt`, to the nanosecond, by the `golden` test of
+//!   this package (`cargo test -p bench_harness --test golden`).
 //! * `--paper`: the paper's parameters (100 MB file, kernel-sized
 //!   source tree).
 //! * `--fig N`: run only figure N (7–12; repeatable).
@@ -22,32 +21,25 @@
 //! by what the paper varies: the service and the channel.
 //!
 //! Exit status: 0 when every figure run has FFS fastest and DisCFS
-//! within 15 % of CFS-NE (and the golden matches, where it applies),
-//! 1 when one does not, 2 on a usage error. Nothing here repeats a
-//! number with another source: wall-clock costs of the primitives
-//! (signatures, KeyNote queries, IKE, ESP, credential submission, the
-//! policy cache) are `discfs_bench --trace`'s per-layer metrics, and the
-//! cache-size sweep is the `discfs` unit test
+//! within 15 % of CFS-NE, 1 when one does not, 2 on a usage error.
+//! Nothing here repeats a number with another source: wall-clock costs
+//! of the primitives (signatures, KeyNote queries, IKE, ESP, credential
+//! submission, the policy cache) are `discfs_bench --trace`'s per-layer
+//! metrics, and the cache-size sweep is the `discfs` unit test
 //! `a_128_entry_cache_absorbs_the_compliance_check_cost`.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use bench_harness::{run_bonnie_figure, run_search, Figure, Measurement, SystemKind};
-use bonnie::TreeSpec;
+use bench_harness::{run_bonnie_figure, run_search, Figure, Measurement, Scale, Shape, SystemKind};
 use discfs::{CredentialIssuer, Perm};
 use discfs_crypto::ed25519::SigningKey;
 use ffs::FsConfig;
 use keynote::{AssertionBuilder, Session};
 
-/// `--quick`'s virtual times, one `fig<N> <system> <nanoseconds>` line
-/// per measurement in the order they are printed.
-const QUICK_GOLDEN: &str = include_str!("reproduce_quick.txt");
-
 struct Options {
-    paper_scale: bool,
+    size: Scale,
     figures: Vec<u32>,
-    scale: bool,
+    chains: bool,
 }
 
 fn usage(problem: &str) -> ! {
@@ -58,16 +50,16 @@ fn usage(problem: &str) -> ! {
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        paper_scale: false,
+        size: Scale::Quick,
         figures: Vec::new(),
-        scale: false,
+        chains: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--paper" => opts.paper_scale = true,
-            "--quick" => opts.paper_scale = false,
-            "--scale" => opts.scale = true,
+            "--paper" => opts.size = Scale::Paper,
+            "--quick" => opts.size = Scale::Quick,
+            "--scale" => opts.chains = true,
             "--fig" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n @ 7..=12) => opts.figures.push(n),
                 _ => usage("--fig requires a number 7..12"),
@@ -97,79 +89,28 @@ fn print_row(label: &str, m: &Measurement) {
     );
 }
 
-/// What the figures run so far say: whether each had the paper's shape,
-/// and their virtual times in the golden file's format.
-struct Outcome {
-    shapes_hold: bool,
-    virtual_ns: String,
+/// Prints the shape verdict for one figure's three measurements and
+/// returns whether it holds.
+fn print_shape(results: &[(SystemKind, Measurement)]) -> bool {
+    let shape = Shape::of(results);
+    println!(
+        "  shape: FFS fastest: {}  |  DisCFS/CFS-NE = {:.3} ({})",
+        if shape.ffs_fastest { "yes" } else { "NO" },
+        shape.ratio,
+        if shape.close() {
+            "virtually identical, as in the paper"
+        } else {
+            "DIVERGES"
+        },
+    );
+    shape.ffs_fastest && shape.close()
 }
 
-impl Outcome {
-    /// Prints the shape verdict for figure `number` and records it with
-    /// the three virtual times.
-    fn record(&mut self, number: u32, results: &[(SystemKind, Measurement)]) {
-        for (kind, m) in results {
-            writeln!(
-                self.virtual_ns,
-                "fig{number} {} {}",
-                kind.label(),
-                m.virtual_time.as_nanos()
-            )
-            .expect("writing to a String");
-        }
-        let get = |kind: SystemKind| {
-            results
-                .iter()
-                .find(|(k, _)| *k == kind)
-                .map(|(_, m)| m.virtual_time)
-                .expect("all systems measured")
-        };
-        let ffs = get(SystemKind::Ffs);
-        let cfs = get(SystemKind::CfsNe);
-        let dis = get(SystemKind::Discfs);
-        let ratio = dis.as_secs_f64() / cfs.as_secs_f64();
-        let ffs_ok = ffs < cfs && ffs < dis;
-        let close = (0.85..1.15).contains(&ratio);
-        println!(
-            "  shape: FFS fastest: {}  |  DisCFS/CFS-NE = {ratio:.3} ({})",
-            if ffs_ok { "yes" } else { "NO" },
-            if close {
-                "virtually identical, as in the paper"
-            } else {
-                "DIVERGES"
-            },
-        );
-        self.shapes_hold &= ffs_ok && close;
-    }
-
-    /// Compares the recorded virtual times with the checked-in golden,
-    /// printing every line that differs.
-    fn matches_quick_golden(&self) -> bool {
-        if self.virtual_ns == QUICK_GOLDEN {
-            println!("\ngolden: all virtual times equal reproduce_quick.txt");
-            return true;
-        }
-        println!("\ngolden: virtual times differ from reproduce_quick.txt");
-        let mut expected = QUICK_GOLDEN.lines();
-        for got in self.virtual_ns.lines() {
-            let expected = expected.next().unwrap_or("(nothing)");
-            if expected != got {
-                println!("  expected {expected}\n       got {got}");
-            }
-        }
-        for expected in expected {
-            println!("  expected {expected}\n       got (nothing)");
-        }
-        false
-    }
-}
-
-fn run_bonnie_figures(opts: &Options, outcome: &mut Outcome) {
-    let (file_size, fs_config) = if opts.paper_scale {
-        (100 * 1024 * 1024, FsConfig::standard())
-    } else {
-        (16 * 1024 * 1024, FsConfig::standard())
-    };
+/// Runs the selected Bonnie figures; returns whether all kept their
+/// shape.
+fn run_bonnie_figures(opts: &Options) -> bool {
+    let file_size = opts.size.bonnie_file_size();
+    let mut shapes_hold = true;
     let selected = |n: u32| opts.figures.is_empty() || opts.figures.contains(&n);
     let figure_numbers = [7u32, 8, 9, 10, 11];
     for (figure, number) in Figure::ALL.iter().zip(figure_numbers) {
@@ -183,28 +124,21 @@ fn run_bonnie_figures(opts: &Options, outcome: &mut Outcome) {
         );
         let mut results = Vec::new();
         for kind in SystemKind::ALL {
-            let m = run_bonnie_figure(kind, *figure, file_size, fs_config);
+            let m = run_bonnie_figure(kind, *figure, file_size, FsConfig::standard());
             print_row(kind.label(), &m);
             results.push((kind, m));
         }
-        outcome.record(number, &results);
+        shapes_hold &= print_shape(&results);
     }
+    shapes_hold
 }
 
-fn run_figure12(opts: &Options, outcome: &mut Outcome) {
+/// Runs Figure 12 if selected; returns whether it kept its shape.
+fn run_figure12(opts: &Options) -> bool {
     if !(opts.figures.is_empty() || opts.figures.contains(&12)) {
-        return;
+        return true;
     }
-    let spec = if opts.paper_scale {
-        TreeSpec::kernel_like()
-    } else {
-        TreeSpec {
-            dirs: 8,
-            files_per_dir: 12,
-            avg_file_size: 4 * 1024,
-            seed: 0x0B5D,
-        }
-    };
+    let spec = opts.size.search_tree();
     println!(
         "\nFigure 12: Filesystem Search — wc over every .c/.h ({} files, cache=128)",
         spec.dirs * spec.files_per_dir
@@ -224,7 +158,7 @@ fn run_figure12(opts: &Options, outcome: &mut Outcome) {
         );
         results.push((kind, m));
     }
-    outcome.record(12, &results);
+    print_shape(&results)
 }
 
 /// The §7 scalability item nothing else measures: what a KeyNote query
@@ -268,26 +202,26 @@ fn run_scale() {
 
 fn main() {
     let opts = parse_args();
-    let mut outcome = Outcome {
-        shapes_hold: true,
-        virtual_ns: String::new(),
-    };
+    let mut shapes_hold = true;
     // No flag at all means all six figures; `--scale` alone means none.
-    let all_figures = opts.figures.is_empty() && !opts.scale;
+    let all_figures = opts.figures.is_empty() && !opts.chains;
     if all_figures || !opts.figures.is_empty() {
         println!(
             "DisCFS reproduction — evaluation harness ({} scale)",
-            if opts.paper_scale { "paper" } else { "quick" }
+            if opts.size == Scale::Paper {
+                "paper"
+            } else {
+                "quick"
+            }
         );
         println!("Systems: FFS (local), CFS-NE (baseline), DisCFS (this paper).");
-        run_bonnie_figures(&opts, &mut outcome);
-        run_figure12(&opts, &mut outcome);
+        shapes_hold &= run_bonnie_figures(&opts);
+        shapes_hold &= run_figure12(&opts);
     }
-    if opts.scale {
+    if opts.chains {
         run_scale();
     }
-    let golden_applies = all_figures && !opts.paper_scale;
-    if !outcome.shapes_hold || (golden_applies && !outcome.matches_quick_golden()) {
+    if !shapes_hold {
         std::process::exit(1);
     }
 }

@@ -11,7 +11,7 @@
 //! the server or an administrator is needed to delegate.
 
 use discfs_crypto::ed25519::{SigningKey, VerifyingKey};
-use keynote::{AssertionBuilder, SignedAssertion};
+use keynote::AssertionBuilder;
 use nfsv2::FHandle;
 
 use crate::perm::Perm;
@@ -149,22 +149,6 @@ impl<'a> CredentialIssuer<'a> {
     /// credential is always an authoring bug.
     pub fn issue(self) -> String {
         self.builder().sign(self.issuer)
-    }
-
-    /// Signs like [`Self::issue`] and keeps the parsed assertion with
-    /// the text, so the issuer's own KeyNote session can take the
-    /// credential without parsing and verifying what it just signed.
-    ///
-    /// # Errors
-    ///
-    /// [`keynote::KeyNoteError::Syntax`] when a verbatim
-    /// [`Self::licensees_expr`] does not parse.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::issue`].
-    pub(crate) fn issue_signed(self) -> Result<SignedAssertion, keynote::KeyNoteError> {
-        self.builder().sign_assertion(self.issuer)
     }
 
     fn builder(&self) -> AssertionBuilder {

@@ -27,9 +27,10 @@
 //!   to that key's `Arc`'d session state. The hot path takes the
 //!   *read* lock just long enough to clone the `Arc`.
 //! * Each peer's state carries an `AtomicU64` **credential epoch**
-//!   (bumped on credential add and revocation purge) read with a plain
-//!   atomic load; the KeyNote [`Session`] behind its own `Mutex` is
-//!   only locked on cache misses and credential mutations.
+//!   (bumped on `SUBMIT_CRED` and revocation purge) read with a plain
+//!   atomic load; the KeyNote [`Session`] and the creator grants,
+//!   behind one `Mutex`, are only locked on cache misses and credential
+//!   mutations.
 //! * The environment (`hour`, `time`, global epoch) is three atomics;
 //!   the per-decision virtual-time charge is a read-mostly
 //!   `Arc`-swap cell.
@@ -50,15 +51,46 @@
 //! hour and time into the attributes' existing buffers. With 401
 //! credentials a miss is ~1.4 µs (85 µs when every credential was
 //! evaluated), so the 128-entry cache now hides microseconds, not a
-//! scan. Credentials the server signs itself at CREATE/MKDIR enter
-//! the session as [`keynote::SignedAssertion`]s, unverified; everything
-//! that arrives as text (`SUBMIT_CRED`) is parsed and verified.
+//! scan. Everything that arrives as text (`SUBMIT_CRED`) is parsed and
+//! verified.
+//!
+//! # Creator grants
+//!
+//! The credential CREATE/MKDIR returns is signed and sent, but the
+//! creator's KeyNote session never sees it. The peer keeps a *creator
+//! grant* beside the session instead: the new file's `(inode,
+//! generation)` mapped to the credential's id (the SHA-256 of its text,
+//! [`keynote::Assertion::id`]), about 40 bytes with the map's overhead
+//! where the parsed assertion held ~1.8 KB. A miss on a handle that has
+//! a grant answers `RWX` without a query: the credential grants `RWX`,
+//! the top of the lattice, so KeyNote could answer nothing wider. Every
+//! other handle goes to KeyNote as before.
+//!
+//! * *No epoch bump.* KeyNote compliance is monotone in the assertion
+//!   set (RFC 2704): a new credential can only widen a decision. The
+//!   grant names only the new `(inode, generation)`, which no decision
+//!   cached before the create asked about (a peer that probed a handle
+//!   before it existed may see its own cached denial until the entry
+//!   ages out: it fails closed, and only for the prober). So the
+//!   creator's cached decisions stay, where a bump threw them all away.
+//! * *No cap slot.* [`MAX_PEER_CREDENTIALS`] counts submitted
+//!   credentials only; grants are bounded by the inodes the peer
+//!   creates. Resubmitting one's own creator credential is a no-op.
+//! * *Revocation.* Revoking a grant's id drops the grant; revoking the
+//!   server key drops them all. While any remains, the audit authorizer
+//!   set keeps the server key, which is what signed them.
+//! * *The miss is still charged.* A decision a grant answers costs the
+//!   policy charge's `cache_miss` and fills a cache entry, as the query
+//!   it replaces did: what a decision should cost is the cost model's
+//!   question, not this one's.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use discfs_crypto::ed25519::{SigningKey, VerifyingKey};
+use discfs_crypto::sha256::Sha256;
+use discfs_crypto::{hex, Digest};
 use ffs::Ffs;
 use keynote::Session;
 use nfsv2::{
@@ -78,9 +110,9 @@ use crate::rpc::{
     encode_create_res, proc_discfs, CreateWithCredRes, DiscfsRpcStatus, DISCFS_PROGRAM,
 };
 
-/// Credentials one peer's session may hold, the ones the server issued
-/// it at CREATE/MKDIR included; `SUBMIT_CRED` refuses more. Each
-/// credential has one authorizer, so this also bounds the distinct
+/// Submitted credentials one peer's session may hold; `SUBMIT_CRED`
+/// refuses more. Creator grants take no slot (see the module docs).
+/// Each credential has one authorizer, so this also bounds the distinct
 /// issuers a peer can make an audit record pin.
 const MAX_PEER_CREDENTIALS: usize = 4096;
 
@@ -126,14 +158,31 @@ struct PeerState {
     /// counter (so a reconnected peer never matches the old session's
     /// cache entries), the low bits count credential changes.
     epoch: AtomicU64,
-    /// The persistent KeyNote session — locked only on cache misses
-    /// and credential mutations, never on the cache-hit path.
-    session: Mutex<Session>,
+    /// What the peer holds — locked only on cache misses and credential
+    /// mutations, never on the cache-hit path.
+    held: Mutex<Held>,
     /// The audit authorizer set: the distinct issuer keys of the
-    /// session's credentials, sorted. Replaced only when that set
-    /// changes, so every audit record between two changes shares one
-    /// allocation, and appending a record is a refcount bump.
+    /// session's credentials, and the server key while a creator grant
+    /// remains, sorted. Replaced only when that set changes, so every
+    /// audit record between two changes shares one allocation, and
+    /// appending a record is a refcount bump.
     authorizers: RwLock<Arc<[VerifyingKey]>>,
+}
+
+/// A peer's credentials: the submitted ones in its persistent KeyNote
+/// session, and the creator grants beside it.
+struct Held {
+    session: Session,
+    /// Creator grants: `(inode, generation)` of a file the peer created
+    /// → the id of the `RWX` credential issued for it.
+    created: HashMap<(u32, u32), [u8; 32]>,
+}
+
+impl Held {
+    /// Whether a creator grant's credential has the id `id` (hex).
+    fn holds_creator_grant(&self, id: &str) -> bool {
+        hex::decode_array::<32>(id).is_ok_and(|id| self.created.values().any(|held| *held == id))
+    }
 }
 
 impl PeerState {
@@ -142,33 +191,42 @@ impl PeerState {
         self.authorizers.read().clone()
     }
 
+    /// Puts `issuer` into the authorizer set, at the cost of one search
+    /// of the sorted set rather than a sort of all the peer's issuers:
+    /// the set is copied only when the issuer is new. Call with the
+    /// peer's `held` locked.
+    fn issuer_added(&self, issuer: &VerifyingKey) {
+        let set = self.authorizers();
+        if let Err(at) = set.binary_search(issuer) {
+            let mut grown = set.to_vec();
+            grown.insert(at, *issuer);
+            *self.authorizers.write() = grown.into();
+        }
+    }
+
     /// [`PeerState::credentials_changed`] for a session that has just
-    /// gained its last credential, at the cost of one search of the
-    /// sorted set rather than a sort of all the peer's issuers: the set
-    /// is copied only when the issuer is new.
+    /// gained its last credential.
     fn credential_added(&self, session: &Session) {
         let issuer = session
             .credentials()
             .last()
             .and_then(|a| a.authorizer().as_key());
         if let Some(issuer) = issuer {
-            let set = self.authorizers();
-            if let Err(at) = set.binary_search(issuer) {
-                let mut grown = set.to_vec();
-                grown.insert(at, *issuer);
-                *self.authorizers.write() = grown.into();
-            }
+            self.issuer_added(issuer);
         }
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Bumps the credential epoch, and replaces the authorizer set if
     /// the change added an issuer or removed one's last credential.
-    /// Call with the session mutated (credential added or purged) while
-    /// still holding its lock, so a concurrent miss that observes the
-    /// new epoch also observes the new credential set.
-    fn credentials_changed(&self, session: &Session) {
-        let mut issuers: Vec<VerifyingKey> = session.credential_issuers().copied().collect();
+    /// Call with the credentials mutated (added or purged) while still
+    /// holding their lock, so a concurrent miss that observes the new
+    /// epoch also observes the new credential set.
+    fn credentials_changed(&self, held: &Held, server: &VerifyingKey) {
+        let mut issuers: Vec<VerifyingKey> = held.session.credential_issuers().copied().collect();
+        if !held.created.is_empty() && !issuers.contains(server) {
+            issuers.push(*server);
+        }
         issuers.sort_unstable();
         if **self.authorizers.read() != issuers[..] {
             *self.authorizers.write() = issuers.into();
@@ -312,6 +370,13 @@ impl DiscfsService {
         &self.cache
     }
 
+    /// Forgets every cached decision, so that each peer's next decision
+    /// on each handle runs in full: a measurement's cold start. What
+    /// any peer may do is unchanged.
+    pub fn clear_policy_cache(&self) {
+        self.cache.clear();
+    }
+
     /// Authorization-path lock and decision counters.
     pub fn auth_stats(&self) -> &AuthStats {
         &self.auth_stats
@@ -365,19 +430,21 @@ impl DiscfsService {
         self.purge_revoked();
     }
 
-    /// Removes revoked credentials from every live session and
-    /// invalidates cached decisions — twice over: every touched peer's
-    /// credential epoch is bumped (so a stale [`CacheKey`] can never
-    /// resurrect a revoked grant, even if the shared cache were
-    /// replaced or resized concurrently), the global epoch is bumped,
-    /// and the decision cache is flushed.
+    /// Removes revoked credentials and creator grants from every live
+    /// session and invalidates cached decisions — twice over: every
+    /// touched peer's credential epoch is bumped (so a stale
+    /// [`CacheKey`] can never resurrect a revoked grant, even if the
+    /// shared cache were replaced or resized concurrently), the global
+    /// epoch is bumped, and the decision cache is flushed.
     fn purge_revoked(&self) {
         let revocations = self.revocations.read();
+        let server = self.server_key.public();
+        let server_revoked = revocations.is_key_revoked(&server);
         // Read lock on the peer map: peers mutate through their own
         // Arc'd state, the map itself is untouched.
         for state in self.peers.read().values() {
-            let mut session = state.session.lock();
-            session.retain_credentials(|a| {
+            let mut held = state.held.lock();
+            held.session.retain_credentials(|a| {
                 if revocations.is_credential_revoked(a.id()) {
                     return false;
                 }
@@ -386,7 +453,10 @@ impl DiscfsService {
                     None => true,
                 }
             });
-            state.credentials_changed(&session);
+            held.created.retain(|_, id| {
+                !server_revoked && !revocations.is_credential_revoked(&hex::encode(id))
+            });
+            state.credentials_changed(&held, &server);
         }
         drop(revocations);
         self.env_epoch.fetch_add(1, Ordering::Release);
@@ -418,7 +488,10 @@ impl DiscfsService {
                 let counter = self.epoch_counter.fetch_add(1, Ordering::Relaxed) + 1;
                 Arc::new(PeerState {
                     epoch: AtomicU64::new(counter << 20),
-                    session: Mutex::new(session),
+                    held: Mutex::new(Held {
+                        session,
+                        created: HashMap::new(),
+                    }),
                     authorizers: RwLock::new(Arc::new([])),
                 })
             })
@@ -450,32 +523,40 @@ impl DiscfsService {
             }
             return perm;
         }
-        // Miss path: revocation screen, full compliance check, public
-        // baseline, insert. Revocation is checked here rather than per
-        // request — any revocation bumps the epochs above, so no cached
-        // decision can outlive it. (Scoped so the read guard is not
-        // held across the KeyNote query.)
+        // Miss path: revocation screen, creator grant or full
+        // compliance check, public baseline, insert. Revocation is
+        // checked here rather than per request — any revocation bumps
+        // the epochs above, so no cached decision can outlive it.
+        // (Scoped so the read guard is not held across the KeyNote
+        // query.)
         let key_revoked = { self.revocations.read().is_key_revoked(peer) };
         let perm = if key_revoked {
             Perm::NONE
         } else {
             self.auth_stats.exclusive.fetch_add(1, Ordering::Relaxed);
-            let mut session = state.session.lock();
-            // Written into the attributes' own buffers: no allocation.
-            session.set_attribute_fmt("HANDLE", format_args!("{}", fh.credential_name()));
-            session.set_attribute_fmt(
-                "hour",
-                format_args!("{}", self.env_hour.load(Ordering::Relaxed)),
-            );
-            session.set_attribute_fmt(
-                "time",
-                format_args!("{}", self.env_time.load(Ordering::Relaxed)),
-            );
-            let queried = match session.query() {
-                Ok(value) => Perm::from_value_string(value.as_str()),
-                Err(_) => Perm::NONE,
+            let mut held = state.held.lock();
+            let queried = if held.created.contains_key(&(ino, generation)) {
+                // The creator's RWX: the top of the lattice, so the
+                // query could answer nothing wider.
+                Perm::RWX
+            } else {
+                let session = &mut held.session;
+                // Written into the attributes' own buffers: no allocation.
+                session.set_attribute_fmt("HANDLE", format_args!("{}", fh.credential_name()));
+                session.set_attribute_fmt(
+                    "hour",
+                    format_args!("{}", self.env_hour.load(Ordering::Relaxed)),
+                );
+                session.set_attribute_fmt(
+                    "time",
+                    format_args!("{}", self.env_time.load(Ordering::Relaxed)),
+                );
+                match session.query() {
+                    Ok(value) => Perm::from_value_string(value.as_str()),
+                    Err(_) => Perm::NONE,
+                }
             };
-            drop(session);
+            drop(held);
             // Public (anonymous-Web) baseline applies to everyone.
             queried.union(
                 self.public_grants
@@ -541,22 +622,31 @@ impl DiscfsService {
         }
     }
 
-    /// Issues the creator credential for a freshly created file and
-    /// registers it in the creator's session (paper §5's added
-    /// CREATE/MKDIR procedures).
+    /// Issues the creator credential for a freshly created file (paper
+    /// §5's added CREATE/MKDIR procedures) and keeps its creator grant
+    /// beside the creator's session: no epoch bump and no cap slot (see
+    /// the module docs). What a revoked server key signs grants nothing
+    /// here, as a submitted credential it signed would not.
     fn issue_creator_credential(&self, peer: &VerifyingKey, fh: &FHandle, name: &str) -> String {
-        let signed = CredentialIssuer::new(&self.server_key)
+        let credential = CredentialIssuer::new(&self.server_key)
             .holder(peer)
             .grant(fh, Perm::RWX)
             .comment(name)
-            .issue_signed()
-            .expect("a key holder and a handle grant always parse");
-        let credential = signed.text().to_string();
+            .issue();
+        let id = Sha256::digest(credential.as_bytes())
+            .try_into()
+            .expect("SHA-256 is 32 bytes");
+        let (_, ino, generation) = fh.unpack();
+        let server = self.server_key.public();
         let state = self.peer_state(peer);
-        let mut session = state.session.lock();
-        // Signed two lines up, by this server: nothing to verify.
-        session.add_signed(signed);
-        state.credential_added(&session);
+        // The revocation list, then the grants: `purge_revoked`'s lock
+        // order, so a purge for the server key sees this grant.
+        let revocations = self.revocations.read();
+        if !revocations.is_key_revoked(&server) {
+            let mut held = state.held.lock();
+            held.created.insert((ino, generation), id);
+            state.issuer_added(&server);
+        }
         credential
     }
 
@@ -580,18 +670,22 @@ impl DiscfsService {
             }
         }
         let state = self.peer_state(peer);
-        let mut session = state.session.lock();
+        let mut held = state.held.lock();
         // A resubmit changes nothing: no verification, no second copy,
         // and no epoch bump to throw away the peer's cached decisions.
-        if session.holds_credential(assertion.id()) {
+        // The same holds for the creator's own creator credential.
+        if held.session.holds_credential(assertion.id())
+            || (assertion.authorizer().as_key() == Some(&self.server_key.public())
+                && held.holds_creator_grant(assertion.id()))
+        {
             return DiscfsRpcStatus::Ok;
         }
-        if session.credentials().len() >= MAX_PEER_CREDENTIALS {
+        if held.session.credentials().len() >= MAX_PEER_CREDENTIALS {
             return DiscfsRpcStatus::BadCredential;
         }
-        match session.add_assertion(assertion) {
+        match held.session.add_assertion(assertion) {
             Ok(()) => {
-                state.credential_added(&session);
+                state.credential_added(&held.session);
                 DiscfsRpcStatus::Ok
             }
             Err(_) => DiscfsRpcStatus::BadCredential,
@@ -847,8 +941,11 @@ impl DiscfsService {
                 Ok(encode_create_res(&result))
             }
             proc_discfs::CRED_COUNT => {
+                // Submitted credentials and creator grants alike.
                 let state = self.peer_state(&peer);
-                let count = state.session.lock().credentials().len();
+                let held = state.held.lock();
+                let count = held.session.credentials().len() + held.created.len();
+                drop(held);
                 let mut e = Encoder::new();
                 e.put_u32(count as u32);
                 Ok(e.finish())
@@ -908,8 +1005,65 @@ mod tests {
 
     /// A service on an in-memory volume whose admin is `key(0xAD)`.
     fn service() -> DiscfsService {
-        let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
+        service_on(FsConfig::small())
+    }
+
+    /// The same on a volume of `config`; the server key is `key(0x5E)`.
+    fn service_on(config: FsConfig) -> DiscfsService {
+        let fs = Arc::new(Ffs::format_in_memory(config));
         DiscfsService::new(fs, DiscfsConfig::standard(key(0xAD).public(), key(0x5E)))
+    }
+
+    fn ctx(peer: &SigningKey) -> RequestCtx {
+        RequestCtx {
+            peer: Some(peer.public()),
+            uid: u32::MAX,
+            gid: u32::MAX,
+        }
+    }
+
+    /// Submits the admin's RWX on the root to `peer` and returns the
+    /// root's handle.
+    fn owner(service: &DiscfsService, peer: &SigningKey) -> FHandle {
+        let root = service.storage().mount(&ctx(peer), "/").unwrap();
+        let grant = CredentialIssuer::new(&key(0xAD))
+            .holder(&peer.public())
+            .grant(&root, Perm::RWX)
+            .issue();
+        assert_eq!(
+            service.submit_credential(&peer.public(), &grant),
+            DiscfsRpcStatus::Ok
+        );
+        root
+    }
+
+    /// `peer` creates `name` in `dir` through the credential-returning
+    /// CREATE.
+    fn create(
+        service: &DiscfsService,
+        peer: &SigningKey,
+        dir: &FHandle,
+        name: &str,
+    ) -> CreateWithCredRes {
+        let args = DirOpArgs {
+            dir: *dir,
+            name: name.to_string(),
+        };
+        service
+            .create_with_cred(&ctx(peer), &args, 0o644, false)
+            .unwrap()
+    }
+
+    /// What CRED_COUNT answers `peer`.
+    fn credential_count(service: &DiscfsService, peer: &SigningKey) -> u32 {
+        let reply = service
+            .discfs_dispatch(&ctx(peer), proc_discfs::CRED_COUNT, &[])
+            .unwrap();
+        Decoder::new(&reply).get_u32().unwrap()
+    }
+
+    fn credential_id(text: &str) -> String {
+        keynote::Assertion::parse(text).unwrap().id().to_string()
     }
 
     /// Submits to `peer`'s session a grant of R on `ino` from `issuer`
@@ -931,12 +1085,7 @@ mod tests {
 
     /// Audits one READ of inode 1 by `peer` and returns its record.
     fn audited_read(service: &DiscfsService, peer: &SigningKey) -> crate::audit::AuditRecord {
-        let ctx = RequestCtx {
-            peer: Some(peer.public()),
-            uid: u32::MAX,
-            gid: u32::MAX,
-        };
-        let _ = service.authorize(&ctx, &FHandle::pack(1, 1, 1), Perm::R, "read");
+        let _ = service.authorize(&ctx(peer), &FHandle::pack(1, 1, 1), Perm::R, "read");
         service
             .audit()
             .records()
@@ -999,5 +1148,157 @@ mod tests {
         assert_eq!(after.authorizers(), principals(&[&admin]));
         // The record made before the purge keeps what it saw.
         assert_eq!(before.authorizers(), principals(&[&admin, &carol]));
+    }
+
+    #[test]
+    fn creates_take_no_slot_of_the_session_cap() {
+        // Each creator credential used to take a slot: a session that
+        // had created 4 096 files accepted no delegated credential.
+        let service = service_on(FsConfig::standard());
+        let bob = key(2);
+        let root = owner(&service, &bob);
+        let created = MAX_PEER_CREDENTIALS + 104;
+        let mut last = None;
+        for i in 0..created {
+            last = Some(create(&service, &bob, &root, &format!("f{i:04}")).fh);
+        }
+        let grant = CredentialIssuer::new(&key(0xAD))
+            .holder(&bob.public())
+            .grant(&FHandle::pack(1, 9999, 1), Perm::R)
+            .issue();
+        assert_eq!(
+            service.submit_credential(&bob.public(), &grant),
+            DiscfsRpcStatus::Ok,
+            "a delegated credential after {created} creates"
+        );
+        // CRED_COUNT still counts both kinds.
+        assert_eq!(credential_count(&service, &bob) as usize, created + 2);
+        let last = last.unwrap();
+        assert_eq!(service.permissions_for(&bob.public(), &last), Perm::RWX);
+    }
+
+    #[test]
+    fn a_create_keeps_the_creators_cached_decisions() {
+        let service = service();
+        let bob = key(2);
+        let root = owner(&service, &bob);
+        assert_eq!(service.permissions_for(&bob.public(), &root), Perm::RWX);
+        let stats = service.cache().stats();
+        let epoch = service
+            .peer_state(&bob.public())
+            .epoch
+            .load(Ordering::Acquire);
+        let made = create(&service, &bob, &root, "new");
+        let misses = stats.misses();
+        assert_eq!(service.permissions_for(&bob.public(), &root), Perm::RWX);
+        assert_eq!(
+            stats.misses(),
+            misses,
+            "the root's decision survives a CREATE"
+        );
+        let state = service.peer_state(&bob.public());
+        assert_eq!(state.epoch.load(Ordering::Acquire), epoch);
+        // The new file is one miss, answered by the grant.
+        assert_eq!(service.permissions_for(&bob.public(), &made.fh), Perm::RWX);
+        assert_eq!(stats.misses(), misses + 1);
+        assert_eq!(credential_count(&service, &bob), 2);
+    }
+
+    #[test]
+    fn a_submit_widens_a_cached_denial_at_once() {
+        // SUBMIT_CRED keeps its epoch bump: without it the cached NONE
+        // below would outlive the grant.
+        let service = service();
+        let bob = key(2);
+        let root = service.storage().mount(&ctx(&bob), "/").unwrap();
+        for _ in 0..2 {
+            assert_eq!(service.permissions_for(&bob.public(), &root), Perm::NONE);
+        }
+        owner(&service, &bob);
+        assert_eq!(service.permissions_for(&bob.public(), &root), Perm::RWX);
+    }
+
+    #[test]
+    fn revoking_a_creator_credential_ends_the_creators_access() {
+        let service = service();
+        let bob = key(2);
+        let root = owner(&service, &bob);
+        let [first, second, third] =
+            ["a", "b", "c"].map(|name| create(&service, &bob, &root, name));
+        for made in [&first, &second, &third] {
+            assert_eq!(service.permissions_for(&bob.public(), &made.fh), Perm::RWX);
+        }
+        service.revoke_credential(&credential_id(&first.credential), None);
+        assert_eq!(
+            service.permissions_for(&bob.public(), &first.fh),
+            Perm::NONE
+        );
+        assert_eq!(
+            service.permissions_for(&bob.public(), &second.fh),
+            Perm::RWX
+        );
+        assert_eq!(credential_count(&service, &bob), 3);
+        let read = service.read(&ctx(&bob), &first.fh, 0, 1);
+        assert_eq!(read.unwrap_err(), NfsStat::Acces);
+        // The revoked credential cannot come back by submission.
+        assert_eq!(
+            service.submit_credential(&bob.public(), &first.credential),
+            DiscfsRpcStatus::Revoked
+        );
+
+        // Revoking the server key ends every creator grant, and what
+        // it signs after that grants nothing.
+        service.revoke_key(&key(0x5E).public(), None);
+        assert_eq!(
+            service.permissions_for(&bob.public(), &second.fh),
+            Perm::NONE
+        );
+        assert_eq!(
+            service.permissions_for(&bob.public(), &third.fh),
+            Perm::NONE
+        );
+        let late = create(&service, &bob, &root, "d");
+        assert_eq!(service.permissions_for(&bob.public(), &late.fh), Perm::NONE);
+        assert_eq!(credential_count(&service, &bob), 1);
+        assert_eq!(service.permissions_for(&bob.public(), &root), Perm::RWX);
+    }
+
+    #[test]
+    fn resubmitting_ones_creator_credential_is_a_no_op() {
+        let service = service();
+        let bob = key(2);
+        let root = owner(&service, &bob);
+        let made = create(&service, &bob, &root, "mine");
+        assert_eq!(service.permissions_for(&bob.public(), &root), Perm::RWX);
+        let epoch = service
+            .peer_state(&bob.public())
+            .epoch
+            .load(Ordering::Acquire);
+        assert_eq!(
+            service.submit_credential(&bob.public(), &made.credential),
+            DiscfsRpcStatus::Ok
+        );
+        let state = service.peer_state(&bob.public());
+        assert_eq!(state.epoch.load(Ordering::Acquire), epoch, "no bump");
+        assert_eq!(state.held.lock().session.credentials().len(), 1, "no slot");
+        assert_eq!(credential_count(&service, &bob), 2);
+    }
+
+    #[test]
+    fn a_creator_grant_keeps_the_server_key_among_the_authorizers() {
+        let service = service();
+        let [admin, bob, ..] = keys();
+        let root = owner(&service, &bob);
+        let server = key(0x5E);
+        let [first, second] = ["a", "b"].map(|name| create(&service, &bob, &root, name));
+        let record = audited_read(&service, &bob);
+        assert_eq!(record.authorizers(), principals(&[&admin, &server]));
+
+        service.revoke_credential(&credential_id(&first.credential), None);
+        let one_left = audited_read(&service, &bob);
+        assert_eq!(one_left.authorizers(), principals(&[&admin, &server]));
+        service.revoke_credential(&credential_id(&second.credential), None);
+        let none_left = audited_read(&service, &bob);
+        assert_eq!(none_left.authorizers(), principals(&[&admin]));
     }
 }

@@ -138,7 +138,14 @@ impl Outbox {
             return Ok(());
         }
         let calls = std::mem::take(&mut self.queued);
-        chan.send(std::mem::take(&mut self.buf))?;
+        if let Err(e) = chan.send(std::mem::take(&mut self.buf)) {
+            // The buffer's calls are lost, and no reply will answer
+            // them: they are the last `calls` xids issued, in a row.
+            for back in 1..=calls as u32 {
+                self.outstanding.remove(&self.next_xid.wrapping_sub(back));
+            }
+            return Err(e.into());
+        }
         self.on_wire += calls;
         Ok(())
     }
@@ -759,5 +766,36 @@ impl RemoteFs {
         };
         let (dir, _) = self.resolve(parent)?;
         Ok((dir, name.to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ipsec::PlainChannel;
+    use netsim::{Link, LinkConfig, SimClock};
+
+    #[test]
+    fn a_failed_flush_leaves_no_lost_call_outstanding() {
+        let (near, far) = Link::pair(&SimClock::new(), LinkConfig::instant());
+        let client = NfsClient::new(Box::new(PlainChannel::new(near)));
+        let call = || client.send_call(NFS_PROGRAM, NFS_VERSION, proc_nfs::NULL, Vec::new());
+        // Messages of 1, 1 and 2 calls put four on the wire, so the
+        // next three wait in the outbox.
+        for _ in 0..7 {
+            call().unwrap();
+        }
+        assert_eq!(client.outbox.lock().queued, 3);
+        drop(far);
+        assert!(matches!(client.flush(), Err(ClientError::Net(_))));
+        let outbox = client.outbox.lock();
+        let mut outstanding: Vec<u32> = outbox.outstanding.iter().copied().collect();
+        outstanding.sort_unstable();
+        assert_eq!(
+            outstanding,
+            [1, 2, 3, 4],
+            "only calls that were sent await a reply"
+        );
+        assert_eq!((outbox.queued, outbox.buf.len()), (0, 0));
     }
 }
