@@ -154,6 +154,14 @@ impl PolicyCache {
         );
     }
 
+    /// Drops one decision. The read lock finds whether it is there, so
+    /// the usual absence costs no exclusive acquisition.
+    pub(crate) fn remove(&self, key: &CacheKey) {
+        if self.entries.read().contains_key(key) {
+            self.entries.write().remove(key);
+        }
+    }
+
     /// Drops every entry (full invalidation after revocation).
     pub(crate) fn clear(&self) {
         self.entries.write().clear();

@@ -56,7 +56,10 @@ pub struct DiscfsClient {
 }
 
 impl DiscfsClient {
-    /// `cattach`: IKE-connect over `endpoint`, then mount `path`.
+    /// `cattach`: IKE-connect over `endpoint`, then mount `path`. The
+    /// handshake's AUTH rides with the MOUNT call
+    /// ([`ipsec::ike::initiate_deferred`]): one link message fewer than
+    /// an AUTH sent alone.
     ///
     /// `expected_server` pins the server identity (recommended — the
     /// analogue of an SFS self-certifying pathname).
@@ -71,7 +74,7 @@ impl DiscfsClient {
         path: &str,
         rng: &mut R,
     ) -> Result<DiscfsClient, DiscfsClientError> {
-        let chan = ipsec::ike::initiate(endpoint, identity, expected_server, rng)
+        let chan = ipsec::ike::initiate_deferred(endpoint, identity, expected_server, rng)
             .map_err(DiscfsClientError::Handshake)?;
         DiscfsClient::attach_over(Box::new(chan), identity.public(), path)
     }

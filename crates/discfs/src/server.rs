@@ -68,12 +68,12 @@
 //!
 //! * *No epoch bump.* KeyNote compliance is monotone in the assertion
 //!   set (RFC 2704): a new credential can only widen a decision. The
-//!   grant names only the new `(inode, generation)`, which no decision
-//!   cached before the create asked about (a peer that probed a handle
-//!   before it existed may see its own cached denial until the entry
-//!   ages out: it fails closed, and only for the prober). So the
-//!   creator's cached decisions stay, where a bump threw them all away.
-//! * *No cap slot.* [`MAX_PEER_CREDENTIALS`] counts submitted
+//!   grant names only the new `(inode, generation)`, so it can change
+//!   only a decision about that handle. A creator who probed the handle
+//!   before it existed has cached a denial of it: the create removes
+//!   that one entry ([`PolicyCache`]), and every other cached decision
+//!   of the creator stays, where a bump threw them all away.
+//! * *No cap slot.* `MAX_PEER_CREDENTIALS` counts submitted
 //!   credentials only; grants are bounded by the inodes the peer
 //!   creates. Resubmitting one's own creator credential is a no-op.
 //! * *Revocation.* Revoking a grant's id drops the grant; revoking the
@@ -646,6 +646,16 @@ impl DiscfsService {
             let mut held = state.held.lock();
             held.created.insert((ino, generation), id);
             state.issuer_added(&server);
+            // The one decision the grant can change: a denial the
+            // creator cached by probing the handle before it existed.
+            self.cache.remove(&CacheKey {
+                peer: peer.0,
+                handle: (ino, generation),
+                epoch: (
+                    state.epoch.load(Ordering::Acquire),
+                    self.env_epoch.load(Ordering::Acquire),
+                ),
+            });
         }
         credential
     }
@@ -1202,6 +1212,19 @@ mod tests {
         assert_eq!(service.permissions_for(&bob.public(), &made.fh), Perm::RWX);
         assert_eq!(stats.misses(), misses + 1);
         assert_eq!(credential_count(&service, &bob), 2);
+    }
+
+    #[test]
+    fn a_create_drops_the_creators_cached_denial_of_the_new_handle() {
+        let service = service();
+        let bob = key(2);
+        let root = owner(&service, &bob);
+        let (fsid, ino, generation) = create(&service, &bob, &root, "a").fh.unpack();
+        let probed = FHandle::pack(fsid, ino + 1, generation);
+        assert_eq!(service.permissions_for(&bob.public(), &probed), Perm::NONE);
+        let made = create(&service, &bob, &root, "b");
+        assert_eq!(made.fh, probed, "the probe named the next handle");
+        assert_eq!(service.permissions_for(&bob.public(), &made.fh), Perm::RWX);
     }
 
     #[test]

@@ -276,8 +276,9 @@ impl Testbed {
     }
 
     /// Connects a new client with `identity`, running IKE and mounting
-    /// the root export. The server side joins the shared engine — no
-    /// thread is spawned per connection.
+    /// the root export; the IKE AUTH rides with the MOUNT call, so this
+    /// costs four link messages. The server side joins the shared
+    /// engine — no thread is spawned per connection.
     ///
     /// # Errors
     ///
@@ -337,7 +338,8 @@ impl Testbed {
     /// Runs IKE as `identity` and returns the **raw** secure channel
     /// plus the engine token, without mounting anything — for tests
     /// that speak the wire protocol directly (e.g. sending malformed
-    /// frames).
+    /// frames). The AUTH goes out on its own ([`ipsec::ike::initiate`]),
+    /// so the engine attaches the connection before the test speaks.
     ///
     /// # Errors
     ///

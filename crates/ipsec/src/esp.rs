@@ -50,10 +50,17 @@ impl Sa {
     /// Header, ciphertext and tag are written into the one record
     /// buffer; the payload is copied once and encrypted where it lands.
     pub fn seal(&self, seq: u64, payload: &[u8]) -> Vec<u8> {
+        self.seal_after(&[], seq, payload)
+    }
+
+    /// [`Sa::seal`] into a buffer that starts with `prefix` (the IKE
+    /// AUTH a first record rides with).
+    pub(crate) fn seal_after(&self, prefix: &[u8], seq: u64, payload: &[u8]) -> Vec<u8> {
         let mut header = [0u8; HEADER_LEN];
         header[..4].copy_from_slice(&self.spi.to_be_bytes());
         header[4..].copy_from_slice(&seq.to_be_bytes());
-        let mut record = Vec::with_capacity(HEADER_LEN + payload.len() + TAG_LEN);
+        let mut record = Vec::with_capacity(prefix.len() + HEADER_LEN + payload.len() + TAG_LEN);
+        record.extend_from_slice(prefix);
         record.extend_from_slice(&header);
         self.aead
             .seal_append(&self.nonce_for(seq), &header, payload, &mut record);

@@ -7,7 +7,7 @@
 //! ─────────                                   ─────────
 //! INIT:  eph_i ‖ nonce_i ‖ id_i        ──▶
 //!                                      ◀──    RESP: eph_r ‖ nonce_r ‖ id_r ‖ sig_r(transcript)
-//! AUTH:  sig_i(transcript)             ──▶
+//! AUTH:  sig_i(transcript) [‖ record]  ──▶
 //! ```
 //!
 //! where `transcript = eph_i ‖ nonce_i ‖ id_i ‖ eph_r ‖ nonce_r ‖ id_r`
@@ -15,12 +15,35 @@
 //! two unidirectional security associations with HKDF over the X25519
 //! shared secret, exactly the role IKE plays for the paper's prototype
 //! (main mode with signature authentication).
+//!
+//! # The first record rides with the AUTH
+//!
+//! The third message is the 64-byte `sig_i`, optionally followed by
+//! the initiator's first ESP record, sealed under the initiator-to-
+//! responder SA the transcript yields. [`initiate_deferred`] runs INIT
+//! and RESP and returns a channel whose first [`SecureTransport::send`]
+//! puts `sig_i ‖ record` into one transport message, so a client's
+//! first request costs no message of its own (TLS 1.3 sends the
+//! client's Finished in the same flight as its first application
+//! data). [`initiate`] is that start plus an immediate AUTH-only send,
+//! for a peer that must be attached before the initiator speaks.
+//!
+//! [`PendingResponder::complete`], the one responder parser, checks
+//! `sig_i` before it touches the tail: nothing in the tail is opened
+//! before the signature verifies. The tail is sealed under keys
+//! derived from the signed transcript, so it opens only for the peer
+//! that ran this exchange, and a peer that knows those keys but not
+//! the identity's secret key is refused at the signature. A tail that
+//! does not open fails the handshake; one that does marks its sequence
+//! number in the new channel's replay window, so the same record sent
+//! again later as a message of its own is refused as a replay.
 
 use discfs_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use discfs_crypto::hkdf;
 use discfs_crypto::rng::RngCore;
 use discfs_crypto::x25519::EphemeralKeypair;
 use netsim::Transport;
+use parking_lot::Mutex;
 
 use crate::esp::{ReplayWindow, Sa};
 use crate::{IpsecError, SecureTransport};
@@ -31,6 +54,8 @@ const RESPONDER_CONTEXT: &[u8] = b"discfs-ike-responder-v1";
 
 const INIT_LEN: usize = 32 + 32 + 32;
 const RESP_LEN: usize = 32 + 32 + 32 + 64;
+/// The AUTH message's signature, before any record riding with it.
+const AUTH_LEN: usize = 64;
 
 /// An established secure channel: two SAs over a raw transport.
 pub struct SecureChannel<T: Transport> {
@@ -39,17 +64,51 @@ pub struct SecureChannel<T: Transport> {
     recv_sa: Sa,
     recv_window: ReplayWindow,
     send_seq: std::sync::atomic::AtomicU64,
+    /// The initiator's AUTH until a send carries it (`None` on a
+    /// responder's channel). The first send holds this lock across seal
+    /// and send, so no record overtakes the AUTH.
+    auth: Mutex<Option<Signature>>,
     peer: VerifyingKey,
+}
+
+impl<T: Transport> SecureChannel<T> {
+    fn new(
+        transport: T,
+        send_sa: Sa,
+        recv_sa: Sa,
+        auth: Option<Signature>,
+        peer: VerifyingKey,
+    ) -> Self {
+        SecureChannel {
+            transport,
+            send_sa,
+            recv_sa,
+            recv_window: ReplayWindow::new(),
+            send_seq: std::sync::atomic::AtomicU64::new(0),
+            auth: Mutex::new(auth),
+            peer,
+        }
+    }
+
+    fn next_seq(&self) -> u64 {
+        self.send_seq
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            + 1
+    }
 }
 
 impl<T: Transport> SecureTransport for SecureChannel<T> {
     fn send(&self, msg: Vec<u8>) -> Result<(), IpsecError> {
-        let seq = self
-            .send_seq
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            + 1;
-        let record = self.send_sa.seal(seq, &msg);
-        Ok(self.transport.send(record)?)
+        let mut auth = self.auth.lock();
+        let Some(sig) = auth.take() else {
+            drop(auth);
+            let record = self.send_sa.seal(self.next_seq(), &msg);
+            return Ok(self.transport.send(record)?);
+        };
+        // Sealed and sent under the lock: any other send waits for it,
+        // so its record (and sequence number) comes after the AUTH.
+        let message = self.send_sa.seal_after(&sig.0, self.next_seq(), &msg);
+        Ok(self.transport.send(message)?)
     }
 
     fn recv(&self) -> Result<Vec<u8>, IpsecError> {
@@ -116,7 +175,9 @@ fn signed_transcript(context: &[u8], transcript: &[u8]) -> Vec<u8> {
     [context, transcript].concat()
 }
 
-/// Runs the initiator side of the handshake (the DisCFS client).
+/// Runs the initiator side of the handshake (the DisCFS client) and
+/// sends the AUTH on its own, so the responder can attach the channel
+/// before the initiator speaks: [`initiate_deferred`] plus one send.
 ///
 /// When `expected_peer` is given, the responder's identity must match —
 /// this is how a client pins the file server key it intends to mount
@@ -128,6 +189,34 @@ fn signed_transcript(context: &[u8], transcript: &[u8]) -> Vec<u8> {
 /// on signature failure, [`IpsecError::BadHandshake`] on malformed
 /// messages, [`IpsecError::Net`] on transport failure.
 pub fn initiate<T: Transport, R: RngCore>(
+    transport: T,
+    identity: &SigningKey,
+    expected_peer: Option<&VerifyingKey>,
+    rng: &mut R,
+) -> Result<SecureChannel<T>, IpsecError> {
+    let chan = initiate_deferred(transport, identity, expected_peer, rng)?;
+    let sig = chan
+        .auth
+        .lock()
+        .take()
+        .expect("a fresh initiator holds its AUTH");
+    chan.transport.send(sig.0.to_vec())?;
+    Ok(chan)
+}
+
+/// Runs INIT and RESP as [`initiate`] does and returns the channel with
+/// the AUTH still unsent: the channel's first send carries it, in one
+/// transport message with the first record (module docs).
+///
+/// The responder attaches the channel only once that message is in, so
+/// the initiator must speak first: a receive before the first send
+/// waits for a reply the responder cannot yet give.
+///
+/// # Errors
+///
+/// As [`initiate`], except that the AUTH's own transport failure shows
+/// on the first send.
+pub fn initiate_deferred<T: Transport, R: RngCore>(
     transport: T,
     identity: &SigningKey,
     expected_peer: Option<&VerifyingKey>,
@@ -161,23 +250,25 @@ pub fn initiate<T: Transport, R: RngCore>(
     id_r.verify(&signed_transcript(RESPONDER_CONTEXT, &transcript), &sig_r)?;
 
     let sig_i = identity.sign(&signed_transcript(INITIATOR_CONTEXT, &transcript));
-    transport.send(sig_i.0.to_vec())?;
-
     let shared = eph.agree(&eph_r);
     let keys = derive_keys(&shared, &transcript);
-    Ok(SecureChannel {
+    Ok(SecureChannel::new(
         transport,
-        send_sa: Sa::new(keys.spi_i2r, &keys.key_i2r, keys.nonce_i2r),
-        recv_sa: Sa::new(keys.spi_r2i, &keys.key_r2i, keys.nonce_r2i),
-        recv_window: ReplayWindow::new(),
-        send_seq: std::sync::atomic::AtomicU64::new(0),
-        peer: id_r,
-    })
+        Sa::new(keys.spi_i2r, &keys.key_i2r, keys.nonce_i2r),
+        Sa::new(keys.spi_r2i, &keys.key_r2i, keys.nonce_r2i),
+        Some(sig_i),
+        id_r,
+    ))
 }
 
 /// Runs the responder side of the handshake (the DisCFS server),
 /// blocking for each of the initiator's two messages: [`respond_init`]
 /// then [`PendingResponder::complete`].
+///
+/// It answers an eager initiator ([`initiate`]). It returns only the
+/// channel, so it has nowhere to hand the payload of a record riding
+/// with the AUTH and refuses such a message; a server that accepts
+/// [`initiate_deferred`] takes the two steps itself.
 ///
 /// The resulting channel's [`SecureTransport::peer_identity`] is the
 /// client key the server binds every request on this connection to.
@@ -193,7 +284,10 @@ pub fn respond<T: Transport, R: RngCore>(
     let init = transport.recv()?;
     let pending = respond_init(&transport, &init, identity, rng)?;
     let auth = transport.recv()?;
-    pending.complete(transport, &auth)
+    match pending.complete(transport, &auth)? {
+        (chan, None) => Ok(chan),
+        (_, Some(_)) => Err(IpsecError::BadHandshake),
+    }
 }
 
 /// A responder that has answered the initiator's INIT and awaits its
@@ -250,20 +344,32 @@ pub fn respond_init<T: Transport, R: RngCore>(
 }
 
 impl PendingResponder {
-    /// The responder's second step: checks the initiator's `auth`
-    /// signature over the transcript and derives the channel over
-    /// `transport`.
+    /// The responder's second step: checks the initiator's AUTH
+    /// signature over the transcript, derives the channel over
+    /// `transport` and opens the record that may ride with the AUTH.
+    ///
+    /// `msg` is the 64-byte signature, optionally followed by one ESP
+    /// record. The signature is checked first, so nothing in the tail is
+    /// opened for a peer that has not proved its identity. The tail is
+    /// opened under the new channel's receive SA and its sequence number
+    /// marked in the channel's replay window; its payload comes back
+    /// beside the channel, for the caller to serve before anything the
+    /// channel receives later.
     ///
     /// # Errors
     ///
-    /// [`IpsecError::BadHandshake`] on a malformed AUTH,
-    /// [`IpsecError::Crypto`] on a bad signature.
+    /// [`IpsecError::BadHandshake`] on a malformed AUTH or a tail that
+    /// does not open, [`IpsecError::Crypto`] on a bad signature.
     pub fn complete<T: Transport>(
         self,
         transport: T,
-        auth: &[u8],
-    ) -> Result<SecureChannel<T>, IpsecError> {
-        let sig_i = Signature(auth.try_into().map_err(|_| IpsecError::BadHandshake)?);
+        msg: &[u8],
+    ) -> Result<(SecureChannel<T>, Option<Vec<u8>>), IpsecError> {
+        if msg.len() < AUTH_LEN {
+            return Err(IpsecError::BadHandshake);
+        }
+        let (auth, tail) = msg.split_at(AUTH_LEN);
+        let sig_i = Signature(auth.try_into().expect("64 bytes"));
         self.id_i.verify(
             &signed_transcript(INITIATOR_CONTEXT, &self.transcript),
             &sig_i,
@@ -271,15 +377,23 @@ impl PendingResponder {
 
         let shared = self.eph.agree(&self.eph_i);
         let keys = derive_keys(&shared, &self.transcript);
-        Ok(SecureChannel {
+        // The responder sends on r2i and receives on i2r.
+        let chan = SecureChannel::new(
             transport,
-            // The responder sends on r2i and receives on i2r.
-            send_sa: Sa::new(keys.spi_r2i, &keys.key_r2i, keys.nonce_r2i),
-            recv_sa: Sa::new(keys.spi_i2r, &keys.key_i2r, keys.nonce_i2r),
-            recv_window: ReplayWindow::new(),
-            send_seq: std::sync::atomic::AtomicU64::new(0),
-            peer: self.id_i,
-        })
+            Sa::new(keys.spi_r2i, &keys.key_r2i, keys.nonce_r2i),
+            Sa::new(keys.spi_i2r, &keys.key_i2r, keys.nonce_i2r),
+            None,
+            self.id_i,
+        );
+        if tail.is_empty() {
+            return Ok((chan, None));
+        }
+        let (seq, payload) = chan
+            .recv_sa
+            .open(tail)
+            .map_err(|_| IpsecError::BadHandshake)?;
+        chan.recv_window.accept(seq)?;
+        Ok((chan, Some(payload)))
     }
 }
 

@@ -16,6 +16,15 @@
 //!    [`SecureChannel::peer_identity`] exposes exactly that key, which
 //!    the server binds to all requests on the connection.
 //!
+//! The handshake's third message is the initiator's AUTH signature,
+//! optionally followed by its first ESP record
+//! ([`ike::initiate_deferred`]), so a client's first request costs no
+//! link message of its own. The responder verifies the signature before
+//! it opens anything in the tail, and the tail is sealed under keys
+//! derived from the signed transcript: a peer that knows those keys but
+//! not the identity's secret key is refused at the signature, and a
+//! tail that does not open fails the handshake ([`ike`] module docs).
+//!
 //! # Example
 //!
 //! ```

@@ -158,6 +158,7 @@ impl Assertion {
     }
 
     /// The assertion's raw text as parsed.
+    #[cfg(test)]
     pub(crate) fn raw(&self) -> &str {
         &self.raw
     }
@@ -220,31 +221,6 @@ impl Assertion {
         let signed = &self.raw.as_bytes()[..self.signed_len];
         key.verify(signed, &Signature(sig_bytes))
             .map_err(|_| KeyNoteError::BadSignature)
-    }
-}
-
-/// A credential together with the proof that its signature is good:
-/// the only constructor is [`AssertionBuilder::sign_assertion`], which
-/// holds the signing key. Credential *text*, wherever it comes from,
-/// has no way into this type and goes through [`Assertion::verify`].
-///
-/// ```compile_fail
-/// let text = "Authorizer: \"POLICY\"\n";
-/// let assertion = keynote::Assertion::parse(text).unwrap();
-/// // The field is private: parsed text cannot be passed off as signed.
-/// let forged = keynote::SignedAssertion(assertion);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SignedAssertion(Assertion);
-
-impl SignedAssertion {
-    /// The credential text, as [`AssertionBuilder::sign`] returns it.
-    pub fn text(&self) -> &str {
-        self.0.raw()
-    }
-
-    pub(crate) fn into_assertion(self) -> Assertion {
-        self.0
     }
 }
 
@@ -359,18 +335,6 @@ impl AssertionBuilder {
             hex::encode(&sig.0)
         ));
         text
-    }
-
-    /// Signs like [`Self::sign`] and also returns the parsed assertion,
-    /// as a [`SignedAssertion`] that a [`crate::Session`] accepts
-    /// without verifying the signature it has just watched being made.
-    ///
-    /// # Errors
-    ///
-    /// [`KeyNoteError::Syntax`] when the builder was given licensees or
-    /// conditions text that does not parse.
-    pub fn sign_assertion(&self, issuer: &SigningKey) -> Result<SignedAssertion, KeyNoteError> {
-        Assertion::parse(&self.sign(issuer)).map(SignedAssertion)
     }
 
     /// Produces an unsigned local-policy assertion (authorizer `POLICY`).

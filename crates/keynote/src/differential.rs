@@ -204,11 +204,9 @@ impl World {
                 .expect("generated policies parse");
         } else {
             let issuer = &self.keys[rng.below(self.keys.len())];
-            session.add_signed(
-                builder
-                    .sign_assertion(issuer)
-                    .expect("generated credentials parse"),
-            );
+            session
+                .add_credential(&builder.sign(issuer))
+                .expect("generated credentials parse and verify");
         }
     }
 

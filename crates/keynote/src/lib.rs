@@ -112,7 +112,7 @@ pub mod regex;
 mod session;
 mod values;
 
-pub use assertion::{Assertion, AssertionBuilder, SignedAssertion};
+pub use assertion::{Assertion, AssertionBuilder};
 pub use principal::{key_principal, Principal};
 pub use session::{ComplianceValue, Session};
 

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use discfs_crypto::ed25519::VerifyingKey;
 
-use crate::assertion::{Assertion, SignedAssertion};
+use crate::assertion::Assertion;
 use crate::ast::{LicenseeExpr, Program};
 use crate::eval::{eval_program, required_equalities, EvalCtx};
 use crate::values::ValueSet;
@@ -262,24 +262,11 @@ impl Session {
             return Ok(());
         }
         assertion.verify()?;
-        self.push_credential(assertion);
-        Ok(())
-    }
-
-    /// Adds a credential this process signed itself. The type is the
-    /// proof (see [`SignedAssertion`]), so nothing is verified again;
-    /// one the session already holds is not stored twice.
-    pub fn add_signed(&mut self, signed: SignedAssertion) {
-        self.push_credential(signed.into_assertion());
-    }
-
-    fn push_credential(&mut self, assertion: Assertion) {
-        if !self.credential_ids.insert(assertion.id().to_string()) {
-            return;
-        }
+        self.credential_ids.insert(assertion.id().to_string());
         self.delegations
             .insert(Slot::Credential(self.credentials.len()), &assertion);
         self.credentials.push(assertion);
+        Ok(())
     }
 
     fn assertion(&self, slot: Slot) -> &Assertion {

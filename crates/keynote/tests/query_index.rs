@@ -212,26 +212,15 @@ fn retained_session_answers_like_a_fresh_one() {
 }
 
 #[test]
-fn no_text_taking_entry_point_skips_verification() {
-    // A server-signed credential enters a session unverified only as a
-    // `SignedAssertion`, which only `sign_assertion` (holding the key)
-    // can make. Its text, tampered with, is refused by every way in
-    // that takes text or a parsed assertion.
-    let signed = AssertionBuilder::new()
+fn every_entry_point_refuses_a_tampered_credential_and_takes_the_genuine_one() {
+    // A credential's text, tampered with, is refused by every way into
+    // a session that takes text or a parsed assertion.
+    let genuine = AssertionBuilder::new()
         .licensee_key(&bob().public())
         .conditions("(HANDLE == \"1.1\") -> \"R\";")
-        .sign_assertion(&admin())
-        .unwrap();
-    assert_eq!(
-        signed.text(),
-        AssertionBuilder::new()
-            .licensee_key(&bob().public())
-            .conditions("(HANDLE == \"1.1\") -> \"R\";")
-            .sign(&admin()),
-        "same text as sign()"
-    );
-    let tampered = signed.text().replace("\"R\"", "\"RWX\"");
-    assert_ne!(tampered, signed.text());
+        .sign(&admin());
+    let tampered = genuine.replace("\"R\"", "\"RWX\"");
+    assert_ne!(tampered, genuine);
 
     let mut session = session_with(&[]);
     assert_eq!(
@@ -248,8 +237,8 @@ fn no_text_taking_entry_point_skips_verification() {
     ));
     assert!(session.credentials().is_empty());
 
-    // The genuine article is accepted as is and takes effect.
-    session.add_signed(signed);
+    // The genuine text verifies and takes effect.
+    session.add_credential(&genuine).unwrap();
     session.set_attribute("HANDLE", "1.1");
     assert_eq!(answer(&session), "R");
 }

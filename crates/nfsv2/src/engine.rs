@@ -21,8 +21,12 @@
 //!   handshaking endpoint is registered with the readiness loop like a
 //!   connection; the loop schedules the INIT step, then the AUTH step,
 //!   only once that message has arrived, so no worker ever waits on a
-//!   peer's handshake. A worker
-//!   serves at most [`EngineConfig::batch`] requests per scheduling
+//!   peer's handshake. An AUTH may carry the client's first ESP
+//!   record (`ipsec::ike` module docs): the AUTH step attaches the
+//!   channel only once the signature verifies and the record opens, and
+//!   the record's calls enter the connection's queue ahead of anything
+//!   the channel receives later, under the same bound and quantum. A
+//!   worker serves at most [`EngineConfig::batch`] requests per scheduling
 //!   quantum, then requeues the connection behind everyone else —
 //!   round-robin over connections, so one busy peer cannot starve the
 //!   rest. Each request is routed into the [`NfsService`] by the
@@ -536,7 +540,7 @@ impl Shared {
         while let Some(job) = self.jobs.pop() {
             match job {
                 Job::Handshake { token, hs, msg } => self.handshake_step(token, hs, msg),
-                Job::Attach { token, chan } => self.attach(token, chan),
+                Job::Attach { token, chan } => self.attach(token, chan, None),
                 Job::Serve { token } => {
                     let conn = {
                         let conns = self.conns.lock();
@@ -552,7 +556,7 @@ impl Shared {
 
     /// Takes the step of `hs` that `msg` answers: INIT gets the signed
     /// reply and the handshake is parked for AUTH; AUTH attaches the
-    /// channel.
+    /// channel, with the first record's calls when one rode with it.
     fn handshake_step(&self, token: u64, hs: Box<Handshake>, msg: Vec<u8>) {
         if self.shutdown.load(Ordering::SeqCst) {
             return;
@@ -577,7 +581,7 @@ impl Shared {
                 }
             }
             Some(pending) => match pending.complete(endpoint, &msg) {
-                Ok(chan) => self.attach(token, Box::new(chan)),
+                Ok((chan, first)) => self.attach(token, Box::new(chan), first),
                 Err(_) => self.handshake_failed(),
             },
         }
@@ -589,12 +593,18 @@ impl Shared {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    fn attach(&self, token: u64, chan: Box<dyn SecureTransport>) {
+    /// Serves `chan` under `token`. `first` is the payload of a record
+    /// that rode with the IKE AUTH: its frames are in the decoder before
+    /// the channel can be polled, so they queue ahead of the records
+    /// that follow it.
+    fn attach(&self, token: u64, chan: Box<dyn SecureTransport>, first: Option<Vec<u8>>) {
+        let mut decoder = FrameDecoder::new();
+        let first_fed = first.map(|msg| decoder.feed(Bytes::from(msg)).is_ok());
         let conn = Arc::new(Conn {
             token,
             peer: chan.peer_identity(),
             chan,
-            decoder: Mutex::new(FrameDecoder::new()),
+            decoder: Mutex::new(decoder),
             queue: Mutex::new(VecDeque::new()),
             high_water: AtomicUsize::new(0),
             scheduled: AtomicBool::new(false),
@@ -611,6 +621,12 @@ impl Shared {
         // immediately (messages already pending) must find the
         // connection.
         conn.chan.register_ready(&self.ready, token);
+        match first_fed {
+            // The loop moves the decoded calls into the queue.
+            Some(true) => self.ready.push(token),
+            Some(false) => self.drop_conn(&conn, DropReason::Violation("malformed frame")),
+            None => {}
+        }
     }
 
     /// Serves one scheduling quantum: up to `batch` requests, one

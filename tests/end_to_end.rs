@@ -4,6 +4,8 @@
 
 use discfs::{CredentialIssuer, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
+use ffs::{FsConfig, StoreBackend};
+use netsim::LinkConfig;
 
 fn key(seed: u8) -> SigningKey {
     SigningKey::from_seed(&[seed; 32])
@@ -14,6 +16,30 @@ fn grant_root(bed: &Testbed, holder: &SigningKey) -> String {
         .holder(&holder.public())
         .grant_handle_string("1.1", Perm::RWX)
         .issue()
+}
+
+/// `connect` costs four link messages: INIT, RESP, the AUTH riding
+/// with the MOUNT call, and the MOUNT reply. An AUTH sent alone would
+/// be a fifth, 120 µs more.
+#[test]
+fn connect_costs_four_messages() {
+    let link = LinkConfig::ethernet_100mbps();
+    let bed = Testbed::with_backend(FsConfig::small(), link, 128, &StoreBackend::SimInstant);
+    let before = bed.clock().now();
+    let _client = bed.connect(&key(2)).expect("attach");
+    let spent = bed.clock().now() - before;
+    // ESP adds a 12-byte header and a 16-byte tag to a record.
+    let (init, resp, auth, esp) = (96, 160, 64, 12 + 16);
+    // Each RPC message is framed (8 bytes). The call: its 24-byte
+    // header, an empty credential and verifier (8 each), the path "/"
+    // (8). The reply: its 24-byte header with the verifier, the mount
+    // status (4) and the root handle (32).
+    let (mount_call, mount_reply) = (8 + 24 + 8 + 8 + 8, 8 + 24 + 4 + 32);
+    let expected = link.transfer_time(init)
+        + link.transfer_time(resp)
+        + link.transfer_time(auth + esp + mount_call)
+        + link.transfer_time(esp + mount_reply);
+    assert_eq!(spent, expected, "spent {spent:?} ({} ns)", spent.as_nanos());
 }
 
 #[test]

@@ -13,14 +13,17 @@
 //! * `Testbed::reboot` quiesces the engine — drains accepted requests,
 //!   joins every server thread — before the store drops.
 //! * A failed responder handshake (a garbage IKE init, a peer gone
-//!   mid-handshake) is counted in `handshake_failures`, attaches
-//!   nothing and costs no worker; an unfinished one (a peer that never
-//!   sends) holds no worker and does not delay a reboot.
+//!   mid-handshake, an AUTH with a bad signature however many calls
+//!   ride with it) is counted in `handshake_failures`, attaches nothing,
+//!   serves nothing and costs no worker; an unfinished one (a peer that
+//!   never sends) holds no worker and does not delay a reboot.
+//! * Calls riding with the AUTH are served in order under the queue
+//!   bound and batch quantum, ahead of what follows them.
 //!
 //! That connection count does not change the thread count is
 //! `tests/engine_threads.rs`, a binary of its own.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,7 +32,7 @@ use discfs_crypto::ed25519::SigningKey;
 use discfs_crypto::rng::DetRng;
 use ffs::{Ffs, FsConfig, StoreBackend};
 use ipsec::{ike, PlainChannel, SecureTransport};
-use netsim::{Link, LinkConfig, SimClock, Transport};
+use netsim::{Endpoint, Link, LinkConfig, NetError, SimClock, Transport};
 use nfsv2::proto::proc_nfs;
 use nfsv2::{Engine, EngineConfig, FfsService, NfsClient, RemoteFs};
 use onc_rpc::{frame, Encoder, ReplyBody, RpcCall, RpcReply};
@@ -493,6 +496,150 @@ fn failed_handshakes_are_counted_and_lose_no_worker() {
     );
     assert_eq!(stats.connections_accepted.load(Ordering::Relaxed), 1);
     assert_eq!(stats.handshake_failures.load(Ordering::Relaxed), 2);
+}
+
+/// An initiator's link end that flips the first byte of its second
+/// message: the signature of an AUTH riding with the first record.
+struct BadAuth {
+    end: Endpoint,
+    sent: AtomicUsize,
+}
+
+impl Transport for BadAuth {
+    fn send(&self, mut msg: Vec<u8>) -> Result<(), NetError> {
+        if self.sent.fetch_add(1, Ordering::Relaxed) == 1 {
+            msg[0] ^= 1;
+        }
+        self.end.send(msg)
+    }
+    fn recv(&self) -> Result<Vec<u8>, NetError> {
+        self.end.recv()
+    }
+    fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, NetError> {
+        self.end.recv_timeout(timeout)
+    }
+}
+
+/// `count` NULL calls, xids from 1, framed into one message.
+fn null_calls(count: u32) -> Vec<u8> {
+    (1..=count)
+        .flat_map(|xid| {
+            frame::encode_frame(&RpcCall::new(xid, nfsv2::NFS_PROGRAM, 2, 0, vec![]).encode())
+        })
+        .collect()
+}
+
+/// The xids of the next `count` replies on `chan`, in arrival order.
+fn reply_xids(chan: &dyn SecureTransport, count: usize) -> Vec<u32> {
+    let mut decoder = frame::FrameDecoder::new();
+    let mut got = Vec::new();
+    while got.len() < count {
+        let msg = chan.recv().expect("reply message");
+        decoder
+            .feed(bytes::Bytes::from(msg))
+            .expect("well-formed replies");
+        while let Some(payload) = decoder.pop_frame() {
+            got.push(RpcReply::decode(&payload).expect("rpc reply").xid);
+        }
+    }
+    got
+}
+
+/// An engine on an in-memory `FfsService` whose server key is `key(1)`.
+fn ffs_engine(config: EngineConfig) -> Engine {
+    let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
+    Engine::start(Arc::new(FfsService::new(fs, 1)), key(1), config)
+}
+
+/// An AUTH whose signature is bad fails the handshake whatever rides
+/// with it: no call in its record is served, the peer is hung up on,
+/// and the failure is counted.
+#[test]
+fn calls_riding_with_a_bad_auth_are_never_served() {
+    let engine = ffs_engine(EngineConfig::default());
+    let stats = engine.stats();
+    let clock = SimClock::new();
+    let (client_end, server_end) = Link::loopback(&clock);
+    engine.accept(server_end);
+    let transport = BadAuth {
+        end: client_end,
+        sent: AtomicUsize::new(0),
+    };
+    let chan = ike::initiate_deferred(
+        transport,
+        &key(3),
+        Some(&key(1).public()),
+        &mut DetRng::new(3),
+    )
+    .expect("INIT and RESP");
+    chan.send(null_calls(3)).expect("AUTH and calls");
+    assert!(chan.recv().is_err(), "the responder hangs up");
+    assert!(eventually(|| stats
+        .handshake_failures
+        .load(Ordering::Relaxed)
+        == 1));
+    assert_eq!(stats.requests_served.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.connections_accepted.load(Ordering::Relaxed), 0);
+    assert_eq!(engine.connections(), 0);
+}
+
+/// Forty calls ride with the AUTH against a queue bound of four and a
+/// quantum of two: they are all served, in order, before the call sent
+/// after them, and the queue never holds more than its bound.
+#[test]
+fn calls_riding_with_the_auth_are_served_in_order_under_the_bound() {
+    let engine = ffs_engine(EngineConfig {
+        queue_bound: 4,
+        batch: 2,
+        ..EngineConfig::default()
+    });
+    let clock = SimClock::new();
+    let (client_end, server_end) = Link::loopback(&clock);
+    let token = engine.accept(server_end);
+    let chan = ike::initiate_deferred(
+        client_end,
+        &key(3),
+        Some(&key(1).public()),
+        &mut DetRng::new(3),
+    )
+    .expect("INIT and RESP");
+    chan.send(null_calls(40)).expect("AUTH and calls");
+    chan.send(frame::encode_frame(
+        &RpcCall::new(41, nfsv2::NFS_PROGRAM, 2, 0, vec![]).encode(),
+    ))
+    .expect("a later call");
+    assert_eq!(reply_xids(&chan, 41), (1..=41).collect::<Vec<_>>());
+    assert_eq!(engine.queue_high_water(token), Some(4));
+    assert!(engine.stats().pauses.load(Ordering::Relaxed) >= 1);
+    assert_eq!(engine.stats().requests_served.load(Ordering::Relaxed), 41);
+}
+
+/// A first record whose frame is corrupt condemns the connection the
+/// AUTH just attached, as the same frame arriving later would.
+#[test]
+fn a_corrupt_frame_riding_with_the_auth_condemns_the_connection() {
+    let engine = ffs_engine(EngineConfig::default());
+    let stats = engine.stats();
+    let clock = SimClock::new();
+    let (client_end, server_end) = Link::loopback(&clock);
+    let token = engine.accept(server_end);
+    let chan = ike::initiate_deferred(
+        client_end,
+        &key(3),
+        Some(&key(1).public()),
+        &mut DetRng::new(3),
+    )
+    .expect("INIT and RESP");
+    let mut bad = frame::encode_frame(b"looks like a frame");
+    let last = bad.len() - 1;
+    bad[last] ^= 0xff;
+    chan.send(bad).expect("AUTH and a corrupt frame");
+    assert!(eventually(
+        || stats.malformed_drops.load(Ordering::Relaxed) == 1
+    ));
+    assert_eq!(stats.connections_accepted.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.requests_served.load(Ordering::Relaxed), 0);
+    assert!(!engine.is_connected(token));
 }
 
 /// Runs `work` on a thread of its own and waits at most ten seconds
