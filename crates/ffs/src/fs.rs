@@ -1310,7 +1310,7 @@ impl Ffs {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, FsError> {
-        if offset >= inode.size {
+        if offset >= inode.size || len == 0 {
             return Ok(Vec::new());
         }
         let len = len.min((inode.size - offset) as usize);

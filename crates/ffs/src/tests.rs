@@ -64,6 +64,20 @@ fn write_read_small() {
     fs.check().unwrap();
 }
 
+/// A read of no bytes inside a file reads nothing. It took the last
+/// byte of an empty extent, `offset + 0 - 1`: an overflow panic at
+/// offset 0, and an extent of 2^51 blocks elsewhere.
+#[test]
+fn a_zero_length_read_reads_nothing() {
+    let fs = fs();
+    let ino = fs.create(fs.root(), "f", 0o644, 0, 0).unwrap();
+    fs.write(ino, 0, &[7; 3000]).unwrap();
+    for offset in [0, 1, 2999] {
+        assert_eq!(fs.read(ino, offset, 0).unwrap(), b"", "offset {offset}");
+    }
+    fs.check().unwrap();
+}
+
 #[test]
 fn overwrite_middle() {
     let fs = fs();

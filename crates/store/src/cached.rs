@@ -47,18 +47,16 @@
 //!
 //! # Buffers
 //!
-//! The cache allocates its block buffers once, zeroed, when it is
-//! built: each shard's share of `capacity` plus one, because a block
-//! enters its shard before the shard's victim leaves. A block entering
-//! the cache — a write miss, a read miss, a readahead prefetch — is
-//! copied into one of its shard's spare buffers, and an evicted block's
-//! buffer goes back to the spares when no reader holds it. A buffer a
-//! reader still holds is simply dropped; the next insert that finds no
-//! spare takes one from the process-wide pool (crate docs, *Buffers*)
-//! or allocates one, and that one joins the spares when its block
-//! leaves. So the cache holds `capacity` × 8 KiB (and one block a
-//! shard) from construction, allocated by the thread that built it,
-//! whichever threads fill and empty it.
+//! The cache reserves its block buffers in the volume's pool (crate
+//! docs, *Buffers*) when it is built, zeroed: `capacity` plus one a
+//! shard, because a block enters its shard before the shard's victim
+//! leaves. A block entering the cache — a write miss, a read miss, a
+//! readahead prefetch — is copied into a buffer from the pool, and an
+//! evicted block's buffer goes back to the pool when no reader holds
+//! it; the next insert that finds the pool empty allocates. So the
+//! cache holds `capacity` × 8 KiB (and one block a shard) from
+//! construction, allocated by the thread that built it, whichever
+//! threads fill and empty it.
 //!
 //! That matters for the resident set. glibc's malloc gives each thread
 //! an arena and each arena keeps its own high-water mark. While the
@@ -74,10 +72,10 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::{block_overwrite, pooled_block, vectored, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
+use crate::{vectored, BlockPool, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 /// Lock shards: adjacent blocks land on different shards so a
 /// sequential scan does not serialize on one mutex.
@@ -115,8 +113,6 @@ struct Shard {
     /// the fetched data is still returned to the caller, which is
     /// linearizable for a read that overlapped the write.
     write_version: u64,
-    /// Block buffers no entry holds (module docs, *Buffers*).
-    spares: Vec<BytesMut>,
 }
 
 impl Shard {
@@ -157,24 +153,14 @@ impl Shard {
     }
 }
 
-/// `block` in a spare buffer of the shard's, or, when readers hold
-/// every buffer the shard had, in one from the process-wide pool
-/// ([`pooled_block`]).
-fn pooled(spares: &mut Vec<BytesMut>, block: &[u8]) -> Bytes {
-    match spares.pop() {
-        Some(mut buf) => {
-            buf.copy_from_slice(block);
-            buf.freeze()
-        }
-        None => pooled_block(block),
-    }
-}
-
 /// A sharded write-back LRU block cache wrapping an inner store.
 pub struct CachedStore<S> {
     inner: S,
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
+    /// Where entries get their buffers and evictions return them
+    /// (module docs, *Buffers*).
+    pool: BlockPool,
     /// Sequential-readahead window in blocks (0 = disabled). See
     /// [`CachedStore::with_readahead`].
     readahead_window: usize,
@@ -196,7 +182,8 @@ impl<S: BlockStore> CachedStore<S> {
     /// Wraps `inner` with a cache of roughly `capacity` blocks
     /// (rounded up to a multiple of the shard count, minimum one block
     /// per shard), with readahead disabled. The block buffers are
-    /// allocated here (module docs, *Buffers*).
+    /// allocated here, in a pool of the cache's own (module docs,
+    /// *Buffers*).
     pub fn new(inner: S, capacity: usize) -> CachedStore<S> {
         CachedStore::with_readahead(inner, capacity, 0)
     }
@@ -212,20 +199,24 @@ impl<S: BlockStore> CachedStore<S> {
     /// [`StoreStats::readahead_blocks`] counts the prefetched traffic
     /// (zero for random access). A window of 0 disables readahead.
     pub fn with_readahead(inner: S, capacity: usize, window: usize) -> CachedStore<S> {
+        CachedStore::in_pool(inner, capacity, window, BlockPool::new())
+    }
+
+    /// [`CachedStore::with_readahead`] reserving its buffers in, and
+    /// drawing them from, `pool`.
+    pub(crate) fn in_pool(
+        inner: S,
+        capacity: usize,
+        window: usize,
+        pool: BlockPool,
+    ) -> CachedStore<S> {
         let per_shard_capacity = capacity.div_ceil(CACHE_SHARDS).max(1);
+        pool.reserve((per_shard_capacity + 1) * CACHE_SHARDS);
         CachedStore {
             inner,
-            shards: (0..CACHE_SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        spares: (0..=per_shard_capacity)
-                            .map(|_| BytesMut::zeroed(BLOCK_SIZE))
-                            .collect(),
-                        ..Shard::default()
-                    })
-                })
-                .collect(),
+            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
             per_shard_capacity,
+            pool,
             readahead_window: window,
             ra_last: AtomicU64::new(u64::MAX),
             ra_streak: AtomicU64::new(0),
@@ -265,7 +256,7 @@ impl<S: BlockStore> CachedStore<S> {
     /// block just put in, while the shard is over capacity, writing a
     /// dirty victim back first (under the shard lock, so no concurrent
     /// miss can read the pre-write-back state), and returns each
-    /// victim's buffer to the spares unless a reader holds it.
+    /// victim's buffer to the pool unless a reader holds it.
     fn evict_overflow(&self, shard: &mut Shard, admitted: u64) {
         while shard.map.len() > self.per_shard_capacity {
             let Some((victim, entry)) = shard.pop_lru(admitted) else {
@@ -275,9 +266,7 @@ impl<S: BlockStore> CachedStore<S> {
                 self.writeback_blocks.fetch_add(1, Ordering::Relaxed);
                 self.inner.write(entry.class, &[(victim, &entry.data)]);
             }
-            if let Ok(buf) = entry.data.try_into_mut() {
-                shard.spares.push(buf);
-            }
+            self.pool.recycle(entry.data);
         }
     }
 
@@ -297,7 +286,7 @@ impl<S: BlockStore> CachedStore<S> {
         match shard.map.entry(idx) {
             MapEntry::Occupied(_) => return false,
             MapEntry::Vacant(slot) => slot.insert(Entry {
-                data: pooled(&mut shard.spares, data),
+                data: self.pool.copy(data),
                 dirty: false,
                 class,
                 seq: stamp,
@@ -399,10 +388,10 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
     /// Each block lands dirty in its cache shard (the write-back cache
     /// absorbs the burst; the inner store sees it at flush or eviction,
     /// as the class it was written with): a cached block in the entry's
-    /// own buffer when no reader holds it (`block_overwrite`), a new
-    /// one in a spare buffer. Block 0 (the superblock) is written
-    /// through so the clean-flag discipline survives: see the module
-    /// docs.
+    /// own buffer when no reader holds it (`BlockPool::overwrite`), a
+    /// new one in a buffer from the pool. Block 0 (the superblock) is
+    /// written through so the clean-flag discipline survives: see the
+    /// module docs.
     fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         self.vectored_writes
             .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
@@ -420,12 +409,12 @@ impl<S: BlockStore> BlockStore for CachedStore<S> {
             let (entry, was_present) = match shard.map.entry(idx) {
                 MapEntry::Occupied(slot) => {
                     let entry = slot.into_mut();
-                    block_overwrite(&mut entry.data, data);
+                    self.pool.overwrite(&mut entry.data, data);
                     (entry, true)
                 }
                 MapEntry::Vacant(slot) => (
                     slot.insert(Entry {
-                        data: pooled(&mut shard.spares, data),
+                        data: self.pool.copy(data),
                         dirty: false,
                         class,
                         seq: stamp,
@@ -519,11 +508,11 @@ mod tests {
         crate::check_overwrite_in_place(&CachedStore::new(SimStore::untimed(16), 16), 5);
     }
 
-    /// The buffers shard `s` holds, in its entries and its spares.
+    /// The buffers in shard `s`'s entries and in the cache's pool.
     fn buffers(store: &CachedStore<SimStore>, s: usize) -> Vec<*const u8> {
         let shard = store.shards[s].lock();
         let mut ptrs: Vec<*const u8> = shard.map.values().map(|e| e.data.as_ptr()).collect();
-        ptrs.extend(shard.spares.iter().map(|buf| buf.as_ptr()));
+        ptrs.extend(store.pool.spares());
         ptrs.sort_unstable();
         ptrs
     }

@@ -72,17 +72,17 @@
 //!
 //! # Buffers
 //!
-//! Spare 8 KiB block buffers are one process-wide pool, next to
-//! [`zero_block`]. A block that needs a buffer of its own draws from
-//! it: an overwrite of a shared or zero block in the sim, cached and
-//! replicated stores, and an insert into [`CachedStore`] when readers
-//! hold every buffer of its shard (the cache's own per-shard spares
-//! come first). [`ReplicatedStore`] recycles into it: the blocks an
-//! epoch commits, and the writes [`ReplicatedStore::reacquire`]
-//! discards, as they leave the write-back buffer. Only a whole block no
+//! Spare 8 KiB block buffers are one bounded pool per volume stack that
+//! [`StoreBackend::build`] builds. A block that needs a buffer of its
+//! own draws from it: an overwrite of a shared or zero block in the
+//! sim, cached and replicated stores, and every block entering a
+//! [`CachedStore`], which reserves its capacity in the pool when it is
+//! built and returns an evicted block's buffer. [`ReplicatedStore`]
+//! recycles into it: the blocks an epoch commits, and the writes
+//! [`ReplicatedStore::reacquire`] discards. Only a whole block no
 //! reader holds goes in, and the pool keeps at most two calls' worth
-//! (254 buffers, about 2 MiB; one epoch on three nodes with two
-//! replicas is about 190 blocks) and frees the rest.
+//! (254 buffers; one epoch on three nodes with two replicas is about
+//! 190 blocks) beyond what caches reserved, and frees the rest.
 //!
 //! The pool is for the resident set. glibc's malloc keeps an arena per
 //! thread, and a thread cannot reuse what another thread's arena holds
@@ -93,7 +93,8 @@
 //! (43.6-44.0 under `MALLOC_ARENA_MAX=1`). With the committed blocks
 //! becoming the next epoch's node copies it read about 45.2, and about
 //! 44.1 since the three nodes' simulated disks hold only the blocks
-//! written.
+//! written; 55.6-55.9 with no pool, or one the nodes' stores did not
+//! share.
 //!
 //! # Distributed volume tier
 //!
@@ -278,77 +279,111 @@ pub fn zero_block() -> Bytes {
         .clone()
 }
 
-/// Spare block buffers for the whole process (module docs, *Buffers*).
-static SPARE_BLOCKS: Mutex<Vec<BytesMut>> = Mutex::new(Vec::new());
-
-/// The most buffers [`SPARE_BLOCKS`] keeps: two calls' worth, so one
-/// replicated epoch's committed blocks (about 190 on three nodes with
-/// two replicas) all wait for the next epoch's node copies.
+/// The most spare buffers a [`BlockPool`] keeps beside what a cache
+/// reserves in it: two calls' worth, so one replicated epoch's
+/// committed blocks (about 190 on three nodes with two replicas) all
+/// wait for the next epoch's node copies.
 const SPARE_BOUND: usize = 2 * remote::CALL_BLOCKS;
 
-/// `block` in a spare buffer from the process-wide pool, or in a fresh
-/// one when the pool is empty.
-pub(crate) fn pooled_block(block: &[u8]) -> Bytes {
-    let spare = SPARE_BLOCKS.lock().pop();
-    match spare {
-        Some(mut buf) if buf.len() == block.len() => {
-            buf.copy_from_slice(block);
-            buf.freeze()
-        }
-        _ => Bytes::copy_from_slice(block),
-    }
+/// One volume's spare block buffers (crate docs, *Buffers*): a bounded
+/// free list behind one mutex, cloned as a handle. A store built by its
+/// own public constructor has a pool of its own.
+///
+/// Lock order: the mutex is a leaf. It is taken under a cache shard
+/// lock, a [`SimStore`]'s state lock or the replicated state lock, and
+/// takes no lock itself.
+#[derive(Clone)]
+pub(crate) struct BlockPool(Arc<Mutex<Spares>>);
+
+struct Spares {
+    free: Vec<BytesMut>,
+    /// The most buffers `free` keeps: [`SPARE_BOUND`] plus every
+    /// reservation.
+    bound: usize,
 }
 
-/// Hands `block`'s buffer to the process-wide pool when it is a whole
-/// block no reader holds and the pool has room; otherwise drops it.
-pub(crate) fn recycle_block(block: Bytes) {
-    if let Ok(buf) = block.try_into_mut() {
-        if buf.len() == BLOCK_SIZE {
-            let mut spares = SPARE_BLOCKS.lock();
-            if spares.len() < SPARE_BOUND {
-                spares.push(buf);
+impl BlockPool {
+    /// An empty pool bounded at [`SPARE_BOUND`].
+    pub(crate) fn new() -> BlockPool {
+        BlockPool(Arc::new(Mutex::new(Spares {
+            free: Vec::new(),
+            bound: SPARE_BOUND,
+        })))
+    }
+
+    /// Allocates `n` zeroed buffers on the calling thread, adds them to
+    /// the pool and raises its bound by as many.
+    pub(crate) fn reserve(&self, n: usize) {
+        let bufs: Vec<BytesMut> = (0..n).map(|_| BytesMut::zeroed(BLOCK_SIZE)).collect();
+        let mut spares = self.0.lock();
+        spares.bound += n;
+        spares.free.extend(bufs);
+    }
+
+    /// `block` in a spare buffer, or in a fresh one when the pool is
+    /// empty.
+    pub(crate) fn copy(&self, block: &[u8]) -> Bytes {
+        let spare = self.0.lock().free.pop();
+        match spare {
+            Some(mut buf) if buf.len() == block.len() => {
+                buf.copy_from_slice(block);
+                buf.freeze()
+            }
+            _ => Bytes::copy_from_slice(block),
+        }
+    }
+
+    /// Keeps `block`'s buffer when it is a whole block no reader holds
+    /// and the pool has room; otherwise drops it.
+    pub(crate) fn recycle(&self, block: Bytes) {
+        if let Ok(buf) = block.try_into_mut() {
+            if buf.len() == BLOCK_SIZE {
+                let mut spares = self.0.lock();
+                if spares.free.len() < spares.bound {
+                    spares.free.push(buf);
+                }
             }
         }
     }
+
+    /// Stores `block` in `slot`, in the slot's own buffer when nothing
+    /// else holds that buffer: an overwrite of a block no reader has a
+    /// handle to reuses its allocation. A buffer some reader still
+    /// holds (or the zero block) is never mutated; the slot then gets
+    /// the shared [`zero_block`] when `block` is all zeros, else a copy
+    /// in a spare buffer ([`BlockPool::copy`]).
+    ///
+    /// An unshared buffer keeps its allocation through an all-zero
+    /// write too: `ffs` zeroes every block it allocates just before it
+    /// writes the block's data, so a file rewritten block by block
+    /// would otherwise free and reallocate each block on every pass.
+    /// The zero test reads 16 bytes at a time: testing byte by byte
+    /// made volume setup slower than copying the zeros did.
+    pub(crate) fn overwrite(&self, slot: &mut Bytes, block: &[u8]) {
+        let old = std::mem::replace(slot, zero_block());
+        *slot = match old.try_into_mut() {
+            Ok(mut buf) if buf.len() == block.len() => {
+                buf.copy_from_slice(block);
+                buf.freeze()
+            }
+            _ if block
+                .chunks_exact(16)
+                .all(|word| u128::from_ne_bytes(word.try_into().expect("16 bytes")) == 0) =>
+            {
+                zero_block()
+            }
+            _ => self.copy(block),
+        };
+    }
+
+    /// Where the buffers the pool holds start.
+    #[cfg(test)]
+    pub(crate) fn spares(&self) -> Vec<*const u8> {
+        self.0.lock().free.iter().map(|buf| buf.as_ptr()).collect()
+    }
 }
 
-/// Where the buffers [`SPARE_BLOCKS`] holds start.
-#[cfg(test)]
-fn spare_blocks() -> Vec<*const u8> {
-    SPARE_BLOCKS.lock().iter().map(|buf| buf.as_ptr()).collect()
-}
-
-/// Stores `block` in `slot`, in the slot's own buffer when nothing
-/// else holds that buffer: an overwrite of a block no reader has a
-/// handle to reuses its allocation. A buffer some reader still holds (or
-/// the zero block) is never mutated; the slot then gets the shared
-/// [`zero_block`] when `block` is all zeros, else a copy in a spare
-/// buffer ([`pooled_block`]).
-///
-/// An unshared buffer keeps its allocation through an all-zero write
-/// too: `ffs` zeroes every block it allocates just before it writes
-/// the block's data, so a file rewritten block by block would
-/// otherwise free and reallocate each block on every pass. The zero
-/// test reads 16 bytes at a time: testing byte by byte made volume
-/// setup slower than copying the zeros did.
-pub(crate) fn block_overwrite(slot: &mut Bytes, block: &[u8]) {
-    let old = std::mem::replace(slot, zero_block());
-    *slot = match old.try_into_mut() {
-        Ok(mut buf) if buf.len() == block.len() => {
-            buf.copy_from_slice(block);
-            buf.freeze()
-        }
-        _ if block
-            .chunks_exact(16)
-            .all(|word| u128::from_ne_bytes(word.try_into().expect("16 bytes")) == 0) =>
-        {
-            zero_block()
-        }
-        _ => pooled_block(block),
-    };
-}
-
-/// Checks [`block_overwrite`]'s rule through `store`'s own calls at
+/// Checks [`BlockPool::overwrite`]'s rule through `store`'s own calls at
 /// block `idx`, which no flush may move out of the store's hands
 /// in between: an overwrite of an unshared block keeps its
 /// allocation, zeros included; a reader's earlier handle keeps the
@@ -702,8 +737,9 @@ pub enum StoreBackend {
     /// A write-back buffer cache ([`CachedStore`]) over any inner
     /// backend: hot reads become handle clones, repeated writes are
     /// absorbed until the next flush. Its `capacity` × 8 KiB of block
-    /// buffers are allocated when the store is built and recycled on
-    /// eviction (the `cached` module docs, *Buffers*).
+    /// buffers are allocated into the volume's pool when the store is
+    /// built, and an evicted block's buffer goes back to the pool (crate
+    /// docs and the `cached` module docs, *Buffers*).
     Cached {
         /// Cache capacity in blocks, allocated up front.
         capacity: usize,
@@ -714,8 +750,8 @@ pub enum StoreBackend {
     /// stride is detected among one-block data reads, the next
     /// `window` blocks are prefetched from the inner backend in one
     /// call ([`StoreStats::readahead_blocks`] counts them). Otherwise
-    /// identical to [`StoreBackend::Cached`], capacity allocated up
-    /// front included.
+    /// identical to [`StoreBackend::Cached`], capacity allocated into
+    /// the volume's pool up front included.
     CachedReadahead {
         /// Cache capacity in blocks, allocated up front.
         capacity: usize,
@@ -776,15 +812,25 @@ impl StoreBackend {
     /// where the caller cannot continue anyway — or when a
     /// [`StoreBackend::Sharded`] asks for zero shards.
     pub fn build(&self, clock: &SimClock, block_count: u64) -> Arc<dyn BlockStore> {
+        self.build_in(clock, block_count, &BlockPool::new())
+    }
+
+    /// [`StoreBackend::build`] with every layer that allocates blocks
+    /// drawing from and recycling into `pool`, the volume's one pool.
+    fn build_in(
+        &self,
+        clock: &SimClock,
+        block_count: u64,
+        pool: &BlockPool,
+    ) -> Arc<dyn BlockStore> {
+        let sim = |model| Arc::new(SimStore::new(clock, model, block_count).in_pool(pool.clone()));
+        let cached = |inner: &StoreBackend, capacity, window| {
+            let inner = inner.build_in(clock, block_count, pool);
+            Arc::new(CachedStore::in_pool(inner, capacity, window, pool.clone()))
+        };
         match self {
-            StoreBackend::SimTimed => Arc::new(SimStore::new(
-                clock,
-                DiskModel::quantum_fireball_ct10(),
-                block_count,
-            )),
-            StoreBackend::SimInstant => {
-                Arc::new(SimStore::new(clock, DiskModel::instant(), block_count))
-            }
+            StoreBackend::SimTimed => sim(DiskModel::quantum_fireball_ct10()),
+            StoreBackend::SimInstant => sim(DiskModel::instant()),
             StoreBackend::FileJournal { dir } => {
                 Arc::new(FileStore::open(dir, block_count).expect("open file-backed block store"))
             }
@@ -792,18 +838,12 @@ impl StoreBackend {
                 FileStore::open(dir, block_count).expect("open file-backed block store"),
                 key,
             )),
-            StoreBackend::Cached { capacity, inner } => {
-                Arc::new(CachedStore::new(inner.build(clock, block_count), *capacity))
-            }
+            StoreBackend::Cached { capacity, inner } => cached(inner, *capacity, 0),
             StoreBackend::CachedReadahead {
                 capacity,
                 window,
                 inner,
-            } => Arc::new(CachedStore::with_readahead(
-                inner.build(clock, block_count),
-                *capacity,
-                *window,
-            )),
+            } => cached(inner, *capacity, *window),
             StoreBackend::Sharded {
                 shards,
                 workers,
@@ -815,7 +855,7 @@ impl StoreBackend {
                     .map(|i| {
                         inner
                             .with_subdir(&format!("shard-{i}"))
-                            .build(clock, per_shard)
+                            .build_in(clock, per_shard, pool)
                     })
                     .collect();
                 if *workers {
@@ -840,7 +880,7 @@ impl StoreBackend {
                 );
                 let serve = |spec: StoreBackend| {
                     RemoteStore::serve_local(
-                        spec.build(clock, node_bc),
+                        spec.build_in(clock, node_bc, pool),
                         clock,
                         link_config(*ethernet),
                         *opts,
@@ -852,12 +892,13 @@ impl StoreBackend {
                 let spare_stores: Vec<RemoteStore> = (0..*spares)
                     .map(|i| serve(inner.with_subdir(&format!("spare-{i}"))))
                     .collect();
-                Arc::new(ReplicatedStore::new(
+                let volume = ReplicatedStore::new(
                     node_stores,
                     spare_stores,
                     block_count,
                     *replicas as usize,
-                ))
+                );
+                Arc::new(volume.in_pool(pool.clone()))
             }
         }
     }
@@ -1232,19 +1273,25 @@ mod tests {
 
     #[test]
     fn the_block_pool_keeps_only_unshared_blocks_up_to_its_bound() {
+        let pool = BlockPool::new();
         let held = Bytes::from(vec![7u8; BLOCK_SIZE]);
-        recycle_block(held.clone());
-        recycle_block(zero_block());
-        recycle_block(Bytes::from(vec![7u8; 16]));
+        pool.recycle(held.clone());
+        pool.recycle(zero_block());
+        pool.recycle(Bytes::from(vec![7u8; 16]));
         for byte in 0..=u8::MAX {
-            recycle_block(Bytes::from(vec![byte; BLOCK_SIZE]));
-            recycle_block(Bytes::from(vec![byte; BLOCK_SIZE]));
-            let spares = spare_blocks();
+            pool.recycle(Bytes::from(vec![byte; BLOCK_SIZE]));
+            pool.recycle(Bytes::from(vec![byte; BLOCK_SIZE]));
+            let spares = pool.spares();
             assert!(spares.len() <= SPARE_BOUND, "{} spares", spares.len());
             assert!(!spares.contains(&held.as_ptr()), "a reader's block");
             assert!(!spares.contains(&zero_block().as_ptr()));
         }
         assert_eq!(held, vec![7u8; BLOCK_SIZE]);
+        // A reservation adds its buffers and raises the bound by as many.
+        pool.reserve(3);
+        assert_eq!(pool.spares().len(), SPARE_BOUND + 3);
+        pool.recycle(Bytes::from(vec![1u8; BLOCK_SIZE]));
+        assert_eq!(pool.spares().len(), SPARE_BOUND + 3);
     }
 
     #[test]

@@ -120,15 +120,17 @@
 //!
 //! # Buffers
 //!
-//! A buffered block gets a buffer of its own from the crate's pool of
+//! A buffered block gets a buffer of its own from the volume's pool of
 //! spare block buffers (crate docs, *Buffers*), and gives it back when
 //! it leaves the buffer: when its epoch commits, or when
 //! [`ReplicatedStore::reacquire`] discards it. A block a reader still
-//! holds is dropped instead. The next epoch's node copies are then made
-//! in those buffers, on the syncing thread, and not in fresh ones while
-//! the committed blocks' memory sat free in the malloc arenas of the
-//! engine workers that wrote them: `repl_mixed`'s `peak_rss_mb` went
-//! from 57.2 to about 45.2 MB.
+//! holds is dropped instead. On a volume built by
+//! [`crate::StoreBackend::build`] the nodes' stores share the pool, so
+//! the next epoch's node copies are made in those buffers, on the
+//! syncing thread, and not in fresh ones while the committed blocks'
+//! memory sat free in the malloc arenas of the engine workers that
+//! wrote them: `repl_mixed`'s `peak_rss_mb` went from 57.2 to about
+//! 45.2 MB.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
@@ -141,7 +143,7 @@ use discfs_crypto::Digest;
 use netsim::SimClock;
 
 use crate::remote::{DeadCause, CALL_BLOCKS};
-use crate::{block_overwrite, recycle_block, vectored, zero_block};
+use crate::{vectored, zero_block, BlockPool};
 use crate::{BlockStore, IoClass, RemoteError, RemoteStore, StoreStats, BLOCK_SIZE};
 
 /// Epoch record magic.
@@ -292,6 +294,9 @@ pub struct ReplicatedStore {
     /// The nodes' virtual clock (when simulated), for rate-limiting
     /// ticks and probes.
     clock: Option<SimClock>,
+    /// The write-back buffer's blocks come from and return to it
+    /// (module docs, *Buffers*).
+    pool: BlockPool,
     replica_reads: AtomicU64,
     rebuilds: AtomicU64,
     nodes_revived: AtomicU64,
@@ -397,6 +402,7 @@ impl ReplicatedStore {
             failover_budget,
             rebuild_cfg: RebuildConfig::default(),
             clock,
+            pool: BlockPool::new(),
             replica_reads: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
             nodes_revived: AtomicU64::new(0),
@@ -446,6 +452,13 @@ impl ReplicatedStore {
                 );
             }
         }
+    }
+
+    /// This volume with its write-back buffer drawing from and recycling
+    /// into `pool`, builder-style.
+    pub(crate) fn in_pool(mut self, pool: BlockPool) -> ReplicatedStore {
+        self.pool = pool;
+        self
     }
 
     /// Replaces the background rebuilder's rate policy, builder-style.
@@ -529,7 +542,7 @@ impl ReplicatedStore {
             .ok_or_else(|| RemoteError::Server("no lease terms to reacquire under".into()))?;
         self.acquire_locked(&mut st, terms)?;
         for (block, _) in std::mem::take(&mut st.dirty).into_values() {
-            recycle_block(block);
+            self.pool.recycle(block);
         }
         // Sweep the epoch records: the committed history may have
         // advanced while we were fenced out.
@@ -975,7 +988,7 @@ impl ReplicatedStore {
                     None => BTreeMap::new(),
                 };
                 for (block, _) in std::mem::replace(&mut st.dirty, rest).into_values() {
-                    recycle_block(block);
+                    self.pool.recycle(block);
                 }
                 return Ok(());
             }
@@ -1062,7 +1075,7 @@ impl BlockStore for ReplicatedStore {
             assert!(idx < self.block_count, "block {idx} out of range");
             assert_eq!(block.len(), BLOCK_SIZE, "partial block write");
             let slot = st.dirty.entry(idx).or_insert_with(|| (zero_block(), class));
-            block_overwrite(&mut slot.0, block);
+            self.pool.overwrite(&mut slot.0, block);
             slot.1 = class;
         }
     }

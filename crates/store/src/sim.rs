@@ -13,15 +13,16 @@
 //! Blocks are held as shared [`Bytes`] handles: a read clones a
 //! refcount instead of copying 8 KB, and a write overwrites a block in
 //! its own buffer when no reader still holds a handle to it (one that
-//! is held gets a fresh copy, so the reader keeps what it read). A
-//! pass that rewrites a file thus reuses the file's blocks instead of
-//! reallocating them. The store holds a map entry only for a block
-//! once written non-zero: one never written, or written as zeros over
-//! the zero block or a buffer a reader holds (`ffs` formats a volume
-//! by zeroing its inode table), has no entry and reads as the
-//! process-wide zero block. A store costs what its data costs, not
-//! what its size does: a 256 MiB volume built and never written holds
-//! no memory per block (it held a 24-byte handle for each, 778 KB).
+//! is held gets a copy, in a spare buffer of the volume's pool when it
+//! has one, so the reader keeps what it read). A pass that rewrites a
+//! file thus reuses the file's blocks instead of reallocating them.
+//! The store holds a map entry only for a block once written non-zero:
+//! one never written, or written as zeros over the zero block or a
+//! buffer a reader holds (`ffs` formats a volume by zeroing its inode
+//! table), has no entry and reads as the process-wide zero block. A
+//! store costs what its data costs, not what its size does: a 256 MiB
+//! volume built and never written holds no memory per block (it held a
+//! 24-byte handle for each, 778 KB).
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -30,7 +31,7 @@ use bytes::Bytes;
 use netsim::SimClock;
 use parking_lot::Mutex;
 
-use crate::{block_overwrite, vectored, zero_block, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
+use crate::{vectored, zero_block, BlockPool, BlockStore, IoClass, StoreStats, BLOCK_SIZE};
 
 /// Timing model for the simulated disk.
 #[derive(Debug, Clone, Copy)]
@@ -118,6 +119,9 @@ pub struct SimStore {
     block_count: u64,
     model: DiskModel,
     clock: SimClock,
+    /// Where a block written over a zero block or a reader's buffer
+    /// gets its copy.
+    pool: BlockPool,
 }
 
 impl SimStore {
@@ -135,7 +139,14 @@ impl SimStore {
             block_count,
             model,
             clock: clock.clone(),
+            pool: BlockPool::new(),
         }
+    }
+
+    /// This store drawing its block copies from `pool`.
+    pub(crate) fn in_pool(mut self, pool: BlockPool) -> SimStore {
+        self.pool = pool;
+        self
     }
 
     /// Creates an untimed store (unit tests).
@@ -181,7 +192,7 @@ impl BlockStore for SimStore {
                 s.writes += 1;
             }
             let mut slot = s.blocks.remove(&idx).unwrap_or_else(zero_block);
-            block_overwrite(&mut slot, block);
+            self.pool.overwrite(&mut slot, block);
             if slot.as_ptr() != zero_block().as_ptr() {
                 s.blocks.insert(idx, slot);
             }

@@ -11,10 +11,10 @@
 //!
 //! A test binary of its own, because it installs a byte-counting global
 //! allocator. The count lives in a `const`-initialised thread-local, so
-//! what libtest's other threads allocate is not counted. The spare
-//! block buffers are one pool for the whole process, though, so the
-//! tests that write blocks take turns (`pool_turn`): another test's
-//! writes must not take the buffers a flush measured here recycles.
+//! what libtest's other threads allocate is not counted. Spare block
+//! buffers belong to each volume, so the tests run in parallel: no
+//! other test's writes can take the buffers a flush measured here
+//! recycles.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,10 +24,9 @@ use std::time::Duration;
 use netsim::{LinkConfig, SimClock};
 use onc_rpc::frame::{self, DEFAULT_MAX_FRAME};
 use onc_rpc::{AcceptStat, ReplyBody, RpcCall, RpcReply};
-use parking_lot::{Mutex, MutexGuard};
 use store::{
     zero_block, BlockServer, BlockStore, CachedStore, IoClass, RemoteOptions, RemoteStore,
-    ReplicatedStore, ShardedStore, SimStore, BLOCK_SIZE,
+    ShardedStore, SimStore, StoreBackend, BLOCK_SIZE,
 };
 
 struct CountingAlloc;
@@ -55,35 +54,20 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const BLOCKS: u64 = 256;
 
-/// Held by each test that writes blocks, for as long as it runs (module
-/// docs).
-fn pool_turn() -> MutexGuard<'static, ()> {
-    static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock()
-}
-
-/// A volume of `blocks` blocks on three in-process nodes, two replicas
-/// a block, over instant links: each node answers on the calling
-/// thread, so the count sees its copies.
-fn replicated(blocks: u64) -> ReplicatedStore {
-    let (nodes, replicas) = (3, 2);
-    let clock = SimClock::new();
-    let node_bc = ReplicatedStore::node_block_count(blocks, nodes, replicas);
-    ReplicatedStore::new(
-        (0..nodes)
-            .map(|_| {
-                RemoteStore::serve_local(
-                    SimStore::untimed(node_bc),
-                    &clock,
-                    LinkConfig::instant(),
-                    RemoteOptions::default(),
-                )
-            })
-            .collect(),
-        Vec::new(),
-        blocks,
-        replicas,
-    )
+/// A volume of `blocks` blocks built as a server builds it: three
+/// in-process nodes, two replicas a block, over instant links, all
+/// drawing from the volume's one block pool. Each node answers on the
+/// calling thread, so the count sees its copies.
+fn replicated(blocks: u64) -> Arc<dyn BlockStore> {
+    StoreBackend::Replicated {
+        nodes: 3,
+        replicas: 2,
+        spares: 0,
+        ethernet: false,
+        opts: RemoteOptions::default(),
+        inner: Box::new(StoreBackend::SimInstant),
+    }
+    .build(&SimClock::new(), blocks)
 }
 
 fn sharded_sim(shards: usize, total: u64) -> ShardedStore {
@@ -99,7 +83,6 @@ fn sharded_sim(shards: usize, total: u64) -> ShardedStore {
 
 #[test]
 fn zero_writes_share_the_zero_block() {
-    let _turn = pool_turn();
     let store = SimStore::untimed(BLOCKS);
     let zeros = vec![0u8; BLOCK_SIZE];
     let mut one = zeros.clone();
@@ -123,12 +106,11 @@ fn zero_writes_share_the_zero_block() {
 /// 1 Mi-block (8 GiB) store costs nothing a block when built (24 MiB
 /// while it held a handle for every block), a non-zero write costs its
 /// block and its map entry, and a read of a block never written hands
-/// out the shared zero block. The pool is drained first, so each of
-/// the 64 writes allocates a fresh block: 8 192 bytes and the 40-byte
-/// `Arc` around it.
+/// out the shared zero block. The store's block pool starts empty, so
+/// each of the 64 writes allocates a fresh block: 8 192 bytes and the
+/// 40-byte `Arc` around it.
 #[test]
 fn a_sim_store_holds_only_the_blocks_written() {
-    let _turn = pool_turn();
     let blocks: u64 = 1 << 20;
     let mut store = None;
     let built = allocated(|| store = Some(SimStore::untimed(blocks)));
@@ -138,8 +120,6 @@ fn a_sim_store_holds_only_the_blocks_written() {
         "a {blocks}-block store allocated {built} bytes"
     );
 
-    let drain = SimStore::untimed(BLOCKS * 2);
-    (0..BLOCKS * 2).for_each(|i| drain.write_block(i, &stamped(i, 1)));
     let n = 64;
     let spread = blocks / n;
     let data: Vec<Vec<u8>> = (0..n).map(|i| stamped(i, 2)).collect();
@@ -169,7 +149,6 @@ fn a_sim_store_holds_only_the_blocks_written() {
 
 #[test]
 fn hot_reads_allocate_no_block() {
-    let _turn = pool_turn();
     let reads = 1000u64;
     let cases: Vec<(&str, u64, Box<dyn BlockStore>)> = vec![
         ("sim-instant", 1, Box::new(SimStore::untimed(BLOCKS))),
@@ -205,20 +184,26 @@ fn hot_reads_allocate_no_block() {
 
 /// A full write-back cache recycles the buffer of the block a miss
 /// displaces: write misses, read misses and readahead prefetches copy
-/// into buffers the cache allocated when it was built, so together they
-/// allocate no block and no buffer's reference count, only the `Vec`s a
-/// call passes around: 2 984 bytes. Each write miss allocated a fresh
-/// block before, and while a recycled buffer left its `Arc` behind each
-/// of the 51 inserts also allocated a new 40-byte one (5 024 bytes).
+/// into buffers the cache reserved in the volume's pool when it was
+/// built, so together they allocate no block and no buffer's reference
+/// count, only the `Vec`s a call passes around: 2 984 bytes. Each write
+/// miss allocated a fresh block before, and while a recycled buffer
+/// left its `Arc` behind each of the 51 inserts also allocated a new
+/// 40-byte one (5 024 bytes). The volume is built as a server builds
+/// it, so the disk under the cache draws from the same pool.
 #[test]
 fn a_full_cache_allocates_no_block_for_a_miss() {
-    let _turn = pool_turn();
     let (capacity, n) = (64u64, 16u64);
-    let inner = SimStore::untimed(BLOCKS);
-    for i in 0..BLOCKS {
-        inner.write_block(i, &[i as u8 % 16 + 1; BLOCK_SIZE]);
+    let store = StoreBackend::CachedReadahead {
+        capacity: capacity as usize,
+        window: n as usize,
+        inner: Box::new(StoreBackend::SimInstant),
     }
-    let store = CachedStore::with_readahead(inner, capacity as usize, n as usize);
+    .build(&SimClock::new(), BLOCKS);
+    for i in 0..BLOCKS {
+        store.write_block(i, &[i as u8 % 16 + 1; BLOCK_SIZE]);
+    }
+    store.flush().unwrap();
     // Twice the capacity, so each shard's eviction queue has grown to
     // its size for good. A vectored read never triggers readahead.
     let filled = 2 * capacity;
@@ -261,7 +246,6 @@ fn block_call(xid: u32, proc_num: u32, args: Vec<u8>) -> Vec<u8> {
 /// most 1 KiB besides, where a copy per block would double it.
 #[test]
 fn a_hot_remote_read_copies_the_reply_once() {
-    let _turn = pool_turn();
     let bound = 8 * BLOCK_SIZE as u64 + 1024;
     let idxs: Vec<u64> = (0..8).collect();
     let written = || {
@@ -320,7 +304,6 @@ fn allocated(f: impl FnOnce()) -> u64 {
 /// blocks cost nothing.
 #[test]
 fn buffered_zero_writes_share_the_zero_block() {
-    let _turn = pool_turn();
     let blocks = BLOCKS + 1;
     let store = replicated(blocks);
     let zeros = vec![0u8; BLOCK_SIZE];
@@ -367,26 +350,28 @@ fn stamped(idx: u64, pass: u8) -> Vec<u8> {
 }
 
 /// A flush commits its buffer an epoch at a time, and each committed
-/// block's buffer goes to the pool that the next epoch's node copies
-/// draw from. Two epochs' worth of blocks, two replicas each: `2 ×
-/// written` bytes of node copies, of which the second epoch's first
-/// half reuses the first epoch's buffers, so the copies allocate
-/// `1.5 × written` (1.52 measured); each was fresh before (2.01). The
-/// writes before the flush drain the pool (more blocks than it holds),
-/// so this holds whatever it held before. The frames that carry the
-/// blocks to the nodes are measured apart, as the same flush of zeros:
-/// a node keeps an all-zero block as the shared zero block, no copy.
+/// block's buffer goes to the volume's pool, which the next epoch's
+/// node copies draw from. Two epochs' worth of blocks, two replicas
+/// each: `2 × written` bytes of node copies, of which the second
+/// epoch's first half reuses the first epoch's buffers, so the copies
+/// allocate `1.5 × written` (1.54 measured); each was fresh before
+/// (2.01). The volume's pool starts empty and holds none of another
+/// volume's buffers, so this holds whatever ran before. The frames
+/// that carry the blocks to the nodes are measured apart, as the same
+/// flush of zeros: a node keeps an all-zero block as the shared zero
+/// block, no copy.
 #[test]
 fn a_flush_makes_committed_blocks_the_next_epochs_node_copies() {
-    let _turn = pool_turn();
     let written = 2 * EPOCH_BLOCKS;
     let flush = |block: &dyn Fn(u64) -> Vec<u8>| {
         let store = replicated(written + 1);
         for i in 1..=written {
             store.write_block(i, &block(i));
         }
+        let calls = store.stats().rpc_calls;
         let flushed = allocated(|| store.flush().unwrap());
-        assert_eq!(store.epoch(), 2, "two epochs' worth of blocks");
+        // Two epochs: one call to each of the three nodes apiece.
+        assert_eq!(store.stats().rpc_calls - calls, 2 * 3, "two epochs");
         for i in [1, EPOCH_BLOCKS, written] {
             assert_eq!(store.read_block(i), block(i));
         }
@@ -403,13 +388,43 @@ fn a_flush_makes_committed_blocks_the_next_epochs_node_copies() {
     );
 }
 
+/// Two volumes in one process keep their buffers apart: the buffers
+/// volume A's flush recycles stay in A's pool, and new blocks written
+/// to volume B are copied into buffers of B's own. While the spare
+/// buffers were one pool for the whole process, B's writes took A's.
+#[test]
+fn two_volumes_keep_their_buffers_apart() {
+    let written = EPOCH_BLOCKS;
+    let (a, b) = (replicated(written + 1), replicated(written + 1));
+    for i in 1..=written {
+        a.write_block(i, &stamped(i, 1));
+    }
+    // Where A's write-back buffer holds each block: the buffers its
+    // flush hands to A's pool. No handle is kept, so all of them go.
+    let recycled: Vec<*const u8> = (1..=written).map(|i| a.read_block(i).as_ptr()).collect();
+    a.flush().unwrap();
+    for i in 1..=written {
+        b.write_block(i, &stamped(i, 2));
+    }
+    for i in 1..=written {
+        let block = b.read_block(i);
+        assert_eq!(block, stamped(i, 2));
+        assert!(
+            !recycled.contains(&block.as_ptr()),
+            "volume B's block {i} is in a buffer volume A recycled"
+        );
+    }
+    for i in [1, written] {
+        assert_eq!(a.read_block(i), stamped(i, 1));
+    }
+}
+
 /// Only a buffer no reader holds enters the pool: a handle read from
 /// the write-back buffer keeps its bytes through the flush that commits
 /// its block and through the writes and flush after it, which reuse
 /// the buffers that flush recycled.
 #[test]
 fn a_handle_read_before_a_flush_keeps_its_bytes() {
-    let _turn = pool_turn();
     let written = 2 * EPOCH_BLOCKS;
     let store = replicated(written + 1);
     for i in 1..=written {
