@@ -13,11 +13,13 @@
 //! it: the case ends when the NULL call is answered, with at most one
 //! reply (an error or a result) to the hostile call before it, or when
 //! the server drops the connection. The other half mutate the frame
-//! too, and the client hangs up after sending it, so a frame left
-//! incomplete ends with the connection. Either way the engine must
-//! close the connection cleanly, and after every case of a procedure
-//! the volume is fsck-clean. A worker that panicked would leave the
-//! NULL call or the close waiting, which fails the case.
+//! too, and the client hangs up after sending it: a message that no
+//! longer holds whole frames condemns the connection at once, and one
+//! that still does is served until the hang-up. Either way the engine
+//! must close the connection cleanly, and after every case of a
+//! procedure the volume is fsck-clean. The engine catches a service
+//! call that panics and condemns its connection, so a case fails when
+//! its connection is condemned and its message was whole frames.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -30,7 +32,7 @@ use discfs_crypto::rng::DetRng;
 use ipsec::{IpsecError, PlainChannel, SecureTransport};
 use netsim::{Endpoint, Link, NetError, Transport};
 use nfsv2::Sattr;
-use onc_rpc::frame::{self, FRAME_HEADER};
+use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::{ReplyBody, RpcCall, RpcReply};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -148,21 +150,15 @@ fn control_call(xid: u32, proc_num: u32) -> Vec<u8> {
     RpcCall::new(xid, DISCFS_PROGRAM, DISCFS_VERSION, proc_num, Vec::new()).encode()
 }
 
-/// The frames of one reply message, each checked.
-fn frames(mut msg: &[u8]) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    while !msg.is_empty() {
-        assert!(msg.len() >= FRAME_HEADER, "a truncated frame header");
-        let len = u32::from_be_bytes(msg[..4].try_into().unwrap()) as usize;
-        let (one, rest) = msg.split_at(FRAME_HEADER + len);
-        out.push(
-            frame::unframe(one)
-                .expect("the server frames its replies")
-                .to_vec(),
-        );
-        msg = rest;
-    }
-    out
+/// The payloads of one reply message, its frames checked.
+fn frames(msg: Vec<u8>) -> Vec<Vec<u8>> {
+    let mut decoder = FrameDecoder::new();
+    decoder
+        .feed(msg.into())
+        .expect("the server frames its replies");
+    std::iter::from_fn(|| decoder.pop_frame())
+        .map(|payload| payload.to_vec())
+        .collect()
 }
 
 /// One mutation of `msg` drawn from `src`, or `None` when it happens to
@@ -178,16 +174,23 @@ fn mutated(src: &mut Source, msg: &[u8], donor: &[u8]) -> Option<Vec<u8>> {
 fn serve_one(bed: &Testbed, hostile: &[u8], framed: bool) -> Vec<RpcReply> {
     let stats = bed.engine().stats();
     let dropped = stats.connections_dropped.load(Ordering::Relaxed);
+    let condemned = stats.malformed_drops.load(Ordering::Relaxed);
     let client = connect(bed, None);
     let mut replies = Vec::new();
+    let msg = if framed {
+        frame::encode_frame(hostile)
+    } else {
+        hostile.to_vec()
+    };
+    let misframed = FrameDecoder::new().feed(msg.clone().into()).is_err();
+    client.send(msg).unwrap();
     if framed {
-        client.send(frame::encode_frame(hostile)).unwrap();
         let sentinel = control_call(SENTINEL, proc_discfs::NULL);
         client.send(frame::encode_frame(&sentinel)).unwrap();
         'case: loop {
             match client.recv_timeout(PATIENCE) {
                 Ok(msg) => {
-                    for payload in frames(&msg) {
+                    for payload in frames(msg) {
                         let reply = RpcReply::decode(&payload).expect("a well-formed reply");
                         if reply.xid == SENTINEL {
                             break 'case;
@@ -199,8 +202,6 @@ fn serve_one(bed: &Testbed, hostile: &[u8], framed: bool) -> Vec<RpcReply> {
                 Err(e) => panic!("the server neither answered nor hung up: {e:?}"),
             }
         }
-    } else {
-        client.send(hostile.to_vec()).unwrap();
     }
     drop(client);
     let deadline = Instant::now() + PATIENCE;
@@ -210,6 +211,11 @@ fn serve_one(bed: &Testbed, hostile: &[u8], framed: bool) -> Vec<RpcReply> {
         assert!(Instant::now() < deadline, "the connection was never closed");
         std::thread::sleep(Duration::from_micros(50));
     }
+    assert_eq!(
+        stats.malformed_drops.load(Ordering::Relaxed),
+        condemned + u64::from(misframed),
+        "only a message that is not whole frames condemns its connection"
+    );
     replies
 }
 

@@ -68,12 +68,13 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// Reply-side state: the incremental frame decoder plus replies that
-/// arrived for transactions nobody has collected yet (pipelining means
-/// replies can land out of order relative to who asks first).
+/// Reply-side state: replies that arrived for transactions nobody has
+/// collected yet (pipelining means replies can land out of order
+/// relative to who asks first). Each received message is decoded on its
+/// own: a message holds whole frames (`onc_rpc::frame`, *The rule*), so
+/// nothing carries over from one message to the next.
 #[derive(Default)]
 struct Inbox {
-    decoder: FrameDecoder,
     pending: HashMap<u32, Result<Vec<u8>, ClientError>>,
 }
 
@@ -81,12 +82,15 @@ impl Inbox {
     /// Decodes every frame of one received message. A reply to a call
     /// outstanding in `outbox` goes into `pending` and off the calls on
     /// the wire; any other (never sent, or answered already) is dropped.
-    /// A frame that fails to decode holds up none after it: the first
-    /// error is returned once every frame is in.
+    /// A frame that fails to decode holds up none after it, and a
+    /// message cut inside a frame holds up none before the cut: the
+    /// error is returned once every whole frame is in, the framing's
+    /// first.
     fn absorb(&mut self, msg: Vec<u8>, outbox: &Mutex<Outbox>) -> Result<(), ClientError> {
-        let fed = self.decoder.feed(Bytes::from(msg));
+        let mut decoder = FrameDecoder::new();
+        let fed = decoder.feed(Bytes::from(msg));
         let mut first_err = fed.err().map(|_| ClientError::Xdr(XdrError::BadValue));
-        while let Some(bytes) = self.decoder.pop_frame() {
+        while let Some(bytes) = decoder.pop_frame() {
             let reply = match RpcReply::decode(&bytes) {
                 Ok(reply) => reply,
                 Err(e) => {

@@ -8,10 +8,11 @@
 //! * **One readiness loop thread** blocks on a [`netsim::ReadySet`]
 //!   that every registered channel pokes when a message lands. Per
 //!   wakeup it does O(ready) work: drain the readable channels through
-//!   non-blocking [`SecureTransport::try_recv`], feed the bytes to each
-//!   connection's incremental [`FrameDecoder`], and move decoded
-//!   requests into that connection's *bounded* queue. A message may
-//!   carry several frames (a pipelining [`NfsClient`](crate::NfsClient)
+//!   non-blocking [`SecureTransport::try_recv`], split each message
+//!   into its frames with the connection's [`FrameDecoder`] (a message
+//!   holds whole frames: [`onc_rpc::frame`], *The rule*), and move them
+//!   into that connection's *bounded* queue. A message may carry
+//!   several frames (a pipelining [`NfsClient`](crate::NfsClient)
 //!   sends half its window in one); they enter the queue together, so
 //!   one quantum answers them in one batch. The loop never
 //!   decrypts-blocking, dispatches, or touches the filesystem.
@@ -42,12 +43,17 @@
 //!   same holds before the connection exists: a peer that never
 //!   finishes its handshake holds one parked entry, not a worker.
 //! * **Malformed input**: a frame that declares a length over
-//!   [`frame::DEFAULT_MAX_FRAME`] or fails its checksum — or a broken
-//!   ESP record stream — condemns the connection. It is dropped cleanly
-//!   (the service's `connection_aborted` + `connection_closed` hooks
-//!   fire, so DisCFS audits the event) and neighbors never notice. A
-//!   well-formed frame that is not an RPC call is skipped, and the
-//!   connection lives on.
+//!   [`frame::DEFAULT_MAX_FRAME`] or fails its checksum, a message
+//!   that ends inside a frame — or a broken ESP record stream —
+//!   condemns the connection. It is dropped cleanly (the service's
+//!   `connection_aborted` + `connection_closed` hooks fire, so DisCFS
+//!   audits the event) and neighbors never notice. A well-formed frame
+//!   that is not an RPC call is skipped, and the connection lives on.
+//!   A service call that panics condemns its connection the same way
+//!   ("service call panicked"): the worker catches the panic, sends
+//!   the replies of the calls served before it in the quantum, drops
+//!   the connection and takes its next job, so no peer can empty the
+//!   pool.
 //!
 //! [`Engine::shutdown`] quiesces in order: stop the loop (no new input),
 //! serve every already-queued request, join all threads. Only then may
@@ -57,6 +63,7 @@
 pub(crate) mod dispatch;
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -114,7 +121,8 @@ struct Conn {
     token: u64,
     chan: Box<dyn SecureTransport>,
     peer: Option<VerifyingKey>,
-    /// Reassembles frames from the record stream. Loop thread only.
+    /// Frames of the messages read so far that the queue had no room
+    /// for. Loop thread only.
     decoder: Mutex<FrameDecoder>,
     /// Decoded requests awaiting a worker. Bounded by `queue_bound`.
     queue: Mutex<VecDeque<Bytes>>,
@@ -207,7 +215,8 @@ pub struct EngineStats {
     pub connections_accepted: AtomicU64,
     /// Connections dropped for any reason.
     pub connections_dropped: AtomicU64,
-    /// Connections condemned for malformed frames / broken records.
+    /// Connections condemned for malformed frames, broken records or
+    /// a service call that panicked.
     pub malformed_drops: AtomicU64,
     /// Responder handshakes that failed.
     pub handshake_failures: AtomicU64,
@@ -651,6 +660,7 @@ impl Shared {
             }
             let mut out = Vec::new();
             let mut served = 0u64;
+            let mut panicked = false;
             for req in &batch {
                 let Ok(call) = RpcCallView::decode(req) else {
                     // Garbage that framed correctly but is not a call is
@@ -658,7 +668,12 @@ impl Shared {
                     continue;
                 };
                 let ctx = request_ctx(conn.peer, &call.cred);
-                let reply = dispatch(&*self.service, &ctx, &call);
+                let dispatched =
+                    panic::catch_unwind(AssertUnwindSafe(|| dispatch(&*self.service, &ctx, &call)));
+                let Ok(reply) = dispatched else {
+                    panicked = true;
+                    break;
+                };
                 let start = frame::begin_frame(&mut out);
                 reply.encode_into(&mut out);
                 frame::end_frame(&mut out, start);
@@ -673,6 +688,11 @@ impl Shared {
                     self.drop_conn(conn, DropReason::Disconnect);
                     return;
                 }
+            }
+            if panicked {
+                // The calls before it are answered above; it is not.
+                self.drop_conn(conn, DropReason::Violation("service call panicked"));
+                return;
             }
             // We just freed queue space: resume a paused connection.
             if conn.paused.swap(false, Ordering::SeqCst) {

@@ -30,8 +30,9 @@ fn serve_connection<S: NfsService + ?Sized>(service: Arc<S>, chan: Box<dyn Secur
             Err(_) => continue,
         };
         if decoder.feed(Bytes::from(msg)).is_err() {
-            // A torn frame stream cannot be resynchronized: kill the
-            // connection, as the engine does.
+            // A message that does not hold whole, intact frames
+            // (`onc_rpc::frame`, *The rule*) condemns the connection,
+            // as in the engine.
             service.connection_aborted(&last_ctx, "malformed frame");
             break;
         }

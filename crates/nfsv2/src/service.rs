@@ -114,7 +114,8 @@ pub trait NfsService: Send + Sync {
     fn connection_closed(&self, _ctx: &RequestCtx) {}
 
     /// Called when the server kills a connection for a protocol
-    /// violation (malformed frame, broken record stream) *before*
+    /// violation (malformed frame, broken record stream) or for a
+    /// service call that panicked, *before*
     /// [`NfsService::connection_closed`]. DisCFS writes an audit record
     /// so operators can see who sent garbage; the default ignores it.
     fn connection_aborted(&self, _ctx: &RequestCtx, _reason: &str) {}

@@ -9,7 +9,15 @@
 //! end in `Ok` or a [`ClientError`], and a reply to a call it never
 //! made (a mangled xid) must end in the transport's error when the
 //! server goes, not in a hang.
+//!
+//! A binary of its own, because it installs a byte-counting global
+//! allocator (as `store/tests/zero_copy.rs` does): the count lives in a
+//! `const`-initialised thread-local, so [`replay`] counts what the
+//! client allocates on the caller thread, from building the client to
+//! the stub's outcome, and nothing the test's server side does.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::thread;
 
@@ -22,6 +30,29 @@ use netsim::{Link, NetError, SimClock, Transport};
 use nfsv2::{ClientError, Engine, EngineConfig, FHandle, FfsService, NfsClient, RemoteFs};
 use onc_rpc::frame;
 use parking_lot::Mutex;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: delegates to the system allocator unchanged; the counter is a
+// `Cell` in a const-initialised thread-local with no destructor, which
+// neither allocates nor can be gone when accessed.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.with(|n| n.set(n.get() + layout.size() as u64));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// A client transport that keeps a copy of every message it receives.
 struct Recorder(netsim::Endpoint, Arc<Mutex<Vec<Vec<u8>>>>);
@@ -82,13 +113,17 @@ fn recorded_replies() -> Vec<Vec<u8>> {
 }
 
 /// Runs `stub` on a fresh client whose server answers its first call
-/// with `reply` (one transport message) and then goes away.
-fn replay(stub: Stub, reply: Vec<u8>) -> Result<(), ClientError> {
+/// with `reply` (one transport message) and then goes away. Returns the
+/// stub's outcome and the bytes the caller thread allocated for it.
+fn replay(stub: Stub, reply: Vec<u8>) -> (Result<(), ClientError>, u64) {
     let clock = SimClock::new();
     let (near, far) = Link::loopback(&clock);
     let caller = thread::spawn(move || {
+        let before = ALLOC_BYTES.with(Cell::get);
         let client = NfsClient::new(Box::new(PlainChannel::new(near)));
-        stub(&client, &FHandle([1; 32]), &FHandle([2; 32]))
+        let outcome = stub(&client, &FHandle([1; 32]), &FHandle([2; 32]));
+        drop(client);
+        (outcome, ALLOC_BYTES.with(Cell::get) - before)
     });
     far.recv().expect("the stub's call");
     far.send(reply).unwrap();
@@ -106,7 +141,7 @@ fn mutated(src: &mut Source, msg: &[u8], donor: &[u8]) -> Option<Vec<u8>> {
 #[test]
 fn recorded_replies_replay() {
     for ((name, stub), reply) in STUBS.iter().zip(recorded_replies()) {
-        let outcome = replay(*stub, frame::encode_frame(&reply));
+        let (outcome, _) = replay(*stub, frame::encode_frame(&reply));
         assert_eq!(outcome, Ok(()), "{name}");
     }
 }
@@ -117,15 +152,27 @@ fn recorded_replies_replay() {
 fn a_reply_to_another_xid_ends_when_the_server_goes() {
     let mut reply = recorded_replies().swap_remove(0);
     reply[..4].copy_from_slice(&2u32.to_be_bytes());
-    let outcome = replay(STUBS[0].1, frame::encode_frame(&reply));
+    let (outcome, _) = replay(STUBS[0].1, frame::encode_frame(&reply));
     assert_eq!(
         outcome,
         Err(ClientError::Net(IpsecError::Net(NetError::Disconnected)))
     );
 }
 
+/// What a stub may allocate on a hostile reply: a stated multiple of
+/// the reply's length plus a constant. Two copies of a reply's bytes
+/// (the results the RPC decoder takes out of the message, and the data
+/// or names a stub returns) and the client's own state, about 340 to
+/// 670 bytes: its maps, its outbox and the call it frames. The 4 911
+/// cases below read at most 2 × length + 964 bytes (a 104-byte READDIR
+/// reply) and 6 774 bytes at the most (a 3 146-byte READ reply).
+const ALLOC_PER_REPLY_BYTE: u64 = 2;
+const ALLOC_CONSTANT: u64 = 1024;
+
 /// 10³ mutated replies to each procedure, half mutated inside a valid
 /// frame (the RPC and NFS decoders see them) and half with the frame.
+/// Each allocates within [`ALLOC_PER_REPLY_BYTE`] and
+/// [`ALLOC_CONSTANT`].
 #[test]
 fn mutated_replies_end_in_ok_or_a_client_error() {
     let replies = recorded_replies();
@@ -140,7 +187,12 @@ fn mutated_replies_end_in_ok_or_a_client_error() {
             };
             if let Some(hostile) = hostile {
                 // Any outcome but a panic or a hang will do.
-                let _ = replay(*stub, hostile);
+                let bound = ALLOC_PER_REPLY_BYTE * hostile.len() as u64 + ALLOC_CONSTANT;
+                let (_, allocated) = replay(*stub, hostile);
+                assert!(
+                    allocated <= bound,
+                    "{allocated} bytes allocated on a reply bounded at {bound}"
+                );
             }
         });
     }

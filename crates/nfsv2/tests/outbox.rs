@@ -42,7 +42,9 @@ impl Wire {
         for msg in &self.sent[self.answered..end] {
             for xid in xids_in(msg) {
                 let results = xid.to_be_bytes().to_vec();
-                frame::encode_frame_into(&mut reply, &RpcReply::success(xid, results).encode());
+                reply.extend(frame::encode_frame(
+                    &RpcReply::success(xid, results).encode(),
+                ));
             }
         }
         self.answered = end;
@@ -116,8 +118,7 @@ fn xids_in(msg: &[u8]) -> Vec<u32> {
     let mut decoder = FrameDecoder::new();
     decoder
         .feed(Bytes::copy_from_slice(msg))
-        .expect("well-formed frames");
-    assert!(!decoder.has_partial(), "a message ends on a frame boundary");
+        .expect("a message of whole, well-formed frames");
     std::iter::from_fn(|| decoder.pop_frame())
         .map(|payload| RpcCallView::decode(&payload).expect("a call").xid)
         .collect()

@@ -1,8 +1,10 @@
-//! Incremental message framing for pipelined RPC streams.
+//! Message framing for pipelined RPC: a transport message holds whole
+//! frames.
 //!
 //! The request engine batches many RPC messages into one transport send
-//! (one ESP seal per batch instead of one per request), so the byte
-//! stream needs its own framing.
+//! (one ESP seal per batch instead of one per request), and the client
+//! sends several pipelined calls in one, so a message needs framing of
+//! its own.
 //!
 //! # Wire format
 //!
@@ -14,25 +16,29 @@
 //!   [`FRAME_HEADER`] = 8 bytes          checksum = [`checksum`](payload)
 //! ```
 //!
-//! The [`FrameDecoder`] consumes transport messages *incrementally*: a
-//! frame may span several messages and one message may carry many
-//! frames. When a whole message holds only complete frames (the
-//! engine's common case), payloads are zero-copy [`Bytes`] slices of
-//! the message buffer; only partial frames that straddle message
-//! boundaries are copied into a reassembly buffer.
+//! # The rule: a message holds whole frames
 //!
-//! A transport that delivers every message whole, one frame to a
-//! message — the block protocol over `netsim` links — needs no
-//! reassembly: [`unframe`] checks such a message and borrows its
-//! payload in place, with no copy, under the same
-//! [`DEFAULT_MAX_FRAME`] bound.
+//! Every transport in the tree delivers whole messages (`netsim`
+//! links, ESP with one record a send, `store`'s `NodeLink`), and every
+//! sender puts whole frames into one message. So a frame never spans
+//! two messages, and a message that ends inside a frame is malformed:
+//! [`FrameError::Misframed`], which condemns the connection like any
+//! other frame error. Nothing is buffered from one message to the next.
 //!
-//! The decoder is deliberately paranoid — it fronts the readiness loop,
-//! the part of the server most exposed to malformed input. A declared
-//! length beyond the decoder's bound or a checksum mismatch is a hard
-//! [`FrameError`]; the caller drops the connection. A merely truncated
-//! stream is not an error — the bytes may still be in flight — so
-//! truncation simply leaves the partial frame buffered.
+//! Reassembling frames across messages would make the framing a byte
+//! stream, and a byte stream does not survive these transports: ESP
+//! drops a record that fails authentication and a link may lose a
+//! message, and one lost or reordered message would desynchronise
+//! every frame after it. RFC 5531 §11 keeps record marking for byte
+//! streams; this framing is per message, as a datagram's is.
+//!
+//! One walker checks every frame: its header is whole, its declared
+//! length is at most [`DEFAULT_MAX_FRAME`] and inside the message, and
+//! its checksum holds. [`FrameDecoder::feed`] walks a message with it
+//! and queues each payload as a zero-copy [`Bytes`] slice of the
+//! message; [`unframe`] takes a message that is exactly one frame and
+//! borrows its payload. The checks run in that order, so an oversized
+//! length is refused before its payload is summed.
 //!
 //! # The integrity checksum
 //!
@@ -79,13 +85,14 @@
 //! change the sum too. The 32-bit form is `h ^ (h >> 32)` truncated.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use bytes::Bytes;
 
 /// Bytes of framing overhead per frame (length + checksum words).
 pub const FRAME_HEADER: usize = 8;
 
-/// Default per-frame payload bound (1 MiB: far above the largest NFS
+/// Per-frame payload bound (1 MiB: far above the largest NFS
 /// read/write message, far below anything that could exhaust memory).
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
@@ -149,19 +156,22 @@ pub fn checksum(payload: &[u8]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
-/// Errors that condemn the connection feeding the decoder.
+/// Errors that condemn the connection a message came on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
-    /// A frame header declared a payload larger than the decoder's bound.
+    /// A frame header declared a payload larger than the bound.
     Oversized {
         /// The declared payload length.
         declared: usize,
-        /// The decoder's configured maximum.
+        /// The bound, [`DEFAULT_MAX_FRAME`].
         max: usize,
     },
     /// The payload checksum did not match the header.
     Checksum,
-    /// A message handed to [`unframe`] was not exactly one frame.
+    /// The message ended inside a frame (a header cut short, or a
+    /// declared length running past the message's end), or a message
+    /// handed to [`unframe`] held more than one frame. Module docs,
+    /// *The rule*: a frame never continues in the next message.
     Misframed,
 }
 
@@ -172,54 +182,20 @@ impl std::fmt::Display for FrameError {
                 write!(f, "frame declares {declared} bytes (max {max})")
             }
             FrameError::Checksum => write!(f, "frame checksum mismatch"),
-            FrameError::Misframed => write!(f, "message is not exactly one frame"),
+            FrameError::Misframed => write!(f, "message does not hold whole frames"),
         }
     }
 }
 
 impl std::error::Error for FrameError {}
 
-/// Appends a framed copy of `payload` to `buf`.
-pub fn encode_frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&checksum(payload).to_be_bytes());
-    buf.extend_from_slice(payload);
-}
-
 /// Frames `payload` into a fresh buffer.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    encode_frame_into(&mut buf, payload);
+    let start = begin_frame(&mut buf);
+    buf.extend_from_slice(payload);
+    end_frame(&mut buf, start);
     buf
-}
-
-/// The payload of `msg`, borrowed, when `msg` is exactly one whole
-/// frame of at most [`DEFAULT_MAX_FRAME`] payload bytes: its length
-/// word counts every byte after the header and its checksum holds.
-///
-/// # Errors
-///
-/// [`FrameError::Misframed`] on a message shorter than a header, or
-/// holding less or more than one frame; [`FrameError::Oversized`] on a
-/// payload over the bound, before its checksum is computed;
-/// [`FrameError::Checksum`] on a checksum mismatch.
-pub fn unframe(msg: &[u8]) -> Result<&[u8], FrameError> {
-    let (header, payload) = msg
-        .split_first_chunk::<FRAME_HEADER>()
-        .ok_or(FrameError::Misframed)?;
-    if read_u32(header) as usize != payload.len() {
-        return Err(FrameError::Misframed);
-    }
-    if payload.len() > DEFAULT_MAX_FRAME {
-        return Err(FrameError::Oversized {
-            declared: payload.len(),
-            max: DEFAULT_MAX_FRAME,
-        });
-    }
-    if checksum(payload) != read_u32(&header[4..]) {
-        return Err(FrameError::Checksum);
-    }
-    Ok(payload)
 }
 
 /// Reserves a frame header in `buf` and returns a marker for
@@ -250,149 +226,78 @@ pub fn end_frame(buf: &mut [u8], start: usize) {
     buf[start + 4..start + FRAME_HEADER].copy_from_slice(&sum.to_be_bytes());
 }
 
-/// Incremental decoder reassembling frames from a message stream.
-pub struct FrameDecoder {
-    /// Leftover bytes of a frame straddling message boundaries.
-    partial: Vec<u8>,
-    /// Decoded payloads awaiting [`FrameDecoder::pop_frame`].
-    ready: VecDeque<Bytes>,
-    max_frame: usize,
+/// Checks the frame that starts at `at` in `msg` (module docs, *The
+/// rule*) and returns its payload's range in `msg`.
+fn frame_at(msg: &[u8], at: usize) -> Result<Range<usize>, FrameError> {
+    let (header, rest) = msg[at..]
+        .split_first_chunk::<FRAME_HEADER>()
+        .ok_or(FrameError::Misframed)?;
+    let declared = read_u32(header) as usize;
+    if declared > DEFAULT_MAX_FRAME {
+        return Err(FrameError::Oversized {
+            declared,
+            max: DEFAULT_MAX_FRAME,
+        });
+    }
+    let payload = rest.get(..declared).ok_or(FrameError::Misframed)?;
+    if checksum(payload) != read_u32(&header[4..]) {
+        return Err(FrameError::Checksum);
+    }
+    let start = at + FRAME_HEADER;
+    Ok(start..start + declared)
 }
 
-impl Default for FrameDecoder {
-    fn default() -> FrameDecoder {
-        FrameDecoder::new()
+/// The payload of `msg`, borrowed, when `msg` is exactly one whole
+/// frame.
+///
+/// # Errors
+///
+/// The frame's own [`FrameError`], or [`FrameError::Misframed`] when
+/// bytes follow it.
+pub fn unframe(msg: &[u8]) -> Result<&[u8], FrameError> {
+    let payload = frame_at(msg, 0)?;
+    if payload.end != msg.len() {
+        return Err(FrameError::Misframed);
     }
+    Ok(&msg[payload])
+}
+
+/// The payloads of the messages fed to it, oldest first, each a
+/// zero-copy slice of its message.
+#[derive(Default)]
+pub struct FrameDecoder {
+    ready: VecDeque<Bytes>,
 }
 
 impl FrameDecoder {
-    /// A decoder with the [`DEFAULT_MAX_FRAME`] payload bound.
+    /// An empty decoder.
     pub fn new() -> FrameDecoder {
-        FrameDecoder::with_max_frame(DEFAULT_MAX_FRAME)
+        FrameDecoder::default()
     }
 
-    /// A decoder rejecting payloads larger than `max_frame`.
-    fn with_max_frame(max_frame: usize) -> FrameDecoder {
-        FrameDecoder {
-            partial: Vec::new(),
-            ready: VecDeque::new(),
-            max_frame,
-        }
-    }
-
-    /// Consumes one transport message, returning how many complete
-    /// frames it yielded.
+    /// Checks every frame of one transport message and queues their
+    /// payloads, returning how many it queued.
     ///
     /// # Errors
     ///
-    /// [`FrameError`] on an oversized declared length or a checksum
-    /// mismatch. After an error the decoder is poisoned garbage — the
-    /// caller is expected to drop the connection, not resynchronize.
-    pub fn feed(&mut self, data: Bytes) -> Result<usize, FrameError> {
-        if self.partial.is_empty() {
-            self.feed_zero_copy(data)
-        } else {
-            self.partial.extend_from_slice(&data);
-            self.drain_partial()
+    /// The [`FrameError`] of the first bad frame; [`FrameError::Misframed`]
+    /// when the message ends inside a frame. The frames before it stay
+    /// queued, and the caller drops the connection.
+    pub fn feed(&mut self, msg: Bytes) -> Result<usize, FrameError> {
+        let mut at = 0;
+        let mut fed = 0;
+        while at < msg.len() {
+            let payload = frame_at(&msg, at)?;
+            at = payload.end;
+            self.ready.push_back(msg.slice(payload));
+            fed += 1;
         }
+        Ok(fed)
     }
 
-    /// Pops the next decoded payload, oldest first.
+    /// Pops the next payload, oldest first.
     pub fn pop_frame(&mut self) -> Option<Bytes> {
         self.ready.pop_front()
-    }
-
-    /// Whether an incomplete frame is buffered.
-    pub fn has_partial(&self) -> bool {
-        !self.partial.is_empty()
-    }
-
-    /// Walks a message with no prior leftover: complete frames become
-    /// zero-copy slices, the trailing fragment (if any) is copied.
-    fn feed_zero_copy(&mut self, data: Bytes) -> Result<usize, FrameError> {
-        let mut offset = 0;
-        let mut decoded = 0;
-        loop {
-            match self.parse_at(&data, offset)? {
-                Some((payload_start, payload_len)) => {
-                    self.ready
-                        .push_back(data.slice(payload_start..payload_start + payload_len));
-                    offset = payload_start + payload_len;
-                    decoded += 1;
-                }
-                None => {
-                    if offset < data.len() {
-                        self.partial.extend_from_slice(&data[offset..]);
-                    }
-                    return Ok(decoded);
-                }
-            }
-        }
-    }
-
-    /// Re-parses the reassembly buffer after appending new bytes.
-    fn drain_partial(&mut self) -> Result<usize, FrameError> {
-        let mut offset = 0;
-        let mut decoded = 0;
-        loop {
-            let header = match self.check_header(&self.partial[offset..]) {
-                Ok(h) => h,
-                Err(e) => {
-                    // Keep `partial` consistent even on error paths.
-                    self.partial.drain(..offset);
-                    return Err(e);
-                }
-            };
-            match header {
-                Some(len) if self.partial.len() - offset - FRAME_HEADER >= len => {
-                    let start = offset + FRAME_HEADER;
-                    let payload = &self.partial[start..start + len];
-                    if checksum(payload) != read_u32(&self.partial[offset + 4..]) {
-                        self.partial.drain(..offset);
-                        return Err(FrameError::Checksum);
-                    }
-                    self.ready.push_back(Bytes::copy_from_slice(payload));
-                    offset = start + len;
-                    decoded += 1;
-                }
-                _ => {
-                    self.partial.drain(..offset);
-                    return Ok(decoded);
-                }
-            }
-        }
-    }
-
-    /// Parses one frame header at `offset`, returning the payload bounds
-    /// when the whole frame (header + payload) is present, `None` when
-    /// more bytes are needed.
-    fn parse_at(&self, data: &[u8], offset: usize) -> Result<Option<(usize, usize)>, FrameError> {
-        match self.check_header(&data[offset..])? {
-            Some(len) if data.len() - offset - FRAME_HEADER >= len => {
-                let start = offset + FRAME_HEADER;
-                if checksum(&data[start..start + len]) != read_u32(&data[offset + 4..]) {
-                    return Err(FrameError::Checksum);
-                }
-                Ok(Some((start, len)))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Validates a header prefix: `Some(payload_len)` when the 8 header
-    /// bytes are present and the declared length is within bounds.
-    fn check_header(&self, data: &[u8]) -> Result<Option<usize>, FrameError> {
-        if data.len() < FRAME_HEADER {
-            return Ok(None);
-        }
-        let declared = read_u32(data) as usize;
-        if declared > self.max_frame {
-            return Err(FrameError::Oversized {
-                declared,
-                max: self.max_frame,
-            });
-        }
-        Ok(Some(declared))
     }
 }
 
@@ -410,87 +315,77 @@ mod tests {
             .collect()
     }
 
+    /// One message holding `payloads`, framed in order.
+    fn framed(payloads: &[&[u8]]) -> Vec<u8> {
+        payloads.iter().flat_map(|p| encode_frame(p)).collect()
+    }
+
     #[test]
     fn single_frame_round_trip() {
         let mut dec = FrameDecoder::new();
         assert_eq!(dec.feed(encode_frame(b"hello").into()).unwrap(), 1);
         assert_eq!(decode_all(&mut dec), vec![b"hello".to_vec()]);
-        assert!(!dec.has_partial());
     }
 
     #[test]
     fn many_frames_in_one_message_are_zero_copy_slices() {
-        let mut buf = Vec::new();
-        for i in 0..10u8 {
-            encode_frame_into(&mut buf, &[i; 5]);
-        }
+        let payloads: Vec<[u8; 5]> = (0..10u8).map(|i| [i; 5]).collect();
+        let msg = Bytes::from(framed(&payloads.iter().map(|p| &p[..]).collect::<Vec<_>>()));
+        let within = msg.as_ptr_range();
         let mut dec = FrameDecoder::new();
-        assert_eq!(dec.feed(buf.into()).unwrap(), 10);
+        assert_eq!(dec.feed(msg.clone()).unwrap(), 10);
         for i in 0..10u8 {
-            assert_eq!(dec.pop_frame().unwrap(), [i; 5][..]);
+            let frame = dec.pop_frame().unwrap();
+            assert_eq!(frame, [i; 5][..]);
+            assert!(within.contains(&frame.as_ptr()), "a slice of the message");
         }
         assert!(dec.pop_frame().is_none());
-    }
-
-    #[test]
-    fn frame_split_across_many_messages() {
-        let frame = encode_frame(&[7u8; 100]);
-        let mut dec = FrameDecoder::new();
-        for chunk in frame.chunks(3) {
-            dec.feed(Bytes::copy_from_slice(chunk)).unwrap();
-        }
-        assert_eq!(decode_all(&mut dec), vec![vec![7u8; 100]]);
-        assert!(!dec.has_partial());
     }
 
     #[test]
     fn empty_payload_frames() {
         let mut dec = FrameDecoder::new();
-        let mut buf = Vec::new();
-        encode_frame_into(&mut buf, b"");
-        encode_frame_into(&mut buf, b"x");
-        encode_frame_into(&mut buf, b"");
-        assert_eq!(dec.feed(buf.into()).unwrap(), 3);
+        assert_eq!(dec.feed(framed(&[b"", b"x", b""]).into()).unwrap(), 3);
         assert_eq!(decode_all(&mut dec), vec![vec![], b"x".to_vec(), vec![]]);
     }
 
     #[test]
     fn oversized_length_rejected() {
-        let mut dec = FrameDecoder::with_max_frame(64);
-        let mut buf = (65u32).to_be_bytes().to_vec();
-        buf.extend_from_slice(&[0u8; 4]);
-        assert_eq!(
-            dec.feed(buf.into()),
-            Err(FrameError::Oversized {
-                declared: 65,
-                max: 64
-            })
-        );
+        let declared = DEFAULT_MAX_FRAME + 1;
+        let mut msg = (declared as u32).to_be_bytes().to_vec();
+        msg.extend_from_slice(&[0u8; 4]);
+        let oversized = Err(FrameError::Oversized {
+            declared,
+            max: DEFAULT_MAX_FRAME,
+        });
+        assert_eq!(FrameDecoder::new().feed(msg.clone().into()), oversized);
+        assert_eq!(unframe(&msg).map(<[u8]>::len), oversized);
     }
 
+    /// The two readers of a frame, [`unframe`] and
+    /// [`FrameDecoder::feed`], share its checks.
     #[test]
     fn corrupt_checksum_rejected_on_both_paths() {
         let mut frame = encode_frame(b"payload");
         *frame.last_mut().unwrap() ^= 0xff;
-        // Whole-message (zero-copy) path.
+        assert_eq!(unframe(&frame), Err(FrameError::Checksum));
         let mut dec = FrameDecoder::new();
-        assert_eq!(dec.feed(frame.clone().into()), Err(FrameError::Checksum));
-        // Reassembly path.
-        let mut dec = FrameDecoder::new();
-        dec.feed(Bytes::copy_from_slice(&frame[..4])).unwrap();
-        assert_eq!(
-            dec.feed(Bytes::copy_from_slice(&frame[4..])),
-            Err(FrameError::Checksum)
-        );
+        assert_eq!(dec.feed(frame.into()), Err(FrameError::Checksum));
+        assert!(dec.pop_frame().is_none());
     }
 
+    /// The frames before a bad one stay queued; the one after it is
+    /// never read.
     #[test]
-    fn truncation_is_not_an_error() {
-        let frame = encode_frame(b"partial");
+    fn a_message_cut_inside_its_second_frame_keeps_the_first() {
+        let msg = framed(&[b"first", b"second", b"third"]);
+        let cut = encode_frame(b"first").len() + 5;
         let mut dec = FrameDecoder::new();
-        assert_eq!(dec.feed(Bytes::copy_from_slice(&frame[..6])).unwrap(), 0);
-        assert!(dec.has_partial());
-        assert!(dec.pop_frame().is_none());
+        assert_eq!(
+            dec.feed(Bytes::copy_from_slice(&msg[..cut])),
+            Err(FrameError::Misframed)
+        );
+        assert_eq!(decode_all(&mut dec), vec![b"first".to_vec()]);
     }
 
     #[test]
@@ -500,30 +395,6 @@ mod tests {
         buf.extend_from_slice(b"abcdef");
         end_frame(&mut buf, start);
         assert_eq!(buf, encode_frame(b"abcdef"));
-    }
-
-    #[test]
-    fn interleaved_partial_then_complete_frames() {
-        // Message 1: one complete frame + half of the next; message 2:
-        // the other half + a third frame.
-        let f1 = encode_frame(b"first");
-        let f2 = encode_frame(b"second-longer-payload");
-        let f3 = encode_frame(b"third");
-        let mut m1 = f1.clone();
-        m1.extend_from_slice(&f2[..10]);
-        let mut m2 = f2[10..].to_vec();
-        m2.extend_from_slice(&f3);
-        let mut dec = FrameDecoder::new();
-        assert_eq!(dec.feed(m1.into()).unwrap(), 1);
-        assert_eq!(dec.feed(m2.into()).unwrap(), 2);
-        assert_eq!(
-            decode_all(&mut dec),
-            vec![
-                b"first".to_vec(),
-                b"second-longer-payload".to_vec(),
-                b"third".to_vec()
-            ]
-        );
     }
 
     /// Payload lengths around every boundary of the checksum: empty,
@@ -548,31 +419,37 @@ mod tests {
                     "len {len}: flip of bit {bit} unframed"
                 );
                 let mut dec = FrameDecoder::new();
-                let fed = dec.feed(bad.into());
-                // A flip in the length word can also read as "more bytes
-                // to come"; what it may never do is deliver a payload.
                 assert!(
-                    fed.is_err() || (fed == Ok(0) && dec.pop_frame().is_none()),
+                    dec.feed(bad.into()).is_err() && dec.pop_frame().is_none(),
                     "len {len}: flip of bit {bit} delivered a frame"
                 );
             }
         }
     }
 
+    /// A truncated frame is an error, not bytes kept for the next
+    /// message.
     #[test]
     fn every_truncation_of_a_frame_delivers_nothing() {
         for len in EDGE_LENGTHS {
             let frame = encode_frame(&patterned(len));
             for keep in 0..frame.len() {
-                assert!(unframe(&frame[..keep]).is_err(), "len {len} cut to {keep}");
-                let mut dec = FrameDecoder::new();
+                let cut = &frame[..keep];
                 assert_eq!(
-                    dec.feed(Bytes::copy_from_slice(&frame[..keep])),
-                    Ok(0),
+                    unframe(cut),
+                    Err(FrameError::Misframed),
                     "len {len} cut to {keep}"
                 );
+                let mut dec = FrameDecoder::new();
+                let fed = dec.feed(Bytes::copy_from_slice(cut));
+                // An empty message holds no frame, and that is whole.
+                let expected = if keep == 0 {
+                    Ok(0)
+                } else {
+                    Err(FrameError::Misframed)
+                };
+                assert_eq!(fed, expected, "len {len} cut to {keep}");
                 assert!(dec.pop_frame().is_none());
-                assert_eq!(dec.has_partial(), keep > 0);
             }
         }
     }
@@ -581,8 +458,7 @@ mod tests {
     fn unframe_takes_exactly_one_frame() {
         let frame = encode_frame(b"one call");
         assert_eq!(unframe(&frame), Ok(&b"one call"[..]));
-        let mut two = frame.clone();
-        encode_frame_into(&mut two, b"");
+        let two = framed(&[b"one call", b""]);
         assert_eq!(unframe(&two), Err(FrameError::Misframed));
         let mut trailing = frame;
         trailing.push(0);
@@ -652,85 +528,74 @@ mod prop_tests {
         src.vec(1..most, |src| src.vec(bytes.clone(), |src| src.any::<u8>()))
     }
 
-    /// Any payload sequence, split at arbitrary message boundaries,
-    /// reassembles to exactly the original payloads in order.
+    /// Any payload sequence framed into one message round-trips
+    /// exactly, and so does every prefix of the message that ends on a
+    /// frame boundary, with the frames before that boundary; every
+    /// other prefix is [`FrameError::Misframed`].
     #[test]
-    fn arbitrary_splits_reassemble_exactly() {
-        check("arbitrary_splits_reassemble_exactly", 64, |src| {
-            let payloads = payloads(src, 12, 0..200);
-            let cut = src.range(1usize..64);
-            let mut stream = Vec::new();
-            for p in &payloads {
-                encode_frame_into(&mut stream, p);
-            }
-            let mut dec = FrameDecoder::new();
-            let mut got = Vec::new();
-            for chunk in stream.chunks(cut) {
-                dec.feed(Bytes::copy_from_slice(chunk)).unwrap();
-                while let Some(frame) = dec.pop_frame() {
-                    got.push(frame.to_vec());
+    fn framed_payloads_round_trip_and_every_cut_is_an_error() {
+        check(
+            "framed_payloads_round_trip_and_every_cut_is_an_error",
+            64,
+            |src| {
+                let payloads = payloads(src, 12, 0..200);
+                let mut msg = Vec::new();
+                let mut boundaries = vec![0];
+                for p in &payloads {
+                    msg.extend_from_slice(&encode_frame(p));
+                    boundaries.push(msg.len());
                 }
-            }
-            assert_eq!(got, payloads);
-            assert!(!dec.has_partial());
-        });
+                for keep in 0..=msg.len() {
+                    let mut dec = FrameDecoder::new();
+                    let fed = dec.feed(Bytes::copy_from_slice(&msg[..keep]));
+                    match boundaries.iter().position(|&b| b == keep) {
+                        Some(frames) => {
+                            assert_eq!(fed, Ok(frames), "cut at {keep}");
+                            let got: Vec<Vec<u8>> = std::iter::from_fn(|| dec.pop_frame())
+                                .map(|b| b.to_vec())
+                                .collect();
+                            assert_eq!(got, payloads[..frames]);
+                        }
+                        None => assert_eq!(fed, Err(FrameError::Misframed), "cut at {keep}"),
+                    }
+                }
+            },
+        );
     }
 
-    /// Flipping any single byte of the stream never panics or hangs:
-    /// the decoder either errors, or yields a (possibly shorter)
-    /// prefix of intact frames — it must not fabricate payloads that
-    /// were never sent, except within the flipped frame itself.
+    /// Flipping any single byte of a message never panics, and never
+    /// yields more frames than were sent.
     #[test]
     fn single_byte_corruption_never_panics() {
         check("single_byte_corruption_never_panics", 64, |src| {
             let payloads = payloads(src, 6, 1..50);
-            let mut stream = Vec::new();
-            for p in &payloads {
-                encode_frame_into(&mut stream, p);
-            }
-            let pos = src.range(0..stream.len());
-            let cut = src.range(1usize..32);
-            stream[pos] ^= 0x01;
+            let mut msg: Vec<u8> = payloads.iter().flat_map(|p| encode_frame(p)).collect();
+            let pos = src.range(0..msg.len());
+            msg[pos] ^= 0x01;
             let mut dec = FrameDecoder::new();
-            let mut decoded = 0usize;
-            let mut failed = false;
-            for chunk in stream.chunks(cut) {
-                match dec.feed(Bytes::copy_from_slice(chunk)) {
-                    Ok(n) => decoded += n,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
+            if let Ok(decoded) = dec.feed(msg.into()) {
+                assert!(decoded <= payloads.len());
             }
-            // A corrupted stream may still parse (the flip can land in a
-            // payload whose checksum we also flipped past — impossible
-            // for a 1-bit flip, or desync into plausible frames), but it
-            // must never yield more frames than were sent.
-            assert!(decoded <= payloads.len());
-            assert!(failed || decoded <= payloads.len());
         });
     }
 
-    /// Oversized declared lengths are rejected no matter how the
-    /// stream is sliced.
+    /// A declared length over the bound is rejected whatever follows
+    /// the header.
     #[test]
     fn oversized_always_rejected() {
         check("oversized_always_rejected", 64, |src| {
-            let (extra, cut) = (src.range(1u32..1000), src.range(1usize..8));
-            let max = 128usize;
-            let declared = max as u32 + extra;
-            let mut stream = declared.to_be_bytes().to_vec();
-            stream.extend_from_slice(&[0u8; 12]);
-            let mut dec = FrameDecoder::with_max_frame(max);
-            let mut rejected = false;
-            for chunk in stream.chunks(cut) {
-                if dec.feed(Bytes::copy_from_slice(chunk)).is_err() {
-                    rejected = true;
-                    break;
-                }
-            }
-            assert!(rejected);
+            let (extra, tail) = (src.range(1usize..1000), src.range(0usize..16));
+            let declared = DEFAULT_MAX_FRAME + extra;
+            let mut msg = (declared as u32).to_be_bytes().to_vec();
+            msg.resize(FRAME_HEADER + tail, 0);
+            let mut dec = FrameDecoder::new();
+            assert_eq!(
+                dec.feed(msg.into()),
+                Err(FrameError::Oversized {
+                    declared,
+                    max: DEFAULT_MAX_FRAME
+                })
+            );
             assert!(dec.pop_frame().is_none());
         });
     }

@@ -7,9 +7,14 @@
 //! * A stalled (slow-loris) client sheds its **own** load: its bounded
 //!   request queue caps at the configured bound and healthy neighbors
 //!   keep their latency — p99 within 2× of the no-straggler baseline.
-//! * Malformed frames (corrupt checksum, oversized length) condemn
-//!   only the offending connection, which is dropped cleanly and
-//!   audited; split/interleaved *well-formed* frames reassemble.
+//! * Malformed input (a corrupt checksum, an oversized length, a
+//!   message that ends inside a frame) condemns only the offending
+//!   connection, which is dropped cleanly and audited. A message holds
+//!   whole frames (`onc_rpc::frame`, *The rule*): nothing is carried
+//!   over to be reassembled with the next one.
+//! * A service call that panics condemns its own connection, not the
+//!   worker that ran it: more such calls than there are workers leave
+//!   the engine serving.
 //! * `Testbed::reboot` quiesces the engine — drains accepted requests,
 //!   joins every server thread — before the store drops.
 //! * A failed responder handshake (a garbage IKE init, a peer gone
@@ -35,7 +40,8 @@ use ipsec::{ike, PlainChannel, SecureTransport};
 use netsim::{Endpoint, Link, LinkConfig, NetError, SimClock, Transport};
 use nfsv2::proto::proc_nfs;
 use nfsv2::{Engine, EngineConfig, FfsService, NfsClient, RemoteFs};
-use onc_rpc::{frame, Encoder, ReplyBody, RpcCall, RpcReply};
+use onc_rpc::{frame, Encoder, RpcCall, RpcReply};
+use store::{BlockStore, IoClass, SimStore, StoreStats};
 
 fn key(seed: u8) -> SigningKey {
     SigningKey::from_seed(&[seed; 32])
@@ -169,77 +175,40 @@ fn stalled_client_sheds_its_own_load_not_neighbors() {
     );
 }
 
-#[test]
-fn corrupt_checksum_drops_only_the_offender() {
+/// Sends `msg` on a fresh connection beside a healthy neighbour and
+/// checks that it condemns that connection alone: it is dropped
+/// unanswered, `malformed_drops` rises by one, the drop is audited
+/// ("key A sent garbage"), and the neighbour and a later connection are
+/// served.
+fn condemns_only_its_sender(msg: Vec<u8>) {
     let bed = Testbed::instant();
     let neighbor = connect_granted(&bed, 0x40);
-    neighbor
-        .getattr(&neighbor.remote().root())
-        .expect("neighbor healthy before the attack");
-    let aborted_before = bed
-        .service()
-        .audit()
-        .records()
-        .iter()
-        .filter(|r| r.op() == "abort")
-        .count();
-
+    let root = neighbor.remote().root();
+    neighbor.getattr(&root).expect("neighbor healthy before");
     let (attacker, token) = bed.connect_raw(&key(0x41)).expect("attacker handshake");
     // The responder side attaches asynchronously (the handshake is a
     // worker job); wait for it so the drop below is unambiguous.
     assert!(eventually(|| bed.engine().is_connected(token)));
-    let mut bad = frame::encode_frame(b"looks like a frame");
-    let last = bad.len() - 1;
-    bad[last] ^= 0xff; // checksum no longer matches
-    attacker.send(bad).expect("send corrupt frame");
+    let stats = bed.engine().stats();
+    let condemned = stats.malformed_drops.load(Ordering::Relaxed);
+    let aborts = || {
+        let records = bed.service().audit().records();
+        let aborted = records.iter().filter(|r| r.op() == "abort");
+        aborted.filter(|r| r.handle() == "malformed frame").count()
+    };
+    let aborted = aborts();
 
+    attacker.send(msg).expect("send the bad message");
     assert!(
         eventually(|| !bed.engine().is_connected(token)),
-        "offending connection must be dropped"
+        "the offending connection must be dropped"
     );
-    // The drop is audited ("key A sent garbage").
-    let aborted_after = bed
-        .service()
-        .audit()
-        .records()
-        .iter()
-        .filter(|r| r.op() == "abort" && r.handle() == "malformed frame")
-        .count();
-    assert!(
-        aborted_after > aborted_before,
-        "malformed-frame drop must leave an audit record"
-    );
-    assert!(
-        bed.engine()
-            .stats()
-            .malformed_drops
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1
-    );
-    // The neighbor never notices.
+    assert!(attacker.recv().is_err(), "no frame of it is answered");
+    assert_eq!(stats.malformed_drops.load(Ordering::Relaxed), condemned + 1);
+    assert_eq!(aborts(), aborted + 1, "the drop leaves an audit record");
     neighbor
-        .getattr(&neighbor.remote().root())
+        .getattr(&root)
         .expect("neighbor unaffected by the attack");
-}
-
-#[test]
-fn oversized_length_drops_connection() {
-    let bed = Testbed::instant();
-    let (attacker, token) = bed.connect_raw(&key(0x42)).expect("attacker handshake");
-    assert!(eventually(|| bed.engine().is_connected(token)));
-    // A header declaring a payload far beyond the frame bound; no
-    // payload needs to follow for the server to reject it.
-    let declared = (frame::DEFAULT_MAX_FRAME as u32) + 1;
-    let mut msg = Vec::new();
-    msg.extend_from_slice(&declared.to_be_bytes());
-    msg.extend_from_slice(&0u32.to_be_bytes());
-    attacker.send(msg).expect("send oversized header");
-
-    assert!(
-        eventually(|| !bed.engine().is_connected(token)),
-        "oversized frame must condemn the connection"
-    );
-    // A fresh, honest connection still works: server state is clean.
     let after = connect_granted(&bed, 0x43);
     after
         .getattr(&after.remote().root())
@@ -247,44 +216,30 @@ fn oversized_length_drops_connection() {
 }
 
 #[test]
-fn split_and_interleaved_frames_reassemble() {
-    let bed = Testbed::instant();
-    let (chan, token) = bed.connect_raw(&key(0x44)).expect("handshake");
+fn corrupt_checksum_drops_only_the_offender() {
+    let mut bad = frame::encode_frame(b"looks like a frame");
+    let last = bad.len() - 1;
+    bad[last] ^= 0xff; // checksum no longer matches
+    condemns_only_its_sender(bad);
+}
 
-    // NULL carries no args and needs no authorization: a clean probe.
-    let call = |xid: u32| {
-        frame::encode_frame(&RpcCall::new(xid, nfsv2::NFS_PROGRAM, 2, 0, vec![]).encode())
-    };
+#[test]
+fn oversized_length_drops_connection() {
+    // A header declaring a payload far beyond the frame bound; no
+    // payload needs to follow for the server to reject it.
+    let declared = (frame::DEFAULT_MAX_FRAME as u32) + 1;
+    let mut msg = declared.to_be_bytes().to_vec();
+    msg.extend_from_slice(&0u32.to_be_bytes());
+    condemns_only_its_sender(msg);
+}
 
-    // One frame split mid-header across two transport messages...
-    let framed = call(1);
-    chan.send(framed[..5].to_vec()).expect("first fragment");
-    chan.send(framed[5..].to_vec()).expect("second fragment");
-    // ...and a message that finishes one frame and starts another.
-    let (second, third) = (call(2), call(3));
-    let mut mixed = second.clone();
-    mixed.extend_from_slice(&third[..7]);
-    chan.send(mixed).expect("interleaved message");
-    chan.send(third[7..].to_vec()).expect("tail fragment");
-
-    let mut decoder = frame::FrameDecoder::new();
-    let mut got = Vec::new();
-    while got.len() < 3 {
-        let msg = chan.recv().expect("reply message");
-        decoder
-            .feed(bytes::Bytes::from(msg))
-            .expect("well-formed replies");
-        while let Some(payload) = decoder.pop_frame() {
-            let reply = RpcReply::decode(&payload).expect("rpc reply");
-            assert!(matches!(reply.body, ReplyBody::Success(_)));
-            got.push(reply.xid);
-        }
-    }
-    assert_eq!(got, vec![1, 2, 3], "pipelined order preserved");
-    assert!(
-        bed.engine().is_connected(token),
-        "fragmented but well-formed traffic must not be dropped"
-    );
+#[test]
+fn a_message_that_ends_inside_a_frame_condemns_only_its_connection() {
+    // A whole NULL call, then the first five bytes of the next: its
+    // header cut short at the end of the message.
+    let mut msg = null_calls(2);
+    msg.truncate(msg.len() / 2 + 5);
+    condemns_only_its_sender(msg);
 }
 
 #[test]
@@ -771,4 +726,93 @@ fn pipelined_reads_share_messages_and_reply_batches() {
         served >= 2 * batches,
         "{served} requests in {batches} reply batches"
     );
+}
+
+/// What a data block holding a poisoned file's contents starts with.
+const POISON: &[u8] = b"a read of this block panics";
+
+/// A simulated disk whose data reads panic on any block that starts
+/// with [`POISON`]: a store fault that reaches the service as a panic.
+struct PanicsOnRead(SimStore);
+
+impl BlockStore for PanicsOnRead {
+    fn block_count(&self) -> u64 {
+        self.0.block_count()
+    }
+    fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<bytes::Bytes> {
+        let blocks = self.0.read(class, idxs);
+        let poisoned = blocks.iter().any(|b| b.starts_with(POISON));
+        assert!(
+            class == IoClass::Meta || !poisoned,
+            "a read of the poisoned block"
+        );
+        blocks
+    }
+    fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+        self.0.write(class, writes)
+    }
+    fn stats(&self) -> StoreStats {
+        self.0.stats()
+    }
+    fn label(&self) -> &'static str {
+        "panics-on-read"
+    }
+}
+
+/// A service call that panics condemns its own connection and leaves
+/// the worker that ran it serving. Five connections, more than the
+/// engine's four workers, each send a GETATTR and a READ of a poisoned
+/// block in one message: each gets the GETATTR's reply and then a
+/// hang-up, and a sixth connection is still answered.
+#[test]
+fn a_panicking_service_call_condemns_its_connection_not_a_worker() {
+    let clock = SimClock::new();
+    let config = FsConfig::small();
+    let disk = PanicsOnRead(SimStore::untimed(config.total_blocks));
+    let fs = Arc::new(Ffs::format_on(Arc::new(disk), config));
+    let engine = Engine::start(
+        Arc::new(FfsService::new(fs, 1)),
+        key(1),
+        EngineConfig::default(),
+    );
+    let connect = || {
+        let (client_end, server_end) = Link::loopback(&clock);
+        engine.accept_channel(Box::new(PlainChannel::new(server_end)));
+        PlainChannel::new(client_end)
+    };
+    let remote = RemoteFs::mount(NfsClient::new(Box::new(connect())), "/").expect("mount");
+    let poisoned = remote.write_file("poisoned", POISON).expect("write");
+
+    let call = |xid, proc_num, args: Vec<u8>| {
+        frame::encode_frame(&RpcCall::new(xid, nfsv2::NFS_PROGRAM, 2, proc_num, args).encode())
+    };
+    let mut read = Encoder::new();
+    read.put_opaque_fixed(&poisoned.0);
+    for word in [0, 4096, 4096] {
+        read.put_u32(word); // offset, count, totalcount
+    }
+    let mut msg = call(1, proc_nfs::GETATTR, poisoned.0.to_vec());
+    msg.extend(call(2, proc_nfs::READ, read.finish()));
+    let readers: Vec<_> = (0..=EngineConfig::default().workers)
+        .map(|_| {
+            let reader = connect();
+            reader.send(msg.clone()).expect("send");
+            reader
+        })
+        .collect();
+    // Not asserted here: without the fix no drop is ever counted, and
+    // the bounded wait below is what fails.
+    let drops = || engine.stats().malformed_drops.load(Ordering::Relaxed);
+    eventually(|| drops() == 5);
+    let sixth = NfsClient::new(Box::new(connect()));
+    assert_eq!(
+        within_bound(move || sixth.getattr(&poisoned).is_ok()),
+        Some(true),
+        "a connection after the panicking calls must still be served"
+    );
+    assert_eq!(drops(), 5);
+    for reader in readers {
+        assert_eq!(reply_xids(&reader, 1), [1], "the call served first");
+        assert!(reader.recv().is_err(), "then the connection is dropped");
+    }
 }
