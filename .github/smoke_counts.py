@@ -61,8 +61,10 @@ import sys
 # whichever thread inserted it, and freed it on whichever evicted it;
 # with the cache's buffers allocated when it is built and recycled on
 # eviction it reads ~15.2, hence the band of 16.5.
-# store.sharded.worker_jobs_per_op read 0.19 then and ~0.002 since
-# (flush jobs only); a read job back on the workers shows here.
+# store.sharded.worker_jobs_per_op read 0.19 then and ~0.002 with only
+# flush jobs; it reads 0 since the sharded store has no workers, and
+# the counter stays only for the pinned bench. A job queue back in the
+# sharded store shows here.
 #
 # repl_mixed: peak_rss_mb read 69.3 while a sync sent each node its
 # whole share in one WRITE (an 11.2 MB message beside the 16.8 MB

@@ -131,9 +131,9 @@
 //!   refcounted handle clone, so a hot working set stops paying the
 //!   backend's locking, cipher, or timing costs entirely (cache
 //!   hit/miss counters surface through [`Testbed::store_stats`]);
-//! * `Sharded { shards, workers, inner }` — the volume striped
-//!   `i % N` across N inner stores with per-shard locks and a parallel
-//!   flush; `workers` gives each shard its own I/O thread.
+//! * `Sharded { shards, inner, .. }` — the volume striped `i % N`
+//!   across N inner stores with per-shard locks and a parallel flush;
+//!   its I/O runs on the caller's thread (`workers` is ignored).
 //!
 //! Wrappers nest: a production-shaped server volume is
 //! `Cached { inner: Sharded { inner: FileJournal } }`, and the whole

@@ -72,16 +72,14 @@
 //! buffers ride in the same write as the full blocks, in ascending
 //! file order — so the journal records of a journaled backend are the
 //! records, in the order, of a per-block loop. What each backend makes
-//! of the one call (a write fan-out over per-shard workers, one journal
+//! of the one call (one subcall per involved shard, one journal
 //! append, readahead on one-block reads, one seek per contiguous run)
 //! is in the `store` crate docs, "One I/O path".
 //!
 //! Shutdown/flush ordering: `Ffs::sync` flushes before writing the
-//! clean marker and flushes again after; on a worker-enabled sharded
-//! backend each flush is a job submitted behind any queued work
-//! (FIFO), so the clean marker can never overtake an in-flight write,
-//! and dropping the volume joins the workers before the per-shard
-//! stores are dropped.
+//! clean marker and flushes again after. Every store call has finished
+//! when it returns (a sharded backend runs it on the caller's thread),
+//! so the clean marker can never overtake a write.
 //!
 //! # In-core caches
 //!

@@ -313,49 +313,40 @@ fn sharded_volume_crash_replays_every_shard_journal() {
     // WAL before being acknowledged, and a process crash leaves all
     // four journals intact on disk. The remount must replay each one
     // and recover synced AND unsynced data, exactly like the
-    // single-store crash cycles — with the per-shard worker threads on
-    // as well as off (the workers change who executes the I/O, not
-    // what is journaled, and their Drop joins before the shards').
-    for workers in [false, true] {
-        let dir = store::temp_dir_for_tests("crash-sharded");
-        let backend = StoreBackend::Sharded {
-            shards: 4,
-            workers,
-            inner: Box::new(StoreBackend::FileJournal { dir: dir.clone() }),
-        };
-        let clock = SimClock::new();
-        for life in 0..4u32 {
-            let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
-            for prev in 0..life {
-                let ino = fs
-                    .resolve_path(&format!("life-{prev}.dat"))
-                    .unwrap_or_else(|e| {
-                        panic!("workers={workers} life {life}: file from life {prev} lost: {e}")
-                    });
-                assert_eq!(
-                    fs.read(ino, 0, 3 * ffs::BLOCK_SIZE).unwrap(),
-                    payload(prev as u8, 2 * ffs::BLOCK_SIZE + 9),
-                    "workers={workers} life {life}: content from life {prev} damaged"
-                );
-            }
+    // single-store crash cycles.
+    let dir = store::temp_dir_for_tests("crash-sharded");
+    let backend = StoreBackend::Sharded {
+        shards: 4,
+        workers: false,
+        inner: Box::new(StoreBackend::FileJournal { dir: dir.clone() }),
+    };
+    let clock = SimClock::new();
+    for life in 0..4u32 {
+        let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+        for prev in 0..life {
             let ino = fs
-                .create(fs.root(), &format!("life-{life}.dat"), 0o644, 0, 0)
-                .unwrap();
-            fs.write(ino, 0, &payload(life as u8, 2 * ffs::BLOCK_SIZE + 9))
-                .unwrap();
-            fs.check().unwrap();
-            // Crash: no sync. All four shard journals survive the drop.
-        }
-        // The volume really is striped: every shard directory holds data.
-        for shard in 0..4 {
-            let blocks = dir.join(format!("shard-{shard}")).join("blocks.dat");
-            assert!(
-                blocks.exists(),
-                "workers={workers}: shard {shard} has a data file"
+                .resolve_path(&format!("life-{prev}.dat"))
+                .unwrap_or_else(|e| panic!("life {life}: file from life {prev} lost: {e}"));
+            assert_eq!(
+                fs.read(ino, 0, 3 * ffs::BLOCK_SIZE).unwrap(),
+                payload(prev as u8, 2 * ffs::BLOCK_SIZE + 9),
+                "life {life}: content from life {prev} damaged"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
+        let ino = fs
+            .create(fs.root(), &format!("life-{life}.dat"), 0o644, 0, 0)
+            .unwrap();
+        fs.write(ino, 0, &payload(life as u8, 2 * ffs::BLOCK_SIZE + 9))
+            .unwrap();
+        fs.check().unwrap();
+        // Crash: no sync. All four shard journals survive the drop.
     }
+    // The volume really is striped: every shard directory holds data.
+    for shard in 0..4 {
+        let blocks = dir.join(format!("shard-{shard}")).join("blocks.dat");
+        assert!(blocks.exists(), "shard {shard} has a data file");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -69,15 +69,6 @@ fn matrix(tag: &str) -> (Vec<MatrixEntry>, std::path::PathBuf) {
                 dir: base.join("sharded"),
             }),
         },
-        // The parallel I/O engine: per-shard worker threads, alone and
-        // under a write-back cache — persistence must be unchanged.
-        StoreBackend::Sharded {
-            shards: 4,
-            workers: true,
-            inner: Box::new(StoreBackend::FileJournal {
-                dir: base.join("sharded-workers"),
-            }),
-        },
         StoreBackend::Cached {
             capacity: 32,
             inner: Box::new(StoreBackend::Sharded {
@@ -85,16 +76,6 @@ fn matrix(tag: &str) -> (Vec<MatrixEntry>, std::path::PathBuf) {
                 workers: false,
                 inner: Box::new(StoreBackend::FileJournal {
                     dir: base.join("cached-sharded"),
-                }),
-            }),
-        },
-        StoreBackend::Cached {
-            capacity: 32,
-            inner: Box::new(StoreBackend::Sharded {
-                shards: 3,
-                workers: true,
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: base.join("cached-sharded-workers"),
                 }),
             }),
         },

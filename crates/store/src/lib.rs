@@ -62,10 +62,8 @@
 //! [`SimStore`] charges an ascending run one seek ([`DiskModel::run_cost`])
 //! whether it arrives as one call or as N;
 //! [`ShardedStore`] routes a one-block call to its shard and splits a
-//! longer one by shard; with **per-shard worker threads**
-//! ([`ShardedStore::with_workers`], [`StoreStats::worker_jobs`]) a write
-//! runs one job per involved shard, a read stays on the caller's thread
-//! (2.0 MB less resident set on `stack_mixed`).
+//! longer one into one subcall per involved shard, all on the caller's
+//! thread; only its flush fans out, one scoped thread per shard.
 //! `StoreStats::vectored_reads` / `vectored_writes` count the calls
 //! that carried more than one data block, at each layer that received
 //! them.
@@ -462,8 +460,9 @@ pub struct StoreStats {
     /// [`BlockStore::write`] calls that carried more than one data
     /// block (same per-layer accounting as `vectored_reads`).
     pub vectored_writes: u64,
-    /// Jobs submitted to a [`ShardedStore`]'s per-shard worker threads
-    /// (writes and flushes; zero without workers).
+    /// Always zero: [`ShardedStore`] has no worker threads to submit
+    /// jobs to. Kept only because the pinned benchmark package still
+    /// reads it.
     pub worker_jobs: u64,
     /// Blocks a [`CachedStore`] prefetched through its sequential
     /// readahead window (zero when readahead is disabled or the access
@@ -768,10 +767,9 @@ pub enum StoreBackend {
     Sharded {
         /// Number of shards (inner store instances).
         shards: u32,
-        /// Spawn one worker thread per shard with a bounded submission
-        /// queue: multi-block writes and flushes then fan out one job
-        /// per involved shard and join; reads stay on the caller's
-        /// thread (see [`ShardedStore::with_workers`]).
+        /// Ignored: every sharded store runs its I/O on the caller's
+        /// thread (the `sharded` module docs). Kept only because the
+        /// pinned benchmark package still sets it.
         workers: bool,
         /// The backend each shard is built from.
         inner: Box<StoreBackend>,
@@ -844,11 +842,7 @@ impl StoreBackend {
                 window,
                 inner,
             } => cached(inner, *capacity, *window),
-            StoreBackend::Sharded {
-                shards,
-                workers,
-                inner,
-            } => {
+            StoreBackend::Sharded { shards, inner, .. } => {
                 assert!(*shards > 0, "sharded store needs at least one shard");
                 let per_shard = block_count.div_ceil(*shards as u64);
                 let stores: Vec<Arc<dyn BlockStore>> = (0..*shards)
@@ -858,11 +852,7 @@ impl StoreBackend {
                             .build_in(clock, per_shard, pool)
                     })
                     .collect();
-                if *workers {
-                    Arc::new(ShardedStore::with_workers(stores, block_count))
-                } else {
-                    Arc::new(ShardedStore::new(stores, block_count))
-                }
+                Arc::new(ShardedStore::new(stores, block_count))
             }
             StoreBackend::Replicated {
                 nodes,
@@ -1023,13 +1013,6 @@ mod tests {
                 workers: false,
                 inner: Box::new(StoreBackend::FileJournal {
                     dir: dir.join("sharded"),
-                }),
-            },
-            StoreBackend::Sharded {
-                shards: 4,
-                workers: true,
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: dir.join("sharded-workers"),
                 }),
             },
             StoreBackend::Cached {

@@ -1,51 +1,32 @@
-//! One volume striped across N inner block stores, with optional
-//! per-shard worker threads.
+//! One volume striped across N inner block stores.
 //!
 //! The ROADMAP's sharded block store: block `i` lives on shard
 //! `i % N` at inner index `i / N`, so sequential block runs spread
 //! round-robin across shards and every shard carries its own lock —
 //! concurrent I/O to different shards never contends. Flushes run the
-//! shards in parallel, which matters for persistent inners whose flush
-//! does real disk work.
+//! shards in parallel, one scoped thread each, which matters for
+//! persistent inners whose flush does real disk work (`sync_data`,
+//! about 11-12 ms a flush on the benchmark's `stack_mixed`).
 //!
-//! # Per-shard worker threads (the parallel write path)
+//! # One I/O path
 //!
-//! Per-shard locking removes *contention*, but a single client still
-//! drives one shard at a time: its thread executes every block's I/O
-//! itself. [`ShardedStore::with_workers`] attaches one worker thread
-//! per shard, each owning a **bounded** submission queue
-//! ([`WORKER_QUEUE_DEPTH`] jobs — a slow shard back-pressures its
-//! callers instead of buffering unbounded work). A multi-block
-//! [`BlockStore::write`] partitions its block list by shard, submits
-//! **one job per involved shard**, and joins the replies — so a single
-//! client's streaming write burst executes on all N shards concurrently
-//! ([`StoreStats::worker_jobs`] counts the jobs). `flush` goes through
-//! the queues too.
+//! Reads and writes run on the caller's thread: a one-block call goes
+//! straight to its shard, and a longer one makes one subcall per
+//! involved shard, each carrying that shard's blocks in the caller's
+//! order. So each shard's journal holds its blocks' records in the
+//! order the caller wrote them, and a read that starts after a write
+//! returned sees all of it.
 //!
-//! Reads never go to the workers: a multi-block [`BlockStore::read`]
-//! makes one subcall per involved shard on the caller's thread. When
-//! the workers served the benchmark's `stack_mixed` reads (a readahead
-//! cache's 8-block prefetches), the blocks that became cache entries
-//! were allocated in four more malloc arenas, each keeping its own
-//! high-water mark: 21.4 MB resident against 19.4 MB inline, for the
-//! same live heap and no measured gain.
-//!
-//! Ordering and shutdown guarantees:
-//!
-//! * A write returns only after every shard job completed, so a read
-//!   (on its caller's thread, straight on the shards) that starts
-//!   after it returned sees all of it.
-//! * Per-shard job order equals submission order (the queue is FIFO),
-//!   and within one job the shard applies blocks in the caller's
-//!   order — so each shard's journal holds the same records in the
-//!   same order as the workers-off path, byte-identical.
-//! * `flush` is submitted as a job per shard and therefore drains
-//!   everything queued before it; `Drop` disconnects the queues, lets
-//!   each worker drain what remains, and joins the threads, so no job
-//!   is still running when the shard stores are dropped.
-//! * A write whose blocks all land on one shard skips the queue and
-//!   runs inline — dispatch only pays off when there is parallelism
-//!   to win.
+//! Reads stay on the caller's thread because the thread that reads a
+//! block is the one whose malloc arena ends up holding it once a cache
+//! above keeps it. When per-shard workers served the benchmark's
+//! `stack_mixed` reads (a readahead cache's 8-block prefetches), the
+//! blocks that became cache entries were allocated in four more malloc
+//! arenas, each keeping its own high-water mark: 21.4 MB resident
+//! against 19.4 MB inline, for the same live heap and no measured gain.
+//! Writes stay there too: the cache above the benchmark's sharded store
+//! hands it one block a write, so a thread per shard would have no
+//! multi-block write to run in parallel.
 //!
 //! # Crash model
 //!
@@ -53,66 +34,17 @@
 //! cross-shard commit record. A process crash — every shard's journal
 //! intact on disk — replays completely and is covered by the test
 //! matrix; a torn *single* shard journal replays to a record prefix of
-//! that shard's write order, identical with workers on or off (the
-//! property tests pin the journals byte-identical). Ordering *across*
-//! shards is a multi-device failure the current design does not cover
-//! (it would need a distributed commit record); the ROADMAP tracks
-//! that as an open item.
+//! that shard's write order (a property test tears one at every
+//! record). Ordering *across* shards is a multi-device failure the
+//! current design does not cover (it would need a distributed commit
+//! record); the ROADMAP tracks that as an open item.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::{vectored, BlockStore, IoClass, StoreStats};
-
-/// Bounded submission-queue depth per worker: enough for a handful of
-/// concurrent callers, small enough that a stalled shard back-pressures
-/// instead of buffering unbounded block copies.
-pub(crate) const WORKER_QUEUE_DEPTH: usize = 4;
-
-/// A unit of work submitted to one shard's worker. Reads never are:
-/// they run on the caller's thread (see the module docs).
-enum Job {
-    /// Write these `(shard-local index, block)` pairs in order.
-    Write {
-        class: IoClass,
-        blocks: Vec<(u64, Bytes)>,
-        reply: mpsc::Sender<()>,
-    },
-    /// Flush the shard (FIFO: drains everything queued before it).
-    Flush {
-        reply: mpsc::Sender<std::io::Result<()>>,
-    },
-}
-
-/// The per-shard worker threads and their submission queues.
-struct WorkerPool {
-    senders: Vec<mpsc::SyncSender<Job>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-fn worker_loop(shard: Arc<dyn BlockStore>, jobs: mpsc::Receiver<Job>) {
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Write {
-                class,
-                blocks,
-                reply,
-            } => {
-                let refs: Vec<(u64, &[u8])> =
-                    blocks.iter().map(|(idx, data)| (*idx, &data[..])).collect();
-                shard.write(class, &refs);
-                // A dropped caller is not an error for the worker.
-                let _ = reply.send(());
-            }
-            Job::Flush { reply } => {
-                let _ = reply.send(shard.flush());
-            }
-        }
-    }
-}
 
 /// A block store striping one volume across N inner stores.
 pub struct ShardedStore {
@@ -121,13 +53,10 @@ pub struct ShardedStore {
     flushes: AtomicU64,
     vectored_reads: AtomicU64,
     vectored_writes: AtomicU64,
-    worker_jobs: AtomicU64,
-    workers: Option<WorkerPool>,
 }
 
 impl ShardedStore {
-    /// Stripes a volume of `block_count` blocks across `shards`,
-    /// without worker threads (I/O runs on the caller's thread).
+    /// Stripes a volume of `block_count` blocks across `shards`.
     ///
     /// Every shard must hold at least `ceil(block_count / N)` blocks
     /// (the builder in [`crate::StoreBackend::Sharded`] sizes them
@@ -152,28 +81,7 @@ impl ShardedStore {
             flushes: AtomicU64::new(0),
             vectored_reads: AtomicU64::new(0),
             vectored_writes: AtomicU64::new(0),
-            worker_jobs: AtomicU64::new(0),
-            workers: None,
         }
-    }
-
-    /// Like [`ShardedStore::new`], plus one worker thread per shard
-    /// behind a bounded submission queue for multi-block writes and
-    /// flushes; reads stay on the caller's thread (2.0 MB less resident
-    /// set on `stack_mixed`). See the module docs for both, and for the
-    /// ordering and shutdown guarantees.
-    pub fn with_workers(shards: Vec<Arc<dyn BlockStore>>, block_count: u64) -> ShardedStore {
-        let mut store = ShardedStore::new(shards, block_count);
-        let mut senders = Vec::with_capacity(store.shards.len());
-        let mut handles = Vec::with_capacity(store.shards.len());
-        for shard in &store.shards {
-            let (tx, rx) = mpsc::sync_channel(WORKER_QUEUE_DEPTH);
-            let shard = Arc::clone(shard);
-            senders.push(tx);
-            handles.push(std::thread::spawn(move || worker_loop(shard, rx)));
-        }
-        store.workers = Some(WorkerPool { senders, handles });
-        store
     }
 
     /// Which shard serves block `idx` — exposed so tests can pin the
@@ -210,29 +118,6 @@ impl ShardedStore {
         per_shard.retain(|(_, positions, _)| !positions.is_empty());
         per_shard
     }
-
-    fn submit(&self, shard: usize, job: Job) {
-        let pool = self.workers.as_ref().expect("submit requires workers");
-        self.worker_jobs.fetch_add(1, Ordering::Relaxed);
-        pool.senders[shard]
-            .send(job)
-            .expect("shard worker thread alive");
-    }
-}
-
-impl Drop for ShardedStore {
-    fn drop(&mut self) {
-        if let Some(pool) = self.workers.take() {
-            // Disconnect the queues first: each worker drains whatever
-            // is still queued, then exits; joining here means the
-            // workers' clones of the shard Arcs are gone and all work
-            // has finished before the shards themselves are dropped.
-            drop(pool.senders);
-            for handle in pool.handles {
-                handle.join().ok();
-            }
-        }
-    }
 }
 
 impl BlockStore for ShardedStore {
@@ -241,9 +126,8 @@ impl BlockStore for ShardedStore {
     }
 
     /// A one-block call is routed straight to its shard. A longer one
-    /// is partitioned by shard, and each involved shard gets one inline
-    /// subcall on the caller's thread, workers or not (see the module
-    /// docs for why reads never go to the workers).
+    /// is partitioned by shard, and each involved shard gets one
+    /// subcall on the caller's thread (see the module docs).
     fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
         if let &[idx] = idxs {
             let (shard, inner_idx) = self.route(idx);
@@ -263,12 +147,9 @@ impl BlockStore for ShardedStore {
             .collect()
     }
 
-    /// Routed and partitioned like [`ShardedStore::read`]. With workers
-    /// and ≥ 2 involved shards, one job per shard runs concurrently and
-    /// the call joins them; each job carries a copy of its blocks (the
-    /// bounded queue crosses a thread boundary). Otherwise each shard
-    /// gets one inline subcall on the caller's slices. Per-shard order
-    /// is the caller's order either way.
+    /// Routed and partitioned like [`ShardedStore::read`]: each
+    /// involved shard gets one subcall on the caller's slices, in the
+    /// caller's order.
     fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
         if let &[(idx, block)] = writes {
             let (shard, inner_idx) = self.route(idx);
@@ -276,70 +157,32 @@ impl BlockStore for ShardedStore {
         }
         self.vectored_writes
             .fetch_add(vectored(class, writes.len()), Ordering::Relaxed);
-        let per_shard = self.partition(writes.iter().map(|(idx, _)| *idx));
-        if per_shard.len() > 1 && self.workers.is_some() {
-            let mut pending: Vec<mpsc::Receiver<()>> = Vec::new();
-            for (shard, positions, inner_idxs) in per_shard {
-                let blocks: Vec<(u64, Bytes)> = inner_idxs
-                    .into_iter()
-                    .zip(positions)
-                    .map(|(inner, pos)| (inner, Bytes::copy_from_slice(writes[pos].1)))
-                    .collect();
-                let (reply, rx) = mpsc::channel();
-                self.submit(
-                    shard,
-                    Job::Write {
-                        class,
-                        blocks,
-                        reply,
-                    },
-                );
-                pending.push(rx);
-            }
-            for rx in pending {
-                rx.recv().expect("shard worker reply");
-            }
-        } else {
-            for (shard, positions, inner_idxs) in per_shard {
-                let blocks: Vec<(u64, &[u8])> = inner_idxs
-                    .into_iter()
-                    .zip(positions)
-                    .map(|(inner, pos)| (inner, writes[pos].1))
-                    .collect();
-                self.shards[shard].write(class, &blocks);
-            }
+        for (shard, positions, inner_idxs) in self.partition(writes.iter().map(|(idx, _)| *idx)) {
+            let blocks: Vec<(u64, &[u8])> = inner_idxs
+                .into_iter()
+                .zip(positions)
+                .map(|(inner, pos)| (inner, writes[pos].1))
+                .collect();
+            self.shards[shard].write(class, &blocks);
         }
     }
 
-    /// Flushes every shard **in parallel** — through the worker queues
-    /// when attached (FIFO behind any submitted work, so the queues
-    /// drain first), one scoped thread per shard otherwise — and
-    /// returns the first error, if any.
+    /// Flushes every shard **in parallel**, one scoped thread per
+    /// shard, and returns the first error, if any. Every shard is
+    /// flushed whatever another returns; only a flush of them all
+    /// counts in `flushes`.
     fn flush(&self) -> std::io::Result<()> {
-        let results: Vec<std::io::Result<()>> = if self.workers.is_some() {
-            let rxs: Vec<mpsc::Receiver<std::io::Result<()>>> = (0..self.shards.len())
-                .map(|shard| {
-                    let (reply, rx) = mpsc::channel();
-                    self.submit(shard, Job::Flush { reply });
-                    rx
-                })
+        let results: Vec<std::io::Result<()>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .shards
+                .iter()
+                .map(|shard| scope.spawn(move || shard.flush()))
                 .collect();
-            rxs.into_iter()
-                .map(|rx| rx.recv().expect("shard worker reply"))
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard flush thread"))
                 .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || shard.flush()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard flush thread"))
-                    .collect()
-            })
-        };
+        });
         for result in results {
             result?;
         }
@@ -349,9 +192,8 @@ impl BlockStore for ShardedStore {
 
     /// Field-wise sum of the shard counters, except `flushes`, which
     /// reports sharded flush calls (each fans out to every shard); the
-    /// store's own multi-block-call and worker-job counters are added on
-    /// top of whatever its shards counted for the subcalls they
-    /// received.
+    /// store's own multi-block-call counters are added on top of
+    /// whatever its shards counted for the subcalls they received.
     fn stats(&self) -> StoreStats {
         let mut stats = self
             .shards
@@ -360,7 +202,6 @@ impl BlockStore for ShardedStore {
         stats.flushes = self.flushes.load(Ordering::Relaxed);
         stats.vectored_reads += self.vectored_reads.load(Ordering::Relaxed);
         stats.vectored_writes += self.vectored_writes.load(Ordering::Relaxed);
-        stats.worker_jobs += self.worker_jobs.load(Ordering::Relaxed);
         stats
     }
 
@@ -420,27 +261,19 @@ mod tests {
 
     #[test]
     fn vectored_ops_scatter_and_gather_in_caller_order() {
-        for workers in [false, true] {
-            let store = if workers {
-                ShardedStore::with_workers(shards_of(4, 64), 64)
-            } else {
-                sharded(4, 64)
-            };
-            // A deliberately scattered write order over all four shards.
-            let idxs = [7, 0, 63, 12, 33, 1, 42, 8];
-            write_stamped(&store, &idxs, 1);
-            // 8 blocks over 4 shards: one write job per shard.
-            let jobs = if workers { 4 } else { 0 };
-            assert_eq!(store.stats().worker_jobs, jobs, "workers={workers}");
-            // Vectored read returns the blocks in the caller's order,
-            // inline: no job.
-            for (&idx, block) in idxs.iter().zip(store.read_blocks(&idxs)) {
-                assert_eq!(block, stamped(idx, 1), "workers={workers}");
-            }
-            let stats = store.stats();
-            assert!(stats.vectored_writes >= 1, "workers={workers}");
-            assert_eq!(stats.worker_jobs, jobs, "workers={workers}");
+        let store = sharded(4, 64);
+        // A deliberately scattered write order over all four shards.
+        let idxs = [7, 0, 63, 12, 33, 1, 42, 8];
+        write_stamped(&store, &idxs, 1);
+        // The read returns the blocks in the caller's order.
+        for (&idx, block) in idxs.iter().zip(store.read_blocks(&idxs)) {
+            assert_eq!(block, stamped(idx, 1));
         }
+        // One subcall per involved shard: shards 0, 1 and 3 get two or
+        // three blocks each, counted as a vectored write by both layers.
+        let per_shard: Vec<u64> = store.shard_stats().iter().map(|s| s.writes).collect();
+        assert_eq!(per_shard, vec![3, 2, 1, 2]);
+        assert_eq!(store.stats().vectored_writes, 1 + 3);
     }
 
     /// A block of `idx` as write number `version` left it.
@@ -462,66 +295,67 @@ mod tests {
         store.write_blocks(&writes);
     }
 
-    #[test]
-    fn inline_reads_see_worker_writes_once_they_return() {
-        const ROUNDS: u64 = 200;
-        let store = ShardedStore::with_workers(shards_of(4, 64), 64);
-        let extent: Vec<u64> = (0..8).collect();
-        write_stamped(&store, &extent, 1);
-        // The last version whose write call has returned.
-        let returned = AtomicU64::new(1);
-        std::thread::scope(|scope| {
-            let writer = scope.spawn(|| {
-                for version in 2..=ROUNDS {
-                    write_stamped(&store, &extent, version);
-                    returned.store(version, Ordering::SeqCst);
-                }
-            });
-            // Read until the writer has finished, then once more. A
-            // writer that panics ends the loop too, and the scope
-            // re-raises its panic.
-            loop {
-                let finished = writer.is_finished();
-                let floor = returned.load(Ordering::SeqCst);
-                for (&idx, block) in extent.iter().zip(store.read_blocks(&extent)) {
-                    let version = u64::from_le_bytes(block[8..16].try_into().unwrap());
-                    assert!(
-                        (floor..=ROUNDS).contains(&version),
-                        "block {idx} holds version {version}, {floor} had returned"
-                    );
-                    assert_eq!(block, stamped(idx, version), "block {idx}");
-                }
-                if finished {
-                    break;
-                }
+    /// A shard that counts its flushes and, when `fails`, returns an
+    /// error from each.
+    struct FlushProbe {
+        inner: SimStore,
+        fails: bool,
+        flushed: AtomicU64,
+    }
+
+    impl BlockStore for FlushProbe {
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+        fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
+            self.inner.read(class, idxs)
+        }
+        fn write(&self, class: IoClass, writes: &[(u64, &[u8])]) {
+            self.inner.write(class, writes)
+        }
+        fn flush(&self) -> std::io::Result<()> {
+            self.flushed.fetch_add(1, Ordering::SeqCst);
+            if self.fails {
+                return Err(std::io::Error::other("shard disk gone"));
             }
-        });
-        assert_eq!(returned.into_inner(), ROUNDS);
-        // Every write job went to the workers; no read did.
-        assert_eq!(store.stats().worker_jobs, 4 * ROUNDS);
+            Ok(())
+        }
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
+        fn label(&self) -> &'static str {
+            "flush-probe"
+        }
     }
 
     #[test]
-    fn single_shard_vectored_call_runs_inline() {
-        let store = ShardedStore::with_workers(shards_of(4, 64), 64);
-        // Blocks 0, 4, 8 all live on shard 0: no dispatch.
-        let block = vec![9u8; BLOCK_SIZE];
-        store.write_blocks(&[(0, &block), (4, &block), (8, &block)]);
-        assert_eq!(store.stats().worker_jobs, 0, "single shard stays inline");
-        assert_eq!(store.read_block(4), block);
-    }
-
-    #[test]
-    fn worker_flush_drains_and_reaches_every_shard() {
-        let store = ShardedStore::with_workers(shards_of(3, 30), 30);
-        let block = vec![3u8; BLOCK_SIZE];
-        let writes: Vec<(u64, &[u8])> = (0..30).map(|i| (i, block.as_slice())).collect();
-        store.write_blocks(&writes);
-        store.flush().unwrap();
-        let stats = store.stats();
-        assert_eq!(stats.flushes, 1);
-        // One write job per shard plus one flush job per shard.
-        assert_eq!(stats.worker_jobs, 6);
+    fn a_failed_shard_flush_is_returned_after_every_shard_flushed() {
+        let probes: Vec<Arc<FlushProbe>> = (0..4)
+            .map(|shard| {
+                Arc::new(FlushProbe {
+                    inner: SimStore::untimed(4),
+                    fails: shard == 2,
+                    flushed: AtomicU64::new(0),
+                })
+            })
+            .collect();
+        let store = ShardedStore::new(
+            probes
+                .iter()
+                .map(|p| Arc::clone(p) as Arc<dyn BlockStore>)
+                .collect(),
+            16,
+        );
+        let err = store
+            .flush()
+            .expect_err("shard 2's error reaches the caller");
+        assert_eq!(err.to_string(), "shard disk gone");
+        let flushed: Vec<u64> = probes
+            .iter()
+            .map(|p| p.flushed.load(Ordering::SeqCst))
+            .collect();
+        assert_eq!(flushed, vec![1, 1, 1, 1], "every shard was flushed");
+        assert_eq!(store.stats().flushes, 0, "a failed flush is not counted");
     }
 
     #[test]

@@ -114,18 +114,8 @@ fn all_backends(tag: &str) -> Vec<(Box<dyn BlockStore>, Option<std::path::PathBu
             )),
             None,
         ),
-        // The parallel I/O engine compositions: worker threads behind
-        // the stripe, a readahead cache, and the full
-        // Cached{Sharded{FileJournal}} stack with workers on.
-        (
-            Box::new(ShardedStore::with_workers(
-                (0..4)
-                    .map(|_| Arc::new(SimStore::untimed(BLOCKS.div_ceil(4))) as Arc<dyn BlockStore>)
-                    .collect(),
-                BLOCKS,
-            )),
-            None,
-        ),
+        // A readahead cache, and the full Cached{Sharded{FileJournal}}
+        // stack.
         (
             Box::new(CachedStore::with_readahead(SimStore::untimed(BLOCKS), 8, 4)),
             None,
@@ -136,9 +126,9 @@ fn all_backends(tag: &str) -> Vec<(Box<dyn BlockStore>, Option<std::path::PathBu
                     capacity: 6,
                     inner: Box::new(StoreBackend::Sharded {
                         shards: 4,
-                        workers: true,
+                        workers: false,
                         inner: Box::new(StoreBackend::FileJournal {
-                            dir: dir.join("cached-sharded-workers"),
+                            dir: dir.join("cached-sharded"),
                         }),
                     }),
                 }
@@ -324,11 +314,6 @@ fn backend_selector_roundtrips() {
                 shards: 4,
                 workers: false,
                 inner: journal("sharded"),
-            },
-            StoreBackend::Sharded {
-                shards: 4,
-                workers: true,
-                inner: journal("sharded-w"),
             },
             StoreBackend::CachedReadahead {
                 capacity: 8,
@@ -541,14 +526,6 @@ fn wrapped_persistent_stores_survive_reopen_byte_identical() {
                 },
             ),
             (
-                "sharded-workers",
-                StoreBackend::Sharded {
-                    shards: 4,
-                    workers: true,
-                    inner: journal("sharded-w"),
-                },
-            ),
-            (
                 "cached-sharded",
                 StoreBackend::Cached {
                     capacity: 6,
@@ -556,17 +533,6 @@ fn wrapped_persistent_stores_survive_reopen_byte_identical() {
                         shards: 3,
                         workers: false,
                         inner: journal("both"),
-                    }),
-                },
-            ),
-            (
-                "cached-sharded-workers",
-                StoreBackend::Cached {
-                    capacity: 6,
-                    inner: Box::new(StoreBackend::Sharded {
-                        shards: 3,
-                        workers: true,
-                        inner: journal("both-w"),
                     }),
                 },
             ),
@@ -594,13 +560,10 @@ fn wrapped_persistent_stores_survive_reopen_byte_identical() {
     });
 }
 
-/// A torn vectored write through the worker pool must be
-/// indistinguishable from the sequential (workers-off) path at the
-/// journal level: each shard's journal holds the same records in the
-/// same order, and truncating one shard's journal replays exactly a
-/// record prefix of that shard's write order.
+/// A torn vectored write on a sharded volume: truncating one shard's
+/// journal replays exactly a record prefix of that shard's write order.
 #[test]
-fn torn_vectored_write_through_workers_replays_to_a_record_prefix() {
+fn torn_vectored_sharded_write_replays_to_a_record_prefix() {
     let clock = SimClock::new();
     let base = store::temp_dir_for_tests("props-vectored-torn");
     const SHARDS: u64 = 4;
@@ -608,38 +571,25 @@ fn torn_vectored_write_through_workers_replays_to_a_record_prefix() {
     let spec: Vec<(u64, u8)> = (0..20u64)
         .map(|i| ((i * 7) % BLOCKS, (i % 13) as u8 + 1))
         .collect();
-    for (name, workers) in [("workers", true), ("plain", false)] {
-        let backend = StoreBackend::Sharded {
-            shards: SHARDS as u32,
-            workers,
-            inner: Box::new(StoreBackend::FileJournal {
-                dir: base.join(name),
-            }),
-        };
-        let store = backend.build(&clock, BLOCKS);
-        let blocks: Vec<Vec<u8>> = spec.iter().map(|(_, seed)| block_for(*seed)).collect();
-        let writes: Vec<(u64, &[u8])> = spec
-            .iter()
-            .zip(&blocks)
-            .map(|((idx, _), data)| (*idx, data.as_slice()))
-            .collect();
-        store.write_blocks(&writes);
-        // Crash: drop without flush. The vectored write returned, so
-        // every record is already on its shard's journal.
-        drop(store);
-    }
-    // The journals are byte-identical with workers on or off: the
-    // worker pool changes who executes the I/O, not what is journaled.
-    for shard in 0..SHARDS {
-        let with = std::fs::read(base.join(format!("workers/shard-{shard}/journal.wal"))).unwrap();
-        let without = std::fs::read(base.join(format!("plain/shard-{shard}/journal.wal"))).unwrap();
-        assert_eq!(
-            with, without,
-            "shard {shard}: worker journal differs from the sequential path"
-        );
-        assert!(!with.is_empty(), "shard {shard} saw part of the burst");
-    }
-    // Tear one worker-written shard journal at every record boundary
+    let backend = StoreBackend::Sharded {
+        shards: SHARDS as u32,
+        workers: false,
+        inner: Box::new(StoreBackend::FileJournal {
+            dir: base.join("volume"),
+        }),
+    };
+    let store = backend.build(&clock, BLOCKS);
+    let blocks: Vec<Vec<u8>> = spec.iter().map(|(_, seed)| block_for(*seed)).collect();
+    let writes: Vec<(u64, &[u8])> = spec
+        .iter()
+        .zip(&blocks)
+        .map(|((idx, _), data)| (*idx, data.as_slice()))
+        .collect();
+    store.write_blocks(&writes);
+    // Crash: drop without flush. The vectored write returned, so
+    // every record is already on its shard's journal.
+    drop(store);
+    // Tear one shard journal at every record boundary
     // (and mid-record): the reopened shard holds exactly the prefix of
     // its per-shard write order.
     let victim = 1u64;
@@ -649,7 +599,7 @@ fn torn_vectored_write_through_workers_replays_to_a_record_prefix() {
         .map(|(idx, seed)| (idx / SHARDS, *seed))
         .collect();
     let per_shard = BLOCKS.div_ceil(SHARDS);
-    let master = base.join(format!("workers/shard-{victim}"));
+    let master = base.join(format!("volume/shard-{victim}"));
     let journal_len = std::fs::metadata(master.join("journal.wal")).unwrap().len();
     assert_eq!(
         journal_len,

@@ -62,7 +62,9 @@ fn main() {
             key: [0x0E; 32],
         },
         // Composable wrappers: a write-back cache, a 4-way stripe, and
-        // a cache over a striped persistent volume.
+        // a cache over a striped persistent volume. A stripe runs its
+        // I/O on the caller's thread and flushes its shards in
+        // parallel; `workers` is ignored.
         StoreBackend::Cached {
             capacity: 256,
             inner: Box::new(StoreBackend::SimInstant),
@@ -76,7 +78,7 @@ fn main() {
             capacity: 256,
             inner: Box::new(StoreBackend::Sharded {
                 shards: 4,
-                workers: true,
+                workers: false,
                 inner: Box::new(StoreBackend::FileJournal {
                     dir: dir.join("tour-cached-sharded"),
                 }),
