@@ -180,7 +180,7 @@
 //! the tier under the credential stack unchanged:
 //! `Replicated { nodes, replicas, spares, ethernet, opts, inner }`, an
 //! N-node volume (100 Mbps Ethernet timing or instant links, a tunable
-//! timeout/backoff policy) that keeps serving every read through the
+//! timeout and deadline) that keeps serving every read through the
 //! death of any single node and rebuilds the lost replicas onto a
 //! spare; `nodes: 1, replicas: 1, spares: 0` is one storage node.
 //!

@@ -7,7 +7,8 @@
 //!    every request on the connection to that key ([`RequestCtx::peer`]).
 //! 2. A **persistent KeyNote session** per client key holds the
 //!    administrator policy plus every credential the client has
-//!    submitted over the side RPC program.
+//!    submitted over the side RPC program. Every open connection of
+//!    that key shares it, and it ends when the last one closes.
 //! 3. Each NFS operation asks the session what permissions the peer
 //!    holds on the file's `HANDLE`; results go through the
 //!    [`PolicyCache`] (default 128 entries, as in Figure 12).
@@ -85,7 +86,7 @@
 //!   question, not this one's.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use discfs_crypto::ed25519::{SigningKey, VerifyingKey};
@@ -167,6 +168,9 @@ struct PeerState {
     /// audit record between two changes shares one allocation, and
     /// appending a record is a refcount bump.
     authorizers: RwLock<Arc<[VerifyingKey]>>,
+    /// The key's open connections, changed only under the peer map's
+    /// write lock: the state ends when the last one closes.
+    connections: AtomicUsize,
 }
 
 /// A peer's credentials: the submitted ones in its persistent KeyNote
@@ -383,8 +387,8 @@ impl DiscfsService {
     }
 
     /// Peers with live server-side session state (a KeyNote session and
-    /// its credentials). A departed client's entry is removed by
-    /// `connection_closed`.
+    /// its credentials). A key's entry is removed when its last
+    /// connection closes (`connection_closed`).
     pub fn peer_session_count(&self) -> usize {
         self.peers.read().len()
     }
@@ -473,29 +477,34 @@ impl DiscfsService {
         self.peers
             .write()
             .entry(peer.0)
-            .or_insert_with(|| {
-                let mut session = Session::new(&Perm::VALUE_SET);
-                for p in &self.policy {
-                    session
-                        .add_policy(p)
-                        .expect("configured policy assertions must parse");
-                }
-                // The session serves one key for its whole life: who
-                // asks and in which domain never change, so `decide`
-                // only describes what does (handle, hour, time).
-                session.set_attribute("app_domain", "DisCFS");
-                session.add_requester_key(peer);
-                let counter = self.epoch_counter.fetch_add(1, Ordering::Relaxed) + 1;
-                Arc::new(PeerState {
-                    epoch: AtomicU64::new(counter << 20),
-                    held: Mutex::new(Held {
-                        session,
-                        created: HashMap::new(),
-                    }),
-                    authorizers: RwLock::new(Arc::new([])),
-                })
-            })
+            .or_insert_with(|| self.new_peer_state(peer))
             .clone()
+    }
+
+    /// A fresh session for `peer`, with no credentials and no open
+    /// connection counted.
+    fn new_peer_state(&self, peer: &VerifyingKey) -> Arc<PeerState> {
+        let mut session = Session::new(&Perm::VALUE_SET);
+        for p in &self.policy {
+            session
+                .add_policy(p)
+                .expect("configured policy assertions must parse");
+        }
+        // The session serves one key for its whole life: who asks and
+        // in which domain never change, so `decide` only describes
+        // what does (handle, hour, time).
+        session.set_attribute("app_domain", "DisCFS");
+        session.add_requester_key(peer);
+        let counter = self.epoch_counter.fetch_add(1, Ordering::Relaxed) + 1;
+        Arc::new(PeerState {
+            epoch: AtomicU64::new(counter << 20),
+            held: Mutex::new(Held {
+                session,
+                created: HashMap::new(),
+            }),
+            authorizers: RwLock::new(Arc::new([])),
+            connections: AtomicUsize::new(0),
+        })
     }
 
     /// Computes the permissions `peer` holds on `fh` (cached).
@@ -903,12 +912,33 @@ impl NfsService for DiscfsService {
         Some(self.discfs_dispatch(ctx, proc_num, args))
     }
 
-    fn connection_closed(&self, ctx: &RequestCtx) {
-        // The persistent KeyNote session ends with the connection; the
-        // client resubmits credentials next time (credential caching is
-        // the client wallet's job, §4.1).
+    fn connection_opened(&self, ctx: &RequestCtx) {
+        // All of a key's connections share its one session.
         if let Some(peer) = ctx.peer {
-            self.peers.write().remove(&peer.0);
+            let mut peers = self.peers.write();
+            let state = peers
+                .entry(peer.0)
+                .or_insert_with(|| self.new_peer_state(&peer));
+            state.connections.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn connection_closed(&self, ctx: &RequestCtx) {
+        // The persistent KeyNote session ends with the key's last
+        // connection; the client resubmits credentials next time
+        // (credential caching is the client wallet's job, §4.1). A
+        // close with no open counted, from a wrapper that does not
+        // forward `connection_opened`, ends it too.
+        if let Some(peer) = ctx.peer {
+            let mut peers = self.peers.write();
+            let Some(state) = peers.get(&peer.0) else {
+                return;
+            };
+            if state.connections.load(Ordering::Relaxed) > 1 {
+                state.connections.fetch_sub(1, Ordering::Relaxed);
+            } else {
+                peers.remove(&peer.0);
+            }
         }
     }
 

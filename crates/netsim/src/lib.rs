@@ -331,8 +331,8 @@ pub trait Transport: Send + Sync {
     }
 
     /// The virtual clock this transport charges, when it has one —
-    /// retry layers charge their backoff waits to it so degraded-mode
-    /// figures include the time spent backing off.
+    /// a client above it reads the time its wire and timeouts cost
+    /// (a replicated volume paces its background rebuild by it).
     fn sim_clock(&self) -> Option<SimClock> {
         None
     }

@@ -620,6 +620,10 @@ impl Shared {
             paused: AtomicBool::new(false),
             closing: AtomicBool::new(false),
         });
+        // Opened before it can be served or dropped, so the service sees
+        // every close after its open.
+        self.service
+            .connection_opened(&RequestCtx::of_peer(conn.peer));
         // Counted before it can be served, so a client that sees a
         // reply also sees its connection counted.
         self.stats
@@ -721,11 +725,7 @@ impl Shared {
         if conn.closing.swap(true, Ordering::SeqCst) {
             return;
         }
-        let ctx = RequestCtx {
-            peer: conn.peer,
-            uid: u32::MAX,
-            gid: u32::MAX,
-        };
+        let ctx = RequestCtx::of_peer(conn.peer);
         if let DropReason::Violation(what) = reason {
             self.stats.malformed_drops.fetch_add(1, Ordering::Relaxed);
             self.service.connection_aborted(&ctx, what);

@@ -18,11 +18,7 @@ pub(crate) fn request_ctx(
     peer: Option<discfs_crypto::ed25519::VerifyingKey>,
     cred: &OpaqueAuth,
 ) -> RequestCtx {
-    let mut ctx = RequestCtx {
-        peer,
-        uid: u32::MAX,
-        gid: u32::MAX,
-    };
+    let mut ctx = RequestCtx::of_peer(peer);
     if cred.flavor == AuthFlavor::Sys {
         if let Ok(sys) = AuthSys::from_opaque(cred) {
             ctx.uid = sys.uid;

@@ -19,7 +19,8 @@ use crate::service::{NfsService, RequestCtx};
 /// Serves RPC requests on `chan` until the peer disconnects.
 fn serve_connection<S: NfsService + ?Sized>(service: Arc<S>, chan: Box<dyn SecureTransport>) {
     let peer = chan.peer_identity();
-    let mut last_ctx = RequestCtx::anonymous();
+    let mut last_ctx = RequestCtx::of_peer(peer);
+    service.connection_opened(&last_ctx);
     let mut decoder = FrameDecoder::new();
     'serve: loop {
         let msg = match chan.recv() {

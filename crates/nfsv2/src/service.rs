@@ -24,10 +24,10 @@ pub struct RequestCtx {
 }
 
 impl RequestCtx {
-    /// An anonymous context (no channel identity, nobody uid).
-    pub(crate) fn anonymous() -> RequestCtx {
+    /// A connection's context: its channel identity, nobody uid.
+    pub(crate) fn of_peer(peer: Option<VerifyingKey>) -> RequestCtx {
         RequestCtx {
-            peer: None,
+            peer,
             uid: u32::MAX,
             gid: u32::MAX,
         }
@@ -109,8 +109,15 @@ pub trait NfsService: Send + Sync {
         None
     }
 
-    /// Called when a connection ends (DisCFS tears down the per-
-    /// connection KeyNote session).
+    /// Called when a connection starts, once its peer is known and
+    /// before any of its calls is served. Every connection that was
+    /// opened is closed exactly once ([`NfsService::connection_closed`]),
+    /// so DisCFS counts a key's live connections; the default ignores
+    /// it.
+    fn connection_opened(&self, _ctx: &RequestCtx) {}
+
+    /// Called when a connection ends (DisCFS ends the key's KeyNote
+    /// session when its last connection closes).
     fn connection_closed(&self, _ctx: &RequestCtx) {}
 
     /// Called when the server kills a connection for a protocol

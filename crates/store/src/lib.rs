@@ -119,7 +119,7 @@
 //!   never a mix of old and new shards (a flush torn between its
 //!   epochs keeps a prefix of its writes, which the filesystem's dirty
 //!   marker already covers). A node death is detected on the failing
-//!   RPC, reads fail over to the nearest live replica
+//!   RPC, reads fail over to the next serving replica
 //!   ([`StoreStats::replica_reads`]), and the dead node's replica set
 //!   is rebuilt onto a spare ([`StoreStats::rebuilds`]). The
 //!   [`StoreBackend::Replicated`] preset builds the whole fleet.
@@ -145,18 +145,17 @@
 //! duplicated reply is drained and ignored, and re-sent block writes
 //! are idempotent.
 //!
-//! **Retry and death.** [`RemoteStore`] retries a timed-out attempt
-//! under exponential backoff with decorrelated jitter
-//! ([`RemoteOptions`]: `base`, `multiplier`, `max_backoff`), counting
+//! **Retry and death.** [`RemoteStore`] re-sends a timed-out attempt
+//! at once, with no backoff between attempts, counting
 //! [`StoreStats::retries`]; a timed-out attempt costs its
-//! [`RemoteOptions::timeout`] and a backoff wait its length on the
-//! virtual clock, never on the wall. Only when the accumulated
-//! waiting budget reaches [`RemoteOptions::deadline`] is the node
-//! declared dead, and death is **not terminal**: the latch records a
-//! `DeadCause`. A `Timeout` looks like loss or a partition, so the
-//! replicated tier puts the node in *probation* and periodically
-//! probes it with a cheap un-retried length RPC
-//! (`RemoteStore::probe`); a successful probe revives the node
+//! [`RemoteOptions::timeout`] on the virtual clock, never on the wall.
+//! Only when the attempts' timeouts add up to
+//! [`RemoteOptions::deadline`] is the node declared dead, and death is
+//! **not terminal**: the latch records a `DeadCause`. A `Timeout`
+//! looks like loss or a partition, so the replicated tier puts the
+//! node in *probation* and periodically probes it with a cheap
+//! un-retried length RPC (`RemoteStore::probe`); a successful probe
+//! revives the node
 //! ([`StoreStats::nodes_revived`]). If its epoch record matches the
 //! committed epoch it rejoins live with **no data copied**; if it
 //! missed commits it is re-synced from its peers first. A
@@ -792,8 +791,8 @@ pub enum StoreBackend {
         spares: u32,
         /// Charge the paper's 100 Mbps Ethernet timing on every link.
         ethernet: bool,
-        /// Timeout/backoff/deadline policy shared by every node's
-        /// client ([`RemoteOptions::default`] for the stock schedule).
+        /// Timeout and deadline shared by every node's client
+        /// ([`RemoteOptions::default`] for the stock schedule).
         opts: RemoteOptions,
         /// The backend each node serves.
         inner: Box<StoreBackend>,

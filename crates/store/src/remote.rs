@@ -81,16 +81,17 @@
 //!
 //! # Failure model
 //!
-//! [`RemoteStore`] retries a timed-out request (same id, so a late
-//! or fault-duplicated reply is recognized and drained) under
-//! exponential backoff with decorrelated jitter: after each timeout it
-//! waits `min(max_backoff, uniform(base, prev × multiplier))`. Every
-//! wait is virtual: a timed-out attempt costs its
-//! [`RemoteOptions::timeout`] on the link's clock, a backoff sleep its
-//! length, and neither any wall time. The client keeps re-sending until
-//! the accumulated waiting budget (attempt timeouts plus backoff
-//! sleeps) crosses [`RemoteOptions::deadline`]. Only then is the node
-//! declared **dead**, with a [`DeadCause`] recording *why*:
+//! [`RemoteStore`] re-sends a timed-out request every
+//! [`RemoteOptions::timeout`], with the same id, so a late or
+//! fault-duplicated reply is recognized and drained. Every wait is
+//! virtual: a timed-out attempt costs its timeout on the link's clock
+//! and no wall time. Once the attempts' timeouts add up to
+//! [`RemoteOptions::deadline`] — `deadline / timeout` attempts, rounded
+//! up — the node is declared **dead**, with a [`DeadCause`] recording
+//! *why*. There is no backoff between attempts: each node link has
+//! one coordinator, so there is no crowd of clients to spread out, and
+//! the timeouts alone advance the clock that a partition window heals
+//! on.
 //!
 //! - [`DeadCause::Timeout`] — the deadline lapsed with no reply. This
 //!   is what a lossy link or a partition window looks like, so death is
@@ -158,7 +159,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes};
-use discfs_crypto::rng::{DetRng, RngCore};
 use netsim::{Endpoint, Link, LinkConfig, NetError, SimClock, Transport};
 use onc_rpc::frame::{self, DEFAULT_MAX_FRAME, FRAME_HEADER};
 use onc_rpc::XdrError;
@@ -509,32 +509,19 @@ fn duration_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Retry policy for a [`RemoteStore`]: exponential backoff with
-/// decorrelated jitter under an overall per-operation deadline.
-///
-/// After a timed-out attempt the client waits
-/// `min(max_backoff, uniform(base, prev × multiplier))` before
-/// re-sending (the AWS "decorrelated jitter" schedule — retries from
-/// many clients de-synchronize instead of stampeding a recovering
-/// node). Timeouts and backoff waits are charged to the link's virtual
-/// clock, never spent on the wall, and the node is declared dead only
-/// once the accumulated waiting budget — attempt timeouts plus backoff
-/// sleeps — reaches `deadline`.
+/// Retry policy for a [`RemoteStore`]: a timed-out request is re-sent
+/// every `timeout` until the timeouts add up to `deadline` (module
+/// docs, *Failure model*). Both are charged to the link's virtual
+/// clock, never spent on the wall.
 #[derive(Debug, Clone, Copy)]
 pub struct RemoteOptions {
     /// Wait per request attempt before it counts as timed out. A
     /// timed-out attempt costs this much virtual time (charged by the
     /// link's `recv_timeout`, as a [`NodeLink`] does) and no wall time.
+    /// A zero timeout gets one attempt.
     pub timeout: Duration,
-    /// Floor of every backoff sleep (and the first retry's window).
-    pub base: Duration,
-    /// Growth factor of the decorrelated-jitter window: each sleep is
-    /// drawn from `[base, prev × multiplier]`.
-    pub multiplier: f64,
-    /// Hard cap on any single backoff sleep.
-    pub max_backoff: Duration,
-    /// Total waiting budget per operation (timeouts + backoff sleeps)
-    /// before the node is declared dead.
+    /// Total waiting budget per operation, the sum of its attempts'
+    /// timeouts, before the node is declared dead.
     pub deadline: Duration,
 }
 
@@ -542,9 +529,6 @@ impl Default for RemoteOptions {
     fn default() -> RemoteOptions {
         RemoteOptions {
             timeout: Duration::from_millis(200),
-            base: Duration::from_millis(10),
-            multiplier: 2.0,
-            max_backoff: Duration::from_millis(160),
             deadline: Duration::from_secs(2),
         }
     }
@@ -656,8 +640,8 @@ impl<S: BlockStore> Transport for NodeLink<S> {
 /// Requests are issued sequentially under one link lock (the paper's
 /// single-flow RPC model; the virtual clock charges each frame's
 /// latency and serialization time). A request that times out is
-/// re-sent under exponential backoff with decorrelated jitter until
-/// the [`RemoteOptions::deadline`] waiting budget lapses — response
+/// re-sent every [`RemoteOptions::timeout`] until the
+/// [`RemoteOptions::deadline`] waiting budget lapses — response
 /// frames echo the request id, so a stale or fault-duplicated reply
 /// from an earlier attempt is drained, never mistaken for the current
 /// one. A disconnected link or a lapsed deadline declares the node
@@ -673,18 +657,14 @@ pub struct RemoteStore {
     next_xid: AtomicU32,
     block_count: u64,
     opts: RemoteOptions,
-    /// One-way link latency, used by `ReplicatedStore` to rank
-    /// replicas (read-from-nearest).
-    latency_hint: Duration,
     dead: AtomicBool,
     cause: Mutex<Option<DeadCause>>,
     /// The link's fault plan and clock, captured at connect so
-    /// `stats()` and backoff never have to take the link lock (held
-    /// across a whole call, retries and the node's work included).
+    /// `stats()` and `sim_clock()` never have to take the link lock
+    /// (held across a whole call, retries and the node's work
+    /// included).
     faults: Option<netsim::FaultPlan>,
     clock: Option<SimClock>,
-    /// The decorrelated-jitter draws.
-    backoff_rng: Mutex<DetRng>,
     /// The kill switch of the [`NodeLink`] behind a `serve_*` store.
     kill: Option<Arc<AtomicBool>>,
     /// The fence token granted by the node's last lease reply (0 =
@@ -712,14 +692,6 @@ impl RemoteStore {
         link: T,
         opts: RemoteOptions,
     ) -> Result<RemoteStore, RemoteError> {
-        RemoteStore::connect_with_hint(link, opts, Duration::ZERO)
-    }
-
-    fn connect_with_hint<T: Transport + 'static>(
-        link: T,
-        opts: RemoteOptions,
-        latency_hint: Duration,
-    ) -> Result<RemoteStore, RemoteError> {
         let faults = link.fault_plan();
         let clock = link.sim_clock();
         let mut store = RemoteStore {
@@ -727,12 +699,10 @@ impl RemoteStore {
             next_xid: AtomicU32::new(1),
             block_count: 0,
             opts,
-            latency_hint,
             dead: AtomicBool::new(false),
             cause: Mutex::new(None),
             faults,
             clock,
-            backoff_rng: Mutex::new(DetRng::new(0x5DEE_CE66_D0F1_5A4D)),
             kill: None,
             fence: AtomicU64::new(0),
             fenced_writes: AtomicU64::new(0),
@@ -769,7 +739,7 @@ impl RemoteStore {
     /// directions of this connection's link: every request and reply
     /// is subject to its loss, duplication, jitter and partition
     /// schedule. The connect-time length request already rides the
-    /// faulty link, so the plan's loss rate must leave the backoff
+    /// faulty link, so the plan's loss rate must leave the retry
     /// schedule room to get one request through within the deadline.
     pub fn serve_shared(
         store: Arc<dyn BlockStore>,
@@ -792,7 +762,7 @@ impl RemoteStore {
     ) -> RemoteStore {
         let link = NodeLink::new(server, clock, config, faults);
         let kill = Arc::clone(&link.killed);
-        let mut remote = RemoteStore::connect_with_hint(link, opts, config.latency)
+        let mut remote = RemoteStore::connect(link, opts)
             .expect("local block server must answer the length request");
         remote.kill = Some(kill);
         remote
@@ -836,11 +806,6 @@ impl RemoteStore {
         *self.cause.lock() = None;
         self.dead.store(false, Ordering::SeqCst);
         Ok(blocks)
-    }
-
-    /// The one-way link latency hint used for replica ranking.
-    pub(crate) fn latency_hint(&self) -> Duration {
-        self.latency_hint
     }
 
     /// The link's virtual clock, when connected over a simulated link
@@ -902,17 +867,6 @@ impl RemoteStore {
         self.dead.store(true, Ordering::SeqCst);
     }
 
-    /// The backoff sleep after one of `prev`: decorrelated jitter,
-    /// `min(max_backoff, uniform(base, prev × multiplier))`, drawn from
-    /// the store's [`DetRng`] (seeded alike in every store, so backoff
-    /// schedules replay exactly).
-    fn backoff_sleep(&self, prev: Duration) -> Duration {
-        let hi = prev.mul_f64(self.opts.multiplier.max(1.0));
-        let span = hi.saturating_sub(self.opts.base);
-        let draw = (self.backoff_rng.lock().next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        (self.opts.base + span.mul_f64(draw)).min(self.opts.max_backoff)
-    }
-
     /// One send + await-matching-reply attempt: no retries, no dead
     /// latch. Stale replies (timed-out or fault-duplicated earlier
     /// attempts) are drained by the `xid` check. Returns the results
@@ -968,9 +922,9 @@ impl RemoteStore {
     }
 
     /// One call: send, await the matching reply, re-send on timeout
-    /// under backoff until the deadline, fail fast on a dead node or
-    /// link. `write_args` appends the `args_len` bytes of arguments to
-    /// the message; each attempt hands its message to the link, so a
+    /// until the deadline, fail fast on a dead node or link.
+    /// `write_args` appends the `args_len` bytes of arguments to the
+    /// message; each attempt hands its message to the link, so a
     /// re-send after a timeout encodes it again. Returns the results
     /// after the `OK` discriminant.
     fn call(
@@ -984,27 +938,19 @@ impl RemoteStore {
         }
         let link = self.link.lock();
         let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
-        // The deadline meters *waiting*, deterministically: per-attempt
-        // timeouts plus backoff sleeps, not wall time.
+        // The deadline meters *waiting*, deterministically: the
+        // attempts' virtual timeouts, not wall time.
         let mut waited = Duration::ZERO;
-        let mut prev = self.opts.base;
         loop {
             let call = encode_call(xid, proc, args_len, &write_args);
             match self.attempt(&**link, call, xid) {
                 Ok(resp) => return Ok(resp),
                 Err(RemoteError::Net(NetError::Timeout)) => {
                     waited += self.opts.timeout;
-                    if waited >= self.opts.deadline {
+                    // A zero timeout would never spend the budget.
+                    if waited >= self.opts.deadline || self.opts.timeout.is_zero() {
                         self.mark_dead(DeadCause::Timeout);
                         return Err(RemoteError::Net(NetError::Timeout));
-                    }
-                    let sleep = self.backoff_sleep(prev);
-                    prev = sleep;
-                    waited += sleep;
-                    // Charge the wait to the virtual clock so partition
-                    // windows heal and virtual time sees the backoff.
-                    if let Some(clock) = &self.clock {
-                        clock.advance(sleep);
                     }
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     // Re-send the same call (same xid).
@@ -1399,14 +1345,11 @@ mod tests {
 
     /// Chaos-grade options: a 10 ms per-attempt timeout, so a lost
     /// frame costs little virtual time, and a deadline that leaves
-    /// room for ~17 attempts, so a lossy link never passes for a dead
+    /// room for 50 attempts, so a lossy link never passes for a dead
     /// node.
     fn chaos_opts() -> RemoteOptions {
         RemoteOptions {
             timeout: Duration::from_millis(10),
-            base: Duration::from_millis(2),
-            multiplier: 2.0,
-            max_backoff: Duration::from_millis(40),
             deadline: Duration::from_millis(500),
         }
     }
@@ -1442,7 +1385,7 @@ mod tests {
     }
 
     #[test]
-    fn lossy_link_retries_with_backoff_and_succeeds() {
+    fn lossy_link_retries_and_succeeds() {
         let clock = SimClock::new();
         let plan = netsim::FaultPlan::seeded(12).with_loss(0.25);
         let store = RemoteStore::serve_shared(
@@ -1464,34 +1407,8 @@ mod tests {
         assert!(!store.is_dead());
         assert!(stats.faults_injected > 0);
         // 25% loss over 30+ round trips: some attempt timed out and
-        // was re-sent under backoff.
+        // was re-sent, and its timeout charged to the virtual clock.
         assert!(stats.retries > 0);
-
-        // The sleeps come from the store's `DetRng`: each within
-        // [base, max_backoff], and the same schedule from every store.
-        let opts = chaos_opts();
-        let schedule = || {
-            let store = RemoteStore::serve_local(
-                SimStore::untimed(1),
-                &SimClock::new(),
-                LinkConfig::instant(),
-                opts,
-            );
-            let mut prev = opts.base;
-            (0..64)
-                .map(|_| {
-                    prev = store.backoff_sleep(prev);
-                    prev
-                })
-                .collect::<Vec<_>>()
-        };
-        let sleeps = schedule();
-        assert_eq!(sleeps, schedule());
-        assert!(sleeps
-            .iter()
-            .all(|s| (opts.base..=opts.max_backoff).contains(s)));
-        assert!(sleeps.windows(2).any(|w| w[0] != w[1]), "{sleeps:?}");
-        // Backoff waits were charged to the virtual clock.
         assert!(clock.now() > Duration::ZERO);
     }
 
@@ -1513,15 +1430,44 @@ mod tests {
         // out: every re-send is dropped, the waiting budget lapses,
         // and the node dies with the probation-eligible cause.
         plan.partition(clock.now(), clock.now() + Duration::from_secs(60));
+        let (retries, start) = (store.stats().retries, clock.now());
         assert!(store.try_read_block(4, IoClass::Data).is_err());
         assert!(store.is_dead());
         assert_eq!(store.dead_cause(), Some(DeadCause::Timeout));
+        // One re-send every 10 ms timeout until 500 ms are spent: 50
+        // attempts, 49 of them retries, and no wait between them.
+        assert_eq!(store.stats().retries - retries, 49);
+        assert_eq!(clock.now() - start, Duration::from_millis(500));
         // Heal: jump the virtual clock past the window, then probe.
         clock.advance(Duration::from_secs(60));
         assert_eq!(store.probe().unwrap(), 8);
         assert!(!store.is_dead());
         assert_eq!(store.dead_cause(), None);
         assert_eq!(store.read_block(4), data);
+    }
+
+    /// A zero timeout would never spend the deadline: it gets one
+    /// attempt, not a loop.
+    #[test]
+    fn a_zero_timeout_is_one_attempt() {
+        let plan = netsim::FaultPlan::seeded(14);
+        let clock = SimClock::new();
+        let opts = RemoteOptions {
+            timeout: Duration::ZERO,
+            ..chaos_opts()
+        };
+        let store = RemoteStore::serve_shared(
+            Arc::new(SimStore::untimed(8)),
+            Arc::default(),
+            &clock,
+            LinkConfig::instant(),
+            opts,
+            Some(&plan),
+        );
+        plan.partition(clock.now(), clock.now() + Duration::from_secs(60));
+        assert!(store.try_read_block(4, IoClass::Data).is_err());
+        assert_eq!(store.dead_cause(), Some(DeadCause::Timeout));
+        assert_eq!(store.stats().retries, 0);
     }
 
     #[test]

@@ -11,6 +11,28 @@
 //! for an epoch record, so a node store needs
 //! [`ReplicatedStore::node_block_count`] blocks.
 //!
+//! # What each mechanism is for
+//!
+//! One row per mechanism of this tier and its node client: the claim
+//! it serves, the test that checks it, and what moved when it was taken
+//! out of a scratch copy (this crate's tests, `tests/chaos.rs`,
+//! `tests/torn_sync.rs`). `repl_mixed` runs with no fault plan, spare
+//! or lease, so only the epoch record moves a benchmark figure.
+//!
+//! | Mechanism | Claim | Checked by | Without it |
+//! | --- | --- | --- | --- |
+//! | Retry schedule: re-send every `timeout` until `deadline` | A lost frame costs a timeout of virtual time, not a node | `remote::tests::timeout_death_is_probation_and_probe_revives` (50 attempts, 500 ms), `lossy_link_retries_and_succeeds`, chaos `flap_burst_is_absorbed_by_retries` | With one attempt, every chaos and split-brain seed fails: a node's connect-time LEN times out, or a read finds no live replica |
+//! | `DeadCause` | A timeout (loss, a partition) goes to probation; a gone process spends a spare | `remote::tests::disconnect_cause_is_terminal_for_probes`, `mount_puts_a_timed_out_node_in_probation_and_keeps_the_spare`, the chaos seeds | Every partitioned node of the chaos and split-brain seeds ends `failed`, not in probation |
+//! | Probation and revival probes | A partitioned-then-healed node returns to service, and is not copied when its epoch is current | `revived_stale_replica_schedules_a_read_repair`, the chaos seeds (even seeds: `rebuilds` 0) | The healed node stays in probation: `live_nodes` 3 of 4 after every chaos seed's heal |
+//! | Spares | With R = 2 and a spare, a volume survives one node death with no failed read and returns to full strength | `node_death_fails_over_and_rebuilds_onto_the_spare`, `mount_rebuilds_a_disconnected_node_onto_the_spare` | The dead slot stays `failed` and `rebuilds` 0; the rebuild tests, which kill a node of a volume with a spare, fail |
+//! | The background rebuilder, with [`RebuildConfig`] | The detecting operation only enqueues, so its virtual cost does not grow with the volume; ticks copy under a block budget, a call's worth at a time | chaos `rebuild_runs_off_the_detecting_operations_critical_path` and `rebuild_respects_the_block_budget_per_tick`, `rebuild_makes_one_call_per_source_per_chunk` | Draining the queue inside the detecting read fails both chaos rebuild tests. Only those two set the knob (8 blocks a tick, one tick an hour, so only explicit ticks copy); every preset and the benchmark use the default |
+//! | Replica choice: the first serving replica, in replica order | A read is served while any replica of its block serves, and a healthy volume reads each block from its primary | `failover_reads_stay_near_healthy_latency`, `node_death_fails_over_and_rebuilds_onto_the_spare`, the chaos seeds | Reading the primary alone panics "no live replica" in every chaos and split-brain seed; `repl_mixed` reads `replica_reads` 0 because every read is a primary's |
+//! | Quorum flush | A flush commits with a minority of nodes down, and the minority catches up by re-sync | `revived_stale_replica_schedules_a_read_repair`, the chaos seeds' degraded sync, split-brain "A's degraded quorum sync" | With every replica's ack required, those syncs fail ("replicated flush kept failing") |
+//! | Epochs | One epoch history: a torn flush remounts at one committed epoch, never a mix of replicas | `tests/torn_sync.rs`, `mount_resyncs_a_stale_live_node_in_place`, `round_trips_and_commits_epochs` | `torn_sync` finds no epoch stamped; split-brain coordinator B mounts epoch 0. In `repl_mixed` the record is one more block written to each node an epoch: without it `virtual_us_per_op` reads about 88 µs lower (seed 1: 16 772-16 776 against 16 855-16 868) |
+//! | Leases with fence tokens | A write stamped under a superseded lease is never applied | `remote::tests::stale_token_write_is_fenced_not_applied_and_node_stays_alive`, `duplicated_frame_replayed_after_lease_change_is_fenced`, the split-brain seeds | The stale coordinator's flush succeeds in every split-brain seed. `repl_mixed` takes no lease; the token is 8 bytes of each WRITE and FLUSH call |
+//! | Read-only latch and `reacquire` | A fenced coordinator stops writing until it holds the lease again, then drops its losing writes and adopts the committed epoch | `fenced_coordinator_latches_read_only_and_reacquires`, `fenced_rebuild_write_waits_for_reacquire`, the split-brain seeds | Every split-brain seed fails "A must latch read-only" |
+//! | Read-repair | A node found behind the committed epoch is re-synced before it serves | `revived_stale_replica_schedules_a_read_repair`, `mount_puts_a_timed_out_node_in_probation_and_keeps_the_spare`, the chaos seeds (odd seeds) | A revived stale node rejoins as it is: the odd chaos seeds fail "stale node must re-sync" |
+//!
 //! # Epochs: cross-node crash atomicity
 //!
 //! Writes are buffered coordinator-side (a dirty map, exactly like the
@@ -73,11 +95,10 @@
 //! returns.
 //!
 //! The *detecting* operation only marks the node and enqueues work —
-//! reads fail over to the next live replica
-//! ([`StoreStats::replica_reads`], ranked nearest-first by link
-//! latency) and return; its virtual-time cost is independent of the
-//! volume size. The queued work is drained by a **rate-limited
-//! background rebuilder**: each tick (at most once per
+//! reads fail over to the next serving replica
+//! ([`StoreStats::replica_reads`]) and return; its virtual-time cost
+//! is independent of the volume size. The queued work is drained by a
+//! **rate-limited background rebuilder**: each tick (at most once per
 //! [`RebuildConfig::tick_interval`] of virtual time, piggy-backed on
 //! ordinary operations) probes one probation node and copies at most
 //! [`RebuildConfig::blocks_per_tick`] blocks from live replicas onto
@@ -86,9 +107,7 @@
 //! call of its own, only when the copy completes
 //! ([`StoreStats::rebuilds`]) — so a torn rebuild reads as still-stale
 //! and is simply redone. The remaining queue depth is observable as
-//! [`StoreStats::rebuild_backlog`]. With R = 2 and a
-//! spare, a volume survives the death of any single node with zero
-//! failed reads.
+//! [`StoreStats::rebuild_backlog`].
 //!
 //! # Multi-coordinator safety: leases, quorum flush, read-repair
 //!
@@ -109,9 +128,7 @@
 //! - **Quorum flush**: an epoch commits when every dirty block has
 //!   `ceil(R/2)` replica acks under the current token and at least one
 //!   live node holds the new epoch record; nodes that fail mid-flush
-//!   go to the probation/rebuild path *without* blocking the commit
-//!   (the previous all-writable-nodes barrier is now the degenerate
-//!   fully-healthy case).
+//!   go to the probation/rebuild path *without* blocking the commit.
 //! - **Read-repair**: whenever an epoch record is observed *behind*
 //!   the committed epoch — at revival probes and at
 //!   [`ReplicatedStore::reacquire`]'s sweep — the stale replica set is
@@ -274,12 +291,12 @@ impl ReplState {
     /// nodes in probation.
     fn progress(&self) -> (usize, usize, usize) {
         let items = self.queue.iter().map(|w| w.items.len()).sum();
-        let probation = self
-            .nodes
-            .iter()
-            .filter(|nd| nd.state == NodeState::Probation)
-            .count();
-        (items, self.queue.len(), probation)
+        (items, self.queue.len(), self.count(NodeState::Probation))
+    }
+
+    /// Node slots in `state`.
+    fn count(&self, state: NodeState) -> usize {
+        self.nodes.iter().filter(|nd| nd.state == state).count()
     }
 }
 
@@ -562,22 +579,12 @@ impl ReplicatedStore {
 
     /// Nodes currently in service (serving reads).
     pub fn live_nodes(&self) -> usize {
-        self.state
-            .lock()
-            .nodes
-            .iter()
-            .filter(|n| n.state == NodeState::Live)
-            .count()
+        self.state.lock().count(NodeState::Live)
     }
 
     /// Nodes waiting in probation for a revival probe to succeed.
     pub fn probation_nodes(&self) -> usize {
-        self.state
-            .lock()
-            .nodes
-            .iter()
-            .filter(|n| n.state == NodeState::Probation)
-            .count()
+        self.state.lock().count(NodeState::Probation)
     }
 
     /// Spare nodes still available for rebuilds.
@@ -593,15 +600,10 @@ impl ReplicatedStore {
             .nodes
             .iter()
             .map(|nd| {
-                let state = match nd.state {
-                    NodeState::Live => "live",
-                    NodeState::Probation => "probation",
-                    NodeState::Rebuilding => "rebuilding",
-                    NodeState::Failed => "failed",
-                };
+                let state = format!("{:?}", nd.state).to_lowercase();
                 match nd.store.dead_cause() {
                     Some(cause) => format!("{state}({cause:?})"),
-                    None => state.to_string(),
+                    None => state,
                 }
             })
             .collect()
@@ -870,14 +872,11 @@ impl ReplicatedStore {
         self.tick(st);
     }
 
-    /// The replica of `idx` to read from: the first serving one in
-    /// (link latency, replica number) order, so equal-latency volumes
-    /// read primary-first.
-    fn nearest_serving(&self, st: &ReplState, idx: u64) -> Option<usize> {
+    /// The replica of `idx` to read from: the first serving one, in
+    /// replica order.
+    fn first_serving(&self, st: &ReplState, idx: u64) -> Option<usize> {
         let n = st.nodes.len();
-        (0..self.replicas)
-            .filter(|&r| st.nodes[node_of(idx, r, n)].serving())
-            .min_by_key(|&r| (st.nodes[node_of(idx, r, n)].store.latency_hint(), r))
+        (0..self.replicas).find(|&r| st.nodes[node_of(idx, r, n)].serving())
     }
 
     /// The first buffered index the next epoch leaves out, or `None`
@@ -1003,10 +1002,10 @@ impl BlockStore for ReplicatedStore {
     }
 
     /// Dirty blocks are served from the write-back buffer; the rest
-    /// are grouped into **one RPC per involved node** (nearest live
-    /// replica per block). A node failure mid-read reroutes the
-    /// unserved remainder to the surviving replicas on the next pass,
-    /// then repairs the dead node.
+    /// are grouped into **one RPC per involved node** (the first
+    /// serving replica per block, in replica order). A node failure
+    /// mid-read reroutes the unserved remainder to the surviving
+    /// replicas on the next pass, then repairs the dead node.
     fn read(&self, class: IoClass, idxs: &[u64]) -> Vec<Bytes> {
         self.vectored_reads
             .fetch_add(vectored(class, idxs.len()), Ordering::Relaxed);
@@ -1030,7 +1029,7 @@ impl BlockStore for ReplicatedStore {
                 if out[pos].is_some() {
                     continue;
                 }
-                let Some(r) = self.nearest_serving(&st, idx) else {
+                let Some(r) = self.first_serving(&st, idx) else {
                     panic!("no live replica for block {idx}");
                 };
                 let (positions, inners, via_replica) = &mut per_node[node_of(idx, r, n)];
@@ -1080,26 +1079,16 @@ impl BlockStore for ReplicatedStore {
         }
     }
 
-    /// Commits the buffer as one or more epochs (module docs,
-    /// *Epochs*), in block order, so a buffered block 0 commits in the
-    /// first. Each epoch commits under a **write quorum**: each
-    /// writable node receives its share of the epoch, in ascending
-    /// inner block order, as one call whose last record stamps the
-    /// epoch's number
-    /// (its metadata writes ride ahead in a call of their own class —
-    /// the epoch record still commits strictly after them). An epoch
-    /// commits when every one of its blocks has `ceil(R/2)` replica
-    /// acks and at least one live node holds the new record; its
-    /// blocks then leave the buffer, and the next epoch starts. A node
-    /// that fails mid-flush goes to the probation/rebuild path and the
-    /// pass *continues* — the minority catches up via re-sync instead
-    /// of blocking the flush. Every frame carries the coordinator's
-    /// fence token: a [`RemoteError::Fenced`] refusal aborts
-    /// immediately (never retried — the frame was not applied) and
-    /// latches the volume read-only. Node journals are deliberately
-    /// *not* flushed here: the journal is each node's durability
-    /// channel, and keeping the epoch history in it is what the
-    /// torn-write recovery replays.
+    /// Commits the buffer as one or more epochs, in block order, so a
+    /// buffered block 0 commits in the first, each under the write
+    /// quorum (module docs, *Epochs*, *Multi-coordinator safety*).
+    /// Each writable node receives its share of an epoch in ascending
+    /// inner block order; its metadata writes ride ahead in a call of
+    /// their own class, so the epoch record still commits after them. A
+    /// [`RemoteError::Fenced`] refusal aborts at once and latches the
+    /// volume read-only. Node journals are deliberately *not* flushed
+    /// here: the journal is each node's durability channel, and keeping
+    /// the epoch history in it is what the torn-write recovery replays.
     fn flush(&self) -> std::io::Result<()> {
         let mut st = self.state.lock();
         self.flushes.fetch_add(1, Ordering::Relaxed);
@@ -1386,44 +1375,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_replica_serves_reads() {
-        // Node 1 (replica 1 of block 0's stripe-mates) on a fast link,
-        // node 0 on a slow one: reads of blocks whose primary is the
-        // slow node are served by the fast replica.
-        let clock = SimClock::new();
-        let node_bc = ReplicatedStore::node_block_count(8, 2, 2);
-        let slow = RemoteStore::serve_local(
-            SimStore::untimed(node_bc),
-            &clock,
-            LinkConfig {
-                latency: std::time::Duration::from_millis(5),
-                bandwidth: u64::MAX,
-            },
-            RemoteOptions::default(),
-        );
-        let fast = RemoteStore::serve_local(
-            SimStore::untimed(node_bc),
-            &clock,
-            LinkConfig::instant(),
-            RemoteOptions::default(),
-        );
-        let store = ReplicatedStore::new(vec![slow, fast], vec![], 8, 2);
-        for i in 1..8u64 {
-            store.write_block(i, &block_of(i as u8));
-        }
-        store.flush().unwrap();
-        clock.reset();
-        // Block 2's primary is node 0 (slow); its replica on node 1.
-        assert_eq!(store.read_block(2)[0], 2);
-        assert!(
-            clock.now() < std::time::Duration::from_millis(5),
-            "read avoided the slow link: {:?}",
-            clock.now()
-        );
-        assert_eq!(store.stats().replica_reads, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
         volume(8, 2, 2, 0).read_block(8);
@@ -1481,9 +1432,6 @@ mod tests {
     fn short_timeouts() -> RemoteOptions {
         RemoteOptions {
             timeout: Duration::from_millis(10),
-            base: Duration::from_millis(2),
-            multiplier: 2.0,
-            max_backoff: Duration::from_millis(40),
             deadline: Duration::from_millis(200),
         }
     }

@@ -236,3 +236,47 @@ fn expired_credential_cannot_be_replayed_later() {
         .readdir_all(&client.remote().root())
         .is_err());
 }
+
+/// Waits (bounded) until the engine serves exactly `n` connections: a
+/// connection leaves its map only after `connection_closed` ran.
+fn await_connections(bed: &Testbed, n: usize) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while bed.engine().connections() != n {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "engine never reached {n} connections"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn closing_one_connection_keeps_the_others_session() {
+    // Bob mounts twice under one key; both mounts share his session.
+    let bed = Testbed::instant();
+    let bob = key(2);
+    let mut a = bed.connect(&bob).expect("attach a");
+    let b = bed.connect(&bob).expect("attach b");
+    let grant = CredentialIssuer::new(bed.admin())
+        .holder(&bob.public())
+        .grant_handle_string("1.1", Perm::RWX)
+        .issue();
+    a.submit_credential(&grant).unwrap();
+    let root = a.remote().root();
+    let file = a.create_with_credential(&root, "kept", 0o644).unwrap();
+    a.client().write_all(&file.fh, 0, b"still mine").unwrap();
+
+    // Ending one mount leaves the other's credentials and creator
+    // grant in place.
+    drop(b);
+    await_connections(&bed, 1);
+    assert_eq!(bed.service().peer_session_count(), 1);
+    assert!(a.client().readdir_all(&root).is_ok(), "the grant on 1.1");
+    let (_, data) = a.client().read(&file.fh, 0, 10).expect("the creator grant");
+    assert_eq!(data, b"still mine");
+
+    // The last close ends the session.
+    drop(a);
+    await_connections(&bed, 0);
+    assert_eq!(bed.service().peer_session_count(), 0);
+}
